@@ -3,37 +3,29 @@ scaling-validation harness tying the two together."""
 
 __version__ = "0.1.0"
 
-from .bo_solver import (BlowUpError, BOConfig, BOState, bo_rhs, dtau2_v,
-                        dtau_u, gaussian_profile, run_to, step)
+from .bo_solver import BlowUpError, BOConfig, BOState, gaussian_profile, run_to
 from .harness import (ConfigError, ResidualSample, ScalingReport,
-                      ValidationConfig, ValidationResult, build_ansatz,
+                      ValidationConfig, ValidationResult, ansatz_fields,
                       default_residual_amplitude, error_energy_trace,
                       fit_slope, residual_eval, residual_fields,
                       run_residual_sweep, run_validation)
 from .lattice import (CollisionError, LatticeConfig, LatticeState, energy,
-                      error_energy, error_energy_constants, force, gsum,
-                      p2_functional, run_steps, v_m, v_m_prime, verlet_step,
-                      w_m, w_m_db, w_m_prime)
+                      error_energy, error_energy_constants, force,
+                      p2_functional, run_steps)
 from .specfun import (AlphaParams, eta_integral, eta_riemann, find_alpha_star,
                       make_alpha_params, zeta, zeta_gap)
-from .spectral import (PeriodicGrid, SpectralField, antiderivative_meanzero,
-                       apply_multiplier, average_op, eval_at, frac_deriv,
-                       hilbert, hilbert_frac, l2_norm, resample_uniform,
-                       sample_spectrum, sobolev_norm)
+from .spectral import (PeriodicGrid, SpectralField, l2_norm, sample_spectrum,
+                       sobolev_norm)
 
 __all__ = [
     "AlphaParams", "BOConfig", "BOState", "BlowUpError", "CollisionError",
     "ConfigError", "LatticeConfig", "LatticeState", "PeriodicGrid",
     "ResidualSample", "ScalingReport", "SpectralField", "ValidationConfig",
-    "ValidationResult", "antiderivative_meanzero", "apply_multiplier",
-    "average_op", "bo_rhs", "build_ansatz", "default_residual_amplitude",
-    "dtau2_v", "dtau_u", "energy", "error_energy", "error_energy_constants",
-    "error_energy_trace", "eta_integral", "eta_riemann", "eval_at",
-    "find_alpha_star", "fit_slope", "force", "frac_deriv", "gaussian_profile",
-    "gsum", "hilbert", "hilbert_frac", "l2_norm", "make_alpha_params",
-    "p2_functional", "resample_uniform", "residual_eval", "residual_fields",
-    "run_residual_sweep", "run_steps", "run_to", "run_validation",
-    "sample_spectrum", "sobolev_norm", "step", "v_m", "v_m_prime",
-    "verlet_step", "w_m", "w_m_db", "w_m_prime", "zeta", "zeta_gap",
-    "__version__",
+    "ValidationResult", "ansatz_fields", "default_residual_amplitude",
+    "energy", "error_energy", "error_energy_constants", "error_energy_trace",
+    "eta_integral", "eta_riemann", "find_alpha_star", "fit_slope", "force",
+    "gaussian_profile", "l2_norm", "make_alpha_params", "p2_functional",
+    "residual_eval", "residual_fields", "run_residual_sweep", "run_steps",
+    "run_to", "run_validation", "sample_spectrum", "sobolev_norm", "zeta",
+    "zeta_gap", "__version__",
 ]

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import AlphaParams
-from .spectral import (PeriodicGrid, SpectralField, dealias_mask, sobolev_norm,
-                       wavenumbers)
+from .spectral import PeriodicGrid, SpectralField, dealias_mask, sobolev_norm
 
 
 class BlowUpError(RuntimeError):
@@ -97,15 +96,6 @@ def _dtau2_v_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
     return g
 
 
-def bo_rhs(state: BOState, params: AlphaParams,
-           dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
-    """Right side of du/dtau = -(kappa2/kappa1) u u_X - (kappa3/kappa1) H|D|^alpha u."""
-    grid = state.u.grid
-    mask = dealias_mask(grid.n, dealias_fraction)
-    rhs = _rhs_spectrum(state.u.spectrum, grid.wavenumbers, params, mask)
-    return SpectralField.from_spectrum(grid, rhs)
-
-
 def _check_cfl(c: np.ndarray, k: np.ndarray, params: AlphaParams, dtau: float):
     umax = float(np.max(np.abs(np.fft.ifft(c).real * k.size)))
     kmax = float(np.max(np.abs(k)))
@@ -138,17 +128,6 @@ def _run_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
                               tau=tau_origin + (i + 1) * dtau,
                               alpha=params.alpha)
     return c
-
-
-def step(state: BOState, config: BOConfig) -> BOState:
-    """Advance one step of config.dtau (fourth order in dtau)."""
-    grid = state.u.grid
-    k = grid.wavenumbers
-    mask = dealias_mask(grid.n, config.dealias_fraction)
-    _check_cfl(state.u.spectrum, k, config.params, config.dtau)
-    c = _run_spectrum(state.u.spectrum, k, config.params, mask,
-                      config.dtau, 1, tau_origin=state.tau)
-    return BOState(u=SpectralField.from_spectrum(grid, c), tau=state.tau + config.dtau)
 
 
 def _monitor_row(c: np.ndarray, grid: PeriodicGrid, tau: float) -> tuple:
@@ -185,24 +164,6 @@ def run_to(state: BOState, tau_end: float, config: BOConfig):
         tau = target
         trace.append(_monitor_row(c, grid, tau))
     return BOState(u=SpectralField.from_spectrum(grid, c), tau=tau), trace
-
-
-def dtau_u(state: BOState, params: AlphaParams,
-           dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
-    """First tau-derivative of u, read off the evolution equation."""
-    return bo_rhs(state, params, dealias_fraction)
-
-
-def dtau2_v(state: BOState, params: AlphaParams,
-            dealias_fraction: float = 2.0 / 3.0,
-            mean_tol: float = 1e-10) -> SpectralField:
-    """Second tau-derivative of the primitive v with dX v = -u and v(0) = 0."""
-    if abs(state.u.spectrum[0]) > mean_tol:
-        raise ValueError("u must have zero mean for the primitive to be periodic")
-    grid = state.u.grid
-    mask = dealias_mask(grid.n, dealias_fraction)
-    g = _dtau2_v_spectrum(state.u.spectrum, grid.wavenumbers, params, mask)
-    return SpectralField.from_spectrum(grid, g)
 
 
 def gaussian_profile(grid: PeriodicGrid, amplitude: float = 1.0,

@@ -32,9 +32,9 @@ import numpy as np
 from . import __version__
 from .bo_solver import BOConfig, BOState, BlowUpError, gaussian_profile, run_to
 from .harness import (DEFAULT_VALIDATION_AMPLITUDE, ConfigError,
-                      ValidationConfig, _config_dict, _ring_size, build_ansatz,
-                      describe_plan, run_residual_sweep, run_validation,
-                      write_rows_csv)
+                      ValidationConfig, _config_dict, _ring_size,
+                      ansatz_fields, describe_plan, run_residual_sweep,
+                      run_validation, write_rows_csv)
 from .lattice import (CollisionError, LatticeConfig, LatticeState, energy,
                       run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
@@ -250,7 +250,6 @@ def cmd_simulate_lattice(args) -> int:
             raise ConfigError(f"--n {args.n} disagrees with {args.init} ({N} rows)")
         if args.cutoff is None:
             raise ConfigError("--cutoff is required together with --init")
-        state = LatticeState(r=r, p=p, t=0.0)
     else:
         if args.epsilon is None:
             raise ConfigError("either --init or --epsilon is required")
@@ -262,7 +261,8 @@ def cmd_simulate_lattice(args) -> int:
                else DEFAULT_VALIDATION_AMPLITUDE)
         u0 = gaussian_profile(PeriodicGrid(args.period, modes), amp,
                               args.width_fraction)
-        state = build_ansatz(u0, eps, params)
+        r, p = ansatz_fields(u0.spectrum, args.period, N, params)
+    state = LatticeState(r=r, p=p, t=0.0)
     cutoff = args.cutoff
     if cutoff is None:
         cutoff = min(N // 2 - 1, int(math.ceil(8.0 / eps)))

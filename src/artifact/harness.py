@@ -26,8 +26,8 @@ from .lattice import (CollisionError, LatticeConfig, LatticeState,
                       error_energy, error_energy_constants, run_steps)
 from .specfun import AlphaParams, make_alpha_params
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
-                       dealias_mask, pad_spectrum, resample_uniform,
-                       sample_spectrum, wavenumbers)
+                       dealias_mask, pad_spectrum, sample_spectrum,
+                       wavenumbers)
 
 DEFAULT_EPSILONS = (0.2, 0.1414, 0.1, 0.0707)
 RESIDUAL_CSV_HEADER = ("alpha", "epsilon", "t", "l2")
@@ -115,7 +115,6 @@ class ResidualSample:
     epsilon: float
     t: float
     l2_norm: float
-    values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.l2_norm < 0.0:
@@ -183,20 +182,6 @@ def _ring_size(period: float, eps: float):
     return N, exact
 
 
-def build_ansatz(u0: SpectralField, eps: float, params: AlphaParams) -> LatticeState:
-    """Initial lattice data sampled from the continuum profile:
-    r_j = -eps^(alpha-1) u0(eps*j), p_j = +c eps^(alpha-1) u0(eps*j)."""
-    if abs(u0.spectrum[0]) > 1e-10:
-        raise ValueError("u0 must be mean-zero")
-    ratio = u0.grid.period / eps
-    N = int(round(ratio))
-    if abs(ratio - N) > 1e-9 * max(1.0, ratio) or N % 2 or N < 16:
-        raise ConfigError(f"period/epsilon = {ratio} is not an even ring size")
-    us = resample_uniform(u0, N)
-    scale = eps ** (params.alpha - 1.0)
-    return LatticeState(r=-scale * us, p=params.c * scale * us, t=0.0)
-
-
 def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
                   params: AlphaParams, shift: float = 0.0,
                   dealias_fraction: float = 2.0 / 3.0):
@@ -209,8 +194,11 @@ def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
       r_j = q_{j+1} - q_j = -eps^(alpha-1) * (mean of u over [X_j, X_j + eps]),
       p_j = c eps^(alpha-1) u(X_j) + eps^(2 alpha - 2) v_tau(X_j),
     with v_tau the mean-zero primitive of -du/dtau read off the surrogate
-    equation, so the ansatz carries no net momentum.
+    equation, so the ansatz carries no net momentum.  The profile must be
+    mean-zero, or its primitive v would not be periodic.
     """
+    if abs(spectrum[0]) > 1e-10:
+        raise ValueError("the profile u must be mean-zero")
     eps = period / N
     alpha = params.alpha
     # fields are formed on the ring's grid, as in residual_fields, or on the
@@ -247,10 +235,10 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     cancellation-safe anchored form.
     """
     period = u_tau.grid.period
-    ratio = period / eps
-    N = int(round(ratio))
-    if abs(ratio - N) > 1e-9 * max(1.0, ratio) or N % 2:
-        raise ConfigError(f"period/epsilon = {ratio} is not an even ring size")
+    N, exact = _ring_size(period, eps)
+    if abs(exact - eps) > 1e-9 * eps:
+        raise ConfigError(
+            f"period/epsilon = {period / eps} is not an even ring size")
     alpha = params.alpha
     if N < u_tau.grid.n:
         raise ConfigError(
@@ -286,14 +274,11 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
 
 def residual_eval(u_tau: SpectralField, eps: float, t: float,
                   params: AlphaParams, cutoff: int,
-                  dealias_fraction: float = 2.0 / 3.0,
-                  keep_values: bool = False) -> ResidualSample:
+                  dealias_fraction: float = 2.0 / 3.0) -> ResidualSample:
     """l2 norm over the ring of the ansatz residual at one checkpoint."""
     accel, fpart = residual_fields(u_tau, eps, params, cutoff, dealias_fraction)
-    vals = accel + fpart
     return ResidualSample(epsilon=eps, t=t,
-                          l2_norm=float(np.linalg.norm(vals)),
-                          values=vals if keep_values else None)
+                          l2_norm=float(np.linalg.norm(accel + fpart)))
 
 
 def _resolve_amplitude(config: ValidationConfig, pipeline: str) -> float:
@@ -376,6 +361,9 @@ def _residual_eps_task(args):
         t = tau / eps ** params.alpha
         sample = residual_eval(SpectralField.from_spectrum(grid, c), eps, t,
                                params, cutoff, config.dealias_fraction)
+        if not math.isfinite(sample.l2_norm):
+            raise BlowUpError("non-finite ansatz residual", t=t,
+                              alpha=params.alpha, epsilon=eps)
         rows.append((params.alpha, eps, t, sample.l2_norm))
         sup = max(sup, sample.l2_norm)
     return rows, (eps, sup)
@@ -429,6 +417,9 @@ def _validation_branch(config, params, spectra, eps, N, lat_cfg, nsteps, seg,
         nu = sign * state.p - ptilde
         mu_l2 = float(np.linalg.norm(mu))
         nu_l2 = float(np.linalg.norm(nu))
+        if not (math.isfinite(mu_l2) and math.isfinite(nu_l2)):
+            raise BlowUpError("non-finite chain-versus-surrogate error",
+                              t=sign * t, alpha=alpha, epsilon=eps)
         rows.append((alpha, eps, sign * t, mu_l2, nu_l2))
         sup_mu = max(sup_mu, mu_l2)
         sup_nu = max(sup_nu, nu_l2)

@@ -10,7 +10,6 @@ well conditioned.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +68,6 @@ class LatticeConfig:
             raise ValueError(f"alpha must lie in (1, 3), got {self.alpha}")
 
 
-def gsum(r: np.ndarray, m: int) -> np.ndarray:
-    """Periodic window sums out[j] = r[j] + ... + r[j+m-1], via prefix sums."""
-    r = np.asarray(r, dtype=float)
-    N = r.size
-    if not 1 <= m <= N:
-        raise ValueError(f"m must lie in [1, {N}], got {m}")
-    cs = np.concatenate(([0.0], np.cumsum(np.concatenate((r, r)))))
-    return cs[m:m + N] - cs[:N]
-
-
 def _gsum_all(r: np.ndarray, M: int) -> np.ndarray:
     """Stacked window sums for m = 1..M from one doubled prefix-sum pass."""
     N = r.size
@@ -88,6 +77,10 @@ def _gsum_all(r: np.ndarray, M: int) -> np.ndarray:
 
 def _kernel(a, mu, alpha: float):
     """(mu+a)^-alpha - mu^-alpha + alpha*a*mu^-(alpha+1), safe for small a/mu.
+
+    With mu = m this is the renormalized pair potential V_m at window sum a;
+    with mu = m + b it is the second-order remainder of V_m around b,
+    V_m(b+a) - V_m(b) - V_m'(b)*a.
 
     The subtracted equilibrium value and slope cancel the first two Taylor
     terms, so the direct expression loses accuracy when |a/mu| is tiny; below
@@ -123,31 +116,6 @@ def _kernel_prime(a, mu, alpha: float):
     return alpha * mu ** (-b) * (-np.expm1(-b * np.log1p(x)))
 
 
-def v_m(g, m: int, alpha: float):
-    """Renormalized pair potential at range m, evaluated at window sum g."""
-    return _kernel(g, float(m), alpha)
-
-
-def v_m_prime(g, m: int, alpha: float):
-    """Slope of the renormalized pair potential at range m."""
-    return _kernel_prime(g, float(m), alpha)
-
-
-def w_m(a, b, m: int, alpha: float):
-    """Second-order remainder of v_m around b: v_m(b+a) - v_m(b) - v_m'(b)*a."""
-    return _kernel(a, float(m) + np.asarray(b, dtype=float), alpha)
-
-
-def w_m_prime(a, b, m: int, alpha: float):
-    """Derivative of w_m in a."""
-    return _kernel_prime(a, float(m) + np.asarray(b, dtype=float), alpha)
-
-
-def w_m_db(a, b, m: int, alpha: float):
-    """Derivative of w_m in b."""
-    return -alpha * _kernel(a, float(m) + np.asarray(b, dtype=float), alpha + 1.0)
-
-
 def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     """Acceleration of each site: sum over ranges m of the backward
     m-difference of the pair slopes, truncated at config.cutoff."""
@@ -167,19 +135,6 @@ def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
 def _drift(p: np.ndarray) -> np.ndarray:
     # dr_j/dt = p_{j+1} - p_j
     return np.roll(p, -1) - p
-
-
-def verlet_step(state: LatticeState, config: LatticeConfig) -> LatticeState:
-    """One kick-drift-kick step of length config.dt."""
-    dt = config.dt
-    f = force(state.r, config)
-    if dt * float(np.max(np.abs(f))) > 1.0:
-        warnings.warn("dt * max|force| exceeds 1; step is too coarse",
-                      RuntimeWarning, stacklevel=2)
-    p = state.p + (0.5 * dt) * f
-    r = state.r + dt * _drift(p)
-    p = p + (0.5 * dt) * force(r, config)
-    return LatticeState(r=r, p=p, t=state.t + dt)
 
 
 def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> LatticeState:
@@ -226,7 +181,8 @@ def p2_functional(eta: np.ndarray, alpha: float, cutoff: int):
 
 def error_energy(xi: np.ndarray, eta: np.ndarray, rtilde: np.ndarray,
                  config: LatticeConfig) -> float:
-    """Modified energy 0.5 ||xi||^2 + sum_j sum_m w_m(G_m eta, G_m rtilde).
+    """Modified energy 0.5 ||xi||^2 + sum_j sum_m W_m(G_m eta, G_m rtilde),
+    with W_m(a, b) = _kernel(a, m + b) the remainder of V_m around b.
 
     Valid (and provably norm-equivalent) only under the smallness condition
     ||eta||, ||rtilde|| <= 1/4, which is enforced.

@@ -1,10 +1,11 @@
-"""Real periodic fields with cached discrete spectra and Fourier multipliers.
+"""Real periodic fields with cached discrete spectra, spectral resampling and
+the window-mean symbol.
 
 The spectrum convention is spectrum = fft(values)/n, so spectrum[j] is the
 coefficient of exp(i*k_j*X) and a unit constant field has spectrum
 (1, 0, ..., 0).  Wavenumbers follow the usual FFT layout with the unpaired
--n/2 mode last in the negative block; any operation whose multiplier is not
-real there zeroes that bin to keep fields real.
+-n/2 mode last in the negative block; resampling splits that bin
+half-and-half between +n/2 and -n/2 to keep fields real.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-CONJ_TOL = 1e-9
 
 
 def wavenumbers(n: int, period: float) -> np.ndarray:
@@ -101,10 +100,6 @@ class PeriodicGrid:
     def wavenumbers(self) -> np.ndarray:
         return wavenumbers(self.n, self.period)
 
-    @property
-    def nyquist_index(self) -> int:
-        return self.n // 2
-
 
 class SpectralField:
     """A real field on a PeriodicGrid together with its discrete spectrum.
@@ -137,127 +132,12 @@ class SpectralField:
     def mean(self) -> float:
         return float(self.spectrum[0].real)
 
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.values + other.values,
-                             self.spectrum + other.spectrum)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.values - other.values,
-                             self.spectrum - other.spectrum)
-
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        return SpectralField(self.grid, scalar * self.values, scalar * self.spectrum)
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(f: SpectralField, g: SpectralField):
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-
-
-def _eval_multiplier(m, k: np.ndarray) -> np.ndarray:
-    try:
-        mk = np.asarray(m(k), dtype=complex)
-        if mk.shape == k.shape:
-            return mk
-    except (TypeError, ValueError):
-        pass
-    return np.array([m(float(kk)) for kk in k], dtype=complex)
-
-
-def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Apply the diagonal operator with symbol m(k) to the field.
-
-    m must satisfy m(-k) = conj(m(k)) so real fields stay real; this is
-    checked on the grid's paired wavenumbers.  The unpaired top mode is
-    zeroed whenever its multiplier value is not real.
-    """
-    k = f.grid.wavenumbers
-    mk = _eval_multiplier(m, k)
-    half = f.grid.nyquist_index
-    scale = 1.0 + float(np.max(np.abs(mk)))
-    mismatch = np.max(np.abs(np.conj(mk[1:half]) - mk[:half:-1]))
-    if mismatch > CONJ_TOL * scale:
-        raise ValueError("multiplier must satisfy m(-k) = conj(m(k)) "
-                         f"(max mismatch {mismatch:.3e})")
-    out = mk * f.spectrum
-    if abs(mk[half].imag) > CONJ_TOL * scale:
-        out[half] = 0.0
-    return SpectralField.from_spectrum(f.grid, out)
-
-
-def hilbert(f: SpectralField) -> SpectralField:
-    """Periodic Hilbert transform: multiplier -i*sign(k), constants to zero."""
-    return apply_multiplier(f, lambda k: -1j * np.sign(k))
-
-
-def frac_deriv(f: SpectralField, alpha: float) -> SpectralField:
-    """|D|^alpha with multiplier |k|**alpha; alpha = 0 is the identity."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    return apply_multiplier(f, lambda k: np.abs(k) ** alpha + 0j)
-
-
-def hilbert_frac(f: SpectralField, alpha: float) -> SpectralField:
-    """Composition of the Hilbert transform with |D|^alpha."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    return apply_multiplier(f, lambda k: -1j * np.sign(k) * np.abs(k) ** alpha)
-
 
 def average_multiplier(k: np.ndarray, h: float) -> np.ndarray:
     """Symbol of the sliding window mean (1/h) * integral over [X, X+h]."""
     kh = k * h
     return np.where(kh == 0.0, 1.0 + 0j,
                     (np.exp(1j * kh) - 1.0) / np.where(kh == 0.0, 1.0, 1j * kh))
-
-
-def average_op(f: SpectralField, h: float) -> SpectralField:
-    """Sliding mean over [X, X+h] (h may be negative: the window flips)."""
-    if h == 0.0:
-        raise ValueError("h must be nonzero")
-    return apply_multiplier(f, lambda k: average_multiplier(k, h))
-
-
-def antiderivative_meanzero(f: SpectralField, mean_tol: float = 1e-10
-                            ) -> SpectralField:
-    """Primitive w with dX w = -f and w(0) = 0, for mean-zero periodic f."""
-    c = f.spectrum
-    if abs(c[0]) > mean_tol:
-        raise ValueError(f"input mean {c[0].real:.3e} exceeds {mean_tol:.1e}; "
-                         "the primitive would not be periodic")
-    k = f.grid.wavenumbers
-    w = np.zeros_like(c)
-    w[1:] = -c[1:] / (1j * k[1:])
-    w[f.grid.nyquist_index] = 0.0
-    w[0] = -np.sum(w[1:])
-    return SpectralField.from_spectrum(f.grid, w)
-
-
-def eval_at(f: SpectralField, x):
-    """Trigonometric interpolation at arbitrary points (reduced mod period).
-
-    The unpaired top mode contributes its symmetrized (cosine) part, which
-    agrees with the grid values at the nodes and keeps the result real.
-    """
-    k = f.grid.wavenumbers
-    half = f.grid.nyquist_index
-    c = f.spectrum
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phases = np.exp(1j * xs[:, None] * k[None, :half])
-    tail = np.exp(1j * xs[:, None] * k[None, half + 1:])
-    vals = (phases @ c[:half]).real + (tail @ c[half + 1:]).real
-    vals += c[half].real * np.cos(k[half] * xs)
-    return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
-
-
-def resample_uniform(f: SpectralField, num: int, shift: float = 0.0) -> np.ndarray:
-    """Fast eval_at on the uniform points j*period/num + shift (num even, >= n)."""
-    return sample_spectrum(f.spectrum, f.grid.period, num, shift)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -289,13 +169,3 @@ def write_field_binary(f: SpectralField, path):
     """Little-endian float64 dump: period, n, then the n values."""
     header = np.array([f.grid.period, float(f.grid.n)])
     np.concatenate([header, f.values]).astype("<f8").tofile(path)
-
-
-def read_field_binary(path) -> SpectralField:
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size < 2:
-        raise ValueError(f"truncated field dump: {path}")
-    period, n = float(raw[0]), int(raw[1])
-    if raw.size != 2 + n:
-        raise ValueError(f"field dump length mismatch in {path}")
-    return SpectralField.from_values(PeriodicGrid(period, n), raw[2:])

@@ -13,8 +13,8 @@ from scipy.integrate import quad
 from scipy.special import zeta as hurwitz_zeta
 
 from artifact.bo_solver import BOConfig, BOState, gaussian_profile, run_to
-from artifact.harness import ValidationConfig, build_ansatz, run_residual_sweep, run_validation
-from artifact.lattice import LatticeConfig, LatticeState, energy, force, gsum, p2_functional, run_steps, v_m_prime
+from artifact.harness import ValidationConfig, ansatz_fields, run_residual_sweep, run_validation
+from artifact.lattice import LatticeConfig, LatticeState, energy, force, p2_functional, run_steps
 from artifact.specfun import eta_integral, eta_riemann, find_alpha_star, make_alpha_params, zeta, zeta_gap
 from artifact.spectral import PeriodicGrid, SpectralField, l2_norm
 from conftest import record
@@ -125,11 +125,17 @@ def test_gate3_window_rate():
 
 def _p2_exact_meanzero(eta, alpha):
     """Full window series for a mean-zero ring vector: windows wrap with
-    period N, so the infinite sum collapses to N Hurwitz-weighted terms."""
+    period N, so the infinite sum collapses to N Hurwitz-weighted terms.
+    The window sums grow one rolled copy at a time, apart from the
+    prefix sums the package uses."""
     N = eta.size
     s_vals = np.arange(1, N + 1, dtype=float)
     w = hurwitz_zeta(alpha + 2.0, s_vals / N) * N ** (-(alpha + 2.0))
-    g2 = np.array([float(np.sum(gsum(eta, s) ** 2)) for s in range(1, N + 1)])
+    g = np.zeros(N)
+    g2 = np.empty(N)
+    for s in range(N):
+        g += np.roll(eta, -s)
+        g2[s] = float(np.sum(g * g))
     return float(np.sum(w * g2))
 
 
@@ -182,7 +188,8 @@ def test_gate5_lattice_physics():
     params = make_alpha_params(2.0)
     grid = PeriodicGrid(102.4, 512)
     u0 = gaussian_profile(grid, 0.1, 8.0)
-    state = build_ansatz(u0, 0.2, params)
+    r0, p0 = ansatz_fields(u0.spectrum, grid.period, 512, params)
+    state = LatticeState(r=r0, p=p0, t=0.0)
     cfg = LatticeConfig(N=512, alpha=2.0, cutoff=40, dt=0.05)
     E0 = energy(state, cfg)
     mom0 = float(np.sum(state.p))
@@ -198,14 +205,23 @@ def test_gate5_lattice_physics():
                          p=0.05 * rng.standard_normal(32), t=0.0)
     oracle_cfg = LatticeConfig(N=32, alpha=2.0, cutoff=10, dt=0.05)
     f = force(small.r, oracle_cfg)
+    # pair slope -alpha((m+g)^-(alpha+1) - m^-(alpha+1)) in long double,
+    # apart from the expm1/log1p kernel that force uses
+    r_ld = small.r.astype(np.longdouble)
+    a = np.longdouble(oracle_cfg.alpha)
+
+    def slope(g, m):
+        m = np.longdouble(m)
+        return -a * ((m + g) ** -(a + 1) - m ** -(a + 1))
+
     brute = np.zeros(32)
     for j in range(32):
-        acc = 0.0
+        acc = np.longdouble(0.0)
         for m in range(1, 11):
-            gj = float(np.sum(small.r[(j + np.arange(m)) % 32]))
-            gjm = float(np.sum(small.r[(j - m + np.arange(m)) % 32]))
-            acc += v_m_prime(gj, m, 2.0) - v_m_prime(gjm, m, 2.0)
-        brute[j] = acc
+            gj = np.sum(r_ld[(j + np.arange(m)) % 32])
+            gjm = np.sum(r_ld[(j - m + np.arange(m)) % 32])
+            acc += slope(gj, m) - slope(gjm, m)
+        brute[j] = float(acc)
     force_dev = float(np.max(np.abs(f - brute)))
     elapsed = time.perf_counter() - t0
     status = ("PASS" if sup_e <= 1e-6 and sup_m <= 1e-10

@@ -1,0 +1,67 @@
+"""Dead-code guard for the package surface.
+
+Every public top-level function or class in src/artifact must be used by
+name somewhere else in the package (the re-exports of __init__.py do not
+count) or by a release gate in tests/test_acceptance.py.  A helper that only
+unit tests call fails here: fold it into its caller or move it into the test
+that needs it.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import artifact
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "artifact"
+GATES = ROOT / "tests" / "test_acceptance.py"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(node):
+    """Names that a statement mentions: loads, attributes and imports."""
+    seen = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            seen[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            seen[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            seen[sub.name] += 1
+    return seen
+
+
+def test_every_public_definition_is_used():
+    modules = {p: _parse(p) for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    statements = [stmt for tree in modules.values() for stmt in tree.body]
+    statements += _parse(GATES).body
+    # a definition counts as used only through some other statement
+    counts = [(stmt, _names(stmt)) for stmt in statements]
+    unused = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            if not any(names[node.name] for stmt, names in counts
+                       if stmt is not node):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, ("public definitions used by nothing in the package "
+                        f"and by no release gate: {unused}")
+
+
+def test_all_matches_init_imports():
+    tree = _parse(SRC / "__init__.py")
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert len(artifact.__all__) == len(set(artifact.__all__))
+    assert set(artifact.__all__) == imported | {"__version__"}
+    for name in artifact.__all__:
+        assert hasattr(artifact, name), name

@@ -1,14 +1,32 @@
 import numpy as np
 import pytest
 
-from artifact.bo_solver import (BOConfig, BOState, BlowUpError, bo_rhs,
-                                dtau2_v, dtau_u, gaussian_profile, run_to,
-                                step)
+from artifact.bo_solver import (BOConfig, BOState, BlowUpError,
+                                _dtau2_v_spectrum, _rhs_spectrum,
+                                gaussian_profile, run_to)
+from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
-from artifact.spectral import (PeriodicGrid, SpectralField,
-                               antiderivative_meanzero, l2_norm)
+from artifact.spectral import (PeriodicGrid, SpectralField, dealias_mask,
+                               l2_norm)
 
 PARAMS = make_alpha_params(2.0)
+
+
+def _rhs(u, params=PARAMS):
+    # du/dtau on u's own grid, as a field
+    grid = u.grid
+    return SpectralField.from_spectrum(grid, _rhs_spectrum(
+        u.spectrum, grid.wavenumbers, params, dealias_mask(grid.n)))
+
+
+def _primitive(u):
+    # v with dX v = -u and v(0) = 0, for mean-zero u
+    k = u.grid.wavenumbers
+    w = np.zeros(u.grid.n, dtype=complex)
+    w[1:] = -u.spectrum[1:] / (1j * k[1:])
+    w[u.grid.n // 2] = 0.0
+    w[0] = -np.sum(w[1:])
+    return np.fft.ifft(w).real * u.grid.n
 
 
 def _gauss_state(n=128, period=51.2, amplitude=0.5):
@@ -33,7 +51,7 @@ def test_rhs_linear_symbol_on_small_amplitude():
     k0 = 2.0 * np.pi / 16.0 * 3.0
     amp = 1e-8
     u = SpectralField.from_values(grid, amp * np.cos(k0 * grid.nodes))
-    rhs = bo_rhs(BOState(u=u, tau=0.0), PARAMS)
+    rhs = _rhs(u)
     coef = PARAMS.kappa3 / PARAMS.kappa1
     j = 3
     expected = 1j * coef * k0 ** PARAMS.alpha * u.spectrum[j]
@@ -44,18 +62,24 @@ def test_rhs_nonlinear_term_quadratic_scaling():
     # doubling the amplitude quadruples the quadratic part of the rhs
     grid = PeriodicGrid(25.6, 128)
     base = gaussian_profile(grid, 0.5)
-    lin = bo_rhs(BOState(u=base, tau=0.0), PARAMS)
-    dbl = bo_rhs(BOState(u=2.0 * base, tau=0.0), PARAMS)
+
+    def scaled(a):
+        return SpectralField.from_values(grid, a * base.values)
+
+    lin = _rhs(base)
+    dbl = _rhs(scaled(2.0))
     quad = dbl.values - 2.0 * lin.values  # 4q + 2l - 2(q + l) = 2q
-    state4 = bo_rhs(BOState(u=4.0 * base, tau=0.0), PARAMS)
+    state4 = _rhs(scaled(4.0))
     quad4 = state4.values - 4.0 * lin.values  # 16q + 4l - 4(q + l) = 12q
     assert np.allclose(quad4, 6.0 * quad, rtol=1e-9, atol=1e-12)
 
 
 def test_step_advances_and_conserves():
+    # one IF-RK4 step: run_to over exactly one dtau
     state = _gauss_state()
     cfg = BOConfig(params=PARAMS, dtau=1e-3)
-    out = step(state, cfg)
+    out, trace = run_to(state, 1e-3, cfg)
+    assert len(trace) == 2
     assert out.tau == pytest.approx(1e-3)
     assert abs(out.u.mean()) < 1e-14
     assert abs(l2_norm(out.u) - l2_norm(state.u)) < 1e-12
@@ -100,7 +124,7 @@ def test_dtau_u_matches_finite_difference():
     plus, _ = run_to(state, delta, cfg)
     minus, _ = run_to(state, -delta, cfg)
     fd = (plus.u.values - minus.u.values) / (2.0 * delta)
-    ut = dtau_u(state, PARAMS).values
+    ut = _rhs(state.u).values
     scale = np.max(np.abs(ut))
     assert np.max(np.abs(fd - ut)) < 1e-5 * scale
 
@@ -112,20 +136,23 @@ def test_dtau2_v_matches_finite_difference():
     plus, _ = run_to(state, delta, cfg)
     minus, _ = run_to(state, -delta, cfg)
 
-    def v(s):
-        return antiderivative_meanzero(s.u).values
-
-    fd = (v(plus) - 2.0 * v(state) + v(minus)) / delta ** 2
-    vtt = dtau2_v(state, PARAMS).values
+    fd = (_primitive(plus.u) - 2.0 * _primitive(state.u)
+          + _primitive(minus.u)) / delta ** 2
+    grid = state.u.grid
+    vtt_hat = _dtau2_v_spectrum(state.u.spectrum, grid.wavenumbers, PARAMS,
+                                dealias_mask(grid.n))
+    vtt = np.fft.ifft(vtt_hat).real * grid.n
     scale = np.max(np.abs(vtt))
     assert np.max(np.abs(fd - vtt)) < 1e-4 * scale
 
 
 def test_dtau2_v_requires_mean_zero():
+    # the primitives of u and u_tau are periodic only for mean-zero u; the
+    # guard sits where the system builds them from a profile, ansatz_fields
     grid = PeriodicGrid(51.2, 128)
     u = SpectralField.from_values(grid, np.ones(128))
     with pytest.raises(ValueError):
-        dtau2_v(BOState(u=u, tau=0.0), PARAMS)
+        ansatz_fields(u.spectrum, grid.period, 128, PARAMS)
 
 
 def test_blow_up_raises_with_location():
@@ -141,7 +168,7 @@ def test_cfl_warning_on_coarse_step():
     state = _gauss_state(n=128, period=25.6, amplitude=2.0)
     cfg = BOConfig(params=PARAMS, dtau=0.2)
     with pytest.warns(RuntimeWarning):
-        step(state, cfg)
+        run_to(state, 0.2, cfg)
 
 
 def test_config_validation():

@@ -6,7 +6,19 @@ import numpy as np
 import pytest
 
 from artifact.cli import config_fingerprint, main
-from artifact.spectral import read_field_binary
+from artifact.spectral import PeriodicGrid, SpectralField
+
+
+def read_field_binary(path) -> SpectralField:
+    """Decode the little-endian float64 dump of write_field_binary:
+    period, n, then the n values."""
+    raw = np.fromfile(path, dtype="<f8")
+    if raw.size < 2:
+        raise ValueError(f"truncated field dump: {path}")
+    period, n = float(raw[0]), int(raw[1])
+    if raw.size != 2 + n:
+        raise ValueError(f"field dump length mismatch in {path}")
+    return SpectralField.from_values(PeriodicGrid(period, n), raw[2:])
 
 
 def _lines(text):

@@ -5,19 +5,21 @@ import os
 import numpy as np
 import pytest
 
+from artifact import harness
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError, _rhs_spectrum,
                                 gaussian_profile, run_to)
+from artifact.cli import main
 from artifact.harness import (ConfigError, ResidualSample, ScalingReport,
-                              ValidationConfig, ansatz_fields, build_ansatz,
+                              ValidationConfig, _ring_size, ansatz_fields,
                               describe_plan, default_residual_amplitude,
                               error_energy_trace,
                               fit_slope, lattice_cutoff, residual_cutoff,
                               residual_eval, residual_fields,
                               run_residual_sweep, run_validation)
-from artifact.lattice import LatticeConfig, LatticeState, gsum, run_steps
+from artifact.lattice import LatticeConfig, LatticeState, _gsum_all, run_steps
 from artifact.specfun import make_alpha_params
-from artifact.spectral import (PeriodicGrid, average_multiplier, dealias_mask,
-                               pad_spectrum, sample_spectrum, wavenumbers)
+from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
+                               dealias_mask, pad_spectrum, wavenumbers)
 
 PARAMS2 = make_alpha_params(2.0)
 
@@ -150,19 +152,6 @@ def test_clock_consistency_across_checkpoints():
 # ansatz and residual
 
 
-def test_build_ansatz_values_and_scaling():
-    grid = PeriodicGrid(102.4, 256)
-    u0 = gaussian_profile(grid, 0.2)
-    eps = 0.4
-    state = build_ansatz(u0, eps, PARAMS2)
-    assert state.r.size == 256
-    us = sample_spectrum(u0.spectrum, 102.4, 256)
-    scale = eps ** (PARAMS2.alpha - 1.0)
-    assert np.allclose(state.r, -scale * us, atol=1e-15)
-    assert np.allclose(state.p, PARAMS2.c * scale * us, atol=1e-14)
-    assert state.t == 0.0
-
-
 @pytest.mark.parametrize("alpha,shift", [(1.8, 0.0), (2.0, 0.0), (2.5, -3.7)])
 def test_ansatz_fields_match_residual_ansatz(alpha, shift):
     # the validation state is the displacement ansatz whose residual
@@ -176,9 +165,10 @@ def test_ansatz_fields_match_residual_ansatz(alpha, shift):
     scale = eps ** (alpha - 1.0)
     kN = wavenumbers(N, period)
     cN = pad_spectrum(u0.spectrum, N) * np.exp(1j * kN * shift)
+    G = _gsum_all(r, 17)
     for m in (1, 2, 5, 17):
         window = np.fft.ifft(average_multiplier(kN, eps * m) * cN).real * N
-        assert np.max(np.abs(gsum(r, m) / m + scale * window)) \
+        assert np.max(np.abs(G[m - 1] / m + scale * window)) \
             <= 1e-12 * np.max(np.abs(r))
     ut = _rhs_spectrum(pad_spectrum(u0.spectrum, N), kN, params,
                        dealias_mask(N)) * np.exp(1j * kN * shift)
@@ -192,14 +182,19 @@ def test_ansatz_fields_match_residual_ansatz(alpha, shift):
 
 
 def test_build_ansatz_rejects_bad_input():
+    # the ansatz ring comes from _ring_size, which rejects rings that are
+    # too small or epsilons too far from any even ring; the profile must
+    # be mean-zero
     grid = PeriodicGrid(102.4, 256)
     u0 = gaussian_profile(grid, 0.2)
+    assert _ring_size(102.4, 0.4) == (256, 0.4)
     with pytest.raises(ConfigError):
-        build_ansatz(u0, 0.11, PARAMS2)  # period/eps not an integer
-    from artifact.spectral import SpectralField
+        _ring_size(12.8, 0.9)  # 14 sites
+    with pytest.raises(ConfigError):
+        _ring_size(12.8, 0.35)  # nearest even ring is 4% off
     biased = SpectralField.from_values(grid, u0.values + 1.0)
     with pytest.raises(ValueError):
-        build_ansatz(biased, 0.4, PARAMS2)
+        ansatz_fields(biased.spectrum, 102.4, 256, PARAMS2)
 
 
 def test_residual_cancellation_between_parts():
@@ -225,9 +220,6 @@ def test_residual_eval_decreases_with_epsilon():
     local_slope = math.log(r1.l2_norm / r2.l2_norm) / math.log(2.0)
     assert 2.8 < local_slope < 4.2  # near beta = 3.5 already at two points
     assert isinstance(r1, ResidualSample)
-    assert r1.values is None
-    kept = residual_eval(u0, 0.2, 0.0, PARAMS2, 75, keep_values=True)
-    assert kept.values is not None and kept.values.size == 512
 
 
 def test_residual_eval_rejects_incommensurate():
@@ -328,7 +320,8 @@ def test_shift_canary_moving_frame_matters():
     period, n, eps = 102.4, 256, 0.4
     grid = PeriodicGrid(period, n)
     u0 = gaussian_profile(grid, 0.1)
-    state = build_ansatz(u0, eps, params)
+    r0, p0 = ansatz_fields(u0.spectrum, period, n, params)
+    state = LatticeState(r=r0, p=p0, t=0.0)
     tau_end = 0.05
     T = tau_end / eps ** params.alpha
     nsteps = math.ceil(T / 0.05)
@@ -336,12 +329,49 @@ def test_shift_canary_moving_frame_matters():
     out = run_steps(state, cfg, nsteps)
     bo_cfg = BOConfig(params=params, dtau=tau_end / 100.0)
     bo, _ = run_to(BOState(u=u0, tau=0.0), tau_end, bo_cfg)
-    scale = eps ** (params.alpha - 1.0)
-    shifted = sample_spectrum(bo.u.spectrum, period, n, -eps * params.c * T)
-    plain = sample_spectrum(bo.u.spectrum, period, n, 0.0)
-    mu_shifted = np.linalg.norm(out.r + scale * shifted)
-    mu_plain = np.linalg.norm(out.r + scale * plain)
+    shifted, _ = ansatz_fields(bo.u.spectrum, period, n, params,
+                               -eps * params.c * T)
+    plain, _ = ansatz_fields(bo.u.spectrum, period, n, params)
+    mu_shifted = np.linalg.norm(out.r - shifted)
+    mu_plain = np.linalg.norm(out.r - plain)
     assert mu_shifted < 0.5 * mu_plain
+
+
+def test_validation_nan_error_raises_blow_up(monkeypatch, tmp_path, capsys):
+    # a NaN chain state must not drop out of the sup as max(0, nan) = 0 would
+    # let it: every epsilon aborts, and the CLI exits 2 naming the run
+    real = harness.run_steps
+
+    def nan_steps(state, cfg, nsteps):
+        out = real(state, cfg, nsteps)
+        return LatticeState(r=out.r, p=np.full_like(out.p, np.nan), t=out.t)
+
+    monkeypatch.setattr(harness, "run_steps", nan_steps)
+    with pytest.raises(BlowUpError) as info:
+        run_validation(_smoke_config())
+    assert "non-finite" in str(info.value)
+    assert info.value.alpha == 2.0
+    assert info.value.epsilon is not None and info.value.t is not None
+    rc = main(["validate", "--alpha", "2.0", "--out", str(tmp_path / "v"),
+               "--epsilons", "0.4,0.32,0.25", "--tau0", "0.05",
+               "--checkpoints", "2", "--bo-modes", "256",
+               "--bo-steps-per-checkpoint", "20", "--amplitude", "0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "alpha=2.0" in err and "epsilon=" in err and "t=" in err
+
+
+def test_residual_nan_raises_blow_up(monkeypatch):
+    def nan_fields(u_tau, eps, params, cutoff, dealias_fraction=2.0 / 3.0):
+        n = int(round(u_tau.grid.period / eps))
+        return np.zeros(n), np.full(n, np.nan)
+
+    monkeypatch.setattr(harness, "residual_fields", nan_fields)
+    with pytest.raises(BlowUpError) as info:
+        run_residual_sweep(_smoke_config())
+    assert info.value.alpha == 2.0
+    assert info.value.epsilon == pytest.approx(102.4 / 256)
+    assert info.value.t == 0.0
 
 
 def test_error_energy_trace_rows():

@@ -1,18 +1,28 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
+from artifact.lattice import (SERIES_CROSSOVER, CollisionError, LatticeConfig,
+                              LatticeState, _gsum_all, _kernel, _kernel_prime,
                               energy, error_energy, error_energy_constants,
-                              force, gsum, p2_functional, run_steps, v_m,
-                              v_m_prime, verlet_step, w_m, w_m_db, w_m_prime)
+                              force, p2_functional, run_steps)
 from artifact.specfun import make_alpha_params, zeta
 
 
 def _naive_pair_potential(g, m, alpha):
     # (m+g)^-a - m^-a + a g m^-(a+1), evaluated plainly (fine for |g| ~ m/10)
     return (m + g) ** -alpha - m ** -alpha + alpha * g * m ** (-alpha - 1.0)
+
+
+def _pair_slope_longdouble(g, m, alpha):
+    # -a((m+g)^-(a+1) - m^-(a+1)) in long double: the force oracle, written
+    # apart from the expm1/log1p form of _kernel_prime
+    g = np.longdouble(g)
+    m = np.longdouble(m)
+    b = np.longdouble(alpha) + 1
+    return -np.longdouble(alpha) * ((m + g) ** -b - m ** -b)
 
 
 def _random_state(seed, n=64, scale=0.1):
@@ -27,14 +37,14 @@ def _config(n=64, alpha=2.0, cutoff=10, dt=0.02):
 
 
 # ---------------------------------------------------------------------------
-# pair kernels
+# pair kernels: V_m(g) = _kernel(g, m) and V_m'(g) = _kernel_prime(g, m)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
 def test_v_m_matches_naive_formula_at_moderate_argument(alpha):
     for m in (1, 2, 7):
         for g in (-0.4, -0.05, 0.05, 0.3):
-            got = v_m(g * m, m, alpha)
+            got = _kernel(g * m, m, alpha)
             ref = _naive_pair_potential(g * m, m, alpha)
             assert abs(got - ref) < 1e-12 * max(abs(ref), 1e-30)
 
@@ -45,7 +55,7 @@ def test_v_m_small_argument_against_leading_term():
     for m in (1, 5):
         for g in (1e-9, 1e-7, -1e-8):
             lead = 0.5 * alpha * (alpha + 1.0) * g * g * m ** -(alpha + 2.0)
-            got = v_m(g, m, alpha)
+            got = _kernel(g, m, alpha)
             assert abs(got - lead) < 1e-6 * lead + 1e-300
 
 
@@ -59,17 +69,38 @@ def test_v_m_series_crossover_continuity():
         mu = np.longdouble(m)
         ref = float((mu + g) ** -alpha - mu ** -alpha
                     + alpha * g * mu ** (-alpha - 1.0))
-        got = v_m(float(g), m, alpha)
+        got = _kernel(float(g), m, alpha)
         assert abs(got - ref) < 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
+def test_kernels_match_mpmath(alpha):
+    # 50-digit references on both sides of the series crossover, at small,
+    # compressed and stretched windows, with mu = m and with mu = m + b
+    with mpmath.workdps(50):
+        al = mpmath.mpf(alpha)
+        for x in (1e-9, 0.999e-3, 1.001e-3, -0.3, 0.5):
+            for mu in (1.0, 3.0, 17.0, 4.3):
+                a = x * mu
+                A, Mu = mpmath.mpf(a), mpmath.mpf(mu)
+                ref = (Mu + A) ** -al - Mu ** -al + al * A * Mu ** (-al - 1)
+                ref_prime = -al * ((Mu + A) ** (-al - 1) - Mu ** (-al - 1))
+                got = float(_kernel(a, mu, alpha))
+                got_prime = float(_kernel_prime(a, mu, alpha))
+                # the four-term series is truncated at O(x^4) relative: at the
+                # crossover that is ~3e-12; elsewhere only rounding is left
+                bound = 1e-11 if abs(x) < SERIES_CROSSOVER else 1e-13
+                assert abs(got / ref - 1) < bound, (x, mu)
+                assert abs(got_prime / ref_prime - 1) < 1e-14, (x, mu)
 
 
 def test_v_m_nonnegative_and_zero_at_origin():
     rng = np.random.default_rng(11)
     g = 0.8 * rng.uniform(-0.5, 0.5, 200)
-    vals = v_m(g, 1, 2.2)
+    vals = _kernel(g, 1, 2.2)
     assert np.all(vals >= 0.0)
-    assert v_m(0.0, 4, 2.2) == 0.0
-    assert v_m_prime(0.0, 4, 2.2) == 0.0
+    assert _kernel(0.0, 4, 2.2) == 0.0
+    assert _kernel_prime(0.0, 4, 2.2) == 0.0
 
 
 def test_v_m_prime_is_derivative():
@@ -77,8 +108,8 @@ def test_v_m_prime_is_derivative():
     m = 2
     h = 1e-6
     for g in (-0.3, -0.01, 0.02, 0.5):
-        fd = (v_m(g + h, m, alpha) - v_m(g - h, m, alpha)) / (2.0 * h)
-        got = v_m_prime(g, m, alpha)
+        fd = (_kernel(g + h, m, alpha) - _kernel(g - h, m, alpha)) / (2.0 * h)
+        got = _kernel_prime(g, m, alpha)
         assert abs(got - fd) < 1e-7 * max(abs(got), 1e-12)
 
 
@@ -87,26 +118,34 @@ def test_v_m_prime_accurate_at_tiny_argument():
     alpha = 2.0
     g = 1e-10
     lead = alpha * (alpha + 1.0) * g  # m = 1
-    assert abs(v_m_prime(g, 1, alpha) - lead) < 1e-6 * abs(lead)
+    assert abs(_kernel_prime(g, 1, alpha) - lead) < 1e-6 * abs(lead)
 
 
 def test_w_m_relations():
+    # error_energy's W_m(a, b) = _kernel(a, m + b) is the second-order
+    # remainder of V_m around b, and its a-derivative the slope difference
     alpha = 2.1
     a, b, m = 0.12, 0.3, 4
-    # W with zero offset is V
-    assert w_m(a, 0.0, m, alpha) == pytest.approx(v_m(a, m, alpha), rel=1e-14)
-    assert w_m_prime(a, 0.0, m, alpha) == pytest.approx(
-        v_m_prime(a, m, alpha), rel=1e-14)
-    h = 1e-6
-    fd = (w_m(a, b + h, m, alpha) - w_m(a, b - h, m, alpha)) / (2.0 * h)
-    assert abs(w_m_db(a, b, m, alpha) - fd) < 1e-7 * max(abs(fd), 1e-12)
+
+    def v(g):
+        return float(_kernel(g, m, alpha))
+
+    def vp(g):
+        return float(_kernel_prime(g, m, alpha))
+
+    assert float(_kernel(a, m + b, alpha)) == pytest.approx(
+        v(b + a) - v(b) - vp(b) * a, rel=1e-12)
+    assert float(_kernel_prime(a, m + b, alpha)) == pytest.approx(
+        vp(b + a) - vp(b), rel=1e-12)
 
 
 def test_kernel_collision_guard():
     with pytest.raises(CollisionError):
-        v_m(-1.0, 1, 2.0)
+        _kernel(-1.0, 1, 2.0)
     with pytest.raises(CollisionError):
-        v_m(np.array([0.1, -1.5]), 1, 2.0)
+        _kernel(np.array([0.1, -1.5]), 1, 2.0)
+    with pytest.raises(CollisionError):
+        _kernel_prime(np.array([0.1, -1.5]), 1, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +155,12 @@ def test_kernel_collision_guard():
 def test_gsum_matches_direct_loop():
     rng = np.random.default_rng(3)
     r = rng.standard_normal(32)
+    G = _gsum_all(r, 32)
+    assert G.shape == (32, 32)
     for m in (1, 2, 5, 15, 31, 32):
         direct = np.array([sum(r[(j + l) % 32] for l in range(m))
                            for j in range(32)])
-        assert np.allclose(gsum(r, m), direct, atol=1e-12)
-    with pytest.raises(ValueError):
-        gsum(r, 0)
-    with pytest.raises(ValueError):
-        gsum(r, 33)
+        assert np.allclose(G[m - 1], direct, atol=1e-12)
 
 
 def test_force_matches_double_loop_oracle():
@@ -139,7 +176,8 @@ def test_force_matches_double_loop_oracle():
         for m in range(1, cutoff + 1):
             gj = sum(r[(j + l) % n] for l in range(m))
             gjm = sum(r[(j - m + l) % n] for l in range(m))
-            acc += v_m_prime(gj, m, alpha) - v_m_prime(gjm, m, alpha)
+            acc += (_pair_slope_longdouble(gj, m, alpha)
+                    - _pair_slope_longdouble(gjm, m, alpha))
         oracle[j] = acc
     assert np.max(np.abs(force(r, cfg) - oracle)) < 1e-12
 
@@ -166,21 +204,25 @@ def test_force_zero_at_flat_lattice():
 def test_verlet_step_advances_time():
     state = _random_state(7)
     cfg = _config()
-    out = verlet_step(state, cfg)
+    out = run_steps(state, cfg, 1)
     assert out.t == pytest.approx(cfg.dt)
     assert out.r.shape == state.r.shape
 
 
 def test_run_steps_matches_repeated_verlet():
+    # against textbook kick-drift-kick steps with two force calls each,
+    # rdot_j = p_{j+1} - p_j
     state = _random_state(8)
     cfg = _config()
     a = run_steps(state, cfg, 5)
-    b = state
+    r, p = state.r.copy(), state.p.copy()
     for _ in range(5):
-        b = verlet_step(b, cfg)
-    assert np.allclose(a.r, b.r, atol=1e-14)
-    assert np.allclose(a.p, b.p, atol=1e-14)
-    assert a.t == pytest.approx(b.t)
+        p = p + 0.5 * cfg.dt * force(r, cfg)
+        r = r + cfg.dt * (np.roll(p, -1) - p)
+        p = p + 0.5 * cfg.dt * force(r, cfg)
+    assert np.allclose(a.r, r, atol=1e-14)
+    assert np.allclose(a.p, p, atol=1e-14)
+    assert a.t == pytest.approx(5 * cfg.dt)
 
 
 def test_energy_conservation_short_run():

@@ -3,14 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from artifact.spectral import (PeriodicGrid, SpectralField,
-                               antiderivative_meanzero, apply_multiplier,
-                               average_multiplier, average_op, dealias_mask,
-                               eval_at, frac_deriv, hilbert, hilbert_frac,
-                               l2_norm, pad_spectrum, read_field_binary,
-                               resample_uniform, sample_spectrum,
-                               sobolev_norm, wavenumbers, write_field_binary,
-                               write_field_csv)
+from artifact.bo_solver import _dtau2_v_spectrum, _linear_symbol, _rhs_spectrum
+from artifact.harness import ansatz_fields
+from artifact.specfun import make_alpha_params
+from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
+                               dealias_mask, l2_norm, pad_spectrum,
+                               sample_spectrum, sobolev_norm, wavenumbers,
+                               write_field_binary, write_field_csv)
+
+
+def eval_at(f, x):
+    """Trigonometric interpolation at arbitrary points (reduced mod period),
+    summed mode by mode: the independent oracle for the FFT resampling.
+
+    The unpaired top mode contributes its symmetrized (cosine) part, which
+    agrees with the grid values at the nodes and keeps the result real.
+    """
+    k = f.grid.wavenumbers
+    half = f.grid.n // 2
+    c = f.spectrum
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    phases = np.exp(1j * xs[:, None] * k[None, :half])
+    tail = np.exp(1j * xs[:, None] * k[None, half + 1:])
+    vals = (phases @ c[:half]).real + (tail @ c[half + 1:]).real
+    vals += c[half].real * np.cos(k[half] * xs)
+    return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
+
+
+def _apply(f, symbol):
+    # values of the field whose spectrum is symbol * f.spectrum
+    return np.fft.ifft(symbol * f.spectrum).real * f.grid.n
 
 
 def _random_field(grid, seed, modes=10):
@@ -40,7 +62,6 @@ def test_grid_validation():
         PeriodicGrid(-1.0, 64)
     g = PeriodicGrid(10.0, 64)
     assert g.nodes[1] - g.nodes[0] == pytest.approx(10.0 / 64)
-    assert g.nyquist_index == 32
 
 
 def test_round_trip_and_mean():
@@ -53,57 +74,53 @@ def test_round_trip_and_mean():
     assert h.mean() == pytest.approx(3.0)
 
 
-def test_field_arithmetic():
-    grid = PeriodicGrid(17.0, 64)
-    f = _random_field(grid, 1)
-    g = _random_field(grid, 2)
-    s = f + g
-    d = f - g
-    assert np.allclose(s.values, f.values + g.values)
-    assert np.allclose(d.values, f.values - g.values)
-    assert np.allclose((2.5 * f).values, 2.5 * f.values)
-    other = _random_field(PeriodicGrid(17.0, 128), 1)
-    with pytest.raises(ValueError):
-        f + other
-
-
 def test_hilbert_of_sine_is_minus_cosine():
+    # the surrogate's dispersive term is -(kappa3/kappa1) H|D|^alpha with the
+    # Hilbert transform H sin = -cos; its symbol is _linear_symbol
     grid = PeriodicGrid(2.0 * np.pi, 64)
+    params = make_alpha_params(2.0)
+    coef = params.kappa3 / params.kappa1
     k0 = 3.0
     f = SpectralField.from_values(grid, np.sin(k0 * grid.nodes))
-    assert np.allclose(hilbert(f).values, -np.cos(k0 * grid.nodes), atol=1e-12)
-    # H^2 = -1 on mean-zero fields
-    assert np.allclose(hilbert(hilbert(f)).values, -f.values, atol=1e-12)
+    L = _linear_symbol(grid.wavenumbers, params)
+    assert np.allclose(_apply(f, L), coef * k0 ** 2 * np.cos(k0 * grid.nodes),
+                       atol=1e-11 * coef * k0 ** 2)
+    # H^2 = -1 on mean-zero fields, so L^2 = -coef^2 |D|^(2 alpha)
+    assert np.allclose(_apply(f, L * L), -(coef * k0 ** 2) ** 2 * f.values,
+                       atol=1e-11 * (coef * k0 ** 2) ** 2)
 
 
 def test_frac_deriv_single_mode():
+    # |D|^alpha and H|D|^alpha on one cosine mode, through the symbol the
+    # solver integrates: L cos(k0 X) = -coef k0^alpha sin(k0 X)
     grid = PeriodicGrid(8.0, 128)
     k0 = 2.0 * np.pi / 8.0 * 5.0
     f = SpectralField.from_values(grid, np.cos(k0 * grid.nodes))
-    for alpha in (0.5, 1.0, 1.7, 2.0):
-        g = frac_deriv(f, alpha)
-        assert np.allclose(g.values, k0 ** alpha * np.cos(k0 * grid.nodes),
-                           atol=1e-11 * k0 ** alpha)
-    h = hilbert_frac(f, 1.3)
-    ref = hilbert(frac_deriv(f, 1.3))
-    assert np.allclose(h.values, ref.values, atol=1e-12)
+    for alpha in (1.2, 1.7, 2.0, 2.6):
+        params = make_alpha_params(alpha)
+        coef = params.kappa3 / params.kappa1
+        got = _apply(f, _linear_symbol(grid.wavenumbers, params))
+        assert np.allclose(got, -coef * k0 ** alpha * np.sin(k0 * grid.nodes),
+                           atol=1e-11 * coef * k0 ** alpha)
 
 
 def test_frac_deriv_zero_mode_and_domain():
-    grid = PeriodicGrid(8.0, 64)
-    f = SpectralField.from_values(grid, np.ones(64) * 4.0)
-    # |0|^0 treated as 1: alpha = 0 must be the identity
-    assert np.allclose(frac_deriv(f, 0.0).values, f.values)
+    # the fractional powers the solver uses, |k|^alpha in the dispersive
+    # symbol and |k|^(alpha-1) in v_tt, vanish on the zero mode for every
+    # alpha in (1, 3): constants are steady, with no 0^0 = 1 or 0^-x = inf
+    k = wavenumbers(64, 8.0)
+    mask = dealias_mask(64)
+    const = np.zeros(64, dtype=complex)
+    const[0] = 4.0
+    for alpha in (1.01, 2.0, 2.99):
+        params = make_alpha_params(alpha)
+        assert _linear_symbol(k, params)[0] == 0.0
+        assert np.all(_rhs_spectrum(const, k, params, mask) == 0.0)
+        assert np.all(_dtau2_v_spectrum(const, k, params, mask) == 0.0)
     with pytest.raises(ValueError):
-        frac_deriv(f, -0.5)
-
-
-def test_apply_multiplier_rejects_asymmetric_symbol():
-    grid = PeriodicGrid(8.0, 64)
-    f = _random_field(grid, 3)
-    # m(k) = k is real and odd: not conjugate-symmetric, output not real
+        make_alpha_params(1.0)
     with pytest.raises(ValueError):
-        apply_multiplier(f, lambda k: k.astype(complex) if hasattr(k, "astype") else complex(k))
+        make_alpha_params(3.0)
 
 
 def test_average_op_matches_window_mean():
@@ -113,15 +130,15 @@ def test_average_op_matches_window_mean():
     f = SpectralField.from_values(grid, np.cos(k0 * grid.nodes))
     h = 0.37
     x = grid.nodes
+    k = grid.wavenumbers
     exact = (np.sin(k0 * (x + h)) - np.sin(k0 * x)) / (k0 * h)
-    assert np.allclose(average_op(f, h).values, exact, atol=1e-12)
-    # negative window and constants
+    assert np.allclose(_apply(f, average_multiplier(k, h)), exact, atol=1e-12)
+    # negative window (the backward mean the residual uses) and constants
     exact_m = (np.sin(k0 * x) - np.sin(k0 * (x - h))) / (k0 * h)
-    assert np.allclose(average_op(f, -h).values, exact_m, atol=1e-12)
+    assert np.allclose(_apply(f, average_multiplier(k, -h)), exact_m,
+                       atol=1e-12)
     const = SpectralField.from_values(grid, np.full(256, 2.5))
-    assert np.allclose(average_op(const, h).values, 2.5)
-    with pytest.raises(ValueError):
-        average_op(f, 0.0)
+    assert np.allclose(_apply(const, average_multiplier(k, h)), 2.5)
 
 
 def test_average_multiplier_simpson_oracle():
@@ -136,17 +153,27 @@ def test_average_multiplier_simpson_oracle():
 
 
 def test_antiderivative_meanzero_properties():
-    grid = PeriodicGrid(15.0, 128)
+    # the one primitive the system takes: the v_tau term of the validation
+    # velocity, p = c eps^(alpha-1) u + eps^(2 alpha - 2) v_tau with
+    # dX v_tau = -du/dtau, built by ansatz_fields for mean-zero u only
+    params = make_alpha_params(2.0)
+    period, N = 15.0, 128
+    grid = PeriodicGrid(period, N)
     f = _random_field(grid, 4)
-    w = antiderivative_meanzero(f)
-    # d/dX of the antiderivative returns the negated input
-    dw = apply_multiplier(w, lambda k: 1j * k)
-    assert np.allclose(dw.values, -f.values, atol=1e-10)
-    # pinned at the left endpoint
-    assert abs(w.values[0]) < 1e-12
+    eps = period / N
+    _, p = ansatz_fields(f.spectrum, period, N, params)
+    vt = (p - params.c * eps ** (params.alpha - 1.0) * f.values) \
+        / eps ** (2.0 * params.alpha - 2.0)
+    k = grid.wavenumbers
+    ut = np.fft.ifft(_rhs_spectrum(f.spectrum, k, params,
+                                   dealias_mask(N))).real * N
+    dvt = np.fft.ifft(1j * k * np.fft.fft(vt)).real
+    assert np.allclose(dvt, -ut, atol=1e-10 * np.max(np.abs(ut)))
+    # the mean-zero primitive, so the ansatz carries no net momentum
+    assert abs(float(np.sum(vt))) < 1e-10 * N * np.max(np.abs(vt))
     bad = SpectralField.from_values(grid, f.values + 1.0)
     with pytest.raises(ValueError):
-        antiderivative_meanzero(bad)
+        ansatz_fields(bad.spectrum, period, N, params)
 
 
 def test_eval_at_matches_nodes_and_interpolates():
@@ -154,7 +181,7 @@ def test_eval_at_matches_nodes_and_interpolates():
     f = _random_field(grid, 5)
     assert np.allclose(eval_at(f, grid.nodes), f.values, atol=1e-12)
     # band-limited: midpoint values must agree with a double-resolution grid
-    fine = resample_uniform(f, 128)
+    fine = sample_spectrum(f.spectrum, grid.period, 128)
     mid = eval_at(f, grid.nodes + grid.period / 128.0)
     assert np.allclose(mid, fine[1::2], atol=1e-12)
     assert np.isscalar(eval_at(f, 1.234)) or np.ndim(eval_at(f, 1.234)) == 0
@@ -240,10 +267,11 @@ def test_field_io_round_trip(tmp_path):
     f = _random_field(grid, 10)
     binpath = tmp_path / "field.bin"
     write_field_binary(f, binpath)
-    g = read_field_binary(binpath)
-    assert g.grid.period == f.grid.period
-    assert g.grid.n == f.grid.n
-    assert np.array_equal(g.values, f.values)
+    raw = np.fromfile(binpath, dtype="<f8")
+    assert raw.size == 2 + grid.n
+    assert raw[0] == f.grid.period
+    assert raw[1] == f.grid.n
+    assert np.array_equal(raw[2:], f.values)
     csvpath = tmp_path / "field.csv"
     write_field_csv(f, csvpath)
     rows = np.genfromtxt(csvpath, delimiter=",", names=True)
