@@ -307,13 +307,6 @@ def cmd_simulate_lattice(args) -> int:
 # sweeps
 
 
-_SWEEP_OVERRIDES = ("alpha", "epsilons", "period", "tau0", "checkpoints",
-                    "amplitude", "width_fraction", "bo_modes",
-                    "bo_steps_per_checkpoint", "lattice_dt",
-                    "cutoff_tail_fraction", "cutoff_min_per_epsilon",
-                    "residual_cutoff_coef", "bidirectional", "energy_trace")
-
-
 def _sweep_config(args, pipeline) -> ValidationConfig:
     data = {}
     if args.config:
@@ -325,12 +318,11 @@ def _sweep_config(args, pipeline) -> ValidationConfig:
         unknown = sorted(set(data) - allowed)
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    for name in _SWEEP_OVERRIDES:
-        val = getattr(args, name, None)
+    # a flag overrides the config field of its own name
+    for f in fields(ValidationConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            data[name] = val
-    if args.jobs is not None:
-        data["jobs"] = args.jobs
+            data[f.name] = val
     if args.out is not None:
         data["output"] = args.out
     data.setdefault("output", os.path.join("runs", pipeline))
@@ -471,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--bo-modes", type=int)
     sweep.add_argument("--bo-steps-per-checkpoint", type=int)
     sweep.add_argument("--lattice-dt", type=float)
-    sweep.add_argument("--cutoff-tail-fraction", type=float)
-    sweep.add_argument("--cutoff-min-per-epsilon", type=float)
     sweep.add_argument("--residual-cutoff-coef", type=float)
 
     p = sub.add_parser("residual-sweep", parents=[common, sweep],

@@ -23,7 +23,7 @@ import numpy as np
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to)
 from .lattice import (CollisionError, LatticeConfig, LatticeState,
-                      error_energy, error_energy_constants, run_steps)
+                      error_energy, error_energy_constants, force, run_steps)
 from .specfun import AlphaParams, make_alpha_params
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, pad_spectrum, sample_spectrum,
@@ -51,8 +51,6 @@ def default_residual_amplitude(alpha: float) -> float:
 
 
 DEFAULT_VALIDATION_AMPLITUDE = 0.1
-DEFAULT_CUTOFF_TAIL_FRACTION = 0.05
-DEFAULT_CUTOFF_MIN_PER_EPSILON = 8.0
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,6 @@ class ValidationConfig:
 
     amplitude = None picks the pipeline default (see
     default_residual_amplitude and DEFAULT_VALIDATION_AMPLITUDE).
-    cutoff_tail_fraction and cutoff_min_per_epsilon = None keep the
-    validation chain's full ring range (see lattice_cutoff).
     epsilons are nominal; each is snapped to the nearest even ring size
     N = period/epsilon and the exact epsilon = period/N is what gets used
     and reported.
@@ -79,8 +75,6 @@ class ValidationConfig:
     bo_steps_per_checkpoint: int = 100
     dealias_fraction: float = 2.0 / 3.0
     lattice_dt: float = 0.05
-    cutoff_tail_fraction: Optional[float] = None
-    cutoff_min_per_epsilon: Optional[float] = None
     residual_cutoff_coef: float = 3.0
     bidirectional: bool = False
     energy_trace: bool = False
@@ -106,19 +100,6 @@ class ValidationConfig:
             raise ConfigError("lattice_dt must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-
-
-@dataclass(frozen=True)
-class ResidualSample:
-    """One evaluation of the residual on the ring: its time and l2 norm."""
-
-    epsilon: float
-    t: float
-    l2_norm: float
-
-    def __post_init__(self):
-        if self.l2_norm < 0.0:
-            raise ValueError("l2_norm must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -216,23 +197,16 @@ def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
     return r, p
 
 
-def _pair_slope_diff(xp, xm, dx, alpha: float, m: int):
-    # alpha*m^(-alpha-1) * ((1+xp)^(-alpha-1) - (1+xm)^(-alpha-1)), anchored
-    # at xm so the difference survives dx many orders below xm
-    b = alpha + 1.0
-    base = 1.0 + xm
-    return alpha * float(m) ** (-b) * base ** (-b) * np.expm1(-b * np.log1p(dx / base))
-
-
 def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
                     cutoff: int, dealias_fraction: float = 2.0 / 3.0):
-    """Residual of the lattice equations under the long-wave ansatz, split as
-    (acceleration part, interaction part), sampled on the ring X = eps*j.
+    """Residual q'' - F(q) of the lattice equations under the long-wave
+    ansatz, split as (acceleration part, interaction part), sampled on the
+    ring X = eps*j.
 
     The acceleration part substitutes the surrogate equation for every time
-    derivative (no numerical differencing); the interaction part evaluates
-    the pair-slope differences through the two window-mean operators with a
-    cancellation-safe anchored form.
+    derivative (no numerical differencing); the interaction part is minus
+    the chain force, truncated at cutoff, at the ansatz gaps of
+    ansatz_fields.
     """
     period = u_tau.grid.period
     N, exact = _ring_size(period, eps)
@@ -254,31 +228,15 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     accel = (-eps ** alpha * params.c ** 2 * ux
              + eps ** (2 * alpha - 1) * params.kappa1 * ut
              + eps ** (3 * alpha - 2) * vtt)
-    scale = eps ** (alpha - 1.0)
-    fpart = np.zeros(N)
-    for m in range(1, cutoff + 1):
-        Ap = average_multiplier(kN, eps * m)
-        Am = average_multiplier(kN, -eps * m)
-        up = np.fft.ifft(Ap * cN).real * N
-        um = np.fft.ifft(Am * cN).real * N
-        ud = np.fft.ifft((Ap - Am) * cN).real * N
-        xp = -scale * up
-        xm = -scale * um
-        if max(float(np.max(np.abs(xp))), float(np.max(np.abs(xm)))) >= 1.0:
-            raise CollisionError(
-                f"window amplitude reached 1 at range m={m}",
-                alpha=alpha, epsilon=eps)
-        fpart += _pair_slope_diff(xp, xm, -scale * ud, alpha, m)
+    rtilde, _ = ansatz_fields(u_tau.spectrum, period, N, params,
+                              dealias_fraction=dealias_fraction)
+    # every window mean G_m rtilde/m is bounded by max|rtilde|
+    if np.max(np.abs(rtilde)) >= 1.0:
+        raise CollisionError("ansatz gap deviation reached 1",
+                             alpha=alpha, epsilon=eps)
+    fpart = -force(rtilde, LatticeConfig(N=N, alpha=alpha, cutoff=cutoff,
+                                         dt=1.0))
     return accel, fpart
-
-
-def residual_eval(u_tau: SpectralField, eps: float, t: float,
-                  params: AlphaParams, cutoff: int,
-                  dealias_fraction: float = 2.0 / 3.0) -> ResidualSample:
-    """l2 norm over the ring of the ansatz residual at one checkpoint."""
-    accel, fpart = residual_fields(u_tau, eps, params, cutoff, dealias_fraction)
-    return ResidualSample(epsilon=eps, t=t,
-                          l2_norm=float(np.linalg.norm(accel + fpart)))
 
 
 def _resolve_amplitude(config: ValidationConfig, pipeline: str) -> float:
@@ -310,35 +268,6 @@ def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
     return spectra
 
 
-def lattice_cutoff(config: ValidationConfig, params: AlphaParams, eps: float,
-                   N: int, norm_r: float) -> int:
-    """Interaction range for one validation run.
-
-    By default the ring cap N/2 - 1.  A shorter range leaves the truncated
-    chain slower than c, and over the horizon T = tau0/eps^alpha that speed
-    deficit drifts the chain off the surrogate by an amount of fixed
-    relative size, independent of eps.  Setting cutoff_tail_fraction or
-    cutoff_min_per_epsilon selects the tail-bound policy instead: the
-    smallest M whose tail bound ||r|| M^(1-alpha)/(alpha-1) is below
-    cutoff_tail_fraction (0.05 if unset) of the target error scale
-    eps^(beta-alpha), raised to the floor cutoff_min_per_epsilon/eps (8/eps
-    if unset), capped at N/2 - 1.  That bound covers the tail of one force
-    evaluation, not its effect over the whole horizon.
-    """
-    cap = N // 2 - 1
-    if config.cutoff_tail_fraction is None and config.cutoff_min_per_epsilon is None:
-        return cap
-    fraction = (DEFAULT_CUTOFF_TAIL_FRACTION if config.cutoff_tail_fraction is None
-                else config.cutoff_tail_fraction)
-    floor = (DEFAULT_CUTOFF_MIN_PER_EPSILON if config.cutoff_min_per_epsilon is None
-             else config.cutoff_min_per_epsilon)
-    alpha = params.alpha
-    target = fraction * eps ** (params.beta - alpha) * (alpha - 1.0) / norm_r
-    M = int(math.ceil(target ** (1.0 / (1.0 - alpha))))
-    M = max(M, int(math.ceil(floor / eps)), 1)
-    return min(cap, M)
-
-
 def residual_cutoff(config: ValidationConfig, eps: float, N: int) -> int:
     """Interaction range for residual evaluation (converged at coef/eps^2)."""
     return min(N // 2 - 1, int(math.ceil(config.residual_cutoff_coef / eps ** 2)))
@@ -359,13 +288,15 @@ def _residual_eps_task(args):
     for i, c in enumerate(spectra):
         tau = i * config.tau0 / K
         t = tau / eps ** params.alpha
-        sample = residual_eval(SpectralField.from_spectrum(grid, c), eps, t,
-                               params, cutoff, config.dealias_fraction)
-        if not math.isfinite(sample.l2_norm):
+        accel, fpart = residual_fields(SpectralField.from_spectrum(grid, c),
+                                       eps, params, cutoff,
+                                       config.dealias_fraction)
+        l2 = float(np.linalg.norm(accel + fpart))
+        if not math.isfinite(l2):
             raise BlowUpError("non-finite ansatz residual", t=t,
                               alpha=params.alpha, epsilon=eps)
-        rows.append((params.alpha, eps, t, sample.l2_norm))
-        sup = max(sup, sample.l2_norm)
+        rows.append((params.alpha, eps, t, l2))
+        sup = max(sup, l2)
     return rows, (eps, sup)
 
 
@@ -431,14 +362,20 @@ def _validation_branch(config, params, spectra, eps, N, lat_cfg, nsteps, seg,
 def _validation_plan(config, params, c0, eps_nominal):
     """Ring, initial ansatz state and clock of one validation run, shared by
     the run and describe_plan.  Returns (lattice config, exact epsilon,
-    r0, p0, steps per checkpoint, checkpoint spacing in t)."""
+    r0, p0, steps per checkpoint, checkpoint spacing in t).
+
+    The interaction range is the ring cap N/2 - 1.  A shorter range leaves
+    the truncated chain slower than c, and over the horizon
+    T = tau0/eps^alpha that speed deficit drifts the chain off the surrogate
+    by an amount of fixed relative size, independent of eps.
+    """
     N, eps = _ring_size(config.period, eps_nominal)
     r0, p0 = ansatz_fields(c0, config.period, N, params,
                            dealias_fraction=config.dealias_fraction)
-    M = lattice_cutoff(config, params, eps, N, float(np.linalg.norm(r0)))
     seg = config.tau0 / eps ** params.alpha / config.checkpoints
     nsteps = int(math.ceil(seg / config.lattice_dt))
-    lat_cfg = LatticeConfig(N=N, alpha=params.alpha, cutoff=M, dt=seg / nsteps)
+    lat_cfg = LatticeConfig(N=N, alpha=params.alpha, cutoff=N // 2 - 1,
+                            dt=seg / nsteps)
     return lat_cfg, eps, r0, p0, nsteps, seg
 
 

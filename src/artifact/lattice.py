@@ -68,11 +68,13 @@ class LatticeConfig:
             raise ValueError(f"alpha must lie in (1, 3), got {self.alpha}")
 
 
-def _gsum_all(r: np.ndarray, M: int) -> np.ndarray:
-    """Stacked window sums for m = 1..M from one doubled prefix-sum pass."""
+def _window_sums(r: np.ndarray, M: int):
+    """Yield (m, G_m r) for m = 1..M, one range at a time, from one doubled
+    prefix-sum pass; G_m r at j is the sum of the m gaps from j on."""
     N = r.size
     cs = np.concatenate(([0.0], np.cumsum(np.concatenate((r, r)))))
-    return np.stack([cs[m:m + N] - cs[:N] for m in range(1, M + 1)])
+    for m in range(1, M + 1):
+        yield m, cs[m:m + N] - cs[:N]
 
 
 def _kernel(a, mu, alpha: float):
@@ -84,7 +86,7 @@ def _kernel(a, mu, alpha: float):
 
     The subtracted equilibrium value and slope cancel the first two Taylor
     terms, so the direct expression loses accuracy when |a/mu| is tiny; below
-    the crossover a four-term series in a/mu is used instead.
+    the crossover a five-term series in a/mu is used instead.
     """
     a = np.asarray(a, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -94,10 +96,11 @@ def _kernel(a, mu, alpha: float):
     lead = mu ** (-alpha)
     direct = lead * (np.expm1(-alpha * np.log1p(x)) + alpha * x)
     x2 = x * x
+    c4 = (alpha + 2) * (alpha + 3) / 12.0
+    c5 = c4 * (alpha + 4) / 5.0
+    c6 = c5 * (alpha + 5) / 6.0
     series = lead * (alpha * (alpha + 1) / 2.0) * x2 * (
-        1.0 + x * (-(alpha + 2) / 3.0
-                   + x * ((alpha + 2) * (alpha + 3) / 12.0
-                          - x * (alpha + 2) * (alpha + 3) * (alpha + 4) / 60.0)))
+        1.0 + x * (-(alpha + 2) / 3.0 + x * (c4 + x * (-c5 + x * c6))))
     return np.where(np.abs(x) < SERIES_CROSSOVER, series, direct)
 
 
@@ -113,22 +116,20 @@ def _kernel_prime(a, mu, alpha: float):
     if np.any(x <= -1.0) or np.any(mu <= 0.0):
         raise CollisionError("potential argument outside the ordered regime")
     b = alpha + 1.0
-    return alpha * mu ** (-b) * (-np.expm1(-b * np.log1p(x)))
+    return -alpha * mu ** (-b) * np.expm1(-b * np.log1p(x))
 
 
 def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     """Acceleration of each site: sum over ranges m of the backward
     m-difference of the pair slopes, truncated at config.cutoff."""
     r = np.asarray(r, dtype=float)
-    M = config.cutoff
-    G = _gsum_all(r, M)
-    ms = np.arange(1, M + 1, dtype=float)[:, None]
-    w = _kernel_prime(G, ms, config.alpha)
     f = np.zeros(r.size)
-    for m in range(1, M + 1):
-        wm = w[m - 1]
-        f += wm
-        f -= np.roll(wm, m)
+    for m, G in _window_sums(r, config.cutoff):
+        w = _kernel_prime(G, m, config.alpha)
+        f += w
+        # f_j -= w_{j-m}, wrapping around the ring
+        f[m:] -= w[:-m]
+        f[:m] -= w[-m:]
     return f
 
 
@@ -157,9 +158,8 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> Lattic
 
 def energy(state: LatticeState, config: LatticeConfig) -> float:
     """Kinetic plus truncated interaction energy (zero at equilibrium)."""
-    G = _gsum_all(state.r, config.cutoff)
-    ms = np.arange(1, config.cutoff + 1, dtype=float)[:, None]
-    pot = float(np.sum(_kernel(G, ms, config.alpha)))
+    pot = sum(float(np.sum(_kernel(G, m, config.alpha)))
+              for m, G in _window_sums(state.r, config.cutoff))
     return 0.5 * float(np.dot(state.p, state.p)) + pot
 
 
@@ -172,9 +172,9 @@ def p2_functional(eta: np.ndarray, alpha: float, cutoff: int):
     eta = np.asarray(eta, dtype=float)
     if cutoff < 1 or cutoff > eta.size:
         raise ValueError(f"cutoff must lie in [1, {eta.size}], got {cutoff}")
-    G = _gsum_all(eta, cutoff)
+    norms = np.array([np.sum(G * G) for _, G in _window_sums(eta, cutoff)])
     ms = np.arange(1, cutoff + 1, dtype=float)
-    value = float(np.sum(ms ** (-alpha - 2.0) * np.sum(G * G, axis=1)))
+    value = float(np.sum(ms ** (-alpha - 2.0) * norms))
     tail = float(np.dot(eta, eta)) * cutoff ** (1.0 - alpha) / (alpha - 1.0)
     return value, tail
 
@@ -193,10 +193,9 @@ def error_energy(xi: np.ndarray, eta: np.ndarray, rtilde: np.ndarray,
     if np.linalg.norm(eta) > 0.25 or np.linalg.norm(rtilde) > 0.25:
         raise ValueError("smallness violated: need ||eta||, ||rtilde|| <= 1/4")
     M = config.cutoff
-    Ge = _gsum_all(eta, M)
-    Gr = _gsum_all(rtilde, M)
-    ms = np.arange(1, M + 1, dtype=float)[:, None]
-    pot = float(np.sum(_kernel(Ge, ms + Gr, config.alpha)))
+    pot = sum(float(np.sum(_kernel(Ge, m + Gr, config.alpha)))
+              for (m, Ge), (_, Gr) in zip(_window_sums(eta, M),
+                                          _window_sums(rtilde, M)))
     return 0.5 * float(np.dot(xi, xi)) + pot
 
 

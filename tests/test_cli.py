@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from artifact.cli import config_fingerprint, main
+from artifact.cli import build_parser, config_fingerprint, main
+from artifact.harness import ValidationConfig
 from artifact.spectral import PeriodicGrid, SpectralField
 
 
@@ -300,6 +303,19 @@ def test_config_file_unknown_field(tmp_path, capsys):
     rc = main(["validate", "--config", str(cfg_path), "--dry-run"])
     assert rc == 1
     assert "wibble" in capsys.readouterr().err
+
+
+def test_sweep_flags_name_config_fields():
+    # a sweep flag reaches the run only as the config field of its own name,
+    # so a flag left without a field would be ignored silently
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    allowed = ({f.name for f in dataclasses.fields(ValidationConfig)}
+               | {"config", "out", "seed", "dry_run"})
+    for command in ("validate", "residual-sweep"):
+        dests = {a.dest for a in sub.choices[command]._actions
+                 if a.dest != "help"}
+        assert dests <= allowed, (command, sorted(dests - allowed))
 
 
 def test_sweep_dry_run_writes_nothing(tmp_path, capsys):

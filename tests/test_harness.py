@@ -9,14 +9,13 @@ from artifact import harness
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError, _rhs_spectrum,
                                 gaussian_profile, run_to)
 from artifact.cli import main
-from artifact.harness import (ConfigError, ResidualSample, ScalingReport,
-                              ValidationConfig, _ring_size, ansatz_fields,
-                              describe_plan, default_residual_amplitude,
-                              error_energy_trace,
-                              fit_slope, lattice_cutoff, residual_cutoff,
-                              residual_eval, residual_fields,
+from artifact.harness import (ConfigError, ScalingReport, ValidationConfig,
+                              _ring_size, ansatz_fields, describe_plan,
+                              default_residual_amplitude, error_energy_trace,
+                              fit_slope, residual_cutoff, residual_fields,
                               run_residual_sweep, run_validation)
-from artifact.lattice import LatticeConfig, LatticeState, _gsum_all, run_steps
+from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
+                              _window_sums, run_steps)
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
                                dealias_mask, pad_spectrum, wavenumbers)
@@ -110,26 +109,12 @@ def test_describe_plan_default_ring_sizes():
 
 
 def test_cutoff_policies():
-    cfg = ValidationConfig(alpha=2.5)
-    params = make_alpha_params(2.5)
-    # the floor 8/eps applies when the tail formula asks for less
-    m = lattice_cutoff(cfg, params, 0.1, 1024, norm_r=0.05)
-    assert m >= math.ceil(8.0 / 0.1)
-    assert m <= 511
-    # cap at N/2 - 1 once the tail formula wants a long range
-    m_small = lattice_cutoff(cfg, params, 0.4, 64, norm_r=5.0)
-    assert m_small == 31
-    # the default is the ring cap; either policy knob selects the tail bound
-    assert m == 511
-    for knobs in ({"cutoff_min_per_epsilon": 8.0},
-                  {"cutoff_tail_fraction": 0.05}):
-        policy = ValidationConfig(alpha=2.5, **knobs)
-        assert lattice_cutoff(policy, params, 0.1, 1024, norm_r=0.05) == 80
-        assert lattice_cutoff(policy, params, 0.4, 64, norm_r=5.0) == 31
-    tail = ValidationConfig(alpha=2.5, cutoff_tail_fraction=1e-4,
-                            cutoff_min_per_epsilon=1.0)
-    want = math.ceil((1e-4 * 0.1 ** 1.5 * 1.5 / 0.05) ** (1.0 / -1.5))
-    assert lattice_cutoff(tail, params, 0.1, 1024, norm_r=0.05) == want
+    # the validation chain runs at the ring cap N/2 - 1
+    cfg = ValidationConfig(alpha=2.5, epsilons=(0.4, 0.2, 0.1))
+    plan = describe_plan(cfg, "validation")
+    assert [entry["N"] for entry in plan] == [256, 512, 1024]
+    assert [entry["cutoff"] for entry in plan] == [127, 255, 511]
+    # the residual converges at coef/eps^2, capped at the ring
     assert residual_cutoff(ValidationConfig(alpha=2.0), 0.2, 512) == 75
     assert residual_cutoff(ValidationConfig(alpha=2.0), 0.05, 256) == 127
 
@@ -165,10 +150,9 @@ def test_ansatz_fields_match_residual_ansatz(alpha, shift):
     scale = eps ** (alpha - 1.0)
     kN = wavenumbers(N, period)
     cN = pad_spectrum(u0.spectrum, N) * np.exp(1j * kN * shift)
-    G = _gsum_all(r, 17)
-    for m in (1, 2, 5, 17):
+    for m, G in _window_sums(r, 17):
         window = np.fft.ifft(average_multiplier(kN, eps * m) * cN).real * N
-        assert np.max(np.abs(G[m - 1] / m + scale * window)) \
+        assert np.max(np.abs(G / m + scale * window)) \
             <= 1e-12 * np.max(np.abs(r))
     ut = _rhs_spectrum(pad_spectrum(u0.spectrum, N), kN, params,
                        dealias_mask(N)) * np.exp(1j * kN * shift)
@@ -213,20 +197,84 @@ def test_residual_cancellation_between_parts():
 def test_residual_eval_decreases_with_epsilon():
     grid = PeriodicGrid(102.4, 512)
     u0 = gaussian_profile(grid, 0.7)
-    r1 = residual_eval(u0, 0.2, 0.0, PARAMS2, residual_cutoff(
-        ValidationConfig(alpha=2.0), 0.2, 512))
-    r2 = residual_eval(u0, 0.1, 0.0, PARAMS2, residual_cutoff(
-        ValidationConfig(alpha=2.0), 0.1, 1024))
-    local_slope = math.log(r1.l2_norm / r2.l2_norm) / math.log(2.0)
+    cfg = ValidationConfig(alpha=2.0)
+    norms = []
+    for eps, N in ((0.2, 512), (0.1, 1024)):
+        accel, fpart = residual_fields(u0, eps, PARAMS2,
+                                       residual_cutoff(cfg, eps, N))
+        norms.append(np.linalg.norm(accel + fpart))
+    local_slope = math.log(norms[0] / norms[1]) / math.log(2.0)
     assert 2.8 < local_slope < 4.2  # near beta = 3.5 already at two points
-    assert isinstance(r1, ResidualSample)
 
 
 def test_residual_eval_rejects_incommensurate():
     grid = PeriodicGrid(102.4, 256)
     u0 = gaussian_profile(grid, 0.5)
     with pytest.raises(ConfigError):
-        residual_eval(u0, 0.117, 0.0, PARAMS2, 10)
+        residual_fields(u0, 0.117, PARAMS2, 10)
+
+
+def _interaction_longdouble(u_tau, eps, params, cutoff):
+    # the residual's interaction part as the per-range spectral formula
+    # evaluates it, in long double: per range m the forward and backward
+    # window means of -eps^(alpha-1) u, xp and xm, and the pair-slope
+    # difference alpha m^-(alpha+1) ((1+xp)^-(alpha+1) - (1+xm)^-(alpha+1)),
+    # anchored at xm so that it survives xp - xm far below xm
+    period = u_tau.grid.period
+    N = int(round(period / eps))
+    c = pad_spectrum(u_tau.spectrum, N).astype(np.clongdouble)
+    k = 2 * np.pi * np.fft.fftfreq(N).astype(np.longdouble) \
+        * (N / np.longdouble(period))
+    alpha = np.longdouble(params.alpha)
+    b = alpha + 1
+    e = np.longdouble(period) / N
+    scale = e ** (alpha - 1)
+
+    def window(h):
+        # symbol of the window mean over [X, X + h]
+        kh = k * h
+        safe = np.where(kh == 0, 1, kh)
+        return np.where(kh == 0, 1, (np.exp(1j * safe) - 1) / (1j * safe))
+
+    def field(symbol):
+        return -scale * np.fft.ifft(symbol * c).real * N
+
+    total = np.zeros(N, dtype=np.longdouble)
+    for m in range(1, cutoff + 1):
+        ap, am = window(e * m), window(-e * m)
+        xp, xm, dx = field(ap), field(am), field(ap - am)
+        base = 1 + xm
+        total += alpha * np.longdouble(m) ** -b * base ** -b \
+            * np.expm1(-b * np.log1p(dx / base))
+    return total
+
+
+def test_interaction_part_matches_longdouble_window_formula():
+    # the interaction part is minus the chain force at the ansatz gaps; it
+    # must equal the spectral window-mean formula of the residual, evaluated
+    # in long double, to far below the residual it enters (measured 8e-12
+    # and 1e-10 of the residual norm; the per-range double-precision form
+    # read 6e-12 and 1.2e-10)
+    params = make_alpha_params(2.5)
+    u0 = gaussian_profile(PeriodicGrid(51.2, 128), 0.1)
+    for eps, cutoff in ((0.2, 75), (0.1, 255)):
+        accel, fpart = residual_fields(u0, eps, params, cutoff)
+        ref = _interaction_longdouble(u0, eps, params, cutoff)
+        gap = float(np.linalg.norm(fpart - ref)) \
+            / float(np.linalg.norm(accel + fpart))
+        assert gap < 1e-9, (eps, gap)
+
+
+def test_residual_collision_names_the_run():
+    # an ansatz gap deviation of 1 or more means the ansatz chain has lost
+    # its ordering; the residual refuses it with alpha and epsilon
+    u0 = gaussian_profile(PeriodicGrid(102.4, 256), 5.0)
+    r, _ = ansatz_fields(u0.spectrum, 102.4, 256, PARAMS2)
+    assert np.max(np.abs(r)) >= 1.0
+    with pytest.raises(CollisionError) as info:
+        residual_fields(u0, 0.4, PARAMS2, 50)
+    assert info.value.alpha == 2.0
+    assert info.value.epsilon == 0.4
 
 
 # ---------------------------------------------------------------------------

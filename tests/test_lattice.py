@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from artifact.lattice import (SERIES_CROSSOVER, CollisionError, LatticeConfig,
-                              LatticeState, _gsum_all, _kernel, _kernel_prime,
-                              energy, error_energy, error_energy_constants,
-                              force, p2_functional, run_steps)
+from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
+                              _kernel, _kernel_prime, _window_sums, energy,
+                              error_energy, error_energy_constants, force,
+                              p2_functional, run_steps)
 from artifact.specfun import make_alpha_params, zeta
 
 
@@ -87,10 +87,9 @@ def test_kernels_match_mpmath(alpha):
                 ref_prime = -al * ((Mu + A) ** (-al - 1) - Mu ** (-al - 1))
                 got = float(_kernel(a, mu, alpha))
                 got_prime = float(_kernel_prime(a, mu, alpha))
-                # the four-term series is truncated at O(x^4) relative: at the
-                # crossover that is ~3e-12; elsewhere only rounding is left
-                bound = 1e-11 if abs(x) < SERIES_CROSSOVER else 1e-13
-                assert abs(got / ref - 1) < bound, (x, mu)
+                # the five-term series is truncated at O(x^5) relative: at the
+                # crossover that is ~4e-15, as small as the rounding elsewhere
+                assert abs(got / ref - 1) < 1e-13, (x, mu)
                 assert abs(got_prime / ref_prime - 1) < 1e-14, (x, mu)
 
 
@@ -155,12 +154,12 @@ def test_kernel_collision_guard():
 def test_gsum_matches_direct_loop():
     rng = np.random.default_rng(3)
     r = rng.standard_normal(32)
-    G = _gsum_all(r, 32)
-    assert G.shape == (32, 32)
-    for m in (1, 2, 5, 15, 31, 32):
+    sums = list(_window_sums(r, 32))
+    assert [m for m, _ in sums] == list(range(1, 33))
+    for m, G in sums:
         direct = np.array([sum(r[(j + l) % 32] for l in range(m))
                            for j in range(32)])
-        assert np.allclose(G[m - 1], direct, atol=1e-12)
+        assert np.allclose(G, direct, atol=1e-12)
 
 
 def test_force_matches_double_loop_oracle():
