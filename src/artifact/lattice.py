@@ -10,13 +10,20 @@ well conditioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import AlphaParams
 
 SERIES_CROSSOVER = 1e-3
+
+# Window sums are formed a block of ranges at a time, max(1, this // N)
+# ranges of N sites, so each block temporary stays near 128 KiB whatever
+# the cutoff: per-range numpy calls cost more than their arithmetic at the
+# full ring range, and an M x N stack would cost memory.
+_BLOCK_ELEMENTS = 16384
 
 
 class CollisionError(RuntimeError):
@@ -31,11 +38,19 @@ class CollisionError(RuntimeError):
 
 @dataclass
 class LatticeState:
-    """Gap deviations r, velocities p, and the elapsed time t."""
+    """Gap deviations r, velocities p, and the elapsed time t.
+
+    A state returned by run_steps also carries the force it ended with, the
+    config and a copy of the r it was computed for, so that a following
+    run_steps with that config and an unchanged r starts without computing
+    it again.
+    """
 
     r: np.ndarray
     p: np.ndarray
     t: float = 0.0
+    _force: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -69,12 +84,18 @@ class LatticeConfig:
 
 
 def _window_sums(r: np.ndarray, M: int):
-    """Yield (m, G_m r) for m = 1..M, one range at a time, from one doubled
-    prefix-sum pass; G_m r at j is the sum of the m gaps from j on."""
+    """Yield (ms, G) for the ranges m = 1..M, a block of ranges at a time,
+    from one doubled prefix-sum pass: ms is the (B, 1) column of the block's
+    ranges as floats and row i of the B x N block G is G_m r for m = ms[i],
+    whose entry j is the sum of the m gaps from j on."""
     N = r.size
     cs = np.concatenate(([0.0], np.cumsum(np.concatenate((r, r)))))
-    for m in range(1, M + 1):
-        yield m, cs[m:m + N] - cs[:N]
+    rows = sliding_window_view(cs, N)   # rows[m] is cs[m:m + N]
+    B = max(1, _BLOCK_ELEMENTS // N)
+    for m0 in range(1, M + 1, B):
+        m1 = min(M, m0 + B - 1)
+        ms = np.arange(m0, m1 + 1, dtype=float)[:, None]
+        yield ms, rows[m0:m1 + 1] - cs[:N]
 
 
 def _kernel(a, mu, alpha: float):
@@ -124,13 +145,21 @@ def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     m-difference of the pair slopes, truncated at config.cutoff."""
     r = np.asarray(r, dtype=float)
     f = np.zeros(r.size)
-    for m, G in _window_sums(r, config.cutoff):
-        w = _kernel_prime(G, m, config.alpha)
+    for ms, G in _window_sums(r, config.cutoff):
+        _add_slope_differences(f, _kernel_prime(G, ms, config.alpha), ms)
+    return f
+
+
+def _add_slope_differences(f, W, ms):
+    """Range by range, f_j += w_j and then f_j -= w_{j-m}, for the pair
+    slopes w in row i of W at range m = ms[i]: the accumulation order of
+    one range at a time.  W dies on return, before the next block is
+    formed."""
+    for m, w in zip(ms[:, 0].astype(int), W):
         f += w
         # f_j -= w_{j-m}, wrapping around the ring
         f[m:] -= w[:-m]
         f[:m] -= w[-m:]
-    return f
 
 
 def _drift(p: np.ndarray) -> np.ndarray:
@@ -140,11 +169,18 @@ def _drift(p: np.ndarray) -> np.ndarray:
 
 def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> LatticeState:
     """nsteps kick-drift-kick steps with one force evaluation per step
-    (the trailing half-kick force doubles as the next leading one)."""
+    (the trailing half-kick force doubles as the next leading one, also
+    across calls when the state came from run_steps with an equal config
+    and its r has not changed since)."""
     r = state.r.copy()
     p = state.p.copy()
     dt = config.dt
-    f = force(r, config)
+    cached = state._force
+    if (cached is not None and cached[0] == config
+            and np.array_equal(cached[1], state.r)):
+        f = cached[2]
+    else:
+        f = force(r, config)
     for i in range(nsteps):
         p += (0.5 * dt) * f
         r += dt * _drift(p)
@@ -153,13 +189,15 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> Lattic
                                  t=state.t + (i + 1) * dt, alpha=config.alpha)
         f = force(r, config)
         p += (0.5 * dt) * f
-    return LatticeState(r=r, p=p, t=state.t + nsteps * config.dt)
+    out = LatticeState(r=r, p=p, t=state.t + nsteps * config.dt)
+    out._force = (config, r.copy(), f)
+    return out
 
 
 def energy(state: LatticeState, config: LatticeConfig) -> float:
     """Kinetic plus truncated interaction energy (zero at equilibrium)."""
-    pot = sum(float(np.sum(_kernel(G, m, config.alpha)))
-              for m, G in _window_sums(state.r, config.cutoff))
+    pot = sum(float(s) for ms, G in _window_sums(state.r, config.cutoff)
+              for s in np.sum(_kernel(G, ms, config.alpha), axis=1))
     return 0.5 * float(np.dot(state.p, state.p)) + pot
 
 
@@ -172,7 +210,8 @@ def p2_functional(eta: np.ndarray, alpha: float, cutoff: int):
     eta = np.asarray(eta, dtype=float)
     if cutoff < 1 or cutoff > eta.size:
         raise ValueError(f"cutoff must lie in [1, {eta.size}], got {cutoff}")
-    norms = np.array([np.sum(G * G) for _, G in _window_sums(eta, cutoff)])
+    norms = np.concatenate([np.sum(G * G, axis=1)
+                            for _, G in _window_sums(eta, cutoff)])
     ms = np.arange(1, cutoff + 1, dtype=float)
     value = float(np.sum(ms ** (-alpha - 2.0) * norms))
     tail = float(np.dot(eta, eta)) * cutoff ** (1.0 - alpha) / (alpha - 1.0)
@@ -193,9 +232,9 @@ def error_energy(xi: np.ndarray, eta: np.ndarray, rtilde: np.ndarray,
     if np.linalg.norm(eta) > 0.25 or np.linalg.norm(rtilde) > 0.25:
         raise ValueError("smallness violated: need ||eta||, ||rtilde|| <= 1/4")
     M = config.cutoff
-    pot = sum(float(np.sum(_kernel(Ge, m + Gr, config.alpha)))
-              for (m, Ge), (_, Gr) in zip(_window_sums(eta, M),
-                                          _window_sums(rtilde, M)))
+    pot = sum(float(s) for (ms, Ge), (_, Gr) in zip(_window_sums(eta, M),
+                                                     _window_sums(rtilde, M))
+              for s in np.sum(_kernel(Ge, ms + Gr, config.alpha), axis=1))
     return 0.5 * float(np.dot(xi, xi)) + pot
 
 

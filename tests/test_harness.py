@@ -150,10 +150,11 @@ def test_ansatz_fields_match_residual_ansatz(alpha, shift):
     scale = eps ** (alpha - 1.0)
     kN = wavenumbers(N, period)
     cN = pad_spectrum(u0.spectrum, N) * np.exp(1j * kN * shift)
-    for m, G in _window_sums(r, 17):
-        window = np.fft.ifft(average_multiplier(kN, eps * m) * cN).real * N
-        assert np.max(np.abs(G / m + scale * window)) \
-            <= 1e-12 * np.max(np.abs(r))
+    for ms, G in _window_sums(r, 17):
+        for m, Gm in zip(ms[:, 0], G):
+            window = np.fft.ifft(average_multiplier(kN, eps * m) * cN).real * N
+            assert np.max(np.abs(Gm / m + scale * window)) \
+                <= 1e-12 * np.max(np.abs(r))
     ut = _rhs_spectrum(pad_spectrum(u0.spectrum, N), kN, params,
                        dealias_mask(N)) * np.exp(1j * kN * shift)
     # r_j = -eps^(alpha-1) A_eps u(eps*(j - c t) + shift, eps^alpha t)

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
+from artifact import lattice
 from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
                               _kernel, _kernel_prime, _window_sums, energy,
                               error_energy, error_energy_constants, force,
@@ -151,15 +154,69 @@ def test_kernel_collision_guard():
 # window sums and forces
 
 
-def test_gsum_matches_direct_loop():
+def test_gsum_matches_direct_loop(monkeypatch):
+    # blocks of at most max(1, block // N) ranges cover m = 1..M in order;
+    # at block 100 the 32-site ring splits into blocks of 3, the last of 2
     rng = np.random.default_rng(3)
     r = rng.standard_normal(32)
-    sums = list(_window_sums(r, 32))
-    assert [m for m, _ in sums] == list(range(1, 33))
-    for m, G in sums:
-        direct = np.array([sum(r[(j + l) % 32] for l in range(m))
-                           for j in range(32)])
-        assert np.allclose(G, direct, atol=1e-12)
+    for block in (lattice._BLOCK_ELEMENTS, 100):
+        monkeypatch.setattr(lattice, "_BLOCK_ELEMENTS", block)
+        blocks = list(_window_sums(r, 32))
+        B = max(1, block // 32)
+        assert all(ms.shape == (min(B, 32 - i * B), 1)
+                   and G.shape == (ms.size, 32)
+                   for i, (ms, G) in enumerate(blocks))
+        ms = np.concatenate([ms[:, 0] for ms, _ in blocks])
+        assert np.array_equal(ms, np.arange(1, 33))
+        for m, G in zip(ms.astype(int), np.concatenate([G for _, G in blocks])):
+            direct = np.array([sum(r[(j + l) % 32] for l in range(m))
+                               for j in range(32)])
+            assert np.allclose(G, direct, atol=1e-12)
+
+
+def _force_per_range(r, config):
+    # force one range at a time, as before the blocks: the same operations
+    # per element in the same order, so the blocked force must match it bit
+    # for bit
+    N = r.size
+    cs = np.concatenate(([0.0], np.cumsum(np.concatenate((r, r)))))
+    f = np.zeros(N)
+    for m in range(1, config.cutoff + 1):
+        w = _kernel_prime(cs[m:m + N] - cs[:N], m, config.alpha)
+        f += w
+        f[m:] -= w[:-m]
+        f[:m] -= w[-m:]
+    return f
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+def test_force_matches_per_range_loop_at_block_edges(alpha):
+    # M below, at, one past and one short of three blocks; and a ring of
+    # more than _BLOCK_ELEMENTS sites, where every block is one range
+    N = 320
+    B = lattice._BLOCK_ELEMENTS // N
+    cases = [(N, M) for M in (B // 2, B, B + 1, 3 * B - 1)]
+    cases.append((lattice._BLOCK_ELEMENTS + 16, 4))
+    rng = np.random.default_rng(15)
+    for N, M in cases:
+        r = 0.05 * rng.standard_normal(N)
+        cfg = _config(n=N, alpha=alpha, cutoff=M)
+        assert np.array_equal(force(r, cfg), _force_per_range(r, cfg)), (N, M)
+
+
+def test_force_memory_stays_bounded():
+    # one block is ~128 KiB; an M x N stack at (1448, 723) would be 8 MiB
+    N, M = 1448, 723
+    r = 1e-3 * np.sin(2.0 * np.pi * np.arange(N) / N)
+    cfg = _config(n=N, cutoff=M)
+    force(r, cfg)
+    tracemalloc.start()
+    try:
+        force(r, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_force_matches_double_loop_oracle():
@@ -222,6 +279,52 @@ def test_run_steps_matches_repeated_verlet():
     assert np.allclose(a.r, r, atol=1e-14)
     assert np.allclose(a.p, p, atol=1e-14)
     assert a.t == pytest.approx(5 * cfg.dt)
+
+
+def test_chained_run_steps_reuse_the_trailing_force(monkeypatch):
+    # a state from run_steps carries its force, so K chained calls of n
+    # steps cost K*n + 1 force calls and match one call of K*n steps
+    calls = []
+    real = lattice.force
+
+    def counting(r, config):
+        calls.append(config)
+        return real(r, config)
+
+    monkeypatch.setattr(lattice, "force", counting)
+    state = _random_state(9, scale=0.05)
+    cfg = _config()
+    K, n = 4, 5
+    out = state
+    for _ in range(K):
+        out = run_steps(out, cfg, n)
+    assert len(calls) == K * n + 1
+    calls.clear()
+    one = run_steps(state, cfg, K * n)
+    assert len(calls) == K * n + 1
+    assert np.array_equal(out.r, one.r) and np.array_equal(out.p, one.p)
+    assert out.t == pytest.approx(one.t)
+    # a hand-built state and a changed config compute the force afresh
+    calls.clear()
+    run_steps(LatticeState(r=out.r.copy(), p=out.p.copy(), t=out.t), cfg, n)
+    assert len(calls) == n + 1
+    calls.clear()
+    run_steps(out, replace(cfg, dt=0.01), n)
+    assert len(calls) == n + 1
+    # so do a state whose r was changed in place or replaced after the call
+    # that computed its force, and they step from the r they now hold
+    for edit in ("in place", "replaced"):
+        moved = run_steps(state, cfg, n)
+        r_new = moved.r * 0.5
+        if edit == "in place":
+            moved.r *= 0.5
+        else:
+            moved.r = r_new
+        calls.clear()
+        a = run_steps(moved, cfg, n)
+        assert len(calls) == n + 1, edit
+        b = run_steps(LatticeState(r=r_new, p=moved.p.copy(), t=moved.t), cfg, n)
+        assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p), edit
 
 
 def test_energy_conservation_short_run():
