@@ -3,8 +3,10 @@
 Evolves kappa1 du/dtau + kappa2 u du/dX + kappa3 H|D|^alpha u = 0 on a
 periodic grid.  The linear part is diagonal in Fourier space and is applied
 exactly through an integrating factor; the quadratic term is formed in
-physical space under the 2/3 dealiasing rule; time stepping is classical
-four-stage Runge-Kutta on the filtered variable.
+physical space as 1/2 dX u^2 under the 2/3 dealiasing rule; time stepping is
+classical four-stage Runge-Kutta on the filtered variable.  The state is the
+half spectrum of the real field (bins j = 0..n/2), so each right-hand side
+takes one inverse and one forward real FFT.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import AlphaParams
-from .spectral import PeriodicGrid, SpectralField, dealias_mask, sobolev_norm
+from .spectral import (PeriodicGrid, SpectralField, dealias_mask,
+                       full_spectrum, rfft_wavenumbers, sobolev_norm)
 
 
 class BlowUpError(RuntimeError):
@@ -50,72 +53,79 @@ class BOConfig:
     def __post_init__(self):
         if self.dtau <= 0.0:
             raise ValueError("dtau must be positive")
-        if not 0.5 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0.5, 1]")
+        if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
+            raise ValueError("dealias_fraction must lie in (0.5, 2/3]")
 
 
 def _linear_symbol(k: np.ndarray, params: AlphaParams) -> np.ndarray:
-    # du/dtau = L u for the linear part, with purely imaginary symbol
-    return 1j * (params.kappa3 / params.kappa1) * np.sign(k) * np.abs(k) ** params.alpha
+    # du/dtau = L u for the linear part on the half-spectrum bins (k >= 0),
+    # with purely imaginary symbol i (kappa3/kappa1) k^alpha
+    return 1j * (params.kappa3 / params.kappa1) * k ** params.alpha
 
 
-def _nonlinear_spec(c: np.ndarray, k: np.ndarray, mask: np.ndarray,
-                    coef: float) -> np.ndarray:
-    # coef * u u_X in spectral space, both factors and the product filtered;
-    # the zero mode is projected out so the mean is conserved exactly
-    n = k.size
-    u = np.fft.ifft(c * mask).real * n
-    ux = np.fft.ifft(1j * k * c * mask).real * n
-    nl = np.fft.fft(u * ux) / n * mask
-    nl[0] = 0.0
-    return coef * nl
+def _advection_symbol(k: np.ndarray, mask: np.ndarray, coef: float) -> np.ndarray:
+    # coef * (1/2) i k on the kept bins, times n for the unnormalised
+    # transforms of _nonlinear_spec; 0 at k = 0, so the mean is conserved
+    n = 2 * (k.size - 1)
+    return (0.5j * coef * n) * k * mask
+
+
+def _nonlinear_spec(c: np.ndarray, mask: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # coef * P(u u_X) in the conservative form coef * P(1/2 dX u^2), u the
+    # filtered field and d = _advection_symbol(k, mask, coef): the mask keeps
+    # 3|j| < n, so no alias of u^2 lands on a kept bin and the two forms agree
+    u = np.fft.irfft(c * mask, 2 * (c.size - 1))
+    return d * np.fft.rfft(u * u)
 
 
 def _rhs_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
                   mask: np.ndarray) -> np.ndarray:
-    """du/dtau in spectral space on an arbitrary even-length ring."""
-    return (_nonlinear_spec(c, k, mask, -(params.kappa2 / params.kappa1))
-            + _linear_symbol(k, params) * c)
+    """du/dtau on the half spectrum of an arbitrary even-length ring."""
+    d = _advection_symbol(k, mask, -(params.kappa2 / params.kappa1))
+    return _nonlinear_spec(c, mask, d) + _linear_symbol(k, params) * c
 
 
 def _dtau2_v_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
                       mask: np.ndarray) -> np.ndarray:
-    """Second tau-derivative of the primitive v (dX v = -u, v(0) = 0).
+    """Half spectrum of the second tau-derivative of the primitive v
+    (dX v = -u, v(0) = 0).
 
     Differentiating the evolution equation in tau and integrating in X gives
     (kappa2/kappa1) u du/dtau - (kappa3/kappa1) |D|^(alpha-1) du/dtau, up to
     a constant fixed by anchoring the value at X = 0 to zero.
     """
-    n = k.size
+    n = 2 * (c.size - 1)
     ut_hat = _rhs_spectrum(c, k, params, mask)
-    u = np.fft.ifft(c * mask).real * n
-    ut = np.fft.ifft(ut_hat * mask).real * n
-    g = ((params.kappa2 / params.kappa1) * np.fft.fft(u * ut) / n * mask
-         - (params.kappa3 / params.kappa1) * np.abs(k) ** (params.alpha - 1.0) * ut_hat)
-    g[0] -= np.sum(g)
+    u = np.fft.irfft(c * mask, n)
+    ut = np.fft.irfft(ut_hat * mask, n)
+    g = ((params.kappa2 / params.kappa1) * n * np.fft.rfft(u * ut) * mask
+         - (params.kappa3 / params.kappa1) * k ** (params.alpha - 1.0) * ut_hat)
+    # the value at X = 0: bin 0 and the Nyquist bin once, the others twice
+    g[0] -= g[0].real + 2.0 * np.sum(g[1:-1].real) + g[-1].real
     return g
 
 
 def _check_cfl(c: np.ndarray, k: np.ndarray, params: AlphaParams, dtau: float):
-    umax = float(np.max(np.abs(np.fft.ifft(c).real * k.size)))
-    kmax = float(np.max(np.abs(k)))
-    if dtau * abs(params.kappa2 / params.kappa1) * umax * kmax > 1.0:
-        warnings.warn(
-            f"advective step number {dtau * abs(params.kappa2 / params.kappa1) * umax * kmax:.2f} "
-            "exceeds 1; results may be inaccurate", RuntimeWarning, stacklevel=3)
+    n = 2 * (c.size - 1)
+    umax = float(np.max(np.abs(np.fft.irfft(c, n)))) * n
+    number = dtau * abs(params.kappa2 / params.kappa1) * umax * float(k[-1])
+    if number > 1.0:
+        warnings.warn(f"advective step number {number:.2f} exceeds 1; "
+                      "results may be inaccurate", RuntimeWarning, stacklevel=3)
 
 
 def _run_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
                   mask: np.ndarray, dtau: float, nsteps: int,
                   tau_origin: float = 0.0) -> np.ndarray:
-    """Integrating-factor RK4 for nsteps of (possibly negative) dtau."""
+    """Integrating-factor RK4 on the half spectrum for nsteps of (possibly
+    negative) dtau."""
     L = _linear_symbol(k, params)
     E = np.exp(L * (dtau / 2.0))
     E2 = E * E
-    coef = -(params.kappa2 / params.kappa1)
+    d = _advection_symbol(k, mask, -(params.kappa2 / params.kappa1))
 
     def nonlin(ch):
-        return _nonlinear_spec(ch, k, mask, coef)
+        return _nonlinear_spec(ch, mask, d)
 
     for i in range(nsteps):
         s1 = nonlin(c)
@@ -130,9 +140,8 @@ def _run_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
     return c
 
 
-def _monitor_row(c: np.ndarray, grid: PeriodicGrid, tau: float) -> tuple:
-    f = SpectralField.from_spectrum(grid, c)
-    return (tau, float(c[0].real), sobolev_norm(f, 0.0), sobolev_norm(f, 6.0))
+def _monitor_row(f: SpectralField, tau: float) -> tuple:
+    return (tau, f.mean(), sobolev_norm(f, 0.0), sobolev_norm(f, 6.0))
 
 
 def run_to(state: BOState, tau_end: float, config: BOConfig):
@@ -140,13 +149,15 @@ def run_to(state: BOState, tau_end: float, config: BOConfig):
 
     The trace holds (tau, mean, L2 norm, H6 norm) rows at the start, at every
     configured checkpoint inside the span, and at tau_end.  Step counts per
-    span are integers, so the final time is hit exactly.
+    span are integers, so the final time is hit exactly.  The advective step
+    number is checked at the start of every span.
     """
-    grid = state.u.grid
-    k = grid.wavenumbers
+    u = state.u
+    grid = u.grid
+    k = rfft_wavenumbers(grid.n, grid.period)
     mask = dealias_mask(grid.n, config.dealias_fraction)
-    c = state.u.spectrum.copy()
-    trace = [_monitor_row(c, grid, state.tau)]
+    c = u.spectrum[:grid.n // 2 + 1]
+    trace = [_monitor_row(u, state.tau)]
     gap = tau_end - state.tau
     if gap == 0.0:
         return state, trace
@@ -154,16 +165,17 @@ def run_to(state: BOState, tau_end: float, config: BOConfig):
     inside = [t for t in config.t_checkpoint
               if (t - state.tau) * direction > 0 and (tau_end - t) * direction > 0]
     targets = sorted(inside, reverse=(direction < 0)) + [tau_end]
-    _check_cfl(c, k, config.params, config.dtau)
     tau = state.tau
     for target in targets:
         span = target - tau
         nsteps = max(1, math.ceil(abs(span) / config.dtau - 1e-9))
+        _check_cfl(c, k, config.params, abs(span) / nsteps)
         c = _run_spectrum(c, k, config.params, mask, span / nsteps, nsteps,
                           tau_origin=tau)
         tau = target
-        trace.append(_monitor_row(c, grid, tau))
-    return BOState(u=SpectralField.from_spectrum(grid, c), tau=tau), trace
+        u = SpectralField.from_spectrum(grid, full_spectrum(c))
+        trace.append(_monitor_row(u, tau))
+    return BOState(u=u, tau=tau), trace
 
 
 def gaussian_profile(grid: PeriodicGrid, amplitude: float = 1.0,

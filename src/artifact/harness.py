@@ -26,8 +26,8 @@ from .lattice import (CollisionError, LatticeConfig, LatticeState,
                       error_energy, error_energy_constants, force, run_steps)
 from .specfun import AlphaParams, make_alpha_params
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
-                       dealias_mask, pad_spectrum, sample_spectrum,
-                       wavenumbers)
+                       dealias_mask, full_spectrum, pad_spectrum,
+                       rfft_wavenumbers, sample_spectrum, wavenumbers)
 
 DEFAULT_EPSILONS = (0.2, 0.1414, 0.1, 0.0707)
 RESIDUAL_CSV_HEADER = ("alpha", "epsilon", "t", "l2")
@@ -98,6 +98,8 @@ class ValidationConfig:
             raise ConfigError("checkpoints must be at least 1")
         if self.lattice_dt <= 0.0:
             raise ConfigError("lattice_dt must be positive")
+        if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
+            raise ConfigError("dealias_fraction must lie in (0.5, 2/3]")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
 
@@ -186,10 +188,13 @@ def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
     # profile's own grid when the ring is coarser, then sampled onto the ring
     L = max(N, spectrum.size)
     k = wavenumbers(L, period)
+    kh = rfft_wavenumbers(L, period)
     c = pad_spectrum(spectrum, L)
-    ut_hat = _rhs_spectrum(c, k, params, dealias_mask(L, dealias_fraction))
-    vt_hat = np.zeros(L, dtype=complex)
-    vt_hat[1:] = -ut_hat[1:] / (1j * k[1:])
+    ut_hat = _rhs_spectrum(c[:L // 2 + 1], kh, params,
+                           dealias_mask(L, dealias_fraction))
+    vt_half = np.zeros(L // 2 + 1, dtype=complex)
+    vt_half[1:] = -ut_hat[1:] / (1j * kh[1:])
+    vt_hat = full_spectrum(vt_half)
     scale = eps ** (alpha - 1.0)
     r = -scale * sample_spectrum(average_multiplier(k, eps) * c, period, N, shift)
     p = (params.c * scale * sample_spectrum(c, period, N, shift)
@@ -218,13 +223,12 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
         raise ConfigError(
             f"ring of {N} sites cannot resolve a {u_tau.grid.n}-mode profile; "
             "lower bo_modes or epsilon")
-    cN = pad_spectrum(u_tau.spectrum, N)
-    kN = wavenumbers(N, period)
+    cN = pad_spectrum(u_tau.spectrum, N)[:N // 2 + 1]
+    kN = rfft_wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
-    ux = np.fft.ifft(1j * kN * cN).real * N
-    ut_hat = _rhs_spectrum(cN, kN, params, mask)
-    ut = np.fft.ifft(ut_hat).real * N
-    vtt = np.fft.ifft(_dtau2_v_spectrum(cN, kN, params, mask)).real * N
+    ux = np.fft.irfft(1j * kN * cN, N) * N
+    ut = np.fft.irfft(_rhs_spectrum(cN, kN, params, mask), N) * N
+    vtt = np.fft.irfft(_dtau2_v_spectrum(cN, kN, params, mask), N) * N
     accel = (-eps ** alpha * params.c ** 2 * ux
              + eps ** (2 * alpha - 1) * params.kappa1 * ut
              + eps ** (3 * alpha - 2) * vtt)

@@ -5,7 +5,9 @@ The spectrum convention is spectrum = fft(values)/n, so spectrum[j] is the
 coefficient of exp(i*k_j*X) and a unit constant field has spectrum
 (1, 0, ..., 0).  Wavenumbers follow the usual FFT layout with the unpaired
 -n/2 mode last in the negative block; resampling splits that bin
-half-and-half between +n/2 and -n/2 to keep fields real.
+half-and-half between +n/2 and -n/2 to keep fields real.  The half
+spectrum rfft(values)/n holds the bins j = 0..n/2 that determine a real
+field; the surrogate is stepped on it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,27 @@ def wavenumbers(n: int, period: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
 
 
+def rfft_wavenumbers(n: int, period: float) -> np.ndarray:
+    """Wavenumbers 2*pi*j/period of the half-spectrum bins j = 0..n/2."""
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+
+
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """FFT-ordered spectrum of the real field with half spectrum half
+    (bins j = 0..n/2): the conjugate mirror completes the bins -n/2+1..-1."""
+    return np.concatenate([half, np.conj(half[-2:0:-1])])
+
+
 def dealias_mask(n: int, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Boolean mask keeping integer frequencies with |j| <= fraction*(n/2)."""
-    j = np.fft.fftfreq(n) * n
-    return np.abs(j) <= fraction * (n // 2)
+    """Boolean mask over the half-spectrum bins j = 0..n/2 keeping
+    j <= fraction*(n/2) and 3j < n.
+
+    The cap makes the quadratic product alias-free: with every kept
+    |j| <= K and 3K < n, each alias of a product lands at |j| >= n - 2K > K,
+    outside the mask.
+    """
+    j = np.arange(n // 2 + 1)
+    return (j <= fraction * (n // 2)) & (3 * j < n)
 
 
 def pad_spectrum(c: np.ndarray, num: int) -> np.ndarray:

@@ -1,22 +1,55 @@
 import numpy as np
 import pytest
 
+from artifact import bo_solver
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError,
                                 _dtau2_v_spectrum, _rhs_spectrum,
                                 gaussian_profile, run_to)
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, dealias_mask,
-                               l2_norm)
+                               full_spectrum, l2_norm, rfft_wavenumbers,
+                               wavenumbers)
 
 PARAMS = make_alpha_params(2.0)
+
+
+def _half(u):
+    return u.spectrum[:u.grid.n // 2 + 1]
 
 
 def _rhs(u, params=PARAMS):
     # du/dtau on u's own grid, as a field
     grid = u.grid
-    return SpectralField.from_spectrum(grid, _rhs_spectrum(
-        u.spectrum, grid.wavenumbers, params, dealias_mask(grid.n)))
+    return SpectralField.from_spectrum(grid, full_spectrum(_rhs_spectrum(
+        _half(u), rfft_wavenumbers(grid.n, grid.period), params,
+        dealias_mask(grid.n))))
+
+
+def _product_form_rhs(c, k, params):
+    # the oracle: du/dtau on the full complex spectrum, with the quadratic
+    # term as the filtered product u * u_X (two inverse and one forward
+    # complex FFT) and a symmetric 2/3 mask, |j| <= n/3 and 3|j| < n;
+    # returns (quadratic term, linear symbol)
+    n = k.size
+    j = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    mask = (j <= 2.0 / 3.0 * (n // 2)) & (3 * j < n)
+    u = np.fft.ifft(c * mask).real * n
+    ux = np.fft.ifft(1j * k * c * mask).real * n
+    nl = np.fft.fft(u * ux) / n * mask
+    nl[0] = 0.0
+    lin = 1j * (params.kappa3 / params.kappa1) * np.sign(k) * np.abs(k) ** params.alpha
+    return -(params.kappa2 / params.kappa1) * nl, lin
+
+
+def _band_limited(n, seed):
+    # random mean-zero real field with modes up to n/4, as a full spectrum
+    rng = np.random.default_rng(seed)
+    c = np.zeros(n, dtype=complex)
+    m = n // 4
+    c[1:m + 1] = (rng.normal(size=m) + 1j * rng.normal(size=m)) / np.arange(1, m + 1)
+    c[n - m:] = np.conj(c[m:0:-1])
+    return c
 
 
 def _primitive(u):
@@ -139,11 +172,17 @@ def test_dtau2_v_matches_finite_difference():
     fd = (_primitive(plus.u) - 2.0 * _primitive(state.u)
           + _primitive(minus.u)) / delta ** 2
     grid = state.u.grid
-    vtt_hat = _dtau2_v_spectrum(state.u.spectrum, grid.wavenumbers, PARAMS,
-                                dealias_mask(grid.n))
-    vtt = np.fft.ifft(vtt_hat).real * grid.n
+    vtt_hat = _dtau2_v_spectrum(_half(state.u), rfft_wavenumbers(grid.n, grid.period),
+                                PARAMS, dealias_mask(grid.n))
+    vtt = np.fft.irfft(vtt_hat, grid.n) * grid.n
     scale = np.max(np.abs(vtt))
     assert np.max(np.abs(fd - vtt)) < 1e-4 * scale
+    # the anchor v(0) = 0 holds for every tau, so v_tautau(0) = 0; checked
+    # on a random profile, where no symmetry makes it hold by accident
+    c = 0.01 * _band_limited(grid.n, seed=7)[:grid.n // 2 + 1]
+    w = np.fft.irfft(_dtau2_v_spectrum(c, rfft_wavenumbers(grid.n, grid.period),
+                                       PARAMS, dealias_mask(grid.n)), grid.n)
+    assert abs(w[0]) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_dtau2_v_requires_mean_zero():
@@ -178,6 +217,10 @@ def test_config_validation():
         BOConfig(params=PARAMS, dtau=1e-3, dealias_fraction=0.4)
     with pytest.raises(ValueError):
         BOConfig(params=PARAMS, dtau=1e-3, dealias_fraction=1.2)
+    # above 2/3 the quadratic term would alias by design
+    with pytest.raises(ValueError):
+        BOConfig(params=PARAMS, dtau=1e-3, dealias_fraction=0.7)
+    BOConfig(params=PARAMS, dtau=1e-3, dealias_fraction=2.0 / 3.0)
 
 
 @pytest.mark.parametrize("alpha", [1.6, 2.5])
@@ -189,3 +232,64 @@ def test_other_exponents_run(alpha):
     out, _ = run_to(state, 0.05, cfg)
     assert np.all(np.isfinite(out.u.values))
     assert abs(l2_norm(out.u) - l2_norm(state.u)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+def test_rhs_matches_complex_product_form(n, alpha):
+    # the half-spectrum right-hand side, with coef * P(1/2 dX u^2), against
+    # the full complex spectrum with coef * P(u u_X): equal in exact
+    # arithmetic, since no alias of the product lands inside the mask
+    params = make_alpha_params(alpha)
+    period = 0.1 * n
+    c = _band_limited(n, seed=n + int(10 * alpha))
+    nl, lin = _product_form_rhs(c, wavenumbers(n, period), params)
+    h = n // 2 + 1
+    got = _rhs_spectrum(c[:h], rfft_wavenumbers(n, period), params, dealias_mask(n))
+    assert np.max(np.abs(got - (nl + lin * c)[:h])) <= 1e-13 * np.max(np.abs(nl))
+
+
+def test_run_to_matches_full_complex_if_rk4():
+    # 200 IF-RK4 steps on the half spectrum against the same scheme written
+    # on the full complex spectrum with the product-form quadratic term
+    state = _gauss_state(n=256, period=51.2, amplitude=0.7)
+    grid = state.u.grid
+    dtau, nsteps = 5e-4, 200
+    k = grid.wavenumbers
+    c = state.u.spectrum.copy()
+    lin = _product_form_rhs(c, k, PARAMS)[1]
+    E = np.exp(lin * (dtau / 2.0))
+    E2 = E * E
+
+    def nonlin(ch):
+        return _product_form_rhs(ch, k, PARAMS)[0]
+
+    for _ in range(nsteps):
+        s1 = nonlin(c)
+        s2 = nonlin(E * (c + (dtau / 2.0) * s1))
+        s3 = nonlin(E * c + (dtau / 2.0) * s2)
+        s4 = nonlin(E2 * c + E * (dtau * s3))
+        c = E2 * c + (dtau / 6.0) * (E2 * s1 + 2.0 * E * (s2 + s3) + s4)
+    ref = np.fft.ifft(c).real * grid.n
+    out, _ = run_to(state, nsteps * dtau, BOConfig(params=PARAMS, dtau=dtau))
+    assert np.max(np.abs(out.u.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_cfl_checked_at_every_span(monkeypatch):
+    # one check per span between the start, the checkpoints and the end,
+    # each on the spectrum the span starts from
+    seen = []
+    check = bo_solver._check_cfl
+
+    def counted(c, k, params, dtau):
+        seen.append(c.copy())
+        return check(c, k, params, dtau)
+
+    monkeypatch.setattr(bo_solver, "_check_cfl", counted)
+    state = _gauss_state()
+    cfg = BOConfig(params=PARAMS, dtau=1e-3, t_checkpoint=(0.02, 0.05))
+    run_to(state, 0.1, cfg)
+    assert len(seen) == 3
+    mid, _ = run_to(state, 0.02, BOConfig(params=PARAMS, dtau=1e-3))
+    assert np.array_equal(seen[0], _half(state.u))
+    assert np.allclose(seen[1], _half(mid.u), rtol=0.0, atol=1e-15)

@@ -18,7 +18,8 @@ from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
                               _window_sums, run_steps)
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
-                               dealias_mask, pad_spectrum, wavenumbers)
+                               dealias_mask, full_spectrum, pad_spectrum,
+                               rfft_wavenumbers, wavenumbers)
 
 PARAMS2 = make_alpha_params(2.0)
 
@@ -50,6 +51,8 @@ def test_config_validation():
         ValidationConfig(checkpoints=0)
     with pytest.raises(ConfigError):
         ValidationConfig(jobs=0)
+    with pytest.raises(ConfigError):
+        ValidationConfig(dealias_fraction=0.7)  # would alias by design
 
 
 def test_default_amplitude_policy():
@@ -155,8 +158,9 @@ def test_ansatz_fields_match_residual_ansatz(alpha, shift):
             window = np.fft.ifft(average_multiplier(kN, eps * m) * cN).real * N
             assert np.max(np.abs(Gm / m + scale * window)) \
                 <= 1e-12 * np.max(np.abs(r))
-    ut = _rhs_spectrum(pad_spectrum(u0.spectrum, N), kN, params,
-                       dealias_mask(N)) * np.exp(1j * kN * shift)
+    ut = full_spectrum(_rhs_spectrum(
+        pad_spectrum(u0.spectrum, N)[:N // 2 + 1], rfft_wavenumbers(N, period),
+        params, dealias_mask(N))) * np.exp(1j * kN * shift)
     # r_j = -eps^(alpha-1) A_eps u(eps*(j - c t) + shift, eps^alpha t)
     A = average_multiplier(kN, eps)
     drdt = -scale * np.fft.ifft(A * (-eps * params.c * 1j * kN * cN

@@ -7,9 +7,10 @@ from artifact.bo_solver import _dtau2_v_spectrum, _linear_symbol, _rhs_spectrum
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
-                               dealias_mask, l2_norm, pad_spectrum,
-                               sample_spectrum, sobolev_norm, wavenumbers,
-                               write_field_binary, write_field_csv)
+                               dealias_mask, full_spectrum, l2_norm,
+                               pad_spectrum, rfft_wavenumbers, sample_spectrum,
+                               sobolev_norm, wavenumbers, write_field_binary,
+                               write_field_csv)
 
 
 def eval_at(f, x):
@@ -33,6 +34,12 @@ def eval_at(f, x):
 def _apply(f, symbol):
     # values of the field whose spectrum is symbol * f.spectrum
     return np.fft.ifft(symbol * f.spectrum).real * f.grid.n
+
+
+def _apply_half(f, symbol):
+    # the same on the half spectrum, for the solver's symbols
+    n = f.grid.n
+    return np.fft.irfft(symbol * f.spectrum[:n // 2 + 1], n) * n
 
 
 def _random_field(grid, seed, modes=10):
@@ -82,11 +89,11 @@ def test_hilbert_of_sine_is_minus_cosine():
     coef = params.kappa3 / params.kappa1
     k0 = 3.0
     f = SpectralField.from_values(grid, np.sin(k0 * grid.nodes))
-    L = _linear_symbol(grid.wavenumbers, params)
-    assert np.allclose(_apply(f, L), coef * k0 ** 2 * np.cos(k0 * grid.nodes),
+    L = _linear_symbol(rfft_wavenumbers(grid.n, grid.period), params)
+    assert np.allclose(_apply_half(f, L), coef * k0 ** 2 * np.cos(k0 * grid.nodes),
                        atol=1e-11 * coef * k0 ** 2)
     # H^2 = -1 on mean-zero fields, so L^2 = -coef^2 |D|^(2 alpha)
-    assert np.allclose(_apply(f, L * L), -(coef * k0 ** 2) ** 2 * f.values,
+    assert np.allclose(_apply_half(f, L * L), -(coef * k0 ** 2) ** 2 * f.values,
                        atol=1e-11 * (coef * k0 ** 2) ** 2)
 
 
@@ -99,7 +106,8 @@ def test_frac_deriv_single_mode():
     for alpha in (1.2, 1.7, 2.0, 2.6):
         params = make_alpha_params(alpha)
         coef = params.kappa3 / params.kappa1
-        got = _apply(f, _linear_symbol(grid.wavenumbers, params))
+        got = _apply_half(f, _linear_symbol(rfft_wavenumbers(grid.n, grid.period),
+                                            params))
         assert np.allclose(got, -coef * k0 ** alpha * np.sin(k0 * grid.nodes),
                            atol=1e-11 * coef * k0 ** alpha)
 
@@ -108,9 +116,9 @@ def test_frac_deriv_zero_mode_and_domain():
     # the fractional powers the solver uses, |k|^alpha in the dispersive
     # symbol and |k|^(alpha-1) in v_tt, vanish on the zero mode for every
     # alpha in (1, 3): constants are steady, with no 0^0 = 1 or 0^-x = inf
-    k = wavenumbers(64, 8.0)
+    k = rfft_wavenumbers(64, 8.0)
     mask = dealias_mask(64)
-    const = np.zeros(64, dtype=complex)
+    const = np.zeros(33, dtype=complex)
     const[0] = 4.0
     for alpha in (1.01, 2.0, 2.99):
         params = make_alpha_params(alpha)
@@ -165,8 +173,9 @@ def test_antiderivative_meanzero_properties():
     vt = (p - params.c * eps ** (params.alpha - 1.0) * f.values) \
         / eps ** (2.0 * params.alpha - 2.0)
     k = grid.wavenumbers
-    ut = np.fft.ifft(_rhs_spectrum(f.spectrum, k, params,
-                                   dealias_mask(N))).real * N
+    ut = np.fft.irfft(_rhs_spectrum(f.spectrum[:N // 2 + 1],
+                                    rfft_wavenumbers(N, period), params,
+                                    dealias_mask(N)), N) * N
     dvt = np.fft.ifft(1j * k * np.fft.fft(vt)).real
     assert np.allclose(dvt, -ut, atol=1e-10 * np.max(np.abs(ut)))
     # the mean-zero primitive, so the ansatz carries no net momentum
@@ -252,14 +261,40 @@ def test_parseval_and_sobolev():
 
 
 def test_dealias_mask_symmetry_and_width():
+    # one entry per half-spectrum bin j = 0..n/2, which stands for both +j
+    # and -j, so the filter it applies to a real field is symmetric
     mask = dealias_mask(64)
-    freqs = np.fft.fftfreq(64, 1.0 / 64)
-    kept = set(np.abs(freqs[mask]).astype(int))
-    assert max(kept) <= 2 * (64 // 2) // 3
-    assert mask[0]
-    # symmetric: +m kept iff -m kept
-    for m in range(1, 32):
-        assert mask[m] == mask[64 - m]
+    assert mask.shape == (33,)
+    assert np.array_equal(np.flatnonzero(mask), np.arange(22))
+    f = _random_field(PeriodicGrid(10.0, 64), 3, modes=30)
+    full = np.abs(np.fft.fftfreq(64, 1.0 / 64)) <= 21
+    assert np.allclose(_apply_half(f, mask), _apply(f, full), atol=1e-13)
+    # 2/3 of the half width at fraction 2/3; less at a smaller fraction
+    assert np.flatnonzero(dealias_mask(64, 0.55))[-1] == 17
+
+
+@pytest.mark.parametrize("n", [96, 1026, 2046])
+def test_dealias_mask_is_alias_free_when_n_is_a_multiple_of_three(n):
+    # fraction * (n/2) = n/3 exactly: the bin j = n/3 would make the product
+    # of two kept modes alias onto a kept mode, (n/3 + n/3) - n = -n/3
+    mask = dealias_mask(n)
+    K = np.flatnonzero(mask)[-1]
+    assert K == n // 3 - 1
+    assert 3 * K < n
+    # every alias of a product of two kept modes misses the kept band
+    j = np.arange(-K, K + 1)
+    sums = (j[:, None] + j[None, :]).ravel()
+    aliases = sums[np.abs(sums) > n // 2]
+    aliases = aliases - np.sign(aliases) * n
+    assert np.all(np.abs(aliases) > K)
+
+
+def test_full_spectrum_completes_the_half_spectrum():
+    grid = PeriodicGrid(7.0, 32)
+    f = _random_field(grid, 5, modes=15)
+    assert np.array_equal(full_spectrum(f.spectrum[:17])[:17], f.spectrum[:17])
+    assert np.allclose(full_spectrum(f.spectrum[:17]), f.spectrum, atol=1e-15)
+    assert rfft_wavenumbers(32, 7.0) == pytest.approx(np.abs(wavenumbers(32, 7.0)[:17]))
 
 
 def test_field_io_round_trip(tmp_path):
