@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import AlphaParams
-from .spectral import (PeriodicGrid, SpectralField, dealias_mask,
-                       full_spectrum, rfft_wavenumbers, sobolev_norm)
+from .spectral import PeriodicGrid, SpectralField, dealias_mask, sobolev_norm
 
 
 class BlowUpError(RuntimeError):
@@ -85,17 +84,16 @@ def _rhs_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
     return _nonlinear_spec(c, mask, d) + _linear_symbol(k, params) * c
 
 
-def _dtau2_v_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
-                      mask: np.ndarray) -> np.ndarray:
+def _dtau2_v_spectrum(c: np.ndarray, ut_hat: np.ndarray, k: np.ndarray,
+                      params: AlphaParams, mask: np.ndarray) -> np.ndarray:
     """Half spectrum of the second tau-derivative of the primitive v
-    (dX v = -u, v(0) = 0).
+    (dX v = -u, v(0) = 0), given ut_hat = _rhs_spectrum(c, k, params, mask).
 
     Differentiating the evolution equation in tau and integrating in X gives
     (kappa2/kappa1) u du/dtau - (kappa3/kappa1) |D|^(alpha-1) du/dtau, up to
     a constant fixed by anchoring the value at X = 0 to zero.
     """
     n = 2 * (c.size - 1)
-    ut_hat = _rhs_spectrum(c, k, params, mask)
     u = np.fft.irfft(c * mask, n)
     ut = np.fft.irfft(ut_hat * mask, n)
     g = ((params.kappa2 / params.kappa1) * n * np.fft.rfft(u * ut) * mask
@@ -144,36 +142,45 @@ def _monitor_row(f: SpectralField, tau: float) -> tuple:
     return (tau, f.mean(), sobolev_norm(f, 0.0), sobolev_norm(f, 6.0))
 
 
+def span_plan(tau: float, tau_end: float, config: BOConfig) -> list:
+    """(target, steps) of each span run_to takes from tau to tau_end: one
+    span to every configured checkpoint strictly between them, then one to
+    tau_end.  Step counts are integers, so every target is hit exactly."""
+    gap = tau_end - tau
+    if gap == 0.0:
+        return []
+    direction = 1.0 if gap > 0 else -1.0
+    inside = [t for t in config.t_checkpoint
+              if (t - tau) * direction > 0 and (tau_end - t) * direction > 0]
+    plan = []
+    for target in sorted(inside, reverse=(direction < 0)) + [tau_end]:
+        plan.append((target, max(1, math.ceil(abs(target - tau) / config.dtau
+                                              - 1e-9))))
+        tau = target
+    return plan
+
+
 def run_to(state: BOState, tau_end: float, config: BOConfig):
     """Integrate to tau_end (either direction); returns (state, monitor trace).
 
-    The trace holds (tau, mean, L2 norm, H6 norm) rows at the start, at every
-    configured checkpoint inside the span, and at tau_end.  Step counts per
-    span are integers, so the final time is hit exactly.  The advective step
-    number is checked at the start of every span.
+    The trace holds (tau, mean, L2 norm, H6 norm) rows at the start and at
+    the end of every span of span_plan.  The advective step number is
+    checked at the start of every span.
     """
     u = state.u
     grid = u.grid
-    k = rfft_wavenumbers(grid.n, grid.period)
+    k = grid.wavenumbers
     mask = dealias_mask(grid.n, config.dealias_fraction)
-    c = u.spectrum[:grid.n // 2 + 1]
+    c = u.spectrum
     trace = [_monitor_row(u, state.tau)]
-    gap = tau_end - state.tau
-    if gap == 0.0:
-        return state, trace
-    direction = 1.0 if gap > 0 else -1.0
-    inside = [t for t in config.t_checkpoint
-              if (t - state.tau) * direction > 0 and (tau_end - t) * direction > 0]
-    targets = sorted(inside, reverse=(direction < 0)) + [tau_end]
     tau = state.tau
-    for target in targets:
+    for target, nsteps in span_plan(state.tau, tau_end, config):
         span = target - tau
-        nsteps = max(1, math.ceil(abs(span) / config.dtau - 1e-9))
         _check_cfl(c, k, config.params, abs(span) / nsteps)
         c = _run_spectrum(c, k, config.params, mask, span / nsteps, nsteps,
                           tau_origin=tau)
         tau = target
-        u = SpectralField.from_spectrum(grid, full_spectrum(c))
+        u = SpectralField.from_spectrum(grid, c)
         trace.append(_monitor_row(u, tau))
     return BOState(u=u, tau=tau), trace
 

@@ -30,7 +30,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bo_solver import BOConfig, BOState, BlowUpError, gaussian_profile, run_to
+from .bo_solver import (BOConfig, BOState, BlowUpError, gaussian_profile,
+                        run_to, span_plan)
 from .harness import (DEFAULT_VALIDATION_AMPLITUDE, ConfigError,
                       ValidationConfig, _config_dict, _ring_size,
                       ansatz_fields, describe_plan, run_residual_sweep,
@@ -202,13 +203,13 @@ def cmd_solve_bo(args) -> int:
     grid = PeriodicGrid(args.period, args.n)
     k = max(0, args.checkpoints)
     taus = tuple(i * args.tau_end / (k + 1) for i in range(1, k + 1))
-    nsteps = max(1, int(math.ceil(abs(args.tau_end) / args.dtau - 1e-9)))
+    cfg = BOConfig(params=params, dtau=args.dtau, t_checkpoint=taus)
     if args.dry_run:
+        steps = sum(n for _, n in span_plan(0.0, args.tau_end, cfg))
         _emit({"command": "solve-bo", "n": args.n, "period": args.period,
-               "dtau": args.dtau, "tau_end": args.tau_end, "steps": nsteps,
+               "dtau": args.dtau, "tau_end": args.tau_end, "steps": steps,
                "checkpoints": list(taus)})
         return 0
-    cfg = BOConfig(params=params, dtau=args.dtau, t_checkpoint=taus)
     u0 = gaussian_profile(grid, args.amplitude, args.width_fraction)
     state, trace = run_to(BOState(u=u0, tau=0.0), args.tau_end, cfg)
     outdir, trace_path = _resolve_out(args.out, "solve-bo", "trace.csv")

@@ -26,8 +26,8 @@ from .lattice import (CollisionError, LatticeConfig, LatticeState,
                       error_energy, error_energy_constants, force, run_steps)
 from .specfun import AlphaParams, make_alpha_params
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
-                       dealias_mask, full_spectrum, pad_spectrum,
-                       rfft_wavenumbers, sample_spectrum, wavenumbers)
+                       dealias_mask, resample_spectrum, sample_spectrum,
+                       wavenumbers)
 
 DEFAULT_EPSILONS = (0.2, 0.1414, 0.1, 0.0707)
 RESIDUAL_CSV_HEADER = ("alpha", "epsilon", "t", "l2")
@@ -165,11 +165,21 @@ def _ring_size(period: float, eps: float):
     return N, exact
 
 
+def _ansatz_gaps(c: np.ndarray, k: np.ndarray, period: float, N: int,
+                 alpha: float, shift: float = 0.0) -> np.ndarray:
+    # r_j = -eps^(alpha-1) * (mean of u over [X_j, X_j + eps]) for u with
+    # half spectrum c at wavenumbers k
+    eps = period / N
+    return -eps ** (alpha - 1.0) * sample_spectrum(
+        average_multiplier(k, eps) * c, period, N, shift)
+
+
 def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
                   params: AlphaParams, shift: float = 0.0,
                   dealias_fraction: float = 2.0 / 3.0):
     """Gaps and velocities (r, p) of the displacement ansatz on a ring of N
-    sites, eps = period/N, for the surrogate profile u with this spectrum.
+    sites, eps = period/N, for the surrogate profile u with this half
+    spectrum.
 
     The ansatz is q_j = eps^(alpha-2) v(X_j, tau) with dX v = -u and
     X_j = eps*j + shift (shift = -eps*c*t in the moving frame); it is the
@@ -186,18 +196,14 @@ def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
     alpha = params.alpha
     # fields are formed on the ring's grid, as in residual_fields, or on the
     # profile's own grid when the ring is coarser, then sampled onto the ring
-    L = max(N, spectrum.size)
+    L = max(N, 2 * (spectrum.size - 1))
     k = wavenumbers(L, period)
-    kh = rfft_wavenumbers(L, period)
-    c = pad_spectrum(spectrum, L)
-    ut_hat = _rhs_spectrum(c[:L // 2 + 1], kh, params,
-                           dealias_mask(L, dealias_fraction))
-    vt_half = np.zeros(L // 2 + 1, dtype=complex)
-    vt_half[1:] = -ut_hat[1:] / (1j * kh[1:])
-    vt_hat = full_spectrum(vt_half)
-    scale = eps ** (alpha - 1.0)
-    r = -scale * sample_spectrum(average_multiplier(k, eps) * c, period, N, shift)
-    p = (params.c * scale * sample_spectrum(c, period, N, shift)
+    c = resample_spectrum(spectrum, L)
+    ut_hat = _rhs_spectrum(c, k, params, dealias_mask(L, dealias_fraction))
+    vt_hat = np.zeros_like(c)
+    vt_hat[1:] = -ut_hat[1:] / (1j * k[1:])
+    r = _ansatz_gaps(c, k, period, N, alpha, shift)
+    p = (params.c * eps ** (alpha - 1.0) * sample_spectrum(c, period, N, shift)
          + eps ** (2.0 * alpha - 2.0) * sample_spectrum(vt_hat, period, N, shift))
     return r, p
 
@@ -223,17 +229,17 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
         raise ConfigError(
             f"ring of {N} sites cannot resolve a {u_tau.grid.n}-mode profile; "
             "lower bo_modes or epsilon")
-    cN = pad_spectrum(u_tau.spectrum, N)[:N // 2 + 1]
-    kN = rfft_wavenumbers(N, period)
+    cN = resample_spectrum(u_tau.spectrum, N)
+    kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
+    ut_hat = _rhs_spectrum(cN, kN, params, mask)
     ux = np.fft.irfft(1j * kN * cN, N) * N
-    ut = np.fft.irfft(_rhs_spectrum(cN, kN, params, mask), N) * N
-    vtt = np.fft.irfft(_dtau2_v_spectrum(cN, kN, params, mask), N) * N
+    ut = np.fft.irfft(ut_hat, N) * N
+    vtt = np.fft.irfft(_dtau2_v_spectrum(cN, ut_hat, kN, params, mask), N) * N
     accel = (-eps ** alpha * params.c ** 2 * ux
              + eps ** (2 * alpha - 1) * params.kappa1 * ut
              + eps ** (3 * alpha - 2) * vtt)
-    rtilde, _ = ansatz_fields(u_tau.spectrum, period, N, params,
-                              dealias_fraction=dealias_fraction)
+    rtilde = _ansatz_gaps(cN, kN, period, N, alpha)
     # every window mean G_m rtilde/m is bounded by max|rtilde|
     if np.max(np.abs(rtilde)) >= 1.0:
         raise CollisionError("ansatz gap deviation reached 1",
@@ -259,7 +265,7 @@ def _initial_profile(config: ValidationConfig, pipeline: str) -> SpectralField:
 
 def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
                            u0: SpectralField, direction: float = 1.0):
-    """Surrogate spectra at tau_i = direction * i * tau0/K, i = 0..K."""
+    """Surrogate half spectra at tau_i = direction * i * tau0/K, i = 0..K."""
     K = config.checkpoints
     dtau = (config.tau0 / K) / config.bo_steps_per_checkpoint
     bo_cfg = BOConfig(params=params, dtau=dtau,

@@ -1,13 +1,11 @@
 """Real periodic fields with cached discrete spectra, spectral resampling and
 the window-mean symbol.
 
-The spectrum convention is spectrum = fft(values)/n, so spectrum[j] is the
-coefficient of exp(i*k_j*X) and a unit constant field has spectrum
-(1, 0, ..., 0).  Wavenumbers follow the usual FFT layout with the unpaired
--n/2 mode last in the negative block; resampling splits that bin
-half-and-half between +n/2 and -n/2 to keep fields real.  The half
-spectrum rfft(values)/n holds the bins j = 0..n/2 that determine a real
-field; the surrogate is stepped on it.
+A spectrum is the half spectrum rfft(values)/n: bins j = 0..n/2 at the
+wavenumbers k_j = 2*pi*j/period >= 0, so a unit constant field has spectrum
+(1, 0, ..., 0).  Bin j stands for the mode pair exp(+-i*k_j*X) of the real
+field; the top bin j = n/2 is the unpaired mode, which resample_spectrum
+splits half-and-half between +n/2 and -n/2.
 """
 
 from __future__ import annotations
@@ -21,19 +19,8 @@ import numpy as np
 
 
 def wavenumbers(n: int, period: float) -> np.ndarray:
-    """FFT-ordered wavenumbers 2*pi*j/period for j = 0..n/2-1, -n/2..-1."""
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
-
-
-def rfft_wavenumbers(n: int, period: float) -> np.ndarray:
     """Wavenumbers 2*pi*j/period of the half-spectrum bins j = 0..n/2."""
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
-
-
-def full_spectrum(half: np.ndarray) -> np.ndarray:
-    """FFT-ordered spectrum of the real field with half spectrum half
-    (bins j = 0..n/2): the conjugate mirror completes the bins -n/2+1..-1."""
-    return np.concatenate([half, np.conj(half[-2:0:-1])])
 
 
 def dealias_mask(n: int, fraction: float = 2.0 / 3.0) -> np.ndarray:
@@ -48,50 +35,38 @@ def dealias_mask(n: int, fraction: float = 2.0 / 3.0) -> np.ndarray:
     return (j <= fraction * (n // 2)) & (3 * j < n)
 
 
-def pad_spectrum(c: np.ndarray, num: int) -> np.ndarray:
-    """Zero-pad FFT-ordered coefficients from even length n to even num >= n.
+def resample_spectrum(c: np.ndarray, num: int) -> np.ndarray:
+    """Half spectrum on num points (num even) of the field with half
+    spectrum c on n = 2*(c.size - 1) points.
 
-    The unpaired top mode of the source is split half-and-half between the
-    +n/2 and -n/2 bins of the target so the padded spectrum is conjugate
-    symmetric (when num == n this reassembles the original bin exactly).
+    Each bin j < n/2 stands for the modes +j and -j, and the top bin for
+    +n/2 and -n/2 with half its weight each.  The modes land on their bins
+    modulo num: refining zero-pads, and coarsening aliases, which is exact
+    at the num points.
     """
-    n = c.size
-    if n % 2 or num % 2:
-        raise ValueError("spectrum lengths must be even")
-    if num < n:
-        raise ValueError(f"cannot pad length {n} down to {num}")
-    half = n // 2
-    out = np.zeros(num, dtype=complex)
-    out[:half] = c[:half]
-    out[num - half + 1:] = c[half + 1:]
-    out[half] += 0.5 * c[half]
-    out[num - half] += 0.5 * c[half]
+    c = np.asarray(c, dtype=complex)
+    if c.size < 2 or num < 2 or num % 2:
+        raise ValueError("spectrum lengths must be even and at least 2")
+    half = c.size - 1
+    modes = np.concatenate([np.arange(half + 1), -np.arange(1, half + 1)])
+    weights = np.concatenate([c, np.conj(c[1:])])
+    weights[half] *= 0.5
+    weights[-1] *= 0.5
+    bins = modes % num
+    kept = bins <= num // 2
+    out = np.zeros(num // 2 + 1, dtype=complex)
+    np.add.at(out, bins[kept], weights[kept])
     return out
 
 
 def sample_spectrum(c: np.ndarray, period: float, num: int, shift: float = 0.0
                     ) -> np.ndarray:
-    """Values of the interpolant at the num uniform points j*period/num + shift.
-
-    Works for any even num: refining zero-pads, coarsening aliases bins
-    modulo num, which is exact for point evaluation.  The unpaired top mode
-    is split half-and-half between +n/2 and -n/2 and the shift phases act at
-    the true signed wavenumbers.
-    """
+    """Values of the field with half spectrum c at the num uniform points
+    j*period/num + shift (num even)."""
     c = np.asarray(c, dtype=complex)
-    n = c.size
-    if n % 2 or num % 2:
-        raise ValueError("spectrum lengths must be even")
-    half = n // 2
-    modes = np.concatenate([np.arange(0, half), (half, -half),
-                            np.arange(-half + 1, 0)])
-    weights = np.concatenate([c[:half], (0.5 * c[half], 0.5 * c[half]),
-                              c[half + 1:]])
     if shift != 0.0:
-        weights = weights * np.exp(2j * np.pi * modes * shift / period)
-    out = np.zeros(num, dtype=complex)
-    np.add.at(out, np.mod(modes, num), weights)
-    return np.fft.ifft(out).real * num
+        c = c * np.exp(1j * wavenumbers(2 * (c.size - 1), period) * shift)
+    return np.fft.irfft(resample_spectrum(c, num), num) * num
 
 
 def _is_pow2(n: int) -> bool:
@@ -139,14 +114,15 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
             raise ValueError(f"values must have shape ({grid.n},), got {values.shape}")
-        return cls(grid, values, np.fft.fft(values) / grid.n)
+        return cls(grid, values, np.fft.rfft(values) / grid.n)
 
     @classmethod
     def from_spectrum(cls, grid: PeriodicGrid, spectrum) -> "SpectralField":
         spectrum = np.asarray(spectrum, dtype=complex)
-        if spectrum.shape != (grid.n,):
-            raise ValueError(f"spectrum must have shape ({grid.n},), got {spectrum.shape}")
-        return cls(grid, np.fft.ifft(spectrum).real * grid.n, spectrum)
+        shape = (grid.n // 2 + 1,)
+        if spectrum.shape != shape:
+            raise ValueError(f"spectrum must have shape {shape}, got {spectrum.shape}")
+        return cls(grid, np.fft.irfft(spectrum, grid.n) * grid.n, spectrum)
 
     def mean(self) -> float:
         return float(self.spectrum[0].real)
@@ -160,15 +136,17 @@ def average_multiplier(k: np.ndarray, h: float) -> np.ndarray:
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Discrete Sobolev norm sqrt(P * sum (1 + k^2)^s |c_k|^2).
+    """Discrete Sobolev norm sqrt(P * sum (1 + k^2)^s |c_k|^2) over the
+    modes -n/2+1..n/2; the half spectrum holds each bin 0 < j < n/2 once.
 
     s = 0 recovers the continuum L2 norm of the trigonometric interpolant.
     """
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     k = f.grid.wavenumbers
-    return math.sqrt(f.grid.period
-                     * float(np.sum((1.0 + k * k) ** s * np.abs(f.spectrum) ** 2)))
+    terms = (1.0 + k * k) ** s * np.abs(f.spectrum) ** 2
+    total = terms[0] + 2.0 * np.sum(terms[1:-1]) + terms[-1]
+    return math.sqrt(f.grid.period * float(total))
 
 
 def l2_norm(f: SpectralField) -> float:

@@ -249,9 +249,8 @@ def test_gate6_surrogate_solver():
         params = make_alpha_params(alpha)
         for mode in (2, 5, 11):
             k = 2.0 * math.pi * mode / period
-            spec = np.zeros(n, dtype=complex)
+            spec = np.zeros(n // 2 + 1, dtype=complex)
             spec[mode] = 0.5e-8
-            spec[n - mode] = 0.5e-8
             u0 = SpectralField.from_spectrum(grid, spec)
             cfg = BOConfig(params=params, dtau=2e-3)
             out, _ = run_to(BOState(u=u0, tau=0.0), tau, cfg)

@@ -8,29 +8,29 @@ from artifact.bo_solver import (BOConfig, BOState, BlowUpError,
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, dealias_mask,
-                               full_spectrum, l2_norm, rfft_wavenumbers,
-                               wavenumbers)
+                               l2_norm, wavenumbers)
 
 PARAMS = make_alpha_params(2.0)
-
-
-def _half(u):
-    return u.spectrum[:u.grid.n // 2 + 1]
 
 
 def _rhs(u, params=PARAMS):
     # du/dtau on u's own grid, as a field
     grid = u.grid
-    return SpectralField.from_spectrum(grid, full_spectrum(_rhs_spectrum(
-        _half(u), rfft_wavenumbers(grid.n, grid.period), params,
-        dealias_mask(grid.n))))
+    return SpectralField.from_spectrum(grid, _rhs_spectrum(
+        u.spectrum, grid.wavenumbers, params, dealias_mask(grid.n)))
+
+
+def _full_wavenumbers(n, period):
+    # FFT-ordered wavenumbers of the full spectrum, -n/2 in the top bin
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
 
 
 def _product_form_rhs(c, k, params):
-    # the oracle: du/dtau on the full complex spectrum, with the quadratic
-    # term as the filtered product u * u_X (two inverse and one forward
-    # complex FFT) and a symmetric 2/3 mask, |j| <= n/3 and 3|j| < n;
-    # returns (quadratic term, linear symbol)
+    # the oracle: du/dtau on the full complex spectrum fft(u)/n at the
+    # FFT-ordered wavenumbers k, with the quadratic term as the filtered
+    # product u * u_X (two inverse and one forward complex FFT) and a
+    # symmetric 2/3 mask, |j| <= n/3 and 3|j| < n; returns (quadratic term,
+    # linear symbol)
     n = k.size
     j = np.abs(np.fft.fftfreq(n, 1.0 / n))
     mask = (j <= 2.0 / 3.0 * (n // 2)) & (3 * j < n)
@@ -55,11 +55,10 @@ def _band_limited(n, seed):
 def _primitive(u):
     # v with dX v = -u and v(0) = 0, for mean-zero u
     k = u.grid.wavenumbers
-    w = np.zeros(u.grid.n, dtype=complex)
-    w[1:] = -u.spectrum[1:] / (1j * k[1:])
-    w[u.grid.n // 2] = 0.0
-    w[0] = -np.sum(w[1:])
-    return np.fft.ifft(w).real * u.grid.n
+    w = np.zeros_like(u.spectrum)
+    w[1:-1] = -u.spectrum[1:-1] / (1j * k[1:-1])
+    v = np.fft.irfft(w, u.grid.n) * u.grid.n
+    return v - v[0]
 
 
 def _gauss_state(n=128, period=51.2, amplitude=0.5):
@@ -172,16 +171,18 @@ def test_dtau2_v_matches_finite_difference():
     fd = (_primitive(plus.u) - 2.0 * _primitive(state.u)
           + _primitive(minus.u)) / delta ** 2
     grid = state.u.grid
-    vtt_hat = _dtau2_v_spectrum(_half(state.u), rfft_wavenumbers(grid.n, grid.period),
-                                PARAMS, dealias_mask(grid.n))
+    k, mask = grid.wavenumbers, dealias_mask(grid.n)
+    c = state.u.spectrum
+    vtt_hat = _dtau2_v_spectrum(c, _rhs_spectrum(c, k, PARAMS, mask), k,
+                                PARAMS, mask)
     vtt = np.fft.irfft(vtt_hat, grid.n) * grid.n
     scale = np.max(np.abs(vtt))
     assert np.max(np.abs(fd - vtt)) < 1e-4 * scale
     # the anchor v(0) = 0 holds for every tau, so v_tautau(0) = 0; checked
     # on a random profile, where no symmetry makes it hold by accident
     c = 0.01 * _band_limited(grid.n, seed=7)[:grid.n // 2 + 1]
-    w = np.fft.irfft(_dtau2_v_spectrum(c, rfft_wavenumbers(grid.n, grid.period),
-                                       PARAMS, dealias_mask(grid.n)), grid.n)
+    w = np.fft.irfft(_dtau2_v_spectrum(c, _rhs_spectrum(c, k, PARAMS, mask),
+                                       k, PARAMS, mask), grid.n)
     assert abs(w[0]) <= 1e-12 * np.max(np.abs(w))
 
 
@@ -243,9 +244,9 @@ def test_rhs_matches_complex_product_form(n, alpha):
     params = make_alpha_params(alpha)
     period = 0.1 * n
     c = _band_limited(n, seed=n + int(10 * alpha))
-    nl, lin = _product_form_rhs(c, wavenumbers(n, period), params)
+    nl, lin = _product_form_rhs(c, _full_wavenumbers(n, period), params)
     h = n // 2 + 1
-    got = _rhs_spectrum(c[:h], rfft_wavenumbers(n, period), params, dealias_mask(n))
+    got = _rhs_spectrum(c[:h], wavenumbers(n, period), params, dealias_mask(n))
     assert np.max(np.abs(got - (nl + lin * c)[:h])) <= 1e-13 * np.max(np.abs(nl))
 
 
@@ -255,8 +256,8 @@ def test_run_to_matches_full_complex_if_rk4():
     state = _gauss_state(n=256, period=51.2, amplitude=0.7)
     grid = state.u.grid
     dtau, nsteps = 5e-4, 200
-    k = grid.wavenumbers
-    c = state.u.spectrum.copy()
+    k = _full_wavenumbers(grid.n, grid.period)
+    c = np.fft.fft(state.u.values) / grid.n
     lin = _product_form_rhs(c, k, PARAMS)[1]
     E = np.exp(lin * (dtau / 2.0))
     E2 = E * E
@@ -291,5 +292,5 @@ def test_cfl_checked_at_every_span(monkeypatch):
     run_to(state, 0.1, cfg)
     assert len(seen) == 3
     mid, _ = run_to(state, 0.02, BOConfig(params=PARAMS, dtau=1e-3))
-    assert np.array_equal(seen[0], _half(state.u))
-    assert np.allclose(seen[1], _half(mid.u), rtol=0.0, atol=1e-15)
+    assert np.array_equal(seen[0], state.u.spectrum)
+    assert np.allclose(seen[1], mid.u.spectrum, rtol=0.0, atol=1e-15)

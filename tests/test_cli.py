@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from artifact import bo_solver
 from artifact.cli import build_parser, config_fingerprint, main
 from artifact.harness import ValidationConfig
 from artifact.spectral import PeriodicGrid, SpectralField
@@ -125,6 +126,38 @@ def test_solve_bo_outputs(tmp_path, capsys):
     assert field.values.size == 64
     assert (out / "bo_final.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_solve_bo_dry_run_plans_the_steps_run_to_takes(tmp_path, capsys,
+                                                       monkeypatch):
+    # two spans of ceil(0.05/0.04) = 2 steps each, not ceil(0.1/0.04) = 3
+    argv = ["solve-bo", "--alpha", "2.0", "--n", "64", "--tau-end", "0.1",
+            "--dtau", "0.04", "--checkpoints", "1"]
+    assert main(argv + ["--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 4
+    taken = []
+    run_spectrum = bo_solver._run_spectrum
+
+    def counted(c, k, params, mask, dtau, nsteps, tau_origin=0.0):
+        taken.append(nsteps)
+        return run_spectrum(c, k, params, mask, dtau, nsteps, tau_origin)
+
+    monkeypatch.setattr(bo_solver, "_run_spectrum", counted)
+    assert main(argv + ["--out", str(tmp_path / "bo")]) == 0
+    capsys.readouterr()
+    assert taken == [2, 2]
+
+
+@pytest.mark.parametrize("dtau", ["0", "-0.01"])
+def test_solve_bo_dry_run_rejects_a_bad_step(dtau, capsys):
+    # the dry run builds the same BOConfig as the run, so it refuses the
+    # same step, with exit code 1 and no traceback
+    rc = main(["solve-bo", "--alpha", "2.0", "--n", "64", "--tau-end", "0.1",
+               "--dtau", dtau, "--dry-run"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dtau must be positive" in captured.err
 
 
 def test_solve_bo_out_csv_path(tmp_path, capsys):

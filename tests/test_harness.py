@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from artifact import harness
+from artifact import bo_solver, harness
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError, _rhs_spectrum,
                                 gaussian_profile, run_to)
 from artifact.cli import main
@@ -18,8 +18,7 @@ from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
                               _window_sums, run_steps)
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
-                               dealias_mask, full_spectrum, pad_spectrum,
-                               rfft_wavenumbers, wavenumbers)
+                               dealias_mask, resample_spectrum, wavenumbers)
 
 PARAMS2 = make_alpha_params(2.0)
 
@@ -152,22 +151,48 @@ def test_ansatz_fields_match_residual_ansatz(alpha, shift):
     r, p = ansatz_fields(u0.spectrum, period, N, params, shift)
     scale = eps ** (alpha - 1.0)
     kN = wavenumbers(N, period)
-    cN = pad_spectrum(u0.spectrum, N) * np.exp(1j * kN * shift)
+    cN = resample_spectrum(u0.spectrum, N)
+    ut = _rhs_spectrum(cN, kN, params, dealias_mask(N))
+    cN, ut = (x * np.exp(1j * kN * shift) for x in (cN, ut))
     for ms, G in _window_sums(r, 17):
         for m, Gm in zip(ms[:, 0], G):
-            window = np.fft.ifft(average_multiplier(kN, eps * m) * cN).real * N
+            window = np.fft.irfft(average_multiplier(kN, eps * m) * cN, N) * N
             assert np.max(np.abs(Gm / m + scale * window)) \
                 <= 1e-12 * np.max(np.abs(r))
-    ut = full_spectrum(_rhs_spectrum(
-        pad_spectrum(u0.spectrum, N)[:N // 2 + 1], rfft_wavenumbers(N, period),
-        params, dealias_mask(N))) * np.exp(1j * kN * shift)
     # r_j = -eps^(alpha-1) A_eps u(eps*(j - c t) + shift, eps^alpha t)
     A = average_multiplier(kN, eps)
-    drdt = -scale * np.fft.ifft(A * (-eps * params.c * 1j * kN * cN
-                                     + eps ** alpha * ut)).real * N
+    drdt = -scale * np.fft.irfft(A * (-eps * params.c * 1j * kN * cN
+                                      + eps ** alpha * ut), N) * N
     assert np.max(np.abs((np.roll(p, -1) - p) - drdt)) \
         <= 1e-12 * np.max(np.abs(p))
     assert abs(float(np.sum(p))) <= 1e-12 * N * np.max(np.abs(p))
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_ansatz_fields_on_a_ring_coarser_than_the_profile(N):
+    # N < bo_modes: the fields are formed on the profile's own grid and
+    # sampled onto the ring, so they equal the ansatz formula evaluated on
+    # that grid at every (n/N)-th point
+    params = make_alpha_params(2.0)
+    period, n, shift = 102.4, 512, -1.3
+    eps = period / N
+    u0 = gaussian_profile(PeriodicGrid(period, n), 0.1)
+    r, p = ansatz_fields(u0.spectrum, period, N, params, shift)
+    k = wavenumbers(n, period)
+    ut = _rhs_spectrum(u0.spectrum, k, params, dealias_mask(n))
+    vt = np.zeros_like(ut)
+    vt[1:] = -ut[1:] / (1j * k[1:])
+    phase = np.exp(1j * k * shift)
+
+    def on_ring(c):
+        return (np.fft.irfft(c * phase, n) * n)[::n // N]
+
+    scale = eps ** (params.alpha - 1.0)
+    r_ref = -scale * on_ring(average_multiplier(k, eps) * u0.spectrum)
+    p_ref = (params.c * scale * on_ring(u0.spectrum)
+             + eps ** (2.0 * params.alpha - 2.0) * on_ring(vt))
+    assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
+    assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
 
 
 def test_build_ansatz_rejects_bad_input():
@@ -212,6 +237,24 @@ def test_residual_eval_decreases_with_epsilon():
     assert 2.8 < local_slope < 4.2  # near beta = 3.5 already at two points
 
 
+def test_residual_fields_evaluates_the_surrogate_rhs_once(monkeypatch):
+    # u_tau, the v_tautau term and the ansatz gaps share one du/dtau
+    calls = []
+    rhs = bo_solver._rhs_spectrum
+
+    def counted(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(bo_solver, "_rhs_spectrum", counted)
+    monkeypatch.setattr(harness, "_rhs_spectrum", counted)
+    u0 = gaussian_profile(PeriodicGrid(102.4, 256), 0.5)
+    for eps in (0.4, 0.2):
+        calls.clear()
+        residual_fields(u0, eps, PARAMS2, 20)
+        assert len(calls) == 1
+
+
 def test_residual_eval_rejects_incommensurate():
     grid = PeriodicGrid(102.4, 256)
     u0 = gaussian_profile(grid, 0.5)
@@ -227,7 +270,14 @@ def _interaction_longdouble(u_tau, eps, params, cutoff):
     # anchored at xm so that it survives xp - xm far below xm
     period = u_tau.grid.period
     N = int(round(period / eps))
-    c = pad_spectrum(u_tau.spectrum, N).astype(np.clongdouble)
+    n = u_tau.grid.n
+    src = np.fft.fft(u_tau.values).astype(np.clongdouble) / n
+    # zero-padded to N, the unpaired top mode split between +n/2 and -n/2
+    c = np.zeros(N, dtype=np.clongdouble)
+    c[:n // 2] = src[:n // 2]
+    c[N - n // 2 + 1:] = src[n // 2 + 1:]
+    c[n // 2] += src[n // 2] / 2
+    c[N - n // 2] += src[n // 2] / 2
     k = 2 * np.pi * np.fft.fftfreq(N).astype(np.longdouble) \
         * (N / np.longdouble(period))
     alpha = np.longdouble(params.alpha)

@@ -7,39 +7,32 @@ from artifact.bo_solver import _dtau2_v_spectrum, _linear_symbol, _rhs_spectrum
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
-                               dealias_mask, full_spectrum, l2_norm,
-                               pad_spectrum, rfft_wavenumbers, sample_spectrum,
-                               sobolev_norm, wavenumbers, write_field_binary,
-                               write_field_csv)
+                               dealias_mask, l2_norm, resample_spectrum,
+                               sample_spectrum, sobolev_norm, wavenumbers,
+                               write_field_binary, write_field_csv)
+
+
+def _trig_sum(c, period, x):
+    """The real field with half spectrum c at arbitrary points, summed mode
+    by mode: sum over j of w_j Re(c_j exp(2 pi i j x / period)), with
+    w_j = 2 for the paired bins 0 < j < n/2 and 1 for bins 0 and n/2.  The
+    independent oracle for the FFT resampling."""
+    c = np.asarray(c, dtype=complex)
+    j = np.arange(c.size)
+    w = np.where((j == 0) | (j == c.size - 1), 1.0, 2.0)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return (np.exp(2j * np.pi * xs[:, None] * j[None, :] / period) @ (w * c)).real
 
 
 def eval_at(f, x):
-    """Trigonometric interpolation at arbitrary points (reduced mod period),
-    summed mode by mode: the independent oracle for the FFT resampling.
-
-    The unpaired top mode contributes its symmetrized (cosine) part, which
-    agrees with the grid values at the nodes and keeps the result real.
-    """
-    k = f.grid.wavenumbers
-    half = f.grid.n // 2
-    c = f.spectrum
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phases = np.exp(1j * xs[:, None] * k[None, :half])
-    tail = np.exp(1j * xs[:, None] * k[None, half + 1:])
-    vals = (phases @ c[:half]).real + (tail @ c[half + 1:]).real
-    vals += c[half].real * np.cos(k[half] * xs)
+    """Trigonometric interpolation of a field at arbitrary points."""
+    vals = _trig_sum(f.spectrum, f.grid.period, x)
     return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
 
 
 def _apply(f, symbol):
-    # values of the field whose spectrum is symbol * f.spectrum
-    return np.fft.ifft(symbol * f.spectrum).real * f.grid.n
-
-
-def _apply_half(f, symbol):
-    # the same on the half spectrum, for the solver's symbols
-    n = f.grid.n
-    return np.fft.irfft(symbol * f.spectrum[:n // 2 + 1], n) * n
+    # values of the field whose half spectrum is symbol * f.spectrum
+    return np.fft.irfft(symbol * f.spectrum, f.grid.n) * f.grid.n
 
 
 def _random_field(grid, seed, modes=10):
@@ -53,9 +46,13 @@ def _random_field(grid, seed, modes=10):
 
 
 def test_wavenumbers_match_fftfreq():
+    # the half-spectrum bins j = 0..n/2 at k_j = 2 pi j/period >= 0; fftfreq
+    # puts the top bin at -n/2
     n, period = 64, 10.0
     k = wavenumbers(n, period)
-    assert np.allclose(k, 2.0 * np.pi * np.fft.fftfreq(n, period / n))
+    assert k.shape == (n // 2 + 1,)
+    assert np.allclose(k, np.abs(2.0 * np.pi * np.fft.fftfreq(n, period / n)
+                                 [:n // 2 + 1]))
     assert k[0] == 0.0
     assert k[1] == pytest.approx(2.0 * np.pi / period)
 
@@ -74,8 +71,11 @@ def test_grid_validation():
 def test_round_trip_and_mean():
     grid = PeriodicGrid(17.0, 128)
     f = _random_field(grid, 0)
+    assert f.spectrum.shape == (65,)
     g = SpectralField.from_spectrum(grid, f.spectrum)
     assert np.allclose(f.values, g.values, atol=1e-13)
+    with pytest.raises(ValueError):
+        SpectralField.from_spectrum(grid, np.fft.fft(f.values) / 128)
     assert abs(f.mean()) < 1e-14
     h = SpectralField.from_values(grid, f.values + 3.0)
     assert h.mean() == pytest.approx(3.0)
@@ -89,11 +89,11 @@ def test_hilbert_of_sine_is_minus_cosine():
     coef = params.kappa3 / params.kappa1
     k0 = 3.0
     f = SpectralField.from_values(grid, np.sin(k0 * grid.nodes))
-    L = _linear_symbol(rfft_wavenumbers(grid.n, grid.period), params)
-    assert np.allclose(_apply_half(f, L), coef * k0 ** 2 * np.cos(k0 * grid.nodes),
+    L = _linear_symbol(wavenumbers(grid.n, grid.period), params)
+    assert np.allclose(_apply(f, L), coef * k0 ** 2 * np.cos(k0 * grid.nodes),
                        atol=1e-11 * coef * k0 ** 2)
     # H^2 = -1 on mean-zero fields, so L^2 = -coef^2 |D|^(2 alpha)
-    assert np.allclose(_apply_half(f, L * L), -(coef * k0 ** 2) ** 2 * f.values,
+    assert np.allclose(_apply(f, L * L), -(coef * k0 ** 2) ** 2 * f.values,
                        atol=1e-11 * (coef * k0 ** 2) ** 2)
 
 
@@ -106,7 +106,7 @@ def test_frac_deriv_single_mode():
     for alpha in (1.2, 1.7, 2.0, 2.6):
         params = make_alpha_params(alpha)
         coef = params.kappa3 / params.kappa1
-        got = _apply_half(f, _linear_symbol(rfft_wavenumbers(grid.n, grid.period),
+        got = _apply(f, _linear_symbol(wavenumbers(grid.n, grid.period),
                                             params))
         assert np.allclose(got, -coef * k0 ** alpha * np.sin(k0 * grid.nodes),
                            atol=1e-11 * coef * k0 ** alpha)
@@ -116,7 +116,7 @@ def test_frac_deriv_zero_mode_and_domain():
     # the fractional powers the solver uses, |k|^alpha in the dispersive
     # symbol and |k|^(alpha-1) in v_tt, vanish on the zero mode for every
     # alpha in (1, 3): constants are steady, with no 0^0 = 1 or 0^-x = inf
-    k = rfft_wavenumbers(64, 8.0)
+    k = wavenumbers(64, 8.0)
     mask = dealias_mask(64)
     const = np.zeros(33, dtype=complex)
     const[0] = 4.0
@@ -124,7 +124,8 @@ def test_frac_deriv_zero_mode_and_domain():
         params = make_alpha_params(alpha)
         assert _linear_symbol(k, params)[0] == 0.0
         assert np.all(_rhs_spectrum(const, k, params, mask) == 0.0)
-        assert np.all(_dtau2_v_spectrum(const, k, params, mask) == 0.0)
+        ut = _rhs_spectrum(const, k, params, mask)
+        assert np.all(_dtau2_v_spectrum(const, ut, k, params, mask) == 0.0)
     with pytest.raises(ValueError):
         make_alpha_params(1.0)
     with pytest.raises(ValueError):
@@ -173,10 +174,9 @@ def test_antiderivative_meanzero_properties():
     vt = (p - params.c * eps ** (params.alpha - 1.0) * f.values) \
         / eps ** (2.0 * params.alpha - 2.0)
     k = grid.wavenumbers
-    ut = np.fft.irfft(_rhs_spectrum(f.spectrum[:N // 2 + 1],
-                                    rfft_wavenumbers(N, period), params,
-                                    dealias_mask(N)), N) * N
-    dvt = np.fft.ifft(1j * k * np.fft.fft(vt)).real
+    ut = np.fft.irfft(_rhs_spectrum(f.spectrum, k, params, dealias_mask(N)),
+                      N) * N
+    dvt = np.fft.irfft(1j * k * np.fft.rfft(vt), N)
     assert np.allclose(dvt, -ut, atol=1e-10 * np.max(np.abs(ut)))
     # the mean-zero primitive, so the ansatz carries no net momentum
     assert abs(float(np.sum(vt))) < 1e-10 * N * np.max(np.abs(vt))
@@ -206,28 +206,69 @@ def test_eval_at_periodicity():
 def test_pad_spectrum_preserves_band_limited_values():
     grid = PeriodicGrid(10.0, 32)
     f = _random_field(grid, 7, modes=8)
-    big = pad_spectrum(f.spectrum, 128)
-    vals = np.fft.ifft(big).real * 128
+    big = resample_spectrum(f.spectrum, 128)
+    assert big.shape == (65,)
+    vals = np.fft.irfft(big, 128) * 128
     x = np.arange(128) * 10.0 / 128.0
     assert np.allclose(vals, eval_at(f, x), atol=1e-12)
-    with pytest.raises(ValueError):
-        pad_spectrum(f.spectrum, 16)  # shrinking is not padding
-    with pytest.raises(ValueError):
-        pad_spectrum(f.spectrum, 33)
+    for num in (33, 0):
+        with pytest.raises(ValueError):
+            resample_spectrum(f.spectrum, num)
 
 
 def test_pad_spectrum_nyquist_split_keeps_reality_and_energy():
     n = 16
-    c = np.zeros(n, dtype=complex)
+    c = np.zeros(n // 2 + 1, dtype=complex)
     c[n // 2] = 1.0  # pure unpaired mode
-    big = pad_spectrum(c, 64)
-    vals = np.fft.ifft(big) * 64
-    assert np.max(np.abs(vals.imag)) < 1e-14
-    # energy of the split halves equals the original bin
-    assert abs(np.sum(np.abs(big) ** 2) - 0.5) < 1e-14
+    big = resample_spectrum(c, 64)
+    # half the top bin goes to +n/2, the other half to its mirror -n/2
+    assert big[n // 2] == 0.5
+    assert np.count_nonzero(big) == 1
+    # the split halves carry the energy of cos(pi x), mean square 1/2
+    assert abs(2.0 * np.sum(np.abs(big) ** 2) - 0.5) < 1e-14
+    vals = np.fft.irfft(big, 64) * 64
     x = np.arange(64) / 64.0 * 16.0  # unit spacing grid, period 16
     k_nyq = np.pi
-    assert np.allclose(vals.real, np.cos(k_nyq * x), atol=1e-13)
+    assert np.allclose(vals, np.cos(k_nyq * x), atol=1e-13)
+
+
+def _random_half_spectrum(n, seed):
+    # every bin random and complex, the top bin included; bin 0, the mean,
+    # is real
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+    c[0] = c[0].real
+    return c
+
+
+@pytest.mark.parametrize("num", [12, 16, 32, 48, 96])
+@pytest.mark.parametrize("shift", [0.0, 1.3, -4.05])
+def test_resample_and_sample_match_direct_sum(num, shift):
+    # coarser, equal and finer rings against the direct trigonometric sum,
+    # with a complex, nonzero top bin; the top bin's sine part vanishes at
+    # the nodes of the source grid but not between them
+    n, period = 32, 7.3
+    c = _random_half_spectrum(n, seed=num)
+    x = np.arange(num) * period / num
+    scale = np.sum(np.abs(c))
+    vals = sample_spectrum(c, period, num, shift)
+    assert np.max(np.abs(vals - _trig_sum(c, period, x + shift))) \
+        <= 1e-13 * scale
+    # the resampled half spectrum is the one of those values
+    ref = np.fft.rfft(_trig_sum(c, period, x)) / num
+    assert np.max(np.abs(resample_spectrum(c, num) - ref)) <= 1e-14 * scale
+
+
+def test_resample_round_trip_is_exact():
+    # padding and then coarsening back returns a real field's spectrum bit
+    # for bit, the top bin's two halves included
+    grid = PeriodicGrid(9.0, 64)
+    f = _random_field(grid, 11, modes=32)
+    assert f.spectrum[-1] != 0.0
+    assert np.array_equal(resample_spectrum(f.spectrum, 64), f.spectrum)
+    for num in (66, 128, 724):
+        back = resample_spectrum(resample_spectrum(f.spectrum, num), 64)
+        assert np.array_equal(back, f.spectrum)
 
 
 def test_sample_spectrum_shift():
@@ -268,7 +309,8 @@ def test_dealias_mask_symmetry_and_width():
     assert np.array_equal(np.flatnonzero(mask), np.arange(22))
     f = _random_field(PeriodicGrid(10.0, 64), 3, modes=30)
     full = np.abs(np.fft.fftfreq(64, 1.0 / 64)) <= 21
-    assert np.allclose(_apply_half(f, mask), _apply(f, full), atol=1e-13)
+    ref = np.fft.ifft(full * np.fft.fft(f.values)).real
+    assert np.allclose(_apply(f, mask), ref, atol=1e-13)
     # 2/3 of the half width at fraction 2/3; less at a smaller fraction
     assert np.flatnonzero(dealias_mask(64, 0.55))[-1] == 17
 
@@ -287,14 +329,6 @@ def test_dealias_mask_is_alias_free_when_n_is_a_multiple_of_three(n):
     aliases = sums[np.abs(sums) > n // 2]
     aliases = aliases - np.sign(aliases) * n
     assert np.all(np.abs(aliases) > K)
-
-
-def test_full_spectrum_completes_the_half_spectrum():
-    grid = PeriodicGrid(7.0, 32)
-    f = _random_field(grid, 5, modes=15)
-    assert np.array_equal(full_spectrum(f.spectrum[:17])[:17], f.spectrum[:17])
-    assert np.allclose(full_spectrum(f.spectrum[:17]), f.spectrum, atol=1e-15)
-    assert rfft_wavenumbers(32, 7.0) == pytest.approx(np.abs(wavenumbers(32, 7.0)[:17]))
 
 
 def test_field_io_round_trip(tmp_path):
