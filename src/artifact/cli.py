@@ -24,7 +24,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,9 +33,9 @@ from . import __version__
 from .bo_solver import (BOConfig, BOState, BlowUpError, gaussian_profile,
                         run_to, span_plan)
 from .harness import (DEFAULT_VALIDATION_AMPLITUDE, ConfigError,
-                      ValidationConfig, _config_dict, _ring_size,
-                      ansatz_fields, describe_plan, run_residual_sweep,
-                      run_validation, write_rows_csv)
+                      ValidationConfig, _ring_size, ansatz_fields,
+                      describe_plan, run_residual_sweep, run_validation,
+                      write_json, write_rows_csv)
 from .lattice import (CollisionError, LatticeConfig, LatticeState, energy,
                       run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
@@ -43,17 +43,6 @@ from .specfun import (eta_integral, eta_riemann, find_alpha_star,
 from .spectral import PeriodicGrid, write_field_binary, write_field_csv
 
 DEFAULT_H_LIST = (0.4, 0.2, 0.1, 0.05, 0.025)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record dropped next to every output set."""
-
-    command: str
-    config_sha256: str
-    versions: dict
-    timestamp: str
-    outputs: tuple
 
 
 # keys that change where or how a run executes without changing its numbers
@@ -82,22 +71,15 @@ def _versions() -> dict:
     }
 
 
-def write_manifest(outdir, command, config, outputs) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    manifest = RunManifest(
-        command=command,
-        config_sha256=config_fingerprint(config),
-        versions=_versions(),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        outputs=tuple(sorted(os.path.basename(p) for p in outputs)),
-    )
-    path = os.path.join(outdir, "manifest.json")
-    payload = asdict(manifest)
-    payload["outputs"] = list(payload["outputs"])
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def write_manifest(outdir, command, config, outputs):
+    """Reproducibility record dropped next to every output set."""
+    write_json(os.path.join(outdir, "manifest.json"), {
+        "command": command,
+        "config_sha256": config_fingerprint(config),
+        "versions": _versions(),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "outputs": sorted(os.path.basename(p) for p in outputs),
+    })
 
 
 def _args_config(args) -> dict:
@@ -134,6 +116,15 @@ def _resolve_out(out, command, default_name):
     return out, os.path.join(out, default_name)
 
 
+def _write_out(args, command, name, payload) -> None:
+    """With --out, write payload as <out>/<name> beside a manifest."""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, name)
+        write_json(path, payload)
+        write_manifest(args.out, command, _args_config(args), [path])
+
+
 # ---------------------------------------------------------------------------
 # small computations
 
@@ -145,13 +136,7 @@ def cmd_constants(args) -> int:
     params = make_alpha_params(args.alpha, tol=args.tol)
     payload = asdict(params)
     _emit(payload)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "constants.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_manifest(args.out, "constants", _args_config(args), [path])
+    _write_out(args, "constants", "constants.json", payload)
     return 0
 
 
@@ -161,14 +146,8 @@ def cmd_alpha_star(args) -> int:
         return 0
     root = find_alpha_star(tol=args.tol)
     print(repr(root))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "alpha_star.json")
-        with open(path, "w") as fh:
-            json.dump({"alpha_star": root, "tol": args.tol}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        write_manifest(args.out, "alpha-star", _args_config(args), [path])
+    _write_out(args, "alpha-star", "alpha_star.json",
+               {"alpha_star": root, "tol": args.tol})
     return 0
 
 
@@ -333,11 +312,11 @@ def _sweep_config(args, pipeline) -> ValidationConfig:
         raise ConfigError(str(err))
 
 
-def _run_sweep(args, pipeline) -> int:
+def _run_sweep(args, pipeline, command) -> int:
     cfg = _sweep_config(args, pipeline)
     if args.dry_run:
         _emit({"pipeline": pipeline, "plan": describe_plan(cfg, pipeline),
-               "config": _config_dict(cfg)})
+               "config": asdict(cfg)})
         return 0
     if pipeline == "residual":
         _, report = run_residual_sweep(cfg)
@@ -345,37 +324,28 @@ def _run_sweep(args, pipeline) -> int:
         summary = {"slope": report.slope,
                    "target_exponent": report.target_exponent,
                    "r_squared": report.r_squared,
-                   "pairs": [list(p) for p in report.pairs],
+                   "pairs": report.pairs,
                    "output": cfg.output}
-        aborted = []
     else:
         result = run_validation(cfg)
         outputs = ["validation.csv", "validation.dat", "report.json"]
         if result.energy_rows:
-            outputs.insert(2, "energy_trace.csv")
+            outputs.append("energy_trace.csv")
         summary = {"mu_slope": result.mu_report.slope,
                    "nu_slope": result.nu_report.slope,
                    "target_exponent": result.mu_report.target_exponent,
-                   "aborted": [list(a) for a in result.aborted],
                    "output": cfg.output}
-        aborted = result.aborted
-    command = "residual-sweep" if pipeline == "residual" else "validate"
-    write_manifest(cfg.output, command, _config_dict(cfg), outputs)
+    write_manifest(cfg.output, command, asdict(cfg), outputs)
     _emit(summary)
-    if aborted:
-        for (eps, t, msg) in aborted:
-            print(f"blow-up: alpha={cfg.alpha} epsilon={eps} t={t}: {msg}",
-                  file=sys.stderr)
-        return 2
     return 0
 
 
 def cmd_residual_sweep(args) -> int:
-    return _run_sweep(args, "residual")
+    return _run_sweep(args, "residual", "residual-sweep")
 
 
 def cmd_validate(args) -> int:
-    return _run_sweep(args, "validation")
+    return _run_sweep(args, "validation", "validate")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,9 +59,9 @@ class ValidationConfig:
 
     amplitude = None picks the pipeline default (see
     default_residual_amplitude and DEFAULT_VALIDATION_AMPLITUDE).
-    epsilons are nominal; each is snapped to the nearest even ring size
-    N = period/epsilon and the exact epsilon = period/N is what gets used
-    and reported.
+    epsilons are nominal, at least 3 so that a slope can be fitted; each
+    is snapped to the nearest even ring size N = period/epsilon and the
+    exact epsilon = period/N is what gets used and reported.
     """
 
     alpha: float = 2.0
@@ -85,8 +85,8 @@ class ValidationConfig:
         if not 1.0 < self.alpha < 3.0:
             raise ConfigError(f"alpha must lie in (1, 3), got {self.alpha}")
         eps = tuple(float(e) for e in self.epsilons)
-        if not eps:
-            raise ConfigError("epsilons must be nonempty")
+        if len(eps) < 3:
+            raise ConfigError("need at least 3 epsilons to fit a slope")
         if any(not 0.0 < e < 0.5 for e in eps):
             raise ConfigError("every epsilon must lie in (0, 0.5)")
         if list(eps) != sorted(eps, reverse=True):
@@ -102,6 +102,7 @@ class ValidationConfig:
             raise ConfigError("dealias_fraction must lie in (0.5, 2/3]")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        PeriodicGrid(self.period, self.bo_modes)  # refuses a bad bo_modes
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,7 @@ class ValidationResult:
     rows: list
     mu_report: ScalingReport
     nu_report: ScalingReport
-    aborted: list = field(default_factory=list)
-    energy_rows: list = field(default_factory=list)
+    energy_rows: list
 
 
 def fit_slope(pairs):
@@ -149,6 +149,13 @@ def fit_slope(pairs):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return float(coef[0]), float(coef[1]), r2
+
+
+def _scaling_report(pairs, target: float) -> ScalingReport:
+    pairs = tuple(pairs)
+    slope, intercept, r2 = fit_slope(pairs)
+    return ScalingReport(pairs=pairs, slope=slope, intercept=intercept,
+                         target_exponent=target, r_squared=r2)
 
 
 def _ring_size(period: float, eps: float):
@@ -249,18 +256,12 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     return accel, fpart
 
 
-def _resolve_amplitude(config: ValidationConfig, pipeline: str) -> float:
-    if config.amplitude is not None:
-        return config.amplitude
-    if pipeline == "residual":
-        return default_residual_amplitude(config.alpha)
-    return DEFAULT_VALIDATION_AMPLITUDE
-
-
-def _initial_profile(config: ValidationConfig, pipeline: str) -> SpectralField:
-    grid = PeriodicGrid(config.period, config.bo_modes)
-    return gaussian_profile(grid, _resolve_amplitude(config, pipeline),
-                            config.width_fraction)
+def _initial_profile(config: ValidationConfig,
+                     default_amplitude: float) -> SpectralField:
+    amplitude = (default_amplitude if config.amplitude is None
+                 else config.amplitude)
+    return gaussian_profile(PeriodicGrid(config.period, config.bo_modes),
+                            amplitude, config.width_fraction)
 
 
 def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
@@ -294,7 +295,6 @@ def _residual_eps_task(args):
     grid = PeriodicGrid(config.period, config.bo_modes)
     K = config.checkpoints
     rows = []
-    sup = 0.0
     for i, c in enumerate(spectra):
         tau = i * config.tau0 / K
         t = tau / eps ** params.alpha
@@ -306,8 +306,7 @@ def _residual_eps_task(args):
             raise BlowUpError("non-finite ansatz residual", t=t,
                               alpha=params.alpha, epsilon=eps)
         rows.append((params.alpha, eps, t, l2))
-        sup = max(sup, l2)
-    return rows, (eps, sup)
+    return rows, (eps, max(row[3] for row in rows))
 
 
 def run_residual_sweep(config: ValidationConfig):
@@ -317,15 +316,12 @@ def run_residual_sweep(config: ValidationConfig):
     the report fits sup_t l2 against epsilon with target exponent beta.
     """
     params = make_alpha_params(config.alpha)
-    u0 = _initial_profile(config, "residual")
+    u0 = _initial_profile(config, default_residual_amplitude(config.alpha))
     spectra = _bo_checkpoint_spectra(config, params, u0)
     tasks = [(config, params, spectra, e) for e in config.epsilons]
     results = _map_tasks(_residual_eps_task, tasks, config.jobs)
     rows = [row for res in results for row in res[0]]
-    pairs = tuple(res[1] for res in results)
-    slope, intercept, r2 = fit_slope(pairs)
-    report = ScalingReport(pairs=pairs, slope=slope, intercept=intercept,
-                           target_exponent=params.beta, r_squared=r2)
+    report = _scaling_report([res[1] for res in results], params.beta)
     if config.output:
         write_residual_outputs(config.output, config, params, rows, report)
     return rows, report
@@ -335,24 +331,21 @@ def run_residual_sweep(config: ValidationConfig):
 # lattice-versus-surrogate validation
 
 
-def _validation_branch(config, params, spectra, eps, N, lat_cfg, nsteps, seg,
+def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
                        state, sign):
-    """March one time direction; returns (rows, sup_mu, sup_nu, energy_samples).
+    """March one time direction; returns (rows, energy_samples).
 
     sign=+1 compares against the forward surrogate checkpoints, sign=-1
     against the backward ones with the momentum-reflected twin state.
     """
     alpha = params.alpha
-    K = config.checkpoints
     rows = []
     energy_samples = []
-    sup_mu = 0.0
-    sup_nu = 0.0
-    for i in range(1, K + 1):
+    for i in range(1, config.checkpoints + 1):
         state = run_steps(state, lat_cfg, nsteps)
         t = i * seg
-        rtilde, ptilde = ansatz_fields(spectra[i], config.period, N, params,
-                                       -sign * eps * params.c * t,
+        rtilde, ptilde = ansatz_fields(spectra[i], config.period, lat_cfg.N,
+                                       params, -sign * eps * params.c * t,
                                        config.dealias_fraction)
         mu = state.r - rtilde
         nu = sign * state.p - ptilde
@@ -362,17 +355,15 @@ def _validation_branch(config, params, spectra, eps, N, lat_cfg, nsteps, seg,
             raise BlowUpError("non-finite chain-versus-surrogate error",
                               t=sign * t, alpha=alpha, epsilon=eps)
         rows.append((alpha, eps, sign * t, mu_l2, nu_l2))
-        sup_mu = max(sup_mu, mu_l2)
-        sup_nu = max(sup_nu, nu_l2)
         if config.energy_trace:
             energy_samples.append((sign * t, mu, nu, rtilde))
-    return rows, sup_mu, sup_nu, energy_samples
+    return rows, energy_samples
 
 
-def _validation_plan(config, params, c0, eps_nominal):
-    """Ring, initial ansatz state and clock of one validation run, shared by
-    the run and describe_plan.  Returns (lattice config, exact epsilon,
-    r0, p0, steps per checkpoint, checkpoint spacing in t).
+def _validation_plan(config, eps_nominal):
+    """Ring and clock of one validation run, shared by the run and
+    describe_plan.  Returns (lattice config, exact epsilon, steps per
+    checkpoint, checkpoint spacing in t).
 
     The interaction range is the ring cap N/2 - 1.  A shorter range leaves
     the truncated chain slower than c, and over the horizon
@@ -380,49 +371,39 @@ def _validation_plan(config, params, c0, eps_nominal):
     by an amount of fixed relative size, independent of eps.
     """
     N, eps = _ring_size(config.period, eps_nominal)
-    r0, p0 = ansatz_fields(c0, config.period, N, params,
-                           dealias_fraction=config.dealias_fraction)
-    seg = config.tau0 / eps ** params.alpha / config.checkpoints
+    seg = config.tau0 / eps ** config.alpha / config.checkpoints
     nsteps = int(math.ceil(seg / config.lattice_dt))
-    lat_cfg = LatticeConfig(N=N, alpha=params.alpha, cutoff=N // 2 - 1,
+    lat_cfg = LatticeConfig(N=N, alpha=config.alpha, cutoff=N // 2 - 1,
                             dt=seg / nsteps)
-    return lat_cfg, eps, r0, p0, nsteps, seg
+    return lat_cfg, eps, nsteps, seg
 
 
 def _validation_eps_task(args):
     (config, params, spectra_fwd, spectra_bwd, eps_nominal) = args
-    alpha = params.alpha
-    lat_cfg, eps, r0, p0, nsteps, seg = _validation_plan(
-        config, params, spectra_fwd[0], eps_nominal)
-    N = lat_cfg.N
+    lat_cfg, eps, nsteps, seg = _validation_plan(config, eps_nominal)
+    r0, p0 = ansatz_fields(spectra_fwd[0], config.period, lat_cfg.N, params,
+                           dealias_fraction=config.dealias_fraction)
     # the initial state is the ansatz itself, so both errors start at 0
-    rows = [(alpha, eps, 0.0, 0.0, 0.0)]
-    energy_rows = []
+    rows = [(params.alpha, eps, 0.0, 0.0, 0.0)]
+    samples = []
+    branches = [(spectra_fwd, r0, p0, +1)]
+    if config.bidirectional:
+        branches.append((spectra_bwd, r0.copy(), -p0, -1))
     try:
-        branch = _validation_branch(config, params, spectra_fwd, eps, N,
-                                    lat_cfg, nsteps, seg,
-                                    LatticeState(r=r0, p=p0, t=0.0), +1)
-        rows.extend(branch[0])
-        sup_mu, sup_nu = branch[1], branch[2]
-        energy_samples = list(branch[3])
-        if config.bidirectional:
-            twin = LatticeState(r=r0.copy(), p=-p0, t=0.0)
-            back = _validation_branch(config, params, spectra_bwd, eps, N,
-                                      lat_cfg, nsteps, seg, twin, -1)
-            rows.extend(back[0])
-            sup_mu = max(sup_mu, back[1])
-            sup_nu = max(sup_nu, back[2])
-            energy_samples.extend(back[3])
-        if config.energy_trace:
-            trace = error_energy_trace(energy_samples, params, lat_cfg.cutoff)
-            energy_rows = [(alpha, eps, t, H, ratio, ok)
-                           for (t, H, ok, ratio) in trace]
-    except (CollisionError, BlowUpError) as err:
-        where = getattr(err, "t", None)
-        if where is None:
-            where = getattr(err, "tau", None)
-        return rows, None, None, energy_rows, (eps, where, str(err))
-    return rows, sup_mu, sup_nu, energy_rows, None
+        for spectra, r, p, sign in branches:
+            branch_rows, branch_samples = _validation_branch(
+                config, params, spectra, eps, lat_cfg, nsteps, seg,
+                LatticeState(r=r, p=p, t=0.0), sign)
+            rows += branch_rows
+            samples += branch_samples
+    except CollisionError as err:
+        # a chain state knows its t but not the run's alpha and epsilon
+        err.alpha, err.epsilon = params.alpha, eps
+        raise
+    energy_rows = [(params.alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
+                   in error_energy_trace(samples, params, lat_cfg.cutoff)]
+    return (rows, (eps, max(row[3] for row in rows)),
+            (eps, max(row[4] for row in rows)), energy_rows)
 
 
 def run_validation(config: ValidationConfig) -> ValidationResult:
@@ -430,52 +411,23 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
     fit the sup-over-time l2 errors of (mu, nu) against epsilon.
 
     Per checkpoint the comparison profile is the surrogate at tau = eps^alpha t
-    evaluated at the shifted points eps*(j - c t).  A blown-up epsilon run is
-    recorded in .aborted and excluded from the fit.
+    evaluated at the shifted points eps*(j - c t).  A collision or a
+    non-finite error at any epsilon raises, naming alpha, epsilon and t;
+    nothing is fitted or written then.
     """
     params = make_alpha_params(config.alpha)
-    u0 = _initial_profile(config, "validation")
+    u0 = _initial_profile(config, DEFAULT_VALIDATION_AMPLITUDE)
     spectra_fwd = _bo_checkpoint_spectra(config, params, u0)
     spectra_bwd = (_bo_checkpoint_spectra(config, params, u0, -1.0)
                    if config.bidirectional else None)
     tasks = [(config, params, spectra_fwd, spectra_bwd, e)
              for e in config.epsilons]
     results = _map_tasks(_validation_eps_task, tasks, config.jobs)
-    rows = []
-    energy_rows = []
-    mu_pairs = []
-    nu_pairs = []
-    aborted = []
-    for (eps_nominal, res) in zip(config.epsilons, results):
-        task_rows, sup_mu, sup_nu, task_energy, failure = res
-        rows.extend(task_rows)
-        energy_rows.extend(task_energy)
-        if failure is not None:
-            aborted.append(failure)
-            continue
-        eps = task_rows[0][1]
-        mu_pairs.append((eps, sup_mu))
-        nu_pairs.append((eps, sup_nu))
-    if len(mu_pairs) < 3:
-        if aborted:
-            eps, where, msg = aborted[0]
-            raise BlowUpError(f"too few surviving runs to fit a slope: {msg}",
-                              t=where, alpha=config.alpha, epsilon=eps)
-        raise ConfigError("need at least 3 epsilons to fit a slope")
-    mu_fit = fit_slope(mu_pairs)
-    nu_fit = fit_slope(nu_pairs)
     result = ValidationResult(
-        rows=rows,
-        mu_report=ScalingReport(pairs=tuple(mu_pairs), slope=mu_fit[0],
-                                intercept=mu_fit[1],
-                                target_exponent=params.gamma,
-                                r_squared=mu_fit[2]),
-        nu_report=ScalingReport(pairs=tuple(nu_pairs), slope=nu_fit[0],
-                                intercept=nu_fit[1],
-                                target_exponent=params.gamma,
-                                r_squared=nu_fit[2]),
-        aborted=aborted,
-        energy_rows=energy_rows,
+        rows=[row for res in results for row in res[0]],
+        mu_report=_scaling_report([res[1] for res in results], params.gamma),
+        nu_report=_scaling_report([res[2] for res in results], params.gamma),
+        energy_rows=[row for res in results for row in res[3]],
     )
     if config.output:
         write_validation_outputs(config.output, config, params, result)
@@ -518,8 +470,6 @@ def _map_tasks(fn, tasks, jobs):
 
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
     """Resolved per-epsilon plan (ring size, cutoff, steps) without running."""
-    params = make_alpha_params(config.alpha)
-    u0 = _initial_profile(config, pipeline)
     plan = []
     for eps_nominal in config.epsilons:
         N, eps = _ring_size(config.period, eps_nominal)
@@ -527,11 +477,10 @@ def describe_plan(config: ValidationConfig, pipeline: str) -> list:
         if pipeline == "residual":
             entry["cutoff"] = residual_cutoff(config, eps, N)
         else:
-            lat_cfg, _, _, _, nsteps, _ = _validation_plan(
-                config, params, u0.spectrum, eps_nominal)
+            lat_cfg, _, nsteps, _ = _validation_plan(config, eps_nominal)
             entry.update({
                 "cutoff": lat_cfg.cutoff,
-                "horizon": config.tau0 / eps ** params.alpha,
+                "horizon": config.tau0 / eps ** config.alpha,
                 "dt": lat_cfg.dt,
                 "steps_per_checkpoint": nsteps,
                 "total_steps": nsteps * config.checkpoints
@@ -562,71 +511,41 @@ def write_rows_dat(path, header, rows):
             fh.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def report_dict(report: ScalingReport) -> dict:
-    return {
-        "pairs": [[e, v] for (e, v) in report.pairs],
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "target_exponent": report.target_exponent,
-        "r_squared": report.r_squared,
-    }
+def write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _config_dict(config: ValidationConfig) -> dict:
-    d = asdict(config)
-    d["epsilons"] = list(d["epsilons"])
-    return d
+def _write_sweep(outdir, config, params, stem, header, rows, report,
+                 energy_rows=()):
+    """Write <stem>.csv and <stem>.dat, energy_trace.csv when there are
+    energy rows, and report.json: the report entries with the constants and
+    the config.  Returns the paths."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = [os.path.join(outdir, stem + ".csv"),
+             os.path.join(outdir, stem + ".dat")]
+    write_rows_csv(paths[0], header, rows)
+    write_rows_dat(paths[1], header, rows)
+    if energy_rows:
+        paths.append(os.path.join(outdir, "energy_trace.csv"))
+        write_rows_csv(paths[-1], ENERGY_CSV_HEADER, energy_rows)
+    paths.append(os.path.join(outdir, "report.json"))
+    write_json(paths[-1], {**report, "constants": asdict(params),
+                           "config": asdict(config)})
+    return paths
 
 
 def write_residual_outputs(outdir, config, params, rows, report):
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    csv_path = os.path.join(outdir, "residual_sweep.csv")
-    write_rows_csv(csv_path, RESIDUAL_CSV_HEADER, rows)
-    paths.append(csv_path)
-    dat_path = os.path.join(outdir, "residual_sweep.dat")
-    write_rows_dat(dat_path, RESIDUAL_CSV_HEADER, rows)
-    paths.append(dat_path)
-    report_path = os.path.join(outdir, "report.json")
-    payload = {
-        "pipeline": "residual",
-        "constants": asdict(params),
-        "residual": report_dict(report),
-        "config": _config_dict(config),
-    }
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(report_path)
-    return paths
+    return _write_sweep(outdir, config, params, "residual_sweep",
+                        RESIDUAL_CSV_HEADER, rows,
+                        {"pipeline": "residual", "residual": asdict(report)})
 
 
 def write_validation_outputs(outdir, config, params, result: ValidationResult):
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    csv_path = os.path.join(outdir, "validation.csv")
-    write_rows_csv(csv_path, VALIDATION_CSV_HEADER, result.rows)
-    paths.append(csv_path)
-    dat_path = os.path.join(outdir, "validation.dat")
-    write_rows_dat(dat_path, VALIDATION_CSV_HEADER, result.rows)
-    paths.append(dat_path)
-    if result.energy_rows:
-        energy_path = os.path.join(outdir, "energy_trace.csv")
-        write_rows_csv(energy_path, ENERGY_CSV_HEADER,
-                       [(a, e, t, H, ratio, ok)
-                        for (a, e, t, H, ratio, ok) in result.energy_rows])
-        paths.append(energy_path)
-    report_path = os.path.join(outdir, "report.json")
-    payload = {
-        "pipeline": "validation",
-        "constants": asdict(params),
-        "mu": report_dict(result.mu_report),
-        "nu": report_dict(result.nu_report),
-        "aborted": [[e, t, msg] for (e, t, msg) in result.aborted],
-        "config": _config_dict(config),
-    }
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(report_path)
-    return paths
+    return _write_sweep(outdir, config, params, "validation",
+                        VALIDATION_CSV_HEADER, result.rows,
+                        {"pipeline": "validation",
+                         "mu": asdict(result.mu_report),
+                         "nu": asdict(result.nu_report)},
+                        result.energy_rows)

@@ -1,4 +1,4 @@
-"""Real periodic fields with cached discrete spectra, spectral resampling and
+"""Real periodic fields held as discrete spectra, spectral resampling and
 the window-mean symbol.
 
 A spectrum is the half spectrum rfft(values)/n: bins j = 0..n/2 at the
@@ -96,17 +96,17 @@ class PeriodicGrid:
 
 
 class SpectralField:
-    """A real field on a PeriodicGrid together with its discrete spectrum.
+    """A real field on a PeriodicGrid, held as its half spectrum; values
+    are transformed from it on access.
 
-    values and spectrum are kept consistent; construct through from_values
-    or from_spectrum and treat instances as immutable.
+    Construct through from_values or from_spectrum and treat instances as
+    immutable.
     """
 
-    __slots__ = ("grid", "values", "spectrum")
+    __slots__ = ("grid", "spectrum")
 
-    def __init__(self, grid: PeriodicGrid, values: np.ndarray, spectrum: np.ndarray):
+    def __init__(self, grid: PeriodicGrid, spectrum: np.ndarray):
         self.grid = grid
-        self.values = values
         self.spectrum = spectrum
 
     @classmethod
@@ -114,7 +114,7 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
             raise ValueError(f"values must have shape ({grid.n},), got {values.shape}")
-        return cls(grid, values, np.fft.rfft(values) / grid.n)
+        return cls(grid, np.fft.rfft(values) / grid.n)
 
     @classmethod
     def from_spectrum(cls, grid: PeriodicGrid, spectrum) -> "SpectralField":
@@ -122,7 +122,11 @@ class SpectralField:
         shape = (grid.n // 2 + 1,)
         if spectrum.shape != shape:
             raise ValueError(f"spectrum must have shape {shape}, got {spectrum.shape}")
-        return cls(grid, np.fft.irfft(spectrum, grid.n) * grid.n, spectrum)
+        return cls(grid, spectrum)
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.fft.irfft(self.spectrum, self.grid.n) * self.grid.n
 
     def mean(self) -> float:
         return float(self.spectrum[0].real)

@@ -352,7 +352,6 @@ def test_gate8_error_scaling(validation_runs):
     law_ok = True
     for alpha in SWEEP_ALPHAS:
         result = validation_runs[alpha]["result"]
-        assert result.aborted == []
         gamma = result.mu_report.target_exponent
         for report in (result.mu_report, result.nu_report):
             for eps, sup in report.pairs:

@@ -8,6 +8,8 @@ that needs it.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import artifact
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "artifact"
 GATES = ROOT / "tests" / "test_acceptance.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _parse(path):
@@ -65,3 +68,15 @@ def test_all_matches_init_imports():
     assert set(artifact.__all__) == imported | {"__version__"}
     for name in artifact.__all__:
         assert hasattr(artifact, name), name
+
+
+def test_benchmark_trace_targets_exist():
+    # perfbench/tracing.py wraps these module attributes by name; a refactor
+    # that renames or deletes one breaks the traced benchmark run
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for modname, attr, *_ in tracing.TARGETS:
+        target = getattr(importlib.import_module(modname), attr, None)
+        assert callable(target), f"{modname}.{attr}"

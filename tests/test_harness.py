@@ -41,7 +41,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ValidationConfig(epsilons=())
     with pytest.raises(ConfigError):
-        ValidationConfig(epsilons=(0.1, 0.2))  # ascending
+        ValidationConfig(epsilons=(0.2, 0.1414))  # too few to fit a slope
+    with pytest.raises(ConfigError):
+        ValidationConfig(epsilons=(0.1, 0.2, 0.3))  # ascending
     with pytest.raises(ConfigError):
         ValidationConfig(epsilons=(0.6, 0.2, 0.1))  # out of range
     with pytest.raises(ConfigError):
@@ -52,6 +54,8 @@ def test_config_validation():
         ValidationConfig(jobs=0)
     with pytest.raises(ConfigError):
         ValidationConfig(dealias_fraction=0.7)  # would alias by design
+    with pytest.raises(ValueError):
+        ValidationConfig(bo_modes=500)  # no surrogate grid of that size
 
 
 def test_default_amplitude_policy():
@@ -371,14 +375,12 @@ def test_run_validation_smoke(tmp_path):
                      if abs(row[1] - eps) < 0.01 and row[2] == 0.0]
         assert len(zero_rows) == 1
         assert zero_rows[0][3] == 0.0 and zero_rows[0][4] == 0.0
-    assert result.aborted == []
     assert result.mu_report.slope == result.mu_report.slope  # finite
     assert (tmp_path / "val" / "validation.csv").exists()
     assert (tmp_path / "val" / "report.json").exists()
     with open(tmp_path / "val" / "report.json") as fh:
         payload = json.load(fh)
     assert payload["pipeline"] == "validation"
-    assert payload["aborted"] == []
 
 
 def test_run_validation_bidirectional_and_energy(tmp_path):
@@ -411,9 +413,10 @@ def test_run_validation_parallel_matches_serial(tmp_path):
 
 def test_run_validation_all_runs_colliding_raises():
     cfg = _smoke_config(amplitude=10.0)
-    with pytest.raises(BlowUpError) as info:
+    with pytest.raises(CollisionError) as info:
         run_validation(cfg)
-    assert info.value.epsilon is not None
+    assert info.value.alpha == 2.0
+    assert info.value.epsilon == pytest.approx(102.4 / 256)
 
 
 def test_shift_canary_moving_frame_matters():
@@ -442,7 +445,7 @@ def test_shift_canary_moving_frame_matters():
 
 def test_validation_nan_error_raises_blow_up(monkeypatch, tmp_path, capsys):
     # a NaN chain state must not drop out of the sup as max(0, nan) = 0 would
-    # let it: every epsilon aborts, and the CLI exits 2 naming the run
+    # let it: the run raises, and the CLI exits 2 naming it
     real = harness.run_steps
 
     def nan_steps(state, cfg, nsteps):
@@ -462,6 +465,41 @@ def test_validation_nan_error_raises_blow_up(monkeypatch, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "alpha=2.0" in err and "epsilon=" in err and "t=" in err
+
+
+def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
+                                                  capsys):
+    # NaN momenta on the smallest ring only: the sweep raises with that run's
+    # alpha, epsilon and t, and no fit over the other epsilons is written
+    real = harness.run_steps
+
+    def nan_on_smallest_ring(state, cfg, nsteps):
+        out = real(state, cfg, nsteps)
+        if cfg.N == 256:
+            return LatticeState(r=out.r, p=np.full_like(out.p, np.nan),
+                                t=out.t)
+        return out
+
+    monkeypatch.setattr(harness, "run_steps", nan_on_smallest_ring)
+    epsilons = "0.4,0.32,0.25,0.2,0.16"
+    cfg = _smoke_config(epsilons=tuple(map(float, epsilons.split(","))))
+    with pytest.raises(BlowUpError) as info:
+        run_validation(cfg)
+    assert info.value.alpha == 2.0
+    assert info.value.epsilon == 102.4 / 256
+    assert info.value.t == pytest.approx(0.05 / 0.4 ** 2 / 2)
+    out = tmp_path / "v"
+    rc = main(["validate", "--alpha", "2.0", "--out", str(out),
+               "--epsilons", epsilons, "--tau0", "0.05", "--checkpoints", "2",
+               "--bo-modes", "256", "--bo-steps-per-checkpoint", "20",
+               "--amplitude", "0.1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("blow-up:")
+    assert f"alpha=2.0 epsilon={102.4 / 256} t=" in lines[0]
+    assert not (out / "report.json").exists()
 
 
 def test_residual_nan_raises_blow_up(monkeypatch):

@@ -81,6 +81,23 @@ def test_round_trip_and_mean():
     assert h.mean() == pytest.approx(3.0)
 
 
+def test_from_spectrum_makes_no_transform(monkeypatch):
+    # a field built from a spectrum transforms only when its values are read
+    grid = PeriodicGrid(17.0, 128)
+    spectrum = _random_field(grid, 1).spectrum
+    expected = np.fft.irfft(spectrum, grid.n) * grid.n
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("from_spectrum ran an FFT")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_transform)
+    f = SpectralField.from_spectrum(grid, spectrum)
+    monkeypatch.undo()
+    assert np.array_equal(f.spectrum, spectrum)
+    assert np.array_equal(f.values, expected)
+
+
 def test_hilbert_of_sine_is_minus_cosine():
     # the surrogate's dispersive term is -(kappa3/kappa1) H|D|^alpha with the
     # Hilbert transform H sin = -cos; its symbol is _linear_symbol
