@@ -22,7 +22,7 @@ import numpy as np
 
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to)
-from .lattice import (CollisionError, LatticeConfig, LatticeState,
+from .lattice import (CollisionError, LatticeConfig, LatticeState, energy,
                       error_energy, error_energy_constants, force, run_steps)
 from .specfun import AlphaParams, make_alpha_params
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
@@ -74,7 +74,7 @@ class ValidationConfig:
     bo_modes: int = 512
     bo_steps_per_checkpoint: int = 100
     dealias_fraction: float = 2.0 / 3.0
-    lattice_dt: float = 0.05
+    lattice_dt: float = 0.1
     residual_cutoff_coef: float = 3.0
     bidirectional: bool = False
     energy_trace: bool = False
@@ -107,13 +107,17 @@ class ValidationConfig:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Fitted log-log scaling of sup-over-time errors against epsilon."""
+    """Fitted log-log scaling of sup-over-time errors against epsilon, with
+    the slope's standard error and the local slopes between neighbouring
+    pairs, which show whether the fit is asymptotic."""
 
     pairs: tuple
     slope: float
     intercept: float
     target_exponent: float
     r_squared: float
+    slope_stderr: float
+    local_slopes: tuple
 
     def __post_init__(self):
         if len(self.pairs) < 3:
@@ -128,12 +132,14 @@ class ValidationResult:
     mu_report: ScalingReport
     nu_report: ScalingReport
     energy_rows: list
+    chain_health: list
 
 
 def fit_slope(pairs):
     """Ordinary least squares of log(value) against log(epsilon).
 
-    Returns (slope, intercept, r_squared); rejects nonpositive data.
+    Returns (slope, intercept, r_squared, slope_stderr), the last
+    sqrt(SSR/(n - 2) / sum (x - mean x)^2); rejects nonpositive data.
     """
     pts = [(float(e), float(v)) for e, v in pairs]
     if len(pts) < 3:
@@ -141,21 +147,28 @@ def fit_slope(pairs):
     if any(e <= 0.0 or v <= 0.0 or not math.isfinite(e) or not math.isfinite(v)
            for e, v in pts):
         raise ValueError("all pairs must be positive and finite")
+    if len({e for e, _ in pts}) < len(pts):
+        raise ValueError("the epsilons of a fit must be distinct")
     x = np.log([e for e, _ in pts])
     y = np.log([v for _, v in pts])
     A = np.vstack([x, np.ones(x.size)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
+    ssr = float(np.sum((y - A @ coef) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(coef[0]), float(coef[1]), r2
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ssr / ss_tot
+    stderr = math.sqrt(ssr / (x.size - 2) / float(np.sum((x - x.mean()) ** 2)))
+    return float(coef[0]), float(coef[1]), r2, stderr
 
 
 def _scaling_report(pairs, target: float) -> ScalingReport:
     pairs = tuple(pairs)
-    slope, intercept, r2 = fit_slope(pairs)
+    slope, intercept, r2, stderr = fit_slope(pairs)
+    logs = np.log(pairs)
+    local = np.diff(logs[:, 1]) / np.diff(logs[:, 0])
     return ScalingReport(pairs=pairs, slope=slope, intercept=intercept,
-                         target_exponent=target, r_squared=r2)
+                         target_exponent=target, r_squared=r2,
+                         slope_stderr=stderr,
+                         local_slopes=tuple(float(v) for v in local))
 
 
 def _ring_size(period: float, eps: float):
@@ -333,16 +346,22 @@ def run_residual_sweep(config: ValidationConfig):
 
 def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
                        state, sign):
-    """March one time direction; returns (rows, energy_samples).
+    """March one time direction; returns (rows, energy_samples, health).
 
     sign=+1 compares against the forward surrogate checkpoints, sign=-1
     against the backward ones with the momentum-reflected twin state.
+    health holds the chain's relative energy drift from t = 0 to the last
+    checkpoint and its smallest collision margin 1 - max|r| over the
+    checkpoints, t = 0 included.
     """
     alpha = params.alpha
     rows = []
     energy_samples = []
+    E0 = energy(state, lat_cfg)
+    margin = 1.0 - float(np.max(np.abs(state.r)))
     for i in range(1, config.checkpoints + 1):
         state = run_steps(state, lat_cfg, nsteps)
+        margin = min(margin, 1.0 - float(np.max(np.abs(state.r))))
         t = i * seg
         rtilde, ptilde = ansatz_fields(spectra[i], config.period, lat_cfg.N,
                                        params, -sign * eps * params.c * t,
@@ -357,7 +376,12 @@ def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
         rows.append((alpha, eps, sign * t, mu_l2, nu_l2))
         if config.energy_trace:
             energy_samples.append((sign * t, mu, nu, rtilde))
-    return rows, energy_samples
+    E1 = energy(state, lat_cfg)
+    health = {"direction": "forward" if sign > 0 else "backward",
+              "energy_initial": E0, "energy_final": E1,
+              "energy_rel_drift": abs(E1 - E0) / abs(E0) if E0 else abs(E1),
+              "min_collision_margin": margin}
+    return rows, energy_samples, health
 
 
 def _validation_plan(config, eps_nominal):
@@ -386,16 +410,18 @@ def _validation_eps_task(args):
     # the initial state is the ansatz itself, so both errors start at 0
     rows = [(params.alpha, eps, 0.0, 0.0, 0.0)]
     samples = []
+    health = {**_plan_entry(config, eps_nominal, "validation"), "branches": []}
     branches = [(spectra_fwd, r0, p0, +1)]
     if config.bidirectional:
         branches.append((spectra_bwd, r0.copy(), -p0, -1))
     try:
         for spectra, r, p, sign in branches:
-            branch_rows, branch_samples = _validation_branch(
+            branch_rows, branch_samples, branch_health = _validation_branch(
                 config, params, spectra, eps, lat_cfg, nsteps, seg,
                 LatticeState(r=r, p=p, t=0.0), sign)
             rows += branch_rows
             samples += branch_samples
+            health["branches"].append(branch_health)
     except CollisionError as err:
         # a chain state knows its t but not the run's alpha and epsilon
         err.alpha, err.epsilon = params.alpha, eps
@@ -403,7 +429,7 @@ def _validation_eps_task(args):
     energy_rows = [(params.alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
                    in error_energy_trace(samples, params, lat_cfg.cutoff)]
     return (rows, (eps, max(row[3] for row in rows)),
-            (eps, max(row[4] for row in rows)), energy_rows)
+            (eps, max(row[4] for row in rows)), energy_rows, health)
 
 
 def run_validation(config: ValidationConfig) -> ValidationResult:
@@ -428,6 +454,7 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
         mu_report=_scaling_report([res[1] for res in results], params.gamma),
         nu_report=_scaling_report([res[2] for res in results], params.gamma),
         energy_rows=[row for res in results for row in res[3]],
+        chain_health=[res[4] for res in results],
     )
     if config.output:
         write_validation_outputs(config.output, config, params, result)
@@ -470,24 +497,25 @@ def _map_tasks(fn, tasks, jobs):
 
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
     """Resolved per-epsilon plan (ring size, cutoff, steps) without running."""
-    plan = []
-    for eps_nominal in config.epsilons:
-        N, eps = _ring_size(config.period, eps_nominal)
-        entry = {"epsilon": eps, "N": N, "checkpoints": config.checkpoints}
-        if pipeline == "residual":
-            entry["cutoff"] = residual_cutoff(config, eps, N)
-        else:
-            lat_cfg, _, nsteps, _ = _validation_plan(config, eps_nominal)
-            entry.update({
-                "cutoff": lat_cfg.cutoff,
-                "horizon": config.tau0 / eps ** config.alpha,
-                "dt": lat_cfg.dt,
-                "steps_per_checkpoint": nsteps,
-                "total_steps": nsteps * config.checkpoints
-                * (2 if config.bidirectional else 1),
-            })
-        plan.append(entry)
-    return plan
+    return [_plan_entry(config, e, pipeline) for e in config.epsilons]
+
+
+def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
+    N, eps = _ring_size(config.period, eps_nominal)
+    entry = {"epsilon": eps, "N": N, "checkpoints": config.checkpoints}
+    if pipeline == "residual":
+        entry["cutoff"] = residual_cutoff(config, eps, N)
+    else:
+        lat_cfg, _, nsteps, _ = _validation_plan(config, eps_nominal)
+        entry.update({
+            "cutoff": lat_cfg.cutoff,
+            "horizon": config.tau0 / eps ** config.alpha,
+            "dt": lat_cfg.dt,
+            "steps_per_checkpoint": nsteps,
+            "total_steps": nsteps * config.checkpoints
+            * (2 if config.bidirectional else 1),
+        })
+    return entry
 
 
 def _fmt(x) -> str:
@@ -547,5 +575,6 @@ def write_validation_outputs(outdir, config, params, result: ValidationResult):
                         VALIDATION_CSV_HEADER, result.rows,
                         {"pipeline": "validation",
                          "mu": asdict(result.mu_report),
-                         "nu": asdict(result.nu_report)},
+                         "nu": asdict(result.nu_report),
+                         "chain": result.chain_health},
                         result.energy_rows)

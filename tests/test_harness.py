@@ -10,12 +10,13 @@ from artifact.bo_solver import (BOConfig, BOState, BlowUpError, _rhs_spectrum,
                                 gaussian_profile, run_to)
 from artifact.cli import main
 from artifact.harness import (ConfigError, ScalingReport, ValidationConfig,
-                              _ring_size, ansatz_fields, describe_plan,
+                              _ring_size, _scaling_report, ansatz_fields,
+                              describe_plan,
                               default_residual_amplitude, error_energy_trace,
                               fit_slope, residual_cutoff, residual_fields,
                               run_residual_sweep, run_validation)
 from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
-                              _window_sums, run_steps)
+                              _window_sums, energy, run_steps)
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
                                dealias_mask, resample_spectrum, wavenumbers)
@@ -67,10 +68,15 @@ def test_default_amplitude_policy():
 def test_fit_slope_exact_power_law():
     eps = [0.2, 0.1, 0.05, 0.025]
     pairs = [(e, 3.7 * e ** 2.5) for e in eps]
-    slope, intercept, r2 = fit_slope(pairs)
+    slope, intercept, r2, stderr = fit_slope(pairs)
     assert abs(slope - 2.5) < 1e-12
     assert abs(math.exp(intercept) - 3.7) < 1e-12
     assert r2 == pytest.approx(1.0)
+    assert stderr < 1e-12
+    report = _scaling_report(pairs, 2.5)
+    assert report.slope_stderr == stderr
+    assert len(report.local_slopes) == 3
+    assert all(abs(s - 2.5) < 1e-12 for s in report.local_slopes)
 
 
 def test_fit_slope_with_jitter():
@@ -78,9 +84,18 @@ def test_fit_slope_with_jitter():
     eps = [0.2, 0.141, 0.1, 0.0707, 0.05]
     pairs = [(e, 2.0 * e ** 1.5 * float(np.exp(0.01 * rng.standard_normal())))
              for e in eps]
-    slope, _, r2 = fit_slope(pairs)
+    slope, intercept, r2, stderr = fit_slope(pairs)
     assert abs(slope - 1.5) < 0.05
     assert r2 > 0.999
+    # numpy's covariance is scaled by the residual variance over n - 2
+    x, y = np.log([p[0] for p in pairs]), np.log([p[1] for p in pairs])
+    coef, cov = np.polyfit(x, y, 1, cov=True)
+    assert slope == pytest.approx(coef[0], rel=1e-12)
+    assert intercept == pytest.approx(coef[1], rel=1e-12)
+    assert stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-10)
+    report = _scaling_report(pairs, 1.5)
+    assert report.local_slopes == pytest.approx(tuple(np.diff(y) / np.diff(x)),
+                                                rel=1e-12)
 
 
 def test_fit_slope_rejects_bad_input():
@@ -90,12 +105,15 @@ def test_fit_slope_rejects_bad_input():
         fit_slope([(0.2, 1.0), (0.1, 0.5), (0.05, -0.1)])
     with pytest.raises(ValueError):
         fit_slope([(0.2, 1.0), (0.1, 0.5), (0.0, 0.2)])
+    with pytest.raises(ValueError):
+        fit_slope([(0.2, 1.0), (0.1, 0.5), (0.1, 0.4)])
 
 
 def test_scaling_report_validation():
     with pytest.raises(ValueError):
         ScalingReport(pairs=((0.2, 1.0), (0.1, 0.5)), slope=1.0,
-                      intercept=0.0, target_exponent=1.0, r_squared=1.0)
+                      intercept=0.0, target_exponent=1.0, r_squared=1.0,
+                      slope_stderr=0.0, local_slopes=(1.0,))
 
 
 def test_describe_plan_default_ring_sizes():
@@ -353,6 +371,8 @@ def test_run_residual_sweep_smoke(tmp_path):
         payload = json.load(fh)
     assert payload["pipeline"] == "residual"
     assert payload["residual"]["slope"] == report.slope
+    assert payload["residual"]["slope_stderr"] == report.slope_stderr
+    assert payload["residual"]["local_slopes"] == list(report.local_slopes)
 
 
 def test_run_residual_sweep_deterministic(tmp_path):
@@ -399,6 +419,64 @@ def test_run_validation_bidirectional_and_energy(tmp_path):
     assert result.energy_rows
     assert all(bool(row[5]) for row in result.energy_rows)
     assert (tmp_path / "bd" / "energy_trace.csv").exists()
+
+
+def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
+    cfg = _smoke_config(bidirectional=True, output=str(tmp_path / "h"))
+    result = run_validation(cfg)
+    with open(tmp_path / "h" / "report.json") as fh:
+        payload = json.load(fh)
+    for name, report in (("mu", result.mu_report), ("nu", result.nu_report)):
+        assert payload[name]["slope_stderr"] == report.slope_stderr > 0.0
+        assert payload[name]["local_slopes"] == list(report.local_slopes)
+        assert len(report.local_slopes) == 2
+    chain = payload["chain"]
+    assert chain == result.chain_health
+    # the frozen plan of each epsilon, as the dry run gives it
+    assert [{k: v for k, v in e.items() if k != "branches"}
+            for e in chain] == describe_plan(cfg, "validation")
+    params = make_alpha_params(cfg.alpha)
+    u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
+                          cfg.amplitude, cfg.width_fraction)
+    for eps_nominal, entry in zip(cfg.epsilons, chain):
+        assert [b["direction"] for b in entry["branches"]] == ["forward",
+                                                              "backward"]
+        # the forward branch again, from the ansatz at t = 0
+        lat_cfg, _, nsteps, _ = harness._validation_plan(cfg, eps_nominal)
+        r0, p0 = ansatz_fields(u0.spectrum, cfg.period, entry["N"], params)
+        state = LatticeState(r=r0, p=p0)
+        forward = entry["branches"][0]
+        assert forward["energy_initial"] == energy(state, lat_cfg)
+        margin = 1.0 - np.max(np.abs(r0))
+        for _ in range(cfg.checkpoints):
+            state = run_steps(state, lat_cfg, nsteps)
+            margin = min(margin, 1.0 - np.max(np.abs(state.r)))
+        assert forward["energy_final"] == energy(state, lat_cfg)
+        assert forward["min_collision_margin"] == margin
+        for b in entry["branches"]:
+            assert b["energy_rel_drift"] == pytest.approx(
+                abs(b["energy_final"] / b["energy_initial"] - 1.0))
+            assert b["energy_rel_drift"] < 1e-8
+            # the margin is taken over the checkpoints, t = 0 included
+            assert 0.9 < b["min_collision_margin"] <= 1.0 - np.max(np.abs(r0))
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0])
+def test_lattice_dt_halving_moves_sup_errors_below_one_percent(alpha):
+    # the chain's time-step error at the default lattice_dt 0.1: sup mu and
+    # sup nu at dt 0.1 and 0.05 agree within 1% at every epsilon (0.33% at
+    # most when measured, at alpha 2.0 and eps 0.2; Stormer-Verlet at 0.05
+    # against 0.025 moved sup mu by up to 3%)
+    eps = (0.2, 0.1414, 0.1)
+    coarse = run_validation(ValidationConfig(alpha=alpha, epsilons=eps,
+                                             lattice_dt=0.1))
+    fine = run_validation(ValidationConfig(alpha=alpha, epsilons=eps,
+                                           lattice_dt=0.05))
+    for a, b in ((coarse.mu_report, fine.mu_report),
+                 (coarse.nu_report, fine.nu_report)):
+        for (e, sup_coarse), (_, sup_fine) in zip(a.pairs, b.pairs):
+            assert abs(sup_coarse / sup_fine - 1.0) < 0.01, (e, sup_coarse,
+                                                              sup_fine)
 
 
 def test_run_validation_parallel_matches_serial(tmp_path):

@@ -5,6 +5,9 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from artifact import lattice
 from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
@@ -248,6 +251,43 @@ def test_force_equivariance_and_momentum():
     assert np.allclose(force(np.roll(r, s), cfg), np.roll(f, s), atol=1e-14)
 
 
+@st.composite
+def _ring_cases(draw):
+    # a ring, a block of B ranges per _window_sums block, and a cutoff on a
+    # block edge (a multiple of B) or off one
+    N = 2 * draw(st.integers(8, 40))
+    B = draw(st.integers(1, 6))
+    cap = N // 2 - 1
+    if draw(st.booleans()) and B <= cap:
+        M = B * draw(st.integers(1, cap // B))
+    else:
+        M = draw(st.integers(1, cap))
+    alpha = draw(st.floats(1.2, 2.9))
+    amp = draw(st.floats(1e-6, 0.05))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    r = amp * np.random.default_rng(seed).standard_normal(N)
+    return N, B, M, alpha, r, draw(st.integers(1, N - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_ring_cases())
+def test_force_properties(case):
+    # zero net force, equivariance under a shift of the ring, and reflection
+    # antisymmetry: reversing the gaps reflects the chain, so
+    # f(reversed r)_j = -f(r)_{(N - j) mod N}
+    N, B, M, alpha, r, s = case
+    cfg = _config(n=N, alpha=alpha, cutoff=M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_BLOCK_ELEMENTS", B * N)
+        f = force(r, cfg)
+        shifted = force(np.roll(r, s), cfg)
+        reflected = force(r[::-1], cfg)
+    tol = 1e-13 * max(float(np.max(np.abs(f))), 1e-300) * M
+    assert abs(float(np.sum(f))) <= tol
+    assert np.max(np.abs(shifted - np.roll(f, s))) <= tol
+    assert np.max(np.abs(reflected + np.roll(f[::-1], 1))) <= tol
+
+
 def test_force_zero_at_flat_lattice():
     cfg = _config()
     assert np.max(np.abs(force(np.zeros(64), cfg))) == 0.0
@@ -265,20 +305,61 @@ def test_verlet_step_advances_time():
     assert out.r.shape == state.r.shape
 
 
+def _linear_force_matrix(n, alpha, cutoff):
+    # the direct-sum linear part of force: f_j = sum_m a(a+1) m^-(a+2)
+    # (G_m r_j - G_m r_{j-m}), column by column on unit vectors
+    L = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        for m in range(1, cutoff + 1):
+            g = sum(np.roll(e, -l) for l in range(m))
+            L[:, i] += (alpha * (alpha + 1.0) * m ** -(alpha + 2.0)
+                        * (g - np.roll(g, m)))
+    return L
+
+
 def test_run_steps_matches_repeated_verlet():
-    # against textbook kick-drift-kick steps with two force calls each,
-    # rdot_j = p_{j+1} - p_j
-    state = _random_state(8)
-    cfg = _config()
+    # against Strang steps written here: half kicks by the remainder
+    # force(r) - L r and the dense 2N x 2N flow of the linear chain,
+    # rdot_j = p_{j+1} - p_j and pdot = L r, from expm
+    state = _random_state(8, n=32)
+    cfg = _config(n=32, cutoff=15, dt=0.1)
     a = run_steps(state, cfg, 5)
+    n = cfg.N
+    D = np.roll(np.eye(n), 1, axis=1) - np.eye(n)   # (D p)_j = p_{j+1} - p_j
+    L = _linear_force_matrix(n, cfg.alpha, cfg.cutoff)
+    flow = expm(cfg.dt * np.block([[np.zeros((n, n)), D],
+                                   [L, np.zeros((n, n))]]))
     r, p = state.r.copy(), state.p.copy()
     for _ in range(5):
-        p = p + 0.5 * cfg.dt * force(r, cfg)
-        r = r + cfg.dt * (np.roll(p, -1) - p)
-        p = p + 0.5 * cfg.dt * force(r, cfg)
-    assert np.allclose(a.r, r, atol=1e-14)
-    assert np.allclose(a.p, p, atol=1e-14)
+        p = p + 0.5 * cfg.dt * (force(r, cfg) - L @ r)
+        r, p = np.split(flow @ np.concatenate((r, p)), 2)
+        p = p + 0.5 * cfg.dt * (force(r, cfg) - L @ r)
+    assert np.max(np.abs(a.r - r)) < 1e-13
+    assert np.max(np.abs(a.p - p)) < 1e-13
     assert a.t == pytest.approx(5 * cfg.dt)
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+@pytest.mark.parametrize("n, cutoff",
+                         [(32, 15), (32, 6), (512, 255), (512, 40)])
+def test_split_remainder_is_quadratic(alpha, n, cutoff):
+    # at amplitude 1e-8 the remainder force(r) - L r is O(r^2), a relative
+    # 1e-8 of the force: the linear flow's symbol must have force's cutoff
+    # (one range more or less leaves cutoff^-(alpha+2) of the force)
+    rng = np.random.default_rng(16)
+    r = 1e-8 * rng.standard_normal(n)
+    r -= r.mean()
+    cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
+    f = force(r, cfg)
+    L = lattice._linear_flow(cfg)[0]
+    R = f - np.fft.irfft(L * np.fft.rfft(r), n)
+    assert np.linalg.norm(R) <= 1e-7 * np.linalg.norm(f)
+    if n == 32:
+        assert np.allclose(np.fft.irfft(L * np.fft.rfft(r), n),
+                           _linear_force_matrix(n, alpha, cutoff) @ r,
+                           rtol=0, atol=1e-12 * np.max(np.abs(f)))
 
 
 def test_chained_run_steps_reuse_the_trailing_force(monkeypatch):
@@ -327,9 +408,28 @@ def test_chained_run_steps_reuse_the_trailing_force(monkeypatch):
         assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p), edit
 
 
+def test_run_steps_steps_from_an_edited_momentum(monkeypatch):
+    # a state whose p was changed after the call that returned it keeps its
+    # remainder (r is unchanged) but steps from the p it now holds
+    state = _random_state(17, scale=0.05)
+    cfg = _config()
+    moved = run_steps(state, cfg, 5)
+    moved.p *= -1.0
+    calls = []
+    real = lattice.force
+    monkeypatch.setattr(lattice, "force",
+                        lambda r, config: calls.append(1) or real(r, config))
+    a = run_steps(moved, cfg, 5)
+    assert len(calls) == 5
+    b = run_steps(LatticeState(r=moved.r.copy(), p=moved.p.copy(), t=moved.t),
+                  cfg, 5)
+    assert np.max(np.abs(a.r - b.r)) < 1e-14
+    assert np.max(np.abs(a.p - b.p)) < 1e-14
+
+
 def test_energy_conservation_short_run():
-    # smooth low-mode data: the leapfrog energy oscillation scales with
-    # (omega_mode * dt)^2, so white-noise data would see ~1e-4 instead
+    # smooth low-mode data; the split step flows the linear part exactly,
+    # so the energy error comes from the small nonlinear remainder alone
     x = np.arange(64)
     r = 0.05 * np.sin(2.0 * np.pi * x / 64.0)
     p = 0.05 * np.cos(2.0 * np.pi * x / 64.0)
