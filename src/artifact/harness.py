@@ -22,9 +22,11 @@ import numpy as np
 
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to)
-from .lattice import (CollisionError, LatticeConfig, LatticeState, energy,
-                      error_energy, error_energy_constants, force, run_steps)
-from .specfun import AlphaParams, make_alpha_params
+from .lattice import (FAR_ORDER, FAR_TOL, CollisionError, LatticeConfig,
+                      LatticeState, energy, error_energy,
+                      error_energy_constants, far_bound, force, near_range,
+                      run_steps)
+from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, resample_spectrum, sample_spectrum,
                        wavenumbers)
@@ -84,6 +86,11 @@ class ValidationConfig:
     def __post_init__(self):
         if not 1.0 < self.alpha < 3.0:
             raise ConfigError(f"alpha must lie in (1, 3), got {self.alpha}")
+        if zeta_gap(self.alpha) <= 0.0:
+            raise ConfigError(
+                f"alpha must exceed alpha* = {find_alpha_star():.4f}, where "
+                "2 zeta(alpha+1) - zeta(alpha) turns positive and the window "
+                f"form becomes coercive; got {self.alpha}")
         eps = tuple(float(e) for e in self.epsilons)
         if len(eps) < 3:
             raise ConfigError("need at least 3 epsilons to fit a slope")
@@ -293,7 +300,17 @@ def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
 
 
 def residual_cutoff(config: ValidationConfig, eps: float, N: int) -> int:
-    """Interaction range for residual evaluation (converged at coef/eps^2)."""
+    """Interaction range for residual evaluation: ceil(coef/eps^2), capped
+    at the ring cap N/2 - 1.
+
+    The range is not converged.  At the default profile and coef 3, taking
+    the ring cap instead moves the sup-over-time l2 residual by +0.75%,
+    +0.62% and +1.95% at eps 0.2 (M 75 against 255) and by +0.05%, +0.04%
+    and +0.07% at eps 0.0707 (M 600 against 723), for alpha 1.8, 2.0 and
+    2.5, which would raise the slope between those two epsilons by about
+    0.007, 0.006 and 0.018.  The ring cap itself still leaves out every
+    image of the periodic lattice.
+    """
     return min(N // 2 - 1, int(math.ceil(config.residual_cutoff_coef / eps ** 2)))
 
 
@@ -351,8 +368,10 @@ def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
     sign=+1 compares against the forward surrogate checkpoints, sign=-1
     against the backward ones with the momentum-reflected twin state.
     health holds the chain's relative energy drift from t = 0 to the last
-    checkpoint and its smallest collision margin 1 - max|r| over the
-    checkpoints, t = 0 included.
+    checkpoint, its smallest collision margin 1 - max|r| over the
+    checkpoints, t = 0 included, and far_bound at the largest max|r| with
+    whether it meets FAR_TOL (so that run_steps could sum the far ranges by
+    moments at every checkpoint).
     """
     alpha = params.alpha
     rows = []
@@ -377,10 +396,12 @@ def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
         if config.energy_trace:
             energy_samples.append((sign * t, mu, nu, rtilde))
     E1 = energy(state, lat_cfg)
+    bound = far_bound(1.0 - margin, alpha)
     health = {"direction": "forward" if sign > 0 else "backward",
               "energy_initial": E0, "energy_final": E1,
               "energy_rel_drift": abs(E1 - E0) / abs(E0) if E0 else abs(E1),
-              "min_collision_margin": margin}
+              "min_collision_margin": margin,
+              "far_bound": bound, "far_bound_ok": bound <= FAR_TOL}
     return rows, energy_samples, health
 
 
@@ -496,7 +517,8 @@ def _map_tasks(fn, tasks, jobs):
 
 
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
-    """Resolved per-epsilon plan (ring size, cutoff, steps) without running."""
+    """Resolved per-epsilon plan (ring size, cutoff, steps; for validation
+    also the chain's near range and far order) without running."""
     return [_plan_entry(config, e, pipeline) for e in config.epsilons]
 
 
@@ -507,8 +529,11 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
         entry["cutoff"] = residual_cutoff(config, eps, N)
     else:
         lat_cfg, _, nsteps, _ = _validation_plan(config, eps_nominal)
+        M0 = near_range(lat_cfg)
         entry.update({
             "cutoff": lat_cfg.cutoff,
+            "near_range": M0,
+            "far_order": FAR_ORDER if M0 < lat_cfg.cutoff else 0,
             "horizon": config.tau0 / eps ** config.alpha,
             "dt": lat_cfg.dt,
             "steps_per_checkpoint": nsteps,

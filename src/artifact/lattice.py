@@ -13,11 +13,21 @@ the nonlinear remainder, O(r^2), enters as half kicks on either side
 (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. XIII).  Its
 time-step error comes from the remainder alone, so the step is not limited
 by the fastest linear mode.
+
+Inside run_steps the force's ranges past NEAR_RANGE are summed by moments
+(_far_field) rather than pair by pair: each far pair slope is a power series
+in the window mean, and every order of it is a circular convolution of a
+power of the scaled primitive of r with fixed weights, so one batch of FFTs
+replaces the N x M kernel calls.  The split of the sum into a direct near
+part and a transformed far part follows Ewald (1921) and Greengard &
+Rokhlin (1987); here the far part keeps its nonlinearity, order by order.
+force, energy and the residual keep the direct sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,6 +41,14 @@ SERIES_CROSSOVER = 1e-3
 # the cutoff: per-range numpy calls cost more than their arithmetic at the
 # full ring range, and an M x N stack would cost memory.
 _BLOCK_ELEMENTS = 16384
+
+# run_steps sums ranges up to NEAR_RANGE directly and the rest by moments
+# through order FAR_ORDER, when the cutoff is past 2 * NEAR_RANGE and the
+# a-priori bound on the dropped orders is at most FAR_TOL of the far
+# field's linear scale; otherwise every range is summed directly.
+NEAR_RANGE = 16
+FAR_ORDER = 10
+FAR_TOL = 1e-13
 
 
 class CollisionError(RuntimeError):
@@ -196,19 +214,120 @@ def _linear_flow(config: LatticeConfig):
             np.concatenate(([0.0], -omega * s / shift)))
 
 
+def near_range(config: LatticeConfig) -> int:
+    """Ranges run_steps sums pair by pair: NEAR_RANGE when the cutoff
+    reaches past twice that, else the whole cutoff."""
+    return NEAR_RANGE if config.cutoff > 2 * NEAR_RANGE else config.cutoff
+
+
+def far_bound(x: float, alpha: float) -> float:
+    """A-priori bound on the orders n > FAR_ORDER that _far_field drops,
+    relative to its linear term, when every scaled window mean has
+    |x_m| <= x; inf where the series bound diverges or x is NaN.
+
+    The far pair slope is a multiple of sum_{n>=1} C(-alpha-1, n) x_m^n and
+    |C(-alpha-1, n)| = prod_{i<=n} (alpha+i)/i, whose ratio of neighbouring
+    terms past n = FAR_ORDER is at most q = (1 + alpha/(FAR_ORDER+2)) x, so
+    the dropped tail is below |C(-alpha-1, FAR_ORDER+1)| x^(FAR_ORDER+1)
+    / (1 - q), against the linear term's (alpha+1) x.
+    """
+    p = FAR_ORDER
+    q = (1.0 + alpha / (p + 2.0)) * x
+    if not q < 1.0:
+        return math.inf
+    lead = math.prod((alpha + i) / i for i in range(1, p + 2))
+    return lead * x ** p / ((alpha + 1.0) * (1.0 - q))
+
+
+def _far_weights(config: LatticeConfig):
+    """Weight spectra K[b, q, k] of _far_field for the ranges past
+    near_range(config), or None when there are none.
+
+    Order n of the far slopes sums c_n,m (d_m(j)^n - d_m(j-m)^n) over m,
+    with c_n,m = C(-alpha-1, n) m^-(alpha+1+n) and
+    d_m(j) = s_{j+m} - s_j.  The binomial theorem splits each power into
+    s_j^q times sum_m c_n,m s_{j+m}^k (a correlation, spectrum conj(c^) s^k^)
+    and sum_m c_n,m s_{j-m}^k (a convolution, c^ s^k^), with q + k = n;
+    K[b, q, k] collects both for the outer power q at rfft bin b."""
+    M, M0, p = config.cutoff, near_range(config), FAR_ORDER
+    if M0 == M:
+        return None
+    c = np.zeros((p + 1, config.N))
+    c[:, M0 + 1:M + 1] = np.arange(M0 + 1, M + 1, dtype=float) ** -(
+        config.alpha + 1.0 + np.arange(p + 1)[:, None])
+    C = np.fft.rfft(c)
+    binom = np.cumprod([1.0] + [-(config.alpha + n) / n
+                                for n in range(1, p + 1)])
+    K = np.zeros((C.shape[1], p + 1, p + 1), dtype=complex)
+    for q in range(p + 1):
+        for k in range(max(0, 1 - q), p + 1 - q):
+            n = q + k
+            K[:, q, k] = binom[n] * math.comb(n, q) * (
+                (-1) ** q * C[n].conj() - (-1) ** k * C[n])
+    return K
+
+
+def _far_field(r: np.ndarray, K: np.ndarray, alpha: float):
+    """The share of force(r) of the ranges that K covers, or None when
+    far_bound does not meet FAR_TOL or the scaled primitive s below is too
+    large to expand in without cancellation.
+
+    With rho = mean(r), S the mean-zero primitive of r - rho
+    (S_{j+1} - S_j = r_j - rho) and s = S/(1 + rho), the window sum is
+    G_m r_j = m rho + (1 + rho) (s_{j+m} - s_j), so the pair slope is
+    -alpha m^-(alpha+1) ((1+rho)^-(alpha+1) (1 + d_m(j)/m)^-(alpha+1) - 1);
+    its constant part cancels in the m-difference, and the rest is the
+    series of _far_weights, summed by one batch of rffts of s^1..s^p, one
+    contraction with K, one batch of irffts and a Horner sum in s.
+    """
+    N, p = r.size, K.shape[1] - 1
+    rho = float(np.mean(r))
+    d = r - rho
+    if not far_bound(float(np.max(np.abs(d))) / (1.0 + rho), alpha) <= FAR_TOL:
+        return None
+    S = np.cumsum(d) - d
+    s = (S - np.mean(S)) / (1.0 + rho)
+    # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
+    # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
+    # while 2 max|s| <= NEAR_RANGE + 1
+    if not 2.0 * float(np.max(np.abs(s))) <= NEAR_RANGE + 1:
+        return None
+    powers = np.zeros((K.shape[0], p + 1, 1), dtype=complex)
+    powers[0, 0] = N        # the spectrum of s^0
+    powers[:, 1:, 0] = np.fft.rfft(
+        np.cumprod(np.broadcast_to(s, (p, N)), axis=0)).T
+    h = np.fft.irfft((K @ powers)[:, :, 0], N, axis=0).T
+    out = h[p]
+    for q in range(p - 1, -1, -1):
+        out = out * s + h[q]
+    return -alpha * (1.0 + rho) ** -(alpha + 1.0) * out
+
+
+def _step_force(r, config, near_cfg, K):
+    """force(r, config), its far ranges by moments when K allows."""
+    far = None if K is None else _far_field(r, K, config.alpha)
+    if far is None:
+        return force(r, config)
+    return force(r, near_cfg) + far
+
+
 def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> LatticeState:
     """nsteps symmetric split steps: a half kick by the remainder
     R(r) = force(r) - L r, the exact linear flow over dt mode by mode, and
     a second half kick.
 
     (r, p) stay rfft spectra within a call, so a step costs one force, one
-    irfft and one rfft.  The trailing remainder doubles as the next leading
-    one, also across calls when the state came from run_steps with an equal
-    config and its r has not changed since; the call then resumes from the
-    spectra it ended with, so chained calls step exactly as one call.
+    irfft and one rfft.  The force's ranges past near_range(config) are
+    summed by _far_field where its bound allows, with weights built once
+    per call.  The trailing remainder doubles as the next leading one, also
+    across calls when the state came from run_steps with an equal config
+    and its r has not changed since; the call then resumes from the spectra
+    it ended with, so chained calls step exactly as one call.
     """
     N, dt = config.N, config.dt
     L, cos, r_from_p, p_from_r = _linear_flow(config)
+    near_cfg = replace(config, cutoff=near_range(config))
+    K = _far_weights(config)
     r = state.r.copy()
     cached = state._spectra
     if (cached is not None and cached[0] == config
@@ -218,7 +337,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> Lattic
               else np.fft.rfft(state.p))
     else:
         rh = np.fft.rfft(r)
-        Rh = np.fft.rfft(force(r, config)) - L * rh
+        Rh = np.fft.rfft(_step_force(r, config, near_cfg, K)) - L * rh
         ph = np.fft.rfft(state.p)
     for i in range(nsteps):
         ph = ph + (0.5 * dt) * Rh
@@ -227,7 +346,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> Lattic
         if np.max(np.abs(r)) >= 1.0:
             raise CollisionError("a gap deviation reached 1; ordering lost",
                                  t=state.t + (i + 1) * dt, alpha=config.alpha)
-        Rh = np.fft.rfft(force(r, config)) - L * rh
+        Rh = np.fft.rfft(_step_force(r, config, near_cfg, K)) - L * rh
         ph = ph + (0.5 * dt) * Rh
     p = np.fft.irfft(ph, N) if nsteps else state.p.copy()
     out = LatticeState(r=r, p=p, t=state.t + nsteps * config.dt)

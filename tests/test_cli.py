@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from artifact import bo_solver
+from artifact import bo_solver, cli, harness
 from artifact.cli import build_parser, config_fingerprint, main
 from artifact.harness import ValidationConfig
 from artifact.spectral import PeriodicGrid, SpectralField
@@ -365,6 +365,25 @@ def test_domain_error_exit_code(capsys):
     rc = main(["validate", "--alpha", "3.5", "--dry-run"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "residual-sweep"])
+def test_non_coercive_alpha_exits_before_any_work(command, tmp_path, capsys,
+                                                  monkeypatch):
+    # alpha 1.4 lies below alpha* ~ 1.479: the config is refused with exit
+    # code 1, before the surrogate or any sweep runs and before any output
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("make_alpha_params", "run_validation", "run_residual_sweep"):
+        monkeypatch.setattr(harness, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+    out = tmp_path / "low"
+    rc = main([command, "--alpha", "1.4", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha* = 1.4788" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

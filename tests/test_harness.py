@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from artifact import bo_solver, harness
+from artifact import bo_solver, harness, lattice
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError, _rhs_spectrum,
                                 gaussian_profile, run_to)
 from artifact.cli import main
@@ -57,6 +57,10 @@ def test_config_validation():
         ValidationConfig(dealias_fraction=0.7)  # would alias by design
     with pytest.raises(ValueError):
         ValidationConfig(bo_modes=500)  # no surrogate grid of that size
+    # at or below alpha* ~ 1.479 the window form is not coercive (gate 4)
+    with pytest.raises(ConfigError, match=r"alpha\* = 1\.4788"):
+        ValidationConfig(alpha=1.4)
+    assert ValidationConfig(alpha=1.5).alpha == 1.5
 
 
 def test_default_amplitude_policy():
@@ -130,6 +134,11 @@ def test_describe_plan_default_ring_sizes():
     vplan = describe_plan(cfg, "validation")
     assert all(entry["steps_per_checkpoint"] >= 1 for entry in vplan)
     assert all(entry["dt"] <= cfg.lattice_dt + 1e-15 for entry in vplan)
+    # the chain sums ranges up to the near range directly, the rest by
+    # moments through the far order
+    assert all(entry["near_range"] == lattice.NEAR_RANGE
+               and entry["far_order"] == lattice.FAR_ORDER for entry in vplan)
+    assert all("near_range" not in entry for entry in plan)
 
 
 def test_cutoff_policies():
@@ -138,7 +147,7 @@ def test_cutoff_policies():
     plan = describe_plan(cfg, "validation")
     assert [entry["N"] for entry in plan] == [256, 512, 1024]
     assert [entry["cutoff"] for entry in plan] == [127, 255, 511]
-    # the residual converges at coef/eps^2, capped at the ring
+    # the residual range is ceil(coef/eps^2), capped at the ring
     assert residual_cutoff(ValidationConfig(alpha=2.0), 0.2, 512) == 75
     assert residual_cutoff(ValidationConfig(alpha=2.0), 0.05, 256) == 127
 
@@ -459,6 +468,10 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
             assert b["energy_rel_drift"] < 1e-8
             # the margin is taken over the checkpoints, t = 0 included
             assert 0.9 < b["min_collision_margin"] <= 1.0 - np.max(np.abs(r0))
+            # the far field's bound at the branch's largest max|r|
+            assert b["far_bound"] == lattice.far_bound(
+                1.0 - b["min_collision_margin"], cfg.alpha)
+            assert b["far_bound_ok"] == (b["far_bound"] <= lattice.FAR_TOL)
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.0])

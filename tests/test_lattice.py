@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from artifact import lattice
+from artifact.harness import (DEFAULT_VALIDATION_AMPLITUDE, ValidationConfig,
+                              _initial_profile, ansatz_fields)
 from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
                               _kernel, _kernel_prime, _window_sums, energy,
                               error_energy, error_energy_constants, force,
@@ -360,6 +362,182 @@ def test_split_remainder_is_quadratic(alpha, n, cutoff):
         assert np.allclose(np.fft.irfft(L * np.fft.rfft(r), n),
                            _linear_force_matrix(n, alpha, cutoff) @ r,
                            rtol=0, atol=1e-12 * np.max(np.abs(f)))
+
+
+# ---------------------------------------------------------------------------
+# far ranges by moments inside run_steps
+
+
+def _validate_state(alpha, n):
+    # the validate initial state, on a ring of n sites
+    cfg = ValidationConfig(alpha=alpha)
+    u0 = _initial_profile(cfg, DEFAULT_VALIDATION_AMPLITUDE)
+    return ansatz_fields(u0.spectrum, cfg.period, n, make_alpha_params(alpha))
+
+
+def _stepper_remainder(r, cfg):
+    # the remainder R = F - L r that run_steps kicks with at r, on the ring
+    out = run_steps(LatticeState(r=r, p=np.zeros_like(r)), cfg, 0)
+    return np.fft.irfft(out._spectra[3], cfg.N)
+
+
+def _direct_remainder(r, cfg):
+    # the same with F the direct sum of force
+    L = lattice._linear_flow(cfg)[0]
+    return np.fft.irfft(np.fft.rfft(force(r, cfg)) - L * np.fft.rfft(r), cfg.N)
+
+
+def _record_force_cutoffs(monkeypatch):
+    calls = []
+    real = lattice.force
+    monkeypatch.setattr(lattice, "force", lambda r, config: calls.append(
+        config.cutoff) or real(r, config))
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+@pytest.mark.parametrize("n, cutoff",
+                         [(512, 255), (724, 361), (1448, 723), (2048, 160)])
+def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
+    # the validate initial state, that state 100 steps on, and a ring of mean
+    # 0.03: run_steps' remainder, its ranges past NEAR_RANGE summed by
+    # moments, against force(r) - L r to 1e-12 of max|force|
+    cfg = _config(n=n, alpha=alpha, cutoff=cutoff, dt=0.1)
+    r, p = _validate_state(alpha, n)
+    stepped = run_steps(LatticeState(r=r, p=p), cfg, 100).r
+    calls = _record_force_cutoffs(monkeypatch)
+    for ring in (r, stepped, r + 0.03):
+        calls.clear()
+        got = _stepper_remainder(ring, cfg)
+        assert calls == [lattice.NEAR_RANGE]
+        want = _direct_remainder(ring, cfg)
+        assert (np.max(np.abs(got - want))
+                <= 1e-12 * np.max(np.abs(force(ring, cfg))))
+
+
+@st.composite
+def _far_cases(draw):
+    # a ring past twice the near range, a few long waves with white noise
+    # on top, any mean, and amplitudes on both sides of far_bound's limit
+    N = 2 * draw(st.integers(2 * lattice.NEAR_RANGE + 2, 160))
+    M = draw(st.integers(2 * lattice.NEAR_RANGE + 1, N // 2 - 1))
+    alpha = draw(st.floats(1.5, 2.9))
+    amp = draw(st.floats(1e-6, 0.05))
+    mean = draw(st.floats(-0.05, 0.05))
+    noise = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = 2.0 * np.pi * np.arange(N) / N
+    r = sum(rng.uniform(-1, 1) * np.cos(k * x + rng.uniform(0, 2 * np.pi))
+            for k in range(1, 5)) + noise * rng.standard_normal(N)
+    return _config(n=N, alpha=alpha, cutoff=M, dt=0.1), (
+        mean + amp * r / np.max(np.abs(r)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_far_cases())
+def test_far_field_properties(case):
+    # the moments are taken exactly when far_bound meets FAR_TOL, and then
+    # match the direct sum to 1e-12 of max|force| + |rho| (the direct sum
+    # cancels pair slopes of size ~|rho| in every m-difference, so its own
+    # rounding scales with |rho| too); otherwise the step is the direct
+    # sum's, bit for bit
+    cfg, r = case
+    rho = float(np.mean(r))
+    x = float(np.max(np.abs(r - rho))) / (1.0 + rho)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_force_cutoffs(mp)
+        got = _stepper_remainder(r, cfg)
+    want = _direct_remainder(r, cfg)
+    if calls == [cfg.cutoff]:
+        assert not lattice.far_bound(x, cfg.alpha) <= lattice.FAR_TOL
+        assert np.array_equal(got, want)
+    else:
+        assert calls == [lattice.NEAR_RANGE]
+        assert lattice.far_bound(x, cfg.alpha) <= lattice.FAR_TOL
+        assert (np.max(np.abs(got - want))
+                <= 1e-12 * (np.max(np.abs(force(r, cfg))) + abs(rho)))
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+def test_far_field_error_within_its_a_priori_bound(alpha, monkeypatch):
+    # at x = 0.1 the dropped orders are measurable, so with FAR_TOL lifted
+    # the moments must meet the bound they are gated by: a far pair slope
+    # errs by at most alpha (1+rho)^-(alpha+1) m^-(alpha+1) (alpha+1) x
+    # far_bound, and a force by twice the sum of that over the far ranges.
+    # The ring holds a step of window means near x at every range.
+    n, cutoff = 256, 127
+    r = np.full(n, 0.03 - 0.1 / 3.0)
+    r[:n // 4] = 0.03 + 0.1
+    rho = float(np.mean(r))
+    x = 0.1 / (1.0 + rho)
+    cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
+    monkeypatch.setattr(lattice, "FAR_TOL", 1.0)
+    far = lattice._far_field(r, lattice._far_weights(cfg), alpha)
+    want = force(r, cfg) - force(r, replace(cfg, cutoff=lattice.NEAR_RANGE))
+    m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
+    allowed = (2.0 * alpha * (1.0 + rho) ** -(alpha + 1.0) * (alpha + 1.0) * x
+               * lattice.far_bound(x, alpha) * float(np.sum(m ** -(alpha + 1.0))))
+    assert allowed < 1e-7 * np.max(np.abs(want))
+    assert np.max(np.abs(far - want)) <= allowed + 1e-14 * np.max(np.abs(want))
+
+
+def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
+    # an amplitude far_bound refuses, a long wave whose scaled primitive is
+    # too large to expand in, and a NaN: run_steps steps exactly as with
+    # every range summed directly
+    assert lattice.far_bound(0.1, 2.0) > lattice.FAR_TOL
+    assert lattice.far_bound(math.nan, 2.0) == math.inf
+    calls = _record_force_cutoffs(monkeypatch)
+    for n, cutoff, amp in ((512, 255, 0.1), (4096, 100, 0.03)):
+        x = 2.0 * np.pi * np.arange(n) / n
+        state = LatticeState(r=amp * np.sin(x), p=amp * np.cos(x))
+        cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
+        calls.clear()
+        a = run_steps(state, cfg, 20)
+        assert set(calls) == {cutoff}
+        with monkeypatch.context() as mp:
+            mp.setattr(lattice, "NEAR_RANGE", cutoff)
+            b = run_steps(state, cfg, 20)
+        assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p)
+    r = _validate_state(2.0, 512)[0]
+    r[7] = math.nan
+    cfg = _config(n=512, alpha=2.0, cutoff=255)
+    calls.clear()
+    got = _stepper_remainder(r, cfg)
+    assert calls == [255]
+    assert np.array_equal(got, _direct_remainder(r, cfg), equal_nan=True)
+
+
+def test_far_field_trajectory_matches_the_direct_sum(monkeypatch):
+    # 200 steps of the validate state at (1448, 723), alpha 2, against the
+    # same stepper with every range summed directly
+    cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
+    r, p = _validate_state(2.0, 1448)
+    a = run_steps(LatticeState(r=r, p=p), cfg, 200)
+    monkeypatch.setattr(lattice, "NEAR_RANGE", cfg.cutoff)
+    b = run_steps(LatticeState(r=r, p=p), cfg, 200)
+    assert np.max(np.abs(a.r - b.r)) <= 1e-12 * np.max(np.abs(b.r))
+    assert np.max(np.abs(a.p - b.p)) <= 1e-12 * np.max(np.abs(b.p))
+
+
+def test_run_steps_memory_stays_bounded():
+    # the far weights, (N/2 + 1) x 11 x 11 complex or 1.4 MiB at
+    # (1448, 723), live for one call (peak 2.0 MiB, where an M x N stack
+    # would be 8 MiB); the returned state holds only r, p, their copies and
+    # three spectra, 80 KiB
+    cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
+    r, p = _validate_state(2.0, 1448)
+    state = LatticeState(r=r, p=p)
+    run_steps(state, cfg, 2)
+    tracemalloc.start()
+    try:
+        out = run_steps(state, cfg, 2)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.t > 0.0
+    assert peak < 3 * 2 ** 20
+    assert current < 256 * 2 ** 10
 
 
 def test_chained_run_steps_reuse_the_trailing_force(monkeypatch):
