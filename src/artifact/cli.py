@@ -255,25 +255,19 @@ def cmd_simulate_lattice(args) -> int:
         return 0
     E0 = energy(state, cfg)
     mom0 = float(np.sum(state.p))
-    rows = [(state.t, j, state.r[j], state.p[j]) for j in range(N)]
-    max_r = float(np.max(np.abs(state.r)))
-    done = 0
-    while done < args.steps:
-        chunk = min(every, args.steps - done)
-        state = run_steps(state, cfg, chunk)
-        done += chunk
-        max_r = max(max_r, float(np.max(np.abs(state.r))))
-        rows.extend((state.t, j, state.r[j], state.p[j]) for j in range(N))
-    E1 = energy(state, cfg)
-    mom1 = float(np.sum(state.p))
+    states = [state, *run_steps(state, cfg, args.steps, every)]
+    E1 = energy(states[-1], cfg)
+    mom1 = float(np.sum(states[-1].p))
+    max_r = max(float(np.max(np.abs(s.r))) for s in states)
     outdir, traj_path = _resolve_out(args.out, "simulate-lattice", "traj.csv")
     os.makedirs(outdir, exist_ok=True)
     with open(traj_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "j", "r", "p"))
-        for (t, j, r, p) in rows:
-            writer.writerow((repr(float(t)), str(int(j)),
-                             repr(float(r)), repr(float(p))))
+        for s in states:
+            for j in range(N):
+                writer.writerow((repr(float(s.t)), str(j),
+                                 repr(float(s.r[j])), repr(float(s.p[j]))))
     write_manifest(outdir, "simulate-lattice", _args_config(args), [traj_path])
     _emit({"sites": N, "cutoff": cutoff, "dt": args.dt, "steps": args.steps,
            "energy_initial": E0, "energy_final": E1,

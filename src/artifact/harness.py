@@ -23,7 +23,7 @@ import numpy as np
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to)
 from .lattice import (FAR_ORDER, FAR_TOL, CollisionError, LatticeConfig,
-                      LatticeState, energy, error_energy,
+                      LatticeState, _linear_flow, energy, error_energy,
                       error_energy_constants, far_bound, force, near_range,
                       run_steps)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
@@ -35,6 +35,8 @@ DEFAULT_EPSILONS = (0.2, 0.1414, 0.1, 0.0707)
 RESIDUAL_CSV_HEADER = ("alpha", "epsilon", "t", "l2")
 VALIDATION_CSV_HEADER = ("alpha", "epsilon", "t", "mu_l2", "nu_l2")
 ENERGY_CSV_HEADER = ("alpha", "epsilon", "t", "H", "ratio", "within_bounds")
+# largest relative energy drift a validation branch may show, gate 5's bound
+ENERGY_DRIFT_TOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -371,16 +373,16 @@ def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
     checkpoint, its smallest collision margin 1 - max|r| over the
     checkpoints, t = 0 included, and far_bound at the largest max|r| with
     whether it meets FAR_TOL (so that run_steps could sum the far ranges by
-    moments at every checkpoint).
+    moments at every checkpoint).  A drift past ENERGY_DRIFT_TOL raises
+    BlowUpError.
     """
     alpha = params.alpha
     rows = []
     energy_samples = []
     E0 = energy(state, lat_cfg)
-    margin = 1.0 - float(np.max(np.abs(state.r)))
-    for i in range(1, config.checkpoints + 1):
-        state = run_steps(state, lat_cfg, nsteps)
-        margin = min(margin, 1.0 - float(np.max(np.abs(state.r))))
+    states = run_steps(state, lat_cfg, nsteps * config.checkpoints, nsteps)
+    margin = min(1.0 - float(np.max(np.abs(s.r))) for s in [state, *states])
+    for i, state in enumerate(states, 1):
         t = i * seg
         rtilde, ptilde = ansatz_fields(spectra[i], config.period, lat_cfg.N,
                                        params, -sign * eps * params.c * t,
@@ -396,10 +398,15 @@ def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
         if config.energy_trace:
             energy_samples.append((sign * t, mu, nu, rtilde))
     E1 = energy(state, lat_cfg)
+    drift = abs(E1 - E0) / abs(E0) if E0 else abs(E1)
+    if not drift <= ENERGY_DRIFT_TOL:
+        raise BlowUpError(f"chain energy drifted by {drift:.3g} of its "
+                          f"initial value, past {ENERGY_DRIFT_TOL:g}",
+                          t=sign * t, alpha=alpha, epsilon=eps)
     bound = far_bound(1.0 - margin, alpha)
     health = {"direction": "forward" if sign > 0 else "backward",
               "energy_initial": E0, "energy_final": E1,
-              "energy_rel_drift": abs(E1 - E0) / abs(E0) if E0 else abs(E1),
+              "energy_rel_drift": drift,
               "min_collision_margin": margin,
               "far_bound": bound, "far_bound_ok": bound <= FAR_TOL}
     return rows, energy_samples, health
@@ -413,25 +420,27 @@ def _validation_plan(config, eps_nominal):
     The interaction range is the ring cap N/2 - 1.  A shorter range leaves
     the truncated chain slower than c, and over the horizon
     T = tau0/eps^alpha that speed deficit drifts the chain off the surrogate
-    by an amount of fixed relative size, independent of eps.
+    by an amount of fixed relative size, independent of eps.  A dt past
+    the split step's stability limit raises ValueError.
     """
     N, eps = _ring_size(config.period, eps_nominal)
     seg = config.tau0 / eps ** config.alpha / config.checkpoints
     nsteps = int(math.ceil(seg / config.lattice_dt))
     lat_cfg = LatticeConfig(N=N, alpha=config.alpha, cutoff=N // 2 - 1,
                             dt=seg / nsteps)
+    _linear_flow(lat_cfg)   # refuses a step past the stability limit
     return lat_cfg, eps, nsteps, seg
 
 
 def _validation_eps_task(args):
-    (config, params, spectra_fwd, spectra_bwd, eps_nominal) = args
+    (config, params, spectra_fwd, spectra_bwd, eps_nominal, plan) = args
     lat_cfg, eps, nsteps, seg = _validation_plan(config, eps_nominal)
     r0, p0 = ansatz_fields(spectra_fwd[0], config.period, lat_cfg.N, params,
                            dealias_fraction=config.dealias_fraction)
     # the initial state is the ansatz itself, so both errors start at 0
     rows = [(params.alpha, eps, 0.0, 0.0, 0.0)]
     samples = []
-    health = {**_plan_entry(config, eps_nominal, "validation"), "branches": []}
+    health = {**plan, "branches": []}
     branches = [(spectra_fwd, r0, p0, +1)]
     if config.bidirectional:
         branches.append((spectra_bwd, r0.copy(), -p0, -1))
@@ -459,16 +468,18 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
 
     Per checkpoint the comparison profile is the surrogate at tau = eps^alpha t
     evaluated at the shifted points eps*(j - c t).  A collision or a
-    non-finite error at any epsilon raises, naming alpha, epsilon and t;
-    nothing is fitted or written then.
+    non-finite error or an energy drift past ENERGY_DRIFT_TOL at any epsilon
+    raises, naming alpha, epsilon and t; nothing is fitted or written then.
+    An unstable chain step at any epsilon raises ValueError before any work.
     """
+    plans = describe_plan(config, "validation")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, DEFAULT_VALIDATION_AMPLITUDE)
     spectra_fwd = _bo_checkpoint_spectra(config, params, u0)
     spectra_bwd = (_bo_checkpoint_spectra(config, params, u0, -1.0)
                    if config.bidirectional else None)
-    tasks = [(config, params, spectra_fwd, spectra_bwd, e)
-             for e in config.epsilons]
+    tasks = [(config, params, spectra_fwd, spectra_bwd, e, plan)
+             for e, plan in zip(config.epsilons, plans)]
     results = _map_tasks(_validation_eps_task, tasks, config.jobs)
     result = ValidationResult(
         rows=[row for res in results for row in res[0]],

@@ -27,7 +27,7 @@ force, energy and the residual keep the direct sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,6 +50,11 @@ NEAR_RANGE = 16
 FAR_ORDER = 10
 FAR_TOL = 1e-13
 
+# The split step goes unstable once dt times the top linear frequency
+# reaches pi; _linear_flow refuses a dt past this limit, which keeps a 10%
+# margin below that resonance.
+STEP_LIMIT = 0.9 * math.pi
+
 
 class CollisionError(RuntimeError):
     """Particle ordering about to be lost (a gap argument reached -1)."""
@@ -63,19 +68,11 @@ class CollisionError(RuntimeError):
 
 @dataclass
 class LatticeState:
-    """Gap deviations r, velocities p, and the elapsed time t.
-
-    A state returned by run_steps also carries the config and the spectra
-    it ended with, beside copies of the r and p they belong to, so that a
-    following run_steps with that config and an unchanged r starts without
-    computing the force again.
-    """
+    """Gap deviations r, velocities p, and the elapsed time t."""
 
     r: np.ndarray
     p: np.ndarray
     t: float = 0.0
-    _spectra: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -197,7 +194,8 @@ def _linear_flow(config: LatticeConfig):
     dp^/dt = L r^ = -omega^2(k)/(e^{ik} - 1) r^, with
     omega^2(k) = 2 alpha (alpha+1) sum_{m<=M} m^-(alpha+2) (1 - cos km) at
     the cutoff M of force, from one rfft of m^-(alpha+2).  Bin k = 0 has
-    omega = 0 and is left unchanged.
+    omega = 0 and is left unchanged.  Raises ValueError when
+    dt * max omega reaches STEP_LIMIT.
     """
     N, M, alpha = config.N, config.cutoff, config.alpha
     w = np.zeros(N)
@@ -207,6 +205,10 @@ def _linear_flow(config: LatticeConfig):
     k = 2.0 * np.pi * np.arange(1, N // 2 + 1) / N
     shift = -2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)    # e^{ik} - 1
     omega = np.sqrt(omega2)
+    if not config.dt * omega.max() < STEP_LIMIT:
+        raise ValueError(f"dt {config.dt:.6g} on {N} sites is past the split "
+                         "step's stability limit 0.9 pi / omega_max = "
+                         f"{STEP_LIMIT / omega.max():.6g}")
     s = np.sin(omega * config.dt)
     return (np.concatenate(([0.0], -omega2 / shift)),
             np.concatenate(([1.0], np.cos(omega * config.dt))),
@@ -311,46 +313,44 @@ def _step_force(r, config, near_cfg, K):
     return force(r, near_cfg) + far
 
 
-def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int) -> LatticeState:
+def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
+              every: int | None = None) -> list:
     """nsteps symmetric split steps: a half kick by the remainder
     R(r) = force(r) - L r, the exact linear flow over dt mode by mode, and
-    a second half kick.
+    a second half kick.  Returns the states after every `every` steps and
+    after the last one, in order; with every = None, the last state alone
+    (no state for nsteps = 0).
 
     (r, p) stay rfft spectra within a call, so a step costs one force, one
-    irfft and one rfft.  The force's ranges past near_range(config) are
-    summed by _far_field where its bound allows, with weights built once
-    per call.  The trailing remainder doubles as the next leading one, also
-    across calls when the state came from run_steps with an equal config
-    and its r has not changed since; the call then resumes from the spectra
-    it ended with, so chained calls step exactly as one call.
+    irfft and one rfft, and the trailing remainder doubles as the next
+    leading one: a call makes nsteps + 1 force calls, whatever `every`.
+    The force's ranges past near_range(config) are summed by _far_field
+    where its bound allows, with weights built once per call.
     """
+    if every is not None and every < 1:
+        raise ValueError(f"every must be at least 1, got {every}")
     N, dt = config.N, config.dt
     L, cos, r_from_p, p_from_r = _linear_flow(config)
     near_cfg = replace(config, cutoff=near_range(config))
     K = _far_weights(config)
     r = state.r.copy()
-    cached = state._spectra
-    if (cached is not None and cached[0] == config
-            and np.array_equal(cached[1], state.r)):
-        rh, Rh = cached[2], cached[3]
-        ph = (cached[5] if np.array_equal(cached[4], state.p)
-              else np.fft.rfft(state.p))
-    else:
-        rh = np.fft.rfft(r)
-        Rh = np.fft.rfft(_step_force(r, config, near_cfg, K)) - L * rh
-        ph = np.fft.rfft(state.p)
-    for i in range(nsteps):
+    rh = np.fft.rfft(r)
+    Rh = np.fft.rfft(_step_force(r, config, near_cfg, K)) - L * rh
+    ph = np.fft.rfft(state.p)
+    out = []
+    t, done = state.t, 0    # time and step count of the last state returned
+    for i in range(1, nsteps + 1):
         ph = ph + (0.5 * dt) * Rh
         rh, ph = cos * rh + r_from_p * ph, p_from_r * rh + cos * ph
         r = np.fft.irfft(rh, N)
         if np.max(np.abs(r)) >= 1.0:
             raise CollisionError("a gap deviation reached 1; ordering lost",
-                                 t=state.t + (i + 1) * dt, alpha=config.alpha)
+                                 t=t + (i - done) * dt, alpha=config.alpha)
         Rh = np.fft.rfft(_step_force(r, config, near_cfg, K)) - L * rh
         ph = ph + (0.5 * dt) * Rh
-    p = np.fft.irfft(ph, N) if nsteps else state.p.copy()
-    out = LatticeState(r=r, p=p, t=state.t + nsteps * config.dt)
-    out._spectra = (config, r.copy(), rh, Rh, p.copy(), ph)
+        if i == nsteps or (every is not None and i % every == 0):
+            t, done = t + (i - done) * dt, i
+            out.append(LatticeState(r=r, p=np.fft.irfft(ph, N), t=t))
     return out
 
 

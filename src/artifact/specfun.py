@@ -44,12 +44,6 @@ def zeta(s: float, tol: float = DEFAULT_TOL) -> float:
     return head + tail
 
 
-def _sinc(x):
-    # sin(x)/x with the removable singularity filled in (numpy sinc is
-    # normalized by pi, hence the rescale)
-    return np.sinc(np.asarray(x) / np.pi)
-
-
 def _weight_small(s: float) -> float:
     # 1 - s^2/12 - sinc(s/2)^2 expanded around 0; leading term -s^4/360
     s2 = s * s

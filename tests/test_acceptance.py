@@ -195,8 +195,7 @@ def test_gate5_lattice_physics():
     mom0 = float(np.sum(state.p))
     sup_e = 0.0
     sup_m = 0.0
-    for _ in range(20):
-        state = run_steps(state, cfg, 500)
+    for state in run_steps(state, cfg, 10000, 500):
         sup_e = max(sup_e, abs(energy(state, cfg) - E0) / abs(E0))
         sup_m = max(sup_m, abs(float(np.sum(state.p)) - mom0))
 

@@ -4,7 +4,9 @@ Every public top-level function or class in src/artifact must be used by
 name somewhere else in the package (the re-exports of __init__.py do not
 count) or by a release gate in tests/test_acceptance.py.  A helper that only
 unit tests call fails here: fold it into its caller or move it into the test
-that needs it.
+that needs it.  Every private top-level function must be used by another
+statement of the package itself; tests may call it, but that alone does not
+keep it.
 """
 
 import ast
@@ -38,25 +40,39 @@ def _names(node):
     return seen
 
 
-def test_every_public_definition_is_used():
+def _unused_definitions(private):
+    """Top-level definitions of src/artifact, private functions or public
+    functions and classes, that no other statement mentions: a statement of
+    the package, or for a public name also one of the release gates."""
     modules = {p: _parse(p) for p in sorted(SRC.glob("*.py"))
                if p.name != "__init__.py"}
     statements = [stmt for tree in modules.values() for stmt in tree.body]
-    statements += _parse(GATES).body
+    if not private:
+        statements += _parse(GATES).body
+    kinds = (ast.FunctionDef,) if private else (ast.FunctionDef, ast.ClassDef)
     # a definition counts as used only through some other statement
     counts = [(stmt, _names(stmt)) for stmt in statements]
     unused = []
     for path, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
+            if (not isinstance(node, kinds)
+                    or node.name.startswith("_") != private):
                 continue
             if not any(names[node.name] for stmt, names in counts
                        if stmt is not node):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_public_definition_is_used():
+    unused = _unused_definitions(private=False)
     assert not unused, ("public definitions used by nothing in the package "
                         f"and by no release gate: {unused}")
+
+
+def test_every_private_function_is_used_in_the_package():
+    unused = _unused_definitions(private=True)
+    assert not unused, f"private functions the package never calls: {unused}"
 
 
 def test_all_matches_init_imports():

@@ -183,8 +183,8 @@ def test_simulate_lattice_ansatz_run(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["sites"] == 32
-    # coarse 32-site ring: leapfrog keeps the energy error bounded at the
-    # (omega*dt)^2 oscillation scale rather than drifting
+    # coarse 32-site ring: the symmetric split step keeps the energy error
+    # bounded at an oscillation scale rather than drifting
     assert summary["energy_rel_drift"] < 5e-4
     assert summary["momentum_drift"] < 1e-12
     data = _read_traj(out / "traj.csv")
@@ -383,6 +383,51 @@ def test_non_coercive_alpha_exits_before_any_work(command, tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "alpha* = 1.4788" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_unstable_lattice_dt_exits_before_any_work(dry_run, tmp_path, capsys,
+                                                   monkeypatch):
+    # --lattice-dt 0.8 plans dt 0.625 at eps 0.1414 and 0.714 at eps 0.05,
+    # past 0.9 pi / omega_max (0.573 at alpha 2): the run is refused with
+    # exit code 1 before the surrogate solve, where it used to exit 0 with
+    # an energy drift of 3e25 and a nu slope of -40
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "run_to", refuse)
+    out = tmp_path / "unstable"
+    argv = ["validate", "--alpha", "2.0", "--epsilons", "0.1414,0.1,0.05",
+            "--lattice-dt", "0.8", "--out", str(out)]
+    rc = main(argv + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "stability limit" in captured.err
+    assert not out.exists()
+
+
+def test_simulate_lattice_refuses_an_unstable_dt(tmp_path, capsys):
+    out = tmp_path / "lat"
+    rc = main(["simulate-lattice", "--alpha", "2.0", "--epsilon", "0.4",
+               "--period", "12.8", "--steps", "4", "--dt", "1.0",
+               "--cutoff", "15", "--out", str(out)])
+    assert rc == 1
+    assert "stability limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_lattice_refuses_a_negative_trace_every(tmp_path, capsys):
+    # a negative interval once stepped the chain backwards in a loop that
+    # never ended; run_steps refuses it
+    out = tmp_path / "lat"
+    rc = main(["simulate-lattice", "--alpha", "2.0", "--epsilon", "0.4",
+               "--period", "12.8", "--steps", "4", "--trace-every", "-1",
+               "--cutoff", "15", "--out", str(out)])
+    assert rc == 1
+    assert "every must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

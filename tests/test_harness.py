@@ -456,9 +456,10 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         state = LatticeState(r=r0, p=p0)
         forward = entry["branches"][0]
         assert forward["energy_initial"] == energy(state, lat_cfg)
+        states = run_steps(state, lat_cfg, nsteps * cfg.checkpoints, nsteps)
+        assert len(states) == cfg.checkpoints
         margin = 1.0 - np.max(np.abs(r0))
-        for _ in range(cfg.checkpoints):
-            state = run_steps(state, lat_cfg, nsteps)
+        for state in states:
             margin = min(margin, 1.0 - np.max(np.abs(state.r)))
         assert forward["energy_final"] == energy(state, lat_cfg)
         assert forward["min_collision_margin"] == margin
@@ -523,7 +524,7 @@ def test_shift_canary_moving_frame_matters():
     T = tau_end / eps ** params.alpha
     nsteps = math.ceil(T / 0.05)
     cfg = LatticeConfig(N=n, alpha=params.alpha, cutoff=30, dt=T / nsteps)
-    out = run_steps(state, cfg, nsteps)
+    [out] = run_steps(state, cfg, nsteps)
     bo_cfg = BOConfig(params=params, dtau=tau_end / 100.0)
     bo, _ = run_to(BOState(u=u0, tau=0.0), tau_end, bo_cfg)
     shifted, _ = ansatz_fields(bo.u.spectrum, period, n, params,
@@ -539,9 +540,9 @@ def test_validation_nan_error_raises_blow_up(monkeypatch, tmp_path, capsys):
     # let it: the run raises, and the CLI exits 2 naming it
     real = harness.run_steps
 
-    def nan_steps(state, cfg, nsteps):
-        out = real(state, cfg, nsteps)
-        return LatticeState(r=out.r, p=np.full_like(out.p, np.nan), t=out.t)
+    def nan_steps(state, cfg, nsteps, every=None):
+        return [LatticeState(r=out.r, p=np.full_like(out.p, np.nan), t=out.t)
+                for out in real(state, cfg, nsteps, every)]
 
     monkeypatch.setattr(harness, "run_steps", nan_steps)
     with pytest.raises(BlowUpError) as info:
@@ -564,12 +565,12 @@ def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
     # alpha, epsilon and t, and no fit over the other epsilons is written
     real = harness.run_steps
 
-    def nan_on_smallest_ring(state, cfg, nsteps):
-        out = real(state, cfg, nsteps)
+    def nan_on_smallest_ring(state, cfg, nsteps, every=None):
+        states = real(state, cfg, nsteps, every)
         if cfg.N == 256:
-            return LatticeState(r=out.r, p=np.full_like(out.p, np.nan),
-                                t=out.t)
-        return out
+            return [LatticeState(r=out.r, p=np.full_like(out.p, np.nan),
+                                 t=out.t) for out in states]
+        return states
 
     monkeypatch.setattr(harness, "run_steps", nan_on_smallest_ring)
     epsilons = "0.4,0.32,0.25,0.2,0.16"
@@ -591,6 +592,36 @@ def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("blow-up:")
     assert f"alpha=2.0 epsilon={102.4 / 256} t=" in lines[0]
     assert not (out / "report.json").exists()
+
+
+def test_validation_energy_drift_raises_blow_up(monkeypatch, tmp_path,
+                                                capsys):
+    # momenta scaled by 1.001 at the last checkpoint: the branch's relative
+    # energy drift passes gate 5's 1e-6, the run raises with alpha, epsilon
+    # and t, and the CLI exits 2 without writing anything
+    real = harness.run_steps
+
+    def drifting(state, cfg, nsteps, every=None):
+        states = real(state, cfg, nsteps, every)
+        last = states[-1]
+        states[-1] = LatticeState(r=last.r, p=1.001 * last.p, t=last.t)
+        return states
+
+    monkeypatch.setattr(harness, "run_steps", drifting)
+    cfg = _smoke_config()
+    with pytest.raises(BlowUpError, match="energy drifted") as info:
+        run_validation(cfg)
+    assert info.value.alpha == 2.0
+    assert info.value.epsilon == 102.4 / 256
+    assert info.value.t == pytest.approx(cfg.tau0 / info.value.epsilon ** 2)
+    out = tmp_path / "v"
+    rc = main(["validate", "--alpha", "2.0", "--out", str(out),
+               "--epsilons", "0.4,0.32,0.25", "--tau0", "0.05",
+               "--checkpoints", "2", "--bo-modes", "256",
+               "--bo-steps-per-checkpoint", "20", "--amplitude", "0.1"])
+    assert rc == 2
+    assert "energy drifted" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_residual_nan_raises_blow_up(monkeypatch):

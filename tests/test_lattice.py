@@ -299,10 +299,10 @@ def test_force_zero_at_flat_lattice():
 # integrator
 
 
-def test_verlet_step_advances_time():
+def test_split_step_advances_time():
     state = _random_state(7)
     cfg = _config()
-    out = run_steps(state, cfg, 1)
+    [out] = run_steps(state, cfg, 1)
     assert out.t == pytest.approx(cfg.dt)
     assert out.r.shape == state.r.shape
 
@@ -321,13 +321,13 @@ def _linear_force_matrix(n, alpha, cutoff):
     return L
 
 
-def test_run_steps_matches_repeated_verlet():
+def test_run_steps_matches_dense_strang_steps():
     # against Strang steps written here: half kicks by the remainder
     # force(r) - L r and the dense 2N x 2N flow of the linear chain,
     # rdot_j = p_{j+1} - p_j and pdot = L r, from expm
     state = _random_state(8, n=32)
     cfg = _config(n=32, cutoff=15, dt=0.1)
-    a = run_steps(state, cfg, 5)
+    [a] = run_steps(state, cfg, 5)
     n = cfg.N
     D = np.roll(np.eye(n), 1, axis=1) - np.eye(n)   # (D p)_j = p_{j+1} - p_j
     L = _linear_force_matrix(n, cfg.alpha, cfg.cutoff)
@@ -341,6 +341,24 @@ def test_run_steps_matches_repeated_verlet():
     assert np.max(np.abs(a.r - r)) < 1e-13
     assert np.max(np.abs(a.p - p)) < 1e-13
     assert a.t == pytest.approx(5 * cfg.dt)
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+@pytest.mark.parametrize("n, cutoff", [(32, 15), (2048, 1023), (2048, 40)])
+def test_unstable_split_step_is_refused(alpha, n, cutoff):
+    # the top linear frequency, summed here range by range at every bin:
+    # a dt just below 0.9 pi / omega_max steps, one just above is refused
+    k = 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
+    m = np.arange(1, cutoff + 1, dtype=float)
+    omega2 = 2.0 * alpha * (alpha + 1.0) * np.sum(
+        m ** -(alpha + 2.0) * (1.0 - np.cos(np.outer(k, m))), axis=1)
+    limit = 0.9 * np.pi / np.sqrt(omega2.max())
+    state = _random_state(18, n=n, scale=0.01)
+    run_steps(state, _config(n=n, alpha=alpha, cutoff=cutoff,
+                             dt=limit * (1 - 1e-9)), 1)
+    with pytest.raises(ValueError, match="stability limit"):
+        run_steps(state, _config(n=n, alpha=alpha, cutoff=cutoff,
+                                 dt=limit * (1 + 1e-9)), 1)
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
@@ -377,8 +395,10 @@ def _validate_state(alpha, n):
 
 def _stepper_remainder(r, cfg):
     # the remainder R = F - L r that run_steps kicks with at r, on the ring
-    out = run_steps(LatticeState(r=r, p=np.zeros_like(r)), cfg, 0)
-    return np.fft.irfft(out._spectra[3], cfg.N)
+    near_cfg = replace(cfg, cutoff=lattice.near_range(cfg))
+    F = lattice._step_force(r, cfg, near_cfg, lattice._far_weights(cfg))
+    L = lattice._linear_flow(cfg)[0]
+    return np.fft.irfft(np.fft.rfft(F) - L * np.fft.rfft(r), cfg.N)
 
 
 def _direct_remainder(r, cfg):
@@ -404,7 +424,7 @@ def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
     # moments, against force(r) - L r to 1e-12 of max|force|
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff, dt=0.1)
     r, p = _validate_state(alpha, n)
-    stepped = run_steps(LatticeState(r=r, p=p), cfg, 100).r
+    stepped = run_steps(LatticeState(r=r, p=p), cfg, 100)[-1].r
     calls = _record_force_cutoffs(monkeypatch)
     for ring in (r, stepped, r + 0.03):
         calls.clear()
@@ -493,11 +513,11 @@ def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
         state = LatticeState(r=amp * np.sin(x), p=amp * np.cos(x))
         cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
         calls.clear()
-        a = run_steps(state, cfg, 20)
+        [a] = run_steps(state, cfg, 20)
         assert set(calls) == {cutoff}
         with monkeypatch.context() as mp:
             mp.setattr(lattice, "NEAR_RANGE", cutoff)
-            b = run_steps(state, cfg, 20)
+            [b] = run_steps(state, cfg, 20)
         assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p)
     r = _validate_state(2.0, 512)[0]
     r[7] = math.nan
@@ -513,9 +533,9 @@ def test_far_field_trajectory_matches_the_direct_sum(monkeypatch):
     # same stepper with every range summed directly
     cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
     r, p = _validate_state(2.0, 1448)
-    a = run_steps(LatticeState(r=r, p=p), cfg, 200)
+    [a] = run_steps(LatticeState(r=r, p=p), cfg, 200)
     monkeypatch.setattr(lattice, "NEAR_RANGE", cfg.cutoff)
-    b = run_steps(LatticeState(r=r, p=p), cfg, 200)
+    [b] = run_steps(LatticeState(r=r, p=p), cfg, 200)
     assert np.max(np.abs(a.r - b.r)) <= 1e-12 * np.max(np.abs(b.r))
     assert np.max(np.abs(a.p - b.p)) <= 1e-12 * np.max(np.abs(b.p))
 
@@ -523,15 +543,14 @@ def test_far_field_trajectory_matches_the_direct_sum(monkeypatch):
 def test_run_steps_memory_stays_bounded():
     # the far weights, (N/2 + 1) x 11 x 11 complex or 1.4 MiB at
     # (1448, 723), live for one call (peak 2.0 MiB, where an M x N stack
-    # would be 8 MiB); the returned state holds only r, p, their copies and
-    # three spectra, 80 KiB
+    # would be 8 MiB); the returned state holds only r and p, 25 KiB
     cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
     r, p = _validate_state(2.0, 1448)
     state = LatticeState(r=r, p=p)
     run_steps(state, cfg, 2)
     tracemalloc.start()
     try:
-        out = run_steps(state, cfg, 2)
+        [out] = run_steps(state, cfg, 2)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -540,69 +559,44 @@ def test_run_steps_memory_stays_bounded():
     assert current < 256 * 2 ** 10
 
 
-def test_chained_run_steps_reuse_the_trailing_force(monkeypatch):
-    # a state from run_steps carries its force, so K chained calls of n
-    # steps cost K*n + 1 force calls and match one call of K*n steps
+def test_run_steps_returns_its_checkpoints(monkeypatch):
+    # every n steps of one call: K states, the last bit for bit the state
+    # of one call without checkpoints, for K*n + 1 force calls in either
+    # call; a partial last chunk is returned as well
     calls = []
     real = lattice.force
-
-    def counting(r, config):
-        calls.append(config)
-        return real(r, config)
-
-    monkeypatch.setattr(lattice, "force", counting)
+    monkeypatch.setattr(lattice, "force", lambda r, config: calls.append(
+        config) or real(r, config))
     state = _random_state(9, scale=0.05)
     cfg = _config()
     K, n = 4, 5
-    out = state
-    for _ in range(K):
-        out = run_steps(out, cfg, n)
+    snaps = run_steps(state, cfg, K * n, n)
     assert len(calls) == K * n + 1
+    assert len(snaps) == K
     calls.clear()
-    one = run_steps(state, cfg, K * n)
+    [one] = run_steps(state, cfg, K * n)
     assert len(calls) == K * n + 1
-    assert np.array_equal(out.r, one.r) and np.array_equal(out.p, one.p)
-    assert out.t == pytest.approx(one.t)
-    # a hand-built state and a changed config compute the force afresh
-    calls.clear()
-    run_steps(LatticeState(r=out.r.copy(), p=out.p.copy(), t=out.t), cfg, n)
-    assert len(calls) == n + 1
-    calls.clear()
-    run_steps(out, replace(cfg, dt=0.01), n)
-    assert len(calls) == n + 1
-    # so do a state whose r was changed in place or replaced after the call
-    # that computed its force, and they step from the r they now hold
-    for edit in ("in place", "replaced"):
-        moved = run_steps(state, cfg, n)
-        r_new = moved.r * 0.5
-        if edit == "in place":
-            moved.r *= 0.5
-        else:
-            moved.r = r_new
-        calls.clear()
-        a = run_steps(moved, cfg, n)
-        assert len(calls) == n + 1, edit
-        b = run_steps(LatticeState(r=r_new, p=moved.p.copy(), t=moved.t), cfg, n)
-        assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p), edit
-
-
-def test_run_steps_steps_from_an_edited_momentum(monkeypatch):
-    # a state whose p was changed after the call that returned it keeps its
-    # remainder (r is unchanged) but steps from the p it now holds
-    state = _random_state(17, scale=0.05)
-    cfg = _config()
-    moved = run_steps(state, cfg, 5)
-    moved.p *= -1.0
-    calls = []
-    real = lattice.force
-    monkeypatch.setattr(lattice, "force",
-                        lambda r, config: calls.append(1) or real(r, config))
-    a = run_steps(moved, cfg, 5)
-    assert len(calls) == 5
-    b = run_steps(LatticeState(r=moved.r.copy(), p=moved.p.copy(), t=moved.t),
-                  cfg, 5)
-    assert np.max(np.abs(a.r - b.r)) < 1e-14
-    assert np.max(np.abs(a.p - b.p)) < 1e-14
+    assert np.array_equal(snaps[-1].r, one.r)
+    assert np.array_equal(snaps[-1].p, one.p)
+    assert snaps[-1].t == one.t
+    # times add n dt per checkpoint, as K chained calls of n steps did, so
+    # a trajectory written at the checkpoints keeps its bytes (0.1 + 0.1 +
+    # 0.1 is not 15 * 0.02)
+    t = state.t
+    for s in snaps:
+        t += n * cfg.dt
+        assert s.t == t
+    # each checkpoint is the state of a call that stops there
+    [mid] = run_steps(state, cfg, 2 * n)
+    assert np.array_equal(snaps[1].r, mid.r)
+    assert np.array_equal(snaps[1].p, mid.p)
+    partial = run_steps(state, cfg, K * n + 2, n)
+    assert len(partial) == K + 1
+    assert partial[-1].t == pytest.approx((K * n + 2) * cfg.dt)
+    assert np.array_equal(partial[K - 1].r, snaps[-1].r)
+    assert run_steps(state, cfg, 0) == run_steps(state, cfg, 0, n) == []
+    with pytest.raises(ValueError):
+        run_steps(state, cfg, n, 0)
 
 
 def test_energy_conservation_short_run():
@@ -614,28 +608,26 @@ def test_energy_conservation_short_run():
     state = LatticeState(r=r, p=p, t=0.0)
     cfg = _config(dt=0.02)
     e0 = energy(state, cfg)
-    drift = 0.0
-    out = state
-    for _ in range(10):
-        out = run_steps(out, cfg, 50)
-        drift = max(drift, abs(energy(out, cfg) - e0))
+    drift = max(abs(energy(out, cfg) - e0)
+                for out in run_steps(state, cfg, 500, 50))
     assert drift / e0 < 2e-5
 
 
 def test_momentum_exactly_conserved():
     state = _random_state(10, scale=0.05)
     cfg = _config()
-    out = run_steps(state, cfg, 200)
+    [out] = run_steps(state, cfg, 200)
     assert abs(float(np.sum(out.p)) - float(np.sum(state.p))) < 1e-12
 
 
 def test_time_reversibility():
-    # leapfrog is symplectic and time-reversible: flip momenta, march back
+    # the symmetric split step is symplectic and time-reversible: flip
+    # momenta, march back
     state = _random_state(12, scale=0.05)
     cfg = _config(dt=0.02)
-    fwd = run_steps(state, cfg, 300)
+    [fwd] = run_steps(state, cfg, 300)
     flipped = LatticeState(r=fwd.r.copy(), p=-fwd.p, t=0.0)
-    back = run_steps(flipped, cfg, 300)
+    [back] = run_steps(flipped, cfg, 300)
     assert np.max(np.abs(back.r - state.r)) < 1e-10
     assert np.max(np.abs(back.p + state.p)) < 1e-10
 
