@@ -14,7 +14,7 @@ from .lattice import (CollisionError, LatticeConfig, LatticeState, energy,
                       p2_functional, run_steps)
 from .specfun import (AlphaParams, eta_integral, eta_riemann, find_alpha_star,
                       make_alpha_params, zeta, zeta_gap)
-from .spectral import (PeriodicGrid, SpectralField, l2_norm, sample_spectrum,
+from .spectral import (PeriodicGrid, SpectralField, sample_spectrum,
                        sobolev_norm)
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "ansatz_fields", "default_residual_amplitude", "energy", "error_energy",
     "error_energy_constants", "error_energy_trace", "eta_integral",
     "eta_riemann", "find_alpha_star", "fit_slope", "force",
-    "gaussian_profile", "l2_norm", "make_alpha_params", "p2_functional",
+    "gaussian_profile", "make_alpha_params", "p2_functional",
     "residual_fields", "run_residual_sweep", "run_steps", "run_to",
     "run_validation", "sample_spectrum", "sobolev_norm", "zeta", "zeta_gap",
     "__version__",

@@ -36,8 +36,8 @@ from .harness import (DEFAULT_VALIDATION_AMPLITUDE, ConfigError,
                       ValidationConfig, _ring_size, ansatz_fields,
                       describe_plan, run_residual_sweep, run_validation,
                       write_json, write_rows_csv)
-from .lattice import (CollisionError, LatticeConfig, LatticeState, energy,
-                      run_steps)
+from .lattice import (CollisionError, LatticeConfig, LatticeState,
+                      check_steps, energy, run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
                       make_alpha_params)
 from .spectral import PeriodicGrid, write_field_binary, write_field_csv
@@ -249,6 +249,7 @@ def cmd_simulate_lattice(args) -> int:
     cfg = LatticeConfig(N=N, alpha=args.alpha, cutoff=cutoff, dt=args.dt)
     every = args.trace_every or max(1, args.steps // 10)
     if args.dry_run:
+        check_steps(cfg, args.steps, every)
         _emit({"command": "simulate-lattice", "sites": N, "cutoff": cutoff,
                "dt": args.dt, "steps": args.steps, "trace_every": every,
                "epsilon": eps})

@@ -101,16 +101,15 @@ class ValidationConfig:
         if list(eps) != sorted(eps, reverse=True):
             raise ConfigError("epsilons must be sorted in descending order")
         object.__setattr__(self, "epsilons", eps)
-        if self.tau0 <= 0.0:
-            raise ConfigError("tau0 must be positive")
-        if self.checkpoints < 1:
-            raise ConfigError("checkpoints must be at least 1")
-        if self.lattice_dt <= 0.0:
-            raise ConfigError("lattice_dt must be positive")
+        for name in ("tau0", "width_fraction", "lattice_dt",
+                     "residual_cutoff_coef"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("checkpoints", "bo_steps_per_checkpoint", "jobs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
             raise ConfigError("dealias_fraction must lie in (0.5, 2/3]")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         PeriodicGrid(self.period, self.bo_modes)  # refuses a bad bo_modes
 
 
@@ -301,29 +300,13 @@ def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
     return spectra
 
 
-def residual_cutoff(config: ValidationConfig, eps: float, N: int) -> int:
-    """Interaction range for residual evaluation: ceil(coef/eps^2), capped
-    at the ring cap N/2 - 1.
-
-    The range is not converged.  At the default profile and coef 3, taking
-    the ring cap instead moves the sup-over-time l2 residual by +0.75%,
-    +0.62% and +1.95% at eps 0.2 (M 75 against 255) and by +0.05%, +0.04%
-    and +0.07% at eps 0.0707 (M 600 against 723), for alpha 1.8, 2.0 and
-    2.5, which would raise the slope between those two epsilons by about
-    0.007, 0.006 and 0.018.  The ring cap itself still leaves out every
-    image of the periodic lattice.
-    """
-    return min(N // 2 - 1, int(math.ceil(config.residual_cutoff_coef / eps ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # residual sweep
 
 
 def _residual_eps_task(args):
-    (config, params, spectra, eps_nominal) = args
-    N, eps = _ring_size(config.period, eps_nominal)
-    cutoff = residual_cutoff(config, eps, N)
+    (config, params, spectra, entry) = args
+    eps = entry["epsilon"]
     grid = PeriodicGrid(config.period, config.bo_modes)
     K = config.checkpoints
     rows = []
@@ -331,7 +314,7 @@ def _residual_eps_task(args):
         tau = i * config.tau0 / K
         t = tau / eps ** params.alpha
         accel, fpart = residual_fields(SpectralField.from_spectrum(grid, c),
-                                       eps, params, cutoff,
+                                       eps, params, entry["cutoff"],
                                        config.dealias_fraction)
         l2 = float(np.linalg.norm(accel + fpart))
         if not math.isfinite(l2):
@@ -345,17 +328,20 @@ def run_residual_sweep(config: ValidationConfig):
     """Sup-over-time residual norms across the epsilon sweep, plus the fit.
 
     Returns (rows, report): rows are (alpha, epsilon, t, l2) per checkpoint,
-    the report fits sup_t l2 against epsilon with target exponent beta.
+    the report fits sup_t l2 against epsilon with target exponent beta.  A
+    bad ring at any epsilon raises ConfigError before any work.
     """
+    plan = describe_plan(config, "residual")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, default_residual_amplitude(config.alpha))
     spectra = _bo_checkpoint_spectra(config, params, u0)
-    tasks = [(config, params, spectra, e) for e in config.epsilons]
+    tasks = [(config, params, spectra, entry) for entry in plan]
     results = _map_tasks(_residual_eps_task, tasks, config.jobs)
     rows = [row for res in results for row in res[0]]
     report = _scaling_report([res[1] for res in results], params.beta)
     if config.output:
-        write_residual_outputs(config.output, config, params, rows, report)
+        write_residual_outputs(config.output, config, params, rows, report,
+                               plan)
     return rows, report
 
 
@@ -363,9 +349,9 @@ def run_residual_sweep(config: ValidationConfig):
 # lattice-versus-surrogate validation
 
 
-def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
-                       state, sign):
-    """March one time direction; returns (rows, energy_samples, health).
+def _validation_branch(config, params, spectra, entry, lat_cfg, state, sign):
+    """March one time direction of a plan entry on the chain lat_cfg;
+    returns (rows, energy_samples, health).
 
     sign=+1 compares against the forward surrogate checkpoints, sign=-1
     against the backward ones with the momentum-reflected twin state.
@@ -376,11 +362,13 @@ def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
     moments at every checkpoint).  A drift past ENERGY_DRIFT_TOL raises
     BlowUpError.
     """
-    alpha = params.alpha
+    alpha, eps = params.alpha, entry["epsilon"]
+    nsteps = entry["steps_per_checkpoint"]
+    seg = entry["horizon"] / entry["checkpoints"]
     rows = []
     energy_samples = []
     E0 = energy(state, lat_cfg)
-    states = run_steps(state, lat_cfg, nsteps * config.checkpoints, nsteps)
+    states = run_steps(state, lat_cfg, nsteps * entry["checkpoints"], nsteps)
     margin = min(1.0 - float(np.max(np.abs(s.r))) for s in [state, *states])
     for i, state in enumerate(states, 1):
         t = i * seg
@@ -412,42 +400,24 @@ def _validation_branch(config, params, spectra, eps, lat_cfg, nsteps, seg,
     return rows, energy_samples, health
 
 
-def _validation_plan(config, eps_nominal):
-    """Ring and clock of one validation run, shared by the run and
-    describe_plan.  Returns (lattice config, exact epsilon, steps per
-    checkpoint, checkpoint spacing in t).
-
-    The interaction range is the ring cap N/2 - 1.  A shorter range leaves
-    the truncated chain slower than c, and over the horizon
-    T = tau0/eps^alpha that speed deficit drifts the chain off the surrogate
-    by an amount of fixed relative size, independent of eps.  A dt past
-    the split step's stability limit raises ValueError.
-    """
-    N, eps = _ring_size(config.period, eps_nominal)
-    seg = config.tau0 / eps ** config.alpha / config.checkpoints
-    nsteps = int(math.ceil(seg / config.lattice_dt))
-    lat_cfg = LatticeConfig(N=N, alpha=config.alpha, cutoff=N // 2 - 1,
-                            dt=seg / nsteps)
-    _linear_flow(lat_cfg)   # refuses a step past the stability limit
-    return lat_cfg, eps, nsteps, seg
-
-
 def _validation_eps_task(args):
-    (config, params, spectra_fwd, spectra_bwd, eps_nominal, plan) = args
-    lat_cfg, eps, nsteps, seg = _validation_plan(config, eps_nominal)
+    (config, params, spectra_fwd, spectra_bwd, entry) = args
+    eps = entry["epsilon"]
+    lat_cfg = LatticeConfig(N=entry["N"], alpha=params.alpha,
+                            cutoff=entry["cutoff"], dt=entry["dt"])
     r0, p0 = ansatz_fields(spectra_fwd[0], config.period, lat_cfg.N, params,
                            dealias_fraction=config.dealias_fraction)
     # the initial state is the ansatz itself, so both errors start at 0
     rows = [(params.alpha, eps, 0.0, 0.0, 0.0)]
     samples = []
-    health = {**plan, "branches": []}
+    health = {**entry, "branches": []}
     branches = [(spectra_fwd, r0, p0, +1)]
     if config.bidirectional:
         branches.append((spectra_bwd, r0.copy(), -p0, -1))
     try:
         for spectra, r, p, sign in branches:
             branch_rows, branch_samples, branch_health = _validation_branch(
-                config, params, spectra, eps, lat_cfg, nsteps, seg,
+                config, params, spectra, entry, lat_cfg,
                 LatticeState(r=r, p=p, t=0.0), sign)
             rows += branch_rows
             samples += branch_samples
@@ -472,14 +442,14 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
     raises, naming alpha, epsilon and t; nothing is fitted or written then.
     An unstable chain step at any epsilon raises ValueError before any work.
     """
-    plans = describe_plan(config, "validation")
+    plan = describe_plan(config, "validation")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, DEFAULT_VALIDATION_AMPLITUDE)
     spectra_fwd = _bo_checkpoint_spectra(config, params, u0)
     spectra_bwd = (_bo_checkpoint_spectra(config, params, u0, -1.0)
                    if config.bidirectional else None)
-    tasks = [(config, params, spectra_fwd, spectra_bwd, e, plan)
-             for e, plan in zip(config.epsilons, plans)]
+    tasks = [(config, params, spectra_fwd, spectra_bwd, entry)
+             for entry in plan]
     results = _map_tasks(_validation_eps_task, tasks, config.jobs)
     result = ValidationResult(
         rows=[row for res in results for row in res[0]],
@@ -529,7 +499,8 @@ def _map_tasks(fn, tasks, jobs):
 
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
     """Resolved per-epsilon plan (ring size, cutoff, steps; for validation
-    also the chain's near range and far order) without running."""
+    also the chain's near range and far order) without running.  Each
+    sweep runs every epsilon from its entry."""
     return [_plan_entry(config, e, pipeline) for e in config.epsilons]
 
 
@@ -537,20 +508,42 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
     N, eps = _ring_size(config.period, eps_nominal)
     entry = {"epsilon": eps, "N": N, "checkpoints": config.checkpoints}
     if pipeline == "residual":
-        entry["cutoff"] = residual_cutoff(config, eps, N)
-    else:
-        lat_cfg, _, nsteps, _ = _validation_plan(config, eps_nominal)
-        M0 = near_range(lat_cfg)
-        entry.update({
-            "cutoff": lat_cfg.cutoff,
-            "near_range": M0,
-            "far_order": FAR_ORDER if M0 < lat_cfg.cutoff else 0,
-            "horizon": config.tau0 / eps ** config.alpha,
-            "dt": lat_cfg.dt,
-            "steps_per_checkpoint": nsteps,
-            "total_steps": nsteps * config.checkpoints
-            * (2 if config.bidirectional else 1),
-        })
+        if N < config.bo_modes:
+            raise ConfigError(
+                f"ring of {N} sites cannot resolve a {config.bo_modes}-mode "
+                "profile; lower bo_modes or epsilon")
+        # ceil(coef/eps^2), capped at the ring cap N/2 - 1.  The range is
+        # not converged: at the default profile and coef 3, the ring cap
+        # instead moves the sup-over-time l2 residual by +0.75%, +0.62% and
+        # +1.95% at eps 0.2 (M 75 against 255) and by +0.05%, +0.04% and
+        # +0.07% at eps 0.0707 (M 600 against 723), for alpha 1.8, 2.0 and
+        # 2.5, which would raise the slope between those two epsilons by
+        # about 0.007, 0.006 and 0.018.  The ring cap itself still leaves
+        # out every image of the periodic lattice.
+        entry["cutoff"] = min(N // 2 - 1, int(math.ceil(
+            config.residual_cutoff_coef / eps ** 2)))
+        return entry
+    # The chain runs at the ring cap N/2 - 1.  A shorter range leaves the
+    # truncated chain slower than c, and over the horizon T = tau0/eps^alpha
+    # that speed deficit drifts the chain off the surrogate by an amount of
+    # fixed relative size, independent of eps.
+    horizon = config.tau0 / eps ** config.alpha
+    seg = horizon / config.checkpoints
+    nsteps = int(math.ceil(seg / config.lattice_dt))
+    lat_cfg = LatticeConfig(N=N, alpha=config.alpha, cutoff=N // 2 - 1,
+                            dt=seg / nsteps)
+    _linear_flow(lat_cfg)   # refuses a step past the stability limit
+    M0 = near_range(lat_cfg)
+    entry.update({
+        "cutoff": lat_cfg.cutoff,
+        "near_range": M0,
+        "far_order": FAR_ORDER if M0 < lat_cfg.cutoff else 0,
+        "horizon": horizon,
+        "dt": lat_cfg.dt,
+        "steps_per_checkpoint": nsteps,
+        "total_steps": nsteps * config.checkpoints
+        * (2 if config.bidirectional else 1),
+    })
     return entry
 
 
@@ -600,10 +593,11 @@ def _write_sweep(outdir, config, params, stem, header, rows, report,
     return paths
 
 
-def write_residual_outputs(outdir, config, params, rows, report):
+def write_residual_outputs(outdir, config, params, rows, report, plan):
     return _write_sweep(outdir, config, params, "residual_sweep",
                         RESIDUAL_CSV_HEADER, rows,
-                        {"pipeline": "residual", "residual": asdict(report)})
+                        {"pipeline": "residual", "residual": asdict(report),
+                         "plan": plan})
 
 
 def write_validation_outputs(outdir, config, params, result: ValidationResult):

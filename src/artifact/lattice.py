@@ -313,13 +313,23 @@ def _step_force(r, config, near_cfg, K):
     return force(r, near_cfg) + far
 
 
+def check_steps(config: LatticeConfig, nsteps: int, every: int | None = None):
+    """run_steps' refusals (nsteps < 0, every < 1, a dt past the step limit)
+    by ValueError, before any step; returns _linear_flow(config)."""
+    if nsteps < 0:
+        raise ValueError(f"nsteps must be at least 0, got {nsteps}")
+    if every is not None and every < 1:
+        raise ValueError(f"every must be at least 1, got {every}")
+    return _linear_flow(config)
+
+
 def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
               every: int | None = None) -> list:
     """nsteps symmetric split steps: a half kick by the remainder
     R(r) = force(r) - L r, the exact linear flow over dt mode by mode, and
     a second half kick.  Returns the states after every `every` steps and
     after the last one, in order; with every = None, the last state alone
-    (no state for nsteps = 0).
+    (no state for nsteps = 0).  Refuses what check_steps refuses.
 
     (r, p) stay rfft spectra within a call, so a step costs one force, one
     irfft and one rfft, and the trailing remainder doubles as the next
@@ -327,10 +337,8 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     The force's ranges past near_range(config) are summed by _far_field
     where its bound allows, with weights built once per call.
     """
-    if every is not None and every < 1:
-        raise ValueError(f"every must be at least 1, got {every}")
     N, dt = config.N, config.dt
-    L, cos, r_from_p, p_from_r = _linear_flow(config)
+    L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
     near_cfg = replace(config, cutoff=near_range(config))
     K = _far_weights(config)
     r = state.r.copy()

@@ -153,10 +153,6 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     return math.sqrt(f.grid.period * float(total))
 
 
-def l2_norm(f: SpectralField) -> float:
-    return sobolev_norm(f, 0.0)
-
-
 def write_field_csv(f: SpectralField, path):
     """Serialize as rows X,value."""
     with open(path, "w", newline="") as fh:

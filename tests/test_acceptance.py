@@ -16,7 +16,7 @@ from artifact.bo_solver import BOConfig, BOState, gaussian_profile, run_to
 from artifact.harness import ValidationConfig, ansatz_fields, run_residual_sweep, run_validation
 from artifact.lattice import LatticeConfig, LatticeState, energy, force, p2_functional, run_steps
 from artifact.specfun import eta_integral, eta_riemann, find_alpha_star, make_alpha_params, zeta, zeta_gap
-from artifact.spectral import PeriodicGrid, SpectralField, l2_norm
+from artifact.spectral import PeriodicGrid, SpectralField, sobolev_norm
 from conftest import record
 
 
@@ -273,7 +273,8 @@ def test_gate6_surrogate_solver():
     out, _ = run_to(BOState(u=pulse, tau=0.0), 0.5,
                     BOConfig(params=params2, dtau=1e-3))
     mean_dev = abs(float(out.u.spectrum[0].real))
-    l2_dev = abs(l2_norm(out.u) - l2_norm(pulse)) / l2_norm(pulse)
+    l2_dev = (abs(sobolev_norm(out.u, 0.0) - sobolev_norm(pulse, 0.0))
+              / sobolev_norm(pulse, 0.0))
     elapsed = time.perf_counter() - t0
     status = ("PASS" if worst_phase <= 1e-6 and 12.0 <= ratio <= 20.0
               and mean_dev <= 1e-12 and l2_dev <= 1e-10 else "FAIL")

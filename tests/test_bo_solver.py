@@ -8,7 +8,7 @@ from artifact.bo_solver import (BOConfig, BOState, BlowUpError,
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, dealias_mask,
-                               l2_norm, wavenumbers)
+                               sobolev_norm, wavenumbers)
 
 PARAMS = make_alpha_params(2.0)
 
@@ -74,7 +74,7 @@ def test_gaussian_profile_shape():
     assert abs(grid.nodes[peak] - 25.6) < 0.3
     # width parameter moves mass: wider bump has larger l2 for same height
     wide = gaussian_profile(grid, 0.7, 10.0)
-    assert l2_norm(wide) > l2_norm(u)
+    assert sobolev_norm(wide, 0.0) > sobolev_norm(u, 0.0)
 
 
 def test_rhs_linear_symbol_on_small_amplitude():
@@ -114,7 +114,7 @@ def test_step_advances_and_conserves():
     assert len(trace) == 2
     assert out.tau == pytest.approx(1e-3)
     assert abs(out.u.mean()) < 1e-14
-    assert abs(l2_norm(out.u) - l2_norm(state.u)) < 1e-12
+    assert abs(sobolev_norm(out.u, 0.0) - sobolev_norm(state.u, 0.0)) < 1e-12
 
 
 def test_run_to_conservation_and_trace():
@@ -232,7 +232,7 @@ def test_other_exponents_run(alpha):
     cfg = BOConfig(params=params, dtau=1e-3)
     out, _ = run_to(state, 0.05, cfg)
     assert np.all(np.isfinite(out.u.values))
-    assert abs(l2_norm(out.u) - l2_norm(state.u)) < 1e-11
+    assert abs(sobolev_norm(out.u, 0.0) - sobolev_norm(state.u, 0.0)) < 1e-11
 
 
 @pytest.mark.parametrize("n", [64, 512, 4096])

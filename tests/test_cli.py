@@ -409,26 +409,45 @@ def test_unstable_lattice_dt_exits_before_any_work(dry_run, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_simulate_lattice_refuses_an_unstable_dt(tmp_path, capsys):
+_SMALL_CHAIN = ["simulate-lattice", "--alpha", "2.0", "--epsilon", "0.4",
+                "--period", "12.8", "--cutoff", "15"]
+
+
+def _refused_simulate_lattice(argv, dry_run, tmp_path, capsys):
+    # the dry run refuses what the run refuses: exit 1, nothing printed or
+    # written
     out = tmp_path / "lat"
-    rc = main(["simulate-lattice", "--alpha", "2.0", "--epsilon", "0.4",
-               "--period", "12.8", "--steps", "4", "--dt", "1.0",
-               "--cutoff", "15", "--out", str(out)])
+    rc = main(_SMALL_CHAIN + argv + ["--out", str(out)]
+              + ["--dry-run"] * dry_run)
     assert rc == 1
-    assert "stability limit" in capsys.readouterr().err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    return captured.err
 
 
-def test_simulate_lattice_refuses_a_negative_trace_every(tmp_path, capsys):
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_simulate_lattice_refuses_an_unstable_dt(dry_run, tmp_path, capsys):
+    err = _refused_simulate_lattice(["--steps", "4", "--dt", "1.0"], dry_run,
+                                    tmp_path, capsys)
+    assert "stability limit" in err
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_simulate_lattice_refuses_a_negative_trace_every(dry_run, tmp_path,
+                                                         capsys):
     # a negative interval once stepped the chain backwards in a loop that
     # never ended; run_steps refuses it
-    out = tmp_path / "lat"
-    rc = main(["simulate-lattice", "--alpha", "2.0", "--epsilon", "0.4",
-               "--period", "12.8", "--steps", "4", "--trace-every", "-1",
-               "--cutoff", "15", "--out", str(out)])
-    assert rc == 1
-    assert "every must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
+    err = _refused_simulate_lattice(["--steps", "4", "--trace-every", "-1"],
+                                    dry_run, tmp_path, capsys)
+    assert "every must be at least 1" in err
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_simulate_lattice_refuses_negative_steps(dry_run, tmp_path, capsys):
+    # --steps -3 once wrote a one-state trajectory with "steps": -3
+    err = _refused_simulate_lattice(["--steps", "-3"], dry_run, tmp_path,
+                                    capsys)
+    assert "nsteps must be at least 0" in err
 
 
 # ---------------------------------------------------------------------------

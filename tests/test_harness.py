@@ -13,7 +13,7 @@ from artifact.harness import (ConfigError, ScalingReport, ValidationConfig,
                               _ring_size, _scaling_report, ansatz_fields,
                               describe_plan,
                               default_residual_amplitude, error_energy_trace,
-                              fit_slope, residual_cutoff, residual_fields,
+                              fit_slope, residual_fields,
                               run_residual_sweep, run_validation)
 from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
                               _window_sums, energy, run_steps)
@@ -55,6 +55,12 @@ def test_config_validation():
         ValidationConfig(jobs=0)
     with pytest.raises(ConfigError):
         ValidationConfig(dealias_fraction=0.7)  # would alias by design
+    # each of these once passed the dry run and died in the run, two of
+    # them with a ZeroDivisionError
+    for field in ("bo_steps_per_checkpoint", "width_fraction",
+                  "residual_cutoff_coef"):
+        with pytest.raises(ConfigError, match=field):
+            ValidationConfig(**{field: 0})
     with pytest.raises(ValueError):
         ValidationConfig(bo_modes=500)  # no surrogate grid of that size
     # at or below alpha* ~ 1.479 the window form is not coercive (gate 4)
@@ -147,9 +153,15 @@ def test_cutoff_policies():
     plan = describe_plan(cfg, "validation")
     assert [entry["N"] for entry in plan] == [256, 512, 1024]
     assert [entry["cutoff"] for entry in plan] == [127, 255, 511]
-    # the residual range is ceil(coef/eps^2), capped at the ring
-    assert residual_cutoff(ValidationConfig(alpha=2.0), 0.2, 512) == 75
-    assert residual_cutoff(ValidationConfig(alpha=2.0), 0.05, 256) == 127
+    # the residual range is ceil(coef/eps^2), capped at the ring cap
+    plan = describe_plan(ValidationConfig(alpha=2.0), "residual")
+    assert [entry["cutoff"] for entry in plan] == [75, 150, 300, 600]
+    plan = describe_plan(ValidationConfig(alpha=2.0, period=12.8,
+                                          bo_modes=64,
+                                          epsilons=(0.2, 0.1, 0.05)),
+                         "residual")
+    assert [entry["N"] for entry in plan] == [64, 128, 256]
+    assert [entry["cutoff"] for entry in plan] == [31, 63, 127]
 
 
 def test_clock_consistency_across_checkpoints():
@@ -258,11 +270,13 @@ def test_residual_cancellation_between_parts():
 def test_residual_eval_decreases_with_epsilon():
     grid = PeriodicGrid(102.4, 512)
     u0 = gaussian_profile(grid, 0.7)
-    cfg = ValidationConfig(alpha=2.0)
+    plan = describe_plan(ValidationConfig(alpha=2.0,
+                                          epsilons=(0.2, 0.1414, 0.1)),
+                         "residual")
     norms = []
-    for eps, N in ((0.2, 512), (0.1, 1024)):
-        accel, fpart = residual_fields(u0, eps, PARAMS2,
-                                       residual_cutoff(cfg, eps, N))
+    for entry in (plan[0], plan[2]):
+        accel, fpart = residual_fields(u0, entry["epsilon"], PARAMS2,
+                                       entry["cutoff"])
         norms.append(np.linalg.norm(accel + fpart))
     local_slope = math.log(norms[0] / norms[1]) / math.log(2.0)
     assert 2.8 < local_slope < 4.2  # near beta = 3.5 already at two points
@@ -382,6 +396,8 @@ def test_run_residual_sweep_smoke(tmp_path):
     assert payload["residual"]["slope"] == report.slope
     assert payload["residual"]["slope_stderr"] == report.slope_stderr
     assert payload["residual"]["local_slopes"] == list(report.local_slopes)
+    # the plan it ran, as the dry run gives it
+    assert payload["plan"] == describe_plan(cfg, "residual")
 
 
 def test_run_residual_sweep_deterministic(tmp_path):
@@ -447,11 +463,13 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
     params = make_alpha_params(cfg.alpha)
     u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
                           cfg.amplitude, cfg.width_fraction)
-    for eps_nominal, entry in zip(cfg.epsilons, chain):
+    for entry in chain:
         assert [b["direction"] for b in entry["branches"]] == ["forward",
                                                               "backward"]
         # the forward branch again, from the ansatz at t = 0
-        lat_cfg, _, nsteps, _ = harness._validation_plan(cfg, eps_nominal)
+        lat_cfg = LatticeConfig(N=entry["N"], alpha=cfg.alpha,
+                                cutoff=entry["cutoff"], dt=entry["dt"])
+        nsteps = entry["steps_per_checkpoint"]
         r0, p0 = ansatz_fields(u0.spectrum, cfg.period, entry["N"], params)
         state = LatticeState(r=r0, p=p0)
         forward = entry["branches"][0]
@@ -473,6 +491,55 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
             assert b["far_bound"] == lattice.far_bound(
                 1.0 - b["min_collision_margin"], cfg.alpha)
             assert b["far_bound_ok"] == (b["far_bound"] <= lattice.FAR_TOL)
+
+
+def test_each_epsilon_runs_its_plan_entry(monkeypatch):
+    # both sweeps run every epsilon on the ring, range, step and step count
+    # of its describe_plan entry
+    cfg = _smoke_config(bidirectional=True)
+    ran = []
+    real_steps, real_fields = harness.run_steps, harness.residual_fields
+
+    def recorded_steps(state, lat_cfg, nsteps, every=None):
+        ran.append((lat_cfg.N, lat_cfg.cutoff, lat_cfg.dt, nsteps, every))
+        return real_steps(state, lat_cfg, nsteps, every)
+
+    def recorded_fields(u_tau, eps, params, cutoff, *args):
+        ran.append((round(u_tau.grid.period / eps), eps, cutoff))
+        return real_fields(u_tau, eps, params, cutoff, *args)
+
+    monkeypatch.setattr(harness, "run_steps", recorded_steps)
+    monkeypatch.setattr(harness, "residual_fields", recorded_fields)
+    run_validation(cfg)
+    plan = describe_plan(cfg, "validation")
+    # one call per branch, forward then backward
+    assert ran == [(e["N"], e["cutoff"], e["dt"], e["total_steps"] // 2,
+                    e["steps_per_checkpoint"]) for e in plan for _ in "fb"]
+    assert all(e["total_steps"] == 2 * e["checkpoints"]
+               * e["steps_per_checkpoint"] for e in plan)
+    ran.clear()
+    run_residual_sweep(cfg)
+    assert ran == [(e["N"], e["epsilon"], e["cutoff"])
+                   for e in describe_plan(cfg, "residual")
+                   for _ in range(cfg.checkpoints + 1)]
+
+
+@pytest.mark.parametrize("sweep,overrides,match", [
+    (run_residual_sweep, dict(period=4.0), "ring of only 10 sites"),
+    (run_validation, dict(period=4.0), "ring of only 10 sites"),
+    # the residual samples the profile on the ring; the chain's ansatz
+    # also reads a profile finer than the ring
+    (run_residual_sweep, dict(bo_modes=512), "cannot resolve a 512-mode"),
+], ids=["residual-short-ring", "validation-short-ring",
+        "residual-coarse-ring"])
+def test_a_bad_ring_fails_before_the_surrogate_solve(sweep, overrides, match,
+                                                     monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the surrogate solve started")
+
+    monkeypatch.setattr(harness, "run_to", refuse)
+    with pytest.raises(ConfigError, match=match):
+        sweep(_smoke_config(**overrides))
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.0])

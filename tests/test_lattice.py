@@ -595,8 +595,10 @@ def test_run_steps_returns_its_checkpoints(monkeypatch):
     assert partial[-1].t == pytest.approx((K * n + 2) * cfg.dt)
     assert np.array_equal(partial[K - 1].r, snaps[-1].r)
     assert run_steps(state, cfg, 0) == run_steps(state, cfg, 0, n) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every must be at least 1"):
         run_steps(state, cfg, n, 0)
+    with pytest.raises(ValueError, match="nsteps must be at least 0"):
+        run_steps(state, cfg, -3)
 
 
 def test_energy_conservation_short_run():
