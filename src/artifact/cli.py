@@ -247,7 +247,8 @@ def cmd_simulate_lattice(args) -> int:
     if cutoff is None:
         cutoff = min(N // 2 - 1, int(math.ceil(8.0 / eps)))
     cfg = LatticeConfig(N=N, alpha=args.alpha, cutoff=cutoff, dt=args.dt)
-    every = args.trace_every or max(1, args.steps // 10)
+    every = (max(1, args.steps // 10) if args.trace_every is None
+             else args.trace_every)
     if args.dry_run:
         check_steps(cfg, args.steps, every)
         _emit({"command": "simulate-lattice", "sites": N, "cutoff": cutoff,

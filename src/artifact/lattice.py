@@ -10,9 +10,10 @@ well conditioned.
 run_steps integrates the chain by a symmetric split: the linearisation of
 force at r = 0, a circulant operator, is flowed exactly mode by mode, and
 the nonlinear remainder, O(r^2), enters as half kicks on either side
-(Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. XIII).  Its
-time-step error comes from the remainder alone, so the step is not limited
-by the fastest linear mode.
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. XIII).  The
+remainder sets the step's accuracy and the fastest linear mode its
+stability: _linear_flow refuses a dt at or past step_limit, 0.9 pi over
+the top linear frequency.
 
 Inside run_steps the force's ranges past NEAR_RANGE are summed by moments
 (_far_field) rather than pair by pair: each far pair slope is a power series
@@ -184,6 +185,22 @@ def _add_slope_differences(f, W, ms):
         f[:m] -= w[-m:]
 
 
+def _omega2(config: LatticeConfig) -> np.ndarray:
+    """omega^2(k) of the linear chain at the rfft bins k = 2 pi n/N,
+    n = 1..N/2: 2 alpha (alpha+1) sum_{m<=M} m^-(alpha+2) (1 - cos km) at
+    the cutoff M of force, from one rfft of m^-(alpha+2)."""
+    N, M, alpha = config.N, config.cutoff, config.alpha
+    w = np.zeros(N)
+    w[1:M + 1] = np.arange(1, M + 1, dtype=float) ** -(alpha + 2.0)
+    return 2.0 * alpha * (alpha + 1.0) * (np.sum(w) - np.fft.rfft(w)[1:].real)
+
+
+def step_limit(config: LatticeConfig) -> float:
+    """STEP_LIMIT / omega_max, the least dt _linear_flow refuses on this
+    ring and cutoff (config.dt is not read)."""
+    return STEP_LIMIT / math.sqrt(float(_omega2(config).max()))
+
+
 def _linear_flow(config: LatticeConfig):
     """Per rfft bin k = 2 pi n/N of the ring: the linearisation L of force,
     and the exact flow over dt of the linear chain, as (L, cos, r_from_p,
@@ -191,17 +208,12 @@ def _linear_flow(config: LatticeConfig):
     cos p^.
 
     The linear chain reads dr^/dt = (e^{ik} - 1) p^ and
-    dp^/dt = L r^ = -omega^2(k)/(e^{ik} - 1) r^, with
-    omega^2(k) = 2 alpha (alpha+1) sum_{m<=M} m^-(alpha+2) (1 - cos km) at
-    the cutoff M of force, from one rfft of m^-(alpha+2).  Bin k = 0 has
-    omega = 0 and is left unchanged.  Raises ValueError when
+    dp^/dt = L r^ = -omega^2(k)/(e^{ik} - 1) r^, with omega^2 of _omega2.
+    Bin k = 0 has omega = 0 and is left unchanged.  Raises ValueError when
     dt * max omega reaches STEP_LIMIT.
     """
-    N, M, alpha = config.N, config.cutoff, config.alpha
-    w = np.zeros(N)
-    w[1:M + 1] = np.arange(1, M + 1, dtype=float) ** -(alpha + 2.0)
-    omega2 = 2.0 * alpha * (alpha + 1.0) * (np.sum(w)
-                                            - np.fft.rfft(w)[1:].real)
+    N = config.N
+    omega2 = _omega2(config)
     k = 2.0 * np.pi * np.arange(1, N // 2 + 1) / N
     shift = -2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)    # e^{ik} - 1
     omega = np.sqrt(omega2)

@@ -432,12 +432,13 @@ def test_simulate_lattice_refuses_an_unstable_dt(dry_run, tmp_path, capsys):
     assert "stability limit" in err
 
 
+@pytest.mark.parametrize("every", ["0", "-1"])
 @pytest.mark.parametrize("dry_run", [False, True])
-def test_simulate_lattice_refuses_a_negative_trace_every(dry_run, tmp_path,
-                                                         capsys):
+def test_simulate_lattice_refuses_a_negative_trace_every(dry_run, every,
+                                                         tmp_path, capsys):
     # a negative interval once stepped the chain backwards in a loop that
-    # never ended; run_steps refuses it
-    err = _refused_simulate_lattice(["--steps", "4", "--trace-every", "-1"],
+    # never ended, and 0 was taken as unset; run_steps refuses both
+    err = _refused_simulate_lattice(["--steps", "4", "--trace-every", every],
                                     dry_run, tmp_path, capsys)
     assert "every must be at least 1" in err
 

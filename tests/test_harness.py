@@ -138,13 +138,62 @@ def test_describe_plan_default_ring_sizes():
     assert cuts[0] == min(255, math.ceil(3.0 / eps[0] ** 2))
     assert all(c <= n // 2 - 1 for c, n in zip(cuts, sizes))
     vplan = describe_plan(cfg, "validation")
-    assert all(entry["steps_per_checkpoint"] >= 1 for entry in vplan)
-    assert all(entry["dt"] <= cfg.lattice_dt + 1e-15 for entry in vplan)
+    # the step grows below STEP_GROWTH_EPS (see test_chain_step_law), where
+    # dt <= lattice_dt took 80, 140, 260 and 500 steps
+    assert [entry["total_steps"] for entry in vplan] == [80, 120, 180, 240]
+    assert all(entry["dt"] <= _nominal_step(cfg, entry) * (1.0 + 1e-15)
+               for entry in vplan)
+    # on the infinite lattice at alpha 2, omega_max^2 = pi^4/4, so the
+    # limit 0.9 pi / omega_max is 1.8/pi; the ring cap lowers omega_max
+    assert all(1.8 / math.pi < entry["step_limit"]
+               < 1.8 / math.pi * (1.0 + 1e-8) for entry in vplan)
     # the chain sums ranges up to the near range directly, the rest by
     # moments through the far order
     assert all(entry["near_range"] == lattice.NEAR_RANGE
                and entry["far_order"] == lattice.FAR_ORDER for entry in vplan)
     assert all("near_range" not in entry for entry in plan)
+
+
+def _nominal_step(cfg, entry):
+    return max(cfg.lattice_dt,
+               min(cfg.lattice_dt * harness.STEP_GROWTH_EPS / entry["epsilon"],
+                   harness.STEP_CAP * entry["step_limit"]))
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+def test_chain_step_law(alpha):
+    # the chain's nominal step is lattice_dt down to eps STEP_GROWTH_EPS,
+    # grows as 1/eps below it up to STEP_CAP of the stability limit, and is
+    # never below lattice_dt; the planned step divides each checkpoint
+    # interval exactly
+    eps = (0.4, 0.2, 0.1414, 0.1, 0.0707, 0.05, 0.0354, 0.025)
+    cfg = ValidationConfig(alpha=alpha, epsilons=eps)
+    plan = describe_plan(cfg, "validation")
+    nominal = [_nominal_step(cfg, e) for e in plan]
+    for e, step in zip(plan, nominal):
+        lat_cfg = LatticeConfig(N=e["N"], alpha=alpha, cutoff=e["cutoff"],
+                                dt=e["dt"])
+        assert e["step_limit"] == lattice.step_limit(lat_cfg)
+        seg = e["horizon"] / e["checkpoints"]
+        assert e["steps_per_checkpoint"] == math.ceil(seg / step)
+        assert e["steps_per_checkpoint"] * e["dt"] == pytest.approx(
+            seg, rel=1e-14)
+        assert e["dt"] <= step * (1.0 + 1e-15)
+        assert e["dt"] <= harness.STEP_CAP * e["step_limit"] or (
+            step == cfg.lattice_dt)
+    # flat down to STEP_GROWTH_EPS, then 1/eps until the cap takes over
+    assert nominal[:2] == [cfg.lattice_dt] * 2
+    grown = [step * e["epsilon"] for e, step in zip(plan, nominal)
+             if step < harness.STEP_CAP * e["step_limit"]][2:]
+    assert grown and grown == pytest.approx(
+        [cfg.lattice_dt * harness.STEP_GROWTH_EPS] * len(grown), rel=1e-14)
+    assert nominal[-1] == harness.STEP_CAP * plan[-1]["step_limit"]
+    # a lattice_dt above the cap is taken at every epsilon
+    big = ValidationConfig(alpha=alpha, epsilons=eps,
+                           lattice_dt=0.9 * plan[-1]["step_limit"])
+    assert all(math.ceil(e["horizon"] / e["checkpoints"] / big.lattice_dt)
+               == e["steps_per_checkpoint"]
+               for e in describe_plan(big, "validation"))
 
 
 def test_cutoff_policies():
@@ -545,10 +594,10 @@ def test_a_bad_ring_fails_before_the_surrogate_solve(sweep, overrides, match,
 @pytest.mark.parametrize("alpha", [1.8, 2.0])
 def test_lattice_dt_halving_moves_sup_errors_below_one_percent(alpha):
     # the chain's time-step error at the default lattice_dt 0.1: sup mu and
-    # sup nu at dt 0.1 and 0.05 agree within 1% at every epsilon (0.33% at
-    # most when measured, at alpha 2.0 and eps 0.2; Stormer-Verlet at 0.05
-    # against 0.025 moved sup mu by up to 3%)
-    eps = (0.2, 0.1414, 0.1)
+    # sup nu at lattice_dt 0.1 and 0.05 agree within 1% at every epsilon,
+    # eps 0.0707 included, where the step has grown most (Stormer-Verlet
+    # at 0.05 against 0.025 moved sup mu by up to 3%)
+    eps = (0.2, 0.1414, 0.1, 0.0707)
     coarse = run_validation(ValidationConfig(alpha=alpha, epsilons=eps,
                                              lattice_dt=0.1))
     fine = run_validation(ValidationConfig(alpha=alpha, epsilons=eps,

@@ -347,12 +347,15 @@ def test_run_steps_matches_dense_strang_steps():
 @pytest.mark.parametrize("n, cutoff", [(32, 15), (2048, 1023), (2048, 40)])
 def test_unstable_split_step_is_refused(alpha, n, cutoff):
     # the top linear frequency, summed here range by range at every bin:
-    # a dt just below 0.9 pi / omega_max steps, one just above is refused
+    # a dt just below 0.9 pi / omega_max steps, one just above is refused,
+    # and step_limit reports that dt
     k = 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
     m = np.arange(1, cutoff + 1, dtype=float)
     omega2 = 2.0 * alpha * (alpha + 1.0) * np.sum(
         m ** -(alpha + 2.0) * (1.0 - np.cos(np.outer(k, m))), axis=1)
     limit = 0.9 * np.pi / np.sqrt(omega2.max())
+    assert lattice.step_limit(_config(n=n, alpha=alpha, cutoff=cutoff)) \
+        == pytest.approx(limit, rel=1e-12)
     state = _random_state(18, n=n, scale=0.01)
     run_steps(state, _config(n=n, alpha=alpha, cutoff=cutoff,
                              dt=limit * (1 - 1e-9)), 1)
