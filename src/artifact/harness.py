@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,9 +23,8 @@ import numpy as np
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to)
 from .lattice import (FAR_ORDER, FAR_TOL, CollisionError, LatticeConfig,
-                      LatticeState, _linear_flow, energy, error_energy,
-                      error_energy_constants, far_bound, force, near_range,
-                      run_steps, step_limit)
+                      LatticeState, energy, error_energy, error_energy_constants,
+                      far_bound, force, near_range, run_steps, step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, resample_spectrum, sample_spectrum,
@@ -542,16 +541,19 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
     # fixed relative size, independent of eps.
     horizon = config.tau0 / eps ** config.alpha
     seg = horizon / config.checkpoints
-    lat_cfg = LatticeConfig(N=N, alpha=config.alpha, cutoff=N // 2 - 1,
-                            dt=config.lattice_dt)
-    limit = step_limit(lat_cfg)
+    limit = step_limit(N, config.alpha, N // 2 - 1)
     # never below lattice_dt, so a lattice_dt past the limit is refused
     nominal = max(config.lattice_dt,
                   min(config.lattice_dt * STEP_GROWTH_EPS / eps,
                       STEP_CAP * limit))
     nsteps = int(math.ceil(seg / nominal))
-    lat_cfg = replace(lat_cfg, dt=seg / nsteps)
-    _linear_flow(lat_cfg)   # refuses a step past the stability limit
+    dt = seg / nsteps
+    if not dt < limit:
+        raise ConfigError(
+            f"lattice_dt {config.lattice_dt:.6g} plans dt {dt:.6g} on {N} "
+            "sites, past the split step's stability limit 0.9 pi / omega_max "
+            f"= {limit:.6g}")
+    lat_cfg = LatticeConfig(N=N, alpha=config.alpha, cutoff=N // 2 - 1, dt=dt)
     M0 = near_range(lat_cfg)
     entry.update({
         "cutoff": lat_cfg.cutoff,

@@ -185,20 +185,19 @@ def _add_slope_differences(f, W, ms):
         f[:m] -= w[-m:]
 
 
-def _omega2(config: LatticeConfig) -> np.ndarray:
+def _omega2(N: int, alpha: float, M: int) -> np.ndarray:
     """omega^2(k) of the linear chain at the rfft bins k = 2 pi n/N,
     n = 1..N/2: 2 alpha (alpha+1) sum_{m<=M} m^-(alpha+2) (1 - cos km) at
     the cutoff M of force, from one rfft of m^-(alpha+2)."""
-    N, M, alpha = config.N, config.cutoff, config.alpha
     w = np.zeros(N)
     w[1:M + 1] = np.arange(1, M + 1, dtype=float) ** -(alpha + 2.0)
     return 2.0 * alpha * (alpha + 1.0) * (np.sum(w) - np.fft.rfft(w)[1:].real)
 
 
-def step_limit(config: LatticeConfig) -> float:
-    """STEP_LIMIT / omega_max, the least dt _linear_flow refuses on this
-    ring and cutoff (config.dt is not read)."""
-    return STEP_LIMIT / math.sqrt(float(_omega2(config).max()))
+def step_limit(N: int, alpha: float, cutoff: int) -> float:
+    """STEP_LIMIT / omega_max, the least dt _linear_flow refuses on a ring
+    of N sites at this alpha and cutoff."""
+    return STEP_LIMIT / math.sqrt(float(_omega2(N, alpha, cutoff).max()))
 
 
 def _linear_flow(config: LatticeConfig):
@@ -210,17 +209,18 @@ def _linear_flow(config: LatticeConfig):
     The linear chain reads dr^/dt = (e^{ik} - 1) p^ and
     dp^/dt = L r^ = -omega^2(k)/(e^{ik} - 1) r^, with omega^2 of _omega2.
     Bin k = 0 has omega = 0 and is left unchanged.  Raises ValueError when
-    dt * max omega reaches STEP_LIMIT.
+    dt reaches step_limit.
     """
     N = config.N
-    omega2 = _omega2(config)
+    omega2 = _omega2(N, config.alpha, config.cutoff)
     k = 2.0 * np.pi * np.arange(1, N // 2 + 1) / N
     shift = -2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)    # e^{ik} - 1
     omega = np.sqrt(omega2)
-    if not config.dt * omega.max() < STEP_LIMIT:
+    limit = STEP_LIMIT / omega.max()    # step_limit, to the last bit
+    if not config.dt < limit:
         raise ValueError(f"dt {config.dt:.6g} on {N} sites is past the split "
                          "step's stability limit 0.9 pi / omega_max = "
-                         f"{STEP_LIMIT / omega.max():.6g}")
+                         f"{limit:.6g}")
     s = np.sin(omega * config.dt)
     return (np.concatenate(([0.0], -omega2 / shift)),
             np.concatenate(([1.0], np.cos(omega * config.dt))),

@@ -141,8 +141,9 @@ def test_describe_plan_default_ring_sizes():
     # the step grows below STEP_GROWTH_EPS (see test_chain_step_law), where
     # dt <= lattice_dt took 80, 140, 260 and 500 steps
     assert [entry["total_steps"] for entry in vplan] == [80, 120, 180, 240]
-    assert all(entry["dt"] <= _nominal_step(cfg, entry) * (1.0 + 1e-15)
-               for entry in vplan)
+    assert [entry["dt"] for entry in vplan] == pytest.approx(
+        [0.078125, 0.10414441426595, 0.13888888888888889, 0.208288828531901],
+        rel=1e-12)
     # on the infinite lattice at alpha 2, omega_max^2 = pi^4/4, so the
     # limit 0.9 pi / omega_max is 1.8/pi; the ring cap lowers omega_max
     assert all(1.8 / math.pi < entry["step_limit"]
@@ -154,45 +155,44 @@ def test_describe_plan_default_ring_sizes():
     assert all("near_range" not in entry for entry in plan)
 
 
-def _nominal_step(cfg, entry):
-    return max(cfg.lattice_dt,
-               min(cfg.lattice_dt * harness.STEP_GROWTH_EPS / entry["epsilon"],
-                   harness.STEP_CAP * entry["step_limit"]))
+# per-checkpoint steps on eps 0.4 ... 0.025, and how many of the smallest
+# epsilons take the capped step
+_LAW_STEPS = {1.8: ([1, 3, 4, 6, 7, 10, 13, 20], 1),
+              2.0: ([1, 4, 6, 9, 12, 17, 24, 44], 1),
+              2.5: ([2, 7, 16, 27, 45, 75, 140, 333], 2)}
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
 def test_chain_step_law(alpha):
-    # the chain's nominal step is lattice_dt down to eps STEP_GROWTH_EPS,
-    # grows as 1/eps below it up to STEP_CAP of the stability limit, and is
-    # never below lattice_dt; the planned step divides each checkpoint
-    # interval exactly
+    # the chain's nominal step is lattice_dt down to eps 0.15, grows as
+    # lattice_dt * 0.15/eps below it up to 0.8 of the stability limit, and
+    # is never below lattice_dt; each checkpoint interval is cut into the
+    # fewest whole steps no longer than the nominal one
     eps = (0.4, 0.2, 0.1414, 0.1, 0.0707, 0.05, 0.0354, 0.025)
     cfg = ValidationConfig(alpha=alpha, epsilons=eps)
     plan = describe_plan(cfg, "validation")
-    nominal = [_nominal_step(cfg, e) for e in plan]
-    for e, step in zip(plan, nominal):
-        lat_cfg = LatticeConfig(N=e["N"], alpha=alpha, cutoff=e["cutoff"],
-                                dt=e["dt"])
-        assert e["step_limit"] == lattice.step_limit(lat_cfg)
-        seg = e["horizon"] / e["checkpoints"]
-        assert e["steps_per_checkpoint"] == math.ceil(seg / step)
+    steps, capped = _LAW_STEPS[alpha]
+    assert [e["steps_per_checkpoint"] for e in plan] == steps
+
+    def cut_from(e, nominal):
+        n = e["steps_per_checkpoint"]
+        return nominal * (n - 1) / n < e["dt"] <= nominal * (1.0 + 1e-15)
+
+    for e in plan:
+        assert e["step_limit"] == lattice.step_limit(e["N"], alpha, e["cutoff"])
         assert e["steps_per_checkpoint"] * e["dt"] == pytest.approx(
-            seg, rel=1e-14)
-        assert e["dt"] <= step * (1.0 + 1e-15)
-        assert e["dt"] <= harness.STEP_CAP * e["step_limit"] or (
-            step == cfg.lattice_dt)
-    # flat down to STEP_GROWTH_EPS, then 1/eps until the cap takes over
-    assert nominal[:2] == [cfg.lattice_dt] * 2
-    grown = [step * e["epsilon"] for e, step in zip(plan, nominal)
-             if step < harness.STEP_CAP * e["step_limit"]][2:]
-    assert grown and grown == pytest.approx(
-        [cfg.lattice_dt * harness.STEP_GROWTH_EPS] * len(grown), rel=1e-14)
-    assert nominal[-1] == harness.STEP_CAP * plan[-1]["step_limit"]
+            e["horizon"] / e["checkpoints"], rel=1e-14)
+    # flat down to eps 0.15, then 1/eps until the cap takes over
+    assert all(cut_from(e, cfg.lattice_dt) for e in plan[:2])
+    grown = plan[2:len(plan) - capped]
+    assert all(cut_from(e, cfg.lattice_dt * 0.15 / e["epsilon"]) for e in grown)
+    assert all(cut_from(e, 0.8 * e["step_limit"]) for e in plan[-capped:])
+    assert all(cfg.lattice_dt * 0.15 / e["epsilon"] > 0.8 * e["step_limit"]
+               for e in plan[-capped:])
     # a lattice_dt above the cap is taken at every epsilon
     big = ValidationConfig(alpha=alpha, epsilons=eps,
                            lattice_dt=0.9 * plan[-1]["step_limit"])
-    assert all(math.ceil(e["horizon"] / e["checkpoints"] / big.lattice_dt)
-               == e["steps_per_checkpoint"]
+    assert all(cut_from(e, big.lattice_dt)
                for e in describe_plan(big, "validation"))
 
 

@@ -354,7 +354,7 @@ def test_unstable_split_step_is_refused(alpha, n, cutoff):
     omega2 = 2.0 * alpha * (alpha + 1.0) * np.sum(
         m ** -(alpha + 2.0) * (1.0 - np.cos(np.outer(k, m))), axis=1)
     limit = 0.9 * np.pi / np.sqrt(omega2.max())
-    assert lattice.step_limit(_config(n=n, alpha=alpha, cutoff=cutoff)) \
+    assert lattice.step_limit(n, alpha, cutoff) \
         == pytest.approx(limit, rel=1e-12)
     state = _random_state(18, n=n, scale=0.01)
     run_steps(state, _config(n=n, alpha=alpha, cutoff=cutoff,
