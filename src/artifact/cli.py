@@ -156,7 +156,7 @@ def cmd_eta_rates(args) -> int:
         _emit({"command": "eta-rates", "alpha": args.alpha,
                "h_list": list(args.h_list), "tol": args.tol})
         return 0
-    eta = eta_integral(args.alpha, tol=args.tol)
+    eta = eta_integral(args.alpha)
     rows = []
     for h in args.h_list:
         val = eta_riemann(args.alpha, h, tol=args.tol)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
-                        _rhs_spectrum, gaussian_profile, run_to)
+                        _rhs_spectrum, gaussian_profile, run_to, span_plan)
 from .lattice import (FAR_ORDER, FAR_TOL, CollisionError, LatticeConfig,
                       LatticeState, energy, error_energy, error_energy_constants,
                       far_bound, force, near_range, run_steps, step_limit)
@@ -88,7 +88,11 @@ class ValidationConfig:
     amplitude: Optional[float] = None
     width_fraction: float = 20.0
     bo_modes: int = 512
-    bo_steps_per_checkpoint: int = 100
+    # 10 IF-RK4 steps per checkpoint already sit at the rounding floor: at
+    # alpha 1.8, 2 and 2.5 and either sweep's default amplitude, the
+    # checkpoint spectra match a 4x finer run to 1e-13 of their max, where
+    # 100 steps against 400 differ by 1e-12 (5 steps: 1.6e-12, 2: 6e-11).
+    bo_steps_per_checkpoint: int = 10
     dealias_fraction: float = 2.0 / 3.0
     lattice_dt: float = 0.1
     residual_cutoff_coef: float = 3.0
@@ -113,10 +117,13 @@ class ValidationConfig:
         if list(eps) != sorted(eps, reverse=True):
             raise ConfigError("epsilons must be sorted in descending order")
         object.__setattr__(self, "epsilons", eps)
-        for name in ("tau0", "width_fraction", "lattice_dt",
+        for name in ("tau0", "period", "width_fraction", "lattice_dt",
                      "residual_cutoff_coef"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
+        if self.amplitude is not None and not (
+                math.isfinite(self.amplitude) and self.amplitude != 0.0):
+            raise ConfigError("amplitude must be finite and nonzero")
         for name in ("checkpoints", "bo_steps_per_checkpoint", "jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
@@ -153,6 +160,7 @@ class ValidationResult:
     nu_report: ScalingReport
     energy_rows: list
     chain_health: list
+    surrogate: dict
 
 
 def fit_slope(pairs):
@@ -299,17 +307,40 @@ def _initial_profile(config: ValidationConfig,
 
 def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
                            u0: SpectralField, direction: float = 1.0):
-    """Surrogate half spectra at tau_i = direction * i * tau0/K, i = 0..K."""
+    """Surrogate half spectra at tau_i = direction * i * tau0/K, i = 0..K,
+    and the IF-RK4 steps taken to reach them."""
     K = config.checkpoints
-    dtau = (config.tau0 / K) / config.bo_steps_per_checkpoint
-    bo_cfg = BOConfig(params=params, dtau=dtau,
+    bo_cfg = BOConfig(params=params, dtau=_surrogate_dtau(config),
                       dealias_fraction=config.dealias_fraction)
     state = BOState(u=u0, tau=0.0)
     spectra = [u0.spectrum.copy()]
+    steps = 0
     for i in range(1, K + 1):
-        state, _ = run_to(state, direction * i * config.tau0 / K, bo_cfg)
+        target = direction * i * config.tau0 / K
+        steps += sum(n for _, n in span_plan(state.tau, target, bo_cfg))
+        state, _ = run_to(state, target, bo_cfg)
         spectra.append(state.u.spectrum.copy())
-    return spectra
+    return spectra, steps
+
+
+def _surrogate_dtau(config: ValidationConfig) -> float:
+    return (config.tau0 / config.checkpoints) / config.bo_steps_per_checkpoint
+
+
+def _surrogate_record(config: ValidationConfig, steps: int, spectra) -> dict:
+    """report.json's "surrogate" entry: the step dtau, the IF-RK4 steps run
+    and, over the checkpoints, the largest share of L2 energy in the top
+    third of the kept modes, which stays small while the profile is
+    resolved."""
+    kept = np.flatnonzero(dealias_mask(config.bo_modes,
+                                       config.dealias_fraction))
+    top = kept[kept.size - kept.size // 3:]
+    weight = np.full(config.bo_modes // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0  # bin 0 and the Nyquist bin appear once
+    share = max(float(np.sum((weight * np.abs(c) ** 2)[top])
+                      / np.sum(weight * np.abs(c) ** 2)) for c in spectra)
+    return {"dtau": _surrogate_dtau(config), "rk4_steps": steps,
+            "max_top_third_share": share}
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +377,14 @@ def run_residual_sweep(config: ValidationConfig):
     plan = describe_plan(config, "residual")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, default_residual_amplitude(config.alpha))
-    spectra = _bo_checkpoint_spectra(config, params, u0)
+    spectra, steps = _bo_checkpoint_spectra(config, params, u0)
     tasks = [(config, params, spectra, entry) for entry in plan]
     results = _map_tasks(_residual_eps_task, tasks, config.jobs)
     rows = [row for res in results for row in res[0]]
     report = _scaling_report([res[1] for res in results], params.beta)
     if config.output:
         write_residual_outputs(config.output, config, params, rows, report,
-                               plan)
+                               plan, _surrogate_record(config, steps, spectra))
     return rows, report
 
 
@@ -457,9 +488,10 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
     plan = describe_plan(config, "validation")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, DEFAULT_VALIDATION_AMPLITUDE)
-    spectra_fwd = _bo_checkpoint_spectra(config, params, u0)
-    spectra_bwd = (_bo_checkpoint_spectra(config, params, u0, -1.0)
-                   if config.bidirectional else None)
+    spectra_fwd, steps_fwd = _bo_checkpoint_spectra(config, params, u0)
+    spectra_bwd, steps_bwd = (
+        _bo_checkpoint_spectra(config, params, u0, -1.0)
+        if config.bidirectional else ([], 0))
     tasks = [(config, params, spectra_fwd, spectra_bwd, entry)
              for entry in plan]
     results = _map_tasks(_validation_eps_task, tasks, config.jobs)
@@ -469,6 +501,8 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
         nu_report=_scaling_report([res[2] for res in results], params.gamma),
         energy_rows=[row for res in results for row in res[3]],
         chain_health=[res[4] for res in results],
+        surrogate=_surrogate_record(config, steps_fwd + steps_bwd,
+                                    spectra_fwd + spectra_bwd),
     )
     if config.output:
         write_validation_outputs(config.output, config, params, result)
@@ -615,11 +649,12 @@ def _write_sweep(outdir, config, params, stem, header, rows, report,
     return paths
 
 
-def write_residual_outputs(outdir, config, params, rows, report, plan):
+def write_residual_outputs(outdir, config, params, rows, report, plan,
+                           surrogate):
     return _write_sweep(outdir, config, params, "residual_sweep",
                         RESIDUAL_CSV_HEADER, rows,
                         {"pipeline": "residual", "residual": asdict(report),
-                         "plan": plan})
+                         "plan": plan, "surrogate": surrogate})
 
 
 def write_validation_outputs(outdir, config, params, result: ValidationResult):
@@ -628,5 +663,6 @@ def write_validation_outputs(outdir, config, params, result: ValidationResult):
                         {"pipeline": "validation",
                          "mu": asdict(result.mu_report),
                          "nu": asdict(result.nu_report),
-                         "chain": result.chain_health},
+                         "chain": result.chain_health,
+                         "surrogate": result.surrogate},
                         result.energy_rows)

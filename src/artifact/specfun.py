@@ -2,9 +2,10 @@
 
 Everything in this module is a plain function of the interaction exponent
 alpha: zeta-type lattice sums, the dispersion constant eta defined by a
-singular integral, its rectangle-rule approximant, the wave speed, the
-three coefficients of the effective dispersive equation, and the exponent
-tables used by the scaling experiments.
+singular integral (evaluated in closed form), its rectangle-rule
+approximant, the wave speed, the three coefficients of the effective
+dispersive equation, and the exponent tables used by the scaling
+experiments.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 DEFAULT_TOL = 1e-10
 
@@ -44,43 +44,19 @@ def zeta(s: float, tol: float = DEFAULT_TOL) -> float:
     return head + tail
 
 
-def _weight_small(s: float) -> float:
-    # 1 - s^2/12 - sinc(s/2)^2 expanded around 0; leading term -s^4/360
-    s2 = s * s
-    return s2 * s2 * (-1.0 / 360.0 + s2 * (1.0 / 20160.0 - s2 / 1814400.0))
-
-
-def eta_integral(alpha: float, tol: float = DEFAULT_TOL) -> float:
+def eta_integral(alpha: float) -> float:
     """Integral of (1 - sinc(s/2)**2) / s**alpha over (0, inf), alpha in (1, 3).
 
-    Near zero the integrand behaves like s**(2-alpha)/12; that quadratic
-    piece is integrated in closed form on [0, 2] and only the smooth
-    remainder goes to the adaptive routine.  On [2, inf) the power-law
-    parts are exact and the oscillatory remainder 2*cos(s)/s**(alpha+2)
-    is handed to the cosine-weighted infinite-interval rule.
+    In closed form, eta = -pi / (Gamma(alpha + 2) cos(pi alpha / 2)).  Write
+    1 - sinc(s/2)**2 = 1 - 2(1 - cos s)/s**2 and integrate termwise, each
+    term continued analytically in alpha: s**-alpha gives 0, and the Mellin
+    transform of 1 - cos s, -Gamma(-mu) cos(pi mu / 2) on 0 < mu < 2, is
+    continued to mu = alpha + 1.  The reflection formula turns
+    Gamma(-alpha - 1) into the form above.  At alpha = 2 it is pi/6.
     """
     if not 1.0 < alpha < 3.0:
         raise ValueError(f"alpha must lie in (1, 3), got {alpha}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
-    def smooth_part(s):
-        if s == 0.0:
-            return 0.0
-        if s < 0.5:
-            num = _weight_small(s)
-        else:
-            half = s / 2.0
-            num = 1.0 - s * s / 12.0 - (math.sin(half) / half) ** 2
-        return num / s ** alpha
-
-    head = quad(smooth_part, 0.0, 2.0, epsabs=tol / 4, epsrel=1e-13, limit=200)[0]
-    head += 2.0 ** (3 - alpha) / (12.0 * (3.0 - alpha))
-    # on [2, inf): 1/s^a - 2/s^(a+2) + 2 cos(s)/s^(a+2)
-    tail = 2.0 ** (1 - alpha) / (alpha - 1) - 2.0 ** (-alpha) / (alpha + 1)
-    osc = quad(lambda s: s ** (-alpha - 2.0), 2.0, np.inf,
-               weight='cos', wvar=1.0, epsabs=tol / 4, limit=400)[0]
-    return head + tail + 2.0 * osc
+    return -math.pi / (math.gamma(alpha + 2.0) * math.cos(math.pi * alpha / 2.0))
 
 
 def eta_riemann(alpha: float, h: float, tol: float = DEFAULT_TOL) -> float:
@@ -178,7 +154,7 @@ def make_alpha_params(alpha: float, tol: float = DEFAULT_TOL) -> AlphaParams:
         raise ValueError(f"alpha must lie in (1, 3), got {alpha}")
     za = zeta(alpha, tol)
     za1 = zeta(alpha + 1.0, tol)
-    eta = eta_integral(alpha, tol)
+    eta = eta_integral(alpha)
     c = math.sqrt(alpha * (alpha + 1.0) * za)
     gamma = 2.0 * alpha - 2.5 if alpha <= 2.0 else 1.5
     return AlphaParams(

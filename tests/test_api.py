@@ -12,6 +12,9 @@ keep it.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -96,3 +99,16 @@ def test_benchmark_trace_targets_exist():
     for modname, attr, *_ in tracing.TARGETS:
         target = getattr(importlib.import_module(modname), attr, None)
         assert callable(target), f"{modname}.{attr}"
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # eta is in closed form; importing scipy.integrate once took about
+    # 0.3 s of every fresh process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import artifact, sys; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

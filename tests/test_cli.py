@@ -409,6 +409,34 @@ def test_unstable_lattice_dt_exits_before_any_work(dry_run, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("command,flag,value", [
+    ("validate", "--lattice-dt", "inf"),
+    ("validate", "--tau0", "inf"),
+    ("validate", "--period", "inf"),
+    ("residual-sweep", "--residual-cutoff-coef", "inf"),
+    ("validate", "--amplitude", "0"),
+    ("residual-sweep", "--amplitude", "nan"),
+])
+def test_non_finite_sweep_settings_exit_before_any_work(
+        command, flag, value, dry_run, tmp_path, capsys, monkeypatch):
+    # these died with a ZeroDivisionError or OverflowError traceback, or
+    # (amplitude 0) ran every epsilon before failing the fit
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "run_to", refuse)
+    out = tmp_path / "bad"
+    rc = main([command, "--alpha", "2.0", flag, value, "--out", str(out)]
+              + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert flag[2:].replace("-", "_") in captured.err
+    assert not out.exists()
+
+
 _SMALL_CHAIN = ["simulate-lattice", "--alpha", "2.0", "--epsilon", "0.4",
                 "--period", "12.8", "--cutoff", "15"]
 

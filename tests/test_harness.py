@@ -61,12 +61,70 @@ def test_config_validation():
                   "residual_cutoff_coef"):
         with pytest.raises(ConfigError, match=field):
             ValidationConfig(**{field: 0})
+    # inf passed a "> 0" check and died in the planner with a
+    # ZeroDivisionError or an OverflowError
+    for field in ("tau0", "period", "width_fraction", "lattice_dt",
+                  "residual_cutoff_coef"):
+        for value in (math.inf, math.nan, -1.0):
+            with pytest.raises(ConfigError, match=field):
+                ValidationConfig(**{field: value})
+    # a zero amplitude ran every epsilon and then failed the fit
+    for value in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="amplitude"):
+            ValidationConfig(amplitude=value)
+    assert ValidationConfig(amplitude=-0.1).amplitude == -0.1
     with pytest.raises(ValueError):
         ValidationConfig(bo_modes=500)  # no surrogate grid of that size
     # at or below alpha* ~ 1.479 the window form is not coercive (gate 4)
     with pytest.raises(ConfigError, match=r"alpha\* = 1\.4788"):
         ValidationConfig(alpha=1.4)
     assert ValidationConfig(alpha=1.5).alpha == 1.5
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+def test_default_surrogate_step_sits_at_the_rounding_floor(alpha):
+    # at the default 10 steps per checkpoint the checkpoint spectra match a
+    # 4x finer run within 1e-11 of their max, at each sweep's default
+    # amplitude; 2 steps per checkpoint miss that bound at amplitude 0.7
+    params = make_alpha_params(alpha)
+    steps = ValidationConfig().bo_steps_per_checkpoint
+    assert steps == 10
+
+    def deviation(amplitude, n):
+        coarse, fine = (harness._bo_checkpoint_spectra(
+            ValidationConfig(alpha=alpha, amplitude=amplitude,
+                             bo_steps_per_checkpoint=m), params,
+            gaussian_profile(PeriodicGrid(102.4, 512), amplitude))[0]
+            for m in (n, 4 * n))
+        return max(np.max(np.abs(a - b)) / np.max(np.abs(b))
+                   for a, b in zip(coarse, fine))
+
+    for amplitude in {default_residual_amplitude(alpha),
+                      harness.DEFAULT_VALIDATION_AMPLITUDE}:
+        assert deviation(amplitude, steps) < 1e-11
+    if default_residual_amplitude(alpha) == 0.7:
+        assert deviation(0.7, 2) > 1e-11
+
+
+def test_surrogate_record_takes_the_largest_top_third_share():
+    # 64 modes keep bins 0..21 (3j < 64); the top third is bins 15..21.
+    # Bins 1..31 count twice in the L2 energy, bin 0 and the Nyquist once.
+    cfg = _smoke_config(bo_modes=64)
+    low = np.zeros(33, dtype=complex)
+    low[1] = 1.0
+    mixed = low.copy()
+    mixed[0] = 2.0
+    mixed[14] = 1.0   # just below the top third
+    mixed[15] = 0.5j
+    mixed[25] = 2.0   # dropped by the mask, but part of the energy
+    mixed[32] = 3.0
+    record = harness._surrogate_record(cfg, 7, [low, mixed, low])
+    assert record["rk4_steps"] == 7
+    assert record["dtau"] == 0.05 / 2 / 20
+    share = 2 * 0.25 / (4.0 + 2 * (1.0 + 1.0 + 0.25 + 4.0) + 9.0)
+    assert record["max_top_third_share"] == pytest.approx(share, rel=1e-15)
+    assert harness._surrogate_record(cfg, 7, [low])[
+        "max_top_third_share"] == 0.0
 
 
 def test_default_amplitude_policy():
@@ -447,6 +505,10 @@ def test_run_residual_sweep_smoke(tmp_path):
     assert payload["residual"]["local_slopes"] == list(report.local_slopes)
     # the plan it ran, as the dry run gives it
     assert payload["plan"] == describe_plan(cfg, "residual")
+    # the surrogate's step, its steps and its resolution
+    assert payload["surrogate"]["dtau"] == 0.05 / 2 / 20
+    assert payload["surrogate"]["rk4_steps"] == 2 * 20
+    assert 0.0 < payload["surrogate"]["max_top_third_share"] < 1e-12
 
 
 def test_run_residual_sweep_deterministic(tmp_path):
@@ -506,6 +568,9 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         assert len(report.local_slopes) == 2
     chain = payload["chain"]
     assert chain == result.chain_health
+    # both directions of the surrogate were stepped
+    assert payload["surrogate"] == result.surrogate
+    assert result.surrogate["rk4_steps"] == 2 * 2 * 20
     # the frozen plan of each epsilon, as the dry run gives it
     assert [{k: v for k, v in e.items() if k != "branches"}
             for e in chain] == describe_plan(cfg, "validation")

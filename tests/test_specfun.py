@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -72,6 +73,35 @@ def test_eta_integral_against_alternative_split(alpha):
               + 2.0 * tail_cos)
     assert head_err + tail_err < 1e-7
     assert abs(eta_integral(alpha) - oracle) < 1e-7
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8, 2.0, 2.5, 2.9])
+def test_eta_integral_matches_mpmath(alpha):
+    # the defining integral at 30 digits.  On [0, 2] the integrand is a
+    # power series, 1 - sinc(s/2)^2 = 2 sum_{k>=2} (-1)^k s^(2k-2)/(2k)!,
+    # whose leading s^(2-alpha)/12 is integrated in closed form; on
+    # [2, inf) the power-law parts are exact and 2 cos(s)/s^(alpha+2) is
+    # summed period by period
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        terms = [2 * (-1) ** k / mpmath.factorial(2 * k)
+                 for k in range(3, 32)]
+
+        def head(s):
+            return mpmath.fsum(t * s ** (2 * k - 2 - a)
+                               for k, t in enumerate(terms, 3))
+
+        two = mpmath.mpf(2)
+        oracle = (two ** (3 - a) / (12 * (3 - a))
+                  + mpmath.quad(head, [0, 1, 2])
+                  + two ** (1 - a) / (a - 1) - 2 * two ** (-1 - a) / (a + 1)
+                  + mpmath.quadosc(lambda s: 2 * mpmath.cos(s) / s ** (a + 2),
+                                   [2, mpmath.inf], omega=1))
+        assert abs(eta_integral(alpha) / oracle - 1) < 1e-13
+
+
+def test_eta_integral_alpha2_is_pi_over_6_to_the_last_bit():
+    assert eta_integral(2.0) == math.pi / 6.0
 
 
 def test_eta_integral_domain_errors():
