@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 domain or configuration error, 2 numerical blow-up
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -40,7 +39,7 @@ from .lattice import (CollisionError, LatticeConfig, LatticeState,
                       check_steps, energy, run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
                       make_alpha_params)
-from .spectral import PeriodicGrid, write_field_binary, write_field_csv
+from .spectral import PeriodicGrid, write_field_binary
 
 DEFAULT_H_LIST = (0.4, 0.2, 0.1, 0.05, 0.025)
 
@@ -131,9 +130,9 @@ def _write_out(args, command, name, payload) -> None:
 
 def cmd_constants(args) -> int:
     if args.dry_run:
-        _emit({"command": "constants", "alpha": args.alpha, "tol": args.tol})
+        _emit({"command": "constants", "alpha": args.alpha})
         return 0
-    params = make_alpha_params(args.alpha, tol=args.tol)
+    params = make_alpha_params(args.alpha)
     payload = asdict(params)
     _emit(payload)
     _write_out(args, "constants", "constants.json", payload)
@@ -142,12 +141,11 @@ def cmd_constants(args) -> int:
 
 def cmd_alpha_star(args) -> int:
     if args.dry_run:
-        _emit({"command": "alpha-star", "tol": args.tol})
+        _emit({"command": "alpha-star"})
         return 0
-    root = find_alpha_star(tol=args.tol)
+    root = find_alpha_star()
     print(repr(root))
-    _write_out(args, "alpha-star", "alpha_star.json",
-               {"alpha_star": root, "tol": args.tol})
+    _write_out(args, "alpha-star", "alpha_star.json", {"alpha_star": root})
     return 0
 
 
@@ -196,7 +194,8 @@ def cmd_solve_bo(args) -> int:
     write_rows_csv(trace_path, ("tau", "mean", "l2", "h6"), trace)
     field_csv = os.path.join(outdir, "bo_final.csv")
     field_bin = os.path.join(outdir, "bo_final.bin")
-    write_field_csv(state.u, field_csv)
+    write_rows_csv(field_csv, ("X", "value"),
+                   zip(state.u.grid.nodes, state.u.values))
     write_field_binary(state.u, field_bin)
     write_manifest(outdir, "solve-bo", _args_config(args),
                    [trace_path, field_csv, field_bin])
@@ -263,13 +262,9 @@ def cmd_simulate_lattice(args) -> int:
     max_r = max(float(np.max(np.abs(s.r))) for s in states)
     outdir, traj_path = _resolve_out(args.out, "simulate-lattice", "traj.csv")
     os.makedirs(outdir, exist_ok=True)
-    with open(traj_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "j", "r", "p"))
-        for s in states:
-            for j in range(N):
-                writer.writerow((repr(float(s.t)), str(j),
-                                 repr(float(s.r[j])), repr(float(s.p[j]))))
+    write_rows_csv(traj_path, ("t", "j", "r", "p"),
+                   ((s.t, str(j), r, p) for s in states
+                    for j, r, p in zip(range(N), s.r, s.p)))
     write_manifest(outdir, "simulate-lattice", _args_config(args), [traj_path])
     _emit({"sites": N, "cutoff": cutoff, "dt": args.dt, "steps": args.steps,
            "energy_initial": E0, "energy_final": E1,
@@ -370,12 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", parents=[common],
                        help="derived coefficient set for one exponent")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("alpha-star", parents=[common],
                        help="root of the interaction-sum gap")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_alpha_star)
 
     p = sub.add_parser("eta-rates", parents=[common],

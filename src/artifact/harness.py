@@ -124,9 +124,12 @@ class ValidationConfig:
         if self.amplitude is not None and not (
                 math.isfinite(self.amplitude) and self.amplitude != 0.0):
             raise ConfigError("amplitude must be finite and nonzero")
-        for name in ("checkpoints", "bo_steps_per_checkpoint", "jobs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+        for name in ("checkpoints", "bo_modes", "bo_steps_per_checkpoint",
+                     "jobs"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, "
+                                  f"got {val!r}")
         if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
             raise ConfigError("dealias_fraction must lie in (0.5, 2/3]")
         PeriodicGrid(self.period, self.bo_modes)  # refuses a bad bo_modes
@@ -604,6 +607,10 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
 
 
 def _fmt(x) -> str:
+    """A CSV cell: a str as it is, a bool as True/False, any other number
+    as the repr of its float."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     return repr(float(x))

@@ -163,10 +163,18 @@ def _kernel_prime(a, mu, alpha: float):
     return -alpha * mu ** (-b) * np.expm1(-b * np.log1p(x))
 
 
+def _check_ring(r: np.ndarray, config: LatticeConfig):
+    """Refuse gaps r on a ring of another size than config.N, whose ranges
+    would reach past half the ring."""
+    if r.size != config.N:
+        raise ValueError(f"{r.size} gaps given for a ring of N = {config.N} sites")
+
+
 def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     """Acceleration of each site: sum over ranges m of the backward
     m-difference of the pair slopes, truncated at config.cutoff."""
     r = np.asarray(r, dtype=float)
+    _check_ring(r, config)
     f = np.zeros(r.size)
     for ms, G in _window_sums(r, config.cutoff):
         _add_slope_differences(f, _kernel_prime(G, ms, config.alpha), ms)
@@ -341,7 +349,8 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     R(r) = force(r) - L r, the exact linear flow over dt mode by mode, and
     a second half kick.  Returns the states after every `every` steps and
     after the last one, in order; with every = None, the last state alone
-    (no state for nsteps = 0).  Refuses what check_steps refuses.
+    (no state for nsteps = 0).  Refuses what check_steps refuses, and
+    gaps whose count is not config.N.
 
     (r, p) stay rfft spectra within a call, so a step costs one force, one
     irfft and one rfft, and the trailing remainder doubles as the next
@@ -350,6 +359,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     where its bound allows, with weights built once per call.
     """
     N, dt = config.N, config.dt
+    _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
     near_cfg = replace(config, cutoff=near_range(config))
     K = _far_weights(config)
@@ -376,6 +386,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
 
 def energy(state: LatticeState, config: LatticeConfig) -> float:
     """Kinetic plus truncated interaction energy (zero at equilibrium)."""
+    _check_ring(state.r, config)
     pot = sum(float(s) for ms, G in _window_sums(state.r, config.cutoff)
               for s in np.sum(_kernel(G, ms, config.alpha), axis=1))
     return 0.5 * float(np.dot(state.p, state.p)) + pot

@@ -21,26 +21,30 @@ DEFAULT_TOL = 1e-10
 _MAX_TERMS = 5_000_000
 
 
-def zeta(s: float, tol: float = DEFAULT_TOL) -> float:
-    """Sum of m**(-s) over m >= 1, for s > 1, to absolute accuracy tol.
+# zeta's Euler-Maclaurin cutoff M, the exactly summed m < M, and
+# B_2k / (2k)! for k = 1..5
+_ZETA_CUTOFF = 24
+_ZETA_HEAD = np.arange(1.0, _ZETA_CUTOFF)
+_EM_COEFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 
-    Partial sum plus an Euler-Maclaurin tail through the second correction
-    term; the cutoff doubles until the first neglected term is below tol/2,
-    which keeps the cutoff in the tens for any sane tolerance.
+
+def zeta(s: float) -> float:
+    """Sum of m**(-s) over m >= 1, for s > 1.
+
+    The terms m < M = 24 summed exactly, plus the Euler-Maclaurin tail
+    M**(1-s)/(s-1) + M**(-s)/2 + sum_k B_2k/(2k)! s(s+1)...(s+2k-2)
+    M**(-s-2k+1) through B_10.  The first dropped term is below 1e-21 for
+    every s > 1, so the value is good to rounding.
     """
     if s <= 1.0:
         raise ValueError(f"sum diverges for s <= 1 (got s={s})")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    M = 24
-    while s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * M ** (-s - 5) / 30240.0 >= tol / 2 \
-            and M < 2 ** 20:
-        M *= 2
-    m = np.arange(1, M, dtype=float)
-    head = math.fsum(m ** (-s))
-    tail = (M ** (1 - s) / (s - 1) + M ** (-s) / 2
-            + s * M ** (-s - 1) / 12
-            - s * (s + 1) * (s + 2) * M ** (-s - 3) / 720)
+    M = _ZETA_CUTOFF
+    head = math.fsum(_ZETA_HEAD ** -s)
+    tail = M ** (1 - s) / (s - 1) + M ** -s / 2
+    rising = s      # s(s+1)...(s+2k-2)
+    for k, coef in enumerate(_EM_COEFS, 1):
+        tail += coef * rising * M ** (-s - 2 * k + 1)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
     return head + tail
 
 
@@ -80,13 +84,10 @@ def eta_riemann(alpha: float, h: float, tol: float = DEFAULT_TOL) -> float:
     mstar = max(16, min(mstar, _MAX_TERMS))
     m = np.arange(1, mstar + 1, dtype=float)
     cos_sum = math.fsum(np.cos(h * m) * m ** (-alpha - 2.0))
-    # each zeta value is scaled by its prefactor, so its tolerance is divided
-    # by it to keep the total within tol
-    return (lead * zeta(alpha, tol / (4.0 * lead))
-            - pref * (zeta(alpha + 2.0, tol / (4.0 * pref)) - cos_sum))
+    return lead * zeta(alpha) - pref * (zeta(alpha + 2.0) - cos_sum)
 
 
-def zeta_gap(alpha: float, tol: float = 1e-12) -> float:
+def zeta_gap(alpha: float) -> float:
     """The coercivity gap 2*zeta(alpha+1) - zeta(alpha).
 
     Negative below the threshold root, positive above it; its sign decides
@@ -94,13 +95,12 @@ def zeta_gap(alpha: float, tol: float = 1e-12) -> float:
     """
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    return 2.0 * zeta(alpha + 1.0, tol) - zeta(alpha, tol)
+    return 2.0 * zeta(alpha + 1.0) - zeta(alpha)
 
 
-def find_alpha_star(tol: float = 1e-10, lo: float = 1.3, hi: float = 1.6) -> float:
-    """Root of zeta_gap, located by bisection on a sign-checked bracket."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+def find_alpha_star(lo: float = 1.3, hi: float = 1.6) -> float:
+    """Root of zeta_gap, located by bisection on a sign-checked bracket
+    until the midpoint is one of its ends."""
     flo = zeta_gap(lo)
     fhi = zeta_gap(hi)
     if flo == 0.0:
@@ -109,10 +109,7 @@ def find_alpha_star(tol: float = 1e-10, lo: float = 1.3, hi: float = 1.6) -> flo
         return hi
     if (flo > 0) == (fhi > 0):
         raise RuntimeError(f"no sign change on [{lo}, {hi}]: {flo:+.3e}, {fhi:+.3e}")
-    while hi - lo > tol / 2:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         fmid = zeta_gap(mid)
         if fmid == 0.0:
             return mid
@@ -120,7 +117,7 @@ def find_alpha_star(tol: float = 1e-10, lo: float = 1.3, hi: float = 1.6) -> flo
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ class AlphaParams:
     beta: float
 
 
-def make_alpha_params(alpha: float, tol: float = DEFAULT_TOL) -> AlphaParams:
+def make_alpha_params(alpha: float) -> AlphaParams:
     """Evaluate every derived constant for one exponent alpha in (1, 3).
 
     The exponent tables are piecewise: gamma = 2*alpha - 5/2 up to and
@@ -152,8 +149,8 @@ def make_alpha_params(alpha: float, tol: float = DEFAULT_TOL) -> AlphaParams:
     """
     if not 1.0 < alpha < 3.0:
         raise ValueError(f"alpha must lie in (1, 3), got {alpha}")
-    za = zeta(alpha, tol)
-    za1 = zeta(alpha + 1.0, tol)
+    za = zeta(alpha)
+    za1 = zeta(alpha + 1.0)
     eta = eta_integral(alpha)
     c = math.sqrt(alpha * (alpha + 1.0) * za)
     gamma = 2.0 * alpha - 2.5 if alpha <= 2.0 else 1.5

@@ -10,7 +10,6 @@ splits half-and-half between +n/2 and -n/2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,15 +150,6 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     terms = (1.0 + k * k) ** s * np.abs(f.spectrum) ** 2
     total = terms[0] + 2.0 * np.sum(terms[1:-1]) + terms[-1]
     return math.sqrt(f.grid.period * float(total))
-
-
-def write_field_csv(f: SpectralField, path):
-    """Serialize as rows X,value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["X", "value"])
-        for x, v in zip(f.grid.nodes, f.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
 
 
 def write_field_binary(f: SpectralField, path):

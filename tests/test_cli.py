@@ -63,6 +63,14 @@ def test_alpha_star_stdout(capsys):
     assert 1.45 < root < 1.5
 
 
+@pytest.mark.parametrize("argv", [["constants", "--alpha", "2.0"],
+                                  ["alpha-star"]])
+def test_lattice_sums_take_no_tolerance(argv, capsys):
+    # zeta is exact to rounding, so there is no --tol to set
+    assert main(argv + ["--tol", "1e-12"]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_eta_rates_stdout_csv(capsys):
     assert main(["eta-rates", "--alpha", "2.0",
                  "--h-list", "0.4,0.2,0.1"]) == 0
@@ -124,7 +132,12 @@ def test_solve_bo_outputs(tmp_path, capsys):
     assert any(abs(t - 0.005) < 1e-12 for t in taus)
     field = read_field_binary(str(out / "bo_final.bin"))
     assert field.values.size == 64
-    assert (out / "bo_final.csv").exists()
+    # the CSV holds the dumped values to the last bit, on the grid's nodes
+    rows = np.genfromtxt(out / "bo_final.csv", delimiter=",", names=True)
+    assert rows.dtype.names == ("X", "value")
+    raw = np.fromfile(out / "bo_final.bin", dtype="<f8")
+    assert np.array_equal(rows["value"], raw[2:])
+    assert np.array_equal(rows["X"], field.grid.nodes)
     assert (out / "manifest.json").exists()
 
 
@@ -193,6 +206,10 @@ def test_simulate_lattice_ansatz_run(tmp_path, capsys):
     assert t_values[0] == 0.0
     assert t_values[-1] == pytest.approx(40 * 0.05)
     assert data.size == t_values.size * 32
+    # the site index is written as an integer, every other cell as a float
+    lines = _lines((out / "traj.csv").read_text())
+    assert lines[1] == f"0.0,0,{float(data['r'][0])!r},{float(data['p'][0])!r}"
+    assert lines[32].split(",")[1] == "31"
     assert (out / "manifest.json").exists()
 
 
@@ -327,6 +344,28 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["config"]["alpha"] == 1.8
     assert payload["config"]["tau0"] == 0.07  # flag beats file
     assert len(payload["plan"]) == 3
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("field, value", [
+    ("checkpoints", 2.5), ("checkpoints", True), ("bo_modes", 512.0),
+    ("bo_steps_per_checkpoint", math.inf)])
+def test_config_file_non_integer_count_exits_before_any_work(
+        field, value, dry_run, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "run_to", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    out = tmp_path / "bad"
+    rc = main(["residual-sweep", "--config", str(cfg_path), "--out", str(out)]
+              + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and field in captured.err
+    assert not out.exists()
 
 
 def test_config_file_unknown_field(tmp_path, capsys):

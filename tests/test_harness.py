@@ -75,6 +75,14 @@ def test_config_validation():
     assert ValidationConfig(amplitude=-0.1).amplitude == -0.1
     with pytest.raises(ValueError):
         ValidationConfig(bo_modes=500)  # no surrogate grid of that size
+    # a count that is not an int died in the run with a TypeError, or
+    # (True) ran as 1; inf steps failed as a zero dtau
+    for field, value in (("checkpoints", 2.5), ("checkpoints", True),
+                         ("bo_modes", 512.0),
+                         ("bo_steps_per_checkpoint", math.inf),
+                         ("jobs", 2.0)):
+        with pytest.raises(ConfigError, match=field):
+            ValidationConfig(**{field: value})
     # at or below alpha* ~ 1.479 the window form is not coercive (gate 4)
     with pytest.raises(ConfigError, match=r"alpha\* = 1\.4788"):
         ValidationConfig(alpha=1.4)
@@ -345,7 +353,7 @@ def test_ansatz_fields_on_a_ring_coarser_than_the_profile(N):
     assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
 
 
-def test_build_ansatz_rejects_bad_input():
+def test_ring_size_and_ansatz_fields_reject_bad_input():
     # the ansatz ring comes from _ring_size, which rejects rings that are
     # too small or epsilons too far from any even ring; the profile must
     # be mean-zero

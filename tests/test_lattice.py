@@ -295,6 +295,20 @@ def test_force_zero_at_flat_lattice():
     assert np.max(np.abs(force(np.zeros(64), cfg))) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda state, cfg: force(state.r, cfg),
+    energy,
+    lambda state, cfg: run_steps(state, cfg, 2),
+], ids=["force", "energy", "run_steps"])
+def test_ring_size_mismatch_is_refused(call):
+    # 32 gaps under N = 64, cutoff 31: ranges past half the 32-site ring
+    # counted each pair twice (force, energy), or failed on a broadcast
+    cfg = LatticeConfig(N=64, alpha=2.0, cutoff=31, dt=0.1)
+    state = LatticeState(r=np.zeros(32), p=np.zeros(32), t=0.0)
+    with pytest.raises(ValueError, match=r"32 gaps .* N = 64"):
+        call(state, cfg)
+
+
 # ---------------------------------------------------------------------------
 # integrator
 

@@ -9,7 +9,7 @@ from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
                                dealias_mask, resample_spectrum,
                                sample_spectrum, sobolev_norm, wavenumbers,
-                               write_field_binary, write_field_csv)
+                               write_field_binary)
 
 
 def _trig_sum(c, period, x):
@@ -357,8 +357,3 @@ def test_field_io_round_trip(tmp_path):
     assert raw[0] == f.grid.period
     assert raw[1] == f.grid.n
     assert np.array_equal(raw[2:], f.values)
-    csvpath = tmp_path / "field.csv"
-    write_field_csv(f, csvpath)
-    rows = np.genfromtxt(csvpath, delimiter=",", names=True)
-    assert np.allclose(rows["value"], f.values, atol=0.0)
-    assert np.allclose(rows["X"], grid.nodes, atol=0.0)
