@@ -45,7 +45,7 @@ DEFAULT_H_LIST = (0.4, 0.2, 0.1, 0.05, 0.025)
 
 
 # keys that change where or how a run executes without changing its numbers
-_EXECUTION_KEYS = frozenset({"out", "output", "jobs", "dry_run", "seed"})
+_EXECUTION_KEYS = frozenset({"out", "output", "jobs", "dry_run"})
 
 
 def config_fingerprint(config) -> str:
@@ -357,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "accept a .csv path for the main table)")
     common.add_argument("--jobs", type=int, metavar="J",
                         help="worker count for per-epsilon runs")
-    common.add_argument("--seed", type=int, metavar="S",
-                        help="reserved; the pipeline is deterministic")
     common.add_argument("--dry-run", action="store_true",
                         help="print the resolved plan without writing outputs")
 

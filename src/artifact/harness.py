@@ -24,7 +24,8 @@ from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to, span_plan)
 from .lattice import (FAR_ORDER, FAR_TOL, CollisionError, LatticeConfig,
                       LatticeState, energy, error_energy, error_energy_constants,
-                      far_bound, force, near_range, run_steps, step_limit)
+                      far_bound, far_order, force, near_range, run_steps,
+                      step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, resample_spectrum, sample_spectrum,
@@ -132,7 +133,9 @@ class ValidationConfig:
                                   f"got {val!r}")
         if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
             raise ConfigError("dealias_fraction must lie in (0.5, 2/3]")
-        PeriodicGrid(self.period, self.bo_modes)  # refuses a bad bo_modes
+        if self.bo_modes < 8 or self.bo_modes & (self.bo_modes - 1):
+            raise ConfigError("bo_modes must be a power of two of at least "
+                              f"8, got {self.bo_modes}")
 
 
 @dataclass(frozen=True)
@@ -403,9 +406,10 @@ def _validation_branch(config, params, spectra, entry, lat_cfg, state, sign):
     against the backward ones with the momentum-reflected twin state.
     health holds the chain's relative energy drift from t = 0 to the last
     checkpoint, its smallest collision margin 1 - max|r| over the
-    checkpoints, t = 0 included, and far_bound at the largest max|r| with
-    whether it meets FAR_TOL (so that run_steps could sum the far ranges by
-    moments at every checkpoint).  A drift past ENERGY_DRIFT_TOL raises
+    checkpoints, t = 0 included, and at the largest max|r| far_bound through
+    FAR_ORDER, whether it meets FAR_TOL (so that run_steps could sum the far
+    ranges by moments at every checkpoint) and the least order far_order
+    picks there (0 for none).  A drift past ENERGY_DRIFT_TOL raises
     BlowUpError.
     """
     alpha, eps = params.alpha, entry["epsilon"]
@@ -437,12 +441,13 @@ def _validation_branch(config, params, spectra, entry, lat_cfg, state, sign):
         raise BlowUpError(f"chain energy drifted by {drift:.3g} of its "
                           f"initial value, past {ENERGY_DRIFT_TOL:g}",
                           t=sign * t, alpha=alpha, epsilon=eps)
-    bound = far_bound(1.0 - margin, alpha)
+    bound = far_bound(1.0 - margin, alpha, FAR_ORDER)
     health = {"direction": "forward" if sign > 0 else "backward",
               "energy_initial": E0, "energy_final": E1,
               "energy_rel_drift": drift,
               "min_collision_margin": margin,
-              "far_bound": bound, "far_bound_ok": bound <= FAR_TOL}
+              "far_bound": bound, "far_bound_ok": bound <= FAR_TOL,
+              "far_order": far_order(1.0 - margin, alpha)}
     return rows, energy_samples, health
 
 
@@ -547,9 +552,10 @@ def _map_tasks(fn, tasks, jobs):
 
 
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
-    """Resolved per-epsilon plan (ring size, cutoff, steps; for validation
-    also the chain's near range, far order and step limit) without running.
-    Each sweep runs every epsilon from its entry."""
+    """Resolved per-epsilon plan (ring size, cutoff and the force's near
+    range and far order; for validation also the chain's clock, step, step
+    limit and steps) without running.  Each sweep runs every epsilon from
+    its entry."""
     return [_plan_entry(config, e, pipeline) for e in config.epsilons]
 
 
@@ -569,8 +575,8 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
         # 2.5, which would raise the slope between those two epsilons by
         # about 0.007, 0.006 and 0.018.  The ring cap itself still leaves
         # out every image of the periodic lattice.
-        entry["cutoff"] = min(N // 2 - 1, int(math.ceil(
-            config.residual_cutoff_coef / eps ** 2)))
+        entry.update(_force_split(min(N // 2 - 1, int(math.ceil(
+            config.residual_cutoff_coef / eps ** 2)))))
         return entry
     # The chain runs at the ring cap N/2 - 1.  A shorter range leaves the
     # truncated chain slower than c, and over the horizon T = tau0/eps^alpha
@@ -590,20 +596,24 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
             f"lattice_dt {config.lattice_dt:.6g} plans dt {dt:.6g} on {N} "
             "sites, past the split step's stability limit 0.9 pi / omega_max "
             f"= {limit:.6g}")
-    lat_cfg = LatticeConfig(N=N, alpha=config.alpha, cutoff=N // 2 - 1, dt=dt)
-    M0 = near_range(lat_cfg)
+    entry.update(_force_split(N // 2 - 1))
     entry.update({
-        "cutoff": lat_cfg.cutoff,
-        "near_range": M0,
-        "far_order": FAR_ORDER if M0 < lat_cfg.cutoff else 0,
         "horizon": horizon,
-        "dt": lat_cfg.dt,
+        "dt": dt,
         "step_limit": limit,
         "steps_per_checkpoint": nsteps,
         "total_steps": nsteps * config.checkpoints
         * (2 if config.bidirectional else 1),
     })
     return entry
+
+
+def _force_split(cutoff: int) -> dict:
+    """The force's range at this cutoff: the ranges it sums directly and the
+    order through which it may take the rest by moments (0 for none)."""
+    M0 = near_range(cutoff)
+    return {"cutoff": cutoff, "near_range": M0,
+            "far_order": FAR_ORDER if M0 < cutoff else 0}
 
 
 def _fmt(x) -> str:

@@ -15,20 +15,19 @@ remainder sets the step's accuracy and the fastest linear mode its
 stability: _linear_flow refuses a dt at or past step_limit, 0.9 pi over
 the top linear frequency.
 
-Inside run_steps the force's ranges past NEAR_RANGE are summed by moments
-(_far_field) rather than pair by pair: each far pair slope is a power series
-in the window mean, and every order of it is a circular convolution of a
-power of the scaled primitive of r with fixed weights, so one batch of FFTs
-replaces the N x M kernel calls.  The split of the sum into a direct near
-part and a transformed far part follows Ewald (1921) and Greengard &
-Rokhlin (1987); here the far part keeps its nonlinearity, order by order.
-force, energy and the residual keep the direct sum.
+force, which run_steps and the residual share, sums its ranges past
+NEAR_RANGE by moments (_far_field) where the state allows: each far pair
+slope is a power series in the window mean, and every order of it is a
+circular convolution of a power of the scaled primitive of r with fixed
+weights, so a few FFTs replace the N x M kernel calls.  This near/far split
+follows Ewald (1921) and Greengard & Rokhlin (1987), keeping the far part's
+nonlinearity order by order; energy keeps the direct sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,10 +42,9 @@ SERIES_CROSSOVER = 1e-3
 # full ring range, and an M x N stack would cost memory.
 _BLOCK_ELEMENTS = 16384
 
-# run_steps sums ranges up to NEAR_RANGE directly and the rest by moments
-# through order FAR_ORDER, when the cutoff is past 2 * NEAR_RANGE and the
-# a-priori bound on the dropped orders is at most FAR_TOL of the far
-# field's linear scale; otherwise every range is summed directly.
+# Past a cutoff of 2 * NEAR_RANGE, force sums the ranges beyond NEAR_RANGE
+# by moments, through the least order up to FAR_ORDER whose bound on the
+# dropped orders meets FAR_TOL of the far field's linear term.
 NEAR_RANGE = 16
 FAR_ORDER = 10
 FAR_TOL = 1e-13
@@ -156,11 +154,14 @@ def _kernel_prime(a, mu, alpha: float):
     """
     a = np.asarray(a, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    x = a / mu
+    x = np.asarray(a / mu)
     if np.any(x <= -1.0) or np.any(mu <= 0.0):
         raise CollisionError("potential argument outside the ordered regime")
     b = alpha + 1.0
-    return -alpha * mu ** (-b) * np.expm1(-b * np.log1p(x))
+    # in place, so that a block of ranges holds one temporary, x, beside a
+    np.expm1(np.multiply(np.log1p(x, out=x), -b, out=x), out=x)
+    x *= -alpha * mu ** (-b)
+    return x
 
 
 def _check_ring(r: np.ndarray, config: LatticeConfig):
@@ -172,25 +173,25 @@ def _check_ring(r: np.ndarray, config: LatticeConfig):
 
 def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     """Acceleration of each site: sum over ranges m of the backward
-    m-difference of the pair slopes, truncated at config.cutoff."""
+    m-difference of the pair slopes, truncated at config.cutoff, the far
+    ranges by moments where the state allows (_split_force)."""
     r = np.asarray(r, dtype=float)
     _check_ring(r, config)
+    return _split_force(r, config)
+
+
+def _direct_force(r: np.ndarray, alpha: float, M: int) -> np.ndarray:
+    """force's sum over the ranges m = 1..M, range by range (f_j += w_j, then
+    f_j -= w_{j-m}); a block of slopes w dies before the next is formed."""
     f = np.zeros(r.size)
-    for ms, G in _window_sums(r, config.cutoff):
-        _add_slope_differences(f, _kernel_prime(G, ms, config.alpha), ms)
+    for ms, G in _window_sums(r, M):
+        W = _kernel_prime(G, ms, alpha)
+        for m, w in zip(ms[:, 0].astype(int), W):
+            f += w
+            f[m:] -= w[:-m]     # f_j -= w_{j-m}, wrapping around the ring
+            f[:m] -= w[-m:]
+        del W, w
     return f
-
-
-def _add_slope_differences(f, W, ms):
-    """Range by range, f_j += w_j and then f_j -= w_{j-m}, for the pair
-    slopes w in row i of W at range m = ms[i]: the accumulation order of
-    one range at a time.  W dies on return, before the next block is
-    formed."""
-    for m, w in zip(ms[:, 0].astype(int), W):
-        f += w
-        # f_j -= w_{j-m}, wrapping around the ring
-        f[m:] -= w[:-m]
-        f[:m] -= w[-m:]
 
 
 def _omega2(N: int, alpha: float, M: int) -> np.ndarray:
@@ -236,24 +237,17 @@ def _linear_flow(config: LatticeConfig):
             np.concatenate(([0.0], -omega * s / shift)))
 
 
-def near_range(config: LatticeConfig) -> int:
-    """Ranges run_steps sums pair by pair: NEAR_RANGE when the cutoff
-    reaches past twice that, else the whole cutoff."""
-    return NEAR_RANGE if config.cutoff > 2 * NEAR_RANGE else config.cutoff
+def near_range(cutoff: int) -> int:
+    """Ranges force sums pair by pair: NEAR_RANGE when the cutoff reaches
+    past twice that, else the whole cutoff."""
+    return NEAR_RANGE if cutoff > 2 * NEAR_RANGE else cutoff
 
 
-def far_bound(x: float, alpha: float) -> float:
-    """A-priori bound on the orders n > FAR_ORDER that _far_field drops,
-    relative to its linear term, when every scaled window mean has
-    |x_m| <= x; inf where the series bound diverges or x is NaN.
-
-    The far pair slope is a multiple of sum_{n>=1} C(-alpha-1, n) x_m^n and
-    |C(-alpha-1, n)| = prod_{i<=n} (alpha+i)/i, whose ratio of neighbouring
-    terms past n = FAR_ORDER is at most q = (1 + alpha/(FAR_ORDER+2)) x, so
-    the dropped tail is below |C(-alpha-1, FAR_ORDER+1)| x^(FAR_ORDER+1)
-    / (1 - q), against the linear term's (alpha+1) x.
-    """
-    p = FAR_ORDER
+def far_bound(x: float, alpha: float, p: int) -> float:
+    """Bound on the orders n > p of sum_n C(-alpha-1, n) x_m^n, the far pair
+    slope's series, relative to its linear term, for |x_m| <= x: the terms
+    past p shrink by q = (1 + alpha/(p+2)) x or less each; inf for q >= 1
+    or NaN."""
     q = (1.0 + alpha / (p + 2.0)) * x
     if not q < 1.0:
         return math.inf
@@ -261,76 +255,83 @@ def far_bound(x: float, alpha: float) -> float:
     return lead * x ** p / ((alpha + 1.0) * (1.0 - q))
 
 
-def _far_weights(config: LatticeConfig):
-    """Weight spectra K[b, q, k] of _far_field for the ranges past
-    near_range(config), or None when there are none.
+def far_order(x: float, alpha: float) -> int:
+    """The least order p <= FAR_ORDER whose far_bound meets FAR_TOL, or 0
+    for none; far_bound falls with p wherever it is finite."""
+    return next((p for p in range(1, FAR_ORDER + 1)
+                 if far_bound(x, alpha, p) <= FAR_TOL), 0)
 
-    Order n of the far slopes sums c_n,m (d_m(j)^n - d_m(j-m)^n) over m,
-    with c_n,m = C(-alpha-1, n) m^-(alpha+1+n) and
-    d_m(j) = s_{j+m} - s_j.  The binomial theorem splits each power into
-    s_j^q times sum_m c_n,m s_{j+m}^k (a correlation, spectrum conj(c^) s^k^)
-    and sum_m c_n,m s_{j-m}^k (a convolution, c^ s^k^), with q + k = n;
-    K[b, q, k] collects both for the outer power q at rfft bin b."""
-    M, M0, p = config.cutoff, near_range(config), FAR_ORDER
-    if M0 == M:
-        return None
+
+def _far_weights(config: LatticeConfig, p: int):
+    """Weight spectra B_0..B_p (rows of rfft bins) of _far_field for the
+    ranges past near_range(config.cutoff).  Order n of the far slopes,
+    sum_m C(-alpha-1, n) m^-(alpha+1+n) (d_m(j)^n - d_m(j-m)^n) with
+    d_m(j) = s_{j+m} - s_j, splits binomially into (-s_j)^q/q! times a
+    correlation and a convolution of s^k/k!, q + k = n, whose spectrum is
+    B_n = g_n (conj(c^_n) - (-1)^n c^_n), c_n,m = m^-(alpha+1+n) and
+    g_n = n! C(-alpha-1, n) = prod_{i<=n} -(alpha+i): 2 g_n Re c^_n at odd
+    n and -2i g_n Im c^_n at even n, formed in place."""
+    M, M0, alpha = config.cutoff, near_range(config.cutoff), config.alpha
+    n = np.arange(p + 1)
     c = np.zeros((p + 1, config.N))
     c[:, M0 + 1:M + 1] = np.arange(M0 + 1, M + 1, dtype=float) ** -(
-        config.alpha + 1.0 + np.arange(p + 1)[:, None])
-    C = np.fft.rfft(c)
-    binom = np.cumprod([1.0] + [-(config.alpha + n) / n
-                                for n in range(1, p + 1)])
-    K = np.zeros((C.shape[1], p + 1, p + 1), dtype=complex)
-    for q in range(p + 1):
-        for k in range(max(0, 1 - q), p + 1 - q):
-            n = q + k
-            K[:, q, k] = binom[n] * math.comb(n, q) * (
-                (-1) ** q * C[n].conj() - (-1) ** k * C[n])
-    return K
+        alpha + 1.0 + n[:, None])
+    B = np.fft.rfft(c)
+    B[0::2].real, B[1::2].imag = 0.0, 0.0
+    g = np.cumprod([1.0] + [-(alpha + i) for i in range(1, p + 1)])
+    B *= (-2.0 * (-1.0) ** n * g)[:, None]
+    return B
 
 
-def _far_field(r: np.ndarray, K: np.ndarray, alpha: float):
-    """The share of force(r) of the ranges that K covers, or None when
-    far_bound does not meet FAR_TOL or the scaled primitive s below is too
-    large to expand in without cancellation.
-
-    With rho = mean(r), S the mean-zero primitive of r - rho
-    (S_{j+1} - S_j = r_j - rho) and s = S/(1 + rho), the window sum is
-    G_m r_j = m rho + (1 + rho) (s_{j+m} - s_j), so the pair slope is
-    -alpha m^-(alpha+1) ((1+rho)^-(alpha+1) (1 + d_m(j)/m)^-(alpha+1) - 1);
-    its constant part cancels in the m-difference, and the rest is the
-    series of _far_weights, summed by one batch of rffts of s^1..s^p, one
-    contraction with K, one batch of irffts and a Horner sum in s.
-    """
-    N, p = r.size, K.shape[1] - 1
-    rho = float(np.mean(r))
+def _scaled_primitive(r: np.ndarray, rho: float) -> np.ndarray:
+    """s = S/(1 + rho), S the mean-zero primitive of r - rho, so that
+    G_m r_j = m rho + (1 + rho) (s_{j+m} - s_j)."""
     d = r - rho
-    if not far_bound(float(np.max(np.abs(d))) / (1.0 + rho), alpha) <= FAR_TOL:
-        return None
     S = np.cumsum(d) - d
-    s = (S - np.mean(S)) / (1.0 + rho)
-    # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
-    # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
-    # while 2 max|s| <= NEAR_RANGE + 1
-    if not 2.0 * float(np.max(np.abs(s))) <= NEAR_RANGE + 1:
-        return None
-    powers = np.zeros((K.shape[0], p + 1, 1), dtype=complex)
-    powers[0, 0] = N        # the spectrum of s^0
-    powers[:, 1:, 0] = np.fft.rfft(
-        np.cumprod(np.broadcast_to(s, (p, N)), axis=0)).T
-    h = np.fft.irfft((K @ powers)[:, :, 0], N, axis=0).T
+    return (S - np.mean(S)) / (1.0 + rho)
+
+
+def _far_field(r: np.ndarray, config: LatticeConfig, p: int, B=None):
+    """The share of force(r, config) of the ranges past the near range
+    through order p, from run_steps' weights B or weights built here:
+    -alpha (1+rho)^-(alpha+1) sum_q (-s)^q/q! irfft(H_q), s as in
+    _scaled_primitive, H_q = sum_{k<=p-q} B_{q+k} (s^k/k!)^ (orders <= p)."""
+    alpha, N = config.alpha, r.size
+    rho = float(np.mean(r))
+    s = _scaled_primitive(r, rho)
+    B = (_far_weights(config, p) if B is None else B)[:p + 1]
+    P = np.fft.rfft(np.cumprod(
+        np.broadcast_to(s, (p, N)) / np.arange(1.0, p + 1)[:, None], axis=0))
+    H = np.zeros_like(B)
+    H[:, 0] = N * B[:, 0]   # k = 0: the spectrum of s^0 is N at bin 0
+    for k in range(1, p + 1):
+        H[:p + 1 - k] += B[k:] * P[k - 1]
+    H *= np.cumprod([1.0] + [-1.0 / q for q in range(1, p + 1)])[:, None]
+    h = np.fft.irfft(H, N)     # row q: (-1)^q/q! irfft(H_q)
     out = h[p]
     for q in range(p - 1, -1, -1):
-        out = out * s + h[q]
+        out *= s
+        out += h[q]
     return -alpha * (1.0 + rho) ** -(alpha + 1.0) * out
 
 
-def _step_force(r, config, near_cfg, K):
-    """force(r, config), its far ranges by moments when K allows."""
-    far = None if K is None else _far_field(r, K, config.alpha)
-    if far is None:
-        return force(r, config)
-    return force(r, near_cfg) + far
+def _split_force(r: np.ndarray, config: LatticeConfig, B=None):
+    """force(r, config): the near ranges directly plus _far_field's share
+    through the order far_order finds at x = max|r - rho|/(1 + rho), else
+    every range directly; the far field reuses the near sum's freed memory."""
+    alpha, M0 = config.alpha, near_range(config.cutoff)
+    rho = float(np.mean(r))
+    x = max(float(np.max(r)) - rho, rho - float(np.min(r))) / (1.0 + rho)
+    p = far_order(x, alpha) if M0 < config.cutoff else 0
+    # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
+    # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
+    # while 2 max|s| <= NEAR_RANGE + 1
+    if p and 2.0 * float(np.max(np.abs(_scaled_primitive(r, rho)))) \
+            <= NEAR_RANGE + 1:
+        f = _direct_force(r, alpha, M0)
+        f += _far_field(r, config, p, B)
+        return f
+    return _direct_force(r, alpha, config.cutoff)
 
 
 def check_steps(config: LatticeConfig, nsteps: int, every: int | None = None):
@@ -355,17 +356,15 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     (r, p) stay rfft spectra within a call, so a step costs one force, one
     irfft and one rfft, and the trailing remainder doubles as the next
     leading one: a call makes nsteps + 1 force calls, whatever `every`.
-    The force's ranges past near_range(config) are summed by _far_field
-    where its bound allows, with weights built once per call.
+    The force's far weights are built once per call, through FAR_ORDER.
     """
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
-    near_cfg = replace(config, cutoff=near_range(config))
-    K = _far_weights(config)
+    B = _far_weights(config, FAR_ORDER)
     r = state.r.copy()
     rh = np.fft.rfft(r)
-    Rh = np.fft.rfft(_step_force(r, config, near_cfg, K)) - L * rh
+    Rh = np.fft.rfft(_split_force(r, config, B)) - L * rh
     ph = np.fft.rfft(state.p)
     out = []
     t, done = state.t, 0    # time and step count of the last state returned
@@ -376,7 +375,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
         if np.max(np.abs(r)) >= 1.0:
             raise CollisionError("a gap deviation reached 1; ordering lost",
                                  t=t + (i - done) * dt, alpha=config.alpha)
-        Rh = np.fft.rfft(_step_force(r, config, near_cfg, K)) - L * rh
+        Rh = np.fft.rfft(_split_force(r, config, B)) - L * rh
         ph = ph + (0.5 * dt) * Rh
         if i == nsteps or (every is not None and i % every == 0):
             t, done = t + (i - done) * dt, i

@@ -107,8 +107,9 @@ def test_dry_run_prints_plan_without_output(tmp_path, capsys):
 
 
 def test_seed_flag_accepted(capsys):
-    assert main(["constants", "--alpha", "2.0", "--seed", "7"]) == 0
-    capsys.readouterr()
+    # --seed set nothing (every pipeline is deterministic) and is gone
+    assert main(["constants", "--alpha", "2.0", "--seed", "7"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +369,22 @@ def test_config_file_non_integer_count_exits_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_bo_modes_not_a_power_of_two_is_named(via_config, tmp_path, capsys):
+    # the surrogate grid's own refusal named its size n, not the field
+    if via_config:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bo_modes": 500}))
+        argv = ["validate", "--config", str(cfg_path), "--dry-run"]
+    else:
+        argv = ["validate", "--bo-modes", "500", "--dry-run"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bo_modes must be a power of two of at "
+                            "least 8, got 500\n")
+
+
 def test_config_file_unknown_field(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"alpha": 1.8, "wibble": 3}))
@@ -382,7 +399,7 @@ def test_sweep_flags_name_config_fields():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     allowed = ({f.name for f in dataclasses.fields(ValidationConfig)}
-               | {"config", "out", "seed", "dry_run"})
+               | {"config", "out", "dry_run"})
     for command in ("validate", "residual-sweep"):
         dests = {a.dest for a in sub.choices[command]._actions
                  if a.dest != "help"}

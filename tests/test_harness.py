@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="amplitude"):
             ValidationConfig(amplitude=value)
     assert ValidationConfig(amplitude=-0.1).amplitude == -0.1
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="bo_modes"):
         ValidationConfig(bo_modes=500)  # no surrogate grid of that size
     # a count that is not an int died in the run with a TypeError, or
     # (True) ran as 1; inf steps failed as a zero dtau
@@ -214,11 +215,17 @@ def test_describe_plan_default_ring_sizes():
     # limit 0.9 pi / omega_max is 1.8/pi; the ring cap lowers omega_max
     assert all(1.8 / math.pi < entry["step_limit"]
                < 1.8 / math.pi * (1.0 + 1e-8) for entry in vplan)
-    # the chain sums ranges up to the near range directly, the rest by
-    # moments through the far order
+    # force sums ranges up to the near range directly, the rest by moments
+    # through the far order, for the chain and the residual alike; the
+    # residual's cutoffs here are all past twice the near range
     assert all(entry["near_range"] == lattice.NEAR_RANGE
-               and entry["far_order"] == lattice.FAR_ORDER for entry in vplan)
-    assert all("near_range" not in entry for entry in plan)
+               and entry["far_order"] == lattice.FAR_ORDER
+               for entry in vplan + plan)
+    # a residual cutoff within twice the near range is summed directly
+    short = describe_plan(ValidationConfig(alpha=2.0,
+                                           residual_cutoff_coef=0.5), "residual")
+    assert [(e["cutoff"], e["near_range"], e["far_order"]) for e in short] \
+        == [(13, 13, 0), (25, 25, 0), (50, 16, 10), (100, 16, 10)]
 
 
 # per-checkpoint steps on eps 0.4 ... 0.025, and how many of the smallest
@@ -480,6 +487,37 @@ def test_interaction_part_matches_longdouble_window_formula():
         assert gap < 1e-9, (eps, gap)
 
 
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+def test_residual_fields_peak_memory_within_the_direct_sums(alpha,
+                                                            monkeypatch):
+    # the sweep's largest ring, (1448, 600), at t = 0: at alpha 2.5 force
+    # takes the far ranges by moments, at 1.8 far_bound refuses them before
+    # any weight is built; either way the traced peak stays within that of
+    # every range summed directly.  The 1 KiB, a tenth of one 1448-site
+    # vector, is not arrays: tracemalloc still counts the few small objects
+    # (floats, kwargs dicts) that numpy calls leave on the interpreter's
+    # free lists, 0.05 KiB here.  Weights or a far field alive beside the
+    # near sum's blocks would exceed it.
+    cfg = ValidationConfig(alpha=alpha)
+    u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
+                          default_residual_amplitude(alpha), cfg.width_fraction)
+    params = make_alpha_params(alpha)
+    N, cutoff = 1448, 600
+
+    def peak():
+        residual_fields(u0, cfg.period / N, params, cutoff)
+        tracemalloc.start()
+        try:
+            residual_fields(u0, cfg.period / N, params, cutoff)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    split = peak()
+    monkeypatch.setattr(lattice, "NEAR_RANGE", cutoff)
+    assert split <= peak() + 1024
+
+
 def test_residual_collision_names_the_run():
     # an ansatz gap deviation of 1 or more means the ansatz chain has lost
     # its ordering; the residual refuses it with alpha and epsilon
@@ -610,9 +648,19 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
             # the margin is taken over the checkpoints, t = 0 included
             assert 0.9 < b["min_collision_margin"] <= 1.0 - np.max(np.abs(r0))
             # the far field's bound at the branch's largest max|r|
-            assert b["far_bound"] == lattice.far_bound(
-                1.0 - b["min_collision_margin"], cfg.alpha)
+            x = 1.0 - b["min_collision_margin"]
+            assert b["far_bound"] == lattice.far_bound(x, cfg.alpha,
+                                                       lattice.FAR_ORDER)
             assert b["far_bound_ok"] == (b["far_bound"] <= lattice.FAR_TOL)
+            # and the least order that meets FAR_TOL there, 0 for none
+            p = b["far_order"]
+            assert (1 <= p <= lattice.FAR_ORDER) == b["far_bound_ok"]
+            if p:
+                assert lattice.far_bound(x, cfg.alpha, p) <= lattice.FAR_TOL
+                assert (p == 1 or lattice.far_bound(x, cfg.alpha, p - 1)
+                        > lattice.FAR_TOL)
+            else:
+                assert p == 0
 
 
 def test_each_epsilon_runs_its_plan_entry(monkeypatch):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,13 +9,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from artifact import lattice
+from artifact.bo_solver import gaussian_profile
 from artifact.harness import (DEFAULT_VALIDATION_AMPLITUDE, ValidationConfig,
-                              _initial_profile, ansatz_fields)
+                              _initial_profile, ansatz_fields,
+                              default_residual_amplitude)
 from artifact.lattice import (CollisionError, LatticeConfig, LatticeState,
                               _kernel, _kernel_prime, _window_sums, energy,
                               error_energy, error_energy_constants, force,
                               p2_functional, run_steps)
 from artifact.specfun import make_alpha_params, zeta
+from artifact.spectral import PeriodicGrid
 
 
 def _naive_pair_potential(g, m, alpha):
@@ -206,7 +208,8 @@ def test_force_matches_per_range_loop_at_block_edges(alpha):
     for N, M in cases:
         r = 0.05 * rng.standard_normal(N)
         cfg = _config(n=N, alpha=alpha, cutoff=M)
-        assert np.array_equal(force(r, cfg), _force_per_range(r, cfg)), (N, M)
+        assert np.array_equal(lattice._direct_force(r, alpha, M),
+                              _force_per_range(r, cfg)), (N, M)
 
 
 def test_force_memory_stays_bounded():
@@ -400,7 +403,7 @@ def test_split_remainder_is_quadratic(alpha, n, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# far ranges by moments inside run_steps
+# far ranges by moments
 
 
 def _validate_state(alpha, n):
@@ -411,24 +414,34 @@ def _validate_state(alpha, n):
 
 
 def _stepper_remainder(r, cfg):
-    # the remainder R = F - L r that run_steps kicks with at r, on the ring
-    near_cfg = replace(cfg, cutoff=lattice.near_range(cfg))
-    F = lattice._step_force(r, cfg, near_cfg, lattice._far_weights(cfg))
+    # the remainder R = F - L r that run_steps kicks with at r, on the ring,
+    # with the far weights it builds once per call
+    F = lattice._split_force(
+        r, cfg, lattice._far_weights(cfg, lattice.FAR_ORDER))
     L = lattice._linear_flow(cfg)[0]
     return np.fft.irfft(np.fft.rfft(F) - L * np.fft.rfft(r), cfg.N)
 
 
+def _direct(r, cfg):
+    # force's direct sum over every range up to the cutoff
+    return lattice._direct_force(r, cfg.alpha, cfg.cutoff)
+
+
 def _direct_remainder(r, cfg):
-    # the same with F the direct sum of force
+    # the same with F the direct sum
     L = lattice._linear_flow(cfg)[0]
-    return np.fft.irfft(np.fft.rfft(force(r, cfg)) - L * np.fft.rfft(r), cfg.N)
+    return np.fft.irfft(np.fft.rfft(_direct(r, cfg)) - L * np.fft.rfft(r),
+                        cfg.N)
 
 
 def _record_force_cutoffs(monkeypatch):
+    # the range of every direct sum: the near range beside the moments, or
+    # the whole cutoff
     calls = []
-    real = lattice.force
-    monkeypatch.setattr(lattice, "force", lambda r, config: calls.append(
-        config.cutoff) or real(r, config))
+    real = lattice._direct_force
+    monkeypatch.setattr(lattice, "_direct_force",
+                        lambda r, alpha, M: calls.append(M)
+                        or real(r, alpha, M))
     return calls
 
 
@@ -438,7 +451,7 @@ def _record_force_cutoffs(monkeypatch):
 def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
     # the validate initial state, that state 100 steps on, and a ring of mean
     # 0.03: run_steps' remainder, its ranges past NEAR_RANGE summed by
-    # moments, against force(r) - L r to 1e-12 of max|force|
+    # moments, against the direct sum's to 1e-12 of max|force|
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff, dt=0.1)
     r, p = _validate_state(alpha, n)
     stepped = run_steps(LatticeState(r=r, p=p), cfg, 100)[-1].r
@@ -449,7 +462,7 @@ def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
         assert calls == [lattice.NEAR_RANGE]
         want = _direct_remainder(ring, cfg)
         assert (np.max(np.abs(got - want))
-                <= 1e-12 * np.max(np.abs(force(ring, cfg))))
+                <= 1e-12 * np.max(np.abs(_direct(ring, cfg))))
 
 
 @st.composite
@@ -486,44 +499,90 @@ def test_far_field_properties(case):
         got = _stepper_remainder(r, cfg)
     want = _direct_remainder(r, cfg)
     if calls == [cfg.cutoff]:
-        assert not lattice.far_bound(x, cfg.alpha) <= lattice.FAR_TOL
+        assert not (lattice.far_bound(x, cfg.alpha, lattice.FAR_ORDER)
+                    <= lattice.FAR_TOL)
         assert np.array_equal(got, want)
     else:
         assert calls == [lattice.NEAR_RANGE]
-        assert lattice.far_bound(x, cfg.alpha) <= lattice.FAR_TOL
+        assert (lattice.far_bound(x, cfg.alpha, lattice.FAR_ORDER)
+                <= lattice.FAR_TOL)
         assert (np.max(np.abs(got - want))
-                <= 1e-12 * (np.max(np.abs(force(r, cfg))) + abs(rho)))
+                <= 1e-12 * (np.max(np.abs(_direct(r, cfg))) + abs(rho)))
 
 
-@pytest.mark.parametrize("alpha", [1.8, 2.5])
-def test_far_field_error_within_its_a_priori_bound(alpha, monkeypatch):
-    # at x = 0.1 the dropped orders are measurable, so with FAR_TOL lifted
-    # the moments must meet the bound they are gated by: a far pair slope
-    # errs by at most alpha (1+rho)^-(alpha+1) m^-(alpha+1) (alpha+1) x
-    # far_bound, and a force by twice the sum of that over the far ranges.
-    # The ring holds a step of window means near x at every range.
+def _far_error_and_allowance(alpha, p):
+    # the far field at order p on a ring that holds a step of window means
+    # near x = 0.1 at every range, where the dropped orders are measurable,
+    # against the direct far sum, with weights built at p and with those
+    # run_steps builds through FAR_ORDER; and the bound it is gated by: a
+    # far pair slope errs by at most alpha (1+rho)^-(alpha+1) m^-(alpha+1)
+    # (alpha+1) x far_bound, and a force by twice the sum of that over the
+    # far ranges
     n, cutoff = 256, 127
     r = np.full(n, 0.03 - 0.1 / 3.0)
     r[:n // 4] = 0.03 + 0.1
     rho = float(np.mean(r))
     x = 0.1 / (1.0 + rho)
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
-    monkeypatch.setattr(lattice, "FAR_TOL", 1.0)
-    far = lattice._far_field(r, lattice._far_weights(cfg), alpha)
-    want = force(r, cfg) - force(r, replace(cfg, cutoff=lattice.NEAR_RANGE))
+    want = (lattice._direct_force(r, alpha, cutoff)
+            - lattice._direct_force(r, alpha, lattice.NEAR_RANGE))
+    err = max(float(np.max(np.abs(lattice._far_field(r, cfg, p, B) - want)))
+              for B in (None, lattice._far_weights(cfg, lattice.FAR_ORDER)))
     m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
     allowed = (2.0 * alpha * (1.0 + rho) ** -(alpha + 1.0) * (alpha + 1.0) * x
-               * lattice.far_bound(x, alpha) * float(np.sum(m ** -(alpha + 1.0))))
-    assert allowed < 1e-7 * np.max(np.abs(want))
-    assert np.max(np.abs(far - want)) <= allowed + 1e-14 * np.max(np.abs(want))
+               * lattice.far_bound(x, alpha, p)
+               * float(np.sum(m ** -(alpha + 1.0))))
+    return err, allowed, np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+def test_far_field_error_within_its_a_priori_bound(alpha):
+    # at FAR_ORDER the allowance is below 1e-7 of the far field
+    err, allowed, scale = _far_error_and_allowance(alpha, lattice.FAR_ORDER)
+    assert allowed < 1e-7 * scale
+    assert err <= allowed + 1e-14 * scale
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+@pytest.mark.parametrize("p", range(1, 11))
+def test_far_field_at_each_order_within_its_bound(alpha, p, monkeypatch):
+    # every order p keeps whole orders n = q + k <= p of the binomial split;
+    # weights cut at q, k <= p instead would keep parts of the orders past
+    # p, whose terms in s_j^q s_{j+m}^k are far larger than the orders
+    # themselves, and miss this allowance
+    err, allowed, scale = _far_error_and_allowance(alpha, p)
+    assert err <= allowed + 1e-14 * scale
+    # far_order picks the least order whose bound meets FAR_TOL
+    assert lattice.far_order(0.1, alpha) == 0
+    monkeypatch.setattr(lattice, "FAR_TOL", lattice.far_bound(0.1, alpha, p))
+    assert lattice.far_order(0.1, alpha) == p
+
+
+@pytest.mark.parametrize("n, cutoff", [(1024, 300), (1448, 600)])
+def test_force_on_residual_states_matches_the_direct_sum(n, cutoff,
+                                                         monkeypatch):
+    # the alpha-2.5 residual sweep's interaction part at t = 0: force takes
+    # the far ranges by moments there, at weights built for the state's
+    # order, within 1e-12 of max|f| of the direct sum
+    alpha = 2.5
+    cfg = ValidationConfig(alpha=alpha)
+    u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
+                          default_residual_amplitude(alpha), cfg.width_fraction)
+    r = ansatz_fields(u0.spectrum, cfg.period, n, make_alpha_params(alpha))[0]
+    lat = _config(n=n, alpha=alpha, cutoff=cutoff, dt=1.0)
+    want = _direct(r, lat)
+    calls = _record_force_cutoffs(monkeypatch)
+    got = force(r, lat)
+    assert calls == [lattice.NEAR_RANGE]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
     # an amplitude far_bound refuses, a long wave whose scaled primitive is
     # too large to expand in, and a NaN: run_steps steps exactly as with
     # every range summed directly
-    assert lattice.far_bound(0.1, 2.0) > lattice.FAR_TOL
-    assert lattice.far_bound(math.nan, 2.0) == math.inf
+    assert lattice.far_bound(0.1, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
+    assert lattice.far_bound(math.nan, 2.0, lattice.FAR_ORDER) == math.inf
     calls = _record_force_cutoffs(monkeypatch)
     for n, cutoff, amp in ((512, 255, 0.1), (4096, 100, 0.03)):
         x = 2.0 * np.pi * np.arange(n) / n
@@ -558,8 +617,8 @@ def test_far_field_trajectory_matches_the_direct_sum(monkeypatch):
 
 
 def test_run_steps_memory_stays_bounded():
-    # the far weights, (N/2 + 1) x 11 x 11 complex or 1.4 MiB at
-    # (1448, 723), live for one call (peak 2.0 MiB, where an M x N stack
+    # the far weights, 11 spectra of N/2 + 1 complex bins or 127 KiB at
+    # (1448, 723), live for one call (peak 0.55 MiB, where an M x N stack
     # would be 8 MiB); the returned state holds only r and p, 25 KiB
     cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
     r, p = _validate_state(2.0, 1448)
@@ -572,7 +631,7 @@ def test_run_steps_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert out.t > 0.0
-    assert peak < 3 * 2 ** 20
+    assert peak < 2 ** 20
     assert current < 256 * 2 ** 10
 
 
@@ -580,10 +639,7 @@ def test_run_steps_returns_its_checkpoints(monkeypatch):
     # every n steps of one call: K states, the last bit for bit the state
     # of one call without checkpoints, for K*n + 1 force calls in either
     # call; a partial last chunk is returned as well
-    calls = []
-    real = lattice.force
-    monkeypatch.setattr(lattice, "force", lambda r, config: calls.append(
-        config) or real(r, config))
+    calls = _record_force_cutoffs(monkeypatch)
     state = _random_state(9, scale=0.05)
     cfg = _config()
     K, n = 4, 5
