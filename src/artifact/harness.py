@@ -406,11 +406,11 @@ def _validation_branch(config, params, spectra, entry, lat_cfg, state, sign):
     against the backward ones with the momentum-reflected twin state.
     health holds the chain's relative energy drift from t = 0 to the last
     checkpoint, its smallest collision margin 1 - max|r| over the
-    checkpoints, t = 0 included, and at the largest max|r| far_bound through
-    FAR_ORDER, whether it meets FAR_TOL (so that run_steps could sum the far
-    ranges by moments at every checkpoint) and the least order far_order
-    picks there (0 for none).  A drift past ENERGY_DRIFT_TOL raises
-    BlowUpError.
+    checkpoints, t = 0 included, and at the largest max|r| the least order
+    far_order picks (0 for none), far_bound at that order (at FAR_ORDER for
+    none) and whether it meets FAR_TOL, so that run_steps could sum the far
+    ranges by moments at every checkpoint.  A drift past ENERGY_DRIFT_TOL
+    raises BlowUpError.
     """
     alpha, eps = params.alpha, entry["epsilon"]
     nsteps = entry["steps_per_checkpoint"]
@@ -441,13 +441,14 @@ def _validation_branch(config, params, spectra, entry, lat_cfg, state, sign):
         raise BlowUpError(f"chain energy drifted by {drift:.3g} of its "
                           f"initial value, past {ENERGY_DRIFT_TOL:g}",
                           t=sign * t, alpha=alpha, epsilon=eps)
-    bound = far_bound(1.0 - margin, alpha, FAR_ORDER)
+    order = far_order(1.0 - margin, alpha)
+    bound = far_bound(1.0 - margin, alpha, order or FAR_ORDER)
     health = {"direction": "forward" if sign > 0 else "backward",
               "energy_initial": E0, "energy_final": E1,
               "energy_rel_drift": drift,
               "min_collision_margin": margin,
               "far_bound": bound, "far_bound_ok": bound <= FAR_TOL,
-              "far_order": far_order(1.0 - margin, alpha)}
+              "far_order": order}
     return rows, energy_samples, health
 
 

@@ -21,7 +21,12 @@ slope is a power series in the window mean, and every order of it is a
 circular convolution of a power of the scaled primitive of r with fixed
 weights, so a few FFTs replace the N x M kernel calls.  This near/far split
 follows Ewald (1921) and Greengard & Rokhlin (1987), keeping the far part's
-nonlinearity order by order; energy keeps the direct sum.
+nonlinearity order by order; energy keeps the direct sum.  The orders reach
+FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
+default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
+orders 11 to 20, and the validation chains orders 9 or less.  A force that
+builds its own weights takes the orders a block at a time, within the
+memory a direct sum would hold; run_steps builds them once per call.
 """
 
 from __future__ import annotations
@@ -44,10 +49,15 @@ _BLOCK_ELEMENTS = 16384
 
 # Past a cutoff of 2 * NEAR_RANGE, force sums the ranges beyond NEAR_RANGE
 # by moments, through the least order up to FAR_ORDER whose bound on the
-# dropped orders meets FAR_TOL of the far field's linear term.
+# dropped orders meets FAR_TOL of the far field's linear term.  Order 24
+# meets it at every window mean up to 0.2 and alpha in (1, 3), where
+# far_bound needs orders 21 to 23; the default sweeps' largest mean, 0.176
+# (residual, alpha 1.8, eps 0.2), needs 20.
 NEAR_RANGE = 16
-FAR_ORDER = 10
+FAR_ORDER = 24
 FAR_TOL = 1e-13
+
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])     # i^0..i^3
 
 # The split step goes unstable once dt times the top linear frequency
 # reaches pi; _linear_flow refuses a dt past this limit, which keeps a 10%
@@ -262,27 +272,6 @@ def far_order(x: float, alpha: float) -> int:
                  if far_bound(x, alpha, p) <= FAR_TOL), 0)
 
 
-def _far_weights(config: LatticeConfig, p: int):
-    """Weight spectra B_0..B_p (rows of rfft bins) of _far_field for the
-    ranges past near_range(config.cutoff).  Order n of the far slopes,
-    sum_m C(-alpha-1, n) m^-(alpha+1+n) (d_m(j)^n - d_m(j-m)^n) with
-    d_m(j) = s_{j+m} - s_j, splits binomially into (-s_j)^q/q! times a
-    correlation and a convolution of s^k/k!, q + k = n, whose spectrum is
-    B_n = g_n (conj(c^_n) - (-1)^n c^_n), c_n,m = m^-(alpha+1+n) and
-    g_n = n! C(-alpha-1, n) = prod_{i<=n} -(alpha+i): 2 g_n Re c^_n at odd
-    n and -2i g_n Im c^_n at even n, formed in place."""
-    M, M0, alpha = config.cutoff, near_range(config.cutoff), config.alpha
-    n = np.arange(p + 1)
-    c = np.zeros((p + 1, config.N))
-    c[:, M0 + 1:M + 1] = np.arange(M0 + 1, M + 1, dtype=float) ** -(
-        alpha + 1.0 + n[:, None])
-    B = np.fft.rfft(c)
-    B[0::2].real, B[1::2].imag = 0.0, 0.0
-    g = np.cumprod([1.0] + [-(alpha + i) for i in range(1, p + 1)])
-    B *= (-2.0 * (-1.0) ** n * g)[:, None]
-    return B
-
-
 def _scaled_primitive(r: np.ndarray, rho: float) -> np.ndarray:
     """s = S/(1 + rho), S the mean-zero primitive of r - rho, so that
     G_m r_j = m rho + (1 + rho) (s_{j+m} - s_j)."""
@@ -291,31 +280,104 @@ def _scaled_primitive(r: np.ndarray, rho: float) -> np.ndarray:
     return (S - np.mean(S)) / (1.0 + rho)
 
 
-def _far_field(r: np.ndarray, config: LatticeConfig, p: int, B=None):
+def _far_block(N: int, p: int) -> int:
+    """Orders a far field through order p with weights of its own takes at
+    a time through its transforms and products, at least one.  It holds H
+    and the weights, 3 (p + 1) (N/2 + 1) floats, and three ring vectors; a
+    block costs about 4 N floats an order with numpy's buffers, and the
+    blocks fill what that leaves of the three blocks of _BLOCK_ELEMENTS
+    floats that a direct sum holds."""
+    held = 3 * (p + 1) * (N // 2 + 1) + 3 * N
+    return max(1, (3 * _BLOCK_ELEMENTS - held) // (4 * N))
+
+
+def _far_weights(config: LatticeConfig, p: int) -> np.ndarray:
+    """Weight rows b_0..b_p, real, over the rfft bins, of _far_field for the
+    ranges past near_range(config.cutoff).  Order n of the far slopes,
+    sum_m C(-alpha-1, n) m^-(alpha+1+n) (d_m(j)^n - d_m(j-m)^n) with
+    d_m(j) = s_{j+m} - s_j, splits binomially into (-s_j)^q/q! times a
+    correlation and a convolution of s^k/k!, q + k = n, whose spectrum is
+    B_n = g_n (conj(c^_n) - (-1)^n c^_n), c_n,m = m^-(alpha+1+n) and
+    g_n = n! C(-alpha-1, n) = prod_{i<=n} -(alpha+i): 2 g_n Re c^_n at odd
+    n and -2i g_n Im c^_n at even n, so that b_n = B_n / i^(n+1) is real."""
+    N, M, M0 = config.N, config.cutoff, near_range(config.cutoff)
+    alpha = config.alpha
+    n = np.arange(p + 1)
+    # -2 (-1)^n g_n over i^(n+1), on the part B_n keeps: Re c^_n at odd n,
+    # Im c^_n times i at even n
+    f = -2.0 * (-1.0) ** (n + (n + 1) // 2) * np.cumprod(
+        [1.0] + [-(alpha + i) for i in range(1, p + 1)])
+    m = np.arange(M0 + 1, M + 1, dtype=float)
+    b = np.empty((p + 1, N // 2 + 1))
+    R = _far_block(N, p)
+    for n0 in range(0, p + 1, R):
+        n1 = min(n0 + R, p + 1)
+        c = np.zeros((n1 - n0, N))
+        c[:, M0 + 1:M + 1] = m ** -(alpha + 1.0 + n[n0:n1, None])
+        C = np.fft.rfft(c)
+        e = n0 % 2      # C's row of the block's first even n
+        np.multiply(C.imag[e::2], f[n0 + e:n1:2, None], out=b[n0 + e:n1:2])
+        np.multiply(C.real[1 - e::2], f[n0 + 1 - e:n1:2, None],
+                    out=b[n0 + 1 - e:n1:2])
+    return b
+
+
+def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
+               b=None):
     """The share of force(r, config) of the ranges past the near range
-    through order p, from run_steps' weights B or weights built here:
-    -alpha (1+rho)^-(alpha+1) sum_q (-s)^q/q! irfft(H_q), s as in
-    _scaled_primitive, H_q = sum_{k<=p-q} B_{q+k} (s^k/k!)^ (orders <= p)."""
-    alpha, N = config.alpha, r.size
-    rho = float(np.mean(r))
-    s = _scaled_primitive(r, rho)
-    B = (_far_weights(config, p) if B is None else B)[:p + 1]
-    P = np.fft.rfft(np.cumprod(
-        np.broadcast_to(s, (p, N)) / np.arange(1.0, p + 1)[:, None], axis=0))
-    H = np.zeros_like(B)
-    H[:, 0] = N * B[:, 0]   # k = 0: the spectrum of s^0 is N at bin 0
-    for k in range(1, p + 1):
-        H[:p + 1 - k] += B[k:] * P[k - 1]
-    H *= np.cumprod([1.0] + [-1.0 / q for q in range(1, p + 1)])[:, None]
-    h = np.fft.irfft(H, N)     # row q: (-1)^q/q! irfft(H_q)
-    out = h[p]
-    for q in range(p - 1, -1, -1):
-        out *= s
-        out += h[q]
+    through order p, at gaps r of mean rho and scaled primitive s (as in
+    _scaled_primitive), from run_steps' weights b or weights built here:
+    -alpha (1+rho)^-(alpha+1) sum_q (-s)^q/q! irfft(H_q),
+    H_q = sum_{k<=p-q} B_{q+k} (s^k/k!)^ (orders <= p).
+
+    With B_n = i^(n+1) b_n, H_q is i^q times the sum over k of the real
+    rows b_{q+k} times i^(k+1) (s^k/k!)^; rotations by powers of i are
+    exact, so this is B's sum to the last bit.  With weights built here the
+    powers' spectra, the products and the inverse transforms go _far_block
+    orders at a time, and the weights are freed before the inverse
+    transforms; run_steps' weights serve many steps, which take every order
+    at once."""
+    alpha, N = config.alpha, s.size
+    own = b is None
+    if own:
+        b = _far_weights(config, p)
+    elif len(b) < p + 1:
+        raise ValueError(f"the far field through order {p} needs {p + 1} "
+                         f"weight rows, got {len(b)}")
+    R = _far_block(N, p) if own else p + 1
+    H = np.zeros((p + 1, N // 2 + 1), dtype=complex)
+    H.imag[:, 0] = N * b[:p + 1, 0]     # k = 0: i (s^0)^ is N i at bin 0
+    t = 1.0                             # s^(k-1)/(k-1)! at block start k
+    for k0 in range(1, p + 1, R):
+        ks = np.arange(k0, min(k0 + R, p + 1))
+        T = s / ks[:, None]
+        T[0] *= t
+        for j in range(1, ks.size):
+            T[j] *= T[j - 1]
+        t = T[-1].copy()
+        P = np.fft.rfft(T)
+        del T
+        P *= _I_POWERS[(ks + 1) % 4, None]
+        for k, Pk in zip(ks, P):
+            for q0 in range(0, p + 1 - k, R):
+                q1 = min(q0 + R, p + 1 - k)
+                H[q0:q1] += b[q0 + k:q1 + k] * Pk
+        del P
+    del b
+    # times (-1)^q/q! and i^q; row q of irfft(H) is (-1)^q/q! irfft(H_q)
+    phi = np.cumprod([1.0] + [-1.0 / q for q in range(1, p + 1)]) \
+        * _I_POWERS[np.arange(p + 1) % 4]
+    out = np.zeros(N)
+    for q1 in range(p + 1, 0, -R):
+        q0 = max(0, q1 - R)
+        H[q0:q1] *= phi[q0:q1, None]
+        for h in np.fft.irfft(H[q0:q1], N)[::-1]:
+            out *= s
+            out += h
     return -alpha * (1.0 + rho) ** -(alpha + 1.0) * out
 
 
-def _split_force(r: np.ndarray, config: LatticeConfig, B=None):
+def _split_force(r: np.ndarray, config: LatticeConfig, b=None):
     """force(r, config): the near ranges directly plus _far_field's share
     through the order far_order finds at x = max|r - rho|/(1 + rho), else
     every range directly; the far field reuses the near sum's freed memory."""
@@ -326,11 +388,12 @@ def _split_force(r: np.ndarray, config: LatticeConfig, B=None):
     # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
     # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
     # while 2 max|s| <= NEAR_RANGE + 1
-    if p and 2.0 * float(np.max(np.abs(_scaled_primitive(r, rho)))) \
-            <= NEAR_RANGE + 1:
-        f = _direct_force(r, alpha, M0)
-        f += _far_field(r, config, p, B)
-        return f
+    if p:
+        s = _scaled_primitive(r, rho)
+        if 2.0 * float(np.max(np.abs(s))) <= NEAR_RANGE + 1:
+            f = _direct_force(r, alpha, M0)
+            f += _far_field(s, rho, config, p, b)
+            return f
     return _direct_force(r, alpha, config.cutoff)
 
 
@@ -356,15 +419,17 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     (r, p) stay rfft spectra within a call, so a step costs one force, one
     irfft and one rfft, and the trailing remainder doubles as the next
     leading one: a call makes nsteps + 1 force calls, whatever `every`.
-    The force's far weights are built once per call, through FAR_ORDER.
+    The force's far weights are built once per call, through FAR_ORDER,
+    where its cutoff reaches past the near range.
     """
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
-    B = _far_weights(config, FAR_ORDER)
+    b = (_far_weights(config, FAR_ORDER)
+         if near_range(config.cutoff) < config.cutoff else None)
     r = state.r.copy()
     rh = np.fft.rfft(r)
-    Rh = np.fft.rfft(_split_force(r, config, B)) - L * rh
+    Rh = np.fft.rfft(_split_force(r, config, b)) - L * rh
     ph = np.fft.rfft(state.p)
     out = []
     t, done = state.t, 0    # time and step count of the last state returned
@@ -375,7 +440,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
         if np.max(np.abs(r)) >= 1.0:
             raise CollisionError("a gap deviation reached 1; ordering lost",
                                  t=t + (i - done) * dt, alpha=config.alpha)
-        Rh = np.fft.rfft(_split_force(r, config, B)) - L * rh
+        Rh = np.fft.rfft(_split_force(r, config, b)) - L * rh
         ph = ph + (0.5 * dt) * Rh
         if i == nsteps or (every is not None and i % every == 0):
             t, done = t + (i - done) * dt, i

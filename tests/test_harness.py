@@ -225,7 +225,8 @@ def test_describe_plan_default_ring_sizes():
     short = describe_plan(ValidationConfig(alpha=2.0,
                                            residual_cutoff_coef=0.5), "residual")
     assert [(e["cutoff"], e["near_range"], e["far_order"]) for e in short] \
-        == [(13, 13, 0), (25, 25, 0), (50, 16, 10), (100, 16, 10)]
+        == [(13, 13, 0), (25, 25, 0), (50, 16, lattice.FAR_ORDER),
+            (100, 16, lattice.FAR_ORDER)]
 
 
 # per-checkpoint steps on eps 0.4 ... 0.025, and how many of the smallest
@@ -490,14 +491,16 @@ def test_interaction_part_matches_longdouble_window_formula():
 @pytest.mark.parametrize("alpha", [1.8, 2.5])
 def test_residual_fields_peak_memory_within_the_direct_sums(alpha,
                                                             monkeypatch):
-    # the sweep's largest ring, (1448, 600), at t = 0: at alpha 2.5 force
-    # takes the far ranges by moments, at 1.8 far_bound refuses them before
-    # any weight is built; either way the traced peak stays within that of
-    # every range summed directly.  The 1 KiB, a tenth of one 1448-site
-    # vector, is not arrays: tracemalloc still counts the few small objects
-    # (floats, kwargs dicts) that numpy calls leave on the interpreter's
-    # free lists, 0.05 KiB here.  Weights or a far field alive beside the
-    # near sum's blocks would exceed it.
+    # the sweep's largest ring, (1448, 600), at t = 0: force takes the far
+    # ranges by moments, through order 6 at alpha 2.5 and 14 at 1.8, with
+    # weights of its own and _far_block orders at a time (2 at order 14),
+    # and the traced peak stays within that of every range summed directly:
+    # 481 KB against 499 KB at either alpha.  The 1 KiB, a tenth of one
+    # 1448-site vector, is not arrays: tracemalloc still counts the few
+    # small objects (floats, kwargs dicts) that numpy calls leave on the
+    # interpreter's free lists, 0.05 KiB here.  Weights or a far field alive
+    # beside the near sum's blocks would exceed it, and so would order 14
+    # taken three orders at a time (528 KB) or all at once (969 KB).
     cfg = ValidationConfig(alpha=alpha)
     u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
                           default_residual_amplitude(alpha), cfg.width_fraction)
@@ -647,13 +650,14 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
             assert b["energy_rel_drift"] < 1e-8
             # the margin is taken over the checkpoints, t = 0 included
             assert 0.9 < b["min_collision_margin"] <= 1.0 - np.max(np.abs(r0))
-            # the far field's bound at the branch's largest max|r|
+            # the least order that meets FAR_TOL at the branch's largest
+            # max|r|, 0 for none, and the far field's bound at that order,
+            # at FAR_ORDER for none
             x = 1.0 - b["min_collision_margin"]
-            assert b["far_bound"] == lattice.far_bound(x, cfg.alpha,
-                                                       lattice.FAR_ORDER)
-            assert b["far_bound_ok"] == (b["far_bound"] <= lattice.FAR_TOL)
-            # and the least order that meets FAR_TOL there, 0 for none
             p = b["far_order"]
+            assert b["far_bound"] == lattice.far_bound(
+                x, cfg.alpha, p or lattice.FAR_ORDER)
+            assert b["far_bound_ok"] == (b["far_bound"] <= lattice.FAR_TOL)
             assert (1 <= p <= lattice.FAR_ORDER) == b["far_bound_ok"]
             if p:
                 assert lattice.far_bound(x, cfg.alpha, p) <= lattice.FAR_TOL

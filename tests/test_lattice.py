@@ -510,10 +510,24 @@ def test_far_field_properties(case):
                 <= 1e-12 * (np.max(np.abs(_direct(r, cfg))) + abs(rho)))
 
 
+def _far_sum_longdouble(r, alpha, M0, M):
+    # force's ranges M0 < m <= M in long double, pair slope by pair slope
+    n = r.size
+    cs = np.concatenate(([0], np.cumsum(np.concatenate((r, r)).astype(
+        np.longdouble))))
+    f = np.zeros(n, dtype=np.longdouble)
+    for m in range(M0 + 1, M + 1):
+        w = _pair_slope_longdouble(cs[m:m + n] - cs[:n], m, alpha)
+        f += w - np.roll(w, m)     # w_j - w_{j-m}
+    return f
+
+
 def _far_error_and_allowance(alpha, p):
     # the far field at order p on a ring that holds a step of window means
     # near x = 0.1 at every range, where the dropped orders are measurable,
-    # against the direct far sum, with weights built at p and with those
+    # against the long-double far sum (the double-precision direct sum's own
+    # rounding, 1.6e-13 to 3.3e-13 of the far field here, would exceed the
+    # 1e-14 allowance at p >= 15), with weights built at p and with those
     # run_steps builds through FAR_ORDER; and the bound it is gated by: a
     # far pair slope errs by at most alpha (1+rho)^-(alpha+1) m^-(alpha+1)
     # (alpha+1) x far_bound, and a force by twice the sum of that over the
@@ -524,15 +538,16 @@ def _far_error_and_allowance(alpha, p):
     rho = float(np.mean(r))
     x = 0.1 / (1.0 + rho)
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
-    want = (lattice._direct_force(r, alpha, cutoff)
-            - lattice._direct_force(r, alpha, lattice.NEAR_RANGE))
-    err = max(float(np.max(np.abs(lattice._far_field(r, cfg, p, B) - want)))
-              for B in (None, lattice._far_weights(cfg, lattice.FAR_ORDER)))
+    want = _far_sum_longdouble(r, alpha, lattice.NEAR_RANGE, cutoff)
+    s = lattice._scaled_primitive(r, rho)
+    err = max(float(np.max(np.abs(
+        lattice._far_field(s, rho, cfg, p, B) - want)))
+        for B in (None, lattice._far_weights(cfg, lattice.FAR_ORDER)))
     m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
     allowed = (2.0 * alpha * (1.0 + rho) ** -(alpha + 1.0) * (alpha + 1.0) * x
                * lattice.far_bound(x, alpha, p)
                * float(np.sum(m ** -(alpha + 1.0))))
-    return err, allowed, np.max(np.abs(want))
+    return err, allowed, float(np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.5])
@@ -544,7 +559,7 @@ def test_far_field_error_within_its_a_priori_bound(alpha):
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.5])
-@pytest.mark.parametrize("p", range(1, 11))
+@pytest.mark.parametrize("p", range(1, lattice.FAR_ORDER + 1))
 def test_far_field_at_each_order_within_its_bound(alpha, p, monkeypatch):
     # every order p keeps whole orders n = q + k <= p of the binomial split;
     # weights cut at q, k <= p instead would keep parts of the orders past
@@ -552,39 +567,67 @@ def test_far_field_at_each_order_within_its_bound(alpha, p, monkeypatch):
     # themselves, and miss this allowance
     err, allowed, scale = _far_error_and_allowance(alpha, p)
     assert err <= allowed + 1e-14 * scale
-    # far_order picks the least order whose bound meets FAR_TOL
-    assert lattice.far_order(0.1, alpha) == 0
+    # far_order picks the least order whose bound meets FAR_TOL: at x = 0.1
+    # order 15 at alpha 1.8 and 16 at 2.5
+    least = lattice.far_order(0.1, alpha)
+    assert least == {1.8: 15, 2.5: 16}[alpha]
+    assert (lattice.far_bound(0.1, alpha, least) <= lattice.FAR_TOL
+            < lattice.far_bound(0.1, alpha, least - 1))
     monkeypatch.setattr(lattice, "FAR_TOL", lattice.far_bound(0.1, alpha, p))
     assert lattice.far_order(0.1, alpha) == p
+
+
+def test_far_field_refuses_too_few_weight_rows():
+    cfg = _config(n=256, cutoff=127)
+    s = lattice._scaled_primitive(
+        0.01 * np.sin(2.0 * np.pi * np.arange(256) / 256), 0.0)
+    with pytest.raises(ValueError, match="order 12 needs 13 weight rows, "
+                                         "got 11"):
+        lattice._far_field(s, 0.0, cfg, 12, lattice._far_weights(cfg, 10))
+
+
+# the orders force takes on the residual states at t = 0, ring by ring
+_RESIDUAL_ORDERS = {(1.8, 1024): 15, (1.8, 1448): 14, (2.0, 1024): 13,
+                    (2.0, 1448): 11, (2.5, 1024): 6, (2.5, 1448): 6}
 
 
 @pytest.mark.parametrize("n, cutoff", [(1024, 300), (1448, 600)])
 def test_force_on_residual_states_matches_the_direct_sum(n, cutoff,
                                                          monkeypatch):
-    # the alpha-2.5 residual sweep's interaction part at t = 0: force takes
-    # the far ranges by moments there, at weights built for the state's
-    # order, within 1e-12 of max|f| of the direct sum
-    alpha = 2.5
-    cfg = ValidationConfig(alpha=alpha)
-    u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
-                          default_residual_amplitude(alpha), cfg.width_fraction)
-    r = ansatz_fields(u0.spectrum, cfg.period, n, make_alpha_params(alpha))[0]
-    lat = _config(n=n, alpha=alpha, cutoff=cutoff, dt=1.0)
-    want = _direct(r, lat)
+    # the residual sweeps' interaction part at t = 0: force takes the far
+    # ranges by moments there, at weights built for the state's order,
+    # within 1e-12 of max|f| of the direct sum
     calls = _record_force_cutoffs(monkeypatch)
-    got = force(r, lat)
-    assert calls == [lattice.NEAR_RANGE]
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    orders = []
+    real = lattice._far_field
+    monkeypatch.setattr(lattice, "_far_field",
+                        lambda s, rho, config, p, b=None: orders.append(p)
+                        or real(s, rho, config, p, b))
+    for alpha in (1.8, 2.0, 2.5):
+        cfg = ValidationConfig(alpha=alpha)
+        u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
+                              default_residual_amplitude(alpha),
+                              cfg.width_fraction)
+        r = ansatz_fields(u0.spectrum, cfg.period, n,
+                          make_alpha_params(alpha))[0]
+        lat = _config(n=n, alpha=alpha, cutoff=cutoff, dt=1.0)
+        want = _direct(r, lat)
+        calls.clear()
+        orders.clear()
+        got = force(r, lat)
+        assert calls == [lattice.NEAR_RANGE]
+        assert orders == [_RESIDUAL_ORDERS[alpha, n]]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
     # an amplitude far_bound refuses, a long wave whose scaled primitive is
     # too large to expand in, and a NaN: run_steps steps exactly as with
     # every range summed directly
-    assert lattice.far_bound(0.1, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
+    assert lattice.far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
     assert lattice.far_bound(math.nan, 2.0, lattice.FAR_ORDER) == math.inf
     calls = _record_force_cutoffs(monkeypatch)
-    for n, cutoff, amp in ((512, 255, 0.1), (4096, 100, 0.03)):
+    for n, cutoff, amp in ((512, 255, 0.3), (4096, 100, 0.03)):
         x = 2.0 * np.pi * np.arange(n) / n
         state = LatticeState(r=amp * np.sin(x), p=amp * np.cos(x))
         cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
@@ -617,8 +660,8 @@ def test_far_field_trajectory_matches_the_direct_sum(monkeypatch):
 
 
 def test_run_steps_memory_stays_bounded():
-    # the far weights, 11 spectra of N/2 + 1 complex bins or 127 KiB at
-    # (1448, 723), live for one call (peak 0.55 MiB, where an M x N stack
+    # the far weights, 25 real rows of N/2 + 1 bins or 142 KiB at
+    # (1448, 723), live for one call (peak 0.66 MiB, where an M x N stack
     # would be 8 MiB); the returned state holds only r and p, 25 KiB
     cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
     r, p = _validate_state(2.0, 1448)
@@ -633,6 +676,22 @@ def test_run_steps_memory_stays_bounded():
     assert out.t > 0.0
     assert peak < 2 ** 20
     assert current < 256 * 2 ** 10
+
+
+def test_run_steps_builds_far_weights_only_past_twice_the_near_range(
+        monkeypatch):
+    # within a cutoff of 2 NEAR_RANGE every range is summed directly and no
+    # weights are built; one range more, and one call builds them once
+    built = []
+    real = lattice._far_weights
+    monkeypatch.setattr(lattice, "_far_weights",
+                        lambda config, p: built.append(p) or real(config, p))
+    state = _random_state(7, n=128, scale=1e-3)
+    M = 2 * lattice.NEAR_RANGE
+    for cutoff, want in ((M, []), (M + 1, [lattice.FAR_ORDER])):
+        built.clear()
+        run_steps(state, _config(n=128, cutoff=cutoff, dt=0.05), 3)
+        assert built == want
 
 
 def test_run_steps_returns_its_checkpoints(monkeypatch):
