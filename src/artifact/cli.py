@@ -34,7 +34,7 @@ from .bo_solver import (BOConfig, BOState, BlowUpError, gaussian_profile,
 from .harness import (DEFAULT_VALIDATION_AMPLITUDE, ConfigError,
                       ValidationConfig, _ring_size, ansatz_fields,
                       describe_plan, run_residual_sweep, run_validation,
-                      write_json, write_rows_csv)
+                      sweep_files, write_json, write_rows_csv)
 from .lattice import (CollisionError, LatticeConfig, LatticeState,
                       check_steps, energy, run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
@@ -152,12 +152,12 @@ def cmd_alpha_star(args) -> int:
 def cmd_eta_rates(args) -> int:
     if args.dry_run:
         _emit({"command": "eta-rates", "alpha": args.alpha,
-               "h_list": list(args.h_list), "tol": args.tol})
+               "h_list": list(args.h_list)})
         return 0
     eta = eta_integral(args.alpha)
     rows = []
     for h in args.h_list:
-        val = eta_riemann(args.alpha, h, tol=args.tol)
+        val = eta_riemann(args.alpha, h)
         rows.append((h, val, abs(val - eta)))
     lines = ["h,eta_h,abs_err"]
     lines += [",".join(repr(float(x)) for x in row) for row in rows]
@@ -227,8 +227,6 @@ def cmd_simulate_lattice(args) -> int:
         N = r.size
         if args.n and args.n != N:
             raise ConfigError(f"--n {args.n} disagrees with {args.init} ({N} rows)")
-        if args.cutoff is None:
-            raise ConfigError("--cutoff is required together with --init")
     else:
         if args.epsilon is None:
             raise ConfigError("either --init or --epsilon is required")
@@ -242,9 +240,7 @@ def cmd_simulate_lattice(args) -> int:
                               args.width_fraction)
         r, p = ansatz_fields(u0.spectrum, args.period, N, params)
     state = LatticeState(r=r, p=p, t=0.0)
-    cutoff = args.cutoff
-    if cutoff is None:
-        cutoff = min(N // 2 - 1, int(math.ceil(8.0 / eps)))
+    cutoff = N // 2 - 1 if args.cutoff is None else args.cutoff
     cfg = LatticeConfig(N=N, alpha=args.alpha, cutoff=cutoff, dt=args.dt)
     every = (max(1, args.steps // 10) if args.trace_every is None
              else args.trace_every)
@@ -311,7 +307,6 @@ def _run_sweep(args, pipeline, command) -> int:
         return 0
     if pipeline == "residual":
         _, report = run_residual_sweep(cfg)
-        outputs = ["residual_sweep.csv", "residual_sweep.dat", "report.json"]
         summary = {"slope": report.slope,
                    "target_exponent": report.target_exponent,
                    "r_squared": report.r_squared,
@@ -319,14 +314,12 @@ def _run_sweep(args, pipeline, command) -> int:
                    "output": cfg.output}
     else:
         result = run_validation(cfg)
-        outputs = ["validation.csv", "validation.dat", "report.json"]
-        if result.energy_rows:
-            outputs.append("energy_trace.csv")
         summary = {"mu_slope": result.mu_report.slope,
                    "nu_slope": result.nu_report.slope,
                    "target_exponent": result.mu_report.target_exponent,
                    "output": cfg.output}
-    write_manifest(cfg.output, command, asdict(cfg), outputs)
+    write_manifest(cfg.output, command, asdict(cfg),
+                   sweep_files(cfg, pipeline))
     _emit(summary)
     return 0
 
@@ -355,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="output directory (solve-bo/simulate-lattice also "
                              "accept a .csv path for the main table)")
-    common.add_argument("--jobs", type=int, metavar="J",
-                        help="worker count for per-epsilon runs")
     common.add_argument("--dry-run", action="store_true",
                         help="print the resolved plan without writing outputs")
 
@@ -374,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--h-list", type=_csv_floats, default=DEFAULT_H_LIST,
                    metavar="H1,H2,...")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_eta_rates)
 
     p = sub.add_parser("solve-bo", parents=[common],
@@ -394,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evolve the particle chain")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, help="ring size cross-check")
-    p.add_argument("--cutoff", type=int, help="interaction range")
+    p.add_argument("--cutoff", type=int,
+                   help="interaction range (default the ring cap N/2 - 1)")
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--init", metavar="FILE",
@@ -409,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate_lattice)
 
     sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--jobs", type=int, metavar="J",
+                       help="worker count for per-epsilon runs")
     sweep.add_argument("--config", metavar="FILE",
                        help="JSON object with run settings; flags override")
     sweep.add_argument("--alpha", type=float)
@@ -419,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--amplitude", type=float)
     sweep.add_argument("--width-fraction", type=float)
     sweep.add_argument("--bo-modes", type=int)
-    sweep.add_argument("--bo-steps-per-checkpoint", type=int)
     sweep.add_argument("--lattice-dt", type=float)
     sweep.add_argument("--residual-cutoff-coef", type=float)
 

@@ -49,6 +49,11 @@ ENERGY_DRIFT_TOL = 1e-6
 # dt * omega_max at or below 0.72 pi.
 STEP_GROWTH_EPS = 0.15
 STEP_CAP = 0.8
+# IF-RK4 steps per surrogate checkpoint.  10 already sit at the rounding
+# floor: at alpha 1.8, 2 and 2.5 and either sweep's default amplitude, the
+# checkpoint spectra match a 4x finer run to 1e-13 of their max, where 100
+# steps against 400 differ by 1e-12 (5 steps: 1.6e-12, 2: 6e-11).
+BO_STEPS_PER_CHECKPOINT = 10
 
 
 class ConfigError(ValueError):
@@ -89,11 +94,6 @@ class ValidationConfig:
     amplitude: Optional[float] = None
     width_fraction: float = 20.0
     bo_modes: int = 512
-    # 10 IF-RK4 steps per checkpoint already sit at the rounding floor: at
-    # alpha 1.8, 2 and 2.5 and either sweep's default amplitude, the
-    # checkpoint spectra match a 4x finer run to 1e-13 of their max, where
-    # 100 steps against 400 differ by 1e-12 (5 steps: 1.6e-12, 2: 6e-11).
-    bo_steps_per_checkpoint: int = 10
     dealias_fraction: float = 2.0 / 3.0
     lattice_dt: float = 0.1
     residual_cutoff_coef: float = 3.0
@@ -125,8 +125,7 @@ class ValidationConfig:
         if self.amplitude is not None and not (
                 math.isfinite(self.amplitude) and self.amplitude != 0.0):
             raise ConfigError("amplitude must be finite and nonzero")
-        for name in ("checkpoints", "bo_modes", "bo_steps_per_checkpoint",
-                     "jobs"):
+        for name in ("checkpoints", "bo_modes", "jobs"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, int) or val < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, "
@@ -330,7 +329,7 @@ def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
 
 
 def _surrogate_dtau(config: ValidationConfig) -> float:
-    return (config.tau0 / config.checkpoints) / config.bo_steps_per_checkpoint
+    return (config.tau0 / config.checkpoints) / BO_STEPS_PER_CHECKPOINT
 
 
 def _surrogate_record(config: ValidationConfig, steps: int, spectra) -> dict:
@@ -648,39 +647,46 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def _write_sweep(outdir, config, params, stem, header, rows, report,
+def sweep_files(config: ValidationConfig, pipeline: str) -> list:
+    """Names of the files a sweep writes into its output directory:
+    <stem>.csv and <stem>.dat, energy_trace.csv for a validation with
+    energy_trace, and report.json."""
+    stem = "residual_sweep" if pipeline == "residual" else "validation"
+    names = [stem + ".csv", stem + ".dat"]
+    if pipeline == "validation" and config.energy_trace:
+        names.append("energy_trace.csv")
+    return names + ["report.json"]
+
+
+def _write_sweep(outdir, config, params, pipeline, header, rows, report,
                  energy_rows=()):
-    """Write <stem>.csv and <stem>.dat, energy_trace.csv when there are
-    energy rows, and report.json: the report entries with the constants and
-    the config.  Returns the paths."""
+    """Write the sweep_files: the rows as a table twice, the energy rows,
+    and report.json, the report entries with the constants and the
+    config."""
     os.makedirs(outdir, exist_ok=True)
-    paths = [os.path.join(outdir, stem + ".csv"),
-             os.path.join(outdir, stem + ".dat")]
-    write_rows_csv(paths[0], header, rows)
-    write_rows_dat(paths[1], header, rows)
-    if energy_rows:
-        paths.append(os.path.join(outdir, "energy_trace.csv"))
-        write_rows_csv(paths[-1], ENERGY_CSV_HEADER, energy_rows)
-    paths.append(os.path.join(outdir, "report.json"))
-    write_json(paths[-1], {**report, "constants": asdict(params),
+    csv_path, dat_path, *energy_path, json_path = (
+        os.path.join(outdir, name) for name in sweep_files(config, pipeline))
+    write_rows_csv(csv_path, header, rows)
+    write_rows_dat(dat_path, header, rows)
+    for path in energy_path:
+        write_rows_csv(path, ENERGY_CSV_HEADER, energy_rows)
+    write_json(json_path, {**report, "constants": asdict(params),
                            "config": asdict(config)})
-    return paths
 
 
 def write_residual_outputs(outdir, config, params, rows, report, plan,
                            surrogate):
-    return _write_sweep(outdir, config, params, "residual_sweep",
-                        RESIDUAL_CSV_HEADER, rows,
-                        {"pipeline": "residual", "residual": asdict(report),
-                         "plan": plan, "surrogate": surrogate})
+    _write_sweep(outdir, config, params, "residual", RESIDUAL_CSV_HEADER,
+                 rows, {"pipeline": "residual", "residual": asdict(report),
+                        "plan": plan, "surrogate": surrogate})
 
 
 def write_validation_outputs(outdir, config, params, result: ValidationResult):
-    return _write_sweep(outdir, config, params, "validation",
-                        VALIDATION_CSV_HEADER, result.rows,
-                        {"pipeline": "validation",
-                         "mu": asdict(result.mu_report),
-                         "nu": asdict(result.nu_report),
-                         "chain": result.chain_health,
-                         "surrogate": result.surrogate},
-                        result.energy_rows)
+    _write_sweep(outdir, config, params, "validation",
+                 VALIDATION_CSV_HEADER, result.rows,
+                 {"pipeline": "validation",
+                  "mu": asdict(result.mu_report),
+                  "nu": asdict(result.nu_report),
+                  "chain": result.chain_health,
+                  "surrogate": result.surrogate},
+                 result.energy_rows)

@@ -63,12 +63,18 @@ def test_alpha_star_stdout(capsys):
     assert 1.45 < root < 1.5
 
 
-@pytest.mark.parametrize("argv", [["constants", "--alpha", "2.0"],
-                                  ["alpha-star"]])
+@pytest.mark.parametrize("argv", [
+    ["constants", "--alpha", "2.0", "--tol", "1e-12"],
+    ["alpha-star", "--tol", "1e-12"],
+    ["eta-rates", "--alpha", "2.0", "--tol", "1e-12"],
+    ["residual-sweep", "--bo-steps-per-checkpoint", "20"],
+    ["constants", "--alpha", "2.0", "--jobs", "1"]])
 def test_lattice_sums_take_no_tolerance(argv, capsys):
-    # zeta is exact to rounding, so there is no --tol to set
-    assert main(argv + ["--tol", "1e-12"]) == 1
-    assert "--tol" in capsys.readouterr().err
+    # zeta and eta_riemann are exact to rounding, so there is no --tol to
+    # set; the surrogate's steps per checkpoint are fixed, and --jobs is a
+    # sweep flag only
+    assert main(argv) == 1
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_eta_rates_stdout_csv(capsys):
@@ -238,13 +244,17 @@ def test_simulate_lattice_restart_round_trip(tmp_path, capsys):
                           head[np.argsort(head["j"])]["p"])
 
 
-def test_simulate_lattice_init_requires_cutoff(tmp_path, capsys):
+def test_simulate_lattice_defaults_to_the_ring_cap(tmp_path, capsys):
+    # without --cutoff the chain runs at the ring cap N/2 - 1, from the
+    # ansatz as from a file, as validate's chain does
     init = tmp_path / "init.csv"
     init.write_text("j,r,p\n" + "\n".join(f"{j},0.01,0.0" for j in range(32)) + "\n")
-    rc = main(["simulate-lattice", "--alpha", "2.0", "--init", str(init),
-               "--steps", "2"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for start, N in ((["--epsilon", "0.1"], 1024), (["--init", str(init)], 32)):
+        rc = main(["simulate-lattice", "--alpha", "2.0", "--steps", "2",
+                   "--dry-run"] + start)
+        assert rc == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert (plan["sites"], plan["cutoff"]) == (N, N // 2 - 1)
 
 
 def test_simulate_lattice_requires_some_initial_data(capsys):
@@ -274,8 +284,7 @@ def test_missing_init_file_is_a_config_error(tmp_path, capsys):
 
 
 _SWEEP_ARGS = ["--epsilons", "0.4,0.32,0.25", "--tau0", "0.05",
-               "--checkpoints", "2", "--bo-modes", "256",
-               "--bo-steps-per-checkpoint", "20", "--amplitude", "0.1"]
+               "--checkpoints", "2", "--bo-modes", "256", "--amplitude", "0.1"]
 
 
 def test_residual_sweep_end_to_end(tmp_path, capsys):
@@ -323,11 +332,22 @@ def test_validate_end_to_end(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3  # header + (1 + checkpoints) rows per eps
 
 
+@pytest.mark.parametrize("argv", [["residual-sweep"],
+                                  ["validate", "--energy-trace"]])
+def test_sweep_manifest_lists_the_files_written(argv, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(argv + ["--out", str(out)] + _SWEEP_ARGS) == 0
+    capsys.readouterr()
+    with open(out / "manifest.json") as fh:
+        listed = json.load(fh)["outputs"]
+    assert listed == sorted(set(os.listdir(out)) - {"manifest.json"})
+
+
 def test_validate_blow_up_exit_code(tmp_path, capsys):
     rc = main(["validate", "--alpha", "2.0", "--out", str(tmp_path / "bu"),
                "--epsilons", "0.4,0.32,0.25", "--tau0", "0.05",
                "--checkpoints", "2", "--bo-modes", "256",
-               "--bo-steps-per-checkpoint", "20", "--amplitude", "10.0"])
+               "--amplitude", "10.0"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("blow-up:")

@@ -27,8 +27,7 @@ PARAMS2 = make_alpha_params(2.0)
 
 def _smoke_config(**kw):
     base = dict(alpha=2.0, epsilons=(0.4, 0.32, 0.25), period=102.4,
-                tau0=0.05, checkpoints=2, amplitude=0.1, bo_modes=256,
-                bo_steps_per_checkpoint=20)
+                tau0=0.05, checkpoints=2, amplitude=0.1, bo_modes=256)
     base.update(kw)
     return ValidationConfig(**base)
 
@@ -56,10 +55,9 @@ def test_config_validation():
         ValidationConfig(jobs=0)
     with pytest.raises(ConfigError):
         ValidationConfig(dealias_fraction=0.7)  # would alias by design
-    # each of these once passed the dry run and died in the run, two of
+    # each of these once passed the dry run and died in the run, one of
     # them with a ZeroDivisionError
-    for field in ("bo_steps_per_checkpoint", "width_fraction",
-                  "residual_cutoff_coef"):
+    for field in ("width_fraction", "residual_cutoff_coef"):
         with pytest.raises(ConfigError, match=field):
             ValidationConfig(**{field: 0})
     # inf passed a "> 0" check and died in the planner with a
@@ -77,11 +75,9 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="bo_modes"):
         ValidationConfig(bo_modes=500)  # no surrogate grid of that size
     # a count that is not an int died in the run with a TypeError, or
-    # (True) ran as 1; inf steps failed as a zero dtau
+    # (True) ran as 1
     for field, value in (("checkpoints", 2.5), ("checkpoints", True),
-                         ("bo_modes", 512.0),
-                         ("bo_steps_per_checkpoint", math.inf),
-                         ("jobs", 2.0)):
+                         ("bo_modes", 512.0), ("jobs", 2.0)):
         with pytest.raises(ConfigError, match=field):
             ValidationConfig(**{field: value})
     # at or below alpha* ~ 1.479 the window form is not coercive (gate 4)
@@ -91,20 +87,23 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
-def test_default_surrogate_step_sits_at_the_rounding_floor(alpha):
+def test_default_surrogate_step_sits_at_the_rounding_floor(alpha,
+                                                           monkeypatch):
     # at the default 10 steps per checkpoint the checkpoint spectra match a
     # 4x finer run within 1e-11 of their max, at each sweep's default
     # amplitude; 2 steps per checkpoint miss that bound at amplitude 0.7
     params = make_alpha_params(alpha)
-    steps = ValidationConfig().bo_steps_per_checkpoint
+    steps = harness.BO_STEPS_PER_CHECKPOINT
     assert steps == 10
 
-    def deviation(amplitude, n):
-        coarse, fine = (harness._bo_checkpoint_spectra(
-            ValidationConfig(alpha=alpha, amplitude=amplitude,
-                             bo_steps_per_checkpoint=m), params,
+    def spectra(amplitude, m):
+        monkeypatch.setattr(harness, "BO_STEPS_PER_CHECKPOINT", m)
+        return harness._bo_checkpoint_spectra(
+            ValidationConfig(alpha=alpha, amplitude=amplitude), params,
             gaussian_profile(PeriodicGrid(102.4, 512), amplitude))[0]
-            for m in (n, 4 * n))
+
+    def deviation(amplitude, n):
+        coarse, fine = (spectra(amplitude, m) for m in (n, 4 * n))
         return max(np.max(np.abs(a - b)) / np.max(np.abs(b))
                    for a, b in zip(coarse, fine))
 
@@ -129,7 +128,7 @@ def test_surrogate_record_takes_the_largest_top_third_share():
     mixed[32] = 3.0
     record = harness._surrogate_record(cfg, 7, [low, mixed, low])
     assert record["rk4_steps"] == 7
-    assert record["dtau"] == 0.05 / 2 / 20
+    assert record["dtau"] == 0.05 / 2 / harness.BO_STEPS_PER_CHECKPOINT
     share = 2 * 0.25 / (4.0 + 2 * (1.0 + 1.0 + 0.25 + 4.0) + 9.0)
     assert record["max_top_third_share"] == pytest.approx(share, rel=1e-15)
     assert harness._surrogate_record(cfg, 7, [low])[
@@ -555,8 +554,9 @@ def test_run_residual_sweep_smoke(tmp_path):
     # the plan it ran, as the dry run gives it
     assert payload["plan"] == describe_plan(cfg, "residual")
     # the surrogate's step, its steps and its resolution
-    assert payload["surrogate"]["dtau"] == 0.05 / 2 / 20
-    assert payload["surrogate"]["rk4_steps"] == 2 * 20
+    steps = harness.BO_STEPS_PER_CHECKPOINT
+    assert payload["surrogate"]["dtau"] == 0.05 / 2 / steps
+    assert payload["surrogate"]["rk4_steps"] == 2 * steps
     assert 0.0 < payload["surrogate"]["max_top_third_share"] < 1e-12
 
 
@@ -619,7 +619,8 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
     assert chain == result.chain_health
     # both directions of the surrogate were stepped
     assert payload["surrogate"] == result.surrogate
-    assert result.surrogate["rk4_steps"] == 2 * 2 * 20
+    assert (result.surrogate["rk4_steps"]
+            == 2 * 2 * harness.BO_STEPS_PER_CHECKPOINT)
     # the frozen plan of each epsilon, as the dry run gives it
     assert [{k: v for k, v in e.items() if k != "branches"}
             for e in chain] == describe_plan(cfg, "validation")
@@ -794,7 +795,7 @@ def test_validation_nan_error_raises_blow_up(monkeypatch, tmp_path, capsys):
     rc = main(["validate", "--alpha", "2.0", "--out", str(tmp_path / "v"),
                "--epsilons", "0.4,0.32,0.25", "--tau0", "0.05",
                "--checkpoints", "2", "--bo-modes", "256",
-               "--bo-steps-per-checkpoint", "20", "--amplitude", "0.1"])
+               "--amplitude", "0.1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "alpha=2.0" in err and "epsilon=" in err and "t=" in err
@@ -824,8 +825,7 @@ def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
     out = tmp_path / "v"
     rc = main(["validate", "--alpha", "2.0", "--out", str(out),
                "--epsilons", epsilons, "--tau0", "0.05", "--checkpoints", "2",
-               "--bo-modes", "256", "--bo-steps-per-checkpoint", "20",
-               "--amplitude", "0.1"])
+               "--bo-modes", "256", "--amplitude", "0.1"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -859,7 +859,7 @@ def test_validation_energy_drift_raises_blow_up(monkeypatch, tmp_path,
     rc = main(["validate", "--alpha", "2.0", "--out", str(out),
                "--epsilons", "0.4,0.32,0.25", "--tau0", "0.05",
                "--checkpoints", "2", "--bo-modes", "256",
-               "--bo-steps-per-checkpoint", "20", "--amplitude", "0.1"])
+               "--amplitude", "0.1"])
     assert rc == 2
     assert "energy drifted" in capsys.readouterr().err
     assert not out.exists()

@@ -118,7 +118,21 @@ def test_eta_riemann_alpha2_step_law():
     # exactly h/24 (trapezoid-like defect of the quadratic branch)
     for h in (0.4, 0.2, 0.1, 0.05, 0.025):
         err = abs(eta_riemann(2.0, h) - ETA_2)
-        assert abs(err - h / 24.0) < 1e-6 * (h / 24.0)
+        assert abs(err - h / 24.0) < 1e-12 * (h / 24.0)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.6, 2.0, 2.3, 2.7])
+def test_eta_riemann_matches_mpmath(alpha):
+    # the rectangle rule h sum_m f(hm) written with zeta values and the
+    # cosine sum Re Li_(alpha+2)(e^(ih)), at 40 digits
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for h in (math.pi, 1.0, 0.4, 0.025, 1e-3):
+            x = mpmath.mpf(h)
+            cos_sum = mpmath.re(mpmath.polylog(a + 2, mpmath.expj(x)))
+            oracle = (x ** (1 - a) * mpmath.zeta(a)
+                      - 2 * x ** (-a - 1) * (mpmath.zeta(a + 2) - cos_sum))
+            assert abs(eta_riemann(alpha, h) / oracle - 1) <= 1e-13
 
 
 def test_eta_riemann_converges_monotonically():
@@ -132,6 +146,10 @@ def test_eta_riemann_domain_errors():
         eta_riemann(2.0, 0.0)
     with pytest.raises(ValueError):
         eta_riemann(2.0, -0.1)
+    # past pi the grid aliases: h and 2 pi - h give the same cosine sum
+    eta_riemann(2.0, math.pi)
+    with pytest.raises(ValueError, match="pi"):
+        eta_riemann(2.0, math.pi + 1e-9)
     with pytest.raises(ValueError):
         eta_riemann(3.2, 0.1)
 
@@ -145,11 +163,6 @@ def test_zeta_gap_signs_and_root():
     assert abs(root - 1.4787507857339603) < 1e-15
     assert abs(2.0 * zeta(root + 1.0) - zeta(root)) < 1e-9
     assert zeta_gap(root - 1e-4) < 0.0 < zeta_gap(root + 1e-4)
-
-
-def test_find_alpha_star_rejects_bad_bracket():
-    with pytest.raises(RuntimeError):
-        find_alpha_star(lo=2.0, hi=2.5)
 
 
 def test_make_alpha_params_identities():
