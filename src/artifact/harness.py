@@ -38,14 +38,15 @@ ENERGY_CSV_HEADER = ("alpha", "epsilon", "t", "H", "ratio", "within_bounds")
 # largest relative energy drift a validation branch may show, gate 5's bound
 ENERGY_DRIFT_TOL = 1e-6
 # Below STEP_GROWTH_EPS the chain's nominal step grows as lattice_dt *
-# STEP_GROWTH_EPS / eps, up to STEP_CAP of the stability limit step_limit;
-# it is never below lattice_dt.  The chain's fields vary ever more slowly
-# as eps shrinks, so the step's error falls fast.  Against a dt/4
-# reference at the defaults, sup mu / nu move by -0.45% / -0.31% at eps 0.2
-# (alpha 2), and under this law by at most 0.35% at eps 0.1414 and 0.17%
-# below it, on eps 0.2 ... 0.025 at alpha 1.8, 2 and 2.5.  Growth from
-# eps 0.2 moved sup mu by 0.61% at alpha 1.8, eps 0.1414.  Steps up to
-# 0.97 of the limit moved no sup by more than 0.26%; the cap keeps
+# (STEP_GROWTH_EPS / eps)^2, up to STEP_CAP of the stability limit
+# step_limit; it is never below lattice_dt.  The chain's fields vary ever
+# more slowly as eps shrinks, so the step's error falls fast.  Against a
+# dt/4 reference at the defaults, sup mu / nu move by -0.45% / -0.31% at
+# eps 0.2 (alpha 2), where the step has not grown, and under this law by
+# at most 0.36% / 0.26% at alpha 1.8, 0.35% / 0.20% at alpha 2 and 0.01%
+# at alpha 2.5 on eps 0.1414 ... 0.0707; the energy drifts by 4.5e-10 or
+# less.  The cap binds below eps 0.05 (at 0.0707 for alpha 2.5).  Steps up
+# to 0.97 of the limit moved no sup by more than 0.26%; the cap keeps
 # dt * omega_max at or below 0.72 pi.
 STEP_GROWTH_EPS = 0.15
 STEP_CAP = 0.8
@@ -587,7 +588,7 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
     limit = step_limit(N, config.alpha, N // 2 - 1)
     # never below lattice_dt, so a lattice_dt past the limit is refused
     nominal = max(config.lattice_dt,
-                  min(config.lattice_dt * STEP_GROWTH_EPS / eps,
+                  min(config.lattice_dt * (STEP_GROWTH_EPS / eps) ** 2,
                       STEP_CAP * limit))
     nsteps = int(math.ceil(seg / nominal))
     dt = seg / nsteps

@@ -21,7 +21,9 @@ slope is a power series in the window mean, and every order of it is a
 circular convolution of a power of the scaled primitive of r with fixed
 weights, so a few FFTs replace the N x M kernel calls.  This near/far split
 follows Ewald (1921) and Greengard & Rokhlin (1987), keeping the far part's
-nonlinearity order by order; energy keeps the direct sum.  The orders reach
+nonlinearity order by order.  energy splits its ranges where force does
+(_far_split) and takes the far pair potentials' series one order further,
+as correlations with the same weights (_far_potential).  The orders reach
 FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
 default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
 orders 11 to 20, and the validation chains orders 9 or less.  A force that
@@ -31,6 +33,7 @@ memory a direct sum would hold; run_steps builds them once per call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -253,23 +256,36 @@ def near_range(cutoff: int) -> int:
     return NEAR_RANGE if cutoff > 2 * NEAR_RANGE else cutoff
 
 
+def _far_bounds(x: float, alpha: float):
+    """far_bound(x, alpha, p) for p = 1, 2, ...: bounds on the orders n > p
+    of sum_n C(-alpha-1, n) x_m^n, the far pair slope's series, relative to
+    its linear term, for |x_m| <= x.  The terms past p shrink by
+    q = (1 + alpha/(p+2)) x or less each, so the bound is
+    |C(-alpha-1, p+1)| x^p / ((alpha+1) (1-q)), inf for q >= 1 or NaN; the
+    product |C(-alpha-1, p+1)| = prod_{i<=p+1} (alpha+i)/i is carried from
+    one p to the next, left to right."""
+    lead = alpha + 1.0
+    for p in itertools.count(1):
+        i = p + 1
+        lead *= (alpha + i) / i
+        q = (1.0 + alpha / (p + 2.0)) * x
+        yield lead * x ** p / ((alpha + 1.0) * (1.0 - q)) if q < 1.0 \
+            else math.inf
+
+
 def far_bound(x: float, alpha: float, p: int) -> float:
-    """Bound on the orders n > p of sum_n C(-alpha-1, n) x_m^n, the far pair
-    slope's series, relative to its linear term, for |x_m| <= x: the terms
-    past p shrink by q = (1 + alpha/(p+2)) x or less each; inf for q >= 1
-    or NaN."""
-    q = (1.0 + alpha / (p + 2.0)) * x
-    if not q < 1.0:
-        return math.inf
-    lead = math.prod((alpha + i) / i for i in range(1, p + 2))
-    return lead * x ** p / ((alpha + 1.0) * (1.0 - q))
+    """_far_bounds' bound at order p >= 1: on the dropped orders of the far
+    pair slope's series, relative to its linear term, for window means
+    |x_m| <= x; it falls with p wherever it is finite."""
+    return next(itertools.islice(_far_bounds(x, alpha), p - 1, None))
 
 
 def far_order(x: float, alpha: float) -> int:
     """The least order p <= FAR_ORDER whose far_bound meets FAR_TOL, or 0
-    for none; far_bound falls with p wherever it is finite."""
-    return next((p for p in range(1, FAR_ORDER + 1)
-                 if far_bound(x, alpha, p) <= FAR_TOL), 0)
+    for none, in one pass over _far_bounds."""
+    return next((p for p, bound in zip(range(1, FAR_ORDER + 1),
+                                       _far_bounds(x, alpha))
+                 if bound <= FAR_TOL), 0)
 
 
 def _scaled_primitive(r: np.ndarray, rho: float) -> np.ndarray:
@@ -377,24 +393,40 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
     return -alpha * (1.0 + rho) ** -(alpha + 1.0) * out
 
 
-def _split_force(r: np.ndarray, config: LatticeConfig, b=None):
-    """force(r, config): the near ranges directly plus _far_field's share
-    through the order far_order finds at x = max|r - rho|/(1 + rho), else
-    every range directly; the far field reuses the near sum's freed memory."""
-    alpha, M0 = config.alpha, near_range(config.cutoff)
+def _far_split(r: np.ndarray, config: LatticeConfig):
+    """(s, rho, p) where force and energy take the ranges past the near
+    range by moments through order p: the order far_order finds at
+    x = max|r - rho|/(1 + rho), rho the mean of r, and s the scaled
+    primitive (_scaled_primitive); None where they sum every range
+    directly: a cutoff within twice the near range, no order, or a failed
+    guard."""
+    if near_range(config.cutoff) == config.cutoff:
+        return None
     rho = float(np.mean(r))
     x = max(float(np.max(r)) - rho, rho - float(np.min(r))) / (1.0 + rho)
-    p = far_order(x, alpha) if M0 < config.cutoff else 0
+    p = far_order(x, config.alpha)
     # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
     # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
     # while 2 max|s| <= NEAR_RANGE + 1
     if p:
         s = _scaled_primitive(r, rho)
         if 2.0 * float(np.max(np.abs(s))) <= NEAR_RANGE + 1:
-            f = _direct_force(r, alpha, M0)
-            f += _far_field(s, rho, config, p, b)
-            return f
-    return _direct_force(r, alpha, config.cutoff)
+            return s, rho, p
+    return None
+
+
+def _split_force(r: np.ndarray, config: LatticeConfig, b=None):
+    """force(r, config): the near ranges directly plus _far_field's share
+    where _far_split allows, else every range directly; the far field
+    reuses the near sum's freed memory."""
+    alpha = config.alpha
+    far = _far_split(r, config)
+    if far is None:
+        return _direct_force(r, alpha, config.cutoff)
+    s, rho, p = far
+    f = _direct_force(r, alpha, near_range(config.cutoff))
+    f += _far_field(s, rho, config, p, b)
+    return f
 
 
 def check_steps(config: LatticeConfig, nsteps: int, every: int | None = None):
@@ -449,11 +481,72 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
 
 
 def energy(state: LatticeState, config: LatticeConfig) -> float:
-    """Kinetic plus truncated interaction energy (zero at equilibrium)."""
-    _check_ring(state.r, config)
-    pot = sum(float(s) for ms, G in _window_sums(state.r, config.cutoff)
-              for s in np.sum(_kernel(G, ms, config.alpha), axis=1))
-    return 0.5 * float(np.dot(state.p, state.p)) + pot
+    """Kinetic plus truncated interaction energy (zero at equilibrium): the
+    near ranges directly plus _far_potential's share where _far_split
+    allows, as force takes them, else every range directly."""
+    r = state.r
+    _check_ring(r, config)
+    kinetic = 0.5 * float(np.dot(state.p, state.p))
+    far = _far_split(r, config)
+    if far is None:
+        return kinetic + _direct_potential(r, config.alpha, config.cutoff)
+    s, rho, p = far
+    far_share = _far_potential(s, rho, config, p)
+    del far, s      # so that the near sum's blocks do not sit beside s
+    return (kinetic + _direct_potential(r, config.alpha,
+                                        near_range(config.cutoff))
+            + far_share)
+
+
+def _direct_potential(r: np.ndarray, alpha: float, M: int) -> float:
+    """energy's sum over the ranges m = 1..M, pair by pair."""
+    return sum(float(v) for ms, G in _window_sums(r, M)
+               for v in np.sum(_kernel(G, ms, alpha), axis=1))
+
+
+def _far_potential(s: np.ndarray, rho: float, config: LatticeConfig,
+                   p: int) -> float:
+    """The share of energy's potential of the ranges m past the near range,
+    through order p + 1, at gaps r of mean rho and scaled primitive s.
+
+    With G_m r_j = m rho + (1 + rho) d_m(j), d_m(j) = s_{j+m} - s_j, the
+    pair potential is m^-alpha ((1+rho)^-alpha - 1 + alpha rho) plus
+    (1+rho)^-alpha sum_{n>=1} C(-alpha, n) m^-(alpha+n) d_m(j)^n, whose
+    order 1 sums to zero over j.  Order n is
+    sum_m m^-(alpha+n) sum_j d_m(j)^n = n! sum_{q+k=n} (-1)^q
+    sum_m m^-(alpha+n) sum_j s_j^q/q! s_{j+m}^k/k!, correlations whose
+    weight spectrum, symmetric in q and k, is (conj(c^) + (-1)^n c^)/2 with
+    c_m = m^-(alpha+n): B_{n-1} / (2 g_{n-1}) = i^n b_{n-1} / (2 g_{n-1})
+    in _far_weights' terms, so that C(-alpha, n) n! = -alpha g_{n-1} leaves
+
+        -alpha/2 (1+rho)^-alpha / N sum_bins w b_{q+k-1} Re(conj(R_q) R_k),
+
+    summed over 2 <= q + k <= p + 1, with R_k = i^k (s^k/k!)^ and w the
+    weight of each rfft bin in the full spectrum (1 at k = 0 and at N/2,
+    else 2).  Order n + 1 of the potential is order n of force's pair slope,
+    so the orders dropped here are at most 2/(p + 2) far_bound(x, alpha, p)
+    of the order-2 term alpha (alpha+1)/2 x^2 of a pair at window mean x,
+    with the same weights force takes at order p.  It holds those weights,
+    p + 1 real rows, and p + 2 complex spectra R: 3 (p + 1) (N/2 + 1)
+    floats, as force's far field does."""
+    alpha, N = config.alpha, s.size
+    m = np.arange(near_range(config.cutoff) + 1, config.cutoff + 1,
+                  dtype=float)
+    const = N * float(_kernel(rho, 1.0, alpha)) * float(np.sum(m ** -alpha))
+    wb = _far_weights(config, p)
+    wb[:, 1:(N + 1) // 2] *= 2.0     # w, the bins paired with a mirror bin
+    R = np.empty((p + 2, N // 2 + 1), dtype=complex)
+    t = np.ones(N)
+    for k in range(p + 2):
+        if k:
+            t *= s / k
+        R[k] = np.fft.rfft(t) * _I_POWERS[k % 4]
+    total = 0.0
+    for q in range(p + 2):
+        for k in range(max(q, 2 - q), p + 2 - q):
+            v = float(np.dot(wb[q + k - 1], (R[q].conj() * R[k]).real))
+            total += v if k == q else 2.0 * v
+    return const - 0.5 * alpha * (1.0 + rho) ** -alpha * total / N
 
 
 def p2_functional(eta: np.ndarray, alpha: float, cutoff: int):

@@ -206,9 +206,9 @@ def test_describe_plan_default_ring_sizes():
     vplan = describe_plan(cfg, "validation")
     # the step grows below STEP_GROWTH_EPS (see test_chain_step_law), where
     # dt <= lattice_dt took 80, 140, 260 and 500 steps
-    assert [entry["total_steps"] for entry in vplan] == [80, 120, 180, 240]
+    assert [entry["total_steps"] for entry in vplan] == [80, 120, 120, 120]
     assert [entry["dt"] for entry in vplan] == pytest.approx(
-        [0.078125, 0.10414441426595, 0.13888888888888889, 0.208288828531901],
+        [0.078125, 0.10414441426595, 0.20833333333333333, 0.416577657063802],
         rel=1e-12)
     # on the infinite lattice at alpha 2, omega_max^2 = pi^4/4, so the
     # limit 0.9 pi / omega_max is 1.8/pi; the ring cap lowers omega_max
@@ -230,17 +230,17 @@ def test_describe_plan_default_ring_sizes():
 
 # per-checkpoint steps on eps 0.4 ... 0.025, and how many of the smallest
 # epsilons take the capped step
-_LAW_STEPS = {1.8: ([1, 3, 4, 6, 7, 10, 13, 20], 1),
-              2.0: ([1, 4, 6, 9, 12, 17, 24, 44], 1),
-              2.5: ([2, 7, 16, 27, 45, 75, 140, 333], 2)}
+_LAW_STEPS = {1.8: ([1, 3, 4, 4, 4, 6, 11, 20], 3),
+              2.0: ([1, 4, 6, 6, 6, 11, 22, 44], 3),
+              2.5: ([2, 7, 15, 18, 25, 59, 140, 333], 4)}
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
 def test_chain_step_law(alpha):
     # the chain's nominal step is lattice_dt down to eps 0.15, grows as
-    # lattice_dt * 0.15/eps below it up to 0.8 of the stability limit, and
-    # is never below lattice_dt; each checkpoint interval is cut into the
-    # fewest whole steps no longer than the nominal one
+    # lattice_dt * (0.15/eps)^2 below it up to 0.8 of the stability limit,
+    # and is never below lattice_dt; each checkpoint interval is cut into
+    # the fewest whole steps no longer than the nominal one
     eps = (0.4, 0.2, 0.1414, 0.1, 0.0707, 0.05, 0.0354, 0.025)
     cfg = ValidationConfig(alpha=alpha, epsilons=eps)
     plan = describe_plan(cfg, "validation")
@@ -255,18 +255,42 @@ def test_chain_step_law(alpha):
         assert e["step_limit"] == lattice.step_limit(e["N"], alpha, e["cutoff"])
         assert e["steps_per_checkpoint"] * e["dt"] == pytest.approx(
             e["horizon"] / e["checkpoints"], rel=1e-14)
-    # flat down to eps 0.15, then 1/eps until the cap takes over
+    # flat down to eps 0.15, then as eps^-2 until the cap takes over
     assert all(cut_from(e, cfg.lattice_dt) for e in plan[:2])
     grown = plan[2:len(plan) - capped]
-    assert all(cut_from(e, cfg.lattice_dt * 0.15 / e["epsilon"]) for e in grown)
+    assert all(cut_from(e, cfg.lattice_dt * (0.15 / e["epsilon"]) ** 2)
+               for e in grown)
     assert all(cut_from(e, 0.8 * e["step_limit"]) for e in plan[-capped:])
-    assert all(cfg.lattice_dt * 0.15 / e["epsilon"] > 0.8 * e["step_limit"]
-               for e in plan[-capped:])
+    assert all(cfg.lattice_dt * (0.15 / e["epsilon"]) ** 2
+               > 0.8 * e["step_limit"] for e in plan[-capped:])
     # a lattice_dt above the cap is taken at every epsilon
     big = ValidationConfig(alpha=alpha, epsilons=eps,
                            lattice_dt=0.9 * plan[-1]["step_limit"])
     assert all(cut_from(e, big.lattice_dt)
                for e in describe_plan(big, "validation"))
+
+
+@pytest.mark.parametrize("alpha, eps", [(1.8, 0.1), (2.0, 0.0707)])
+def test_chain_step_within_the_step_laws_accuracy_bound(alpha, eps):
+    # the grown step against a dt/4 run: sup mu and sup nu over the horizon
+    # move by at most 0.45%, the step error at eps 0.2 (alpha 2), where the
+    # step has not grown; here they move by 0.36% / 0.04% and
+    # 0.04% / 0.19%, and the energy drifts by less than 1e-10
+    cfg = ValidationConfig(alpha=alpha)
+    params = make_alpha_params(alpha)
+    spectra, _ = harness._bo_checkpoint_spectra(
+        cfg, params, harness._initial_profile(
+            cfg, harness.DEFAULT_VALIDATION_AMPLITUDE))
+    [entry] = [e for e in describe_plan(cfg, "validation")
+               if abs(e["epsilon"] - eps) < 1e-3]
+    fine = dict(entry, dt=entry["dt"] / 4,
+                steps_per_checkpoint=4 * entry["steps_per_checkpoint"])
+    (_, mu, nu, _, health), (_, mu4, nu4, _, _) = (
+        harness._validation_eps_task((cfg, params, spectra, [], e))
+        for e in (entry, fine))
+    assert abs(mu[1] / mu4[1] - 1.0) <= 4.5e-3
+    assert abs(nu[1] / nu4[1] - 1.0) <= 4.5e-3
+    assert health["branches"][0]["energy_rel_drift"] < 1e-10
 
 
 def test_cutoff_policies():

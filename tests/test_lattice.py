@@ -577,6 +577,28 @@ def test_far_field_at_each_order_within_its_bound(alpha, p, monkeypatch):
     assert lattice.far_order(0.1, alpha) == p
 
 
+def _far_bound_by_product(x, alpha, p):
+    # far_bound with its product |C(-alpha-1, p+1)| formed afresh at each p
+    q = (1.0 + alpha / (p + 2.0)) * x
+    if not q < 1.0:
+        return math.inf
+    lead = math.prod((alpha + i) / i for i in range(1, p + 2))
+    return lead * x ** p / ((alpha + 1.0) * (1.0 - q))
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8, 2.0, 2.5, 2.9])
+def test_far_order_matches_a_rescan_of_far_bound(alpha):
+    # one pass with the product carried from order to order gives every
+    # bound of the rescan to the last bit, and so the same least order
+    for x in [*np.geomspace(1e-6, 0.3, 200), 0.0, 0.9, math.nan]:
+        bounds = [_far_bound_by_product(x, alpha, p)
+                  for p in range(1, lattice.FAR_ORDER + 1)]
+        assert [lattice.far_bound(x, alpha, p)
+                for p in range(1, lattice.FAR_ORDER + 1)] == bounds
+        assert lattice.far_order(x, alpha) == next(
+            (p for p, b in enumerate(bounds, 1) if b <= lattice.FAR_TOL), 0)
+
+
 def test_far_field_refuses_too_few_weight_rows():
     cfg = _config(n=256, cutoff=127)
     s = lattice._scaled_primitive(
@@ -745,6 +767,124 @@ def test_energy_conservation_short_run():
     drift = max(abs(energy(out, cfg) - e0)
                 for out in run_steps(state, cfg, 500, 50))
     assert drift / e0 < 2e-5
+
+
+def _direct_energy(state, cfg):
+    # energy with every range summed pair by pair, as energy sums them
+    # where it takes no moments
+    return 0.5 * float(np.dot(state.p, state.p)) + sum(
+        float(v) for ms, G in _window_sums(state.r, cfg.cutoff)
+        for v in np.sum(_kernel(G, ms, cfg.alpha), axis=1))
+
+
+def _gate5_state():
+    # gate 5's chain: alpha 2, 512 sites, cutoff 40
+    grid = PeriodicGrid(102.4, 512)
+    r, p = ansatz_fields(gaussian_profile(grid, 0.1, 8.0).spectrum,
+                         grid.period, 512, make_alpha_params(2.0))
+    return LatticeState(r=r, p=p), _config(n=512, cutoff=40, dt=0.05)
+
+
+def test_energy_takes_the_far_ranges_by_moments_within_1e13():
+    # the validate branches' t = 0 states on the default rings, and gate 5's
+    # state: energy takes the ranges past NEAR_RANGE by moments, within
+    # 1e-13 of the potential of the direct sum over every range
+    cases = [(LatticeState(*_validate_state(alpha, n)),
+              _config(n=n, alpha=alpha, cutoff=n // 2 - 1, dt=0.1))
+             for alpha in (1.8, 2.0, 2.5) for n in (512, 724, 1024, 1448)]
+    cases.append(_gate5_state())
+    for state, cfg in cases:
+        assert lattice._far_split(state.r, cfg) is not None
+        want = _direct_energy(state, cfg)
+        pot = want - 0.5 * float(np.dot(state.p, state.p))
+        assert abs(energy(state, cfg) - want) <= 1e-13 * pot
+
+
+def test_energy_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
+    # an amplitude far_bound refuses, a long wave whose scaled primitive is
+    # too large to expand in, cutoffs within twice the near range, and a NaN,
+    # which gives a NaN energy and no exception: the direct sum, bit for bit
+    calls = []
+    monkeypatch.setattr(lattice, "_far_potential",
+                        lambda *args: calls.append(args))
+    cases = []
+    for n, cutoff, amp in ((512, 255, 0.3), (4096, 100, 0.03),
+                           (128, 2 * lattice.NEAR_RANGE, 0.01), (64, 10, 0.01)):
+        x = 2.0 * np.pi * np.arange(n) / n
+        cases.append((LatticeState(r=amp * np.sin(x), p=amp * np.cos(x)),
+                      _config(n=n, alpha=2.0, cutoff=cutoff)))
+    for state, cfg in cases:
+        assert energy(state, cfg) == _direct_energy(state, cfg)
+    r, p = _validate_state(2.0, 512)
+    r[7] = math.nan
+    assert math.isnan(energy(LatticeState(r=r, p=p), _config(n=512,
+                                                              cutoff=255)))
+    assert calls == []
+
+
+def _far_potential_longdouble(r, alpha, M0, M):
+    # energy's ranges M0 < m <= M in long double, pair term by pair term,
+    # written apart from _kernel's expm1/log1p form
+    n = r.size
+    cs = np.concatenate(([0], np.cumsum(np.concatenate((r, r)).astype(
+        np.longdouble))))
+    a = np.longdouble(alpha)
+    total = np.longdouble(0.0)
+    for m in range(M0 + 1, M + 1):
+        g = cs[m:m + n] - cs[:n]
+        mm = np.longdouble(m)
+        total += np.sum((mm + g) ** -a - mm ** -a + a * g * mm ** -(a + 1))
+    return total
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+def test_far_potential_within_its_a_priori_bound(alpha):
+    # the ring of _far_error_and_allowance, window means near x = 0.1 at
+    # every range: through order p + 1, the far potential drops orders of
+    # a pair term m^-alpha (1+rho)^-alpha alpha (alpha+1)/2 x^2 times at most
+    # 2/(p+2) far_bound(x, alpha, p), against the long-double far sum; at
+    # FAR_ORDER the allowance is below 1e-9 of the far potential
+    n, cutoff = 256, 127
+    r = np.full(n, 0.03 - 0.1 / 3.0)
+    r[:n // 4] = 0.03 + 0.1
+    rho = float(np.mean(r))
+    x = 0.1 / (1.0 + rho)
+    cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
+    want = float(_far_potential_longdouble(r, alpha, lattice.NEAR_RANGE,
+                                           cutoff))
+    s = lattice._scaled_primitive(r, rho)
+    m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
+    pair = (n * float(np.sum(m ** -alpha)) * (1.0 + rho) ** -alpha
+            * alpha * (alpha + 1.0) / 2.0 * x * x)
+    for p in range(1, lattice.FAR_ORDER + 1):
+        allowed = pair * 2.0 / (p + 2.0) * lattice.far_bound(x, alpha, p)
+        err = abs(lattice._far_potential(s, rho, cfg, p) - want)
+        assert err <= allowed + 1e-14 * want
+    assert allowed < 1e-9 * want
+
+
+def test_energy_memory_within_the_direct_sums():
+    # at (1448, 723) the moments hold 3 (p + 1) (N/2 + 1) floats, 0.17 MiB
+    # at order 9, beside the near sum's blocks: no more than the direct sum
+    # over every range holds, give or take numpy's own bookkeeping (a few
+    # hundred bytes, a tenth of one ring vector)
+    state = LatticeState(*_validate_state(2.0, 1448))
+    cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
+
+    def peak():
+        energy(state, cfg)
+        tracemalloc.start()
+        try:
+            energy(state, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    moments = peak()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "NEAR_RANGE", cfg.cutoff)
+        direct = peak()
+    assert moments <= direct + 1024
 
 
 def test_momentum_exactly_conserved():
