@@ -421,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common, sweep],
                        help="lattice-versus-surrogate error sweep")
-    p.add_argument("--bidirectional", action=argparse.BooleanOptionalAction,
-                   default=None, help="also run negative time")
     p.add_argument("--energy-trace", action=argparse.BooleanOptionalAction,
                    default=None, help="record the modified-energy diagnostic")
     p.set_defaults(func=cmd_validate)

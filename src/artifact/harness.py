@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -35,7 +36,7 @@ DEFAULT_EPSILONS = (0.2, 0.1414, 0.1, 0.0707)
 RESIDUAL_CSV_HEADER = ("alpha", "epsilon", "t", "l2")
 VALIDATION_CSV_HEADER = ("alpha", "epsilon", "t", "mu_l2", "nu_l2")
 ENERGY_CSV_HEADER = ("alpha", "epsilon", "t", "H", "ratio", "within_bounds")
-# largest relative energy drift a validation branch may show, gate 5's bound
+# largest relative energy drift a validation chain may show, gate 5's bound
 ENERGY_DRIFT_TOL = 1e-6
 # Below STEP_GROWTH_EPS the chain's nominal step grows as lattice_dt *
 # (STEP_GROWTH_EPS / eps)^2, up to STEP_CAP of the stability limit
@@ -75,6 +76,11 @@ def default_residual_amplitude(alpha: float) -> float:
 DEFAULT_VALIDATION_AMPLITUDE = 0.1
 
 
+def _is_number(val) -> bool:
+    """A real number that is not a bool (True would pass for 1)."""
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
 @dataclass(frozen=True)
 class ValidationConfig:
     """Everything a residual or validation sweep needs.
@@ -98,12 +104,21 @@ class ValidationConfig:
     dealias_fraction: float = 2.0 / 3.0
     lattice_dt: float = 0.1
     residual_cutoff_coef: float = 3.0
-    bidirectional: bool = False
     energy_trace: bool = False
     jobs: int = 1
     output: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("alpha", "tau0", "period", "width_fraction",
+                     "dealias_fraction", "lattice_dt", "residual_cutoff_coef",
+                     "amplitude"):
+            val = getattr(self, name)
+            if not (_is_number(val) or name == "amplitude" and val is None):
+                raise ConfigError(f"{name} must be a number, got {val!r}")
+        if not (isinstance(self.epsilons, (tuple, list))
+                and all(map(_is_number, self.epsilons))):
+            raise ConfigError("epsilons must be a list of numbers, got "
+                              f"{self.epsilons!r}")
         if not 1.0 < self.alpha < 3.0:
             raise ConfigError(f"alpha must lie in (1, 3), got {self.alpha}")
         if zeta_gap(self.alpha) <= 0.0:
@@ -312,9 +327,9 @@ def _initial_profile(config: ValidationConfig,
 
 
 def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
-                           u0: SpectralField, direction: float = 1.0):
-    """Surrogate half spectra at tau_i = direction * i * tau0/K, i = 0..K,
-    and the IF-RK4 steps taken to reach them."""
+                           u0: SpectralField):
+    """Surrogate half spectra at tau_i = i * tau0/K, i = 0..K, and the
+    IF-RK4 steps taken to reach them."""
     K = config.checkpoints
     bo_cfg = BOConfig(params=params, dtau=_surrogate_dtau(config),
                       dealias_fraction=config.dealias_fraction)
@@ -322,7 +337,7 @@ def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
     spectra = [u0.spectrum.copy()]
     steps = 0
     for i in range(1, K + 1):
-        target = direction * i * config.tau0 / K
+        target = i * config.tau0 / K
         steps += sum(n for _, n in span_plan(state.tau, target, bo_cfg))
         state, _ = run_to(state, target, bo_cfg)
         spectra.append(state.u.spectrum.copy())
@@ -398,87 +413,68 @@ def run_residual_sweep(config: ValidationConfig):
 # lattice-versus-surrogate validation
 
 
-def _validation_branch(config, params, spectra, entry, lat_cfg, state, sign):
-    """March one time direction of a plan entry on the chain lat_cfg;
-    returns (rows, energy_samples, health).
+def _validation_eps_task(args):
+    """March the chain of a plan entry from the ansatz at t = 0 and compare
+    it with the surrogate at every checkpoint; returns (rows, (eps, sup mu),
+    (eps, sup nu), energy_rows, health).
 
-    sign=+1 compares against the forward surrogate checkpoints, sign=-1
-    against the backward ones with the momentum-reflected twin state.
-    health holds the chain's relative energy drift from t = 0 to the last
-    checkpoint, its smallest collision margin 1 - max|r| over the
-    checkpoints, t = 0 included, and at the largest max|r| the least order
-    far_order picks (0 for none), far_bound at that order (at FAR_ORDER for
-    none) and whether it meets FAR_TOL, so that run_steps could sum the far
-    ranges by moments at every checkpoint.  A drift past ENERGY_DRIFT_TOL
-    raises BlowUpError.
+    health is the plan entry plus the chain's relative energy drift from
+    t = 0 to the last checkpoint, its smallest collision margin 1 - max|r|
+    over the checkpoints, t = 0 included, and at the largest max|r| the
+    least order far_order picks (least_far_order, 0 for none), far_bound
+    at that order (at FAR_ORDER for none) and whether it meets FAR_TOL, so
+    that run_steps could sum the far ranges by moments at every checkpoint.
+    A drift past ENERGY_DRIFT_TOL raises BlowUpError.
     """
+    (config, params, spectra, entry) = args
     alpha, eps = params.alpha, entry["epsilon"]
+    lat_cfg = LatticeConfig(N=entry["N"], alpha=alpha,
+                            cutoff=entry["cutoff"], dt=entry["dt"])
     nsteps = entry["steps_per_checkpoint"]
     seg = entry["horizon"] / entry["checkpoints"]
-    rows = []
-    energy_samples = []
+    r0, p0 = ansatz_fields(spectra[0], config.period, lat_cfg.N, params,
+                           dealias_fraction=config.dealias_fraction)
+    try:
+        state = LatticeState(r=r0, p=p0, t=0.0)
+        states = run_steps(state, lat_cfg, nsteps * entry["checkpoints"],
+                           nsteps)
+    except CollisionError as err:
+        # a chain state knows its t but not the run's alpha and epsilon
+        err.alpha, err.epsilon = alpha, eps
+        raise
     E0 = energy(state, lat_cfg)
-    states = run_steps(state, lat_cfg, nsteps * entry["checkpoints"], nsteps)
     margin = min(1.0 - float(np.max(np.abs(s.r))) for s in [state, *states])
+    # the initial state is the ansatz itself, so both errors start at 0
+    rows = [(alpha, eps, 0.0, 0.0, 0.0)]
+    samples = []
     for i, state in enumerate(states, 1):
         t = i * seg
         rtilde, ptilde = ansatz_fields(spectra[i], config.period, lat_cfg.N,
-                                       params, -sign * eps * params.c * t,
+                                       params, -eps * params.c * t,
                                        config.dealias_fraction)
         mu = state.r - rtilde
-        nu = sign * state.p - ptilde
+        nu = state.p - ptilde
         mu_l2 = float(np.linalg.norm(mu))
         nu_l2 = float(np.linalg.norm(nu))
         if not (math.isfinite(mu_l2) and math.isfinite(nu_l2)):
             raise BlowUpError("non-finite chain-versus-surrogate error",
-                              t=sign * t, alpha=alpha, epsilon=eps)
-        rows.append((alpha, eps, sign * t, mu_l2, nu_l2))
+                              t=t, alpha=alpha, epsilon=eps)
+        rows.append((alpha, eps, t, mu_l2, nu_l2))
         if config.energy_trace:
-            energy_samples.append((sign * t, mu, nu, rtilde))
+            samples.append((t, mu, nu, rtilde))
     E1 = energy(state, lat_cfg)
     drift = abs(E1 - E0) / abs(E0) if E0 else abs(E1)
     if not drift <= ENERGY_DRIFT_TOL:
         raise BlowUpError(f"chain energy drifted by {drift:.3g} of its "
                           f"initial value, past {ENERGY_DRIFT_TOL:g}",
-                          t=sign * t, alpha=alpha, epsilon=eps)
+                          t=t, alpha=alpha, epsilon=eps)
     order = far_order(1.0 - margin, alpha)
     bound = far_bound(1.0 - margin, alpha, order or FAR_ORDER)
-    health = {"direction": "forward" if sign > 0 else "backward",
-              "energy_initial": E0, "energy_final": E1,
-              "energy_rel_drift": drift,
-              "min_collision_margin": margin,
+    health = {**entry, "energy_initial": E0, "energy_final": E1,
+              "energy_rel_drift": drift, "min_collision_margin": margin,
               "far_bound": bound, "far_bound_ok": bound <= FAR_TOL,
-              "far_order": order}
-    return rows, energy_samples, health
-
-
-def _validation_eps_task(args):
-    (config, params, spectra_fwd, spectra_bwd, entry) = args
-    eps = entry["epsilon"]
-    lat_cfg = LatticeConfig(N=entry["N"], alpha=params.alpha,
-                            cutoff=entry["cutoff"], dt=entry["dt"])
-    r0, p0 = ansatz_fields(spectra_fwd[0], config.period, lat_cfg.N, params,
-                           dealias_fraction=config.dealias_fraction)
-    # the initial state is the ansatz itself, so both errors start at 0
-    rows = [(params.alpha, eps, 0.0, 0.0, 0.0)]
-    samples = []
-    health = {**entry, "branches": []}
-    branches = [(spectra_fwd, r0, p0, +1)]
-    if config.bidirectional:
-        branches.append((spectra_bwd, r0.copy(), -p0, -1))
-    try:
-        for spectra, r, p, sign in branches:
-            branch_rows, branch_samples, branch_health = _validation_branch(
-                config, params, spectra, entry, lat_cfg,
-                LatticeState(r=r, p=p, t=0.0), sign)
-            rows += branch_rows
-            samples += branch_samples
-            health["branches"].append(branch_health)
-    except CollisionError as err:
-        # a chain state knows its t but not the run's alpha and epsilon
-        err.alpha, err.epsilon = params.alpha, eps
-        raise
-    energy_rows = [(params.alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
+              "least_far_order": order}
+    energy_rows = [(alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
                    in error_energy_trace(samples, params, lat_cfg.cutoff)]
     return (rows, (eps, max(row[3] for row in rows)),
             (eps, max(row[4] for row in rows)), energy_rows, health)
@@ -497,12 +493,8 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
     plan = describe_plan(config, "validation")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, DEFAULT_VALIDATION_AMPLITUDE)
-    spectra_fwd, steps_fwd = _bo_checkpoint_spectra(config, params, u0)
-    spectra_bwd, steps_bwd = (
-        _bo_checkpoint_spectra(config, params, u0, -1.0)
-        if config.bidirectional else ([], 0))
-    tasks = [(config, params, spectra_fwd, spectra_bwd, entry)
-             for entry in plan]
+    spectra, steps = _bo_checkpoint_spectra(config, params, u0)
+    tasks = [(config, params, spectra, entry) for entry in plan]
     results = _map_tasks(_validation_eps_task, tasks, config.jobs)
     result = ValidationResult(
         rows=[row for res in results for row in res[0]],
@@ -510,8 +502,7 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
         nu_report=_scaling_report([res[2] for res in results], params.gamma),
         energy_rows=[row for res in results for row in res[3]],
         chain_health=[res[4] for res in results],
-        surrogate=_surrogate_record(config, steps_fwd + steps_bwd,
-                                    spectra_fwd + spectra_bwd),
+        surrogate=_surrogate_record(config, steps, spectra),
     )
     if config.output:
         write_validation_outputs(config.output, config, params, result)
@@ -603,8 +594,7 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
         "dt": dt,
         "step_limit": limit,
         "steps_per_checkpoint": nsteps,
-        "total_steps": nsteps * config.checkpoints
-        * (2 if config.bidirectional else 1),
+        "total_steps": nsteps * config.checkpoints,
     })
     return entry
 

@@ -68,13 +68,19 @@ def test_alpha_star_stdout(capsys):
     ["alpha-star", "--tol", "1e-12"],
     ["eta-rates", "--alpha", "2.0", "--tol", "1e-12"],
     ["residual-sweep", "--bo-steps-per-checkpoint", "20"],
-    ["constants", "--alpha", "2.0", "--jobs", "1"]])
-def test_lattice_sums_take_no_tolerance(argv, capsys):
+    ["constants", "--alpha", "2.0", "--jobs", "1"],
+    ["validate", "--bidirectional", "--dry-run"]])
+def test_lattice_sums_take_no_tolerance(argv, tmp_path, capsys,
+                                        monkeypatch):
     # zeta and eta_riemann are exact to rounding, so there is no --tol to
-    # set; the surrogate's steps per checkpoint are fixed, and --jobs is a
-    # sweep flag only
+    # set; the surrogate's steps per checkpoint are fixed, --jobs is a
+    # sweep flag only, and validation runs forward only
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
-    assert argv[-2] in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+    assert not os.listdir(tmp_path)
 
 
 def test_eta_rates_stdout_csv(capsys):
@@ -370,7 +376,11 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 @pytest.mark.parametrize("dry_run", [False, True])
 @pytest.mark.parametrize("field, value", [
     ("checkpoints", 2.5), ("checkpoints", True), ("bo_modes", 512.0),
-    ("bo_steps_per_checkpoint", math.inf)])
+    ("bo_steps_per_checkpoint", math.inf), ("bidirectional", True),
+    ("tau0", True), ("amplitude", True), ("tau0", "0.1"), ("alpha", "2"),
+    ("period", None), ("width_fraction", "20"), ("lattice_dt", True),
+    ("residual_cutoff_coef", "3"), ("dealias_fraction", "0.6"),
+    ("epsilons", 0.3), ("epsilons", [0.2, True, 0.1])])
 def test_config_file_non_integer_count_exits_before_any_work(
         field, value, dry_run, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):

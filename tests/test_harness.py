@@ -286,11 +286,11 @@ def test_chain_step_within_the_step_laws_accuracy_bound(alpha, eps):
     fine = dict(entry, dt=entry["dt"] / 4,
                 steps_per_checkpoint=4 * entry["steps_per_checkpoint"])
     (_, mu, nu, _, health), (_, mu4, nu4, _, _) = (
-        harness._validation_eps_task((cfg, params, spectra, [], e))
+        harness._validation_eps_task((cfg, params, spectra, e))
         for e in (entry, fine))
     assert abs(mu[1] / mu4[1] - 1.0) <= 4.5e-3
     assert abs(nu[1] / nu4[1] - 1.0) <= 4.5e-3
-    assert health["branches"][0]["energy_rel_drift"] < 1e-10
+    assert health["energy_rel_drift"] < 1e-10
 
 
 def test_cutoff_policies():
@@ -612,26 +612,19 @@ def test_run_validation_smoke(tmp_path):
     assert payload["pipeline"] == "validation"
 
 
-def test_run_validation_bidirectional_and_energy(tmp_path):
-    cfg = _smoke_config(bidirectional=True, energy_trace=True,
-                        output=str(tmp_path / "bd"))
+def test_run_validation_energy_trace(tmp_path):
+    cfg = _smoke_config(energy_trace=True, output=str(tmp_path / "et"))
     result = run_validation(cfg)
     K = cfg.checkpoints
-    assert len(result.rows) == 3 * (2 * K + 1)
-    neg = [row for row in result.rows if row[2] < 0.0]
-    pos = [row for row in result.rows if row[2] > 0.0]
-    assert len(neg) == len(pos) == 3 * K
-    # backward errors are the same order as forward ones
-    sup_neg = max(row[3] for row in neg)
-    sup_pos = max(row[3] for row in pos)
-    assert 0.1 < sup_neg / sup_pos < 10.0
+    assert len(result.rows) == 3 * (K + 1)
+    assert all(row[2] >= 0.0 for row in result.rows)
     assert result.energy_rows
     assert all(bool(row[5]) for row in result.energy_rows)
-    assert (tmp_path / "bd" / "energy_trace.csv").exists()
+    assert (tmp_path / "et" / "energy_trace.csv").exists()
 
 
 def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
-    cfg = _smoke_config(bidirectional=True, output=str(tmp_path / "h"))
+    cfg = _smoke_config(output=str(tmp_path / "h"))
     result = run_validation(cfg)
     with open(tmp_path / "h" / "report.json") as fh:
         payload = json.load(fh)
@@ -641,61 +634,62 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         assert len(report.local_slopes) == 2
     chain = payload["chain"]
     assert chain == result.chain_health
-    # both directions of the surrogate were stepped
+    # the surrogate was stepped forward to each checkpoint
     assert payload["surrogate"] == result.surrogate
     assert (result.surrogate["rk4_steps"]
-            == 2 * 2 * harness.BO_STEPS_PER_CHECKPOINT)
-    # the frozen plan of each epsilon, as the dry run gives it
-    assert [{k: v for k, v in e.items() if k != "branches"}
+            == 2 * harness.BO_STEPS_PER_CHECKPOINT)
+    # the frozen plan of each epsilon, as the dry run gives it, then the
+    # chain's health
+    health_keys = {"energy_initial", "energy_final", "energy_rel_drift",
+                   "min_collision_margin", "far_bound", "far_bound_ok",
+                   "least_far_order"}
+    assert [{k: v for k, v in e.items() if k not in health_keys}
             for e in chain] == describe_plan(cfg, "validation")
     params = make_alpha_params(cfg.alpha)
     u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
                           cfg.amplitude, cfg.width_fraction)
     for entry in chain:
-        assert [b["direction"] for b in entry["branches"]] == ["forward",
-                                                              "backward"]
-        # the forward branch again, from the ansatz at t = 0
+        # the chain again, from the ansatz at t = 0
         lat_cfg = LatticeConfig(N=entry["N"], alpha=cfg.alpha,
                                 cutoff=entry["cutoff"], dt=entry["dt"])
         nsteps = entry["steps_per_checkpoint"]
         r0, p0 = ansatz_fields(u0.spectrum, cfg.period, entry["N"], params)
         state = LatticeState(r=r0, p=p0)
-        forward = entry["branches"][0]
-        assert forward["energy_initial"] == energy(state, lat_cfg)
+        assert entry["energy_initial"] == energy(state, lat_cfg)
         states = run_steps(state, lat_cfg, nsteps * cfg.checkpoints, nsteps)
         assert len(states) == cfg.checkpoints
         margin = 1.0 - np.max(np.abs(r0))
         for state in states:
             margin = min(margin, 1.0 - np.max(np.abs(state.r)))
-        assert forward["energy_final"] == energy(state, lat_cfg)
-        assert forward["min_collision_margin"] == margin
-        for b in entry["branches"]:
-            assert b["energy_rel_drift"] == pytest.approx(
-                abs(b["energy_final"] / b["energy_initial"] - 1.0))
-            assert b["energy_rel_drift"] < 1e-8
-            # the margin is taken over the checkpoints, t = 0 included
-            assert 0.9 < b["min_collision_margin"] <= 1.0 - np.max(np.abs(r0))
-            # the least order that meets FAR_TOL at the branch's largest
-            # max|r|, 0 for none, and the far field's bound at that order,
-            # at FAR_ORDER for none
-            x = 1.0 - b["min_collision_margin"]
-            p = b["far_order"]
-            assert b["far_bound"] == lattice.far_bound(
-                x, cfg.alpha, p or lattice.FAR_ORDER)
-            assert b["far_bound_ok"] == (b["far_bound"] <= lattice.FAR_TOL)
-            assert (1 <= p <= lattice.FAR_ORDER) == b["far_bound_ok"]
-            if p:
-                assert lattice.far_bound(x, cfg.alpha, p) <= lattice.FAR_TOL
-                assert (p == 1 or lattice.far_bound(x, cfg.alpha, p - 1)
-                        > lattice.FAR_TOL)
-            else:
-                assert p == 0
+        assert entry["energy_final"] == energy(state, lat_cfg)
+        assert entry["min_collision_margin"] == margin
+        assert entry["energy_rel_drift"] == pytest.approx(
+            abs(entry["energy_final"] / entry["energy_initial"] - 1.0))
+        assert entry["energy_rel_drift"] < 1e-8
+        # the margin is taken over the checkpoints, t = 0 included
+        assert 0.9 < entry["min_collision_margin"] <= 1.0 - np.max(np.abs(r0))
+        # the least order that meets FAR_TOL at the chain's largest max|r|,
+        # 0 for none, and the far field's bound at that order, at FAR_ORDER
+        # for none
+        x = 1.0 - entry["min_collision_margin"]
+        p = entry["least_far_order"]
+        assert entry["far_bound"] == lattice.far_bound(
+            x, cfg.alpha, p or lattice.FAR_ORDER)
+        assert entry["far_bound_ok"] == (entry["far_bound"]
+                                         <= lattice.FAR_TOL)
+        assert (1 <= p <= lattice.FAR_ORDER) == entry["far_bound_ok"]
+        if p:
+            assert lattice.far_bound(x, cfg.alpha, p) <= lattice.FAR_TOL
+            assert (p == 1 or lattice.far_bound(x, cfg.alpha, p - 1)
+                    > lattice.FAR_TOL)
+        else:
+            assert p == 0
 
 
 def test_each_epsilon_runs_its_plan_entry(monkeypatch):
     # both sweeps run every epsilon on the ring, range, step and step count
     # of its describe_plan entry
-    cfg = _smoke_config(bidirectional=True)
+    cfg = _smoke_config()
     ran = []
     real_steps, real_fields = harness.run_steps, harness.residual_fields
 
@@ -711,10 +705,10 @@ def test_each_epsilon_runs_its_plan_entry(monkeypatch):
     monkeypatch.setattr(harness, "residual_fields", recorded_fields)
     run_validation(cfg)
     plan = describe_plan(cfg, "validation")
-    # one call per branch, forward then backward
-    assert ran == [(e["N"], e["cutoff"], e["dt"], e["total_steps"] // 2,
-                    e["steps_per_checkpoint"]) for e in plan for _ in "fb"]
-    assert all(e["total_steps"] == 2 * e["checkpoints"]
+    # one call per epsilon, through every checkpoint
+    assert ran == [(e["N"], e["cutoff"], e["dt"], e["total_steps"],
+                    e["steps_per_checkpoint"]) for e in plan]
+    assert all(e["total_steps"] == e["checkpoints"]
                * e["steps_per_checkpoint"] for e in plan)
     ran.clear()
     run_residual_sweep(cfg)

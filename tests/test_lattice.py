@@ -786,7 +786,7 @@ def _gate5_state():
 
 
 def test_energy_takes_the_far_ranges_by_moments_within_1e13():
-    # the validate branches' t = 0 states on the default rings, and gate 5's
+    # validate's t = 0 states on the default rings, and gate 5's
     # state: energy takes the ranges past NEAR_RANGE by moments, within
     # 1e-13 of the potential of the direct sum over every range
     cases = [(LatticeState(*_validate_state(alpha, n)),
