@@ -176,9 +176,11 @@ def cmd_eta_rates(args) -> int:
 
 
 def cmd_solve_bo(args) -> int:
+    k = args.checkpoints
+    if k < 0:
+        raise ConfigError(f"--checkpoints must be at least 0, got {k}")
     params = make_alpha_params(args.alpha)
     grid = PeriodicGrid(args.period, args.n)
-    k = max(0, args.checkpoints)
     taus = tuple(i * args.tau_end / (k + 1) for i in range(1, k + 1))
     cfg = BOConfig(params=params, dtau=args.dtau, t_checkpoint=taus)
     if args.dry_run:

@@ -146,6 +146,9 @@ class ValidationConfig:
             if isinstance(val, bool) or not isinstance(val, int) or val < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, "
                                   f"got {val!r}")
+        if not isinstance(self.energy_trace, bool):
+            raise ConfigError("energy_trace must be true or false, got "
+                              f"{self.energy_trace!r}")
         if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
             raise ConfigError("dealias_fraction must lie in (0.5, 2/3]")
         if self.bo_modes < 8 or self.bo_modes & (self.bo_modes - 1):

@@ -22,8 +22,10 @@ circular convolution of a power of the scaled primitive of r with fixed
 weights, so a few FFTs replace the N x M kernel calls.  This near/far split
 follows Ewald (1921) and Greengard & Rokhlin (1987), keeping the far part's
 nonlinearity order by order.  energy splits its ranges where force does
-(_far_split) and takes the far pair potentials' series one order further,
-as correlations with the same weights (_far_potential).  The orders reach
+(_far_split) and takes the far pair potentials' series one order further
+from the far field itself (_far_potential): summed by parts on the ring,
+order n + 1 of the far potential is -(1 + rho)/(n + 1) times the inner
+product of the scaled primitive s with order n of the force.  The orders reach
 FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
 default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
 orders 11 to 20, and the validation chains orders 9 or less.  A force that
@@ -342,7 +344,8 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
                b=None):
     """The share of force(r, config) of the ranges past the near range
     through order p, at gaps r of mean rho and scaled primitive s (as in
-    _scaled_primitive), from run_steps' weights b or weights built here:
+    _scaled_primitive), from weights b given (run_steps', or
+    _far_potential's rows over n + 1) or weights built here:
     -alpha (1+rho)^-(alpha+1) sum_q (-s)^q/q! irfft(H_q),
     H_q = sum_{k<=p-q} B_{q+k} (s^k/k!)^ (orders <= p).
 
@@ -351,8 +354,7 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
     exact, so this is B's sum to the last bit.  With weights built here the
     powers' spectra, the products and the inverse transforms go _far_block
     orders at a time, and the weights are freed before the inverse
-    transforms; run_steps' weights serve many steps, which take every order
-    at once."""
+    transforms; given weights take every order at once."""
     alpha, N = config.alpha, s.size
     own = b is None
     if own:
@@ -486,16 +488,16 @@ def energy(state: LatticeState, config: LatticeConfig) -> float:
     allows, as force takes them, else every range directly."""
     r = state.r
     _check_ring(r, config)
-    kinetic = 0.5 * float(np.dot(state.p, state.p))
     far = _far_split(r, config)
     if far is None:
-        return kinetic + _direct_potential(r, config.alpha, config.cutoff)
-    s, rho, p = far
-    far_share = _far_potential(s, rho, config, p)
-    del far, s      # so that the near sum's blocks do not sit beside s
-    return (kinetic + _direct_potential(r, config.alpha,
-                                        near_range(config.cutoff))
-            + far_share)
+        M, far_share = config.cutoff, 0.0
+    else:
+        s, rho, p = far
+        far_share = _far_potential(s, rho, config, p)
+        M = near_range(config.cutoff)
+        del far, s      # so that the near sum's blocks do not sit beside s
+    return (0.5 * float(np.dot(state.p, state.p))
+            + _direct_potential(r, config.alpha, M) + far_share)
 
 
 def _direct_potential(r: np.ndarray, alpha: float, M: int) -> float:
@@ -507,46 +509,28 @@ def _direct_potential(r: np.ndarray, alpha: float, M: int) -> float:
 def _far_potential(s: np.ndarray, rho: float, config: LatticeConfig,
                    p: int) -> float:
     """The share of energy's potential of the ranges m past the near range,
-    through order p + 1, at gaps r of mean rho and scaled primitive s.
+    through order p + 1, at gaps r of mean rho and scaled primitive s, from
+    _far_field's force through order p.
 
     With G_m r_j = m rho + (1 + rho) d_m(j), d_m(j) = s_{j+m} - s_j, the
     pair potential is m^-alpha ((1+rho)^-alpha - 1 + alpha rho) plus
     (1+rho)^-alpha sum_{n>=1} C(-alpha, n) m^-(alpha+n) d_m(j)^n, whose
-    order 1 sums to zero over j.  Order n is
-    sum_m m^-(alpha+n) sum_j d_m(j)^n = n! sum_{q+k=n} (-1)^q
-    sum_m m^-(alpha+n) sum_j s_j^q/q! s_{j+m}^k/k!, correlations whose
-    weight spectrum, symmetric in q and k, is (conj(c^) + (-1)^n c^)/2 with
-    c_m = m^-(alpha+n): B_{n-1} / (2 g_{n-1}) = i^n b_{n-1} / (2 g_{n-1})
-    in _far_weights' terms, so that C(-alpha, n) n! = -alpha g_{n-1} leaves
-
-        -alpha/2 (1+rho)^-alpha / N sum_bins w b_{q+k-1} Re(conj(R_q) R_k),
-
-    summed over 2 <= q + k <= p + 1, with R_k = i^k (s^k/k!)^ and w the
-    weight of each rfft bin in the full spectrum (1 at k = 0 and at N/2,
-    else 2).  Order n + 1 of the potential is order n of force's pair slope,
-    so the orders dropped here are at most 2/(p + 2) far_bound(x, alpha, p)
-    of the order-2 term alpha (alpha+1)/2 x^2 of a pair at window mean x,
-    with the same weights force takes at order p.  It holds those weights,
-    p + 1 real rows, and p + 2 complex spectra R: 3 (p + 1) (N/2 + 1)
-    floats, as force's far field does."""
+    order 1 sums to zero over j.  Since C(-alpha, n+1) = -alpha/(n+1)
+    C(-alpha-1, n), order n + 1 is d_m(j)/(n + 1) times order n of the
+    pair slope w_j over 1 + rho, and by parts on the ring
+    sum_j d_m(j) w_j = -sum_j s_j (w_j - w_{j-m}), the m-difference force
+    takes: order n + 1 of the potential is -(1+rho)/(n+1) <s, f_n>, f_n
+    order n of _far_field, whose weights b_n/(n+1) give every order at once.
+    The orders dropped are at most 2/(p + 2) far_bound(x, alpha, p) of the
+    order-2 term alpha (alpha+1)/2 x^2 of a pair at window mean x."""
     alpha, N = config.alpha, s.size
     m = np.arange(near_range(config.cutoff) + 1, config.cutoff + 1,
                   dtype=float)
     const = N * float(_kernel(rho, 1.0, alpha)) * float(np.sum(m ** -alpha))
-    wb = _far_weights(config, p)
-    wb[:, 1:(N + 1) // 2] *= 2.0     # w, the bins paired with a mirror bin
-    R = np.empty((p + 2, N // 2 + 1), dtype=complex)
-    t = np.ones(N)
-    for k in range(p + 2):
-        if k:
-            t *= s / k
-        R[k] = np.fft.rfft(t) * _I_POWERS[k % 4]
-    total = 0.0
-    for q in range(p + 2):
-        for k in range(max(q, 2 - q), p + 2 - q):
-            v = float(np.dot(wb[q + k - 1], (R[q].conj() * R[k]).real))
-            total += v if k == q else 2.0 * v
-    return const - 0.5 * alpha * (1.0 + rho) ** -alpha * total / N
+    b = _far_weights(config, p)
+    b /= np.arange(1.0, p + 2.0)[:, None]
+    return const - (1.0 + rho) * float(np.dot(s, _far_field(s, rho, config,
+                                                              p, b)))
 
 
 def p2_functional(eta: np.ndarray, alpha: float, cutoff: int):

@@ -186,6 +186,24 @@ def test_solve_bo_dry_run_rejects_a_bad_step(dtau, capsys):
     assert "dtau must be positive" in captured.err
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_solve_bo_refuses_a_negative_checkpoint_count(dry_run, tmp_path,
+                                                      capsys, monkeypatch):
+    # a negative count ran with no checkpoints and exited 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_to", refuse)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["solve-bo", "--alpha", "2.0", "--n", "64", "--tau-end", "0.1",
+               "--checkpoints", "-3"] + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--checkpoints" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_bo_out_csv_path(tmp_path, capsys):
     target = tmp_path / "d" / "mytrace.csv"
     rc = main(["solve-bo", "--alpha", "2.0", "--n", "64", "--period", "12.8",
@@ -380,7 +398,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     ("tau0", True), ("amplitude", True), ("tau0", "0.1"), ("alpha", "2"),
     ("period", None), ("width_fraction", "20"), ("lattice_dt", True),
     ("residual_cutoff_coef", "3"), ("dealias_fraction", "0.6"),
-    ("epsilons", 0.3), ("epsilons", [0.2, True, 0.1])])
+    ("epsilons", 0.3), ("epsilons", [0.2, True, 0.1]),
+    ("energy_trace", "no"), ("energy_trace", 1)])
 def test_config_file_non_integer_count_exits_before_any_work(
         field, value, dry_run, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):

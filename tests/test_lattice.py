@@ -864,10 +864,12 @@ def test_far_potential_within_its_a_priori_bound(alpha):
 
 
 def test_energy_memory_within_the_direct_sums():
-    # at (1448, 723) the moments hold 3 (p + 1) (N/2 + 1) floats, 0.17 MiB
-    # at order 9, beside the near sum's blocks: no more than the direct sum
-    # over every range holds, give or take numpy's own bookkeeping (a few
-    # hundred bytes, a tenth of one ring vector)
+    # at (1448, 723) the moments are _far_field's at order 7 with weights
+    # of energy's own: p + 1 weight rows, p + 1 spectra H and the p powers
+    # of s with their spectra, 0.46 MiB at most, freed before the near sum's
+    # blocks are formed: no more than the direct sum over every range holds,
+    # give or take numpy's own bookkeeping (a few hundred bytes, a tenth of
+    # one ring vector)
     state = LatticeState(*_validate_state(2.0, 1448))
     cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
 
@@ -885,6 +887,32 @@ def test_energy_memory_within_the_direct_sums():
         mp.setattr(lattice, "NEAR_RANGE", cfg.cutoff)
         direct = peak()
     assert moments <= direct + 1024
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+@pytest.mark.parametrize("rho", [0.0, 0.01, -0.02])
+def test_energy_gradient_is_minus_the_force(alpha, rho):
+    # shifting the positions x_j by h delta_j moves the gaps by
+    # h (delta_{j+1} - delta_j), and the potential by -h <force, delta> to
+    # first order: both take the far ranges by moments here, so this ties
+    # energy's far share to force's across the near/far split; the Richardson
+    # value of central differences at h and h/2 leaves O(h^4)
+    n, cutoff = 1024, 511
+    x = 2.0 * np.pi * np.arange(n) / n
+    r = rho + 0.01 * np.sin(x) + 0.003 * np.cos(3.0 * x)
+    delta = np.cos(x) + np.sin(3.0 * x) + 0.5 * np.sin(2.0 * x)
+    step = np.roll(delta, -1) - delta
+    cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
+    assert lattice._far_split(r, cfg) is not None
+
+    def slope(h):
+        e = [energy(LatticeState(r=r + sign * h * step, p=np.zeros(n)), cfg)
+             for sign in (1.0, -1.0)]
+        return (e[0] - e[1]) / (2.0 * h)
+
+    want = -float(np.dot(force(r, cfg), delta))
+    got = (4.0 * slope(5e-6) - slope(1e-5)) / 3.0
+    assert abs(got - want) <= 1e-6
 
 
 def test_momentum_exactly_conserved():
