@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 domain or configuration error, 2 numerical blow-up
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -32,9 +34,10 @@ from . import __version__
 from .bo_solver import (BOConfig, BOState, BlowUpError, gaussian_profile,
                         run_to, span_plan)
 from .harness import (DEFAULT_VALIDATION_AMPLITUDE, ConfigError,
-                      ValidationConfig, _ring_size, ansatz_fields,
-                      describe_plan, run_residual_sweep, run_validation,
-                      sweep_files, write_json, write_rows_csv)
+                      ValidationConfig, _fmt, _fmt_column, _ring_size,
+                      ansatz_fields, describe_plan, run_residual_sweep,
+                      run_validation, sweep_files, write_json,
+                      write_rows_csv)
 from .lattice import (CollisionError, LatticeConfig, LatticeState,
                       check_steps, energy, run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
@@ -208,17 +211,44 @@ def cmd_solve_bo(args) -> int:
     return 0
 
 
+def _init_cell(text) -> float:
+    """A cell of a --init file as a float, NaN where it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _load_lattice_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or not {"r", "p"} <= set(names):
+    """(r, p) of a --init CSV: the header, read with csv, names r and p and
+    may name t and j; the rows of the last t, stably sorted by j.  np.loadtxt
+    reads the named columns alone, a cell that is not a number as NaN.
+
+    The header is the line np.genfromtxt(names=True) took: the first that
+    is not blank once the '#' characters and whatever precedes the first
+    of them are dropped, so that np.savetxt's '# t,j,r,p' reads as t,j,r,p."""
+    header, skip = [], 0
+    with open(path, newline="") as fh:
+        for skip, line in enumerate(fh, 1):
+            if "#" in line:
+                line = "".join(line.split("#")[1:])
+            if line.strip():
+                header = [name.strip() for name in next(csv.reader([line]))]
+                break
+    if not {"r", "p"} <= set(header):
         raise ConfigError(f"{path} must have a CSV header with r and p columns")
-    data = np.atleast_1d(data)
-    if "t" in names:
-        data = data[data["t"] == data["t"].max()]
-    if "j" in names:
-        data = data[np.argsort(data["j"], kind="stable")]
-    return np.asarray(data["r"], float), np.asarray(data["p"], float)
+    names = list(dict.fromkeys(name for name in header
+                               if name in ("t", "j", "r", "p")))
+    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
+                      usecols=[header.index(name) for name in names],
+                      converters=_init_cell)
+    at = {name: i for i, name in enumerate(names)}
+    if "t" in at:
+        t = data[:, at["t"]]
+        data = data[t == t.max()]
+    if "j" in at:
+        data = data[np.argsort(data[:, at["j"]], kind="stable")]
+    return data[:, at["r"]], data[:, at["p"]]
 
 
 def cmd_simulate_lattice(args) -> int:
@@ -260,9 +290,11 @@ def cmd_simulate_lattice(args) -> int:
     max_r = max(float(np.max(np.abs(s.r))) for s in states)
     outdir, traj_path = _resolve_out(args.out, "simulate-lattice", "traj.csv")
     os.makedirs(outdir, exist_ok=True)
+    sites = [str(j) for j in range(N)]
     write_rows_csv(traj_path, ("t", "j", "r", "p"),
-                   ((s.t, str(j), r, p) for s in states
-                    for j, r, p in zip(range(N), s.r, s.p)))
+                   (row for s in states for row in zip(
+                       itertools.repeat(_fmt(s.t)), sites, _fmt_column(s.r),
+                       _fmt_column(s.p))))
     write_manifest(outdir, "simulate-lattice", _args_config(args), [traj_path])
     _emit({"sites": N, "cutoff": cutoff, "dt": args.dt, "steps": args.steps,
            "energy_initial": E0, "energy_final": E1,

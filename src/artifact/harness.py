@@ -620,12 +620,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_column(values):
+    """_fmt of each cell of a float array, lazily, at one repr a cell: the
+    Python floats of its tolist are the floats _fmt would make."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
 def write_rows_csv(path, header, rows):
+    """The header and each row's cells as _fmt makes them, by csv.writer;
+    rows may come lazily, a table never held as strings."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def write_rows_dat(path, header, rows):

@@ -1,15 +1,18 @@
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from artifact import bo_solver, cli, harness
 from artifact.cli import build_parser, config_fingerprint, main
-from artifact.harness import ValidationConfig
+from artifact.harness import ConfigError, ValidationConfig
 from artifact.spectral import PeriodicGrid, SpectralField
 
 
@@ -301,6 +304,132 @@ def test_missing_init_file_is_a_config_error(tmp_path, capsys):
                "--init", str(tmp_path / "nope.csv"), "--cutoff", "8"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _genfromtxt_lattice(path):
+    """The --init loader's arrays as np.genfromtxt with a named header read
+    them, the loader's earlier form."""
+    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    names = data.dtype.names
+    if "t" in names:
+        data = data[data["t"] == data["t"].max()]
+    if "j" in names:
+        data = data[np.argsort(data["j"], kind="stable")]
+    return np.asarray(data["r"], float), np.asarray(data["p"], float)
+
+
+def _init_text(header, rows, end="\n"):
+    return end.join([",".join(header)] + [
+        ",".join(repr(float(v)) for v in row) for row in rows]) + end
+
+
+def _init_cases():
+    rng = np.random.default_rng(23)
+    j = rng.permutation(40).astype(float)
+    r, p = 1e-3 * rng.standard_normal(40), 1e-3 * rng.standard_normal(40)
+    r[3], p[5], r[7] = -0.0, 5e-324, 0.1 + 0.2
+    t = np.repeat([0.0, 0.25], 20)
+    jt = np.concatenate([j[:20], j[:20]])
+    tjrp = ("t", "j", "r", "p")
+    return {
+        "reordered": _init_text(("p", "j", "r"), zip(p, j, r)),
+        "no-t": _init_text(("j", "r", "p"), zip(j % 7, r, p)),
+        "no-j": _init_text(("t", "r", "p"), zip(t, r, p)),
+        "neither": _init_text(("r", "p"), zip(r, p)),
+        "extra-column": _init_text(("t", "j", "q", "r", "p"),
+                                   zip(t, jt, 10 * r, r, p)),
+        "single-row": _init_text(tjrp, [(0.5, 3.0, r[0], p[0])]),
+        "crlf": _init_text(tjrp, zip(t, jt, r, p), end="\r\n"),
+        # the header's forms np.genfromtxt(names=True) took: behind a '#',
+        # as np.savetxt writes it, and after blank lines
+        "savetxt": _savetxt_text(np.column_stack([t, jt, r, p]), tjrp),
+        "hash-header": "#" + _init_text(("r", "p"), zip(r, p)),
+        "blank-lines": "\n\n" + _init_text(tjrp, zip(t, jt, r, p))
+        + "\n# comment\n" + _init_text(tjrp, [(0.25, 40.0, r[0], p[0])])
+        .split("\n", 1)[1],
+    }
+
+
+def _savetxt_text(table, header):
+    buf = io.StringIO()
+    np.savetxt(buf, table, delimiter=",", header=",".join(header))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(_init_cases()))
+def test_init_loader_gives_the_genfromtxt_arrays(tmp_path, case):
+    # the header read with csv and the columns with np.loadtxt give the
+    # arrays np.genfromtxt gave, bit for bit: the last t's rows stably
+    # sorted by j, whatever the columns' order or extra columns
+    path = tmp_path / "init.csv"
+    path.write_bytes(_init_cases()[case].encode())
+    got = cli._load_lattice_csv(str(path))
+    want = _genfromtxt_lattice(str(path))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == np.float64
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("header", [("t", "j", "x", "p"), ("j", "r"), ()])
+def test_init_without_r_and_p_names_the_file(tmp_path, capsys, header):
+    path = tmp_path / "init.csv"
+    path.write_text(_init_text(header, [(0.0,) * len(header)] * 20)
+                    if header else "")
+    with pytest.raises(ConfigError, match=str(path)):
+        cli._load_lattice_csv(str(path))
+    rc = main(["simulate-lattice", "--alpha", "2.0", "--init", str(path),
+               "--cutoff", "8", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_init_loader_peak_memory_within_twice_its_table(tmp_path, capsys):
+    # an 11-snapshot, 2048-site trajectory as simulate-lattice writes it:
+    # the loader's traced peak stays below twice the float table it parses,
+    # 22 528 rows of 4 cells (0.69 MiB), at 0.84 MiB; np.genfromtxt, which
+    # built Python objects cell by cell, peaked at 11.4 MiB
+    out = tmp_path / "traj.csv"
+    assert main(["simulate-lattice", "--alpha", "2.0", "--epsilon", "0.05",
+                 "--cutoff", "16", "--steps", "10", "--trace-every", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    table = 11 * 2048 * 4 * 8
+    cli._load_lattice_csv(str(out))
+    tracemalloc.start()
+    try:
+        r, p = cli._load_lattice_csv(str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.size == p.size == 2048
+    assert peak < 2 * table
+
+
+def test_trajectory_rows_are_csv_writer_rows_of_fmt(tmp_path, capsys):
+    # the trajectory, written a snapshot at a time with each column
+    # formatted at once, is byte for byte what csv.writer makes of _fmt's
+    # cells, "\r\n" line ends included, at signed zeros, subnormals, huge
+    # values, inexact sums, NaN, infinities and site indices past 9999
+    N = 10010
+    rng = np.random.default_rng(31)
+    r, p = 1e-3 * rng.standard_normal(N), 1e-3 * rng.standard_normal(N)
+    r[:4] = [-0.0, 5e-324, 0.1 + 0.2, math.nan]
+    p[:5] = [1e300, math.inf, -math.inf, math.nan, -0.0]
+    init = tmp_path / "init.csv"
+    init.write_text(_init_text(("j", "r", "p"), zip(range(N), r, p)))
+    out = tmp_path / "out" / "traj.csv"
+    with np.errstate(all="ignore"):
+        rc = main(["simulate-lattice", "--alpha", "2.0", "--init", str(init),
+                   "--cutoff", "8", "--steps", "0", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(("t", "j", "r", "p"))
+    for row in zip([0.0] * N, map(str, range(N)), r, p):
+        writer.writerow([harness._fmt(v) for v in row])
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
