@@ -72,14 +72,16 @@ def _advection_symbol(k: np.ndarray, mask: np.ndarray, coef: float) -> np.ndarra
 def _nonlinear_spec(c: np.ndarray, mask: np.ndarray, d: np.ndarray) -> np.ndarray:
     # coef * P(u u_X) in the conservative form coef * P(1/2 dX u^2), u the
     # filtered field and d = _advection_symbol(k, mask, coef): the mask keeps
-    # 3|j| < n, so no alias of u^2 lands on a kept bin and the two forms agree
-    u = np.fft.irfft(c * mask, 2 * (c.size - 1))
+    # 3|j| < n, so no alias of u^2 lands on a kept bin and the two forms
+    # agree; along the last axis of c, leading axes stacking spectra
+    u = np.fft.irfft(c * mask, 2 * (c.shape[-1] - 1))
     return d * np.fft.rfft(u * u)
 
 
 def _rhs_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
                   mask: np.ndarray) -> np.ndarray:
-    """du/dtau on the half spectrum of an arbitrary even-length ring."""
+    """du/dtau on the half spectrum of an arbitrary even-length ring, along
+    the last axis of c; leading axes stack spectra."""
     d = _advection_symbol(k, mask, -(params.kappa2 / params.kappa1))
     return _nonlinear_spec(c, mask, d) + _linear_symbol(k, params) * c
 
@@ -87,19 +89,21 @@ def _rhs_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
 def _dtau2_v_spectrum(c: np.ndarray, ut_hat: np.ndarray, k: np.ndarray,
                       params: AlphaParams, mask: np.ndarray) -> np.ndarray:
     """Half spectrum of the second tau-derivative of the primitive v
-    (dX v = -u, v(0) = 0), given ut_hat = _rhs_spectrum(c, k, params, mask).
+    (dX v = -u, v(0) = 0), given ut_hat = _rhs_spectrum(c, k, params, mask),
+    along the last axis; leading axes stack spectra.
 
     Differentiating the evolution equation in tau and integrating in X gives
     (kappa2/kappa1) u du/dtau - (kappa3/kappa1) |D|^(alpha-1) du/dtau, up to
     a constant fixed by anchoring the value at X = 0 to zero.
     """
-    n = 2 * (c.size - 1)
+    n = 2 * (c.shape[-1] - 1)
     u = np.fft.irfft(c * mask, n)
     ut = np.fft.irfft(ut_hat * mask, n)
     g = ((params.kappa2 / params.kappa1) * n * np.fft.rfft(u * ut) * mask
          - (params.kappa3 / params.kappa1) * k ** (params.alpha - 1.0) * ut_hat)
     # the value at X = 0: bin 0 and the Nyquist bin once, the others twice
-    g[0] -= g[0].real + 2.0 * np.sum(g[1:-1].real) + g[-1].real
+    g[..., 0] -= (g[..., 0].real + 2.0 * np.sum(g[..., 1:-1].real, axis=-1)
+                  + g[..., -1].real)
     return g
 
 

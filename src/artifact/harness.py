@@ -23,10 +23,11 @@ import numpy as np
 
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to, span_plan)
-from .lattice import (FAR_ORDER, FAR_TOL, CollisionError, LatticeConfig,
-                      LatticeState, energy, error_energy, error_energy_constants,
-                      far_bound, far_order, force, near_range, run_steps,
-                      step_limit)
+from .lattice import (_BLOCK_ELEMENTS, FAR_ORDER, FAR_TOL, CollisionError,
+                      LatticeConfig, LatticeState, _held_far_weights,
+                      _split_force, energy, error_energy,
+                      error_energy_constants, far_bound, far_order,
+                      near_range, run_steps, step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, resample_spectrum, sample_spectrum,
@@ -238,9 +239,10 @@ def _ring_size(period: float, eps: float):
 
 
 def _ansatz_gaps(c: np.ndarray, k: np.ndarray, period: float, N: int,
-                 alpha: float, shift: float = 0.0) -> np.ndarray:
+                 alpha: float, shift=0.0) -> np.ndarray:
     # r_j = -eps^(alpha-1) * (mean of u over [X_j, X_j + eps]) for u with
-    # half spectrum c at wavenumbers k
+    # half spectrum c at wavenumbers k, along the last axis of c as
+    # sample_spectrum takes it
     eps = period / N
     return -eps ** (alpha - 1.0) * sample_spectrum(
         average_multiplier(k, eps) * c, period, N, shift)
@@ -290,6 +292,15 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     derivative (no numerical differencing); the interaction part is minus
     the chain force, truncated at cutoff, at the ansatz gaps of
     ansatz_fields.
+
+    A spectrum with leading axes stacks profiles, and both parts then stack
+    their rows alike; row i equals the call on profile i alone to the last
+    bit.  The profiles go max(1, _BLOCK_ELEMENTS // N) at a time through the
+    transforms, and a stack of more than one holds the force's far weights
+    through FAR_ORDER for the call (_held_far_weights), where a single
+    profile's force builds its own.  Gaps reaching 1 raise CollisionError
+    with alpha, epsilon and `profile`, the index of the first profile in
+    stack order whose gaps reach it.
     """
     period = u_tau.grid.period
     N, exact = _ring_size(period, eps)
@@ -301,24 +312,40 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
         raise ConfigError(
             f"ring of {N} sites cannot resolve a {u_tau.grid.n}-mode profile; "
             "lower bo_modes or epsilon")
-    cN = resample_spectrum(u_tau.spectrum, N)
+    lat_cfg = LatticeConfig(N=N, alpha=alpha, cutoff=cutoff, dt=1.0)
+    spectra = u_tau.spectrum
+    rows = spectra.reshape(-1, spectra.shape[-1])
+    b = _held_far_weights(lat_cfg) if len(rows) > 1 else None
     kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
-    ut_hat = _rhs_spectrum(cN, kN, params, mask)
-    ux = np.fft.irfft(1j * kN * cN, N) * N
-    ut = np.fft.irfft(ut_hat, N) * N
-    vtt = np.fft.irfft(_dtau2_v_spectrum(cN, ut_hat, kN, params, mask), N) * N
-    accel = (-eps ** alpha * params.c ** 2 * ux
-             + eps ** (2 * alpha - 1) * params.kappa1 * ut
-             + eps ** (3 * alpha - 2) * vtt)
-    rtilde = _ansatz_gaps(cN, kN, period, N, alpha)
-    # every window mean G_m rtilde/m is bounded by max|rtilde|
-    if np.max(np.abs(rtilde)) >= 1.0:
-        raise CollisionError("ansatz gap deviation reached 1",
-                             alpha=alpha, epsilon=eps)
-    fpart = -force(rtilde, LatticeConfig(N=N, alpha=alpha, cutoff=cutoff,
-                                         dt=1.0))
-    return accel, fpart
+    accel = np.empty((len(rows), N))
+    fpart = np.empty((len(rows), N))
+    B = max(1, _BLOCK_ELEMENTS // N)
+    for i0 in range(0, len(rows), B):
+        cN = resample_spectrum(rows[i0:i0 + B], N)
+        ut_hat = _rhs_spectrum(cN, kN, params, mask)
+        # -eps^alpha c^2 u_X + eps^(2 alpha-1) kappa1 u_tau
+        # + eps^(3 alpha-2) v_tautau, a term at a time
+        a = accel[i0:i0 + B]
+        np.multiply(-eps ** alpha * params.c ** 2,
+                    np.fft.irfft(1j * kN * cN, N) * N, out=a)
+        a += eps ** (2 * alpha - 1) * params.kappa1 * (
+            np.fft.irfft(ut_hat, N) * N)
+        a += eps ** (3 * alpha - 2) * (np.fft.irfft(
+            _dtau2_v_spectrum(cN, ut_hat, kN, params, mask), N) * N)
+        rtilde = _ansatz_gaps(cN, kN, period, N, alpha)
+        del cN, ut_hat      # so that the force's blocks reuse them
+        # every window mean G_m rtilde/m is bounded by max|rtilde|
+        hit = np.flatnonzero(np.max(np.abs(rtilde), axis=-1) >= 1.0)
+        if hit.size:
+            err = CollisionError("ansatz gap deviation reached 1",
+                                 alpha=alpha, epsilon=eps)
+            err.profile = i0 + int(hit[0])
+            raise err
+        for f, r in zip(fpart[i0:i0 + B], rtilde):
+            np.negative(_split_force(r, lat_cfg, b), out=f)
+    shape = spectra.shape[:-1] + (N,)
+    return accel.reshape(shape), fpart.reshape(shape)
 
 
 def _initial_profile(config: ValidationConfig,
@@ -372,18 +399,27 @@ def _surrogate_record(config: ValidationConfig, steps: int, spectra) -> dict:
 
 
 def _residual_eps_task(args):
+    """The residual at every checkpoint of a plan entry, from one
+    residual_fields call on the stacked checkpoint spectra; returns (rows,
+    (eps, sup l2)).  Gaps reaching 1 or a non-finite residual raise, naming
+    alpha, epsilon and the t of the first checkpoint it reached."""
     (config, params, spectra, entry) = args
     eps = entry["epsilon"]
     grid = PeriodicGrid(config.period, config.bo_modes)
     K = config.checkpoints
+    ts = [(i * config.tau0 / K) / eps ** params.alpha
+          for i in range(len(spectra))]
+    try:
+        accel, fpart = residual_fields(
+            SpectralField.from_spectrum(grid, spectra), eps, params,
+            entry["cutoff"], config.dealias_fraction)
+    except CollisionError as err:
+        # the residual knows which profile, not the checkpoint's t
+        err.t = ts[err.profile]
+        raise
     rows = []
-    for i, c in enumerate(spectra):
-        tau = i * config.tau0 / K
-        t = tau / eps ** params.alpha
-        accel, fpart = residual_fields(SpectralField.from_spectrum(grid, c),
-                                       eps, params, entry["cutoff"],
-                                       config.dealias_fraction)
-        l2 = float(np.linalg.norm(accel + fpart))
+    for t, a, f in zip(ts, accel, fpart):
+        l2 = float(np.linalg.norm(a + f))
         if not math.isfinite(l2):
             raise BlowUpError("non-finite ansatz residual", t=t,
                               alpha=params.alpha, epsilon=eps)

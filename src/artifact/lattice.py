@@ -30,7 +30,9 @@ FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
 default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
 orders 11 to 20, and the validation chains orders 9 or less.  A force that
 builds its own weights takes the orders a block at a time, within the
-memory a direct sum would hold; run_steps builds them once per call.
+memory a direct sum would hold; run_steps, and the residual where it takes
+a stack of profiles, build them once per call through FAR_ORDER
+(_held_far_weights) and take every order at once.
 """
 
 from __future__ import annotations
@@ -340,6 +342,15 @@ def _far_weights(config: LatticeConfig, p: int) -> np.ndarray:
     return b
 
 
+def _held_far_weights(config: LatticeConfig):
+    """The far weights of a caller that takes many forces at one config:
+    _far_weights through FAR_ORDER, built once for every order a state may
+    need, where the cutoff reaches past the near range; else None, since no
+    far field is taken there."""
+    return (_far_weights(config, FAR_ORDER)
+            if near_range(config.cutoff) < config.cutoff else None)
+
+
 def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
                b=None):
     """The share of force(r, config) of the ranges past the near range
@@ -453,14 +464,12 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     (r, p) stay rfft spectra within a call, so a step costs one force, one
     irfft and one rfft, and the trailing remainder doubles as the next
     leading one: a call makes nsteps + 1 force calls, whatever `every`.
-    The force's far weights are built once per call, through FAR_ORDER,
-    where its cutoff reaches past the near range.
+    The force's far weights are built once per call (_held_far_weights).
     """
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
-    b = (_far_weights(config, FAR_ORDER)
-         if near_range(config.cutoff) < config.cutoff else None)
+    b = _held_far_weights(config)
     r = state.r.copy()
     rh = np.fft.rfft(r)
     Rh = np.fft.rfft(_split_force(r, config, b)) - L * rh

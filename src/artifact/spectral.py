@@ -36,7 +36,8 @@ def dealias_mask(n: int, fraction: float = 2.0 / 3.0) -> np.ndarray:
 
 def resample_spectrum(c: np.ndarray, num: int) -> np.ndarray:
     """Half spectrum on num points (num even) of the field with half
-    spectrum c on n = 2*(c.size - 1) points.
+    spectrum c on n = 2*(c.shape[-1] - 1) points, along the last axis of c;
+    leading axes stack fields, each resampled as on its own.
 
     Each bin j < n/2 stands for the modes +j and -j, and the top bin for
     +n/2 and -n/2 with half its weight each.  The modes land on their bins
@@ -44,27 +45,30 @@ def resample_spectrum(c: np.ndarray, num: int) -> np.ndarray:
     at the num points.
     """
     c = np.asarray(c, dtype=complex)
-    if c.size < 2 or num < 2 or num % 2:
+    if c.ndim == 0 or c.shape[-1] < 2 or num < 2 or num % 2:
         raise ValueError("spectrum lengths must be even and at least 2")
-    half = c.size - 1
+    half = c.shape[-1] - 1
     modes = np.concatenate([np.arange(half + 1), -np.arange(1, half + 1)])
-    weights = np.concatenate([c, np.conj(c[1:])])
-    weights[half] *= 0.5
-    weights[-1] *= 0.5
+    weights = np.concatenate([c, np.conj(c[..., 1:])], axis=-1)
+    weights[..., half] *= 0.5
+    weights[..., -1] *= 0.5
     bins = modes % num
     kept = bins <= num // 2
-    out = np.zeros(num // 2 + 1, dtype=complex)
-    np.add.at(out, bins[kept], weights[kept])
+    out = np.zeros(c.shape[:-1] + (num // 2 + 1,), dtype=complex)
+    np.add.at(out, (..., bins[kept]), weights[..., kept])
     return out
 
 
-def sample_spectrum(c: np.ndarray, period: float, num: int, shift: float = 0.0
+def sample_spectrum(c: np.ndarray, period: float, num: int, shift=0.0
                     ) -> np.ndarray:
     """Values of the field with half spectrum c at the num uniform points
-    j*period/num + shift (num even)."""
+    j*period/num + shift (num even), along the last axis of c; a shift with
+    the leading shape of c shifts each stacked field by its own."""
     c = np.asarray(c, dtype=complex)
-    if shift != 0.0:
-        c = c * np.exp(1j * wavenumbers(2 * (c.size - 1), period) * shift)
+    shift = np.asarray(shift, dtype=float)
+    if np.any(shift != 0.0):
+        c = c * np.exp(1j * wavenumbers(2 * (c.shape[-1] - 1), period)
+                       * shift[..., None])
     return np.fft.irfft(resample_spectrum(c, num), num) * num
 
 
@@ -117,10 +121,13 @@ class SpectralField:
 
     @classmethod
     def from_spectrum(cls, grid: PeriodicGrid, spectrum) -> "SpectralField":
+        """The field with this half spectrum; leading axes stack fields on
+        one grid, as residual_fields takes them."""
         spectrum = np.asarray(spectrum, dtype=complex)
         shape = (grid.n // 2 + 1,)
-        if spectrum.shape != shape:
-            raise ValueError(f"spectrum must have shape {shape}, got {spectrum.shape}")
+        if spectrum.shape[-1:] != shape:
+            raise ValueError(f"spectrum must end in shape {shape}, got "
+                             f"{spectrum.shape}")
         return cls(grid, spectrum)
 
     @property

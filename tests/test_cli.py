@@ -507,6 +507,19 @@ def test_validate_blow_up_exit_code(tmp_path, capsys):
     assert "epsilon=" in err
 
 
+def test_residual_sweep_collision_exit_code_names_t(tmp_path, capsys):
+    # at amplitude 6 the ansatz gaps at eps 0.2 reach 1 from t = 0 on: exit
+    # 2 naming alpha, epsilon and the t of the first checkpoint reaching it
+    out = tmp_path / "rs"
+    rc = main(["residual-sweep", "--alpha", "2.0", "--amplitude", "6",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("blow-up: ansatz gap deviation reached 1")
+    assert "alpha=2.0 epsilon=0.2 t=0.0" in err
+    assert not (out / "report.json").exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"alpha": 1.8, "tau0": 0.1,

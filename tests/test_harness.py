@@ -544,9 +544,11 @@ def test_residual_fields_peak_memory_within_the_direct_sums(alpha,
     assert split <= peak() + 1024
 
 
-def test_residual_collision_names_the_run():
+def test_residual_collision_names_the_run(monkeypatch):
     # an ansatz gap deviation of 1 or more means the ansatz chain has lost
-    # its ordering; the residual refuses it with alpha and epsilon
+    # its ordering; the residual refuses it with alpha and epsilon, and the
+    # sweep adds the t of the first checkpoint, in stack order, that reached
+    # it, whether the stack goes through in one chunk or two profiles a chunk
     u0 = gaussian_profile(PeriodicGrid(102.4, 256), 5.0)
     r, _ = ansatz_fields(u0.spectrum, 102.4, 256, PARAMS2)
     assert np.max(np.abs(r)) >= 1.0
@@ -554,6 +556,135 @@ def test_residual_collision_names_the_run():
         residual_fields(u0, 0.4, PARAMS2, 50)
     assert info.value.alpha == 2.0
     assert info.value.epsilon == 0.4
+    cfg = _smoke_config(checkpoints=6)
+    small = gaussian_profile(PeriodicGrid(102.4, 256), 0.1).spectrum
+    spectra = [small] * 3 + [u0.spectrum, small, u0.spectrum, small]
+    entry = describe_plan(cfg, "residual")[0]
+    for block in (lattice._BLOCK_ELEMENTS, 2 * 256):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block)
+        with pytest.raises(CollisionError) as info:
+            harness._residual_eps_task((cfg, PARAMS2, spectra, entry))
+        assert (info.value.alpha, info.value.epsilon) \
+            == (2.0, entry["epsilon"])
+        assert info.value.t == (3 * cfg.tau0 / 6) / entry["epsilon"] ** 2.0
+    with pytest.raises(CollisionError) as info:
+        run_residual_sweep(_smoke_config(amplitude=5.0))
+    assert (info.value.alpha, info.value.epsilon, info.value.t) \
+        == (2.0, 102.4 / 256, 0.0)
+
+
+def _stacked_checkpoints(alpha, **overrides):
+    # a residual sweep's checkpoint profiles as one stacked field
+    cfg = ValidationConfig(alpha=alpha, **overrides)
+    params = make_alpha_params(alpha)
+    u0 = harness._initial_profile(cfg, default_residual_amplitude(alpha))
+    spectra, _ = harness._bo_checkpoint_spectra(cfg, params, u0)
+    return cfg, params, SpectralField.from_spectrum(u0.grid, spectra)
+
+
+def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch):
+    # the stacked call builds the far weights once, through FAR_ORDER, past
+    # a cutoff of twice the near range and none within it; every row equals
+    # the one-profile call to the last bit
+    built = []
+    real = lattice._far_weights
+
+    def counted(config, p):
+        built.append(p)
+        return real(config, p)
+
+    monkeypatch.setattr(lattice, "_far_weights", counted)
+    accel, fpart = residual_fields(field, eps, params, cutoff)
+    assert built == ([lattice.FAR_ORDER]
+                     if cutoff > 2 * lattice.NEAR_RANGE else [])
+    assert accel.shape == fpart.shape == (len(field.spectrum), accel.shape[1])
+    for i, c in enumerate(field.spectrum):
+        a, f = residual_fields(SpectralField.from_spectrum(field.grid, c), eps,
+                               params, cutoff)
+        assert np.array_equal(accel[i], a), i
+        assert np.array_equal(fpart[i], f), i
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+def test_stacked_residual_rows_equal_single_profile_calls(alpha,
+                                                          monkeypatch):
+    # the sweep's 21 checkpoints on its four default rings, 512 to 1448
+    # sites, one to two chunks of profiles
+    cfg, params, field = _stacked_checkpoints(alpha)
+    assert field.spectrum.shape == (cfg.checkpoints + 1,
+                                    cfg.bo_modes // 2 + 1)
+    for entry in describe_plan(cfg, "residual"):
+        _assert_rows_are_single_calls(field, entry["epsilon"], params,
+                                      entry["cutoff"], monkeypatch)
+
+
+def test_stacked_residual_rows_at_a_short_cutoff(monkeypatch):
+    # a cutoff within twice the near range sums every range directly, and
+    # no weights are built
+    u = [gaussian_profile(PeriodicGrid(102.4, 256), a).spectrum
+         for a in (0.1, 0.5, 0.9)]
+    field = SpectralField.from_spectrum(PeriodicGrid(102.4, 256), u)
+    for cutoff in (20, 2 * lattice.NEAR_RANGE):
+        _assert_rows_are_single_calls(field, 0.4, PARAMS2, cutoff,
+                                      monkeypatch)
+
+
+def test_stacked_residual_rows_where_the_guard_falls_back(monkeypatch):
+    # alpha 1.5 at eps 0.05: at amplitude 0.7 the gaps' scaled primitive
+    # fails _far_split's guard (2 max|s| = 23.2 > 17) though an order is
+    # found, so that row sums every range directly beside rows that take
+    # the held weights
+    grid = PeriodicGrid(102.4, 512)
+    params = make_alpha_params(1.5)
+    N, cutoff = 2048, 300
+    cfg = LatticeConfig(N=N, alpha=1.5, cutoff=cutoff, dt=1.0)
+    k = wavenumbers(N, grid.period)
+    u = [gaussian_profile(grid, a).spectrum for a in (0.5, 0.7, 0.3)]
+    for c, falls_back in zip(u, (False, True, False)):
+        r = harness._ansatz_gaps(resample_spectrum(c, N), k, grid.period, N,
+                                 1.5)
+        rho = float(np.mean(r))
+        assert lattice.far_order(float(np.max(np.abs(r - rho))) / (1 + rho),
+                                 1.5) > 0
+        assert (lattice._far_split(r, cfg) is None) == falls_back
+    _assert_rows_are_single_calls(SpectralField.from_spectrum(grid, u),
+                                  grid.period / N, params, cutoff,
+                                  monkeypatch)
+
+
+def test_ansatz_gaps_take_stacks_row_by_row():
+    # stacked profiles, with one shift for all and a shift per row
+    grid = PeriodicGrid(102.4, 256)
+    c = np.array([gaussian_profile(grid, a).spectrum for a in (0.1, 0.7)])
+    for N in (128, 256, 724):
+        cN = resample_spectrum(c, N)
+        k = wavenumbers(N, grid.period)
+        for shift in (0.0, 1.7, np.array([0.0, -3.1])):
+            r = harness._ansatz_gaps(cN, k, grid.period, N, 1.8, shift)
+            for i, row in enumerate(r):
+                one = harness._ansatz_gaps(cN[i], k, grid.period, N, 1.8,
+                                           np.broadcast_to(shift, 2)[i])
+                assert np.array_equal(row, one), (N, i)
+
+
+def test_stacked_residual_peak_memory_stays_bounded():
+    # one 21-profile call on the sweep's largest ring, (1448, 600), alpha
+    # 1.8: two chunks of at most 11 profiles through the transforms, the
+    # held weights (25 rows, 145 KB) and both parts' 21 rows (486 KB); the
+    # peak measured 1.62 MB, and the bound allows 11% over that, 1.8 MB.
+    # With u_X, u_tau and v_tautau formed side by side the call peaked at
+    # 1.83 MB, and with them and the chunk's spectra alive through the
+    # force loop at 2.20 MB
+    cfg, params, field = _stacked_checkpoints(1.8)
+    eps = cfg.period / 1448
+    residual_fields(field, eps, params, 600)
+    tracemalloc.start()
+    try:
+        residual_fields(field, eps, params, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_800_000
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +829,8 @@ def test_each_epsilon_runs_its_plan_entry(monkeypatch):
         return real_steps(state, lat_cfg, nsteps, every)
 
     def recorded_fields(u_tau, eps, params, cutoff, *args):
-        ran.append((round(u_tau.grid.period / eps), eps, cutoff))
+        ran.append((round(u_tau.grid.period / eps), eps, cutoff,
+                    len(u_tau.spectrum)))
         return real_fields(u_tau, eps, params, cutoff, *args)
 
     monkeypatch.setattr(harness, "run_steps", recorded_steps)
@@ -712,9 +844,9 @@ def test_each_epsilon_runs_its_plan_entry(monkeypatch):
                * e["steps_per_checkpoint"] for e in plan)
     ran.clear()
     run_residual_sweep(cfg)
-    assert ran == [(e["N"], e["epsilon"], e["cutoff"])
-                   for e in describe_plan(cfg, "residual")
-                   for _ in range(cfg.checkpoints + 1)]
+    # one call per epsilon, holding every checkpoint's profile
+    assert ran == [(e["N"], e["epsilon"], e["cutoff"], cfg.checkpoints + 1)
+                   for e in describe_plan(cfg, "residual")]
 
 
 @pytest.mark.parametrize("sweep,overrides,match", [
@@ -885,8 +1017,8 @@ def test_validation_energy_drift_raises_blow_up(monkeypatch, tmp_path,
 
 def test_residual_nan_raises_blow_up(monkeypatch):
     def nan_fields(u_tau, eps, params, cutoff, dealias_fraction=2.0 / 3.0):
-        n = int(round(u_tau.grid.period / eps))
-        return np.zeros(n), np.full(n, np.nan)
+        shape = (len(u_tau.spectrum), int(round(u_tau.grid.period / eps)))
+        return np.zeros(shape), np.full(shape, np.nan)
 
     monkeypatch.setattr(harness, "residual_fields", nan_fields)
     with pytest.raises(BlowUpError) as info:

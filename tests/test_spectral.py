@@ -309,6 +309,40 @@ def test_sample_spectrum_downsamples_exactly():
         sample_spectrum(f.spectrum, grid.period, 15)
 
 
+def test_spectral_helpers_take_stacks_row_by_row():
+    # spectra stacked along a leading axis give, row by row, the 1-d call's
+    # result to the last bit: resampling onto coarser (num < n), equal and
+    # finer rings with a complex top bin, sampling with one shift for all
+    # rows and a shift per row, and the surrogate's du/dtau and v_tautau
+    n, period = 64, 9.0
+    stack = np.array([_random_half_spectrum(n, seed) for seed in (1, 2, 3)])
+    assert np.all(stack[:, -1].imag != 0.0)
+    for num in (16, 32, 64, 66, 256):
+        out = resample_spectrum(stack, num)
+        deep = resample_spectrum(stack.reshape(3, 1, -1), num)
+        for i, c in enumerate(stack):
+            assert np.array_equal(out[i], resample_spectrum(c, num))
+            assert np.array_equal(deep[i, 0], out[i])
+    for num in (32, 128):
+        for shifts in (np.zeros(3), np.full(3, 1.3),
+                       np.array([0.0, 1.3, -4.05])):
+            vals = sample_spectrum(stack, period, num, shifts)
+            for row, c, shift in zip(vals, stack, shifts):
+                assert np.array_equal(row, sample_spectrum(c, period, num,
+                                                           shift))
+            if np.all(shifts == shifts[0]):
+                assert np.array_equal(
+                    vals, sample_spectrum(stack, period, num, shifts[0]))
+    params = make_alpha_params(1.8)
+    k, mask = wavenumbers(n, period), dealias_mask(n)
+    ut = _rhs_spectrum(stack, k, params, mask)
+    vtt = _dtau2_v_spectrum(stack, ut, k, params, mask)
+    for c, ut_row, vtt_row in zip(stack, ut, vtt):
+        assert np.array_equal(ut_row, _rhs_spectrum(c, k, params, mask))
+        assert np.array_equal(vtt_row,
+                              _dtau2_v_spectrum(c, ut_row, k, params, mask))
+
+
 def test_parseval_and_sobolev():
     grid = PeriodicGrid(21.0, 128)
     f = _random_field(grid, 9)
