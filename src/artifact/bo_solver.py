@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import AlphaParams
-from .spectral import PeriodicGrid, SpectralField, dealias_mask, sobolev_norm
+from .spectral import PeriodicGrid, SpectralField, dealias_mask
 
 
 class BlowUpError(RuntimeError):
@@ -142,10 +142,6 @@ def _run_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
     return c
 
 
-def _monitor_row(f: SpectralField, tau: float) -> tuple:
-    return (tau, f.mean(), sobolev_norm(f, 0.0), sobolev_norm(f, 6.0))
-
-
 def span_plan(tau: float, tau_end: float, config: BOConfig) -> list:
     """(target, steps) of each span run_to takes from tau to tau_end: one
     span to every configured checkpoint strictly between them, then one to
@@ -164,29 +160,25 @@ def span_plan(tau: float, tau_end: float, config: BOConfig) -> list:
     return plan
 
 
-def run_to(state: BOState, tau_end: float, config: BOConfig):
-    """Integrate to tau_end (either direction); returns (state, monitor trace).
-
-    The trace holds (tau, mean, L2 norm, H6 norm) rows at the start and at
-    the end of every span of span_plan.  The advective step number is
-    checked at the start of every span.
-    """
-    u = state.u
-    grid = u.grid
+def run_to(state: BOState, tau_end: float, config: BOConfig) -> list:
+    """Integrate to tau_end (either direction); returns the state at the
+    end of every span of span_plan, in order, none for tau_end == tau.
+    The advective step number is checked at the start of every span."""
+    grid = state.u.grid
     k = grid.wavenumbers
     mask = dealias_mask(grid.n, config.dealias_fraction)
-    c = u.spectrum
-    trace = [_monitor_row(u, state.tau)]
+    c = state.u.spectrum
     tau = state.tau
+    states = []
     for target, nsteps in span_plan(state.tau, tau_end, config):
         span = target - tau
         _check_cfl(c, k, config.params, abs(span) / nsteps)
         c = _run_spectrum(c, k, config.params, mask, span / nsteps, nsteps,
                           tau_origin=tau)
         tau = target
-        u = SpectralField.from_spectrum(grid, c)
-        trace.append(_monitor_row(u, tau))
-    return BOState(u=u, tau=tau), trace
+        states.append(BOState(u=SpectralField.from_spectrum(grid, c),
+                              tau=tau))
+    return states
 
 
 def gaussian_profile(grid: PeriodicGrid, amplitude: float = 1.0,

@@ -42,7 +42,7 @@ from .lattice import (CollisionError, LatticeConfig, LatticeState,
                       check_steps, energy, run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
                       make_alpha_params)
-from .spectral import PeriodicGrid, write_field_binary
+from .spectral import PeriodicGrid, sobolev_norm, write_field_binary
 
 DEFAULT_H_LIST = (0.4, 0.2, 0.1, 0.05, 0.025)
 
@@ -193,7 +193,11 @@ def cmd_solve_bo(args) -> int:
                "checkpoints": list(taus)})
         return 0
     u0 = gaussian_profile(grid, args.amplitude, args.width_fraction)
-    state, trace = run_to(BOState(u=u0, tau=0.0), args.tau_end, cfg)
+    states = [BOState(u=u0, tau=0.0)]
+    states += run_to(states[0], args.tau_end, cfg)
+    trace = [(s.tau, s.u.mean(), sobolev_norm(s.u, 0.0),
+              sobolev_norm(s.u, 6.0)) for s in states]
+    state = states[-1]
     outdir, trace_path = _resolve_out(args.out, "solve-bo", "trace.csv")
     os.makedirs(outdir, exist_ok=True)
     write_rows_csv(trace_path, ("tau", "mean", "l2", "h6"), trace)
@@ -221,8 +225,9 @@ def _init_cell(text) -> float:
 
 def _load_lattice_csv(path):
     """(r, p) of a --init CSV: the header, read with csv, names r and p and
-    may name t and j; the rows of the last t, stably sorted by j.  np.loadtxt
-    reads the named columns alone, a cell that is not a number as NaN.
+    may name t and j; the N rows of the last t, sorted by j, whose j must be
+    0 ... N-1 once each, no j of the file past N-1.  np.loadtxt reads the
+    named columns alone, a cell that is not a number as NaN.
 
     The header is the line np.genfromtxt(names=True) took: the first that
     is not blank once the '#' characters and whatever precedes the first
@@ -243,11 +248,16 @@ def _load_lattice_csv(path):
                       usecols=[header.index(name) for name in names],
                       converters=_init_cell)
     at = {name: i for i, name in enumerate(names)}
+    top = np.max(data[:, at["j"]], initial=-1.0) if "j" in at else 0.0
     if "t" in at:
         t = data[:, at["t"]]
         data = data[t == t.max()]
     if "j" in at:
-        data = data[np.argsort(data[:, at["j"]], kind="stable")]
+        data = data[np.argsort(data[:, at["j"]])]
+        if not (np.array_equal(data[:, at["j"]], np.arange(len(data)))
+                and top < len(data)):
+            raise ConfigError(f"{path}: the j of the last snapshot's N rows "
+                              "must be 0 ... N-1 once each, none past N-1")
     return data[:, at["r"]], data[:, at["p"]]
 
 
@@ -257,14 +267,10 @@ def cmd_simulate_lattice(args) -> int:
     if args.init:
         r, p = _load_lattice_csv(args.init)
         N = r.size
-        if args.n and args.n != N:
-            raise ConfigError(f"--n {args.n} disagrees with {args.init} ({N} rows)")
     else:
         if args.epsilon is None:
             raise ConfigError("either --init or --epsilon is required")
         N, eps = _ring_size(args.period, args.epsilon)
-        if args.n and args.n != N:
-            raise ConfigError(f"--n {args.n} disagrees with period/epsilon ({N})")
         modes = min(512, 2 ** int(math.floor(math.log2(N))))
         amp = (args.amplitude if args.amplitude is not None
                else DEFAULT_VALIDATION_AMPLITUDE)
@@ -417,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-lattice", parents=[common],
                        help="evolve the particle chain")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--n", type=int, help="ring size cross-check")
     p.add_argument("--cutoff", type=int,
                    help="interaction range (default the ring cap N/2 - 1)")
     p.add_argument("--dt", type=float, default=0.05)

@@ -132,8 +132,8 @@ class ValidationConfig:
             raise ConfigError("need at least 3 epsilons to fit a slope")
         if any(not 0.0 < e < 0.5 for e in eps):
             raise ConfigError("every epsilon must lie in (0, 0.5)")
-        if list(eps) != sorted(eps, reverse=True):
-            raise ConfigError("epsilons must be sorted in descending order")
+        if any(a <= b for a, b in zip(eps, eps[1:])):
+            raise ConfigError("epsilons must be distinct and descending")
         object.__setattr__(self, "epsilons", eps)
         for name in ("tau0", "period", "width_fraction", "lattice_dt",
                      "residual_cutoff_coef"):
@@ -356,22 +356,20 @@ def _initial_profile(config: ValidationConfig,
                             amplitude, config.width_fraction)
 
 
-def _bo_checkpoint_spectra(config: ValidationConfig, params: AlphaParams,
-                           u0: SpectralField):
-    """Surrogate half spectra at tau_i = i * tau0/K, i = 0..K, and the
-    IF-RK4 steps taken to reach them."""
+def _bo_checkpoint_states(config: ValidationConfig, params: AlphaParams,
+                          u0: SpectralField):
+    """Surrogate states at tau_i = i * tau0/K, i = 0..K, from one run_to
+    call, and report.json's "surrogate" entry for them."""
     K = config.checkpoints
+    taus = [i * config.tau0 / K for i in range(1, K + 1)]
     bo_cfg = BOConfig(params=params, dtau=_surrogate_dtau(config),
-                      dealias_fraction=config.dealias_fraction)
+                      dealias_fraction=config.dealias_fraction,
+                      t_checkpoint=tuple(taus[:-1]))
     state = BOState(u=u0, tau=0.0)
-    spectra = [u0.spectrum.copy()]
-    steps = 0
-    for i in range(1, K + 1):
-        target = i * config.tau0 / K
-        steps += sum(n for _, n in span_plan(state.tau, target, bo_cfg))
-        state, _ = run_to(state, target, bo_cfg)
-        spectra.append(state.u.spectrum.copy())
-    return spectra, steps
+    steps = sum(n for _, n in span_plan(0.0, taus[-1], bo_cfg))
+    states = [state, *run_to(state, taus[-1], bo_cfg)]
+    return states, _surrogate_record(config, steps,
+                                     [s.u.spectrum for s in states])
 
 
 def _surrogate_dtau(config: ValidationConfig) -> float:
@@ -403,15 +401,12 @@ def _residual_eps_task(args):
     residual_fields call on the stacked checkpoint spectra; returns (rows,
     (eps, sup l2)).  Gaps reaching 1 or a non-finite residual raise, naming
     alpha, epsilon and the t of the first checkpoint it reached."""
-    (config, params, spectra, entry) = args
+    (config, params, states, entry) = args
     eps = entry["epsilon"]
-    grid = PeriodicGrid(config.period, config.bo_modes)
-    K = config.checkpoints
-    ts = [(i * config.tau0 / K) / eps ** params.alpha
-          for i in range(len(spectra))]
+    ts = [s.tau / eps ** params.alpha for s in states]
     try:
-        accel, fpart = residual_fields(
-            SpectralField.from_spectrum(grid, spectra), eps, params,
+        accel, fpart = residual_fields(SpectralField.from_spectrum(
+            states[0].u.grid, [s.u.spectrum for s in states]), eps, params,
             entry["cutoff"], config.dealias_fraction)
     except CollisionError as err:
         # the residual knows which profile, not the checkpoint's t
@@ -437,14 +432,14 @@ def run_residual_sweep(config: ValidationConfig):
     plan = describe_plan(config, "residual")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, default_residual_amplitude(config.alpha))
-    spectra, steps = _bo_checkpoint_spectra(config, params, u0)
-    tasks = [(config, params, spectra, entry) for entry in plan]
+    states, surrogate = _bo_checkpoint_states(config, params, u0)
+    tasks = [(config, params, states, entry) for entry in plan]
     results = _map_tasks(_residual_eps_task, tasks, config.jobs)
     rows = [row for res in results for row in res[0]]
     report = _scaling_report([res[1] for res in results], params.beta)
     if config.output:
         write_residual_outputs(config.output, config, params, rows, report,
-                               plan, _surrogate_record(config, steps, spectra))
+                               plan, surrogate)
     return rows, report
 
 
@@ -465,13 +460,13 @@ def _validation_eps_task(args):
     that run_steps could sum the far ranges by moments at every checkpoint.
     A drift past ENERGY_DRIFT_TOL raises BlowUpError.
     """
-    (config, params, spectra, entry) = args
+    (config, params, bo, entry) = args
     alpha, eps = params.alpha, entry["epsilon"]
     lat_cfg = LatticeConfig(N=entry["N"], alpha=alpha,
                             cutoff=entry["cutoff"], dt=entry["dt"])
     nsteps = entry["steps_per_checkpoint"]
     seg = entry["horizon"] / entry["checkpoints"]
-    r0, p0 = ansatz_fields(spectra[0], config.period, lat_cfg.N, params,
+    r0, p0 = ansatz_fields(bo[0].u.spectrum, config.period, lat_cfg.N, params,
                            dealias_fraction=config.dealias_fraction)
     try:
         state = LatticeState(r=r0, p=p0, t=0.0)
@@ -488,8 +483,8 @@ def _validation_eps_task(args):
     samples = []
     for i, state in enumerate(states, 1):
         t = i * seg
-        rtilde, ptilde = ansatz_fields(spectra[i], config.period, lat_cfg.N,
-                                       params, -eps * params.c * t,
+        rtilde, ptilde = ansatz_fields(bo[i].u.spectrum, config.period,
+                                       lat_cfg.N, params, -eps * params.c * t,
                                        config.dealias_fraction)
         mu = state.r - rtilde
         nu = state.p - ptilde
@@ -532,8 +527,8 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
     plan = describe_plan(config, "validation")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, DEFAULT_VALIDATION_AMPLITUDE)
-    spectra, steps = _bo_checkpoint_spectra(config, params, u0)
-    tasks = [(config, params, spectra, entry) for entry in plan]
+    states, surrogate = _bo_checkpoint_states(config, params, u0)
+    tasks = [(config, params, states, entry) for entry in plan]
     results = _map_tasks(_validation_eps_task, tasks, config.jobs)
     result = ValidationResult(
         rows=[row for res in results for row in res[0]],
@@ -541,7 +536,7 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
         nu_report=_scaling_report([res[2] for res in results], params.gamma),
         energy_rows=[row for res in results for row in res[3]],
         chain_health=[res[4] for res in results],
-        surrogate=_surrogate_record(config, steps, spectra),
+        surrogate=surrogate,
     )
     if config.output:
         write_validation_outputs(config.output, config, params, result)
@@ -586,8 +581,14 @@ def describe_plan(config: ValidationConfig, pipeline: str) -> list:
     """Resolved per-epsilon plan (ring size, cutoff and the force's near
     range and far order; for validation also the chain's clock, step, step
     limit and steps) without running.  Each sweep runs every epsilon from
-    its entry."""
-    return [_plan_entry(config, e, pipeline) for e in config.epsilons]
+    its entry, so two epsilons that snap to one ring are refused here."""
+    plan = [_plan_entry(config, e, pipeline) for e in config.epsilons]
+    eps = config.epsilons
+    for e0, e1, a, b in zip(eps, eps[1:], plan, plan[1:]):
+        if a["N"] == b["N"]:
+            raise ConfigError(f"epsilons {e0} and {e1} share the ring "
+                              f"N = {a['N']}")
+    return plan
 
 
 def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):

@@ -110,8 +110,7 @@ def test_step_advances_and_conserves():
     # one IF-RK4 step: run_to over exactly one dtau
     state = _gauss_state()
     cfg = BOConfig(params=PARAMS, dtau=1e-3)
-    out, trace = run_to(state, 1e-3, cfg)
-    assert len(trace) == 2
+    [out] = run_to(state, 1e-3, cfg)
     assert out.tau == pytest.approx(1e-3)
     assert abs(out.u.mean()) < 1e-14
     assert abs(sobolev_norm(out.u, 0.0) - sobolev_norm(state.u, 0.0)) < 1e-12
@@ -121,31 +120,28 @@ def test_run_to_conservation_and_trace():
     state = _gauss_state()
     cfg = BOConfig(params=PARAMS, dtau=1e-3,
                    t_checkpoint=(0.02, 0.05))
-    out, trace = run_to(state, 0.1, cfg)
-    assert out.tau == pytest.approx(0.1)
-    taus = [row[0] for row in trace]
-    assert taus[0] == 0.0
-    assert 0.02 in taus and 0.05 in taus
-    assert taus[-1] == pytest.approx(0.1)
-    l2s = [row[2] for row in trace]
+    # one state at the end of each span, in order
+    states = run_to(state, 0.1, cfg)
+    assert [s.tau for s in states[:2]] == [0.02, 0.05]
+    assert len(states) == 3 and states[-1].tau == pytest.approx(0.1)
+    l2s = [sobolev_norm(s.u, 0.0) for s in [state, *states]]
     assert max(abs(v - l2s[0]) for v in l2s) < 1e-11
-    means = [row[1] for row in trace]
+    means = [s.u.mean() for s in [state, *states]]
     assert max(abs(m) for m in means) < 1e-14
 
 
 def test_run_to_zero_gap_is_identity():
     state = _gauss_state()
     cfg = BOConfig(params=PARAMS, dtau=1e-3)
-    out, trace = run_to(state, 0.0, cfg)
-    assert out is state or np.array_equal(out.u.values, state.u.values)
-    assert len(trace) >= 1
+    # no span, so no state: the caller's state stands
+    assert run_to(state, 0.0, cfg) == []
 
 
 def test_backward_evolution_inverts_forward():
     state = _gauss_state()
     cfg = BOConfig(params=PARAMS, dtau=5e-4)
-    fwd, _ = run_to(state, 0.2, cfg)
-    back, _ = run_to(fwd, 0.0, cfg)
+    [fwd] = run_to(state, 0.2, cfg)
+    [back] = run_to(fwd, 0.0, cfg)
     assert np.max(np.abs(back.u.values - state.u.values)) < 1e-8
 
 
@@ -153,8 +149,8 @@ def test_dtau_u_matches_finite_difference():
     state = _gauss_state(n=256, period=102.4, amplitude=0.7)
     cfg = BOConfig(params=PARAMS, dtau=1e-4)
     delta = 2e-3
-    plus, _ = run_to(state, delta, cfg)
-    minus, _ = run_to(state, -delta, cfg)
+    [plus] = run_to(state, delta, cfg)
+    [minus] = run_to(state, -delta, cfg)
     fd = (plus.u.values - minus.u.values) / (2.0 * delta)
     ut = _rhs(state.u).values
     scale = np.max(np.abs(ut))
@@ -165,8 +161,8 @@ def test_dtau2_v_matches_finite_difference():
     state = _gauss_state(n=256, period=102.4, amplitude=0.7)
     cfg = BOConfig(params=PARAMS, dtau=1e-4)
     delta = 2e-3
-    plus, _ = run_to(state, delta, cfg)
-    minus, _ = run_to(state, -delta, cfg)
+    [plus] = run_to(state, delta, cfg)
+    [minus] = run_to(state, -delta, cfg)
 
     fd = (_primitive(plus.u) - 2.0 * _primitive(state.u)
           + _primitive(minus.u)) / delta ** 2
@@ -230,7 +226,7 @@ def test_other_exponents_run(alpha):
     grid = PeriodicGrid(51.2, 128)
     state = BOState(u=gaussian_profile(grid, 0.3), tau=0.0)
     cfg = BOConfig(params=params, dtau=1e-3)
-    out, _ = run_to(state, 0.05, cfg)
+    [out] = run_to(state, 0.05, cfg)
     assert np.all(np.isfinite(out.u.values))
     assert abs(sobolev_norm(out.u, 0.0) - sobolev_norm(state.u, 0.0)) < 1e-11
 
@@ -272,7 +268,7 @@ def test_run_to_matches_full_complex_if_rk4():
         s4 = nonlin(E2 * c + E * (dtau * s3))
         c = E2 * c + (dtau / 6.0) * (E2 * s1 + 2.0 * E * (s2 + s3) + s4)
     ref = np.fft.ifft(c).real * grid.n
-    out, _ = run_to(state, nsteps * dtau, BOConfig(params=PARAMS, dtau=dtau))
+    [out] = run_to(state, nsteps * dtau, BOConfig(params=PARAMS, dtau=dtau))
     assert np.max(np.abs(out.u.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -291,6 +287,6 @@ def test_cfl_checked_at_every_span(monkeypatch):
     cfg = BOConfig(params=PARAMS, dtau=1e-3, t_checkpoint=(0.02, 0.05))
     run_to(state, 0.1, cfg)
     assert len(seen) == 3
-    mid, _ = run_to(state, 0.02, BOConfig(params=PARAMS, dtau=1e-3))
+    [mid] = run_to(state, 0.02, BOConfig(params=PARAMS, dtau=1e-3))
     assert np.array_equal(seen[0], state.u.spectrum)
     assert np.allclose(seen[1], mid.u.spectrum, rtol=0.0, atol=1e-15)

@@ -328,25 +328,26 @@ def _init_cases():
     j = rng.permutation(40).astype(float)
     r, p = 1e-3 * rng.standard_normal(40), 1e-3 * rng.standard_normal(40)
     r[3], p[5], r[7] = -0.0, 5e-324, 0.1 + 0.2
+    # two snapshots, each with its j a permutation of 0..19
     t = np.repeat([0.0, 0.25], 20)
-    jt = np.concatenate([j[:20], j[:20]])
+    jt = np.concatenate([j[j < 20], j[j >= 20] - 20])
     tjrp = ("t", "j", "r", "p")
+    rows = list(zip(t, jt, r, p))
     return {
         "reordered": _init_text(("p", "j", "r"), zip(p, j, r)),
-        "no-t": _init_text(("j", "r", "p"), zip(j % 7, r, p)),
+        "no-t": _init_text(("j", "r", "p"), zip(j, r, p)),
         "no-j": _init_text(("t", "r", "p"), zip(t, r, p)),
         "neither": _init_text(("r", "p"), zip(r, p)),
         "extra-column": _init_text(("t", "j", "q", "r", "p"),
                                    zip(t, jt, 10 * r, r, p)),
-        "single-row": _init_text(tjrp, [(0.5, 3.0, r[0], p[0])]),
-        "crlf": _init_text(tjrp, zip(t, jt, r, p), end="\r\n"),
+        "single-row": _init_text(tjrp, [(0.5, 0.0, r[0], p[0])]),
+        "crlf": _init_text(tjrp, rows, end="\r\n"),
         # the header's forms np.genfromtxt(names=True) took: behind a '#',
         # as np.savetxt writes it, and after blank lines
         "savetxt": _savetxt_text(np.column_stack([t, jt, r, p]), tjrp),
         "hash-header": "#" + _init_text(("r", "p"), zip(r, p)),
-        "blank-lines": "\n\n" + _init_text(tjrp, zip(t, jt, r, p))
-        + "\n# comment\n" + _init_text(tjrp, [(0.25, 40.0, r[0], p[0])])
-        .split("\n", 1)[1],
+        "blank-lines": "\n\n" + _init_text(tjrp, rows[:-1])
+        + "\n# comment\n" + _init_text(tjrp, rows[-1:]).split("\n", 1)[1],
     }
 
 
@@ -368,6 +369,36 @@ def test_init_loader_gives_the_genfromtxt_arrays(tmp_path, case):
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == np.float64
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _bad_j_cases():
+    # 32 sites whose last snapshot's j is not 0..31, each once
+    r, p = np.full(32, 0.01), np.zeros(32)
+    two = list(zip(np.repeat([0.0, 0.1], 32), np.tile(np.arange(32.0), 2),
+                   np.tile(r, 2), np.tile(p, 2)))
+    return {
+        "duplicate": _init_text(("j", "r", "p"),
+                                zip(np.arange(32) % 16, r, p)),
+        "truncated": _init_text(("t", "j", "r", "p"), two[:32 + 22]),
+        "out-of-range": _init_text(("j", "r", "p"),
+                                   zip(np.arange(1, 33), r, p)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_j_cases()))
+def test_init_refuses_a_last_snapshot_not_indexed_once_per_site(
+        tmp_path, capsys, case):
+    # a duplicate j ran as a ring of all its rows, and a snapshot cut short
+    # as a smaller ring; both are refused, naming the file
+    path = tmp_path / "init.csv"
+    path.write_text(_bad_j_cases()[case])
+    with pytest.raises(ConfigError, match=str(path)):
+        cli._load_lattice_csv(str(path))
+    rc = main(["simulate-lattice", "--alpha", "2.0", "--init", str(path),
+               "--cutoff", "8", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("header", [("t", "j", "x", "p"), ("j", "r"), ()])
@@ -681,6 +712,28 @@ def test_non_finite_sweep_settings_exit_before_any_work(
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert flag[2:].replace("-", "_") in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("command", ["residual-sweep", "validate"])
+def test_two_epsilons_on_one_ring_exit_before_any_work(
+        command, dry_run, tmp_path, capsys, monkeypatch):
+    # 0.1001 and 0.1 both snap to the 1024-site ring: the run used to sweep
+    # every epsilon before its fit refused them, and the dry run listed the
+    # ring twice
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "run_to", refuse)
+    out = tmp_path / "shared"
+    rc = main([command, "--alpha", "2.0", "--epsilons", "0.2,0.1414,0.1001,0.1",
+               "--out", str(out)] + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert all(s in captured.err for s in ("0.1001", "0.1 ", "N = 1024"))
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from artifact import bo_solver, harness, lattice
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError, _rhs_spectrum,
-                                gaussian_profile, run_to)
+                                gaussian_profile, run_to, span_plan)
 from artifact.cli import main
 from artifact.harness import (ConfigError, ScalingReport, ValidationConfig,
                               _ring_size, _scaling_report, ansatz_fields,
@@ -86,6 +86,41 @@ def test_config_validation():
     assert ValidationConfig(alpha=1.5).alpha == 1.5
 
 
+@pytest.mark.parametrize("pipeline", ["residual", "validation"])
+def test_epsilons_on_one_ring_are_refused(pipeline):
+    # equal epsilons are refused by the config; distinct ones that snap to
+    # one ring by the plan, naming both and the ring
+    with pytest.raises(ConfigError, match="distinct"):
+        ValidationConfig(epsilons=(0.2, 0.1, 0.1))
+    cfg = ValidationConfig(epsilons=(0.2, 0.1414, 0.1001, 0.1))
+    with pytest.raises(ConfigError, match=r"0\.1001 and 0\.1 .*N = 1024"):
+        describe_plan(cfg, pipeline)
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+def test_checkpoint_states_equal_a_run_to_call_per_checkpoint(alpha):
+    # one run_to call through the checkpoints gives, at either default
+    # amplitude, the spectra and IF-RK4 steps of one call per checkpoint,
+    # to the last bit
+    params = make_alpha_params(alpha)
+    for amplitude in {default_residual_amplitude(alpha),
+                      harness.DEFAULT_VALIDATION_AMPLITUDE}:
+        cfg = ValidationConfig(alpha=alpha, amplitude=amplitude)
+        u0 = harness._initial_profile(cfg, amplitude)
+        states, record = harness._bo_checkpoint_states(cfg, params, u0)
+        bo_cfg = BOConfig(params=params, dtau=harness._surrogate_dtau(cfg))
+        state, steps = states[0], 0
+        assert state.u is u0 and state.tau == 0.0
+        for i in range(1, cfg.checkpoints + 1):
+            tau = i * cfg.tau0 / cfg.checkpoints
+            steps += sum(n for _, n in span_plan(state.tau, tau, bo_cfg))
+            [state] = run_to(state, tau, bo_cfg)
+            assert states[i].tau == state.tau
+            assert np.array_equal(states[i].u.spectrum, state.u.spectrum)
+        assert len(states) == cfg.checkpoints + 1
+        assert record["rk4_steps"] == steps == 200
+
+
 @pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
 def test_default_surrogate_step_sits_at_the_rounding_floor(alpha,
                                                            monkeypatch):
@@ -98,9 +133,9 @@ def test_default_surrogate_step_sits_at_the_rounding_floor(alpha,
 
     def spectra(amplitude, m):
         monkeypatch.setattr(harness, "BO_STEPS_PER_CHECKPOINT", m)
-        return harness._bo_checkpoint_spectra(
+        return [s.u.spectrum for s in harness._bo_checkpoint_states(
             ValidationConfig(alpha=alpha, amplitude=amplitude), params,
-            gaussian_profile(PeriodicGrid(102.4, 512), amplitude))[0]
+            gaussian_profile(PeriodicGrid(102.4, 512), amplitude))[0]]
 
     def deviation(amplitude, n):
         coarse, fine = (spectra(amplitude, m) for m in (n, 4 * n))
@@ -278,7 +313,7 @@ def test_chain_step_within_the_step_laws_accuracy_bound(alpha, eps):
     # 0.04% / 0.19%, and the energy drifts by less than 1e-10
     cfg = ValidationConfig(alpha=alpha)
     params = make_alpha_params(alpha)
-    spectra, _ = harness._bo_checkpoint_spectra(
+    surrogate, _ = harness._bo_checkpoint_states(
         cfg, params, harness._initial_profile(
             cfg, harness.DEFAULT_VALIDATION_AMPLITUDE))
     [entry] = [e for e in describe_plan(cfg, "validation")
@@ -286,7 +321,7 @@ def test_chain_step_within_the_step_laws_accuracy_bound(alpha, eps):
     fine = dict(entry, dt=entry["dt"] / 4,
                 steps_per_checkpoint=4 * entry["steps_per_checkpoint"])
     (_, mu, nu, _, health), (_, mu4, nu4, _, _) = (
-        harness._validation_eps_task((cfg, params, spectra, e))
+        harness._validation_eps_task((cfg, params, surrogate, e))
         for e in (entry, fine))
     assert abs(mu[1] / mu4[1] - 1.0) <= 4.5e-3
     assert abs(nu[1] / nu4[1] - 1.0) <= 4.5e-3
@@ -557,13 +592,14 @@ def test_residual_collision_names_the_run(monkeypatch):
     assert info.value.alpha == 2.0
     assert info.value.epsilon == 0.4
     cfg = _smoke_config(checkpoints=6)
-    small = gaussian_profile(PeriodicGrid(102.4, 256), 0.1).spectrum
-    spectra = [small] * 3 + [u0.spectrum, small, u0.spectrum, small]
+    small = gaussian_profile(PeriodicGrid(102.4, 256), 0.1)
+    states = [BOState(u=u, tau=i * cfg.tau0 / 6) for i, u in enumerate(
+        [small] * 3 + [u0, small, u0, small])]
     entry = describe_plan(cfg, "residual")[0]
     for block in (lattice._BLOCK_ELEMENTS, 2 * 256):
         monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block)
         with pytest.raises(CollisionError) as info:
-            harness._residual_eps_task((cfg, PARAMS2, spectra, entry))
+            harness._residual_eps_task((cfg, PARAMS2, states, entry))
         assert (info.value.alpha, info.value.epsilon) \
             == (2.0, entry["epsilon"])
         assert info.value.t == (3 * cfg.tau0 / 6) / entry["epsilon"] ** 2.0
@@ -578,8 +614,9 @@ def _stacked_checkpoints(alpha, **overrides):
     cfg = ValidationConfig(alpha=alpha, **overrides)
     params = make_alpha_params(alpha)
     u0 = harness._initial_profile(cfg, default_residual_amplitude(alpha))
-    spectra, _ = harness._bo_checkpoint_spectra(cfg, params, u0)
-    return cfg, params, SpectralField.from_spectrum(u0.grid, spectra)
+    states, _ = harness._bo_checkpoint_states(cfg, params, u0)
+    return cfg, params, SpectralField.from_spectrum(
+        u0.grid, [s.u.spectrum for s in states])
 
 
 def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch):
@@ -918,7 +955,7 @@ def test_shift_canary_moving_frame_matters():
     cfg = LatticeConfig(N=n, alpha=params.alpha, cutoff=30, dt=T / nsteps)
     [out] = run_steps(state, cfg, nsteps)
     bo_cfg = BOConfig(params=params, dtau=tau_end / 100.0)
-    bo, _ = run_to(BOState(u=u0, tau=0.0), tau_end, bo_cfg)
+    [bo] = run_to(BOState(u=u0, tau=0.0), tau_end, bo_cfg)
     shifted, _ = ansatz_fields(bo.u.spectrum, period, n, params,
                                -eps * params.c * T)
     plain, _ = ansatz_fields(bo.u.spectrum, period, n, params)
