@@ -25,6 +25,7 @@ import math
 import os
 import platform
 import sys
+import warnings
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
@@ -227,7 +228,8 @@ def _load_lattice_csv(path):
     """(r, p) of a --init CSV: the header, read with csv, names r and p and
     may name t and j; the N rows of the last t, sorted by j, whose j must be
     0 ... N-1 once each, no j of the file past N-1.  np.loadtxt reads the
-    named columns alone, a cell that is not a number as NaN.
+    named columns alone, a cell that is not a number as NaN; a file with
+    no rows is refused.
 
     The header is the line np.genfromtxt(names=True) took: the first that
     is not blank once the '#' characters and whatever precedes the first
@@ -244,9 +246,14 @@ def _load_lattice_csv(path):
         raise ConfigError(f"{path} must have a CSV header with r and p columns")
     names = list(dict.fromkeys(name for name in header
                                if name in ("t", "j", "r", "p")))
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
-                      usecols=[header.index(name) for name in names],
-                      converters=_init_cell)
+    with warnings.catch_warnings():
+        # a file of the header alone is refused below, naming the file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
+                          usecols=[header.index(name) for name in names],
+                          converters=_init_cell)
+    if not len(data):
+        raise ConfigError(f"{path} has a header but no rows")
     at = {name: i for i, name in enumerate(names)}
     top = np.max(data[:, at["j"]], initial=-1.0) if "j" in at else 0.0
     if "t" in at:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to, span_plan)
-from .lattice import (_BLOCK_ELEMENTS, FAR_ORDER, FAR_TOL, CollisionError,
-                      LatticeConfig, LatticeState, _held_far_weights,
-                      _split_force, energy, error_energy,
+from .lattice import (_BLOCK_ELEMENTS, FAR_ORDER, FAR_TOL, Band,
+                      CollisionError, LatticeConfig, LatticeState,
+                      _held_far_weights, _split_force, energy, error_energy,
                       error_energy_constants, far_bound, far_order,
                       near_range, run_steps, step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
@@ -458,7 +458,9 @@ def _validation_eps_task(args):
     least order far_order picks (least_far_order, 0 for none), far_bound
     at that order (at FAR_ORDER for none) and whether it meets FAR_TOL, so
     that run_steps could sum the far ranges by moments at every checkpoint.
-    A drift past ENERGY_DRIFT_TOL raises BlowUpError.
+    Where the plan's band is smaller than the ring, the chain runs on it,
+    and health adds the band's dropped_share and top_share (Band).  A drift
+    past ENERGY_DRIFT_TOL raises BlowUpError.
     """
     (config, params, bo, entry) = args
     alpha, eps = params.alpha, entry["epsilon"]
@@ -468,11 +470,12 @@ def _validation_eps_task(args):
     seg = entry["horizon"] / entry["checkpoints"]
     r0, p0 = ansatz_fields(bo[0].u.spectrum, config.period, lat_cfg.N, params,
                            dealias_fraction=config.dealias_fraction)
+    band = Band(entry["band"], config.dealias_fraction)
     try:
         state = LatticeState(r=r0, p=p0, t=0.0)
         states = run_steps(state, lat_cfg, nsteps * entry["checkpoints"],
-                           nsteps)
-    except CollisionError as err:
+                           nsteps, band)
+    except (CollisionError, BlowUpError) as err:
         # a chain state knows its t but not the run's alpha and epsilon
         err.alpha, err.epsilon = alpha, eps
         raise
@@ -507,7 +510,9 @@ def _validation_eps_task(args):
     health = {**entry, "energy_initial": E0, "energy_final": E1,
               "energy_rel_drift": drift, "min_collision_margin": margin,
               "far_bound": bound, "far_bound_ok": bound <= FAR_TOL,
-              "least_far_order": order}
+              "least_far_order": order,
+              "band_dropped_share": band.dropped_share,
+              "band_top_share": band.top_share}
     energy_rows = [(alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
                    in error_energy_trace(samples, params, lat_cfg.cutoff)]
     return (rows, (eps, max(row[3] for row in rows)),
@@ -580,7 +585,7 @@ def _map_tasks(fn, tasks, jobs):
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
     """Resolved per-epsilon plan (ring size, cutoff and the force's near
     range and far order; for validation also the chain's clock, step, step
-    limit and steps) without running.  Each sweep runs every epsilon from
+    limit, steps and band) without running.  Each sweep runs every epsilon from
     its entry, so two epsilons that snap to one ring are refused here."""
     plan = [_plan_entry(config, e, pipeline) for e in config.epsilons]
     eps = config.epsilons
@@ -635,6 +640,9 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
         "step_limit": limit,
         "steps_per_checkpoint": nsteps,
         "total_steps": nsteps * config.checkpoints,
+        # the chain's grid (lattice.Band): the surrogate's, where the ring
+        # is larger; the ring itself otherwise
+        "band": min(N, config.bo_modes),
     })
     return entry
 

@@ -15,6 +15,17 @@ remainder sets the step's accuracy and the fastest linear mode its
 stability: _linear_flow refuses a dt at or past step_limit, 0.9 pi over
 the top linear frequency.
 
+Given a Band of Q < N points, run_steps keeps the chain on the band: its
+spectra hold only the rfft bins of dealias_mask(Q), the surrogate's kept
+bins, and each remainder is formed on the grid x_q = qN/Q, at a cost that
+does not grow with N.  This is a Fourier-Galerkin truncation of the chain
+with pseudo-spectral products and the 2/3 rule (Orszag 1971), the rule
+bo_solver applies to the surrogate.  The validation chains live in the
+lowest 64 or so of the ring's bins, so at the defaults it moves their sup
+errors by 2e-11 relative or less; the band records what it drops and
+refuses more than BAND_TOL.  energy, the residual and a run_steps call
+without a band stay on the ring.
+
 force, which run_steps and the residual share, sums its ranges past
 NEAR_RANGE by moments (_far_field) where the state allows: each far pair
 slope is a power series in the window mean, and every order of it is a
@@ -39,12 +50,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .bo_solver import BlowUpError
 from .specfun import AlphaParams
+from .spectral import dealias_mask
 
 SERIES_CROSSOVER = 1e-3
 
@@ -70,6 +83,13 @@ _I_POWERS = np.array([1.0, 1j, -1.0, -1j])     # i^0..i^3
 # reaches pi; _linear_flow refuses a dt past this limit, which keeps a 10%
 # margin below that resonance.
 STEP_LIMIT = 0.9 * math.pi
+
+# run_steps on a band (Band) refuses a state or a force whose L2 content
+# past the kept bins passes this share: amplitudes at 1e-10 of the whole,
+# the relative change in sup mu and nu the band may make.  The validation
+# chains show at most 5e-31 of the ansatz there at t = 0 and 2.3e-28 of the
+# force, both at rounding level, at alpha 1.8, 2 and 2.5 down to eps 0.025.
+BAND_TOL = 1e-20
 
 
 class CollisionError(RuntimeError):
@@ -452,8 +472,120 @@ def check_steps(config: LatticeConfig, nsteps: int, every: int | None = None):
     return _linear_flow(config)
 
 
+@dataclass
+class Band:
+    """The grid of Q points on which run_steps forms the remainder of a
+    ring of more than Q sites, keeping the rfft bins of dealias_mask(Q,
+    dealias_fraction).  A run_steps call records here the share of its
+    given state's r or p above the kept bins, which it drops
+    (dropped_share), and the largest share of the force's grid spectrum
+    above them over its steps, which the kicks drop and whose products
+    alias (top_share); either past BAND_TOL raises BlowUpError."""
+
+    Q: int
+    dealias_fraction: float = 2.0 / 3.0
+    dropped_share: float = field(default=0.0, init=False)
+    top_share: float = field(default=0.0, init=False)
+
+
+def _top_share(spectrum: np.ndarray, kept: int) -> float:
+    """The share of a real field's L2 content in the bins of its rfft
+    spectrum from bin `kept` on, every bin but 0 counted twice."""
+    top = spectrum[kept:]
+    total = 2.0 * np.vdot(spectrum, spectrum).real - abs(spectrum[0]) ** 2
+    return float(2.0 * np.vdot(top, top).real / total) if total > 0.0 else 0.0
+
+
+def _refuse_collision(r: np.ndarray):
+    """CollisionError where a gap deviation of r reaches 1."""
+    if np.max(np.abs(r)) >= 1.0:
+        raise CollisionError("a gap deviation reached 1; ordering lost")
+
+
+def _ring_remainder(config: LatticeConfig, L: np.ndarray, b):
+    """run_steps' remainder R = rfft(force(r)) - L r^ on every bin of the
+    ring: at the sites r given, or else at r = irfft(r^, N), which must
+    keep |r| below 1."""
+    def remainder(rh, r=None):
+        if r is None:
+            r = np.fft.irfft(rh, config.N)
+            _refuse_collision(r)
+        return np.fft.rfft(_split_force(r, config, b)) - L * rh
+    return remainder
+
+
+def _band_remainder(config: LatticeConfig, L: np.ndarray, b, band: Band):
+    """run_steps' remainder R = F - L r^ on the kept bins n < L.size of the
+    ring, at spectra r^ on those bins alone, with F the force's spectrum
+    formed on the band's grid x_q = qN/Q, q = 0..Q-1 (the sites r given
+    are not used).
+
+    For each range m up to the near range, G_m r at the grid points is the
+    irfft over Q points of r^ times (e^{ikm} - 1)/(e^{ik} - 1) (m at n = 0),
+    k = 2 pi n/N; the rfft of its pair slopes times 1 - e^{-ikm}, summed
+    over m, is the near ranges' force.  _far_field adds the far ranges at
+    the grid samples of the scaled primitive, s^ = r^/((e^{ik} - 1)(1 +
+    rho)), with the weight rows cut to bins up to Q/2.  A transform over Q
+    points has Q/N of the ring's normalisation, which cancels between each
+    grid's inverse and forward transforms.
+
+    The collision test, the far order and the guard 2 max|s| <= NEAR_RANGE
+    + 1 must hold at every site of the ring, not only at the grid points,
+    so each is taken from a bound by the spectrum's moduli:
+    max|r - rho| <= 2 sum_{n>0} |r^_n|/N, and alike for max|r| and max|s|.
+    Only where the bound on max|r| reaches 1 are the ring's sites formed
+    and tested.  Where no order or no guard is found, F is
+    rfft(force(irfft(r^, N))).  F is formed through bin Q/2, for the
+    band's top_share."""
+    N, Q, alpha, kept = config.N, band.Q, config.alpha, L.size
+    M0 = near_range(config.cutoff)
+    k = 2.0 * np.pi * np.arange(Q // 2 + 1) / N
+    shift = -2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)    # e^{ik} - 1
+    ms = np.arange(1, M0 + 1, dtype=float)[:, None]
+    # e^{ikm} - 1; 1 - e^{-ikm} is minus its conjugate
+    up = -2.0 * np.sin(0.5 * k * ms) ** 2 + 1j * np.sin(k * ms)
+    window = np.empty((M0, kept), dtype=complex)
+    window[:, 0] = ms[:, 0]
+    window[:, 1:] = up[:, 1:kept] / shift[1:kept]
+    window *= Q / N
+    difference = up.conj() * (-N / Q)
+    primitive = np.zeros(kept, dtype=complex)
+    primitive[1:] = (Q / N) / shift[1:kept]
+    bQ = None if b is None else b[:, :Q // 2 + 1]
+
+    def force_spectrum(rh, moduli):
+        Ffar = 0.0
+        if M0 < config.cutoff:
+            rho = rh[0].real / N
+            p = far_order(moduli / (1.0 + rho), alpha)
+            sh = rh * primitive / (1.0 + rho)
+            if not (p and 4.0 * float(np.sum(np.abs(sh))) / Q
+                    <= NEAR_RANGE + 1):
+                return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
+                                                b))[:Q // 2 + 1]
+            Ffar = np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config,
+                                          p, bQ)) * (N / Q)
+        W = np.fft.rfft(_kernel_prime(np.fft.irfft(window * rh, Q), ms,
+                                      alpha))
+        return np.einsum("mn,mn->n", difference, W) + Ffar
+
+    def remainder(rh, r=None):
+        a = np.abs(rh)
+        moduli = 2.0 * float(np.sum(a[1:])) / N
+        if a[0] / N + moduli >= 1.0:
+            _refuse_collision(np.fft.irfft(rh, N))
+        F = force_spectrum(rh, moduli)
+        band.top_share = max(band.top_share, _top_share(F, kept))
+        if not band.top_share <= BAND_TOL:
+            raise BlowUpError(f"{band.top_share:.3g} of the force's grid "
+                              f"spectrum lies past the band's {kept} bins, "
+                              f"past {BAND_TOL:g}")
+        return F[:kept] - L * rh
+    return remainder
+
+
 def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
-              every: int | None = None) -> list:
+              every: int | None = None, band: Band | None = None) -> list:
     """nsteps symmetric split steps: a half kick by the remainder
     R(r) = force(r) - L r, the exact linear flow over dt mode by mode, and
     a second half kick.  Returns the states after every `every` steps and
@@ -461,33 +593,52 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     (no state for nsteps = 0).  Refuses what check_steps refuses, and
     gaps whose count is not config.N.
 
-    (r, p) stay rfft spectra within a call, so a step costs one force, one
-    irfft and one rfft, and the trailing remainder doubles as the next
-    leading one: a call makes nsteps + 1 force calls, whatever `every`.
-    The force's far weights are built once per call (_held_far_weights).
+    (r, p) stay rfft spectra within a call, and the trailing remainder
+    doubles as the next leading one: a call forms nsteps + 1 remainders,
+    whatever `every`.  The force's far weights are built once per call
+    (_held_far_weights).  On the ring (band None, or band.Q >= N) a step
+    costs one force, one irfft and one rfft.  With a band of Q < N points
+    the spectra keep only the band's bins, and each remainder is formed on
+    its grid (_band_remainder), at a cost that does not grow with N; the
+    given state's content past those bins is dropped.  A collision raises
+    CollisionError, and band content past BAND_TOL BlowUpError, with t and
+    alpha.
     """
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
     b = _held_far_weights(config)
-    r = state.r.copy()
-    rh = np.fft.rfft(r)
-    Rh = np.fft.rfft(_split_force(r, config, b)) - L * rh
-    ph = np.fft.rfft(state.p)
-    out = []
-    t, done = state.t, 0    # time and step count of the last state returned
-    for i in range(1, nsteps + 1):
-        ph = ph + (0.5 * dt) * Rh
-        rh, ph = cos * rh + r_from_p * ph, p_from_r * rh + cos * ph
-        r = np.fft.irfft(rh, N)
-        if np.max(np.abs(r)) >= 1.0:
-            raise CollisionError("a gap deviation reached 1; ordering lost",
-                                 t=t + (i - done) * dt, alpha=config.alpha)
-        Rh = np.fft.rfft(_split_force(r, config, b)) - L * rh
-        ph = ph + (0.5 * dt) * Rh
-        if i == nsteps or (every is not None and i % every == 0):
-            t, done = t + (i - done) * dt, i
-            out.append(LatticeState(r=r, p=np.fft.irfft(ph, N), t=t))
+    rh, ph = np.fft.rfft(state.r), np.fft.rfft(state.p)
+    t, done, i = state.t, 0, 0  # time and step count of the last state out
+    try:
+        if band is None or band.Q >= N:
+            remainder = _ring_remainder(config, L, b)
+        else:
+            kept = int(np.count_nonzero(dealias_mask(band.Q,
+                                                     band.dealias_fraction)))
+            band.dropped_share = max(_top_share(rh, kept),
+                                     _top_share(ph, kept))
+            if not band.dropped_share <= BAND_TOL:
+                raise BlowUpError(f"{band.dropped_share:.3g} of the state "
+                                  f"lies past the band's {kept} bins, past "
+                                  f"{BAND_TOL:g}")
+            L, cos, r_from_p, p_from_r, rh, ph = (
+                v[:kept] for v in (L, cos, r_from_p, p_from_r, rh, ph))
+            remainder = _band_remainder(config, L, b, band)
+        Rh = remainder(rh, state.r)
+        out = []
+        for i in range(1, nsteps + 1):
+            ph = ph + (0.5 * dt) * Rh
+            rh, ph = cos * rh + r_from_p * ph, p_from_r * rh + cos * ph
+            Rh = remainder(rh)
+            ph = ph + (0.5 * dt) * Rh
+            if i == nsteps or (every is not None and i % every == 0):
+                t, done = t + (i - done) * dt, i
+                out.append(LatticeState(r=np.fft.irfft(rh, N),
+                                        p=np.fft.irfft(ph, N), t=t))
+    except (CollisionError, BlowUpError) as err:
+        err.t, err.alpha = t + (i - done) * dt, config.alpha
+        raise
     return out
 
 

@@ -415,6 +415,22 @@ def test_init_without_r_and_p_names_the_file(tmp_path, capsys, header):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("header", [("t", "j", "r", "p"), ("j", "r", "p")])
+def test_init_with_a_header_and_no_rows_names_the_file(tmp_path, capsys,
+                                                       header):
+    # with t, the last snapshot's t was taken from no rows; without it, the
+    # empty ring reached LatticeState; either is refused, naming the file
+    path = tmp_path / "init.csv"
+    path.write_text(_init_text(header, []))
+    with pytest.raises(ConfigError, match=f"{path} has a header but no rows"):
+        cli._load_lattice_csv(str(path))
+    rc = main(["simulate-lattice", "--alpha", "2.0", "--init", str(path),
+               "--cutoff", "8", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{path} has a header but no rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_init_loader_peak_memory_within_twice_its_table(tmp_path, capsys):
     # an 11-snapshot, 2048-site trajectory as simulate-lattice writes it:
     # the loader's traced peak stays below twice the float table it parses,
@@ -562,6 +578,9 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["config"]["alpha"] == 1.8
     assert payload["config"]["tau0"] == 0.07  # flag beats file
     assert len(payload["plan"]) == 3
+    # the chain's band for each epsilon: every ring here is smaller than
+    # the surrogate's 512 points, so each band is the ring itself
+    assert [e["band"] for e in payload["plan"]] == [256, 320, 410]
 
 
 @pytest.mark.parametrize("dry_run", [False, True])

@@ -255,6 +255,14 @@ def test_describe_plan_default_ring_sizes():
     assert all(entry["near_range"] == lattice.NEAR_RANGE
                and entry["far_order"] == lattice.FAR_ORDER
                for entry in vplan + plan)
+    # the chain runs on the surrogate's grid of bo_modes points wherever
+    # the ring is larger, on the ring itself at eps 0.2; the residual has
+    # no band
+    assert [entry["band"] for entry in vplan] == [512, 512, 512, 512]
+    assert [entry["band"] for entry in describe_plan(
+        ValidationConfig(alpha=2.0, bo_modes=1024), "validation")] \
+        == [512, 724, 1024, 1024]
+    assert not any("band" in entry for entry in plan)
     # a residual cutoff within twice the near range is summed directly
     short = describe_plan(ValidationConfig(alpha=2.0,
                                            residual_cutoff_coef=0.5), "residual")
@@ -553,7 +561,7 @@ def test_residual_fields_peak_memory_within_the_direct_sums(alpha,
     # ranges by moments, through order 6 at alpha 2.5 and 14 at 1.8, with
     # weights of its own and _far_block orders at a time (2 at order 14),
     # and the traced peak stays within that of every range summed directly:
-    # 481 KB against 499 KB at either alpha.  The 1 KiB, a tenth of one
+    # 435 KB against 453 KB at either alpha.  The 1 KiB, a tenth of one
     # 1448-site vector, is not arrays: tracemalloc still counts the few
     # small objects (floats, kwargs dicts) that numpy calls leave on the
     # interpreter's free lists, 0.05 KiB here.  Weights or a far field alive
@@ -810,7 +818,7 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
     # chain's health
     health_keys = {"energy_initial", "energy_final", "energy_rel_drift",
                    "min_collision_margin", "far_bound", "far_bound_ok",
-                   "least_far_order"}
+                   "least_far_order", "band_dropped_share", "band_top_share"}
     assert [{k: v for k, v in e.items() if k not in health_keys}
             for e in chain] == describe_plan(cfg, "validation")
     params = make_alpha_params(cfg.alpha)
@@ -824,8 +832,14 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         r0, p0 = ansatz_fields(u0.spectrum, cfg.period, entry["N"], params)
         state = LatticeState(r=r0, p=p0)
         assert entry["energy_initial"] == energy(state, lat_cfg)
-        states = run_steps(state, lat_cfg, nsteps * cfg.checkpoints, nsteps)
+        band = lattice.Band(entry["band"], cfg.dealias_fraction)
+        states = run_steps(state, lat_cfg, nsteps * cfg.checkpoints, nsteps,
+                           band)
         assert len(states) == cfg.checkpoints
+        # the band's shares past its kept bins, recorded as the chain ran
+        assert entry["band_dropped_share"] == band.dropped_share
+        assert entry["band_top_share"] == band.top_share
+        assert max(band.dropped_share, band.top_share) <= lattice.BAND_TOL
         margin = 1.0 - np.max(np.abs(r0))
         for state in states:
             margin = min(margin, 1.0 - np.max(np.abs(state.r)))
@@ -861,9 +875,10 @@ def test_each_epsilon_runs_its_plan_entry(monkeypatch):
     ran = []
     real_steps, real_fields = harness.run_steps, harness.residual_fields
 
-    def recorded_steps(state, lat_cfg, nsteps, every=None):
-        ran.append((lat_cfg.N, lat_cfg.cutoff, lat_cfg.dt, nsteps, every))
-        return real_steps(state, lat_cfg, nsteps, every)
+    def recorded_steps(state, lat_cfg, nsteps, every=None, band=None):
+        ran.append((lat_cfg.N, lat_cfg.cutoff, lat_cfg.dt, nsteps, every,
+                    band.Q))
+        return real_steps(state, lat_cfg, nsteps, every, band)
 
     def recorded_fields(u_tau, eps, params, cutoff, *args):
         ran.append((round(u_tau.grid.period / eps), eps, cutoff,
@@ -876,7 +891,7 @@ def test_each_epsilon_runs_its_plan_entry(monkeypatch):
     plan = describe_plan(cfg, "validation")
     # one call per epsilon, through every checkpoint
     assert ran == [(e["N"], e["cutoff"], e["dt"], e["total_steps"],
-                    e["steps_per_checkpoint"]) for e in plan]
+                    e["steps_per_checkpoint"], e["band"]) for e in plan]
     assert all(e["total_steps"] == e["checkpoints"]
                * e["steps_per_checkpoint"] for e in plan)
     ran.clear()
@@ -969,9 +984,9 @@ def test_validation_nan_error_raises_blow_up(monkeypatch, tmp_path, capsys):
     # let it: the run raises, and the CLI exits 2 naming it
     real = harness.run_steps
 
-    def nan_steps(state, cfg, nsteps, every=None):
+    def nan_steps(state, cfg, nsteps, every=None, band=None):
         return [LatticeState(r=out.r, p=np.full_like(out.p, np.nan), t=out.t)
-                for out in real(state, cfg, nsteps, every)]
+                for out in real(state, cfg, nsteps, every, band)]
 
     monkeypatch.setattr(harness, "run_steps", nan_steps)
     with pytest.raises(BlowUpError) as info:
@@ -994,8 +1009,8 @@ def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
     # alpha, epsilon and t, and no fit over the other epsilons is written
     real = harness.run_steps
 
-    def nan_on_smallest_ring(state, cfg, nsteps, every=None):
-        states = real(state, cfg, nsteps, every)
+    def nan_on_smallest_ring(state, cfg, nsteps, every=None, band=None):
+        states = real(state, cfg, nsteps, every, band)
         if cfg.N == 256:
             return [LatticeState(r=out.r, p=np.full_like(out.p, np.nan),
                                  t=out.t) for out in states]
@@ -1029,8 +1044,8 @@ def test_validation_energy_drift_raises_blow_up(monkeypatch, tmp_path,
     # and t, and the CLI exits 2 without writing anything
     real = harness.run_steps
 
-    def drifting(state, cfg, nsteps, every=None):
-        states = real(state, cfg, nsteps, every)
+    def drifting(state, cfg, nsteps, every=None, band=None):
+        states = real(state, cfg, nsteps, every, band)
         last = states[-1]
         states[-1] = LatticeState(r=last.r, p=1.001 * last.p, t=last.t)
         return states
@@ -1050,6 +1065,26 @@ def test_validation_energy_drift_raises_blow_up(monkeypatch, tmp_path,
     assert rc == 2
     assert "energy drifted" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validation_refuses_an_ansatz_past_the_band(tmp_path, capsys):
+    # a profile of a third the default width on 256 modes: the ansatz's
+    # momenta on the 320-site ring hold 1.8e-13 of their content past the
+    # band's 86 bins, where BAND_TOL allows 1e-20, so the run raises at
+    # t = 0 naming alpha and epsilon, and the CLI exits 2
+    with pytest.raises(BlowUpError, match="of the state lies past the "
+                       "band's 86 bins") as info:
+        run_validation(_smoke_config(width_fraction=60.0))
+    assert info.value.alpha == 2.0
+    assert info.value.epsilon == 102.4 / 320
+    assert info.value.t == 0.0
+    rc = main(["validate", "--alpha", "2.0", "--out", str(tmp_path / "v"),
+               "--epsilons", "0.4,0.32,0.25", "--tau0", "0.05",
+               "--checkpoints", "2", "--bo-modes", "256",
+               "--amplitude", "0.1", "--width-fraction", "60"])
+    assert rc == 2
+    assert (f"alpha=2.0 epsilon={102.4 / 320} t=0.0"
+            in capsys.readouterr().err)
 
 
 def test_residual_nan_raises_blow_up(monkeypatch):

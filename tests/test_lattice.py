@@ -681,6 +681,138 @@ def test_far_field_trajectory_matches_the_direct_sum(monkeypatch):
     assert np.max(np.abs(a.p - b.p)) <= 1e-12 * np.max(np.abs(b.p))
 
 
+# ---------------------------------------------------------------------------
+# the chain on its band: remainders on a Q-point grid
+
+
+_KEPT = 171     # the bins of dealias_mask(512), the band of bo_modes 512
+
+
+def _band_remainder(rh, cfg, band):
+    # run_steps' remainder on the band at spectrum rh, kept bins alone, with
+    # the far weights it builds once per call
+    L = lattice._linear_flow(cfg)[0][:rh.size]
+    return lattice._band_remainder(cfg, L, lattice._held_far_weights(cfg),
+                                   band)(rh)
+
+
+def _ring_remainder_on_kept_bins(rh, cfg):
+    # the ring's rfft(force(r)) - L r^ at r = irfft(rh, N), on rh's bins
+    F = lattice._split_force(np.fft.irfft(rh, cfg.N), cfg,
+                             lattice._held_far_weights(cfg))
+    return (np.fft.rfft(F)[:rh.size]
+            - lattice._linear_flow(cfg)[0][:rh.size] * rh)
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+@pytest.mark.parametrize("n", [724, 1448])
+def test_band_remainder_matches_the_ring_on_the_kept_bins(alpha, n):
+    # the validate initial state on the band's bins, and that state 100 band
+    # steps on: the grid remainder against the ring's within 3e-11 of its
+    # max on the kept bins (measured 7e-13 to 1.1e-11)
+    cfg = _config(n=n, alpha=alpha, cutoff=n // 2 - 1, dt=0.1)
+    r, p = _validate_state(alpha, n)
+    stepped = run_steps(LatticeState(r=r, p=p), cfg, 100,
+                        band=lattice.Band(512))[-1].r
+    for ring in (r, stepped):
+        rh = np.fft.rfft(ring)[:_KEPT]
+        want = _ring_remainder_on_kept_bins(rh, cfg)
+        got = _band_remainder(rh, cfg, lattice.Band(512))
+        assert np.max(np.abs(got - want)) <= 3e-11 * np.max(np.abs(want))
+
+
+def test_band_trajectory_matches_the_ring_stepper():
+    # 120 steps of the validate state at (1448, 723), alpha 2, on the band
+    # of 512 points against the stepper on the ring
+    cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
+    r, p = _validate_state(2.0, 1448)
+    band = lattice.Band(512)
+    [a] = run_steps(LatticeState(r=r, p=p), cfg, 120, band=band)
+    [b] = run_steps(LatticeState(r=r, p=p), cfg, 120)
+    assert np.max(np.abs(a.r - b.r)) <= 1e-12 * np.max(np.abs(b.r))
+    assert np.max(np.abs(a.p - b.p)) <= 1e-12 * np.max(np.abs(b.p))
+    # what the band dropped and what the kicks left out sit at rounding
+    assert 0.0 < band.dropped_share <= lattice.BAND_TOL
+    assert 0.0 < band.top_share <= lattice.BAND_TOL
+
+
+def test_band_at_the_ring_size_or_past_it_is_the_ring(monkeypatch):
+    # a band of Q >= N points leaves the ring's stepper as it is, bit for
+    # bit, and records nothing dropped
+    cfg = _config(n=512, alpha=2.0, cutoff=255, dt=0.1)
+    r, p = _validate_state(2.0, 512)
+    want = run_steps(LatticeState(r=r, p=p), cfg, 12, 4)
+    for Q in (512, 1024):
+        band = lattice.Band(Q)
+        got = run_steps(LatticeState(r=r, p=p), cfg, 12, 4, band)
+        assert all(np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p)
+                   and a.t == b.t for a, b in zip(got, want))
+        assert band.dropped_share == band.top_share == 0.0
+
+
+def test_band_falls_back_to_the_ring_force_bit_for_bit(monkeypatch):
+    # an amplitude far_bound refuses, a long wave whose scaled primitive the
+    # bound on max|s| finds too large to expand in, and a NaN: the band's
+    # remainder is the ring's on the kept bins, to the last bit
+    calls = _record_force_cutoffs(monkeypatch)
+    for n, cutoff, amp in ((1024, 511, 0.3), (4096, 100, 0.03)):
+        x = 2.0 * np.pi * np.arange(n) / n
+        rh = np.fft.rfft(amp * np.sin(x))[:_KEPT]
+        cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
+        calls.clear()
+        got = _band_remainder(rh, cfg, lattice.Band(512))
+        assert calls == [cutoff]
+        assert np.array_equal(got, _ring_remainder_on_kept_bins(rh, cfg))
+    cfg = _config(n=1448, alpha=2.0, cutoff=723)
+    rh = np.fft.rfft(_validate_state(2.0, 1448)[0])[:_KEPT]
+    rh[7] = math.nan
+    calls.clear()
+    got = _band_remainder(rh, cfg, lattice.Band(512))
+    assert calls == [723]
+    assert np.array_equal(got, _ring_remainder_on_kept_bins(rh, cfg),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("bin_, what, share", [
+    (200, "of the state", "dropped_share"),
+    (160, "of the force's grid spectrum", "top_share")])
+def test_band_refuses_content_past_its_bins(bin_, what, share):
+    # the validate state with a wave of 1e-8 at bin 200, past the band's
+    # 171 bins, or at bin 160, within them but whose products with the
+    # profile pass them: BlowUpError at the start, naming t and alpha, with
+    # the share recorded on the band
+    cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
+    r, p = _validate_state(2.0, 1448)
+    x = 2.0 * np.pi * np.arange(1448) / 1448
+    band = lattice.Band(512)
+    with pytest.raises(lattice.BlowUpError, match=what) as info:
+        run_steps(LatticeState(r=r + 1e-8 * np.cos(bin_ * x), p=p, t=2.5),
+                  cfg, 10, band=band)
+    assert info.value.t == 2.5 and info.value.alpha == 2.0
+    assert getattr(band, share) > lattice.BAND_TOL
+
+
+def test_band_collision_is_tested_on_the_ring_sites(monkeypatch):
+    # a long wave whose first step takes it past max|r| = 1 on a band: the
+    # bound on max|r| lets the ring's sites be formed and tested, and the
+    # step names its t and alpha.  A wave whose bound reaches 1 while its
+    # sites stay below 1 passes the collision test; its harmonics pass the
+    # band, so BAND_TOL is lifted for it
+    n = 1024
+    x = 2.0 * np.pi * np.arange(n) / n
+    cfg = _config(n=n, alpha=2.0, cutoff=511, dt=0.5)
+    state = LatticeState(r=0.5 * np.sin(x), p=400.0 * np.sin(x), t=1.0)
+    with pytest.raises(CollisionError) as info:
+        run_steps(state, cfg, 3, band=lattice.Band(512))
+    assert info.value.t == 1.5 and info.value.alpha == 2.0
+    r = 0.51 * (np.sin(x) + np.sin(3.0 * x + 0.5))
+    assert np.sum(np.abs(np.fft.rfft(r))) * 2.0 / n >= 1.0 > np.max(np.abs(r))
+    monkeypatch.setattr(lattice, "BAND_TOL", math.inf)
+    [out] = run_steps(LatticeState(r=r, p=np.zeros(n)), cfg, 1,
+                      band=lattice.Band(512))
+    assert np.max(np.abs(out.r)) < 1.0
+
+
 def test_run_steps_memory_stays_bounded():
     # the far weights, 25 real rows of N/2 + 1 bins or 142 KiB at
     # (1448, 723), live for one call (peak 0.66 MiB, where an M x N stack
