@@ -50,8 +50,9 @@ class BOConfig:
     t_checkpoint: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.dtau <= 0.0:
-            raise ValueError("dtau must be positive")
+        if not 0.0 < self.dtau < math.inf:
+            raise ValueError(f"dtau must be positive and finite, got "
+                             f"{self.dtau}")
         if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
             raise ValueError("dealias_fraction must lie in (0.5, 2/3]")
 
@@ -146,6 +147,8 @@ def span_plan(tau: float, tau_end: float, config: BOConfig) -> list:
     """(target, steps) of each span run_to takes from tau to tau_end: one
     span to every configured checkpoint strictly between them, then one to
     tau_end.  Step counts are integers, so every target is hit exactly."""
+    if not math.isfinite(tau_end):
+        raise ValueError(f"tau_end must be finite, got {tau_end}")
     gap = tau_end - tau
     if gap == 0.0:
         return []
@@ -184,6 +187,11 @@ def run_to(state: BOState, tau_end: float, config: BOConfig) -> list:
 def gaussian_profile(grid: PeriodicGrid, amplitude: float = 1.0,
                      width_fraction: float = 20.0) -> SpectralField:
     """Mean-zero Gaussian bump centered mid-period, width period/width_fraction."""
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if not 0.0 < width_fraction < math.inf:
+        raise ValueError(f"width_fraction must be finite and positive, got "
+                         f"{width_fraction}")
     w = grid.period / width_fraction
     u = amplitude * np.exp(-((grid.nodes - grid.period / 2.0) / w) ** 2)
     u -= u.mean()

@@ -187,13 +187,13 @@ def cmd_solve_bo(args) -> int:
     grid = PeriodicGrid(args.period, args.n)
     taus = tuple(i * args.tau_end / (k + 1) for i in range(1, k + 1))
     cfg = BOConfig(params=params, dtau=args.dtau, t_checkpoint=taus)
+    u0 = gaussian_profile(grid, args.amplitude, args.width_fraction)
     if args.dry_run:
         steps = sum(n for _, n in span_plan(0.0, args.tau_end, cfg))
         _emit({"command": "solve-bo", "n": args.n, "period": args.period,
                "dtau": args.dtau, "tau_end": args.tau_end, "steps": steps,
                "checkpoints": list(taus)})
         return 0
-    u0 = gaussian_profile(grid, args.amplitude, args.width_fraction)
     states = [BOState(u=u0, tau=0.0)]
     states += run_to(states[0], args.tau_end, cfg)
     trace = [(s.tau, s.u.mean(), sobolev_norm(s.u, 0.0),

@@ -296,9 +296,8 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     A spectrum with leading axes stacks profiles, and both parts then stack
     their rows alike; row i equals the call on profile i alone to the last
     bit.  The profiles go max(1, _BLOCK_ELEMENTS // N) at a time through the
-    transforms, and a stack of more than one holds the force's far weights
-    through FAR_ORDER for the call (_held_far_weights), where a single
-    profile's force builds its own.  Gaps reaching 1 raise CollisionError
+    transforms, and the force's far weights through FAR_ORDER are built once
+    for the call (_held_far_weights).  Gaps reaching 1 raise CollisionError
     with alpha, epsilon and `profile`, the index of the first profile in
     stack order whose gaps reach it.
     """
@@ -315,7 +314,7 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     lat_cfg = LatticeConfig(N=N, alpha=alpha, cutoff=cutoff, dt=1.0)
     spectra = u_tau.spectrum
     rows = spectra.reshape(-1, spectra.shape[-1])
-    b = _held_far_weights(lat_cfg) if len(rows) > 1 else None
+    b = _held_far_weights(lat_cfg)
     kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
     accel = np.empty((len(rows), N))

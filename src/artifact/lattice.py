@@ -39,11 +39,10 @@ order n + 1 of the far potential is -(1 + rho)/(n + 1) times the inner
 product of the scaled primitive s with order n of the force.  The orders reach
 FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
 default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
-orders 11 to 20, and the validation chains orders 9 or less.  A force that
-builds its own weights takes the orders a block at a time, within the
-memory a direct sum would hold; run_steps, and the residual where it takes
-a stack of profiles, build them once per call through FAR_ORDER
-(_held_far_weights) and take every order at once.
+orders 11 to 20, and the validation chains orders 9 or less.  Every far
+field is given its weight rows and takes every order at once: force,
+run_steps and the residual build them once per call through FAR_ORDER
+(_held_far_weights), energy through its own order.
 """
 
 from __future__ import annotations
@@ -211,10 +210,11 @@ def _check_ring(r: np.ndarray, config: LatticeConfig):
 def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     """Acceleration of each site: sum over ranges m of the backward
     m-difference of the pair slopes, truncated at config.cutoff, the far
-    ranges by moments where the state allows (_split_force)."""
+    ranges by moments where the state allows (_split_force), with the far
+    weights built for this call (_held_far_weights)."""
     r = np.asarray(r, dtype=float)
     _check_ring(r, config)
-    return _split_force(r, config)
+    return _split_force(r, config, _held_far_weights(config))
 
 
 def _direct_force(r: np.ndarray, alpha: float, M: int) -> np.ndarray:
@@ -320,17 +320,6 @@ def _scaled_primitive(r: np.ndarray, rho: float) -> np.ndarray:
     return (S - np.mean(S)) / (1.0 + rho)
 
 
-def _far_block(N: int, p: int) -> int:
-    """Orders a far field through order p with weights of its own takes at
-    a time through its transforms and products, at least one.  It holds H
-    and the weights, 3 (p + 1) (N/2 + 1) floats, and three ring vectors; a
-    block costs about 4 N floats an order with numpy's buffers, and the
-    blocks fill what that leaves of the three blocks of _BLOCK_ELEMENTS
-    floats that a direct sum holds."""
-    held = 3 * (p + 1) * (N // 2 + 1) + 3 * N
-    return max(1, (3 * _BLOCK_ELEMENTS - held) // (4 * N))
-
-
 def _far_weights(config: LatticeConfig, p: int) -> np.ndarray:
     """Weight rows b_0..b_p, real, over the rfft bins, of _far_field for the
     ranges past near_range(config.cutoff).  Order n of the far slopes,
@@ -347,82 +336,55 @@ def _far_weights(config: LatticeConfig, p: int) -> np.ndarray:
     # Im c^_n times i at even n
     f = -2.0 * (-1.0) ** (n + (n + 1) // 2) * np.cumprod(
         [1.0] + [-(alpha + i) for i in range(1, p + 1)])
-    m = np.arange(M0 + 1, M + 1, dtype=float)
-    b = np.empty((p + 1, N // 2 + 1))
-    R = _far_block(N, p)
-    for n0 in range(0, p + 1, R):
-        n1 = min(n0 + R, p + 1)
-        c = np.zeros((n1 - n0, N))
-        c[:, M0 + 1:M + 1] = m ** -(alpha + 1.0 + n[n0:n1, None])
-        C = np.fft.rfft(c)
-        e = n0 % 2      # C's row of the block's first even n
-        np.multiply(C.imag[e::2], f[n0 + e:n1:2, None], out=b[n0 + e:n1:2])
-        np.multiply(C.real[1 - e::2], f[n0 + 1 - e:n1:2, None],
-                    out=b[n0 + 1 - e:n1:2])
-    return b
+    c = np.zeros((p + 1, N))
+    c[:, M0 + 1:M + 1] = np.arange(M0 + 1, M + 1, dtype=float) ** -(
+        alpha + 1.0 + n[:, None])
+    C = np.fft.rfft(c)
+    del c
+    return np.where(n[:, None] % 2, C.real, C.imag) * f[:, None]
 
 
 def _held_far_weights(config: LatticeConfig):
-    """The far weights of a caller that takes many forces at one config:
-    _far_weights through FAR_ORDER, built once for every order a state may
-    need, where the cutoff reaches past the near range; else None, since no
-    far field is taken there."""
+    """The far weights of every force at one config, which force, run_steps
+    and the residual build once per call: _far_weights through FAR_ORDER,
+    for every order a state may need, where the cutoff reaches past the near
+    range; else None, since no far field is taken there."""
     return (_far_weights(config, FAR_ORDER)
             if near_range(config.cutoff) < config.cutoff else None)
 
 
 def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
-               b=None):
+               b: np.ndarray):
     """The share of force(r, config) of the ranges past the near range
     through order p, at gaps r of mean rho and scaled primitive s (as in
-    _scaled_primitive), from weights b given (run_steps', or
-    _far_potential's rows over n + 1) or weights built here:
+    _scaled_primitive), from the weight rows b_0..b_p and any past them
+    (_far_weights, or _far_potential's rows over n + 1):
     -alpha (1+rho)^-(alpha+1) sum_q (-s)^q/q! irfft(H_q),
     H_q = sum_{k<=p-q} B_{q+k} (s^k/k!)^ (orders <= p).
 
     With B_n = i^(n+1) b_n, H_q is i^q times the sum over k of the real
     rows b_{q+k} times i^(k+1) (s^k/k!)^; rotations by powers of i are
-    exact, so this is B's sum to the last bit.  With weights built here the
-    powers' spectra, the products and the inverse transforms go _far_block
-    orders at a time, and the weights are freed before the inverse
-    transforms; given weights take every order at once."""
+    exact, so this is B's sum to the last bit.  Every order is taken at
+    once: the p powers' spectra in one rfft, H in one irfft."""
     alpha, N = config.alpha, s.size
-    own = b is None
-    if own:
-        b = _far_weights(config, p)
-    elif len(b) < p + 1:
+    if len(b) < p + 1:
         raise ValueError(f"the far field through order {p} needs {p + 1} "
                          f"weight rows, got {len(b)}")
-    R = _far_block(N, p) if own else p + 1
     H = np.zeros((p + 1, N // 2 + 1), dtype=complex)
     H.imag[:, 0] = N * b[:p + 1, 0]     # k = 0: i (s^0)^ is N i at bin 0
-    t = 1.0                             # s^(k-1)/(k-1)! at block start k
-    for k0 in range(1, p + 1, R):
-        ks = np.arange(k0, min(k0 + R, p + 1))
-        T = s / ks[:, None]
-        T[0] *= t
-        for j in range(1, ks.size):
-            T[j] *= T[j - 1]
-        t = T[-1].copy()
-        P = np.fft.rfft(T)
-        del T
-        P *= _I_POWERS[(ks + 1) % 4, None]
-        for k, Pk in zip(ks, P):
-            for q0 in range(0, p + 1 - k, R):
-                q1 = min(q0 + R, p + 1 - k)
-                H[q0:q1] += b[q0 + k:q1 + k] * Pk
-        del P
-    del b
+    ks = np.arange(1, p + 1)
+    P = np.fft.rfft(np.cumprod(s / ks[:, None], axis=0))   # (s^k/k!)^
+    P *= _I_POWERS[(ks + 1) % 4, None]
+    for k, Pk in zip(ks, P):
+        H[:p + 1 - k] += b[k:p + 1] * Pk
+    del P
     # times (-1)^q/q! and i^q; row q of irfft(H) is (-1)^q/q! irfft(H_q)
-    phi = np.cumprod([1.0] + [-1.0 / q for q in range(1, p + 1)]) \
-        * _I_POWERS[np.arange(p + 1) % 4]
+    H *= (np.cumprod([1.0] + [-1.0 / q for q in range(1, p + 1)])
+          * _I_POWERS[np.arange(p + 1) % 4])[:, None]
     out = np.zeros(N)
-    for q1 in range(p + 1, 0, -R):
-        q0 = max(0, q1 - R)
-        H[q0:q1] *= phi[q0:q1, None]
-        for h in np.fft.irfft(H[q0:q1], N)[::-1]:
-            out *= s
-            out += h
+    for h in np.fft.irfft(H, N)[::-1]:
+        out *= s
+        out += h
     return -alpha * (1.0 + rho) ** -(alpha + 1.0) * out
 
 
@@ -448,10 +410,11 @@ def _far_split(r: np.ndarray, config: LatticeConfig):
     return None
 
 
-def _split_force(r: np.ndarray, config: LatticeConfig, b=None):
-    """force(r, config): the near ranges directly plus _far_field's share
-    where _far_split allows, else every range directly; the far field
-    reuses the near sum's freed memory."""
+def _split_force(r: np.ndarray, config: LatticeConfig, b):
+    """force(r, config): the near ranges directly plus _far_field's share,
+    from the far weight rows b (_held_far_weights), where _far_split
+    allows, else every range directly; the far field reuses the near sum's
+    freed memory."""
     alpha = config.alpha
     far = _far_split(r, config)
     if far is None:

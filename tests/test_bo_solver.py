@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from artifact import bo_solver
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError,
                                 _dtau2_v_spectrum, _rhs_spectrum,
-                                gaussian_profile, run_to)
+                                gaussian_profile, run_to, span_plan)
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, dealias_mask,
@@ -208,8 +210,10 @@ def test_cfl_warning_on_coarse_step():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BOConfig(params=PARAMS, dtau=0.0)
+    for dtau in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dtau must be positive and "
+                                             "finite"):
+            BOConfig(params=PARAMS, dtau=dtau)
     with pytest.raises(ValueError):
         BOConfig(params=PARAMS, dtau=1e-3, dealias_fraction=0.4)
     with pytest.raises(ValueError):
@@ -290,3 +294,10 @@ def test_cfl_checked_at_every_span(monkeypatch):
     [mid] = run_to(state, 0.02, BOConfig(params=PARAMS, dtau=1e-3))
     assert np.array_equal(seen[0], state.u.spectrum)
     assert np.allclose(seen[1], mid.u.spectrum, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("tau_end", [math.nan, math.inf, -math.inf])
+def test_span_plan_refuses_a_non_finite_end(tau_end):
+    cfg = BOConfig(params=PARAMS, dtau=1e-3, t_checkpoint=(0.5,))
+    with pytest.raises(ValueError, match="tau_end must be finite"):
+        span_plan(0.0, tau_end, cfg)

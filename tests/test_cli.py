@@ -177,16 +177,57 @@ def test_solve_bo_dry_run_plans_the_steps_run_to_takes(tmp_path, capsys,
     assert taken == [2, 2]
 
 
-@pytest.mark.parametrize("dtau", ["0", "-0.01"])
+@pytest.mark.parametrize("dtau", ["0", "-0.01", "inf", "nan"])
 def test_solve_bo_dry_run_rejects_a_bad_step(dtau, capsys):
     # the dry run builds the same BOConfig as the run, so it refuses the
-    # same step, with exit code 1 and no traceback
+    # same step, with exit code 1 and no traceback; inf once planned one
+    # step a span and printed "dtau": Infinity, nan failed converting NaN
+    # to an integer
     rc = main(["solve-bo", "--alpha", "2.0", "--n", "64", "--tau-end", "0.1",
                "--dtau", dtau, "--dry-run"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "dtau must be positive" in captured.err
+
+
+@pytest.mark.parametrize("tau_end", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_solve_bo_refuses_a_non_finite_end(dry_run, tau_end, tmp_path,
+                                           capsys):
+    # nan once failed converting NaN to an integer, and inf overflowed it
+    out = tmp_path / "bo"
+    rc = main(["solve-bo", "--alpha", "2.0", "--n", "64",
+               f"--tau-end={tau_end}", "--out", str(out)]
+              + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: tau_end must be finite, got {tau_end}\n"
+
+
+_BAD_PROFILES = [("--width-fraction", "0", "width_fraction"),
+                 ("--width-fraction", "-5", "width_fraction"),
+                 ("--width-fraction", "nan", "width_fraction"),
+                 ("--width-fraction", "inf", "width_fraction"),
+                 ("--amplitude", "nan", "amplitude"),
+                 ("--amplitude", "inf", "amplitude")]
+
+
+@pytest.mark.parametrize("flag, value, name", _BAD_PROFILES)
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_solve_bo_refuses_a_bad_profile(dry_run, flag, value, name, tmp_path,
+                                        capsys):
+    # a zero width once raised ZeroDivisionError with a traceback, and a
+    # negative one ran as its magnitude
+    out = tmp_path / "bo"
+    rc = main(["solve-bo", "--alpha", "2.0", "--n", "64", "--tau-end", "0.01",
+               "--dtau", "1e-3", flag, value, "--out", str(out)]
+              + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: {name} must be finite")
 
 
 @pytest.mark.parametrize("dry_run", [False, True])
@@ -824,3 +865,15 @@ def test_config_fingerprint_is_order_insensitive():
     b = config_fingerprint({"y": [1, 2], "x": 1})
     assert a == b
     assert a != config_fingerprint({"x": 2, "y": [1, 2]})
+
+
+@pytest.mark.parametrize("flag, value, name", _BAD_PROFILES)
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_simulate_lattice_refuses_a_bad_profile(dry_run, flag, value, name,
+                                                tmp_path, capsys):
+    # a zero width once raised ZeroDivisionError with a traceback, a
+    # negative one ran as its magnitude, and a NaN wrote an all-NaN
+    # trajectory and NaN energies, which are not JSON
+    err = _refused_simulate_lattice(["--steps", "4", flag, value], dry_run,
+                                    tmp_path, capsys)
+    assert err.startswith(f"error: {name} must be finite")

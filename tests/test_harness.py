@@ -554,39 +554,6 @@ def test_interaction_part_matches_longdouble_window_formula():
         assert gap < 1e-9, (eps, gap)
 
 
-@pytest.mark.parametrize("alpha", [1.8, 2.5])
-def test_residual_fields_peak_memory_within_the_direct_sums(alpha,
-                                                            monkeypatch):
-    # the sweep's largest ring, (1448, 600), at t = 0: force takes the far
-    # ranges by moments, through order 6 at alpha 2.5 and 14 at 1.8, with
-    # weights of its own and _far_block orders at a time (2 at order 14),
-    # and the traced peak stays within that of every range summed directly:
-    # 435 KB against 453 KB at either alpha.  The 1 KiB, a tenth of one
-    # 1448-site vector, is not arrays: tracemalloc still counts the few
-    # small objects (floats, kwargs dicts) that numpy calls leave on the
-    # interpreter's free lists, 0.05 KiB here.  Weights or a far field alive
-    # beside the near sum's blocks would exceed it, and so would order 14
-    # taken three orders at a time (528 KB) or all at once (969 KB).
-    cfg = ValidationConfig(alpha=alpha)
-    u0 = gaussian_profile(PeriodicGrid(cfg.period, cfg.bo_modes),
-                          default_residual_amplitude(alpha), cfg.width_fraction)
-    params = make_alpha_params(alpha)
-    N, cutoff = 1448, 600
-
-    def peak():
-        residual_fields(u0, cfg.period / N, params, cutoff)
-        tracemalloc.start()
-        try:
-            residual_fields(u0, cfg.period / N, params, cutoff)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    split = peak()
-    monkeypatch.setattr(lattice, "NEAR_RANGE", cutoff)
-    assert split <= peak() + 1024
-
-
 def test_residual_collision_names_the_run(monkeypatch):
     # an ansatz gap deviation of 1 or more means the ansatz chain has lost
     # its ordering; the residual refuses it with alpha and epsilon, and the

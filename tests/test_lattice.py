@@ -528,10 +528,11 @@ def _far_error_and_allowance(alpha, p):
     # against the long-double far sum (the double-precision direct sum's own
     # rounding, 1.6e-13 to 3.3e-13 of the far field here, would exceed the
     # 1e-14 allowance at p >= 15), with weights built at p and with those
-    # run_steps builds through FAR_ORDER; and the bound it is gated by: a
-    # far pair slope errs by at most alpha (1+rho)^-(alpha+1) m^-(alpha+1)
-    # (alpha+1) x far_bound, and a force by twice the sum of that over the
-    # far ranges
+    # run_steps builds through FAR_ORDER, which must give the same field to
+    # the last bit, since rows past p never enter; and the bound it is gated
+    # by: a far pair slope errs by at most alpha (1+rho)^-(alpha+1)
+    # m^-(alpha+1) (alpha+1) x far_bound, and a force by twice the sum of
+    # that over the far ranges
     n, cutoff = 256, 127
     r = np.full(n, 0.03 - 0.1 / 3.0)
     r[:n // 4] = 0.03 + 0.1
@@ -540,9 +541,10 @@ def _far_error_and_allowance(alpha, p):
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
     want = _far_sum_longdouble(r, alpha, lattice.NEAR_RANGE, cutoff)
     s = lattice._scaled_primitive(r, rho)
-    err = max(float(np.max(np.abs(
-        lattice._far_field(s, rho, cfg, p, B) - want)))
-        for B in (None, lattice._far_weights(cfg, lattice.FAR_ORDER)))
+    got, held = (lattice._far_field(s, rho, cfg, p, lattice._far_weights(
+        cfg, rows)) for rows in (p, lattice.FAR_ORDER))
+    assert np.array_equal(got, held)
+    err = float(np.max(np.abs(got - want)))
     m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
     allowed = (2.0 * alpha * (1.0 + rho) ** -(alpha + 1.0) * (alpha + 1.0) * x
                * lattice.far_bound(x, alpha, p)
@@ -617,13 +619,13 @@ _RESIDUAL_ORDERS = {(1.8, 1024): 15, (1.8, 1448): 14, (2.0, 1024): 13,
 def test_force_on_residual_states_matches_the_direct_sum(n, cutoff,
                                                          monkeypatch):
     # the residual sweeps' interaction part at t = 0: force takes the far
-    # ranges by moments there, at weights built for the state's order,
-    # within 1e-12 of max|f| of the direct sum
+    # ranges by moments there, at the state's order from weights built
+    # through FAR_ORDER, within 1e-12 of max|f| of the direct sum
     calls = _record_force_cutoffs(monkeypatch)
     orders = []
     real = lattice._far_field
     monkeypatch.setattr(lattice, "_far_field",
-                        lambda s, rho, config, p, b=None: orders.append(p)
+                        lambda s, rho, config, p, b: orders.append(p)
                         or real(s, rho, config, p, b))
     for alpha in (1.8, 2.0, 2.5):
         cfg = ValidationConfig(alpha=alpha)
