@@ -39,8 +39,8 @@ from .harness import (DEFAULT_VALIDATION_AMPLITUDE, ConfigError,
                       ansatz_fields, describe_plan, run_residual_sweep,
                       run_validation, sweep_files, write_json,
                       write_rows_csv)
-from .lattice import (CollisionError, LatticeConfig, LatticeState,
-                      check_steps, energy, run_steps)
+from .lattice import (LatticeConfig, LatticeState, check_steps, energy,
+                      run_steps)
 from .specfun import (eta_integral, eta_riemann, find_alpha_star,
                       make_alpha_params)
 from .spectral import PeriodicGrid, sobolev_norm, write_field_binary
@@ -487,7 +487,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (BlowUpError, CollisionError) as err:
+    except BlowUpError as err:
         parts = [str(err)]
         for name in ("alpha", "epsilon", "t", "tau"):
             val = getattr(err, name, None)

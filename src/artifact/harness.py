@@ -226,6 +226,9 @@ def _scaling_report(pairs, target: float) -> ScalingReport:
 
 def _ring_size(period: float, eps: float):
     """Snap epsilon to an even integer ring size; returns (N, exact epsilon)."""
+    for name, val in (("epsilon", eps), ("period", period)):
+        if not 0.0 < val < math.inf:
+            raise ConfigError(f"{name} must be finite and positive, got {val}")
     ratio = period / eps
     N = int(round(ratio))
     if N % 2:
@@ -474,7 +477,7 @@ def _validation_eps_task(args):
         state = LatticeState(r=r0, p=p0, t=0.0)
         states = run_steps(state, lat_cfg, nsteps * entry["checkpoints"],
                            nsteps, band)
-    except (CollisionError, BlowUpError) as err:
+    except BlowUpError as err:
         # a chain state knows its t but not the run's alpha and epsilon
         err.alpha, err.epsilon = alpha, eps
         raise

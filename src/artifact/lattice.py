@@ -91,14 +91,9 @@ STEP_LIMIT = 0.9 * math.pi
 BAND_TOL = 1e-20
 
 
-class CollisionError(RuntimeError):
-    """Particle ordering about to be lost (a gap argument reached -1)."""
-
-    def __init__(self, message, t=None, alpha=None, epsilon=None):
-        super().__init__(message)
-        self.t = t
-        self.alpha = alpha
-        self.epsilon = epsilon
+class CollisionError(BlowUpError):
+    """Particle ordering about to be lost (a gap argument reached -1): a
+    blow-up of the chain, with BlowUpError's t, alpha and epsilon."""
 
 
 @dataclass
@@ -116,8 +111,7 @@ class LatticeState:
             raise ValueError("r and p must be 1-d arrays of equal length")
         if self.r.size < 16:
             raise ValueError(f"ring must have at least 16 sites, got {self.r.size}")
-        if np.max(np.abs(self.r)) >= 1.0:
-            raise CollisionError("a gap deviation reached 1; ordering lost", t=self.t)
+        _refuse_collision(self.r, self.t)
 
 
 @dataclass(frozen=True)
@@ -304,9 +298,16 @@ def far_bound(x: float, alpha: float, p: int) -> float:
     return next(itertools.islice(_far_bounds(x, alpha), p - 1, None))
 
 
-def far_order(x: float, alpha: float) -> int:
-    """The least order p <= FAR_ORDER whose far_bound meets FAR_TOL, or 0
-    for none, in one pass over _far_bounds."""
+def far_order(x: float, alpha: float, s_max: float = 0.0) -> int:
+    """The least order p <= FAR_ORDER whose far_bound meets FAR_TOL, in one
+    pass over _far_bounds, for a state whose scaled primitive s
+    (_scaled_primitive) has max|s| <= s_max; 0 for none, or where s_max
+    fails the guard below."""
+    # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
+    # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
+    # while 2 max|s| <= NEAR_RANGE + 1
+    if not 2.0 * s_max <= NEAR_RANGE + 1:
+        return 0
     return next((p for p, bound in zip(range(1, FAR_ORDER + 1),
                                        _far_bounds(x, alpha))
                  if bound <= FAR_TOL), 0)
@@ -391,23 +392,16 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
 def _far_split(r: np.ndarray, config: LatticeConfig):
     """(s, rho, p) where force and energy take the ranges past the near
     range by moments through order p: the order far_order finds at
-    x = max|r - rho|/(1 + rho), rho the mean of r, and s the scaled
-    primitive (_scaled_primitive); None where they sum every range
-    directly: a cutoff within twice the near range, no order, or a failed
-    guard."""
+    x = max|r - rho|/(1 + rho) and max|s|, rho the mean of r and s the
+    scaled primitive (_scaled_primitive); None where they sum every range
+    directly: a cutoff within twice the near range, or no order."""
     if near_range(config.cutoff) == config.cutoff:
         return None
     rho = float(np.mean(r))
     x = max(float(np.max(r)) - rho, rho - float(np.min(r))) / (1.0 + rho)
-    p = far_order(x, config.alpha)
-    # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
-    # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
-    # while 2 max|s| <= NEAR_RANGE + 1
-    if p:
-        s = _scaled_primitive(r, rho)
-        if 2.0 * float(np.max(np.abs(s))) <= NEAR_RANGE + 1:
-            return s, rho, p
-    return None
+    s = _scaled_primitive(r, rho)
+    p = far_order(x, config.alpha, float(np.max(np.abs(s))))
+    return (s, rho, p) if p else None
 
 
 def _split_force(r: np.ndarray, config: LatticeConfig, b):
@@ -459,10 +453,10 @@ def _top_share(spectrum: np.ndarray, kept: int) -> float:
     return float(2.0 * np.vdot(top, top).real / total) if total > 0.0 else 0.0
 
 
-def _refuse_collision(r: np.ndarray):
-    """CollisionError where a gap deviation of r reaches 1."""
+def _refuse_collision(r: np.ndarray, t: float | None = None):
+    """CollisionError, at time t, where a gap deviation of r reaches 1."""
     if np.max(np.abs(r)) >= 1.0:
-        raise CollisionError("a gap deviation reached 1; ordering lost")
+        raise CollisionError("a gap deviation reached 1; ordering lost", t=t)
 
 
 def _ring_remainder(config: LatticeConfig, L: np.ndarray, b):
@@ -492,14 +486,13 @@ def _band_remainder(config: LatticeConfig, L: np.ndarray, b, band: Band):
     points has Q/N of the ring's normalisation, which cancels between each
     grid's inverse and forward transforms.
 
-    The collision test, the far order and the guard 2 max|s| <= NEAR_RANGE
-    + 1 must hold at every site of the ring, not only at the grid points,
-    so each is taken from a bound by the spectrum's moduli:
+    The collision test and the far order, with its guard on max|s|, must
+    hold at every site of the ring, not only at the grid points, so each is
+    taken from a bound by the spectrum's moduli:
     max|r - rho| <= 2 sum_{n>0} |r^_n|/N, and alike for max|r| and max|s|.
     Only where the bound on max|r| reaches 1 are the ring's sites formed
-    and tested.  Where no order or no guard is found, F is
-    rfft(force(irfft(r^, N))).  F is formed through bin Q/2, for the
-    band's top_share."""
+    and tested.  Where no order is found, F is rfft(force(irfft(r^, N))).
+    F is formed through bin Q/2, for the band's top_share."""
     N, Q, alpha, kept = config.N, band.Q, config.alpha, L.size
     M0 = near_range(config.cutoff)
     k = 2.0 * np.pi * np.arange(Q // 2 + 1) / N
@@ -520,10 +513,10 @@ def _band_remainder(config: LatticeConfig, L: np.ndarray, b, band: Band):
         Ffar = 0.0
         if M0 < config.cutoff:
             rho = rh[0].real / N
-            p = far_order(moduli / (1.0 + rho), alpha)
             sh = rh * primitive / (1.0 + rho)
-            if not (p and 4.0 * float(np.sum(np.abs(sh))) / Q
-                    <= NEAR_RANGE + 1):
+            p = far_order(moduli / (1.0 + rho), alpha,
+                          2.0 * float(np.sum(np.abs(sh))) / Q)
+            if not p:
                 return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
                                                 b))[:Q // 2 + 1]
             Ffar = np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config,
@@ -563,9 +556,9 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     costs one force, one irfft and one rfft.  With a band of Q < N points
     the spectra keep only the band's bins, and each remainder is formed on
     its grid (_band_remainder), at a cost that does not grow with N; the
-    given state's content past those bins is dropped.  A collision raises
-    CollisionError, and band content past BAND_TOL BlowUpError, with t and
-    alpha.
+    given state's content past those bins is dropped.  A collision
+    (CollisionError) or band content past BAND_TOL raises BlowUpError, with
+    t and alpha.
     """
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
@@ -599,7 +592,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
                 t, done = t + (i - done) * dt, i
                 out.append(LatticeState(r=np.fft.irfft(rh, N),
                                         p=np.fft.irfft(ph, N), t=t))
-    except (CollisionError, BlowUpError) as err:
+    except BlowUpError as err:
         err.t, err.alpha = t + (i - done) * dt, config.alpha
         raise
     return out

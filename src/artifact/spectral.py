@@ -84,8 +84,9 @@ class PeriodicGrid:
     n: int
 
     def __post_init__(self):
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and positive, got "
+                             f"{self.period}")
         if self.n < 8 or not _is_pow2(self.n):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
 

@@ -293,6 +293,16 @@ def test_gate6_surrogate_solver():
 
 
 SWEEP_ALPHAS = (1.8, 2.0, 2.5)
+# The gate ladders step epsilon down by sqrt(2) from 0.2: gate 7 over a
+# factor of 32 (rings of 512 to 16384 sites), gate 8 over a factor of 8
+# (512 to 4096), where the chain's steps stay affordable.
+GATE7_EPSILONS = (0.2, 0.1414, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177,
+                  0.0125, 0.00884, 0.00625)
+GATE8_EPSILONS = GATE7_EPSILONS[:7]
+
+
+def _local_slopes(report):
+    return " ".join(f"{v:.2f}" for v in report.local_slopes)
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +310,8 @@ def residual_runs(tmp_path_factory):
     runs = {}
     for alpha in SWEEP_ALPHAS:
         out = tmp_path_factory.mktemp(f"res{int(10 * alpha)}")
-        cfg = ValidationConfig(alpha=alpha, output=str(out))
+        cfg = ValidationConfig(alpha=alpha, epsilons=GATE7_EPSILONS,
+                               output=str(out))
         t0 = time.perf_counter()
         _, report = run_residual_sweep(cfg)
         runs[alpha] = {
@@ -318,7 +329,8 @@ def validation_runs(tmp_path_factory):
     runs = {}
     for alpha in SWEEP_ALPHAS:
         out = tmp_path_factory.mktemp(f"val{int(10 * alpha)}")
-        cfg = ValidationConfig(alpha=alpha, output=str(out))
+        cfg = ValidationConfig(alpha=alpha, epsilons=GATE8_EPSILONS,
+                               output=str(out))
         t0 = time.perf_counter()
         result = run_validation(cfg)
         runs[alpha] = {
@@ -336,19 +348,21 @@ def test_gate7_residual_scaling(residual_runs):
     for alpha in SWEEP_ALPHAS:
         report = residual_runs[alpha]["report"]
         dev = abs(report.slope - report.target_exponent)
-        outcomes.append((alpha, report.slope, report.target_exponent, dev))
+        outcomes.append((alpha, report.slope, report.target_exponent, dev,
+                         _local_slopes(report)))
     elapsed = sum(residual_runs[a]["elapsed"] for a in SWEEP_ALPHAS)
-    detail = ", ".join(f"a={a}: {s:.3f} vs {t:.2f} (dev {d:.3f})"
-                       for a, s, t, d in outcomes)
-    status = "PASS" if all(d <= 0.3 for *_, d in outcomes) else "FAIL"
-    record(f"[gate 7] residual scaling: {detail} ({elapsed:.0f}s) -> {status}")
-    for alpha, slope, target, dev in outcomes:
+    detail = ", ".join(f"a={a}: {s:.3f} vs {t:.2f} (dev {d:.3f}; local "
+                       f"{local})" for a, s, t, d, local in outcomes)
+    status = "PASS" if all(o[3] <= 0.3 for o in outcomes) else "FAIL"
+    record(f"[gate 7] residual scaling over {len(GATE7_EPSILONS)} epsilons: "
+           f"{detail} ({elapsed:.0f}s) -> {status}")
+    for alpha, slope, target, dev, _ in outcomes:
         assert dev <= 0.3, (alpha, slope, target)
     assert elapsed < 600.0
 
 
 def test_gate8_error_scaling(validation_runs):
-    outcomes = []
+    outcomes, local = [], []
     law_ok = True
     for alpha in SWEEP_ALPHAS:
         result = validation_runs[alpha]["result"]
@@ -358,12 +372,15 @@ def test_gate8_error_scaling(validation_runs):
                 law_ok &= sup <= 10.0 * math.exp(report.intercept) * eps ** report.slope
         outcomes.append((alpha, result.mu_report.slope,
                          result.nu_report.slope, gamma))
+        local.append(f"a={alpha}: mu {_local_slopes(result.mu_report)} nu "
+                     f"{_local_slopes(result.nu_report)}")
     elapsed = sum(validation_runs[a]["elapsed"] for a in SWEEP_ALPHAS)
     detail = ", ".join(f"a={a}: mu {ms:.3f} nu {ns:.3f} vs {g}"
                        for a, ms, ns, g in outcomes)
     ok = law_ok and all(abs(ms - g) <= 0.3 and abs(ns - g) <= 0.3
                         for _, ms, ns, g in outcomes)
-    record(f"[gate 8] error scaling: {detail}; 10x law "
+    record(f"[gate 8] error scaling over {len(GATE8_EPSILONS)} epsilons: "
+           f"{detail} (local {'; '.join(local)}); 10x law "
            f"{'ok' if law_ok else 'VIOLATED'} ({elapsed:.0f}s) "
            f"-> {'PASS' if ok else 'FAIL'}")
     assert law_ok

@@ -214,12 +214,14 @@ _BAD_PROFILES = [("--width-fraction", "0", "width_fraction"),
                  ("--amplitude", "inf", "amplitude")]
 
 
-@pytest.mark.parametrize("flag, value, name", _BAD_PROFILES)
+@pytest.mark.parametrize("flag, value, name", _BAD_PROFILES + [
+    ("--period", "nan", "period"), ("--period", "inf", "period")])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_solve_bo_refuses_a_bad_profile(dry_run, flag, value, name, tmp_path,
                                         capsys):
     # a zero width once raised ZeroDivisionError with a traceback, and a
-    # negative one ran as its magnitude
+    # negative one ran as its magnitude; a period of nan or inf was planned
+    # by --dry-run, and nan then ran to a blow-up (exit 2)
     out = tmp_path / "bo"
     rc = main(["solve-bo", "--alpha", "2.0", "--n", "64", "--tau-end", "0.01",
                "--dtau", "1e-3", flag, value, "--out", str(out)]
@@ -332,12 +334,28 @@ def test_simulate_lattice_requires_some_initial_data(capsys):
 
 
 def test_simulate_lattice_collision_exit_code(tmp_path, capsys):
+    # a collision is a BlowUpError: exit 2 naming t, whether the given state
+    # has lost its ordering or the chain loses it on the way
     init = tmp_path / "bad.csv"
     init.write_text("j,r,p\n" + "\n".join(f"{j},1.5,0.0" for j in range(32)) + "\n")
     rc = main(["simulate-lattice", "--alpha", "2.0", "--init", str(init),
                "--cutoff", "8", "--steps", "2", "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("blow-up:")
+    assert capsys.readouterr().err == ("blow-up: a gap deviation reached 1; "
+                                       "ordering lost t=0.0\n")
+    # two particles launched at each other hard
+    p = {3: 4.0, 4: -4.0}
+    init.write_text("j,r,p\n" + "".join(f"{j},0.0,{p.get(j, 0.0)}\n"
+                                        for j in range(16)))
+    rc = main(["simulate-lattice", "--alpha", "2.0", "--init", str(init),
+               "--cutoff", "7", "--dt", "0.05", "--steps", "200",
+               "--out", str(tmp_path / "y")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("blow-up: a gap deviation reached 1; ordering "
+                          "lost alpha=2.0 t=")
+    assert 0.0 < float(err.split("t=")[1]) <= 200 * 0.05
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_missing_init_file_is_a_config_error(tmp_path, capsys):
@@ -811,6 +829,23 @@ def _refused_simulate_lattice(argv, dry_run, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     return captured.err
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["--epsilon", "nan"], "epsilon", "nan"),
+    (["--epsilon", "0"], "epsilon", "0.0"),
+    (["--epsilon", "-0.4"], "epsilon", "-0.4"),
+    (["--period", "inf"], "period", "inf"),
+    (["--period", "nan"], "period", "nan")])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_simulate_lattice_refuses_a_bad_ring(dry_run, argv, name, value,
+                                             tmp_path, capsys):
+    # nan once failed converting NaN to an integer, 0 raised
+    # ZeroDivisionError and an infinite period OverflowError, each with a
+    # traceback, and -0.4 gave "a ring of only -32 sites"
+    err = _refused_simulate_lattice(["--steps", "4"] + argv, dry_run,
+                                    tmp_path, capsys)
+    assert err == f"error: {name} must be finite and positive, got {value}\n"
 
 
 @pytest.mark.parametrize("dry_run", [False, True])

@@ -775,6 +775,43 @@ def test_band_falls_back_to_the_ring_force_bit_for_bit(monkeypatch):
                           equal_nan=True)
 
 
+def test_far_order_guard_on_the_ring_and_the_band(monkeypatch):
+    # 2 max|s| <= NEAR_RANGE + 1 is far_order's guard, whether the bound on
+    # max|s| is a ring state's max|s| (_far_split) or a band spectrum's
+    # 2 sum|s^_n|/Q (_band_remainder): a long wave scaled to put that bound
+    # just inside the guard takes the moments, and just past it falls back:
+    # the ring to every range directly, the band to the ring's force, whose
+    # own max|s| lies below the band's bound
+    edge = (lattice.NEAR_RANGE + 1) / 2.0
+    least = lattice.far_order(0.01, 2.0)
+    assert least > 0 and lattice.far_order(0.01, 2.0, edge) == least
+    assert lattice.far_order(0.01, 2.0, np.nextafter(edge, math.inf)) == 0
+    bounds = []
+    real = lattice.far_order
+    monkeypatch.setattr(lattice, "far_order", lambda x, alpha, s_max=0.0:
+                        bounds.append(s_max) or real(x, alpha, s_max))
+    calls = _record_force_cutoffs(monkeypatch)
+    n, cutoff = 4096, 100
+    cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
+    wave = 1e-3 * np.sin(2.0 * np.pi * np.arange(n) / n)
+
+    def band(r):
+        return _band_remainder(np.fft.rfft(r)[:_KEPT], cfg, lattice.Band(512))
+
+    near = [lattice.NEAR_RANGE]
+    for step, inside_calls, past_calls in (
+            (lambda r: force(r, cfg), near, [cutoff]), (band, [], near)):
+        bounds.clear()
+        step(wave)
+        [ref] = bounds
+        for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+            bounds.clear()
+            calls.clear()
+            step(edge / ref * scale * wave)
+            assert (2.0 * bounds[0] <= lattice.NEAR_RANGE + 1) == inside
+            assert calls == (inside_calls if inside else past_calls)
+
+
 @pytest.mark.parametrize("bin_, what, share", [
     (200, "of the state", "dropped_share"),
     (160, "of the force's grid spectrum", "top_share")])
@@ -1082,11 +1119,20 @@ def test_collision_detected_during_run():
     assert info.value.t is not None
 
 
+def test_collision_is_a_blow_up():
+    # one failure type for a run: a collision is a BlowUpError with its t,
+    # alpha and epsilon, so a handler of BlowUpError catches both
+    assert issubclass(CollisionError, lattice.BlowUpError)
+    err = CollisionError("ordering lost", t=1.5, alpha=2.0, epsilon=0.1)
+    assert (err.t, err.alpha, err.epsilon, err.tau) == (1.5, 2.0, 0.1, None)
+
+
 def test_state_validation_rejects_overlap():
     r = np.zeros(16)
     r[2] = -1.05
-    with pytest.raises(CollisionError):
-        LatticeState(r=r, p=np.zeros(16), t=0.0)
+    with pytest.raises(CollisionError) as info:
+        LatticeState(r=r, p=np.zeros(16), t=3.0)
+    assert info.value.t == 3.0
     with pytest.raises(ValueError):
         LatticeState(r=np.zeros(8), p=np.zeros(8), t=0.0)  # too small
     with pytest.raises(ValueError):

@@ -62,8 +62,10 @@ def test_grid_validation():
         PeriodicGrid(10.0, 48)  # not a power of two
     with pytest.raises(ValueError):
         PeriodicGrid(10.0, 4)  # too small
-    with pytest.raises(ValueError):
-        PeriodicGrid(-1.0, 64)
+    for period in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="period must be finite and "
+                                             f"positive, got {period}"):
+            PeriodicGrid(period, 64)
     g = PeriodicGrid(10.0, 64)
     assert g.nodes[1] - g.nodes[0] == pytest.approx(10.0 / 64)
 
