@@ -24,10 +24,10 @@ import numpy as np
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to, span_plan)
 from .lattice import (_BLOCK_ELEMENTS, FAR_ORDER, FAR_TOL, Band,
-                      CollisionError, LatticeConfig, LatticeState,
-                      _held_far_weights, _split_force, energy, error_energy,
-                      error_energy_constants, far_bound, far_order,
-                      near_range, run_steps, step_limit)
+                      LatticeConfig, LatticeState, _band_force,
+                      _held_far_weights, _refuse_collision, _split_force,
+                      energy, error_energy, error_energy_constants, far_bound,
+                      far_order, near_range, run_steps, step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, resample_spectrum, sample_spectrum,
@@ -57,6 +57,12 @@ STEP_CAP = 0.8
 # checkpoint spectra match a 4x finer run to 1e-13 of their max, where 100
 # steps against 400 differ by 1e-12 (5 steps: 1.6e-12, 2: 6e-11).
 BO_STEPS_PER_CHECKPOINT = 10
+# The largest ring _ring_size plans, 2^17 sites: past twice the 64 000
+# sites of eps 0.0016 at the default period, the smallest epsilon the
+# residual law has been fitted at.  Far past it a run would exhaust memory
+# before its first step (eps 1e-9 asks for 1e11 sites), or period/eps
+# would not be finite.
+MAX_RING = 131072
 
 
 class ConfigError(ValueError):
@@ -225,11 +231,16 @@ def _scaling_report(pairs, target: float) -> ScalingReport:
 
 
 def _ring_size(period: float, eps: float):
-    """Snap epsilon to an even integer ring size; returns (N, exact epsilon)."""
+    """Snap epsilon to an even integer ring size, at most MAX_RING; returns
+    (N, exact epsilon)."""
     for name, val in (("epsilon", eps), ("period", period)):
         if not 0.0 < val < math.inf:
             raise ConfigError(f"{name} must be finite and positive, got {val}")
     ratio = period / eps
+    if not ratio <= MAX_RING:
+        raise ConfigError(f"epsilon {eps} and period {period} give a ring of "
+                          f"N = {ratio:.6g} sites, past the largest, "
+                          f"{MAX_RING}")
     N = int(round(ratio))
     if N % 2:
         N += 1
@@ -286,7 +297,8 @@ def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
 
 
 def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
-                    cutoff: int, dealias_fraction: float = 2.0 / 3.0):
+                    cutoff: int, dealias_fraction: float = 2.0 / 3.0,
+                    band: Band | None = None):
     """Residual q'' - F(q) of the lattice equations under the long-wave
     ansatz, split as (acceleration part, interaction part), sampled on the
     ring X = eps*j.
@@ -294,15 +306,23 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     The acceleration part substitutes the surrogate equation for every time
     derivative (no numerical differencing); the interaction part is minus
     the chain force, truncated at cutoff, at the ansatz gaps of
-    ansatz_fields.
+    ansatz_fields.  Where the band (by default the profile's own grid,
+    Band(u_tau.grid.n, dealias_fraction)) is smaller than the ring, that
+    force is formed on the band, as the chain's is (lattice._band_force),
+    from the gaps' ring spectrum on its kept bins, -eps^(alpha-1) N A c for
+    the profile spectrum c and the window mean's symbol A, so no
+    transform of the gaps at the ring's length is taken; the interaction
+    part has no content past bin Q/2.  The band records what it drops of
+    the gaps, its top share and its fallbacks to the ring's force.
 
     A spectrum with leading axes stacks profiles, and both parts then stack
     their rows alike; row i equals the call on profile i alone to the last
     bit.  The profiles go max(1, _BLOCK_ELEMENTS // N) at a time through the
     transforms, and the force's far weights through FAR_ORDER are built once
-    for the call (_held_far_weights).  Gaps reaching 1 raise CollisionError
-    with alpha, epsilon and `profile`, the index of the first profile in
-    stack order whose gaps reach it.
+    for the call (_held_far_weights).  Gaps reaching 1 (CollisionError) or
+    a share past the band's BAND_TOL (BlowUpError) raise with alpha,
+    epsilon and `profile`, the index of the first profile in stack order
+    that raised.
     """
     period = u_tau.grid.period
     N, exact = _ring_size(period, eps)
@@ -320,6 +340,14 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     b = _held_far_weights(lat_cfg)
     kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
+    if band is None:
+        band = Band(u_tau.grid.n, dealias_fraction)
+    on_band = band.Q < N
+    if on_band:
+        force_spectrum = _band_force(lat_cfg, b, band)
+        # the gaps' ring spectrum from the profile's, as _ansatz_gaps forms
+        # the gaps
+        symbol = -eps ** (alpha - 1.0) * N * average_multiplier(kN, eps)
     accel = np.empty((len(rows), N))
     fpart = np.empty((len(rows), N))
     B = max(1, _BLOCK_ELEMENTS // N)
@@ -327,25 +355,32 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
         cN = resample_spectrum(rows[i0:i0 + B], N)
         ut_hat = _rhs_spectrum(cN, kN, params, mask)
         # -eps^alpha c^2 u_X + eps^(2 alpha-1) kappa1 u_tau
-        # + eps^(3 alpha-2) v_tautau, a term at a time
-        a = accel[i0:i0 + B]
-        np.multiply(-eps ** alpha * params.c ** 2,
-                    np.fft.irfft(1j * kN * cN, N) * N, out=a)
-        a += eps ** (2 * alpha - 1) * params.kappa1 * (
-            np.fft.irfft(ut_hat, N) * N)
-        a += eps ** (3 * alpha - 2) * (np.fft.irfft(
-            _dtau2_v_spectrum(cN, ut_hat, kN, params, mask), N) * N)
-        rtilde = _ansatz_gaps(cN, kN, period, N, alpha)
-        del cN, ut_hat      # so that the force's blocks reuse them
-        # every window mean G_m rtilde/m is bounded by max|rtilde|
-        hit = np.flatnonzero(np.max(np.abs(rtilde), axis=-1) >= 1.0)
-        if hit.size:
-            err = CollisionError("ansatz gap deviation reached 1",
-                                 alpha=alpha, epsilon=eps)
-            err.profile = i0 + int(hit[0])
-            raise err
-        for f, r in zip(fpart[i0:i0 + B], rtilde):
-            np.negative(_split_force(r, lat_cfg, b), out=f)
+        # + eps^(3 alpha-2) v_tautau, summed in place and taken in one
+        # transform
+        a = _dtau2_v_spectrum(cN, ut_hat, kN, params, mask)
+        a *= eps ** (3 * alpha - 2)
+        ut_hat *= eps ** (2 * alpha - 1) * params.kappa1
+        a += ut_hat
+        g = (symbol * cN if on_band
+             else _ansatz_gaps(cN, kN, period, N, alpha))
+        cN *= 1j * kN
+        cN *= -eps ** alpha * params.c ** 2
+        a += cN
+        del ut_hat, cN
+        accel[i0:i0 + B] = np.fft.irfft(a, N) * N
+        del a               # so that the force's blocks reuse it
+        for i, (f, row) in enumerate(zip(fpart[i0:i0 + B], g), i0):
+            try:
+                if on_band:
+                    band.drop(row, "the ansatz gaps")
+                    force = np.fft.irfft(force_spectrum(row[:band.kept]), N)
+                else:
+                    _refuse_collision(row)
+                    force = _split_force(row, lat_cfg, b)
+                np.negative(force, out=f)
+            except BlowUpError as err:
+                err.alpha, err.epsilon, err.profile = alpha, eps, i
+                raise
     shape = spectra.shape[:-1] + (N,)
     return accel.reshape(shape), fpart.reshape(shape)
 
@@ -400,17 +435,21 @@ def _surrogate_record(config: ValidationConfig, steps: int, spectra) -> dict:
 
 def _residual_eps_task(args):
     """The residual at every checkpoint of a plan entry, from one
-    residual_fields call on the stacked checkpoint spectra; returns (rows,
-    (eps, sup l2)).  Gaps reaching 1 or a non-finite residual raise, naming
-    alpha, epsilon and the t of the first checkpoint it reached."""
+    residual_fields call on the stacked checkpoint spectra, on the entry's
+    band; returns (rows, (eps, sup l2), health), health the entry's
+    epsilon, N and band with the band's dropped_share, top_share and
+    fallbacks (Band).  Gaps reaching 1, a band share past BAND_TOL or a
+    non-finite residual raise, naming alpha, epsilon and the t of the first
+    checkpoint it reached."""
     (config, params, states, entry) = args
     eps = entry["epsilon"]
     ts = [s.tau / eps ** params.alpha for s in states]
+    band = Band(entry["band"], config.dealias_fraction)
     try:
         accel, fpart = residual_fields(SpectralField.from_spectrum(
             states[0].u.grid, [s.u.spectrum for s in states]), eps, params,
-            entry["cutoff"], config.dealias_fraction)
-    except CollisionError as err:
+            entry["cutoff"], config.dealias_fraction, band)
+    except BlowUpError as err:
         # the residual knows which profile, not the checkpoint's t
         err.t = ts[err.profile]
         raise
@@ -421,7 +460,11 @@ def _residual_eps_task(args):
             raise BlowUpError("non-finite ansatz residual", t=t,
                               alpha=params.alpha, epsilon=eps)
         rows.append((params.alpha, eps, t, l2))
-    return rows, (eps, max(row[3] for row in rows))
+    health = {"epsilon": eps, "N": entry["N"], "band": band.Q,
+              "band_dropped_share": band.dropped_share,
+              "band_top_share": band.top_share,
+              "band_fallbacks": band.fallbacks}
+    return rows, (eps, max(row[3] for row in rows)), health
 
 
 def run_residual_sweep(config: ValidationConfig):
@@ -441,7 +484,8 @@ def run_residual_sweep(config: ValidationConfig):
     report = _scaling_report([res[1] for res in results], params.beta)
     if config.output:
         write_residual_outputs(config.output, config, params, rows, report,
-                               plan, surrogate)
+                               plan, surrogate,
+                               [res[2] for res in results])
     return rows, report
 
 
@@ -461,8 +505,8 @@ def _validation_eps_task(args):
     at that order (at FAR_ORDER for none) and whether it meets FAR_TOL, so
     that run_steps could sum the far ranges by moments at every checkpoint.
     Where the plan's band is smaller than the ring, the chain runs on it,
-    and health adds the band's dropped_share and top_share (Band).  A drift
-    past ENERGY_DRIFT_TOL raises BlowUpError.
+    and health adds the band's dropped_share, top_share and fallbacks
+    (Band).  A drift past ENERGY_DRIFT_TOL raises BlowUpError.
     """
     (config, params, bo, entry) = args
     alpha, eps = params.alpha, entry["epsilon"]
@@ -514,7 +558,8 @@ def _validation_eps_task(args):
               "far_bound": bound, "far_bound_ok": bound <= FAR_TOL,
               "least_far_order": order,
               "band_dropped_share": band.dropped_share,
-              "band_top_share": band.top_share}
+              "band_top_share": band.top_share,
+              "band_fallbacks": band.fallbacks}
     energy_rows = [(alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
                    in error_energy_trace(samples, params, lat_cfg.cutoff)]
     return (rows, (eps, max(row[3] for row in rows)),
@@ -585,9 +630,9 @@ def _map_tasks(fn, tasks, jobs):
 
 
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
-    """Resolved per-epsilon plan (ring size, cutoff and the force's near
-    range and far order; for validation also the chain's clock, step, step
-    limit, steps and band) without running.  Each sweep runs every epsilon from
+    """Resolved per-epsilon plan (ring size, cutoff, the force's near range,
+    far order and band; for validation also the chain's clock, step, step
+    limit and steps) without running.  Each sweep runs every epsilon from
     its entry, so two epsilons that snap to one ring are refused here."""
     plan = [_plan_entry(config, e, pipeline) for e in config.epsilons]
     eps = config.epsilons
@@ -616,6 +661,8 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
         # out every image of the periodic lattice.
         entry.update(_force_split(min(N // 2 - 1, int(math.ceil(
             config.residual_cutoff_coef / eps ** 2)))))
+        # the interaction part's grid (residual_fields): the profile's own
+        entry["band"] = config.bo_modes
         return entry
     # The chain runs at the ring cap N/2 - 1.  A shorter range leaves the
     # truncated chain slower than c, and over the horizon T = tau0/eps^alpha
@@ -723,10 +770,11 @@ def _write_sweep(outdir, config, params, pipeline, header, rows, report,
 
 
 def write_residual_outputs(outdir, config, params, rows, report, plan,
-                           surrogate):
+                           surrogate, health):
     _write_sweep(outdir, config, params, "residual", RESIDUAL_CSV_HEADER,
                  rows, {"pipeline": "residual", "residual": asdict(report),
-                        "plan": plan, "surrogate": surrogate})
+                        "plan": plan, "bands": health,
+                        "surrogate": surrogate})
 
 
 def write_validation_outputs(outdir, config, params, result: ValidationResult):

@@ -17,14 +17,15 @@ the top linear frequency.
 
 Given a Band of Q < N points, run_steps keeps the chain on the band: its
 spectra hold only the rfft bins of dealias_mask(Q), the surrogate's kept
-bins, and each remainder is formed on the grid x_q = qN/Q, at a cost that
-does not grow with N.  This is a Fourier-Galerkin truncation of the chain
+bins, and each force is formed on the grid x_q = qN/Q (_band_force), at a
+cost that does not grow with N; the residual forms its interaction part
+there too.  This is a Fourier-Galerkin truncation of the chain
 with pseudo-spectral products and the 2/3 rule (Orszag 1971), the rule
 bo_solver applies to the surrogate.  The validation chains live in the
 lowest 64 or so of the ring's bins, so at the defaults it moves their sup
 errors by 2e-11 relative or less; the band records what it drops and
-refuses more than BAND_TOL.  energy, the residual and a run_steps call
-without a band stay on the ring.
+refuses more than BAND_TOL.  energy and a run_steps call without a band
+stay on the ring.
 
 force, which run_steps and the residual share, sums its ranges past
 NEAR_RANGE by moments (_far_field) where the state allows: each far pair
@@ -50,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -374,7 +376,11 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
     H = np.zeros((p + 1, N // 2 + 1), dtype=complex)
     H.imag[:, 0] = N * b[:p + 1, 0]     # k = 0: i (s^0)^ is N i at bin 0
     ks = np.arange(1, p + 1)
-    P = np.fft.rfft(np.cumprod(s / ks[:, None], axis=0))   # (s^k/k!)^
+    # s^k/k! row by row: cumprod's products along axis 0, at half its cost
+    P = s / ks[:, None]
+    for k in range(1, p):
+        P[k] *= P[k - 1]
+    P = np.fft.rfft(P)      # (s^k/k!)^
     P *= _I_POWERS[(ks + 1) % 4, None]
     for k, Pk in zip(ks, P):
         H[:p + 1 - k] += b[k:p + 1] * Pk
@@ -431,18 +437,33 @@ def check_steps(config: LatticeConfig, nsteps: int, every: int | None = None):
 
 @dataclass
 class Band:
-    """The grid of Q points on which run_steps forms the remainder of a
-    ring of more than Q sites, keeping the rfft bins of dealias_mask(Q,
-    dealias_fraction).  A run_steps call records here the share of its
-    given state's r or p above the kept bins, which it drops
-    (dropped_share), and the largest share of the force's grid spectrum
-    above them over its steps, which the kicks drop and whose products
-    alias (top_share); either past BAND_TOL raises BlowUpError."""
+    """The grid of Q points on which run_steps and residual_fields form the
+    force of a ring of more than Q sites, keeping the `kept` rfft bins of
+    dealias_mask(Q, dealias_fraction) (_band_force).  A call records here
+    the largest share of a field it was given above the kept bins, which it
+    drops (dropped_share), the largest share of a force's grid spectrum
+    above them, which the kicks drop and whose products alias (top_share),
+    and the forces it took from the ring instead (fallbacks); either share
+    past BAND_TOL raises BlowUpError."""
 
     Q: int
     dealias_fraction: float = 2.0 / 3.0
     dropped_share: float = field(default=0.0, init=False)
     top_share: float = field(default=0.0, init=False)
+    fallbacks: int = field(default=0, init=False)
+
+    @cached_property
+    def kept(self) -> int:
+        return int(np.count_nonzero(dealias_mask(self.Q,
+                                                 self.dealias_fraction)))
+
+    def drop(self, spectrum: np.ndarray, what: str):
+        """Record the share of the field with this ring rfft spectrum past
+        the kept bins in dropped_share; BlowUpError, naming what, where
+        dropped_share passes BAND_TOL."""
+        self.dropped_share = max(self.dropped_share,
+                                 _top_share(spectrum, self.kept))
+        _refuse_past_band(self.dropped_share, self.kept, what)
 
 
 def _top_share(spectrum: np.ndarray, kept: int) -> float:
@@ -451,6 +472,13 @@ def _top_share(spectrum: np.ndarray, kept: int) -> float:
     top = spectrum[kept:]
     total = 2.0 * np.vdot(spectrum, spectrum).real - abs(spectrum[0]) ** 2
     return float(2.0 * np.vdot(top, top).real / total) if total > 0.0 else 0.0
+
+
+def _refuse_past_band(share: float, kept: int, what: str):
+    """BlowUpError where a band's share of what passes BAND_TOL."""
+    if not share <= BAND_TOL:
+        raise BlowUpError(f"{share:.3g} of {what} lies past the band's "
+                          f"{kept} bins, past {BAND_TOL:g}")
 
 
 def _refuse_collision(r: np.ndarray, t: float | None = None):
@@ -471,11 +499,11 @@ def _ring_remainder(config: LatticeConfig, L: np.ndarray, b):
     return remainder
 
 
-def _band_remainder(config: LatticeConfig, L: np.ndarray, b, band: Band):
-    """run_steps' remainder R = F - L r^ on the kept bins n < L.size of the
-    ring, at spectra r^ on those bins alone, with F the force's spectrum
-    formed on the band's grid x_q = qN/Q, q = 0..Q-1 (the sites r given
-    are not used).
+def _band_force(config: LatticeConfig, b, band: Band):
+    """force on a band: the function that takes spectra r^ on the band's
+    kept bins of the ring alone, and gives the force's rfft spectrum on the
+    ring through bin Q/2, formed on the band's grid x_q = qN/Q,
+    q = 0..Q-1, with the far weight rows b (_held_far_weights).
 
     For each range m up to the near range, G_m r at the grid points is the
     irfft over Q points of r^ times (e^{ikm} - 1)/(e^{ik} - 1) (m at n = 0),
@@ -491,9 +519,12 @@ def _band_remainder(config: LatticeConfig, L: np.ndarray, b, band: Band):
     taken from a bound by the spectrum's moduli:
     max|r - rho| <= 2 sum_{n>0} |r^_n|/N, and alike for max|r| and max|s|.
     Only where the bound on max|r| reaches 1 are the ring's sites formed
-    and tested.  Where no order is found, F is rfft(force(irfft(r^, N))).
-    F is formed through bin Q/2, for the band's top_share."""
-    N, Q, alpha, kept = config.N, band.Q, config.alpha, L.size
+    and tested, and only where the bound on max|s| leaves no order is
+    max|s| taken at the ring's sites.  Where still no order is found, the
+    force is the ring's, rfft(force(irfft(r^, N))), counted in
+    band.fallbacks.  Each force's share past the kept bins goes to
+    band.top_share."""
+    N, Q, alpha, kept = config.N, band.Q, config.alpha, band.kept
     M0 = near_range(config.cutoff)
     k = 2.0 * np.pi * np.arange(Q // 2 + 1) / N
     shift = -2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)    # e^{ik} - 1
@@ -509,35 +540,38 @@ def _band_remainder(config: LatticeConfig, L: np.ndarray, b, band: Band):
     primitive[1:] = (Q / N) / shift[1:kept]
     bQ = None if b is None else b[:, :Q // 2 + 1]
 
-    def force_spectrum(rh, moduli):
-        Ffar = 0.0
-        if M0 < config.cutoff:
-            rho = rh[0].real / N
-            sh = rh * primitive / (1.0 + rho)
-            p = far_order(moduli / (1.0 + rho), alpha,
-                          2.0 * float(np.sum(np.abs(sh))) / Q)
-            if not p:
-                return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
-                                                b))[:Q // 2 + 1]
-            Ffar = np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config,
-                                          p, bQ)) * (N / Q)
-        W = np.fft.rfft(_kernel_prime(np.fft.irfft(window * rh, Q), ms,
-                                      alpha))
-        return np.einsum("mn,mn->n", difference, W) + Ffar
+    def far_spectrum(rh, moduli):
+        # the far ranges' share of the force, or None where no order holds
+        rho = rh[0].real / N
+        sh = rh * primitive / (1.0 + rho)
+        x = moduli / (1.0 + rho)
+        p = far_order(x, alpha, 2.0 * float(np.sum(np.abs(sh))) / Q)
+        if not p:   # the bound may fail the guard where the sites do not
+            s_max = float(np.max(np.abs(np.fft.irfft(sh, N)))) * (N / Q)
+            p = far_order(x, alpha, s_max)
+        if not p:
+            return None
+        return np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config, p,
+                                      bQ)) * (N / Q)
 
-    def remainder(rh, r=None):
+    def force_spectrum(rh):
         a = np.abs(rh)
         moduli = 2.0 * float(np.sum(a[1:])) / N
         if a[0] / N + moduli >= 1.0:
             _refuse_collision(np.fft.irfft(rh, N))
-        F = force_spectrum(rh, moduli)
+        Ffar = far_spectrum(rh, moduli) if M0 < config.cutoff else 0.0
+        if Ffar is None:
+            band.fallbacks += 1
+            F = np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
+                                         b))[:Q // 2 + 1]
+        else:
+            W = np.fft.rfft(_kernel_prime(np.fft.irfft(window * rh, Q), ms,
+                                          alpha))
+            F = np.einsum("mn,mn->n", difference, W) + Ffar
         band.top_share = max(band.top_share, _top_share(F, kept))
-        if not band.top_share <= BAND_TOL:
-            raise BlowUpError(f"{band.top_share:.3g} of the force's grid "
-                              f"spectrum lies past the band's {kept} bins, "
-                              f"past {BAND_TOL:g}")
-        return F[:kept] - L * rh
-    return remainder
+        _refuse_past_band(band.top_share, kept, "the force's grid spectrum")
+        return F
+    return force_spectrum
 
 
 def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
@@ -555,7 +589,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     (_held_far_weights).  On the ring (band None, or band.Q >= N) a step
     costs one force, one irfft and one rfft.  With a band of Q < N points
     the spectra keep only the band's bins, and each remainder is formed on
-    its grid (_band_remainder), at a cost that does not grow with N; the
+    its grid (_band_force), at a cost that does not grow with N; the
     given state's content past those bins is dropped.  A collision
     (CollisionError) or band content past BAND_TOL raises BlowUpError, with
     t and alpha.
@@ -570,17 +604,15 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
         if band is None or band.Q >= N:
             remainder = _ring_remainder(config, L, b)
         else:
-            kept = int(np.count_nonzero(dealias_mask(band.Q,
-                                                     band.dealias_fraction)))
-            band.dropped_share = max(_top_share(rh, kept),
-                                     _top_share(ph, kept))
-            if not band.dropped_share <= BAND_TOL:
-                raise BlowUpError(f"{band.dropped_share:.3g} of the state "
-                                  f"lies past the band's {kept} bins, past "
-                                  f"{BAND_TOL:g}")
+            band.drop(rh, "the state")
+            band.drop(ph, "the state")
+            kept = band.kept
             L, cos, r_from_p, p_from_r, rh, ph = (
                 v[:kept] for v in (L, cos, r_from_p, p_from_r, rh, ph))
-            remainder = _band_remainder(config, L, b, band)
+            force_spectrum = _band_force(config, b, band)
+
+            def remainder(rh, r=None):
+                return force_spectrum(rh)[:kept] - L * rh
         Rh = remainder(rh, state.r)
         out = []
         for i in range(1, nsteps + 1):

@@ -621,7 +621,7 @@ def test_residual_sweep_collision_exit_code_names_t(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("blow-up: ansatz gap deviation reached 1")
+    assert err.startswith("blow-up: a gap deviation reached 1")
     assert "alpha=2.0 epsilon=0.2 t=0.0" in err
     assert not (out / "report.json").exists()
 
@@ -846,6 +846,22 @@ def test_simulate_lattice_refuses_a_bad_ring(dry_run, argv, name, value,
     err = _refused_simulate_lattice(["--steps", "4"] + argv, dry_run,
                                     tmp_path, capsys)
     assert err == f"error: {name} must be finite and positive, got {value}\n"
+
+
+@pytest.mark.parametrize("argv, ring", [
+    (["--alpha", "2", "--epsilon", "1e-300", "--period", "1e10"],
+     "epsilon 1e-300 and period 10000000000.0 give a ring of N = inf sites"),
+    (["--epsilon", "1e-9", "--period", "102.4"],
+     "epsilon 1e-09 and period 102.4 give a ring of N = 1.024e+11 sites")])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_simulate_lattice_refuses_a_ring_too_large(dry_run, argv, ring,
+                                                   tmp_path, capsys):
+    # period/eps overflowing to inf once raised OverflowError with a
+    # traceback, and 1e11 sites died allocating 381 GiB
+    err = _refused_simulate_lattice(["--steps", "4"] + argv, dry_run,
+                                    tmp_path, capsys)
+    assert err == (f"error: {ring}, past the largest, "
+                   f"{harness.MAX_RING}\n")
 
 
 @pytest.mark.parametrize("dry_run", [False, True])

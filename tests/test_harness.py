@@ -256,13 +256,13 @@ def test_describe_plan_default_ring_sizes():
                and entry["far_order"] == lattice.FAR_ORDER
                for entry in vplan + plan)
     # the chain runs on the surrogate's grid of bo_modes points wherever
-    # the ring is larger, on the ring itself at eps 0.2; the residual has
-    # no band
+    # the ring is larger, on the ring itself at eps 0.2; the residual on the
+    # profile's grid, which its ring may not be smaller than
     assert [entry["band"] for entry in vplan] == [512, 512, 512, 512]
     assert [entry["band"] for entry in describe_plan(
         ValidationConfig(alpha=2.0, bo_modes=1024), "validation")] \
         == [512, 724, 1024, 1024]
-    assert not any("band" in entry for entry in plan)
+    assert [entry["band"] for entry in plan] == [512, 512, 512, 512]
     # a residual cutoff within twice the near range is summed directly
     short = describe_plan(ValidationConfig(alpha=2.0,
                                            residual_cutoff_coef=0.5), "residual")
@@ -434,6 +434,10 @@ def test_ring_size_and_ansatz_fields_reject_bad_input():
     grid = PeriodicGrid(102.4, 256)
     u0 = gaussian_profile(grid, 0.2)
     assert _ring_size(102.4, 0.4) == (256, 0.4)
+    # up to MAX_RING sites, and no ring past it
+    assert _ring_size(harness.MAX_RING * 0.5, 0.5) == (harness.MAX_RING, 0.5)
+    with pytest.raises(ConfigError, match="past the largest"):
+        _ring_size((harness.MAX_RING + 2) * 0.5, 0.5)
     with pytest.raises(ConfigError):
         _ring_size(12.8, 0.9)  # 14 sites
     with pytest.raises(ConfigError):
@@ -541,43 +545,123 @@ def _interaction_longdouble(u_tau, eps, params, cutoff):
 def test_interaction_part_matches_longdouble_window_formula():
     # the interaction part is minus the chain force at the ansatz gaps; it
     # must equal the spectral window-mean formula of the residual, evaluated
-    # in long double, to far below the residual it enters (measured 8e-12
-    # and 1e-10 of the residual norm; the per-range double-precision form
-    # read 6e-12 and 1.2e-10)
+    # in long double, to far below the residual it enters.  On the ring
+    # (a band of the ring's size) it read 8e-12 and 1e-10 of the residual
+    # norm for this 128-mode profile; the per-range double-precision form
+    # read 6e-12 and 1.2e-10
     params = make_alpha_params(2.5)
     u0 = gaussian_profile(PeriodicGrid(51.2, 128), 0.1)
     for eps, cutoff in ((0.2, 75), (0.1, 255)):
-        accel, fpart = residual_fields(u0, eps, params, cutoff)
+        accel, fpart = residual_fields(u0, eps, params, cutoff,
+                                       band=lattice.Band(round(51.2 / eps)))
         ref = _interaction_longdouble(u0, eps, params, cutoff)
         gap = float(np.linalg.norm(fpart - ref)) \
             / float(np.linalg.norm(accel + fpart))
         assert gap < 1e-9, (eps, gap)
 
 
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+def test_band_interaction_part_matches_longdouble_window_formula(alpha):
+    # on rings larger than the profile's 512-point band, at the sweep's
+    # profile and ranges: measured 3e-13 to 1.4e-10 of the residual norm,
+    # where the ring's force read 1.7e-12 to 1.4e-9, past this bound at
+    # alpha 2.5 on 1024 sites
+    params = make_alpha_params(alpha)
+    u0 = gaussian_profile(PeriodicGrid(102.4, 512),
+                          default_residual_amplitude(alpha))
+    for N in (724, 1024):
+        eps = 102.4 / N
+        cutoff = math.ceil(3.0 / eps ** 2)
+        band = lattice.Band(512)
+        accel, fpart = residual_fields(u0, eps, params, cutoff, band=band)
+        ref = _interaction_longdouble(u0, eps, params, cutoff)
+        gap = float(np.linalg.norm(fpart - ref)) \
+            / float(np.linalg.norm(accel + fpart))
+        assert gap < 1e-9, (N, gap)
+        # no content past the band's bin Q/2 but the transforms' rounding
+        F = np.abs(np.fft.rfft(fpart))
+        assert np.max(F[257:]) <= 1e-14 * np.max(F)
+        assert band.fallbacks == 0
+
+
+def test_residual_on_the_ring_where_the_band_reaches_it():
+    # a band of Q >= N points leaves the interaction part on the ring: minus
+    # the ring's force at the ansatz gaps, bit for bit, with nothing
+    # recorded on the band
+    cfg, params, field = _stacked_checkpoints(2.0, checkpoints=2)
+    for N, Q in ((512, None), (724, 724), (724, 1024)):
+        eps = 102.4 / N
+        cutoff = min(N // 2 - 1, math.ceil(3.0 / eps ** 2))
+        band = None if Q is None else lattice.Band(Q)
+        _, fpart = residual_fields(field, eps, params, cutoff, band=band)
+        lat_cfg = LatticeConfig(N=N, alpha=2.0, cutoff=cutoff, dt=1.0)
+        k = wavenumbers(N, 102.4)
+        for f, c in zip(fpart, resample_spectrum(field.spectrum, N)):
+            r = harness._ansatz_gaps(c, k, 102.4, N, 2.0)
+            assert np.array_equal(f, -lattice.force(r, lat_cfg))
+        if band is not None:
+            assert (band.dropped_share, band.top_share, band.fallbacks) \
+                == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("what", ["the ansatz gaps",
+                                  "the force's grid spectrum"])
+def test_band_residual_refuses_content_past_its_bins(what):
+    # a profile with a wave of 1e-8 of it at bin 200, past the 171 bins of
+    # its 512-point band, second in a stack, or the 128-mode profile whose
+    # force passes the 43 bins of its own band by 2.7e-19: BlowUpError
+    # naming alpha, epsilon and the profile
+    if what == "the ansatz gaps":
+        alpha, eps, cutoff = 2.0, 0.1, 300
+        u0 = gaussian_profile(PeriodicGrid(102.4, 512), 0.7)
+        wave = np.zeros_like(u0.spectrum)
+        wave[200] = 1e-8 * np.max(np.abs(u0.spectrum))
+        field = SpectralField.from_spectrum(
+            u0.grid, [u0.spectrum, u0.spectrum + wave])
+        profile, share = 1, "dropped_share"
+    else:
+        alpha, eps, cutoff = 2.5, 0.2, 75
+        field = gaussian_profile(PeriodicGrid(51.2, 128), 0.1)
+        profile, share = 0, "top_share"
+    band = lattice.Band(field.grid.n)
+    with pytest.raises(BlowUpError, match=what) as info:
+        residual_fields(field, eps, make_alpha_params(alpha), cutoff,
+                        band=band)
+    assert (info.value.alpha, info.value.epsilon, info.value.profile) \
+        == (alpha, eps, profile)
+    assert getattr(band, share) > lattice.BAND_TOL
+
+
 def test_residual_collision_names_the_run(monkeypatch):
     # an ansatz gap deviation of 1 or more means the ansatz chain has lost
     # its ordering; the residual refuses it with alpha and epsilon, and the
     # sweep adds the t of the first checkpoint, in stack order, that reached
-    # it, whether the stack goes through in one chunk or two profiles a chunk
+    # it, whether the stack goes through in one chunk or two profiles a
+    # chunk, on the ring of 256 sites and on the profile's band of 256
+    # points within the ring of 320
     u0 = gaussian_profile(PeriodicGrid(102.4, 256), 5.0)
-    r, _ = ansatz_fields(u0.spectrum, 102.4, 256, PARAMS2)
-    assert np.max(np.abs(r)) >= 1.0
-    with pytest.raises(CollisionError) as info:
-        residual_fields(u0, 0.4, PARAMS2, 50)
-    assert info.value.alpha == 2.0
-    assert info.value.epsilon == 0.4
-    cfg = _smoke_config(checkpoints=6)
     small = gaussian_profile(PeriodicGrid(102.4, 256), 0.1)
+    cfg = _smoke_config(checkpoints=6)
+    for N in (256, 320):
+        r, _ = ansatz_fields(u0.spectrum, 102.4, N, PARAMS2)
+        assert np.max(np.abs(r)) >= 1.0
+        with pytest.raises(CollisionError) as info:
+            residual_fields(SpectralField.from_spectrum(
+                u0.grid, [small.spectrum, u0.spectrum]), 102.4 / N, PARAMS2,
+                50)
+        assert (info.value.alpha, info.value.epsilon, info.value.profile) \
+            == (2.0, 102.4 / N, 1)
     states = [BOState(u=u, tau=i * cfg.tau0 / 6) for i, u in enumerate(
         [small] * 3 + [u0, small, u0, small])]
-    entry = describe_plan(cfg, "residual")[0]
-    for block in (lattice._BLOCK_ELEMENTS, 2 * 256):
-        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block)
-        with pytest.raises(CollisionError) as info:
-            harness._residual_eps_task((cfg, PARAMS2, states, entry))
-        assert (info.value.alpha, info.value.epsilon) \
-            == (2.0, entry["epsilon"])
-        assert info.value.t == (3 * cfg.tau0 / 6) / entry["epsilon"] ** 2.0
+    for entry in describe_plan(cfg, "residual")[:2]:
+        for block in (lattice._BLOCK_ELEMENTS, 2 * entry["N"]):
+            monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block)
+            with pytest.raises(CollisionError) as info:
+                harness._residual_eps_task((cfg, PARAMS2, states, entry))
+            assert (info.value.alpha, info.value.epsilon) \
+                == (2.0, entry["epsilon"])
+            assert info.value.t \
+                == (3 * cfg.tau0 / 6) / entry["epsilon"] ** 2.0
     with pytest.raises(CollisionError) as info:
         run_residual_sweep(_smoke_config(amplitude=5.0))
     assert (info.value.alpha, info.value.epsilon, info.value.t) \
@@ -644,8 +728,9 @@ def test_stacked_residual_rows_at_a_short_cutoff(monkeypatch):
 def test_stacked_residual_rows_where_the_guard_falls_back(monkeypatch):
     # alpha 1.5 at eps 0.05: at amplitude 0.7 the gaps' scaled primitive
     # fails _far_split's guard (2 max|s| = 23.2 > 17) though an order is
-    # found, so that row sums every range directly beside rows that take
-    # the held weights
+    # found, so that row falls back from the band to the ring's force, which
+    # sums every range directly, beside rows that take the held weights;
+    # the band counts the one fallback
     grid = PeriodicGrid(102.4, 512)
     params = make_alpha_params(1.5)
     N, cutoff = 2048, 300
@@ -659,9 +744,12 @@ def test_stacked_residual_rows_where_the_guard_falls_back(monkeypatch):
         assert lattice.far_order(float(np.max(np.abs(r - rho))) / (1 + rho),
                                  1.5) > 0
         assert (lattice._far_split(r, cfg) is None) == falls_back
-    _assert_rows_are_single_calls(SpectralField.from_spectrum(grid, u),
-                                  grid.period / N, params, cutoff,
+    field = SpectralField.from_spectrum(grid, u)
+    _assert_rows_are_single_calls(field, grid.period / N, params, cutoff,
                                   monkeypatch)
+    band = lattice.Band(512)
+    residual_fields(field, grid.period / N, params, cutoff, band=band)
+    assert band.fallbacks == 1
 
 
 def test_ansatz_gaps_take_stacks_row_by_row():
@@ -719,7 +807,28 @@ def test_run_residual_sweep_smoke(tmp_path):
     assert payload["residual"]["slope_stderr"] == report.slope_stderr
     assert payload["residual"]["local_slopes"] == list(report.local_slopes)
     # the plan it ran, as the dry run gives it
-    assert payload["plan"] == describe_plan(cfg, "residual")
+    plan = describe_plan(cfg, "residual")
+    assert payload["plan"] == plan
+    # per epsilon, the band it ran on, the ring itself at N = 256 and the
+    # profile's 256 points within the larger rings, with what it dropped,
+    # its top share and its fallbacks, as residual_fields records them on
+    # the checkpoints
+    u0 = harness._initial_profile(cfg, cfg.amplitude)
+    states, _ = harness._bo_checkpoint_states(cfg, PARAMS2, u0)
+    field = SpectralField.from_spectrum(u0.grid,
+                                        [s.u.spectrum for s in states])
+    assert len(payload["bands"]) == len(plan)
+    for entry, record in zip(plan, payload["bands"]):
+        band = lattice.Band(entry["band"])
+        residual_fields(field, entry["epsilon"], PARAMS2, entry["cutoff"],
+                        band=band)
+        assert record == {"epsilon": entry["epsilon"], "N": entry["N"],
+                          "band": 256,
+                          "band_dropped_share": band.dropped_share,
+                          "band_top_share": band.top_share,
+                          "band_fallbacks": 0}
+        assert (0.0 < band.top_share <= lattice.BAND_TOL) \
+            == (entry["N"] > 256)
     # the surrogate's step, its steps and its resolution
     steps = harness.BO_STEPS_PER_CHECKPOINT
     assert payload["surrogate"]["dtau"] == 0.05 / 2 / steps
@@ -785,7 +894,8 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
     # chain's health
     health_keys = {"energy_initial", "energy_final", "energy_rel_drift",
                    "min_collision_margin", "far_bound", "far_bound_ok",
-                   "least_far_order", "band_dropped_share", "band_top_share"}
+                   "least_far_order", "band_dropped_share", "band_top_share",
+                   "band_fallbacks"}
     assert [{k: v for k, v in e.items() if k not in health_keys}
             for e in chain] == describe_plan(cfg, "validation")
     params = make_alpha_params(cfg.alpha)
@@ -807,6 +917,7 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         assert entry["band_dropped_share"] == band.dropped_share
         assert entry["band_top_share"] == band.top_share
         assert max(band.dropped_share, band.top_share) <= lattice.BAND_TOL
+        assert entry["band_fallbacks"] == band.fallbacks == 0
         margin = 1.0 - np.max(np.abs(r0))
         for state in states:
             margin = min(margin, 1.0 - np.max(np.abs(state.r)))
@@ -847,10 +958,10 @@ def test_each_epsilon_runs_its_plan_entry(monkeypatch):
                     band.Q))
         return real_steps(state, lat_cfg, nsteps, every, band)
 
-    def recorded_fields(u_tau, eps, params, cutoff, *args):
+    def recorded_fields(u_tau, eps, params, cutoff, dealias_fraction, band):
         ran.append((round(u_tau.grid.period / eps), eps, cutoff,
-                    len(u_tau.spectrum)))
-        return real_fields(u_tau, eps, params, cutoff, *args)
+                    len(u_tau.spectrum), band.Q))
+        return real_fields(u_tau, eps, params, cutoff, dealias_fraction, band)
 
     monkeypatch.setattr(harness, "run_steps", recorded_steps)
     monkeypatch.setattr(harness, "residual_fields", recorded_fields)
@@ -863,9 +974,9 @@ def test_each_epsilon_runs_its_plan_entry(monkeypatch):
                * e["steps_per_checkpoint"] for e in plan)
     ran.clear()
     run_residual_sweep(cfg)
-    # one call per epsilon, holding every checkpoint's profile
-    assert ran == [(e["N"], e["epsilon"], e["cutoff"], cfg.checkpoints + 1)
-                   for e in describe_plan(cfg, "residual")]
+    # one call per epsilon, holding every checkpoint's profile, on its band
+    assert ran == [(e["N"], e["epsilon"], e["cutoff"], cfg.checkpoints + 1,
+                    e["band"]) for e in describe_plan(cfg, "residual")]
 
 
 @pytest.mark.parametrize("sweep,overrides,match", [
@@ -1055,7 +1166,7 @@ def test_validation_refuses_an_ansatz_past_the_band(tmp_path, capsys):
 
 
 def test_residual_nan_raises_blow_up(monkeypatch):
-    def nan_fields(u_tau, eps, params, cutoff, dealias_fraction=2.0 / 3.0):
+    def nan_fields(u_tau, eps, params, cutoff, *args):
         shape = (len(u_tau.spectrum), int(round(u_tau.grid.period / eps)))
         return np.zeros(shape), np.full(shape, np.nan)
 

@@ -693,9 +693,8 @@ _KEPT = 171     # the bins of dealias_mask(512), the band of bo_modes 512
 def _band_remainder(rh, cfg, band):
     # run_steps' remainder on the band at spectrum rh, kept bins alone, with
     # the far weights it builds once per call
-    L = lattice._linear_flow(cfg)[0][:rh.size]
-    return lattice._band_remainder(cfg, L, lattice._held_far_weights(cfg),
-                                   band)(rh)
+    F = lattice._band_force(cfg, lattice._held_far_weights(cfg), band)(rh)
+    return F[:rh.size] - lattice._linear_flow(cfg)[0][:rh.size] * rh
 
 
 def _ring_remainder_on_kept_bins(rh, cfg):
@@ -776,12 +775,13 @@ def test_band_falls_back_to_the_ring_force_bit_for_bit(monkeypatch):
 
 
 def test_far_order_guard_on_the_ring_and_the_band(monkeypatch):
-    # 2 max|s| <= NEAR_RANGE + 1 is far_order's guard, whether the bound on
-    # max|s| is a ring state's max|s| (_far_split) or a band spectrum's
-    # 2 sum|s^_n|/Q (_band_remainder): a long wave scaled to put that bound
-    # just inside the guard takes the moments, and just past it falls back:
-    # the ring to every range directly, the band to the ring's force, whose
-    # own max|s| lies below the band's bound
+    # 2 max|s| <= NEAR_RANGE + 1 is far_order's guard.  The ring takes its
+    # state's max|s| (_far_split): a long wave scaled to put it just inside
+    # the guard takes the moments, and just past it sums every range
+    # directly.  The band takes the bound 2 sum|s^_n|/Q first and, where
+    # that fails the guard, the max|s| of the ring's sites (_band_force),
+    # 2.9e-7 below the bound for this wave, whose sites lie half a cell off
+    # its peaks; only where both fail does it fall back to the ring's force
     edge = (lattice.NEAR_RANGE + 1) / 2.0
     least = lattice.far_order(0.01, 2.0)
     assert least > 0 and lattice.far_order(0.01, 2.0, edge) == least
@@ -798,18 +798,42 @@ def test_far_order_guard_on_the_ring_and_the_band(monkeypatch):
     def band(r):
         return _band_remainder(np.fft.rfft(r)[:_KEPT], cfg, lattice.Band(512))
 
-    near = [lattice.NEAR_RANGE]
-    for step, inside_calls, past_calls in (
-            (lambda r: force(r, cfg), near, [cutoff]), (band, [], near)):
+    def s_max(step, r):
+        # the max|s| (or its bound) far_order is first given
         bounds.clear()
-        step(wave)
-        [ref] = bounds
-        for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
-            bounds.clear()
-            calls.clear()
-            step(edge / ref * scale * wave)
-            assert (2.0 * bounds[0] <= lattice.NEAR_RANGE + 1) == inside
-            assert calls == (inside_calls if inside else past_calls)
+        step(r)
+        return bounds[0]
+
+    def ring(r):
+        return force(r, cfg)
+
+    ring_ref = s_max(ring, wave)
+    for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        calls.clear()
+        assert (2.0 * s_max(ring, edge / ring_ref * scale * wave)
+                <= lattice.NEAR_RANGE + 1) == inside
+        assert calls == ([lattice.NEAR_RANGE] if inside else [cutoff])
+    band_ref = s_max(band, wave)
+    bounds.clear()
+    calls.clear()
+    r = edge / band_ref * (1.0 + 1e-9) * wave
+    got = band(r)
+    bound, site = bounds
+    assert 2.0 * site <= lattice.NEAR_RANGE + 1 < 2.0 * bound
+    assert site / bound == pytest.approx(math.cos(math.pi / n), abs=1e-12)
+    assert calls == []
+    # the moments the sites' max|s| lets the band take are the ring's, to
+    # 1e-10 of its max (measured 1.9e-11: at the guard's edge the moments
+    # cancel terms near 17^n, where the validate states' differ by 1.1e-11)
+    want = _ring_remainder_on_kept_bins(np.fft.rfft(r)[:_KEPT], cfg)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    site_ref = site / (edge / band_ref * (1.0 + 1e-9))
+    for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        calls.clear()
+        s_max(band, edge / site_ref * scale * wave)
+        assert 2.0 * bounds[0] > lattice.NEAR_RANGE + 1
+        assert (2.0 * bounds[1] <= lattice.NEAR_RANGE + 1) == inside
+        assert calls == ([] if inside else [cutoff])
 
 
 @pytest.mark.parametrize("bin_, what, share", [
