@@ -23,8 +23,8 @@ import numpy as np
 
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _rhs_spectrum, gaussian_profile, run_to, span_plan)
-from .lattice import (_BLOCK_ELEMENTS, FAR_ORDER, FAR_TOL, Band,
-                      LatticeConfig, LatticeState, _band_force,
+from .lattice import (_BLOCK_ELEMENTS, BAND_TOL, FAR_ORDER, FAR_TOL, Band,
+                      CollisionError, LatticeConfig, LatticeState, _band_force,
                       _held_far_weights, _refuse_collision, _split_force,
                       energy, error_energy, error_energy_constants, far_bound,
                       far_order, near_range, run_steps, step_limit)
@@ -252,14 +252,21 @@ def _ring_size(period: float, eps: float):
     return N, exact
 
 
+def _gaps_symbol(k: np.ndarray, period: float, N: int, alpha: float):
+    # the ansatz gaps' spectrum is -eps^(alpha-1) A(k, eps) times the
+    # profile's, eps = period/N, with A the window mean's symbol; returns
+    # the factor -eps^(alpha-1) and A apart
+    eps = period / N
+    return -eps ** (alpha - 1.0), average_multiplier(k, eps)
+
+
 def _ansatz_gaps(c: np.ndarray, k: np.ndarray, period: float, N: int,
                  alpha: float, shift=0.0) -> np.ndarray:
     # r_j = -eps^(alpha-1) * (mean of u over [X_j, X_j + eps]) for u with
     # half spectrum c at wavenumbers k, along the last axis of c as
     # sample_spectrum takes it
-    eps = period / N
-    return -eps ** (alpha - 1.0) * sample_spectrum(
-        average_multiplier(k, eps) * c, period, N, shift)
+    scale, A = _gaps_symbol(k, period, N, alpha)
+    return scale * sample_spectrum(A * c, period, N, shift)
 
 
 def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
@@ -306,23 +313,23 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     The acceleration part substitutes the surrogate equation for every time
     derivative (no numerical differencing); the interaction part is minus
     the chain force, truncated at cutoff, at the ansatz gaps of
-    ansatz_fields.  Where the band (by default the profile's own grid,
-    Band(u_tau.grid.n, dealias_fraction)) is smaller than the ring, that
-    force is formed on the band, as the chain's is (lattice._band_force),
-    from the gaps' ring spectrum on its kept bins, -eps^(alpha-1) N A c for
-    the profile spectrum c and the window mean's symbol A, so no
-    transform of the gaps at the ring's length is taken; the interaction
-    part has no content past bin Q/2.  The band records what it drops of
-    the gaps, its top share and its fallbacks to the ring's force.
+    ansatz_fields.  Given a band smaller than the ring, that force is formed
+    on the band, as the chain's is (lattice._band_force), from the gaps'
+    ring spectrum on its kept bins, -eps^(alpha-1) N A c for the profile
+    spectrum c and the window mean's symbol A, so no transform of the gaps
+    at the ring's length is taken, and the interaction part has no content
+    past bin Q/2.  A profile whose gaps or force the band cannot hold
+    (either share past BAND_TOL) takes the ring's force, as without a band,
+    counted in band.fallbacks; the band records the largest shares of the
+    forces it formed.
 
     A spectrum with leading axes stacks profiles, and both parts then stack
     their rows alike; row i equals the call on profile i alone to the last
     bit.  The profiles go max(1, _BLOCK_ELEMENTS // N) at a time through the
     transforms, and the force's far weights through FAR_ORDER are built once
-    for the call (_held_far_weights).  Gaps reaching 1 (CollisionError) or
-    a share past the band's BAND_TOL (BlowUpError) raise with alpha,
-    epsilon and `profile`, the index of the first profile in stack order
-    that raised.
+    for the call (_held_far_weights).  Gaps reaching 1 raise CollisionError
+    with alpha, epsilon and `profile`, the index of the first profile in
+    stack order whose gaps reach it.
     """
     period = u_tau.grid.period
     N, exact = _ring_size(period, eps)
@@ -340,14 +347,28 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     b = _held_far_weights(lat_cfg)
     kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
-    if band is None:
-        band = Band(u_tau.grid.n, dealias_fraction)
-    on_band = band.Q < N
+    on_band = band is not None and band.Q < N
     if on_band:
         force_spectrum = _band_force(lat_cfg, b, band)
-        # the gaps' ring spectrum from the profile's, as _ansatz_gaps forms
-        # the gaps
-        symbol = -eps ** (alpha - 1.0) * N * average_multiplier(kN, eps)
+        scale, A = _gaps_symbol(kN, period, N, alpha)
+        symbol = scale * N * A      # the gaps' ring spectrum over cN
+
+        def band_force(gh):
+            # the force at the gaps of ring spectrum gh, formed on the band,
+            # or None where the band cannot hold the gaps or the force,
+            # counted as one fallback whether or not the band's far order
+            # fell back first
+            n = band.fallbacks
+            dropped = band.share(gh)
+            if dropped <= BAND_TOL:
+                F = force_spectrum(gh[:band.kept])
+                top = band.share(F)
+                if top <= BAND_TOL:
+                    band.dropped_share = max(band.dropped_share, dropped)
+                    band.top_share = max(band.top_share, top)
+                    return np.fft.irfft(F, N)
+            band.fallbacks = n + 1
+            return None
     accel = np.empty((len(rows), N))
     fpart = np.empty((len(rows), N))
     B = max(1, _BLOCK_ELEMENTS // N)
@@ -371,14 +392,15 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
         del a               # so that the force's blocks reuse it
         for i, (f, row) in enumerate(zip(fpart[i0:i0 + B], g), i0):
             try:
-                if on_band:
-                    band.drop(row, "the ansatz gaps")
-                    force = np.fft.irfft(force_spectrum(row[:band.kept]), N)
-                else:
+                force = band_force(row) if on_band else None
+                if force is None:
+                    if on_band:     # the ring's gaps, as without a band
+                        row = _ansatz_gaps(resample_spectrum(rows[i], N), kN,
+                                           period, N, alpha)
                     _refuse_collision(row)
                     force = _split_force(row, lat_cfg, b)
                 np.negative(force, out=f)
-            except BlowUpError as err:
+            except CollisionError as err:
                 err.alpha, err.epsilon, err.profile = alpha, eps, i
                 raise
     shape = spectra.shape[:-1] + (N,)
@@ -438,9 +460,8 @@ def _residual_eps_task(args):
     residual_fields call on the stacked checkpoint spectra, on the entry's
     band; returns (rows, (eps, sup l2), health), health the entry's
     epsilon, N and band with the band's dropped_share, top_share and
-    fallbacks (Band).  Gaps reaching 1, a band share past BAND_TOL or a
-    non-finite residual raise, naming alpha, epsilon and the t of the first
-    checkpoint it reached."""
+    fallbacks (Band).  Gaps reaching 1 or a non-finite residual raise,
+    naming alpha, epsilon and the t of the first checkpoint it reached."""
     (config, params, states, entry) = args
     eps = entry["epsilon"]
     ts = [s.tau / eps ** params.alpha for s in states]
@@ -449,7 +470,7 @@ def _residual_eps_task(args):
         accel, fpart = residual_fields(SpectralField.from_spectrum(
             states[0].u.grid, [s.u.spectrum for s in states]), eps, params,
             entry["cutoff"], config.dealias_fraction, band)
-    except BlowUpError as err:
+    except CollisionError as err:
         # the residual knows which profile, not the checkpoint's t
         err.t = ts[err.profile]
         raise

@@ -23,9 +23,9 @@ there too.  This is a Fourier-Galerkin truncation of the chain
 with pseudo-spectral products and the 2/3 rule (Orszag 1971), the rule
 bo_solver applies to the surrogate.  The validation chains live in the
 lowest 64 or so of the ring's bins, so at the defaults it moves their sup
-errors by 2e-11 relative or less; the band records what it drops and
-refuses more than BAND_TOL.  energy and a run_steps call without a band
-stay on the ring.
+errors by 2e-11 relative or less; the band records what it drops, and
+run_steps refuses more than BAND_TOL, where the residual takes the ring's
+force.  energy and a run_steps call without a band stay on the ring.
 
 force, which run_steps and the residual share, sums its ranges past
 NEAR_RANGE by moments (_far_field) where the state allows: each far pair
@@ -443,8 +443,8 @@ class Band:
     the largest share of a field it was given above the kept bins, which it
     drops (dropped_share), the largest share of a force's grid spectrum
     above them, which the kicks drop and whose products alias (top_share),
-    and the forces it took from the ring instead (fallbacks); either share
-    past BAND_TOL raises BlowUpError."""
+    and the forces it took from the ring instead (fallbacks).  run_steps
+    refuses either share past BAND_TOL with BlowUpError."""
 
     Q: int
     dealias_fraction: float = 2.0 / 3.0
@@ -457,28 +457,31 @@ class Band:
         return int(np.count_nonzero(dealias_mask(self.Q,
                                                  self.dealias_fraction)))
 
-    def drop(self, spectrum: np.ndarray, what: str):
-        """Record the share of the field with this ring rfft spectrum past
-        the kept bins in dropped_share; BlowUpError, naming what, where
-        dropped_share passes BAND_TOL."""
-        self.dropped_share = max(self.dropped_share,
-                                 _top_share(spectrum, self.kept))
-        _refuse_past_band(self.dropped_share, self.kept, what)
+    def share(self, spectrum: np.ndarray) -> float:
+        """The share of a real field's L2 content in the bins of its rfft
+        spectrum past the kept bins, every bin but 0 counted twice."""
+        top = spectrum[self.kept:]
+        total = 2.0 * np.vdot(spectrum, spectrum).real - abs(spectrum[0]) ** 2
+        return (float(2.0 * np.vdot(top, top).real / total) if total > 0.0
+                else 0.0)
 
+    def drop(self, spectrum: np.ndarray):
+        """Record the share of the state with this ring rfft spectrum past
+        the kept bins in dropped_share; BlowUpError where it passes
+        BAND_TOL."""
+        self.dropped_share = max(self.dropped_share, self.share(spectrum))
+        self._refuse(self.dropped_share, "the state")
 
-def _top_share(spectrum: np.ndarray, kept: int) -> float:
-    """The share of a real field's L2 content in the bins of its rfft
-    spectrum from bin `kept` on, every bin but 0 counted twice."""
-    top = spectrum[kept:]
-    total = 2.0 * np.vdot(spectrum, spectrum).real - abs(spectrum[0]) ** 2
-    return float(2.0 * np.vdot(top, top).real / total) if total > 0.0 else 0.0
+    def top(self, F: np.ndarray):
+        """Record the share of the force's grid spectrum F past the kept
+        bins in top_share; BlowUpError where it passes BAND_TOL."""
+        self.top_share = max(self.top_share, self.share(F))
+        self._refuse(self.top_share, "the force's grid spectrum")
 
-
-def _refuse_past_band(share: float, kept: int, what: str):
-    """BlowUpError where a band's share of what passes BAND_TOL."""
-    if not share <= BAND_TOL:
-        raise BlowUpError(f"{share:.3g} of {what} lies past the band's "
-                          f"{kept} bins, past {BAND_TOL:g}")
+    def _refuse(self, share: float, what: str):
+        if not share <= BAND_TOL:
+            raise BlowUpError(f"{share:.3g} of {what} lies past the band's "
+                              f"{self.kept} bins, past {BAND_TOL:g}")
 
 
 def _refuse_collision(r: np.ndarray, t: float | None = None):
@@ -522,8 +525,7 @@ def _band_force(config: LatticeConfig, b, band: Band):
     and tested, and only where the bound on max|s| leaves no order is
     max|s| taken at the ring's sites.  Where still no order is found, the
     force is the ring's, rfft(force(irfft(r^, N))), counted in
-    band.fallbacks.  Each force's share past the kept bins goes to
-    band.top_share."""
+    band.fallbacks."""
     N, Q, alpha, kept = config.N, band.Q, config.alpha, band.kept
     M0 = near_range(config.cutoff)
     k = 2.0 * np.pi * np.arange(Q // 2 + 1) / N
@@ -562,15 +564,11 @@ def _band_force(config: LatticeConfig, b, band: Band):
         Ffar = far_spectrum(rh, moduli) if M0 < config.cutoff else 0.0
         if Ffar is None:
             band.fallbacks += 1
-            F = np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
-                                         b))[:Q // 2 + 1]
-        else:
-            W = np.fft.rfft(_kernel_prime(np.fft.irfft(window * rh, Q), ms,
-                                          alpha))
-            F = np.einsum("mn,mn->n", difference, W) + Ffar
-        band.top_share = max(band.top_share, _top_share(F, kept))
-        _refuse_past_band(band.top_share, kept, "the force's grid spectrum")
-        return F
+            return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
+                                            b))[:Q // 2 + 1]
+        W = np.fft.rfft(_kernel_prime(np.fft.irfft(window * rh, Q), ms,
+                                      alpha))
+        return np.einsum("mn,mn->n", difference, W) + Ffar
     return force_spectrum
 
 
@@ -604,15 +602,17 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
         if band is None or band.Q >= N:
             remainder = _ring_remainder(config, L, b)
         else:
-            band.drop(rh, "the state")
-            band.drop(ph, "the state")
+            band.drop(rh)
+            band.drop(ph)
             kept = band.kept
             L, cos, r_from_p, p_from_r, rh, ph = (
                 v[:kept] for v in (L, cos, r_from_p, p_from_r, rh, ph))
             force_spectrum = _band_force(config, b, band)
 
             def remainder(rh, r=None):
-                return force_spectrum(rh)[:kept] - L * rh
+                F = force_spectrum(rh)
+                band.top(F)
+                return F[:kept] - L * rh
         Rh = remainder(rh, state.r)
         out = []
         for i in range(1, nsteps + 1):

@@ -626,6 +626,21 @@ def test_residual_sweep_collision_exit_code_names_t(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_residual_sweep_runs_a_profile_its_band_cannot_hold(tmp_path):
+    # a 128-point profile's gaps and force pass the kept bins of its own
+    # band: each such checkpoint takes the ring's force, and report.json
+    # counts it, where the sweep once exited 2
+    out = tmp_path / "rs"
+    rc = main(["residual-sweep", "--alpha", "2.0", "--bo-modes", "128",
+               "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [b["band"] for b in report["bands"]] == [128] * 4
+    assert all(b["band_fallbacks"] > 0 for b in report["bands"])
+    assert len((out / "residual_sweep.csv").read_text().splitlines()) \
+        == 1 + 4 * 21
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"alpha": 1.8, "tau0": 0.1,

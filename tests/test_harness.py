@@ -545,15 +545,13 @@ def _interaction_longdouble(u_tau, eps, params, cutoff):
 def test_interaction_part_matches_longdouble_window_formula():
     # the interaction part is minus the chain force at the ansatz gaps; it
     # must equal the spectral window-mean formula of the residual, evaluated
-    # in long double, to far below the residual it enters.  On the ring
-    # (a band of the ring's size) it read 8e-12 and 1e-10 of the residual
-    # norm for this 128-mode profile; the per-range double-precision form
-    # read 6e-12 and 1.2e-10
+    # in long double, to far below the residual it enters (measured 8e-12
+    # and 1e-10 of the residual norm; the per-range double-precision form
+    # read 6e-12 and 1.2e-10)
     params = make_alpha_params(2.5)
     u0 = gaussian_profile(PeriodicGrid(51.2, 128), 0.1)
     for eps, cutoff in ((0.2, 75), (0.1, 255)):
-        accel, fpart = residual_fields(u0, eps, params, cutoff,
-                                       band=lattice.Band(round(51.2 / eps)))
+        accel, fpart = residual_fields(u0, eps, params, cutoff)
         ref = _interaction_longdouble(u0, eps, params, cutoff)
         gap = float(np.linalg.norm(fpart - ref)) \
             / float(np.linalg.norm(accel + fpart))
@@ -604,32 +602,33 @@ def test_residual_on_the_ring_where_the_band_reaches_it():
                 == (0.0, 0.0, 0)
 
 
-@pytest.mark.parametrize("what", ["the ansatz gaps",
-                                  "the force's grid spectrum"])
-def test_band_residual_refuses_content_past_its_bins(what):
+@pytest.mark.parametrize("what", ["gaps", "force"])
+def test_band_residual_takes_the_ring_past_its_bins(what):
     # a profile with a wave of 1e-8 of it at bin 200, past the 171 bins of
     # its 512-point band, second in a stack, or the 128-mode profile whose
-    # force passes the 43 bins of its own band by 2.7e-19: BlowUpError
-    # naming alpha, epsilon and the profile
-    if what == "the ansatz gaps":
+    # force passes the 43 bins of its own band by 2.7e-19: that profile
+    # takes the ring's interaction part, bit for bit, counted as a
+    # fallback, and the band's shares are those of the forces it formed
+    if what == "gaps":
         alpha, eps, cutoff = 2.0, 0.1, 300
         u0 = gaussian_profile(PeriodicGrid(102.4, 512), 0.7)
         wave = np.zeros_like(u0.spectrum)
         wave[200] = 1e-8 * np.max(np.abs(u0.spectrum))
-        field = SpectralField.from_spectrum(
-            u0.grid, [u0.spectrum, u0.spectrum + wave])
-        profile, share = 1, "dropped_share"
+        spectra, profile = [u0.spectrum, u0.spectrum + wave], 1
     else:
         alpha, eps, cutoff = 2.5, 0.2, 75
-        field = gaussian_profile(PeriodicGrid(51.2, 128), 0.1)
-        profile, share = 0, "top_share"
+        u0 = gaussian_profile(PeriodicGrid(51.2, 128), 0.1)
+        spectra, profile = [u0.spectrum], 0
+    field = SpectralField.from_spectrum(u0.grid, spectra)
+    params = make_alpha_params(alpha)
     band = lattice.Band(field.grid.n)
-    with pytest.raises(BlowUpError, match=what) as info:
-        residual_fields(field, eps, make_alpha_params(alpha), cutoff,
-                        band=band)
-    assert (info.value.alpha, info.value.epsilon, info.value.profile) \
-        == (alpha, eps, profile)
-    assert getattr(band, share) > lattice.BAND_TOL
+    _, fpart = residual_fields(field, eps, params, cutoff, band=band)
+    _, ring = residual_fields(field, eps, params, cutoff)
+    assert np.array_equal(fpart[profile], ring[profile])
+    assert band.fallbacks == 1
+    assert 0.0 < band.top_share <= lattice.BAND_TOL if what == "gaps" \
+        else band.top_share == 0.0
+    assert band.dropped_share <= lattice.BAND_TOL
 
 
 def test_residual_collision_names_the_run(monkeypatch):
@@ -638,19 +637,20 @@ def test_residual_collision_names_the_run(monkeypatch):
     # sweep adds the t of the first checkpoint, in stack order, that reached
     # it, whether the stack goes through in one chunk or two profiles a
     # chunk, on the ring of 256 sites and on the profile's band of 256
-    # points within the ring of 320
+    # points within the ring of 320, which forms the force itself
     u0 = gaussian_profile(PeriodicGrid(102.4, 256), 5.0)
     small = gaussian_profile(PeriodicGrid(102.4, 256), 0.1)
     cfg = _smoke_config(checkpoints=6)
-    for N in (256, 320):
+    for N, band in ((256, None), (320, lattice.Band(256))):
         r, _ = ansatz_fields(u0.spectrum, 102.4, N, PARAMS2)
         assert np.max(np.abs(r)) >= 1.0
         with pytest.raises(CollisionError) as info:
             residual_fields(SpectralField.from_spectrum(
                 u0.grid, [small.spectrum, u0.spectrum]), 102.4 / N, PARAMS2,
-                50)
+                50, band=band)
         assert (info.value.alpha, info.value.epsilon, info.value.profile) \
             == (2.0, 102.4 / N, 1)
+    assert band.fallbacks == 0
     states = [BOState(u=u, tau=i * cfg.tau0 / 6) for i, u in enumerate(
         [small] * 3 + [u0, small, u0, small])]
     for entry in describe_plan(cfg, "residual")[:2]:
@@ -678,10 +678,12 @@ def _stacked_checkpoints(alpha, **overrides):
         u0.grid, [s.u.spectrum for s in states])
 
 
-def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch):
+def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch,
+                                  Q=None):
     # the stacked call builds the far weights once, through FAR_ORDER, past
     # a cutoff of twice the near range and none within it; every row equals
-    # the one-profile call to the last bit
+    # the one-profile call to the last bit, on the ring or on a band of Q
+    # points
     built = []
     real = lattice._far_weights
 
@@ -689,14 +691,17 @@ def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch):
         built.append(p)
         return real(config, p)
 
+    def band():
+        return None if Q is None else lattice.Band(Q)
+
     monkeypatch.setattr(lattice, "_far_weights", counted)
-    accel, fpart = residual_fields(field, eps, params, cutoff)
+    accel, fpart = residual_fields(field, eps, params, cutoff, band=band())
     assert built == ([lattice.FAR_ORDER]
                      if cutoff > 2 * lattice.NEAR_RANGE else [])
     assert accel.shape == fpart.shape == (len(field.spectrum), accel.shape[1])
     for i, c in enumerate(field.spectrum):
         a, f = residual_fields(SpectralField.from_spectrum(field.grid, c), eps,
-                               params, cutoff)
+                               params, cutoff, band=band())
         assert np.array_equal(accel[i], a), i
         assert np.array_equal(fpart[i], f), i
 
@@ -705,13 +710,15 @@ def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch):
 def test_stacked_residual_rows_equal_single_profile_calls(alpha,
                                                           monkeypatch):
     # the sweep's 21 checkpoints on its four default rings, 512 to 1448
-    # sites, one to two chunks of profiles
+    # sites, one to two chunks of profiles, on the ring and on the band the
+    # sweep takes
     cfg, params, field = _stacked_checkpoints(alpha)
     assert field.spectrum.shape == (cfg.checkpoints + 1,
                                     cfg.bo_modes // 2 + 1)
     for entry in describe_plan(cfg, "residual"):
-        _assert_rows_are_single_calls(field, entry["epsilon"], params,
-                                      entry["cutoff"], monkeypatch)
+        for Q in (None, entry["band"]):
+            _assert_rows_are_single_calls(field, entry["epsilon"], params,
+                                          entry["cutoff"], monkeypatch, Q)
 
 
 def test_stacked_residual_rows_at_a_short_cutoff(monkeypatch):
@@ -771,20 +778,25 @@ def test_stacked_residual_peak_memory_stays_bounded():
     # one 21-profile call on the sweep's largest ring, (1448, 600), alpha
     # 1.8: two chunks of at most 11 profiles through the transforms, the
     # held weights (25 rows, 145 KB) and both parts' 21 rows (486 KB); the
-    # peak measured 1.62 MB, and the bound allows 11% over that, 1.8 MB.
-    # With u_X, u_tau and v_tautau formed side by side the call peaked at
-    # 1.83 MB, and with them and the chunk's spectra alive through the
-    # force loop at 2.20 MB
+    # peak measured 1.62 MB on the ring and 1.73 MB on the sweep's band of
+    # 512 points, and the bound allows 11% over the first, 1.8 MB.  With
+    # u_X, u_tau and v_tautau formed side by side the call peaked at 1.83
+    # MB, and with them and the chunk's spectra alive through the force
+    # loop at 2.20 MB
     cfg, params, field = _stacked_checkpoints(1.8)
     eps = cfg.period / 1448
-    residual_fields(field, eps, params, 600)
-    tracemalloc.start()
-    try:
-        residual_fields(field, eps, params, 600)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_800_000
+    for Q in (None, cfg.bo_modes):
+        def call():
+            band = None if Q is None else lattice.Band(Q)
+            residual_fields(field, eps, params, 600, band=band)
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_800_000, Q
 
 
 # ---------------------------------------------------------------------------
