@@ -55,7 +55,7 @@ _EXECUTION_KEYS = frozenset({"out", "output", "jobs", "dry_run"})
 def config_fingerprint(config) -> str:
     """sha256 of the canonical JSON encoding; stable across reruns.
 
-    Execution-only keys (output paths, worker counts) are excluded so the
+    Execution-only keys (output paths, jobs, dry_run) are excluded so the
     same numerical configuration hashes identically wherever it runs.
     """
     if isinstance(config, dict):
@@ -100,9 +100,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_floats(text):
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
+        values = ()
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+    return values
 
 
 def _emit(payload) -> None:
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--jobs", type=int, metavar="J",
-                       help="worker count for per-epsilon runs")
+                       help="only 1: a sweep runs its epsilons serially")
     sweep.add_argument("--config", metavar="FILE",
                        help="JSON object with run settings; flags override")
     sweep.add_argument("--alpha", type=float)

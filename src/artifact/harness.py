@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -98,6 +97,7 @@ class ValidationConfig:
     is snapped to the nearest even ring size N = period/epsilon and the
     exact epsilon = period/N is what gets used and reported.  lattice_dt is
     the chain's nominal step down to eps STEP_GROWTH_EPS; it grows below.
+    jobs admits only 1: a sweep runs its epsilons one after another.
     """
 
     alpha: float = 2.0
@@ -148,11 +148,14 @@ class ValidationConfig:
         if self.amplitude is not None and not (
                 math.isfinite(self.amplitude) and self.amplitude != 0.0):
             raise ConfigError("amplitude must be finite and nonzero")
-        for name in ("checkpoints", "bo_modes", "jobs"):
+        for name in ("checkpoints", "bo_modes"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, int) or val < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, "
                                   f"got {val!r}")
+        if type(self.jobs) is not int or self.jobs != 1:
+            raise ConfigError("jobs must be 1, as sweeps run their epsilons "
+                              f"serially, got {self.jobs!r}")
         if not isinstance(self.energy_trace, bool):
             raise ConfigError("energy_trace must be true or false, got "
                               f"{self.energy_trace!r}")
@@ -455,14 +458,13 @@ def _surrogate_record(config: ValidationConfig, steps: int, spectra) -> dict:
 # residual sweep
 
 
-def _residual_eps_task(args):
+def _residual_eps_task(config, params, states, entry):
     """The residual at every checkpoint of a plan entry, from one
     residual_fields call on the stacked checkpoint spectra, on the entry's
     band; returns (rows, (eps, sup l2), health), health the entry's
     epsilon, N and band with the band's dropped_share, top_share and
     fallbacks (Band).  Gaps reaching 1 or a non-finite residual raise,
     naming alpha, epsilon and the t of the first checkpoint it reached."""
-    (config, params, states, entry) = args
     eps = entry["epsilon"]
     ts = [s.tau / eps ** params.alpha for s in states]
     band = Band(entry["band"], config.dealias_fraction)
@@ -493,14 +495,15 @@ def run_residual_sweep(config: ValidationConfig):
 
     Returns (rows, report): rows are (alpha, epsilon, t, l2) per checkpoint,
     the report fits sup_t l2 against epsilon with target exponent beta.  A
-    bad ring at any epsilon raises ConfigError before any work.
+    bad ring at any epsilon raises ConfigError before any work.  The
+    epsilons run in plan order, and the first to fail stops the sweep.
     """
     plan = describe_plan(config, "residual")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, default_residual_amplitude(config.alpha))
     states, surrogate = _bo_checkpoint_states(config, params, u0)
-    tasks = [(config, params, states, entry) for entry in plan]
-    results = _map_tasks(_residual_eps_task, tasks, config.jobs)
+    results = [_residual_eps_task(config, params, states, entry)
+               for entry in plan]
     rows = [row for res in results for row in res[0]]
     report = _scaling_report([res[1] for res in results], params.beta)
     if config.output:
@@ -514,7 +517,7 @@ def run_residual_sweep(config: ValidationConfig):
 # lattice-versus-surrogate validation
 
 
-def _validation_eps_task(args):
+def _validation_eps_task(config, params, bo, entry):
     """March the chain of a plan entry from the ansatz at t = 0 and compare
     it with the surrogate at every checkpoint; returns (rows, (eps, sup mu),
     (eps, sup nu), energy_rows, health).
@@ -529,7 +532,6 @@ def _validation_eps_task(args):
     and health adds the band's dropped_share, top_share and fallbacks
     (Band).  A drift past ENERGY_DRIFT_TOL raises BlowUpError.
     """
-    (config, params, bo, entry) = args
     alpha, eps = params.alpha, entry["epsilon"]
     lat_cfg = LatticeConfig(N=entry["N"], alpha=alpha,
                             cutoff=entry["cutoff"], dt=entry["dt"])
@@ -594,15 +596,16 @@ def run_validation(config: ValidationConfig) -> ValidationResult:
     Per checkpoint the comparison profile is the surrogate at tau = eps^alpha t
     evaluated at the shifted points eps*(j - c t).  A collision or a
     non-finite error or an energy drift past ENERGY_DRIFT_TOL at any epsilon
-    raises, naming alpha, epsilon and t; nothing is fitted or written then.
-    An unstable chain step at any epsilon raises ValueError before any work.
+    raises, naming alpha, epsilon and t, and stops the sweep, whose epsilons
+    run in plan order; nothing is fitted or written then.  An unstable
+    chain step at any epsilon raises ValueError before any work.
     """
     plan = describe_plan(config, "validation")
     params = make_alpha_params(config.alpha)
     u0 = _initial_profile(config, DEFAULT_VALIDATION_AMPLITUDE)
     states, surrogate = _bo_checkpoint_states(config, params, u0)
-    tasks = [(config, params, states, entry) for entry in plan]
-    results = _map_tasks(_validation_eps_task, tasks, config.jobs)
+    results = [_validation_eps_task(config, params, states, entry)
+               for entry in plan]
     result = ValidationResult(
         rows=[row for res in results for row in res[0]],
         mu_report=_scaling_report([res[1] for res in results], params.gamma),
@@ -636,14 +639,6 @@ def error_energy_trace(samples, params: AlphaParams, cutoff: int):
         ok = lo * (1.0 - 1e-9) <= ratio <= hi * (1.0 + 1e-9)
         rows.append((t, H, ok, ratio))
     return rows
-
-
-def _map_tasks(fn, tasks, jobs):
-    jobs = min(jobs, len(tasks))
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
 default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
 orders 11 to 20, and the validation chains orders 9 or less.  Every far
 field is given its weight rows and takes every order at once: force,
-run_steps and the residual build them once per call through FAR_ORDER
-(_held_far_weights), energy through its own order.
+run_steps, the residual and energy build them once per call through
+FAR_ORDER (_held_far_weights), energy keeping the rows of its own order.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class LatticeConfig:
             raise ValueError("N must be at least 16")
         if not 1 <= self.cutoff <= self.N // 2 - 1:
             raise ValueError(f"cutoff must lie in [1, N/2 - 1], got {self.cutoff}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 1.0 < self.alpha < 3.0:
             raise ValueError(f"alpha must lie in (1, 3), got {self.alpha}")
 
@@ -323,9 +323,13 @@ def _scaled_primitive(r: np.ndarray, rho: float) -> np.ndarray:
     return (S - np.mean(S)) / (1.0 + rho)
 
 
-def _far_weights(config: LatticeConfig, p: int) -> np.ndarray:
-    """Weight rows b_0..b_p, real, over the rfft bins, of _far_field for the
-    ranges past near_range(config.cutoff).  Order n of the far slopes,
+def _held_far_weights(config: LatticeConfig):
+    """The far weights of every force at one config, which force, run_steps
+    and the residual build once per call and energy slices: weight rows
+    b_0..b_FAR_ORDER, real, over the rfft bins, of _far_field for the
+    ranges past near_range(config.cutoff), for every order a state may need;
+    None where the cutoff does not reach past the near range, since no far
+    field is taken there.  Order n of the far slopes,
     sum_m C(-alpha-1, n) m^-(alpha+1+n) (d_m(j)^n - d_m(j-m)^n) with
     d_m(j) = s_{j+m} - s_j, splits binomially into (-s_j)^q/q! times a
     correlation and a convolution of s^k/k!, q + k = n, whose spectrum is
@@ -333,13 +337,15 @@ def _far_weights(config: LatticeConfig, p: int) -> np.ndarray:
     g_n = n! C(-alpha-1, n) = prod_{i<=n} -(alpha+i): 2 g_n Re c^_n at odd
     n and -2i g_n Im c^_n at even n, so that b_n = B_n / i^(n+1) is real."""
     N, M, M0 = config.N, config.cutoff, near_range(config.cutoff)
+    if M0 == M:
+        return None
     alpha = config.alpha
-    n = np.arange(p + 1)
+    n = np.arange(FAR_ORDER + 1)
     # -2 (-1)^n g_n over i^(n+1), on the part B_n keeps: Re c^_n at odd n,
     # Im c^_n times i at even n
     f = -2.0 * (-1.0) ** (n + (n + 1) // 2) * np.cumprod(
-        [1.0] + [-(alpha + i) for i in range(1, p + 1)])
-    c = np.zeros((p + 1, N))
+        [1.0] + [-(alpha + i) for i in range(1, FAR_ORDER + 1)])
+    c = np.zeros((FAR_ORDER + 1, N))
     c[:, M0 + 1:M + 1] = np.arange(M0 + 1, M + 1, dtype=float) ** -(
         alpha + 1.0 + n[:, None])
     C = np.fft.rfft(c)
@@ -347,21 +353,12 @@ def _far_weights(config: LatticeConfig, p: int) -> np.ndarray:
     return np.where(n[:, None] % 2, C.real, C.imag) * f[:, None]
 
 
-def _held_far_weights(config: LatticeConfig):
-    """The far weights of every force at one config, which force, run_steps
-    and the residual build once per call: _far_weights through FAR_ORDER,
-    for every order a state may need, where the cutoff reaches past the near
-    range; else None, since no far field is taken there."""
-    return (_far_weights(config, FAR_ORDER)
-            if near_range(config.cutoff) < config.cutoff else None)
-
-
 def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
                b: np.ndarray):
     """The share of force(r, config) of the ranges past the near range
     through order p, at gaps r of mean rho and scaled primitive s (as in
     _scaled_primitive), from the weight rows b_0..b_p and any past them
-    (_far_weights, or _far_potential's rows over n + 1):
+    (_held_far_weights, or _far_potential's rows over n + 1):
     -alpha (1+rho)^-(alpha+1) sum_q (-s)^q/q! irfft(H_q),
     H_q = sum_{k<=p-q} B_{q+k} (s^k/k!)^ (orders <= p).
 
@@ -675,8 +672,7 @@ def _far_potential(s: np.ndarray, rho: float, config: LatticeConfig,
     m = np.arange(near_range(config.cutoff) + 1, config.cutoff + 1,
                   dtype=float)
     const = N * float(_kernel(rho, 1.0, alpha)) * float(np.sum(m ** -alpha))
-    b = _far_weights(config, p)
-    b /= np.arange(1.0, p + 2.0)[:, None]
+    b = _held_far_weights(config)[:p + 1] / np.arange(1.0, p + 2.0)[:, None]
     return const - (1.0 + rho) * float(np.dot(s, _far_field(s, rho, config,
                                                               p, b)))
 

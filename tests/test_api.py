@@ -103,12 +103,15 @@ def test_benchmark_trace_targets_exist():
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():
     # eta is in closed form; importing scipy.integrate once took about
-    # 0.3 s of every fresh process
+    # 0.3 s of every fresh process.  The sweeps run serially, so nothing
+    # loads multiprocessing either, whose process pool took 10-13 ms of the
+    # import
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run(
         [sys.executable, "-c",
-         "import artifact, sys; print('scipy.integrate' in sys.modules)"],
+         "import artifact, artifact.cli, sys; print(*(name in sys.modules "
+         "for name in ('scipy.integrate', 'multiprocessing')))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -72,12 +72,15 @@ def test_alpha_star_stdout(capsys):
     ["eta-rates", "--alpha", "2.0", "--tol", "1e-12"],
     ["residual-sweep", "--bo-steps-per-checkpoint", "20"],
     ["constants", "--alpha", "2.0", "--jobs", "1"],
-    ["validate", "--bidirectional", "--dry-run"]])
+    ["validate", "--bidirectional", "--dry-run"],
+    ["eta-rates", "--alpha", "2.0", "--h-list", ""],
+    ["eta-rates", "--alpha", "2.0", "--h-list", ","]])
 def test_lattice_sums_take_no_tolerance(argv, tmp_path, capsys,
                                         monkeypatch):
     # zeta and eta_riemann are exact to rounding, so there is no --tol to
     # set; the surrogate's steps per checkpoint are fixed, --jobs is a
-    # sweep flag only, and validation runs forward only
+    # sweep flag only, and validation runs forward only; an empty --h-list
+    # printed a bare header and exited 0
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -580,7 +583,7 @@ def test_residual_sweep_deterministic_outputs(tmp_path, capsys):
 
 def test_validate_end_to_end(tmp_path, capsys):
     out = tmp_path / "val"
-    rc = main(["validate", "--alpha", "2.0", "--out", str(out), "--jobs", "2"]
+    rc = main(["validate", "--alpha", "2.0", "--out", str(out), "--jobs", "1"]
               + _SWEEP_ARGS)
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
@@ -665,7 +668,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     ("period", None), ("width_fraction", "20"), ("lattice_dt", True),
     ("residual_cutoff_coef", "3"), ("dealias_fraction", "0.6"),
     ("epsilons", 0.3), ("epsilons", [0.2, True, 0.1]),
-    ("energy_trace", "no"), ("energy_trace", 1)])
+    ("energy_trace", "no"), ("energy_trace", 1), ("jobs", 2)])
 def test_config_file_non_integer_count_exits_before_any_work(
         field, value, dry_run, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -788,11 +791,14 @@ def test_unstable_lattice_dt_exits_before_any_work(dry_run, tmp_path, capsys,
     ("residual-sweep", "--residual-cutoff-coef", "inf"),
     ("validate", "--amplitude", "0"),
     ("residual-sweep", "--amplitude", "nan"),
+    ("validate", "--jobs", "0"),
+    ("residual-sweep", "--jobs", "2"),
 ])
 def test_non_finite_sweep_settings_exit_before_any_work(
         command, flag, value, dry_run, tmp_path, capsys, monkeypatch):
     # these died with a ZeroDivisionError or OverflowError traceback, or
-    # (amplitude 0) ran every epsilon before failing the fit
+    # (amplitude 0) ran every epsilon before failing the fit; a sweep runs
+    # its epsilons serially, and --jobs 2 once ran them in a process pool
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
@@ -851,13 +857,16 @@ def _refused_simulate_lattice(argv, dry_run, tmp_path, capsys):
     (["--epsilon", "0"], "epsilon", "0.0"),
     (["--epsilon", "-0.4"], "epsilon", "-0.4"),
     (["--period", "inf"], "period", "inf"),
-    (["--period", "nan"], "period", "nan")])
+    (["--period", "nan"], "period", "nan"),
+    (["--dt", "nan"], "dt", "nan"),
+    (["--dt", "inf"], "dt", "inf")])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_simulate_lattice_refuses_a_bad_ring(dry_run, argv, name, value,
                                              tmp_path, capsys):
     # nan once failed converting NaN to an integer, 0 raised
     # ZeroDivisionError and an infinite period OverflowError, each with a
-    # traceback, and -0.4 gave "a ring of only -32 sites"
+    # traceback, and -0.4 gave "a ring of only -32 sites"; a dt of nan or inf
+    # was refused as past the split step's stability limit
     err = _refused_simulate_lattice(["--steps", "4"] + argv, dry_run,
                                     tmp_path, capsys)
     assert err == f"error: {name} must be finite and positive, got {value}\n"

@@ -51,8 +51,10 @@ def test_config_validation():
         ValidationConfig(tau0=0.0)
     with pytest.raises(ConfigError):
         ValidationConfig(checkpoints=0)
-    with pytest.raises(ConfigError):
-        ValidationConfig(jobs=0)
+    # a sweep runs its epsilons serially: jobs admits the int 1 alone
+    for value in (0, 2, 1.0, True):
+        with pytest.raises(ConfigError, match="jobs must be 1"):
+            ValidationConfig(jobs=value)
     with pytest.raises(ConfigError):
         ValidationConfig(dealias_fraction=0.7)  # would alias by design
     # each of these once passed the dry run and died in the run, one of
@@ -329,7 +331,7 @@ def test_chain_step_within_the_step_laws_accuracy_bound(alpha, eps):
     fine = dict(entry, dt=entry["dt"] / 4,
                 steps_per_checkpoint=4 * entry["steps_per_checkpoint"])
     (_, mu, nu, _, health), (_, mu4, nu4, _, _) = (
-        harness._validation_eps_task((cfg, params, surrogate, e))
+        harness._validation_eps_task(cfg, params, surrogate, e)
         for e in (entry, fine))
     assert abs(mu[1] / mu4[1] - 1.0) <= 4.5e-3
     assert abs(nu[1] / nu4[1] - 1.0) <= 4.5e-3
@@ -657,7 +659,7 @@ def test_residual_collision_names_the_run(monkeypatch):
         for block in (lattice._BLOCK_ELEMENTS, 2 * entry["N"]):
             monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block)
             with pytest.raises(CollisionError) as info:
-                harness._residual_eps_task((cfg, PARAMS2, states, entry))
+                harness._residual_eps_task(cfg, PARAMS2, states, entry)
             assert (info.value.alpha, info.value.epsilon) \
                 == (2.0, entry["epsilon"])
             assert info.value.t \
@@ -685,19 +687,21 @@ def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch,
     # the one-profile call to the last bit, on the ring or on a band of Q
     # points
     built = []
-    real = lattice._far_weights
+    real = lattice._held_far_weights
 
-    def counted(config, p):
-        built.append(p)
-        return real(config, p)
+    def counted(config):
+        b = real(config)
+        built.append(None if b is None else len(b) - 1)
+        return b
 
     def band():
         return None if Q is None else lattice.Band(Q)
 
-    monkeypatch.setattr(lattice, "_far_weights", counted)
+    for module in (harness, lattice):
+        monkeypatch.setattr(module, "_held_far_weights", counted)
     accel, fpart = residual_fields(field, eps, params, cutoff, band=band())
-    assert built == ([lattice.FAR_ORDER]
-                     if cutoff > 2 * lattice.NEAR_RANGE else [])
+    assert built == [lattice.FAR_ORDER
+                     if cutoff > 2 * lattice.NEAR_RANGE else None]
     assert accel.shape == fpart.shape == (len(field.spectrum), accel.shape[1])
     for i, c in enumerate(field.spectrum):
         a, f = residual_fields(SpectralField.from_spectrum(field.grid, c), eps,
@@ -1027,16 +1031,6 @@ def test_lattice_dt_halving_moves_sup_errors_below_one_percent(alpha):
                                                               sup_fine)
 
 
-def test_run_validation_parallel_matches_serial(tmp_path):
-    cfg1 = _smoke_config(output=str(tmp_path / "s"))
-    cfg2 = _smoke_config(output=str(tmp_path / "p"), jobs=3)
-    run_validation(cfg1)
-    run_validation(cfg2)
-    a = (tmp_path / "s" / "validation.csv").read_bytes()
-    b = (tmp_path / "p" / "validation.csv").read_bytes()
-    assert a == b
-
-
 def test_run_validation_all_runs_colliding_raises():
     cfg = _smoke_config(amplitude=10.0)
     with pytest.raises(CollisionError) as info:
@@ -1096,10 +1090,13 @@ def test_validation_nan_error_raises_blow_up(monkeypatch, tmp_path, capsys):
 def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
                                                   capsys):
     # NaN momenta on the smallest ring only: the sweep raises with that run's
-    # alpha, epsilon and t, and no fit over the other epsilons is written
+    # alpha, epsilon and t at once, running no chain past it, and no fit
+    # over the other epsilons is written
     real = harness.run_steps
+    ran = []
 
     def nan_on_smallest_ring(state, cfg, nsteps, every=None, band=None):
+        ran.append(cfg.N)
         states = real(state, cfg, nsteps, every, band)
         if cfg.N == 256:
             return [LatticeState(r=out.r, p=np.full_like(out.p, np.nan),
@@ -1114,6 +1111,8 @@ def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
     assert info.value.alpha == 2.0
     assert info.value.epsilon == 102.4 / 256
     assert info.value.t == pytest.approx(0.05 / 0.4 ** 2 / 2)
+    assert ran == [256]
+    ran.clear()
     out = tmp_path / "v"
     rc = main(["validate", "--alpha", "2.0", "--out", str(out),
                "--epsilons", epsilons, "--tau0", "0.05", "--checkpoints", "2",
@@ -1125,6 +1124,7 @@ def test_one_failing_epsilon_stops_the_validation(monkeypatch, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("blow-up:")
     assert f"alpha=2.0 epsilon={102.4 / 256} t=" in lines[0]
     assert not (out / "report.json").exists()
+    assert ran == [256]
 
 
 def test_validation_energy_drift_raises_blow_up(monkeypatch, tmp_path,
@@ -1178,8 +1178,13 @@ def test_validation_refuses_an_ansatz_past_the_band(tmp_path, capsys):
 
 
 def test_residual_nan_raises_blow_up(monkeypatch):
+    # a non-finite residual on the first ring stops the sweep there: no
+    # residual is formed on a ring past it
+    ran = []
+
     def nan_fields(u_tau, eps, params, cutoff, *args):
         shape = (len(u_tau.spectrum), int(round(u_tau.grid.period / eps)))
+        ran.append(shape[1])
         return np.zeros(shape), np.full(shape, np.nan)
 
     monkeypatch.setattr(harness, "residual_fields", nan_fields)
@@ -1188,6 +1193,7 @@ def test_residual_nan_raises_blow_up(monkeypatch):
     assert info.value.alpha == 2.0
     assert info.value.epsilon == pytest.approx(102.4 / 256)
     assert info.value.t == 0.0
+    assert ran == [256]
 
 
 def test_error_energy_trace_rows():

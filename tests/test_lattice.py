@@ -416,8 +416,7 @@ def _validate_state(alpha, n):
 def _stepper_remainder(r, cfg):
     # the remainder R = F - L r that run_steps kicks with at r, on the ring,
     # with the far weights it builds once per call
-    F = lattice._split_force(
-        r, cfg, lattice._far_weights(cfg, lattice.FAR_ORDER))
+    F = lattice._split_force(r, cfg, lattice._held_far_weights(cfg))
     L = lattice._linear_flow(cfg)[0]
     return np.fft.irfft(np.fft.rfft(F) - L * np.fft.rfft(r), cfg.N)
 
@@ -527,10 +526,10 @@ def _far_error_and_allowance(alpha, p):
     # near x = 0.1 at every range, where the dropped orders are measurable,
     # against the long-double far sum (the double-precision direct sum's own
     # rounding, 1.6e-13 to 3.3e-13 of the far field here, would exceed the
-    # 1e-14 allowance at p >= 15), with weights built at p and with those
-    # run_steps builds through FAR_ORDER, which must give the same field to
-    # the last bit, since rows past p never enter; and the bound it is gated
-    # by: a far pair slope errs by at most alpha (1+rho)^-(alpha+1)
+    # 1e-14 allowance at p >= 15), with the held weights cut to p + 1 rows
+    # and with all of them, through FAR_ORDER, which must give the same
+    # field to the last bit, since rows past p never enter; and the bound it
+    # is gated by: a far pair slope errs by at most alpha (1+rho)^-(alpha+1)
     # m^-(alpha+1) (alpha+1) x far_bound, and a force by twice the sum of
     # that over the far ranges
     n, cutoff = 256, 127
@@ -541,8 +540,9 @@ def _far_error_and_allowance(alpha, p):
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
     want = _far_sum_longdouble(r, alpha, lattice.NEAR_RANGE, cutoff)
     s = lattice._scaled_primitive(r, rho)
-    got, held = (lattice._far_field(s, rho, cfg, p, lattice._far_weights(
-        cfg, rows)) for rows in (p, lattice.FAR_ORDER))
+    b = lattice._held_far_weights(cfg)
+    got, held = (lattice._far_field(s, rho, cfg, p, rows)
+                 for rows in (b[:p + 1], b))
     assert np.array_equal(got, held)
     err = float(np.max(np.abs(got - want)))
     m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
@@ -607,7 +607,8 @@ def test_far_field_refuses_too_few_weight_rows():
         0.01 * np.sin(2.0 * np.pi * np.arange(256) / 256), 0.0)
     with pytest.raises(ValueError, match="order 12 needs 13 weight rows, "
                                          "got 11"):
-        lattice._far_field(s, 0.0, cfg, 12, lattice._far_weights(cfg, 10))
+        lattice._far_field(s, 0.0, cfg, 12,
+                           lattice._held_far_weights(cfg)[:11])
 
 
 # the orders force takes on the residual states at t = 0, ring by ring
@@ -897,15 +898,21 @@ def test_run_steps_memory_stays_bounded():
 
 def test_run_steps_builds_far_weights_only_past_twice_the_near_range(
         monkeypatch):
-    # within a cutoff of 2 NEAR_RANGE every range is summed directly and no
-    # weights are built; one range more, and one call builds them once
+    # one call asks for the held weights once: within a cutoff of
+    # 2 NEAR_RANGE every range is summed directly and none are built; one
+    # range more, and they are built through FAR_ORDER
     built = []
-    real = lattice._far_weights
-    monkeypatch.setattr(lattice, "_far_weights",
-                        lambda config, p: built.append(p) or real(config, p))
+    real = lattice._held_far_weights
+
+    def counted(config):
+        b = real(config)
+        built.append(None if b is None else len(b) - 1)
+        return b
+
+    monkeypatch.setattr(lattice, "_held_far_weights", counted)
     state = _random_state(7, n=128, scale=1e-3)
     M = 2 * lattice.NEAR_RANGE
-    for cutoff, want in ((M, []), (M + 1, [lattice.FAR_ORDER])):
+    for cutoff, want in ((M, [None]), (M + 1, [lattice.FAR_ORDER])):
         built.clear()
         run_steps(state, _config(n=128, cutoff=cutoff, dt=0.05), 3)
         assert built == want
@@ -1172,6 +1179,12 @@ def test_config_validation():
         LatticeConfig(N=64, alpha=3.0, cutoff=10, dt=0.05)
     with pytest.raises(ValueError):
         LatticeConfig(N=64, alpha=2.0, cutoff=10, dt=0.0)
+    # nan and inf passed a "<= 0" check, and the run refused them as past
+    # the split step's stability limit
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=f"dt must be finite and positive, got {dt}"):
+            LatticeConfig(N=64, alpha=2.0, cutoff=10, dt=dt)
 
 
 # ---------------------------------------------------------------------------
