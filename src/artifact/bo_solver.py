@@ -65,41 +65,44 @@ def _linear_symbol(k: np.ndarray, params: AlphaParams) -> np.ndarray:
 
 def _advection_symbol(k: np.ndarray, mask: np.ndarray, coef: float) -> np.ndarray:
     # coef * (1/2) i k on the kept bins, times n for the unnormalised
-    # transforms of _nonlinear_spec; 0 at k = 0, so the mean is conserved
+    # transforms of the quadratic term; 0 at k = 0, so the mean is conserved
     n = 2 * (k.size - 1)
     return (0.5j * coef * n) * k * mask
 
 
-def _nonlinear_spec(c: np.ndarray, mask: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # coef * P(u u_X) in the conservative form coef * P(1/2 dX u^2), u the
-    # filtered field and d = _advection_symbol(k, mask, coef): the mask keeps
-    # 3|j| < n, so no alias of u^2 lands on a kept bin and the two forms
-    # agree; along the last axis of c, leading axes stacking spectra
-    u = np.fft.irfft(c * mask, 2 * (c.shape[-1] - 1))
-    return d * np.fft.rfft(u * u)
+def _filtered(c: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    # the filtered field u, unnormalised, from its half spectrum c on a ring
+    # of 2*(c.shape[-1] - 1) points, along the last axis
+    return np.fft.irfft(c * mask, 2 * (c.shape[-1] - 1))
 
 
 def _rhs_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
-                  mask: np.ndarray) -> np.ndarray:
+                  mask: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     """du/dtau on the half spectrum of an arbitrary even-length ring, along
-    the last axis of c; leading axes stack spectra."""
+    the last axis of c; leading axes stack spectra.  u is the filtered field
+    _filtered(c, mask), formed here where the caller does not hold it."""
+    # coef * P(u u_X) in the conservative form coef * P(1/2 dX u^2), with
+    # d = _advection_symbol(k, mask, coef): the mask keeps 3|j| < n, so no
+    # alias of u^2 lands on a kept bin and the two forms agree
     d = _advection_symbol(k, mask, -(params.kappa2 / params.kappa1))
-    return _nonlinear_spec(c, mask, d) + _linear_symbol(k, params) * c
+    if u is None:
+        u = _filtered(c, mask)
+    return d * np.fft.rfft(u * u) + _linear_symbol(k, params) * c
 
 
-def _dtau2_v_spectrum(c: np.ndarray, ut_hat: np.ndarray, k: np.ndarray,
+def _dtau2_v_spectrum(u: np.ndarray, ut_hat: np.ndarray, k: np.ndarray,
                       params: AlphaParams, mask: np.ndarray) -> np.ndarray:
     """Half spectrum of the second tau-derivative of the primitive v
-    (dX v = -u, v(0) = 0), given ut_hat = _rhs_spectrum(c, k, params, mask),
-    along the last axis; leading axes stack spectra.
+    (dX v = -u, v(0) = 0), given the filtered field u = _filtered(c, mask)
+    of the profile's half spectrum c and ut_hat = _rhs_spectrum(c, k, params,
+    mask), along the last axis; leading axes stack spectra.
 
     Differentiating the evolution equation in tau and integrating in X gives
     (kappa2/kappa1) u du/dtau - (kappa3/kappa1) |D|^(alpha-1) du/dtau, up to
     a constant fixed by anchoring the value at X = 0 to zero.
     """
-    n = 2 * (c.shape[-1] - 1)
-    u = np.fft.irfft(c * mask, n)
-    ut = np.fft.irfft(ut_hat * mask, n)
+    n = u.shape[-1]
+    ut = _filtered(ut_hat, mask)
     g = ((params.kappa2 / params.kappa1) * n * np.fft.rfft(u * ut) * mask
          - (params.kappa3 / params.kappa1) * k ** (params.alpha - 1.0) * ut_hat)
     # the value at X = 0: bin 0 and the Nyquist bin once, the others twice
@@ -121,21 +124,61 @@ def _run_spectrum(c: np.ndarray, k: np.ndarray, params: AlphaParams,
                   mask: np.ndarray, dtau: float, nsteps: int,
                   tau_origin: float = 0.0) -> np.ndarray:
     """Integrating-factor RK4 on the half spectrum for nsteps of (possibly
-    negative) dtau."""
+    negative) dtau; returns a new spectrum.
+
+    The stages run on the kept bins, which dealias_mask makes a prefix, in
+    held arrays: past them the advection symbol is 0, so every stage is 0
+    there and a step multiplies those bins by E2 alone.  Each stage keeps
+    the operations and operand order of
+      s1 = N(c), s2 = N(E (c + dtau/2 s1)), s3 = N(E c + dtau/2 s2),
+      s4 = N(E2 c + E (dtau s3)),
+      c <- E2 c + dtau/6 (E2 s1 + 2 E (s2 + s3) + s4),
+    N the nonlinear term of the filtered field, so the bits are the same."""
+    n = 2 * (c.size - 1)
+    K = int(np.count_nonzero(mask))
     L = _linear_symbol(k, params)
     E = np.exp(L * (dtau / 2.0))
     E2 = E * E
-    d = _advection_symbol(k, mask, -(params.kappa2 / params.kappa1))
+    d = _advection_symbol(k, mask, -(params.kappa2 / params.kappa1))[:K]
+    E1, E2k, E2x = E[:K], E2[:K], 2.0 * E[:K]
+    h, h6 = dtau / 2.0, dtau / 6.0
+    c = np.array(c, dtype=complex)
+    x = np.empty_like(c)            # E2 c, the next state
+    pad = np.zeros_like(c)          # a stage's input, zero past the kept bins
+    s1, s2, s3, s4, t = np.empty((5, K), dtype=complex)
+    ck, xk, padk = c[:K], x[:K], pad[:K]
 
-    def nonlin(ch):
-        return _nonlinear_spec(ch, mask, d)
+    def nonlin(out):
+        # the quadratic term of _rhs_spectrum at the stage input in pad
+        u = np.fft.irfft(pad, n)
+        np.multiply(u, u, out=u)
+        np.multiply(d, np.fft.rfft(u)[:K], out=out)
 
     for i in range(nsteps):
-        s1 = nonlin(c)
-        s2 = nonlin(E * (c + (dtau / 2.0) * s1))
-        s3 = nonlin(E * c + (dtau / 2.0) * s2)
-        s4 = nonlin(E2 * c + E * (dtau * s3))
-        c = E2 * c + (dtau / 6.0) * (E2 * s1 + 2.0 * E * (s2 + s3) + s4)
+        padk[:] = ck
+        nonlin(s1)
+        np.multiply(h, s1, out=t)
+        np.add(ck, t, out=t)
+        np.multiply(E1, t, out=padk)
+        nonlin(s2)
+        np.multiply(E1, ck, out=padk)
+        np.multiply(h, s2, out=t)
+        np.add(padk, t, out=padk)
+        nonlin(s3)
+        np.multiply(E2, c, out=x)
+        np.multiply(dtau, s3, out=t)
+        np.multiply(E1, t, out=t)
+        np.add(xk, t, out=padk)
+        nonlin(s4)
+        np.add(s2, s3, out=t)
+        np.multiply(E2x, t, out=t)
+        np.multiply(E2k, s1, out=s1)
+        np.add(s1, t, out=s1)
+        np.add(s1, s4, out=s1)
+        np.multiply(h6, s1, out=s1)
+        np.add(xk, s1, out=xk)
+        c, x = x, c
+        ck, xk = xk, ck
         if not np.all(np.isfinite(c)):
             raise BlowUpError("non-finite spectrum during time stepping",
                               tau=tau_origin + (i + 1) * dtau,

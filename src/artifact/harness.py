@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
-                        _rhs_spectrum, gaussian_profile, run_to, span_plan)
+                        _filtered, _rhs_spectrum, gaussian_profile, run_to,
+                        span_plan)
 from .lattice import (_BLOCK_ELEMENTS, BAND_TOL, FAR_ORDER, FAR_TOL, Band,
                       CollisionError, LatticeConfig, LatticeState, _band_force,
                       _held_far_weights, _refuse_collision, _split_force,
@@ -159,6 +160,9 @@ class ValidationConfig:
         if not isinstance(self.energy_trace, bool):
             raise ConfigError("energy_trace must be true or false, got "
                               f"{self.energy_trace!r}")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ConfigError("output must be a directory name, got "
+                              f"{self.output!r}")
         if not 0.5 < self.dealias_fraction <= 2.0 / 3.0:
             raise ConfigError("dealias_fraction must lie in (0.5, 2/3]")
         if self.bo_modes < 8 or self.bo_modes & (self.bo_modes - 1):
@@ -264,16 +268,16 @@ def _gaps_symbol(k: np.ndarray, period: float, N: int, alpha: float):
 
 
 def _ansatz_gaps(c: np.ndarray, k: np.ndarray, period: float, N: int,
-                 alpha: float, shift=0.0) -> np.ndarray:
+                 alpha: float) -> np.ndarray:
     # r_j = -eps^(alpha-1) * (mean of u over [X_j, X_j + eps]) for u with
     # half spectrum c at wavenumbers k, along the last axis of c as
     # sample_spectrum takes it
     scale, A = _gaps_symbol(k, period, N, alpha)
-    return scale * sample_spectrum(A * c, period, N, shift)
+    return scale * sample_spectrum(A * c, period, N)
 
 
 def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
-                  params: AlphaParams, shift: float = 0.0,
+                  params: AlphaParams, shift=0.0,
                   dealias_fraction: float = 2.0 / 3.0):
     """Gaps and velocities (r, p) of the displacement ansatz on a ring of N
     sites, eps = period/N, for the surrogate profile u with this half
@@ -287,22 +291,37 @@ def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
     with v_tau the mean-zero primitive of -du/dtau read off the surrogate
     equation, so the ansatz carries no net momentum.  The profile must be
     mean-zero, or its primitive v would not be periodic.
+
+    A spectrum with leading axes stacks profiles, and r and p then stack
+    their rows alike; a shift with the leading shape shifts each profile by
+    its own (sample_spectrum), and row i equals the call on profile i and
+    its shift alone to the last bit.  The shift's phase is formed once for
+    the three samplings, as sample_spectrum would form it.
     """
-    if abs(spectrum[0]) > 1e-10:
+    spectrum = np.asarray(spectrum)
+    if np.any(np.abs(spectrum[..., 0]) > 1e-10):
         raise ValueError("the profile u must be mean-zero")
     eps = period / N
     alpha = params.alpha
     # fields are formed on the ring's grid, as in residual_fields, or on the
     # profile's own grid when the ring is coarser, then sampled onto the ring
-    L = max(N, 2 * (spectrum.size - 1))
+    L = max(N, 2 * (spectrum.shape[-1] - 1))
     k = wavenumbers(L, period)
     c = resample_spectrum(spectrum, L)
     ut_hat = _rhs_spectrum(c, k, params, dealias_mask(L, dealias_fraction))
     vt_hat = np.zeros_like(c)
-    vt_hat[1:] = -ut_hat[1:] / (1j * k[1:])
-    r = _ansatz_gaps(c, k, period, N, alpha, shift)
-    p = (params.c * eps ** (alpha - 1.0) * sample_spectrum(c, period, N, shift)
-         + eps ** (2.0 * alpha - 2.0) * sample_spectrum(vt_hat, period, N, shift))
+    vt_hat[..., 1:] = -ut_hat[..., 1:] / (1j * k[1:])
+    del ut_hat
+    scale, A = _gaps_symbol(k, period, N, alpha)
+    gaps = A * c
+    shift = np.asarray(shift, dtype=float)
+    if np.any(shift != 0.0):
+        phase = np.exp(1j * k * shift[..., None])
+        for f in (gaps, c, vt_hat):
+            f *= phase
+    r = scale * sample_spectrum(gaps, period, N)
+    p = (params.c * eps ** (alpha - 1.0) * sample_spectrum(c, period, N)
+         + eps ** (2.0 * alpha - 2.0) * sample_spectrum(vt_hat, period, N))
     return r, p
 
 
@@ -377,11 +396,13 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     B = max(1, _BLOCK_ELEMENTS // N)
     for i0 in range(0, len(rows), B):
         cN = resample_spectrum(rows[i0:i0 + B], N)
-        ut_hat = _rhs_spectrum(cN, kN, params, mask)
+        u = _filtered(cN, mask)     # shared by u_tau and v_tautau
+        ut_hat = _rhs_spectrum(cN, kN, params, mask, u)
         # -eps^alpha c^2 u_X + eps^(2 alpha-1) kappa1 u_tau
         # + eps^(3 alpha-2) v_tautau, summed in place and taken in one
         # transform
-        a = _dtau2_v_spectrum(cN, ut_hat, kN, params, mask)
+        a = _dtau2_v_spectrum(u, ut_hat, kN, params, mask)
+        del u
         a *= eps ** (3 * alpha - 2)
         ut_hat *= eps ** (2 * alpha - 1) * params.kappa1
         a += ut_hat
@@ -553,21 +574,27 @@ def _validation_eps_task(config, params, bo, entry):
     # the initial state is the ansatz itself, so both errors start at 0
     rows = [(alpha, eps, 0.0, 0.0, 0.0)]
     samples = []
-    for i, state in enumerate(states, 1):
-        t = i * seg
-        rtilde, ptilde = ansatz_fields(bo[i].u.spectrum, config.period,
-                                       lat_cfg.N, params, -eps * params.c * t,
-                                       config.dealias_fraction)
-        mu = state.r - rtilde
-        nu = state.p - ptilde
-        mu_l2 = float(np.linalg.norm(mu))
-        nu_l2 = float(np.linalg.norm(nu))
-        if not (math.isfinite(mu_l2) and math.isfinite(nu_l2)):
-            raise BlowUpError("non-finite chain-versus-surrogate error",
-                              t=t, alpha=alpha, epsilon=eps)
-        rows.append((alpha, eps, t, mu_l2, nu_l2))
-        if config.energy_trace:
-            samples.append((t, mu, nu, rtilde))
+    # the checkpoints' ansatz from one ansatz_fields call per chunk of
+    # checkpoints, each shifted by its own -eps c t
+    B = max(1, _BLOCK_ELEMENTS // lat_cfg.N)
+    for i0 in range(0, len(states), B):
+        chunk = range(i0 + 1, min(i0 + B, len(states)) + 1)
+        ts = [i * seg for i in chunk]
+        rts, pts = ansatz_fields(
+            np.array([bo[i].u.spectrum for i in chunk]), config.period,
+            lat_cfg.N, params, np.array([-eps * params.c * t for t in ts]),
+            config.dealias_fraction)
+        for t, state, rtilde, ptilde in zip(ts, states[i0:], rts, pts):
+            mu = state.r - rtilde
+            nu = state.p - ptilde
+            mu_l2 = float(np.linalg.norm(mu))
+            nu_l2 = float(np.linalg.norm(nu))
+            if not (math.isfinite(mu_l2) and math.isfinite(nu_l2)):
+                raise BlowUpError("non-finite chain-versus-surrogate error",
+                                  t=t, alpha=alpha, epsilon=eps)
+            rows.append((alpha, eps, t, mu_l2, nu_l2))
+            if config.energy_trace:
+                samples.append((t, mu, nu, rtilde))
     E1 = energy(state, lat_cfg)
     drift = abs(E1 - E0) / abs(E0) if E0 else abs(E1)
     if not drift <= ENERGY_DRIFT_TOL:

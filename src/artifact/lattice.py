@@ -79,6 +79,8 @@ FAR_ORDER = 24
 FAR_TOL = 1e-13
 
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])     # i^0..i^3
+# (-1)^q/q! for q = 0..FAR_ORDER, as cumprod's prefix products
+_TAYLOR_FACTORS = np.cumprod([1.0] + [-1.0 / q for q in range(1, FAR_ORDER + 1)])
 
 # The split step goes unstable once dt times the top linear frequency
 # reaches pi; _linear_flow refuses a dt past this limit, which keeps a 10%
@@ -362,29 +364,29 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
     -alpha (1+rho)^-(alpha+1) sum_q (-s)^q/q! irfft(H_q),
     H_q = sum_{k<=p-q} B_{q+k} (s^k/k!)^ (orders <= p).
 
-    With B_n = i^(n+1) b_n, H_q is i^q times the sum over k of the real
-    rows b_{q+k} times i^(k+1) (s^k/k!)^; rotations by powers of i are
-    exact, so this is B's sum to the last bit.  Every order is taken at
-    once: the p powers' spectra in one rfft, H in one irfft."""
+    The complex rows B_n = i^(n+1) b_n are formed once from the real ones;
+    a rotation by a power of i is exact, so H is the sum of the real rows
+    times rotated powers, rotated back, to the last bit.  Every order is
+    taken at once: the p powers' spectra in one rfft, H in one irfft."""
     alpha, N = config.alpha, s.size
     if len(b) < p + 1:
         raise ValueError(f"the far field through order {p} needs {p + 1} "
                          f"weight rows, got {len(b)}")
+    n = np.arange(p + 1)
+    B = b[:p + 1] * _I_POWERS[(n + 1) % 4, None]
     H = np.zeros((p + 1, N // 2 + 1), dtype=complex)
-    H.imag[:, 0] = N * b[:p + 1, 0]     # k = 0: i (s^0)^ is N i at bin 0
+    H[:, 0] = N * B[:, 0]       # k = 0: (s^0)^ is N at bin 0
     ks = np.arange(1, p + 1)
     # s^k/k! row by row: cumprod's products along axis 0, at half its cost
     P = s / ks[:, None]
     for k in range(1, p):
         P[k] *= P[k - 1]
     P = np.fft.rfft(P)      # (s^k/k!)^
-    P *= _I_POWERS[(ks + 1) % 4, None]
     for k, Pk in zip(ks, P):
-        H[:p + 1 - k] += b[k:p + 1] * Pk
+        H[:p + 1 - k] += B[k:p + 1] * Pk
     del P
-    # times (-1)^q/q! and i^q; row q of irfft(H) is (-1)^q/q! irfft(H_q)
-    H *= (np.cumprod([1.0] + [-1.0 / q for q in range(1, p + 1)])
-          * _I_POWERS[np.arange(p + 1) % 4])[:, None]
+    # row q of irfft(H) times (-1)^q/q! is (-1)^q/q! irfft(H_q)
+    H *= _TAYLOR_FACTORS[:p + 1, None]
     out = np.zeros(N)
     for h in np.fft.irfft(H, N)[::-1]:
         out *= s
@@ -563,8 +565,12 @@ def _band_force(config: LatticeConfig, b, band: Band):
             band.fallbacks += 1
             return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
                                             b))[:Q // 2 + 1]
-        W = np.fft.rfft(_kernel_prime(np.fft.irfft(window * rh, Q), ms,
-                                      alpha))
+        # the windows' spectra, zero-padded to the grid's bins for the irfft,
+        # which pads slower; made per call, as a held array would sit
+        # through the far field beside its temporaries
+        padded = np.zeros((M0, Q // 2 + 1), dtype=complex)
+        np.multiply(window, rh, out=padded[:, :kept])
+        W = np.fft.rfft(_kernel_prime(np.fft.irfft(padded, Q), ms, alpha))
         return np.einsum("mn,mn->n", difference, W) + Ffar
     return force_spectrum
 

@@ -103,15 +103,19 @@ def test_benchmark_trace_targets_exist():
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():
     # eta is in closed form; importing scipy.integrate once took about
-    # 0.3 s of every fresh process.  The sweeps run serially, so nothing
-    # loads multiprocessing either, whose process pool took 10-13 ms of the
-    # import
+    # 0.3 s of every fresh process.  No scipy module loads at all:
+    # scipy.fft gives numpy.fft's bits 16% faster a transform, but importing
+    # it takes 170-185 ms beside the 97 ms of `import artifact,
+    # artifact.cli` (2-CPU Linux container), close to triple the import.
+    # The sweeps run serially, so nothing loads multiprocessing either,
+    # whose process pool took 10-13 ms of the import
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run(
         [sys.executable, "-c",
          "import artifact, artifact.cli, sys; print(*(name in sys.modules "
-         "for name in ('scipy.integrate', 'multiprocessing')))"],
+         "for name in ('scipy.integrate', 'multiprocessing')), "
+         "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "[]"]

@@ -5,7 +5,7 @@ import pytest
 
 from artifact import bo_solver
 from artifact.bo_solver import (BOConfig, BOState, BlowUpError,
-                                _dtau2_v_spectrum, _rhs_spectrum,
+                                _dtau2_v_spectrum, _filtered, _rhs_spectrum,
                                 gaussian_profile, run_to, span_plan)
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
@@ -171,15 +171,17 @@ def test_dtau2_v_matches_finite_difference():
     grid = state.u.grid
     k, mask = grid.wavenumbers, dealias_mask(grid.n)
     c = state.u.spectrum
-    vtt_hat = _dtau2_v_spectrum(c, _rhs_spectrum(c, k, PARAMS, mask), k,
-                                PARAMS, mask)
+    vtt_hat = _dtau2_v_spectrum(_filtered(c, mask),
+                                _rhs_spectrum(c, k, PARAMS, mask), k, PARAMS,
+                                mask)
     vtt = np.fft.irfft(vtt_hat, grid.n) * grid.n
     scale = np.max(np.abs(vtt))
     assert np.max(np.abs(fd - vtt)) < 1e-4 * scale
     # the anchor v(0) = 0 holds for every tau, so v_tautau(0) = 0; checked
     # on a random profile, where no symmetry makes it hold by accident
     c = 0.01 * _band_limited(grid.n, seed=7)[:grid.n // 2 + 1]
-    w = np.fft.irfft(_dtau2_v_spectrum(c, _rhs_spectrum(c, k, PARAMS, mask),
+    w = np.fft.irfft(_dtau2_v_spectrum(_filtered(c, mask),
+                                       _rhs_spectrum(c, k, PARAMS, mask),
                                        k, PARAMS, mask), grid.n)
     assert abs(w[0]) <= 1e-12 * np.max(np.abs(w))
 
@@ -274,6 +276,53 @@ def test_run_to_matches_full_complex_if_rk4():
     ref = np.fft.ifft(c).real * grid.n
     [out] = run_to(state, nsteps * dtau, BOConfig(params=PARAMS, dtau=dtau))
     assert np.max(np.abs(out.u.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _run_spectrum_on_every_bin(c, k, params, mask, dtau, nsteps):
+    # _run_spectrum as it was written on whole arrays: every stage on every
+    # bin, each operation in a fresh array
+    L = bo_solver._linear_symbol(k, params)
+    E = np.exp(L * (dtau / 2.0))
+    E2 = E * E
+    d = bo_solver._advection_symbol(k, mask, -(params.kappa2 / params.kappa1))
+    n = 2 * (c.size - 1)
+
+    def nonlin(ch):
+        u = np.fft.irfft(ch * mask, n)
+        return d * np.fft.rfft(u * u)
+
+    for _ in range(nsteps):
+        s1 = nonlin(c)
+        s2 = nonlin(E * (c + (dtau / 2.0) * s1))
+        s3 = nonlin(E * c + (dtau / 2.0) * s2)
+        s4 = nonlin(E2 * c + E * (dtau * s3))
+        c = E2 * c + (dtau / 6.0) * (E2 * s1 + 2.0 * E * (s2 + s3) + s4)
+    return c
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0, 2.5])
+@pytest.mark.parametrize("n, amplitude, dtau", [(512, 0.1, 1.25e-3),
+                                                (4096, 1.0, 1e-4)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_run_spectrum_equals_the_whole_array_loop_bit_for_bit(
+        sign, n, amplitude, dtau, alpha):
+    # the stages on the kept bins in held arrays, the bins past them
+    # flowed by E2 alone, keep every operation and its operand order: 30
+    # steps either way at validate's surrogate (512 modes, its dtau) and
+    # solve-bo's in the direct workload (4096 modes, dtau 1e-4) give the
+    # same bits, and the given spectrum is left as it was
+    params = make_alpha_params(alpha)
+    state = _gauss_state(n=n, period=102.4, amplitude=amplitude)
+    grid = state.u.grid
+    c = state.u.spectrum.copy()
+    mask = dealias_mask(n)
+    got = bo_solver._run_spectrum(c, grid.wavenumbers, params, mask,
+                                  sign * dtau, 30)
+    assert np.array_equal(c, state.u.spectrum)
+    want = _run_spectrum_on_every_bin(c, grid.wavenumbers, params, mask,
+                                      sign * dtau, 30)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, c)
 
 
 def test_cfl_checked_at_every_span(monkeypatch):

@@ -815,6 +815,30 @@ def test_non_finite_sweep_settings_exit_before_any_work(
 
 
 @pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("value", [5, ["runs"]])
+@pytest.mark.parametrize("command", ["residual-sweep", "validate"])
+def test_config_file_output_not_a_name_exits_before_any_work(
+        command, value, dry_run, tmp_path, capsys, monkeypatch):
+    # {"output": 5} passed the dry run (exit 0), and the run computed every
+    # epsilon before os.makedirs died with a TypeError traceback (exit 1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "run_to", refuse)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output": value}))
+    rc = main([command, "--config", str(cfg_path), "--epsilons",
+               "0.4,0.32,0.25", "--bo-modes", "256"] + ["--dry-run"] * dry_run)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output must be a directory name, got "
+                            f"{value!r}\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
 @pytest.mark.parametrize("command", ["residual-sweep", "validate"])
 def test_two_epsilons_on_one_ring_exit_before_any_work(
         command, dry_run, tmp_path, capsys, monkeypatch):

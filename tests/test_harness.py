@@ -57,6 +57,13 @@ def test_config_validation():
             ValidationConfig(jobs=value)
     with pytest.raises(ConfigError):
         ValidationConfig(dealias_fraction=0.7)  # would alias by design
+    # an output that is not a directory name passed the dry run and died
+    # in the run's os.makedirs with a TypeError, after every epsilon ran
+    for value in (5, 1.5, True, b"runs", ["runs"]):
+        with pytest.raises(ConfigError, match="output must be a directory"):
+            ValidationConfig(output=value)
+    assert ValidationConfig(output="runs").output == "runs"
+    assert ValidationConfig(output=None).output is None
     # each of these once passed the dry run and died in the run, one of
     # them with a ZeroDivisionError
     for field in ("width_fraction", "residual_cutoff_coef"):
@@ -764,18 +771,103 @@ def test_stacked_residual_rows_where_the_guard_falls_back(monkeypatch):
 
 
 def test_ansatz_gaps_take_stacks_row_by_row():
-    # stacked profiles, with one shift for all and a shift per row
+    # stacked profiles; the shifted ansatz is ansatz_fields', whose stacks
+    # test_stacked_ansatz_rows_equal_single_calls checks
     grid = PeriodicGrid(102.4, 256)
     c = np.array([gaussian_profile(grid, a).spectrum for a in (0.1, 0.7)])
     for N in (128, 256, 724):
         cN = resample_spectrum(c, N)
         k = wavenumbers(N, grid.period)
-        for shift in (0.0, 1.7, np.array([0.0, -3.1])):
-            r = harness._ansatz_gaps(cN, k, grid.period, N, 1.8, shift)
-            for i, row in enumerate(r):
-                one = harness._ansatz_gaps(cN[i], k, grid.period, N, 1.8,
-                                           np.broadcast_to(shift, 2)[i])
-                assert np.array_equal(row, one), (N, i)
+        r = harness._ansatz_gaps(cN, k, grid.period, N, 1.8)
+        for i, row in enumerate(r):
+            one = harness._ansatz_gaps(cN[i], k, grid.period, N, 1.8)
+            assert np.array_equal(row, one), (N, i)
+
+
+def _validation_checkpoints(alpha=2.0):
+    # a default validation's checkpoint profiles, stacked
+    cfg = ValidationConfig(alpha=alpha)
+    params = make_alpha_params(alpha)
+    u0 = harness._initial_profile(cfg, harness.DEFAULT_VALIDATION_AMPLITUDE)
+    states, _ = harness._bo_checkpoint_states(cfg, params, u0)
+    return cfg, params, np.array([s.u.spectrum for s in states])
+
+
+@pytest.mark.parametrize("N", [256, 512, 1448])
+def test_stacked_ansatz_rows_equal_single_calls(N):
+    # the validation's 21 checkpoint profiles on rings coarser than, equal
+    # to and finer than their 512-point grid: row i of a stacked call
+    # equals the call on profile i alone to the last bit, with a shift per
+    # row (the moving frame's -eps c t, -0.0 at t = 0), one shift for all,
+    # and none
+    cfg, params, spectra = _validation_checkpoints()
+    eps = cfg.period / N
+    ts = np.arange(len(spectra)) * 3.7
+    for shifts in (-eps * params.c * ts, np.full(len(spectra), 1.3),
+                   np.zeros(len(spectra))):
+        r, p = ansatz_fields(spectra, cfg.period, N, params, shifts)
+        assert r.shape == p.shape == (len(spectra), N)
+        for i, (c, shift) in enumerate(zip(spectra, shifts)):
+            one_r, one_p = ansatz_fields(c, cfg.period, N, params, shift)
+            assert np.array_equal(r[i], one_r), (N, i)
+            assert np.array_equal(p[i], one_p), (N, i)
+        if np.all(shifts == shifts[0]):
+            both = ansatz_fields(spectra, cfg.period, N, params, shifts[0])
+            assert np.array_equal(both[0], r) and np.array_equal(both[1], p)
+
+
+def test_validation_rows_do_not_depend_on_the_ansatz_chunks(monkeypatch):
+    # _validation_eps_task forms the checkpoints' ansatz _BLOCK_ELEMENTS // N
+    # at a time, after the t = 0 call; one, two or every checkpoint a call
+    # give the same rows, energy rows and health to the last bit
+    cfg = _smoke_config(checkpoints=5, energy_trace=True)
+    params = make_alpha_params(cfg.alpha)
+    u0 = harness._initial_profile(cfg, harness.DEFAULT_VALIDATION_AMPLITUDE)
+    states, _ = harness._bo_checkpoint_states(cfg, params, u0)
+    entry = describe_plan(cfg, "validation")[1]
+    shapes = []
+    real = harness.ansatz_fields
+
+    def recorded(spectrum, *args, **kwargs):
+        shapes.append(np.shape(spectrum)[:-1])
+        return real(spectrum, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ansatz_fields", recorded)
+    results = []
+    for per_call, chunks in ((1, [1] * 5), (2, [2, 2, 1]), (64, [5])):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", per_call * entry["N"])
+        shapes.clear()
+        results.append(harness._validation_eps_task(cfg, params, states,
+                                                    entry))
+        assert shapes == [()] + [(n,) for n in chunks]
+    assert results[0] == results[1] == results[2]
+    assert len(results[0][0]) == len(results[0][3]) + 1 == 6
+
+
+def test_stacked_ansatz_peak_memory_stays_bounded():
+    # one chunk of the validation's checkpoints on its largest ring, 11
+    # profiles (_BLOCK_ELEMENTS // 1448) of 1448 sites with their shifts:
+    # the peak measured 1.33 MB, and the bound allows 11% over it, 1.48 MB.
+    # With the shifted spectra formed beside the unshifted ones and u_tau
+    # alive through the sampling, the chunk peaked at 1.80 MB
+    cfg, params, spectra = _validation_checkpoints()
+    N = 1448
+    B = lattice._BLOCK_ELEMENTS // N
+    assert B == 11
+    eps = cfg.period / N
+    shifts = -eps * params.c * np.arange(1, B + 1) * 50.0
+
+    def call():
+        ansatz_fields(spectra[1:B + 1], cfg.period, N, params, shifts)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_480_000
 
 
 def test_stacked_residual_peak_memory_stays_bounded():
@@ -783,7 +875,9 @@ def test_stacked_residual_peak_memory_stays_bounded():
     # 1.8: two chunks of at most 11 profiles through the transforms, the
     # held weights (25 rows, 145 KB) and both parts' 21 rows (486 KB); the
     # peak measured 1.62 MB on the ring and 1.73 MB on the sweep's band of
-    # 512 points, and the bound allows 11% over the first, 1.8 MB.  With
+    # 512 points, and the bound allows 11% over the first, 1.8 MB.  Under
+    # numpy 2.4 they read 1.76 and 1.75 MB, and 1.81 MB on the band with
+    # _band_force's zero-padded window array held for the call.  With
     # u_X, u_tau and v_tautau formed side by side the call peaked at 1.83
     # MB, and with them and the chunk's spectra alive through the force
     # loop at 2.20 MB

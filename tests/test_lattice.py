@@ -611,6 +611,50 @@ def test_far_field_refuses_too_few_weight_rows():
                            lattice._held_far_weights(cfg)[:11])
 
 
+def _far_field_by_real_rows(s, rho, config, p, b):
+    # _far_field as it was summed on the real weight rows: each row b_{q+k}
+    # times the powers' spectra rotated by i^(k+1), every H_q rotated by i^q
+    # and scaled by (-1)^q/q! at the end
+    alpha, N = config.alpha, s.size
+    i_powers = np.array([1.0, 1j, -1.0, -1j])
+    H = np.zeros((p + 1, N // 2 + 1), dtype=complex)
+    H.imag[:, 0] = N * b[:p + 1, 0]
+    ks = np.arange(1, p + 1)
+    P = s / ks[:, None]
+    for k in range(1, p):
+        P[k] *= P[k - 1]
+    P = np.fft.rfft(P)
+    P *= i_powers[(ks + 1) % 4, None]
+    for k, Pk in zip(ks, P):
+        H[:p + 1 - k] += b[k:p + 1] * Pk
+    H *= (np.cumprod([1.0] + [-1.0 / q for q in range(1, p + 1)])
+          * i_powers[np.arange(p + 1) % 4])[:, None]
+    out = np.zeros(N)
+    for h in np.fft.irfft(H, N)[::-1]:
+        out *= s
+        out += h
+    return -alpha * (1.0 + rho) ** -(alpha + 1.0) * out
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("p", [1, 8, 17, 24])
+@pytest.mark.parametrize("alpha", [1.8, 2.5])
+def test_far_field_equals_the_real_row_sum_bit_for_bit(alpha, p, n):
+    # the complex rows B_n = i^(n+1) b_n only move exact rotations, so the
+    # far field equals the sum on the real rows to the last bit, with
+    # force's held rows and with energy's rows b_n/(n + 1), at the validate
+    # state at the ring cap
+    cfg = _config(n=n, alpha=alpha, cutoff=n // 2 - 1)
+    r = _validate_state(alpha, n)[0]
+    rho = float(np.mean(r))
+    s = lattice._scaled_primitive(r, rho)
+    b = lattice._held_far_weights(cfg)
+    for rows in (b, b[:p + 1] / np.arange(1.0, p + 2.0)[:, None]):
+        got = lattice._far_field(s, rho, cfg, p, rows)
+        assert np.array_equal(got, _far_field_by_real_rows(s, rho, cfg, p,
+                                                           rows))
+
+
 # the orders force takes on the residual states at t = 0, ring by ring
 _RESIDUAL_ORDERS = {(1.8, 1024): 15, (1.8, 1448): 14, (2.0, 1024): 13,
                     (2.0, 1448): 11, (2.5, 1024): 6, (2.5, 1448): 6}

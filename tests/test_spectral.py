@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from artifact.bo_solver import _dtau2_v_spectrum, _linear_symbol, _rhs_spectrum
+from artifact.bo_solver import (_dtau2_v_spectrum, _filtered, _linear_symbol,
+                                _rhs_spectrum)
 from artifact.harness import ansatz_fields
 from artifact.specfun import make_alpha_params
 from artifact.spectral import (PeriodicGrid, SpectralField, average_multiplier,
@@ -144,7 +145,8 @@ def test_frac_deriv_zero_mode_and_domain():
         assert _linear_symbol(k, params)[0] == 0.0
         assert np.all(_rhs_spectrum(const, k, params, mask) == 0.0)
         ut = _rhs_spectrum(const, k, params, mask)
-        assert np.all(_dtau2_v_spectrum(const, ut, k, params, mask) == 0.0)
+        assert np.all(_dtau2_v_spectrum(_filtered(const, mask), ut, k, params,
+                                        mask) == 0.0)
     with pytest.raises(ValueError):
         make_alpha_params(1.0)
     with pytest.raises(ValueError):
@@ -338,11 +340,11 @@ def test_spectral_helpers_take_stacks_row_by_row():
     params = make_alpha_params(1.8)
     k, mask = wavenumbers(n, period), dealias_mask(n)
     ut = _rhs_spectrum(stack, k, params, mask)
-    vtt = _dtau2_v_spectrum(stack, ut, k, params, mask)
+    vtt = _dtau2_v_spectrum(_filtered(stack, mask), ut, k, params, mask)
     for c, ut_row, vtt_row in zip(stack, ut, vtt):
         assert np.array_equal(ut_row, _rhs_spectrum(c, k, params, mask))
-        assert np.array_equal(vtt_row,
-                              _dtau2_v_spectrum(c, ut_row, k, params, mask))
+        assert np.array_equal(vtt_row, _dtau2_v_spectrum(
+            _filtered(c, mask), ut_row, k, params, mask))
 
 
 def test_parseval_and_sobolev():
