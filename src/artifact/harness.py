@@ -25,8 +25,8 @@ from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         span_plan)
 from .lattice import (_BLOCK_ELEMENTS, BAND_TOL, FAR_ORDER, FAR_TOL, Band,
                       CollisionError, LatticeConfig, LatticeState, _band_force,
-                      _held_far_weights, _refuse_collision, _split_force,
-                      energy, error_energy, error_energy_constants, far_bound,
+                      _FarWeights, _refuse_collision, _split_force, energy,
+                      error_energy, error_energy_constants, far_bound,
                       far_order, near_range, run_steps, step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
@@ -343,15 +343,16 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     past bin Q/2.  A profile whose gaps or force the band cannot hold
     (either share past BAND_TOL) takes the ring's force, as without a band,
     counted in band.fallbacks; the band records the largest shares of the
-    forces it formed.
+    forces it formed, and a band given records the most ranges any force
+    summed pair by pair (near_range).
 
     A spectrum with leading axes stacks profiles, and both parts then stack
     their rows alike; row i equals the call on profile i alone to the last
     bit.  The profiles go max(1, _BLOCK_ELEMENTS // N) at a time through the
-    transforms, and the force's far weights through FAR_ORDER are built once
-    for the call (_held_far_weights).  Gaps reaching 1 raise CollisionError
-    with alpha, epsilon and `profile`, the index of the first profile in
-    stack order whose gaps reach it.
+    transforms, and each profile's force takes its own near range, the far
+    weights held for one near range at a time (lattice._FarWeights).  Gaps
+    reaching 1 raise CollisionError with alpha, epsilon and `profile`, the
+    index of the first profile in stack order whose gaps reach it.
     """
     period = u_tau.grid.period
     N, exact = _ring_size(period, eps)
@@ -366,12 +367,12 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     lat_cfg = LatticeConfig(N=N, alpha=alpha, cutoff=cutoff, dt=1.0)
     spectra = u_tau.spectrum
     rows = spectra.reshape(-1, spectra.shape[-1])
-    b = _held_far_weights(lat_cfg)
+    held = _FarWeights(lat_cfg, grow=False)
     kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
     on_band = band is not None and band.Q < N
     if on_band:
-        force_spectrum = _band_force(lat_cfg, b, band)
+        force_spectrum = _band_force(lat_cfg, held, band)
         scale, A = _gaps_symbol(kN, period, N, alpha)
         symbol = scale * N * A      # the gaps' ring spectrum over cN
 
@@ -422,11 +423,13 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
                         row = _ansatz_gaps(resample_spectrum(rows[i], N), kN,
                                            period, N, alpha)
                     _refuse_collision(row)
-                    force = _split_force(row, lat_cfg, b)
+                    force = _split_force(row, lat_cfg, held)
                 np.negative(force, out=f)
             except CollisionError as err:
                 err.alpha, err.epsilon, err.profile = alpha, eps, i
                 raise
+    if band is not None:
+        band.near_range = max(band.near_range, held.largest)
     shape = spectra.shape[:-1] + (N,)
     return accel.reshape(shape), fpart.reshape(shape)
 
@@ -484,8 +487,10 @@ def _residual_eps_task(config, params, states, entry):
     residual_fields call on the stacked checkpoint spectra, on the entry's
     band; returns (rows, (eps, sup l2), health), health the entry's
     epsilon, N and band with the band's dropped_share, top_share and
-    fallbacks (Band).  Gaps reaching 1 or a non-finite residual raise,
-    naming alpha, epsilon and the t of the first checkpoint it reached."""
+    fallbacks and the most ranges a force summed pair by pair
+    (max_near_range, Band.near_range).  Gaps reaching 1 or a non-finite
+    residual raise, naming alpha, epsilon and the t of the first checkpoint
+    it reached."""
     eps = entry["epsilon"]
     ts = [s.tau / eps ** params.alpha for s in states]
     band = Band(entry["band"], config.dealias_fraction)
@@ -507,7 +512,8 @@ def _residual_eps_task(config, params, states, entry):
     health = {"epsilon": eps, "N": entry["N"], "band": band.Q,
               "band_dropped_share": band.dropped_share,
               "band_top_share": band.top_share,
-              "band_fallbacks": band.fallbacks}
+              "band_fallbacks": band.fallbacks,
+              "max_near_range": band.near_range}
     return rows, (eps, max(row[3] for row in rows)), health
 
 
@@ -551,7 +557,9 @@ def _validation_eps_task(config, params, bo, entry):
     that run_steps could sum the far ranges by moments at every checkpoint.
     Where the plan's band is smaller than the ring, the chain runs on it,
     and health adds the band's dropped_share, top_share and fallbacks
-    (Band).  A drift past ENERGY_DRIFT_TOL raises BlowUpError.
+    (Band); on the band or the ring it adds the most ranges a force summed
+    pair by pair (max_near_range, beside the plan's floor near_range).  A
+    drift past ENERGY_DRIFT_TOL raises BlowUpError.
     """
     alpha, eps = params.alpha, entry["epsilon"]
     lat_cfg = LatticeConfig(N=entry["N"], alpha=alpha,
@@ -609,7 +617,8 @@ def _validation_eps_task(config, params, bo, entry):
               "least_far_order": order,
               "band_dropped_share": band.dropped_share,
               "band_top_share": band.top_share,
-              "band_fallbacks": band.fallbacks}
+              "band_fallbacks": band.fallbacks,
+              "max_near_range": band.near_range}
     energy_rows = [(alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
                    in error_energy_trace(samples, params, lat_cfg.cutoff)]
     return (rows, (eps, max(row[3] for row in rows)),
@@ -740,8 +749,9 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
 
 
 def _force_split(cutoff: int) -> dict:
-    """The force's range at this cutoff: the ranges it sums directly and the
-    order through which it may take the rest by moments (0 for none)."""
+    """The force's range at this cutoff: the fewest ranges it sums directly,
+    near_range's floor where it takes moments, and the order through which
+    it may take the rest by moments (0 for none)."""
     M0 = near_range(cutoff)
     return {"cutoff": cutoff, "near_range": M0,
             "far_order": FAR_ORDER if M0 < cutoff else 0}

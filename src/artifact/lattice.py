@@ -27,23 +27,28 @@ errors by 2e-11 relative or less; the band records what it drops, and
 run_steps refuses more than BAND_TOL, where the residual takes the ring's
 force.  energy and a run_steps call without a band stay on the ring.
 
-force, which run_steps and the residual share, sums its ranges past
-NEAR_RANGE by moments (_far_field) where the state allows: each far pair
-slope is a power series in the window mean, and every order of it is a
-circular convolution of a power of the scaled primitive of r with fixed
+force, which run_steps and the residual share, sums its ranges up to a
+near range M0 pair by pair and the rest by moments (_far_field): each far
+pair slope is a power series in the window mean, and every order of it is a
+circular convolution of a power of the scaled primitive s of r with fixed
 weights, so a few FFTs replace the N x M kernel calls.  This near/far split
 follows Ewald (1921) and Greengard & Rokhlin (1987), keeping the far part's
-nonlinearity order by order.  energy splits its ranges where force does
-(_far_split) and takes the far pair potentials' series one order further
-from the far field itself (_far_potential): summed by parts on the ring,
-order n + 1 of the far potential is -(1 + rho)/(n + 1) times the inner
-product of the scaled primitive s with order n of the force.  The orders reach
+nonlinearity order by order, and sizes the near part by the state, as they
+size it by accuracy: M0 is at least NEAR_RANGE and large enough that
+2 max|s| <= (M0 + 1)/2 (near_range), so the default chains, at 2 max|s| of
+0.2 to 1.8, take M0 = NEAR_RANGE.  energy splits its ranges where force
+does (_far_split) and takes the far pair potentials' series one order
+further from the far field itself (_far_potential): summed by parts on the
+ring, order n + 1 of the far potential is -(1 + rho)/(n + 1) times the
+inner product of s with order n of the force.  The orders reach
 FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
 default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
 orders 11 to 20, and the validation chains orders 9 or less.  Every far
-field is given its weight rows and takes every order at once: force,
-run_steps, the residual and energy build them once per call through
-FAR_ORDER (_held_far_weights), energy keeping the rows of its own order.
+field is given its weight rows and takes every order at once, rows built
+through FAR_ORDER for the ranges past M0 (_held_far_weights): force and
+energy build them per call, run_steps holds one set for the largest M0 its
+states have needed, and the residual one set at a time, each profile's own
+(_FarWeights).
 """
 
 from __future__ import annotations
@@ -68,13 +73,16 @@ SERIES_CROSSOVER = 1e-3
 # full ring range, and an M x N stack would cost memory.
 _BLOCK_ELEMENTS = 16384
 
-# Past a cutoff of 2 * NEAR_RANGE, force sums the ranges beyond NEAR_RANGE
-# by moments, through the least order up to FAR_ORDER whose bound on the
+# Past a cutoff of 2 * NEAR_RANGE, force sums the ranges up to the state's
+# near range (near_range, never below NEAR_RANGE) directly and the rest by
+# moments, through the least order up to FAR_ORDER whose bound on the
 # dropped orders meets FAR_TOL of the far field's linear term.  Order 24
 # meets it at every window mean up to 0.2 and alpha in (1, 3), where
 # far_bound needs orders 21 to 23; the default sweeps' largest mean, 0.176
-# (residual, alpha 1.8, eps 0.2), needs 20.
-NEAR_RANGE = 16
+# (residual, alpha 1.8, eps 0.2), needs 20.  At a near range of 8 force
+# errs by at most 1.0e-14 of max|f| against the direct sum on the validate
+# and direct states (3-5e-15 at 16); at 4 by 5.6e-14, and at 1 by 5e-12.
+NEAR_RANGE = 8
 FAR_ORDER = 24
 FAR_TOL = 1e-13
 
@@ -207,12 +215,12 @@ def _check_ring(r: np.ndarray, config: LatticeConfig):
 
 def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     """Acceleration of each site: sum over ranges m of the backward
-    m-difference of the pair slopes, truncated at config.cutoff, the far
-    ranges by moments where the state allows (_split_force), with the far
-    weights built for this call (_held_far_weights)."""
+    m-difference of the pair slopes, truncated at config.cutoff, the ranges
+    past the state's near range by moments where it allows (_split_force),
+    with far weights built for this call."""
     r = np.asarray(r, dtype=float)
     _check_ring(r, config)
-    return _split_force(r, config, _held_far_weights(config))
+    return _split_force(r, config, _FarWeights(config, grow=False))
 
 
 def _direct_force(r: np.ndarray, alpha: float, M: int) -> np.ndarray:
@@ -272,10 +280,17 @@ def _linear_flow(config: LatticeConfig):
             np.concatenate(([0.0], -omega * s / shift)))
 
 
-def near_range(cutoff: int) -> int:
-    """Ranges force sums pair by pair: NEAR_RANGE when the cutoff reaches
-    past twice that, else the whole cutoff."""
-    return NEAR_RANGE if cutoff > 2 * NEAR_RANGE else cutoff
+def near_range(cutoff: int, s_max: float = 0.0) -> int:
+    """Ranges force sums pair by pair at a state whose scaled primitive s
+    (_scaled_primitive) has max|s| <= s_max: the whole cutoff where it does
+    not reach past 2 NEAR_RANGE, else the least M0 >= NEAR_RANGE with
+    2 s_max <= (M0 + 1)/2, or the cutoff where that is less.  Splitting
+    (s_{j+m} - s_j)^n into powers of s cancels terms as large as
+    (2 max|s|)^n, which the far weights' m^-n keep at rounding level while
+    2 max|s| <= M0 + 1; the rule keeps a factor 2 below that."""
+    if cutoff <= 2 * NEAR_RANGE:
+        return cutoff
+    return min(cutoff, max(NEAR_RANGE, math.ceil(4.0 * s_max) - 1))
 
 
 def _far_bounds(x: float, alpha: float):
@@ -302,16 +317,9 @@ def far_bound(x: float, alpha: float, p: int) -> float:
     return next(itertools.islice(_far_bounds(x, alpha), p - 1, None))
 
 
-def far_order(x: float, alpha: float, s_max: float = 0.0) -> int:
+def far_order(x: float, alpha: float) -> int:
     """The least order p <= FAR_ORDER whose far_bound meets FAR_TOL, in one
-    pass over _far_bounds, for a state whose scaled primitive s
-    (_scaled_primitive) has max|s| <= s_max; 0 for none, or where s_max
-    fails the guard below."""
-    # splitting (s_{j+m} - s_j)^n into powers of s cancels terms as large as
-    # (2 max|s|)^n, which the weights' m^-n keep at rounding level only
-    # while 2 max|s| <= NEAR_RANGE + 1
-    if not 2.0 * s_max <= NEAR_RANGE + 1:
-        return 0
+    pass over _far_bounds; 0 for none, as at a NaN x."""
     return next((p for p, bound in zip(range(1, FAR_ORDER + 1),
                                        _far_bounds(x, alpha))
                  if bound <= FAR_TOL), 0)
@@ -325,23 +333,19 @@ def _scaled_primitive(r: np.ndarray, rho: float) -> np.ndarray:
     return (S - np.mean(S)) / (1.0 + rho)
 
 
-def _held_far_weights(config: LatticeConfig):
-    """The far weights of every force at one config, which force, run_steps
-    and the residual build once per call and energy slices: weight rows
-    b_0..b_FAR_ORDER, real, over the rfft bins, of _far_field for the
-    ranges past near_range(config.cutoff), for every order a state may need;
-    None where the cutoff does not reach past the near range, since no far
-    field is taken there.  Order n of the far slopes,
+def _held_far_weights(config: LatticeConfig, M0: int):
+    """The far weights of every force at one config and near range M0,
+    which _FarWeights holds and energy slices: weight rows b_0..b_FAR_ORDER,
+    real, over the rfft bins, of _far_field for the ranges
+    M0 < m <= config.cutoff, for every order a state may need.  Order n of
+    the far slopes,
     sum_m C(-alpha-1, n) m^-(alpha+1+n) (d_m(j)^n - d_m(j-m)^n) with
     d_m(j) = s_{j+m} - s_j, splits binomially into (-s_j)^q/q! times a
     correlation and a convolution of s^k/k!, q + k = n, whose spectrum is
     B_n = g_n (conj(c^_n) - (-1)^n c^_n), c_n,m = m^-(alpha+1+n) and
     g_n = n! C(-alpha-1, n) = prod_{i<=n} -(alpha+i): 2 g_n Re c^_n at odd
     n and -2i g_n Im c^_n at even n, so that b_n = B_n / i^(n+1) is real."""
-    N, M, M0 = config.N, config.cutoff, near_range(config.cutoff)
-    if M0 == M:
-        return None
-    alpha = config.alpha
+    N, M, alpha = config.N, config.cutoff, config.alpha
     n = np.arange(FAR_ORDER + 1)
     # -2 (-1)^n g_n over i^(n+1), on the part B_n keeps: Re c^_n at odd n,
     # Im c^_n times i at even n
@@ -353,6 +357,34 @@ def _held_far_weights(config: LatticeConfig):
     C = np.fft.rfft(c)
     del c
     return np.where(n[:, None] % 2, C.real, C.imag) * f[:, None]
+
+
+class _FarWeights:
+    """The far weight rows b (_held_far_weights) of one config, held at one
+    near range M0 and built anew only where a state needs another: growing,
+    as run_steps holds them, the largest near range asked so far serves
+    every state that needs less; else, as the residual holds them, each
+    state takes its own, so that a stacked call gives each row the bits of
+    a call on its own.  One set is held at a time.  largest records the
+    most ranges any state was given to sum pair by pair."""
+
+    def __init__(self, config: LatticeConfig, grow: bool):
+        self.config, self.grow = config, grow
+        self.M0 = self.largest = 0
+        self.b = None
+
+    def near(self, M0: int) -> int:
+        """The ranges to sum pair by pair at a state whose near range is M0
+        (the cutoff where it takes no moments), with self.b the weight rows
+        past them where they are fewer than the cutoff."""
+        if M0 < self.config.cutoff:
+            if self.grow:
+                M0 = max(M0, self.M0)
+            if M0 != self.M0:
+                self.b = None       # so that two sets never sit side by side
+                self.M0, self.b = M0, _held_far_weights(self.config, M0)
+        self.largest = max(self.largest, M0)
+        return M0
 
 
 def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
@@ -395,32 +427,36 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
 
 
 def _far_split(r: np.ndarray, config: LatticeConfig):
-    """(s, rho, p) where force and energy take the ranges past the near
-    range by moments through order p: the order far_order finds at
-    x = max|r - rho|/(1 + rho) and max|s|, rho the mean of r and s the
-    scaled primitive (_scaled_primitive); None where they sum every range
-    directly: a cutoff within twice the near range, or no order."""
-    if near_range(config.cutoff) == config.cutoff:
+    """(s, rho, p, M0) where force and energy sum the ranges up to M0
+    directly and take the rest by moments through order p: the order
+    far_order finds at x = max|r - rho|/(1 + rho), rho the mean of r, and
+    then the near range at max|s|, s the scaled primitive
+    (_scaled_primitive); None where they sum every range directly: a cutoff
+    within twice NEAR_RANGE, no order (a NaN among them), or a near range
+    that reaches the cutoff."""
+    M = config.cutoff
+    if M <= 2 * NEAR_RANGE:
         return None
     rho = float(np.mean(r))
     x = max(float(np.max(r)) - rho, rho - float(np.min(r))) / (1.0 + rho)
+    p = far_order(x, config.alpha)
+    if not p:
+        return None
     s = _scaled_primitive(r, rho)
-    p = far_order(x, config.alpha, float(np.max(np.abs(s))))
-    return (s, rho, p) if p else None
+    M0 = near_range(M, float(np.max(np.abs(s))))
+    return (s, rho, p, M0) if M0 < M else None
 
 
-def _split_force(r: np.ndarray, config: LatticeConfig, b):
-    """force(r, config): the near ranges directly plus _far_field's share,
-    from the far weight rows b (_held_far_weights), where _far_split
-    allows, else every range directly; the far field reuses the near sum's
-    freed memory."""
-    alpha = config.alpha
+def _split_force(r: np.ndarray, config: LatticeConfig, held: _FarWeights):
+    """force(r, config): the near ranges directly plus _far_field's share
+    from the far weights held, where _far_split allows, else every range
+    directly; the far field reuses the near sum's freed memory."""
     far = _far_split(r, config)
-    if far is None:
-        return _direct_force(r, alpha, config.cutoff)
-    s, rho, p = far
-    f = _direct_force(r, alpha, near_range(config.cutoff))
-    f += _far_field(s, rho, config, p, b)
+    M0 = held.near(config.cutoff if far is None else far[3])
+    f = _direct_force(r, config.alpha, M0)
+    if M0 < config.cutoff:
+        s, rho, p, _ = far
+        f += _far_field(s, rho, config, p, held.b)
     return f
 
 
@@ -442,14 +478,17 @@ class Band:
     the largest share of a field it was given above the kept bins, which it
     drops (dropped_share), the largest share of a force's grid spectrum
     above them, which the kicks drop and whose products alias (top_share),
-    and the forces it took from the ring instead (fallbacks).  run_steps
-    refuses either share past BAND_TOL with BlowUpError."""
+    the forces it took from the ring instead (fallbacks), and the most
+    ranges any force of the call summed pair by pair, on the band or on the
+    ring (near_range).  run_steps refuses either share past BAND_TOL with
+    BlowUpError."""
 
     Q: int
     dealias_fraction: float = 2.0 / 3.0
     dropped_share: float = field(default=0.0, init=False)
     top_share: float = field(default=0.0, init=False)
     fallbacks: int = field(default=0, init=False)
+    near_range: int = field(default=0, init=False)
 
     @cached_property
     def kept(self) -> int:
@@ -489,7 +528,7 @@ def _refuse_collision(r: np.ndarray, t: float | None = None):
         raise CollisionError("a gap deviation reached 1; ordering lost", t=t)
 
 
-def _ring_remainder(config: LatticeConfig, L: np.ndarray, b):
+def _ring_remainder(config: LatticeConfig, L: np.ndarray, held: _FarWeights):
     """run_steps' remainder R = rfft(force(r)) - L r^ on every bin of the
     ring: at the sites r given, or else at r = irfft(r^, N), which must
     keep |r| below 1."""
@@ -497,74 +536,81 @@ def _ring_remainder(config: LatticeConfig, L: np.ndarray, b):
         if r is None:
             r = np.fft.irfft(rh, config.N)
             _refuse_collision(r)
-        return np.fft.rfft(_split_force(r, config, b)) - L * rh
+        return np.fft.rfft(_split_force(r, config, held)) - L * rh
     return remainder
 
 
-def _band_force(config: LatticeConfig, b, band: Band):
+def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
     """force on a band: the function that takes spectra r^ on the band's
     kept bins of the ring alone, and gives the force's rfft spectrum on the
     ring through bin Q/2, formed on the band's grid x_q = qN/Q,
-    q = 0..Q-1, with the far weight rows b (_held_far_weights).
+    q = 0..Q-1, with the far weights held.
 
-    For each range m up to the near range, G_m r at the grid points is the
-    irfft over Q points of r^ times (e^{ikm} - 1)/(e^{ik} - 1) (m at n = 0),
-    k = 2 pi n/N; the rfft of its pair slopes times 1 - e^{-ikm}, summed
-    over m, is the near ranges' force.  _far_field adds the far ranges at
-    the grid samples of the scaled primitive, s^ = r^/((e^{ik} - 1)(1 +
-    rho)), with the weight rows cut to bins up to Q/2.  A transform over Q
-    points has Q/N of the ring's normalisation, which cancels between each
-    grid's inverse and forward transforms.
+    For each range m up to the near range M0, G_m r at the grid points is
+    the irfft over Q points of r^ times (e^{ikm} - 1)/(e^{ik} - 1) (m at
+    n = 0), k = 2 pi n/N; the rfft of its pair slopes times 1 - e^{-ikm},
+    summed over m, is the near ranges' force.  These window and difference
+    rows are kept for one M0 at a time, as the weights are.  _far_field
+    adds the far ranges at the grid samples of the scaled primitive,
+    s^ = r^/((e^{ik} - 1)(1 + rho)), with the weight rows cut to bins up to
+    Q/2.  A transform over Q points has Q/N of the ring's normalisation,
+    which cancels between each grid's inverse and forward transforms.
 
-    The collision test and the far order, with its guard on max|s|, must
-    hold at every site of the ring, not only at the grid points, so each is
-    taken from a bound by the spectrum's moduli:
+    The collision test, the far order and the near range must hold at
+    every site of the ring, not only at the grid points, so each is taken
+    from a bound by the spectrum's moduli:
     max|r - rho| <= 2 sum_{n>0} |r^_n|/N, and alike for max|r| and max|s|.
     Only where the bound on max|r| reaches 1 are the ring's sites formed
-    and tested, and only where the bound on max|s| leaves no order is
-    max|s| taken at the ring's sites.  Where still no order is found, the
+    and tested, and only where the bound on max|s| asks for more than
+    NEAR_RANGE is max|s| taken at the ring's sites (the bound is 1.67 times
+    it on the alpha 1.8 residual states).  Where no order is found, the
     force is the ring's, rfft(force(irfft(r^, N))), counted in
     band.fallbacks."""
-    N, Q, alpha, kept = config.N, band.Q, config.alpha, band.kept
-    M0 = near_range(config.cutoff)
+    N, Q, alpha, kept, M = config.N, band.Q, config.alpha, band.kept, \
+        config.cutoff
     k = 2.0 * np.pi * np.arange(Q // 2 + 1) / N
     shift = -2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)    # e^{ik} - 1
-    ms = np.arange(1, M0 + 1, dtype=float)[:, None]
-    # e^{ikm} - 1; 1 - e^{-ikm} is minus its conjugate
-    up = -2.0 * np.sin(0.5 * k * ms) ** 2 + 1j * np.sin(k * ms)
-    window = np.empty((M0, kept), dtype=complex)
-    window[:, 0] = ms[:, 0]
-    window[:, 1:] = up[:, 1:kept] / shift[1:kept]
-    window *= Q / N
-    difference = up.conj() * (-N / Q)
     primitive = np.zeros(kept, dtype=complex)
     primitive[1:] = (Q / N) / shift[1:kept]
-    bQ = None if b is None else b[:, :Q // 2 + 1]
+    rows = None     # (M0, ms, window, difference) of the last near range
 
-    def far_spectrum(rh, moduli):
-        # the far ranges' share of the force, or None where no order holds
-        rho = rh[0].real / N
-        sh = rh * primitive / (1.0 + rho)
-        x = moduli / (1.0 + rho)
-        p = far_order(x, alpha, 2.0 * float(np.sum(np.abs(sh))) / Q)
-        if not p:   # the bound may fail the guard where the sites do not
-            s_max = float(np.max(np.abs(np.fft.irfft(sh, N)))) * (N / Q)
-            p = far_order(x, alpha, s_max)
-        if not p:
-            return None
-        return np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config, p,
-                                      bQ)) * (N / Q)
+    def near_rows(M0):
+        nonlocal rows
+        if rows is None or rows[0] != M0:
+            rows = None     # one set at a time, as the weights
+            ms = np.arange(1, M0 + 1, dtype=float)[:, None]
+            # e^{ikm} - 1; 1 - e^{-ikm} is minus its conjugate
+            up = -2.0 * np.sin(0.5 * k * ms) ** 2 + 1j * np.sin(k * ms)
+            window = np.empty((M0, kept), dtype=complex)
+            window[:, 0] = ms[:, 0]
+            window[:, 1:] = up[:, 1:kept] / shift[1:kept]
+            window *= Q / N
+            rows = M0, ms, window, up.conj() * (-N / Q)
+        return rows[1:]
 
     def force_spectrum(rh):
         a = np.abs(rh)
         moduli = 2.0 * float(np.sum(a[1:])) / N
         if a[0] / N + moduli >= 1.0:
             _refuse_collision(np.fft.irfft(rh, N))
-        Ffar = far_spectrum(rh, moduli) if M0 < config.cutoff else 0.0
-        if Ffar is None:
-            band.fallbacks += 1
-            return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
-                                            b))[:Q // 2 + 1]
+        M0, Ffar = M, 0.0
+        if M > 2 * NEAR_RANGE:
+            rho = rh[0].real / N
+            p = far_order(moduli / (1.0 + rho), alpha)
+            if not p:
+                band.fallbacks += 1
+                return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
+                                                held))[:Q // 2 + 1]
+            sh = rh * primitive / (1.0 + rho)
+            M0 = near_range(M, 2.0 * float(np.sum(np.abs(sh))) / Q)
+            if M0 > NEAR_RANGE:
+                M0 = near_range(M, float(np.max(np.abs(np.fft.irfft(
+                    sh, N)))) * (N / Q))
+        M0 = held.near(M0)
+        if M0 < M:      # past 2 NEAR_RANGE, where p, rho and sh are set
+            Ffar = np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config,
+                                          p, held.b[:, :Q // 2 + 1])) * (N / Q)
+        ms, window, difference = near_rows(M0)
         # the windows' spectra, zero-padded to the grid's bins for the irfft,
         # which pads slower; made per call, as a held array would sit
         # through the far field beside its temporaries
@@ -586,8 +632,10 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
 
     (r, p) stay rfft spectra within a call, and the trailing remainder
     doubles as the next leading one: a call forms nsteps + 1 remainders,
-    whatever `every`.  The force's far weights are built once per call
-    (_held_far_weights).  On the ring (band None, or band.Q >= N) a step
+    whatever `every`.  The call holds one set of far weights, and on a band
+    one set of near rows, for the largest near range its states have
+    needed, built anew only when a state needs more (_FarWeights); a band
+    given records that range.  On the ring (band None, or band.Q >= N) a step
     costs one force, one irfft and one rfft.  With a band of Q < N points
     the spectra keep only the band's bins, and each remainder is formed on
     its grid (_band_force), at a cost that does not grow with N; the
@@ -598,19 +646,19 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
-    b = _held_far_weights(config)
+    held = _FarWeights(config, grow=True)
     rh, ph = np.fft.rfft(state.r), np.fft.rfft(state.p)
     t, done, i = state.t, 0, 0  # time and step count of the last state out
     try:
         if band is None or band.Q >= N:
-            remainder = _ring_remainder(config, L, b)
+            remainder = _ring_remainder(config, L, held)
         else:
             band.drop(rh)
             band.drop(ph)
             kept = band.kept
             L, cos, r_from_p, p_from_r, rh, ph = (
                 v[:kept] for v in (L, cos, r_from_p, p_from_r, rh, ph))
-            force_spectrum = _band_force(config, b, band)
+            force_spectrum = _band_force(config, held, band)
 
             def remainder(rh, r=None):
                 F = force_spectrum(rh)
@@ -630,6 +678,8 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     except BlowUpError as err:
         err.t, err.alpha = t + (i - done) * dt, config.alpha
         raise
+    if band is not None:
+        band.near_range = max(band.near_range, held.largest)
     return out
 
 
@@ -643,9 +693,8 @@ def energy(state: LatticeState, config: LatticeConfig) -> float:
     if far is None:
         M, far_share = config.cutoff, 0.0
     else:
-        s, rho, p = far
-        far_share = _far_potential(s, rho, config, p)
-        M = near_range(config.cutoff)
+        s, rho, p, M = far
+        far_share = _far_potential(s, rho, config, p, M)
         del far, s      # so that the near sum's blocks do not sit beside s
     return (0.5 * float(np.dot(state.p, state.p))
             + _direct_potential(r, config.alpha, M) + far_share)
@@ -658,9 +707,9 @@ def _direct_potential(r: np.ndarray, alpha: float, M: int) -> float:
 
 
 def _far_potential(s: np.ndarray, rho: float, config: LatticeConfig,
-                   p: int) -> float:
-    """The share of energy's potential of the ranges m past the near range,
-    through order p + 1, at gaps r of mean rho and scaled primitive s, from
+                   p: int, M0: int) -> float:
+    """The share of energy's potential of the ranges m past the near range
+    M0, through order p + 1, at gaps r of mean rho and scaled primitive s, from
     _far_field's force through order p.
 
     With G_m r_j = m rho + (1 + rho) d_m(j), d_m(j) = s_{j+m} - s_j, the
@@ -675,10 +724,10 @@ def _far_potential(s: np.ndarray, rho: float, config: LatticeConfig,
     The orders dropped are at most 2/(p + 2) far_bound(x, alpha, p) of the
     order-2 term alpha (alpha+1)/2 x^2 of a pair at window mean x."""
     alpha, N = config.alpha, s.size
-    m = np.arange(near_range(config.cutoff) + 1, config.cutoff + 1,
-                  dtype=float)
+    m = np.arange(M0 + 1, config.cutoff + 1, dtype=float)
     const = N * float(_kernel(rho, 1.0, alpha)) * float(np.sum(m ** -alpha))
-    b = _held_far_weights(config)[:p + 1] / np.arange(1.0, p + 2.0)[:, None]
+    b = _held_far_weights(config, M0)[:p + 1] / np.arange(1.0, p + 2.0)[
+        :, None]
     return const - (1.0 + rho) * float(np.dot(s, _far_field(s, rho, config,
                                                               p, b)))
 

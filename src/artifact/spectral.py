@@ -42,19 +42,27 @@ def resample_spectrum(c: np.ndarray, num: int) -> np.ndarray:
     Each bin j < n/2 stands for the modes +j and -j, and the top bin for
     +n/2 and -n/2 with half its weight each.  The modes land on their bins
     modulo num: refining zero-pads, and coarsening aliases, which is exact
-    at the num points.
+    at the num points.  At num >= n no two modes share a bin but the top
+    pair at num = n, so the bins are added into zeros directly, in the
+    order a scatter adds them, to the last bit and signed zero.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim == 0 or c.shape[-1] < 2 or num < 2 or num % 2:
         raise ValueError("spectrum lengths must be even and at least 2")
     half = c.shape[-1] - 1
+    out = np.zeros(c.shape[:-1] + (num // 2 + 1,), dtype=complex)
+    if num >= 2 * half:
+        out[..., :half] += c[..., :half]
+        out[..., half] += c[..., half] * 0.5
+        if num == 2 * half:
+            out[..., half] += np.conj(c[..., half]) * 0.5
+        return out
     modes = np.concatenate([np.arange(half + 1), -np.arange(1, half + 1)])
     weights = np.concatenate([c, np.conj(c[..., 1:])], axis=-1)
     weights[..., half] *= 0.5
     weights[..., -1] *= 0.5
     bins = modes % num
     kept = bins <= num // 2
-    out = np.zeros(c.shape[:-1] + (num // 2 + 1,), dtype=complex)
     np.add.at(out, (..., bins[kept]), weights[..., kept])
     return out
 

@@ -272,12 +272,13 @@ def test_describe_plan_default_ring_sizes():
         ValidationConfig(alpha=2.0, bo_modes=1024), "validation")] \
         == [512, 724, 1024, 1024]
     assert [entry["band"] for entry in plan] == [512, 512, 512, 512]
-    # a residual cutoff within twice the near range is summed directly
+    # a residual cutoff within twice the near range, 16, is summed
+    # directly; past it the plan gives near_range's floor
     short = describe_plan(ValidationConfig(alpha=2.0,
                                            residual_cutoff_coef=0.5), "residual")
     assert [(e["cutoff"], e["near_range"], e["far_order"]) for e in short] \
-        == [(13, 13, 0), (25, 25, 0), (50, 16, lattice.FAR_ORDER),
-            (100, 16, lattice.FAR_ORDER)]
+        == [(13, 13, 0), (25, 8, lattice.FAR_ORDER),
+            (50, 8, lattice.FAR_ORDER), (100, 8, lattice.FAR_ORDER)]
 
 
 # per-checkpoint steps on eps 0.4 ... 0.025, and how many of the smallest
@@ -689,32 +690,35 @@ def _stacked_checkpoints(alpha, **overrides):
 
 def _assert_rows_are_single_calls(field, eps, params, cutoff, monkeypatch,
                                   Q=None):
-    # the stacked call builds the far weights once, through FAR_ORDER, past
-    # a cutoff of twice the near range and none within it; every row equals
+    # the stacked call builds the far weights, through FAR_ORDER, past a
+    # cutoff of twice NEAR_RANGE, and none within it, anew only where a
+    # profile's near range differs from the one before; every row equals
     # the one-profile call to the last bit, on the ring or on a band of Q
-    # points
+    # points.  Returns the near ranges the stacked call built weights for
     built = []
     real = lattice._held_far_weights
 
-    def counted(config):
-        b = real(config)
-        built.append(None if b is None else len(b) - 1)
+    def counted(config, M0):
+        b = real(config, M0)
+        assert len(b) == lattice.FAR_ORDER + 1
+        built.append(M0)
         return b
 
     def band():
         return None if Q is None else lattice.Band(Q)
 
-    for module in (harness, lattice):
-        monkeypatch.setattr(module, "_held_far_weights", counted)
+    monkeypatch.setattr(lattice, "_held_far_weights", counted)
     accel, fpart = residual_fields(field, eps, params, cutoff, band=band())
-    assert built == [lattice.FAR_ORDER
-                     if cutoff > 2 * lattice.NEAR_RANGE else None]
+    assert bool(built) == (cutoff > 2 * lattice.NEAR_RANGE)
+    assert all(a != b for a, b in zip(built, built[1:]))
+    stacked = list(built)
     assert accel.shape == fpart.shape == (len(field.spectrum), accel.shape[1])
     for i, c in enumerate(field.spectrum):
         a, f = residual_fields(SpectralField.from_spectrum(field.grid, c), eps,
                                params, cutoff, band=band())
         assert np.array_equal(accel[i], a), i
         assert np.array_equal(fpart[i], f), i
+    return stacked
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.5])
@@ -722,14 +726,17 @@ def test_stacked_residual_rows_equal_single_profile_calls(alpha,
                                                           monkeypatch):
     # the sweep's 21 checkpoints on its four default rings, 512 to 1448
     # sites, one to two chunks of profiles, on the ring and on the band the
-    # sweep takes
+    # sweep takes; every checkpoint of an epsilon takes one near range, so
+    # one set of weights is built: 14 to 17 at alpha 1.8, 8 at 2.5
     cfg, params, field = _stacked_checkpoints(alpha)
     assert field.spectrum.shape == (cfg.checkpoints + 1,
                                     cfg.bo_modes // 2 + 1)
     for entry in describe_plan(cfg, "residual"):
         for Q in (None, entry["band"]):
-            _assert_rows_are_single_calls(field, entry["epsilon"], params,
-                                          entry["cutoff"], monkeypatch, Q)
+            [M0] = _assert_rows_are_single_calls(
+                field, entry["epsilon"], params, entry["cutoff"],
+                monkeypatch, Q)
+            assert (14 <= M0 <= 17) if alpha == 1.8 else M0 == 8
 
 
 def test_stacked_residual_rows_at_a_short_cutoff(monkeypatch):
@@ -743,31 +750,30 @@ def test_stacked_residual_rows_at_a_short_cutoff(monkeypatch):
                                       monkeypatch)
 
 
-def test_stacked_residual_rows_where_the_guard_falls_back(monkeypatch):
-    # alpha 1.5 at eps 0.05: at amplitude 0.7 the gaps' scaled primitive
-    # fails _far_split's guard (2 max|s| = 23.2 > 17) though an order is
-    # found, so that row falls back from the band to the ring's force, which
-    # sums every range directly, beside rows that take the held weights;
-    # the band counts the one fallback
+def test_stacked_residual_rows_at_their_own_near_ranges(monkeypatch):
+    # alpha 1.5 at eps 0.05: at amplitudes 0.5, 0.7 and 0.3 the gaps'
+    # scaled primitive has 2 max|s| = 16.6, 23.2 and 9.9, past the old
+    # guard's 17 at 0.7, so the rows take near ranges 33, 46 and 19, each
+    # its own, on the ring and on the band, which falls back for none and
+    # records the largest
     grid = PeriodicGrid(102.4, 512)
     params = make_alpha_params(1.5)
     N, cutoff = 2048, 300
     cfg = LatticeConfig(N=N, alpha=1.5, cutoff=cutoff, dt=1.0)
     k = wavenumbers(N, grid.period)
     u = [gaussian_profile(grid, a).spectrum for a in (0.5, 0.7, 0.3)]
-    for c, falls_back in zip(u, (False, True, False)):
+    for c, M0 in zip(u, (33, 46, 19)):
         r = harness._ansatz_gaps(resample_spectrum(c, N), k, grid.period, N,
                                  1.5)
-        rho = float(np.mean(r))
-        assert lattice.far_order(float(np.max(np.abs(r - rho))) / (1 + rho),
-                                 1.5) > 0
-        assert (lattice._far_split(r, cfg) is None) == falls_back
+        assert lattice._far_split(r, cfg)[3] == M0
     field = SpectralField.from_spectrum(grid, u)
-    _assert_rows_are_single_calls(field, grid.period / N, params, cutoff,
-                                  monkeypatch)
+    for Q in (None, 512):
+        assert _assert_rows_are_single_calls(
+            field, grid.period / N, params, cutoff, monkeypatch, Q) \
+            == [33, 46, 19]
     band = lattice.Band(512)
     residual_fields(field, grid.period / N, params, cutoff, band=band)
-    assert band.fallbacks == 1
+    assert band.fallbacks == 0 and band.near_range == 46
 
 
 def test_ansatz_gaps_take_stacks_row_by_row():
@@ -880,7 +886,9 @@ def test_stacked_residual_peak_memory_stays_bounded():
     # _band_force's zero-padded window array held for the call.  With
     # u_X, u_tau and v_tautau formed side by side the call peaked at 1.83
     # MB, and with them and the chunk's spectra alive through the force
-    # loop at 2.20 MB
+    # loop at 2.20 MB.  With each profile at its own near range (17 here)
+    # and one set of weights held at a time, numpy 2.4 reads 1.72 MB on
+    # the ring and 1.76 MB on the band: 2% under the bound
     cfg, params, field = _stacked_checkpoints(1.8)
     eps = cfg.period / 1448
     for Q in (None, cfg.bo_modes):
@@ -936,7 +944,8 @@ def test_run_residual_sweep_smoke(tmp_path):
                           "band": 256,
                           "band_dropped_share": band.dropped_share,
                           "band_top_share": band.top_share,
-                          "band_fallbacks": 0}
+                          "band_fallbacks": 0,
+                          "max_near_range": band.near_range}
         assert (0.0 < band.top_share <= lattice.BAND_TOL) \
             == (entry["N"] > 256)
     # the surrogate's step, its steps and its resolution
@@ -1005,7 +1014,7 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
     health_keys = {"energy_initial", "energy_final", "energy_rel_drift",
                    "min_collision_margin", "far_bound", "far_bound_ok",
                    "least_far_order", "band_dropped_share", "band_top_share",
-                   "band_fallbacks"}
+                   "band_fallbacks", "max_near_range"}
     assert [{k: v for k, v in e.items() if k not in health_keys}
             for e in chain] == describe_plan(cfg, "validation")
     params = make_alpha_params(cfg.alpha)
@@ -1028,6 +1037,9 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         assert entry["band_top_share"] == band.top_share
         assert max(band.dropped_share, band.top_share) <= lattice.BAND_TOL
         assert entry["band_fallbacks"] == band.fallbacks == 0
+        # the default chain's states keep the floor
+        assert entry["max_near_range"] == band.near_range \
+            == lattice.NEAR_RANGE
         margin = 1.0 - np.max(np.abs(r0))
         for state in states:
             margin = min(margin, 1.0 - np.max(np.abs(state.r)))

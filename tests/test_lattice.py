@@ -415,8 +415,8 @@ def _validate_state(alpha, n):
 
 def _stepper_remainder(r, cfg):
     # the remainder R = F - L r that run_steps kicks with at r, on the ring,
-    # with the far weights it builds once per call
-    F = lattice._split_force(r, cfg, lattice._held_far_weights(cfg))
+    # at the state's own near range
+    F = force(r, cfg)
     L = lattice._linear_flow(cfg)[0]
     return np.fft.irfft(np.fft.rfft(F) - L * np.fft.rfft(r), cfg.N)
 
@@ -450,7 +450,8 @@ def _record_force_cutoffs(monkeypatch):
 def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
     # the validate initial state, that state 100 steps on, and a ring of mean
     # 0.03: run_steps' remainder, its ranges past NEAR_RANGE summed by
-    # moments, against the direct sum's to 1e-12 of max|force|
+    # moments (2 max|s| is 1.8 or less), against the direct sum's to 1e-12
+    # of max|force|
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff, dt=0.1)
     r, p = _validate_state(alpha, n)
     stepped = run_steps(LatticeState(r=r, p=p), cfg, 100)[-1].r
@@ -485,26 +486,28 @@ def _far_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_far_cases())
 def test_far_field_properties(case):
-    # the moments are taken exactly when far_bound meets FAR_TOL, and then
-    # match the direct sum to 1e-12 of max|force| + |rho| (the direct sum
-    # cancels pair slopes of size ~|rho| in every m-difference, so its own
-    # rounding scales with |rho| too); otherwise the step is the direct
-    # sum's, bit for bit
+    # the moments are taken exactly when far_bound meets FAR_TOL and the
+    # state's near range falls short of the cutoff, and then match the
+    # direct sum to 1e-12 of max|force| + |rho| (the direct sum cancels pair
+    # slopes of size ~|rho| in every m-difference, so its own rounding
+    # scales with |rho| too); otherwise the step is the direct sum's, bit
+    # for bit
     cfg, r = case
     rho = float(np.mean(r))
     x = float(np.max(np.abs(r - rho))) / (1.0 + rho)
+    M0 = lattice.near_range(cfg.cutoff, float(np.max(np.abs(
+        lattice._scaled_primitive(r, rho)))))
+    takes_moments = (lattice.far_bound(x, cfg.alpha, lattice.FAR_ORDER)
+                     <= lattice.FAR_TOL and M0 < cfg.cutoff)
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_force_cutoffs(mp)
         got = _stepper_remainder(r, cfg)
     want = _direct_remainder(r, cfg)
-    if calls == [cfg.cutoff]:
-        assert not (lattice.far_bound(x, cfg.alpha, lattice.FAR_ORDER)
-                    <= lattice.FAR_TOL)
+    if not takes_moments:
+        assert calls == [cfg.cutoff]
         assert np.array_equal(got, want)
     else:
-        assert calls == [lattice.NEAR_RANGE]
-        assert (lattice.far_bound(x, cfg.alpha, lattice.FAR_ORDER)
-                <= lattice.FAR_TOL)
+        assert calls == [M0]
         assert (np.max(np.abs(got - want))
                 <= 1e-12 * (np.max(np.abs(_direct(r, cfg))) + abs(rho)))
 
@@ -521,6 +524,19 @@ def _far_sum_longdouble(r, alpha, M0, M):
     return f
 
 
+def _step_state():
+    # a ring of 256 sites that holds a step of window means near x = 0.1 at
+    # every range, with its mean, scaled primitive and near range at
+    # cutoff 127, which is 12
+    r = np.full(256, 0.03 - 0.1 / 3.0)
+    r[:64] = 0.03 + 0.1
+    rho = float(np.mean(r))
+    s = lattice._scaled_primitive(r, rho)
+    M0 = lattice.near_range(127, float(np.max(np.abs(s))))
+    assert M0 == 12
+    return r, rho, s, M0
+
+
 def _far_error_and_allowance(alpha, p):
     # the far field at order p on a ring that holds a step of window means
     # near x = 0.1 at every range, where the dropped orders are measurable,
@@ -531,21 +547,20 @@ def _far_error_and_allowance(alpha, p):
     # field to the last bit, since rows past p never enter; and the bound it
     # is gated by: a far pair slope errs by at most alpha (1+rho)^-(alpha+1)
     # m^-(alpha+1) (alpha+1) x far_bound, and a force by twice the sum of
-    # that over the far ranges
+    # that over the far ranges.  The far ranges are those past the state's
+    # near range: 2 max|s| = 6.21 here, so 12 (at 8 the far field errs by
+    # 1.0-1.4e-14 of itself, past the allowance)
     n, cutoff = 256, 127
-    r = np.full(n, 0.03 - 0.1 / 3.0)
-    r[:n // 4] = 0.03 + 0.1
-    rho = float(np.mean(r))
+    r, rho, s, M0 = _step_state()
     x = 0.1 / (1.0 + rho)
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
-    want = _far_sum_longdouble(r, alpha, lattice.NEAR_RANGE, cutoff)
-    s = lattice._scaled_primitive(r, rho)
-    b = lattice._held_far_weights(cfg)
+    want = _far_sum_longdouble(r, alpha, M0, cutoff)
+    b = lattice._held_far_weights(cfg, M0)
     got, held = (lattice._far_field(s, rho, cfg, p, rows)
                  for rows in (b[:p + 1], b))
     assert np.array_equal(got, held)
     err = float(np.max(np.abs(got - want)))
-    m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
+    m = np.arange(M0 + 1, cutoff + 1, dtype=float)
     allowed = (2.0 * alpha * (1.0 + rho) ** -(alpha + 1.0) * (alpha + 1.0) * x
                * lattice.far_bound(x, alpha, p)
                * float(np.sum(m ** -(alpha + 1.0))))
@@ -607,8 +622,8 @@ def test_far_field_refuses_too_few_weight_rows():
         0.01 * np.sin(2.0 * np.pi * np.arange(256) / 256), 0.0)
     with pytest.raises(ValueError, match="order 12 needs 13 weight rows, "
                                          "got 11"):
-        lattice._far_field(s, 0.0, cfg, 12,
-                           lattice._held_far_weights(cfg)[:11])
+        lattice._far_field(s, 0.0, cfg, 12, lattice._held_far_weights(
+            cfg, lattice.NEAR_RANGE)[:11])
 
 
 def _far_field_by_real_rows(s, rho, config, p, b):
@@ -648,24 +663,28 @@ def test_far_field_equals_the_real_row_sum_bit_for_bit(alpha, p, n):
     r = _validate_state(alpha, n)[0]
     rho = float(np.mean(r))
     s = lattice._scaled_primitive(r, rho)
-    b = lattice._held_far_weights(cfg)
+    b = lattice._held_far_weights(cfg, lattice.NEAR_RANGE)
     for rows in (b, b[:p + 1] / np.arange(1.0, p + 2.0)[:, None]):
         got = lattice._far_field(s, rho, cfg, p, rows)
         assert np.array_equal(got, _far_field_by_real_rows(s, rho, cfg, p,
                                                            rows))
 
 
-# the orders force takes on the residual states at t = 0, ring by ring
+# the orders and near ranges force takes on the residual states at t = 0,
+# ring by ring (2 max|s| is 8.2 / 8.8 at alpha 1.8, 5.2 at 2.0, 0.2 at 2.5)
 _RESIDUAL_ORDERS = {(1.8, 1024): 15, (1.8, 1448): 14, (2.0, 1024): 13,
                     (2.0, 1448): 11, (2.5, 1024): 6, (2.5, 1448): 6}
+_RESIDUAL_NEAR_RANGES = {(1.8, 1024): 16, (1.8, 1448): 17, (2.0, 1024): 10,
+                         (2.0, 1448): 10, (2.5, 1024): 8, (2.5, 1448): 8}
 
 
 @pytest.mark.parametrize("n, cutoff", [(1024, 300), (1448, 600)])
 def test_force_on_residual_states_matches_the_direct_sum(n, cutoff,
                                                          monkeypatch):
     # the residual sweeps' interaction part at t = 0: force takes the far
-    # ranges by moments there, at the state's order from weights built
-    # through FAR_ORDER, within 1e-12 of max|f| of the direct sum
+    # ranges by moments there, past the state's near range, at the state's
+    # order from weights built through FAR_ORDER, within 1e-12 of max|f| of
+    # the direct sum
     calls = _record_force_cutoffs(monkeypatch)
     orders = []
     real = lattice._far_field
@@ -684,19 +703,19 @@ def test_force_on_residual_states_matches_the_direct_sum(n, cutoff,
         calls.clear()
         orders.clear()
         got = force(r, lat)
-        assert calls == [lattice.NEAR_RANGE]
+        assert calls == [_RESIDUAL_NEAR_RANGES[alpha, n]]
         assert orders == [_RESIDUAL_ORDERS[alpha, n]]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
-    # an amplitude far_bound refuses, a long wave whose scaled primitive is
-    # too large to expand in, and a NaN: run_steps steps exactly as with
-    # every range summed directly
+    # an amplitude far_bound refuses, a long wave whose near range reaches
+    # the cutoff (4 max|s| = 78 against 60), and a NaN: run_steps steps
+    # exactly as with every range summed directly
     assert lattice.far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
     assert lattice.far_bound(math.nan, 2.0, lattice.FAR_ORDER) == math.inf
     calls = _record_force_cutoffs(monkeypatch)
-    for n, cutoff, amp in ((512, 255, 0.3), (4096, 100, 0.03)):
+    for n, cutoff, amp in ((512, 255, 0.3), (4096, 60, 0.03)):
         x = 2.0 * np.pi * np.arange(n) / n
         state = LatticeState(r=amp * np.sin(x), p=amp * np.cos(x))
         cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
@@ -737,15 +756,15 @@ _KEPT = 171     # the bins of dealias_mask(512), the band of bo_modes 512
 
 def _band_remainder(rh, cfg, band):
     # run_steps' remainder on the band at spectrum rh, kept bins alone, with
-    # the far weights it builds once per call
-    F = lattice._band_force(cfg, lattice._held_far_weights(cfg), band)(rh)
+    # far weights held as run_steps holds them
+    F = lattice._band_force(cfg, lattice._FarWeights(cfg, grow=True),
+                            band)(rh)
     return F[:rh.size] - lattice._linear_flow(cfg)[0][:rh.size] * rh
 
 
 def _ring_remainder_on_kept_bins(rh, cfg):
     # the ring's rfft(force(r)) - L r^ at r = irfft(rh, N), on rh's bins
-    F = lattice._split_force(np.fft.irfft(rh, cfg.N), cfg,
-                             lattice._held_far_weights(cfg))
+    F = force(np.fft.irfft(rh, cfg.N), cfg)
     return (np.fft.rfft(F)[:rh.size]
             - lattice._linear_flow(cfg)[0][:rh.size] * rh)
 
@@ -797,18 +816,15 @@ def test_band_at_the_ring_size_or_past_it_is_the_ring(monkeypatch):
 
 
 def test_band_falls_back_to_the_ring_force_bit_for_bit(monkeypatch):
-    # an amplitude far_bound refuses, a long wave whose scaled primitive the
-    # bound on max|s| finds too large to expand in, and a NaN: the band's
-    # remainder is the ring's on the kept bins, to the last bit
+    # an amplitude far_bound refuses and a NaN, where no order is found:
+    # the band's remainder is the ring's on the kept bins, to the last bit
     calls = _record_force_cutoffs(monkeypatch)
-    for n, cutoff, amp in ((1024, 511, 0.3), (4096, 100, 0.03)):
-        x = 2.0 * np.pi * np.arange(n) / n
-        rh = np.fft.rfft(amp * np.sin(x))[:_KEPT]
-        cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
-        calls.clear()
-        got = _band_remainder(rh, cfg, lattice.Band(512))
-        assert calls == [cutoff]
-        assert np.array_equal(got, _ring_remainder_on_kept_bins(rh, cfg))
+    n, cutoff = 1024, 511
+    rh = np.fft.rfft(0.3 * np.sin(2.0 * np.pi * np.arange(n) / n))[:_KEPT]
+    cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
+    got = _band_remainder(rh, cfg, lattice.Band(512))
+    assert calls == [cutoff]
+    assert np.array_equal(got, _ring_remainder_on_kept_bins(rh, cfg))
     cfg = _config(n=1448, alpha=2.0, cutoff=723)
     rh = np.fft.rfft(_validate_state(2.0, 1448)[0])[:_KEPT]
     rh[7] = math.nan
@@ -819,66 +835,98 @@ def test_band_falls_back_to_the_ring_force_bit_for_bit(monkeypatch):
                           equal_nan=True)
 
 
-def test_far_order_guard_on_the_ring_and_the_band(monkeypatch):
-    # 2 max|s| <= NEAR_RANGE + 1 is far_order's guard.  The ring takes its
-    # state's max|s| (_far_split): a long wave scaled to put it just inside
-    # the guard takes the moments, and just past it sums every range
+def test_near_range_follows_the_state_on_the_ring_and_the_band(monkeypatch):
+    # near_range is the least M0 >= NEAR_RANGE with 2 max|s| <= (M0 + 1)/2,
+    # up to the cutoff, and the whole cutoff within 2 NEAR_RANGE
+    assert lattice.near_range(100) == lattice.NEAR_RANGE == 8
+    assert lattice.near_range(16, 50.0) == 16
+    assert lattice.near_range(100, 5.0) == 19
+    assert lattice.near_range(100, np.nextafter(5.0, math.inf)) == 20
+    assert lattice.near_range(100, 1e3) == 100
+    # The ring takes its state's max|s| (_far_split): a long wave scaled to
+    # put 4 max|s| just below and just past 20 sums 19 and 20 ranges
     # directly.  The band takes the bound 2 sum|s^_n|/Q first and, where
-    # that fails the guard, the max|s| of the ring's sites (_band_force),
-    # 2.9e-7 below the bound for this wave, whose sites lie half a cell off
-    # its peaks; only where both fail does it fall back to the ring's force
-    edge = (lattice.NEAR_RANGE + 1) / 2.0
-    least = lattice.far_order(0.01, 2.0)
-    assert least > 0 and lattice.far_order(0.01, 2.0, edge) == least
-    assert lattice.far_order(0.01, 2.0, np.nextafter(edge, math.inf)) == 0
-    bounds = []
-    real = lattice.far_order
-    monkeypatch.setattr(lattice, "far_order", lambda x, alpha, s_max=0.0:
-                        bounds.append(s_max) or real(x, alpha, s_max))
+    # that asks for more than NEAR_RANGE, the max|s| of the ring's sites
+    # (_band_force), cos(pi/n) of the bound for this wave, whose sites lie
+    # half a cell off its peaks; it never falls back to the ring for it
+    asked = []
+    real = lattice.near_range
+    monkeypatch.setattr(lattice, "near_range", lambda cutoff, s_max=0.0:
+                        asked.append(s_max) or real(cutoff, s_max))
     calls = _record_force_cutoffs(monkeypatch)
     n, cutoff = 4096, 100
     cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
     wave = 1e-3 * np.sin(2.0 * np.pi * np.arange(n) / n)
 
-    def band(r):
-        return _band_remainder(np.fft.rfft(r)[:_KEPT], cfg, lattice.Band(512))
-
-    def s_max(step, r):
-        # the max|s| (or its bound) far_order is first given
-        bounds.clear()
-        step(r)
-        return bounds[0]
-
     def ring(r):
         return force(r, cfg)
 
-    ring_ref = s_max(ring, wave)
-    for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+    def band(r):
+        band = lattice.Band(512)
+        held = lattice._FarWeights(cfg, grow=False)
+        got = lattice._band_force(cfg, held, band)(np.fft.rfft(r)[:_KEPT])
+        assert band.fallbacks == 0
+        return got, held.largest
+
+    def s_maxes(step, r):
+        # the max|s| (or its bound) near_range is given, with the step's
+        # result
+        asked.clear()
         calls.clear()
-        assert (2.0 * s_max(ring, edge / ring_ref * scale * wave)
-                <= lattice.NEAR_RANGE + 1) == inside
-        assert calls == ([lattice.NEAR_RANGE] if inside else [cutoff])
-    band_ref = s_max(band, wave)
-    bounds.clear()
-    calls.clear()
-    r = edge / band_ref * (1.0 + 1e-9) * wave
-    got = band(r)
-    bound, site = bounds
-    assert 2.0 * site <= lattice.NEAR_RANGE + 1 < 2.0 * bound
+        out = step(r)
+        return list(asked), out
+
+    [ring_ref], _ = s_maxes(ring, wave)
+    for scale, M0 in ((1.0 - 1e-9, 19), (1.0 + 1e-9, 20)):
+        s_maxes(ring, 5.0 / ring_ref * scale * wave)
+        assert calls == [M0]
+    # a small wave: the bound alone, no transform at the ring's length
+    [band_ref], (_, M0) = s_maxes(band, wave)
+    assert M0 == lattice.NEAR_RANGE and calls == []
+    r = 5.0 / band_ref * (1.0 + 1e-7) * wave
+    (bound, site), (got, M0) = s_maxes(band, r)
+    assert 4.0 * site <= 20.0 < 4.0 * bound and M0 == 19
     assert site / bound == pytest.approx(math.cos(math.pi / n), abs=1e-12)
     assert calls == []
-    # the moments the sites' max|s| lets the band take are the ring's, to
-    # 1e-10 of its max (measured 1.9e-11: at the guard's edge the moments
-    # cancel terms near 17^n, where the validate states' differ by 1.1e-11)
+    # the band's force at the sites' near range is the ring's, to 1e-10 of
+    # its max
     want = _ring_remainder_on_kept_bins(np.fft.rfft(r)[:_KEPT], cfg)
+    got = got[:_KEPT] - lattice._linear_flow(cfg)[0][:_KEPT] * np.fft.rfft(
+        r)[:_KEPT]
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    site_ref = site / (edge / band_ref * (1.0 + 1e-9))
-    for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
-        calls.clear()
-        s_max(band, edge / site_ref * scale * wave)
-        assert 2.0 * bounds[0] > lattice.NEAR_RANGE + 1
-        assert (2.0 * bounds[1] <= lattice.NEAR_RANGE + 1) == inside
-        assert calls == ([] if inside else [cutoff])
+    site_ref = site / (5.0 / band_ref * (1.0 + 1e-7))
+    for scale, want_M0 in ((1.0 - 1e-9, 19), (1.0 + 1e-9, 20)):
+        (bound, site), (_, M0) = s_maxes(band, 5.0 / site_ref * scale * wave)
+        assert M0 == want_M0 and 4.0 * bound > 20.0
+
+
+@pytest.mark.parametrize("n, amp", [(1024, 0.03), (1024, 0.06),
+                                    (4096, 0.03), (4096, 0.06)])
+def test_force_past_the_old_guard_matches_the_direct_sum(n, amp,
+                                                         monkeypatch):
+    # mode-1 waves with 2 max|s| of 9.8 to 78, which once summed every range
+    # directly: force at the state's near range within 1e-12 of max|f| of
+    # the direct sum over every range, at the ring cap
+    calls = _record_force_cutoffs(monkeypatch)
+    cfg = _config(n=n, alpha=2.0, cutoff=n // 2 - 1)
+    r = amp * np.sin(2.0 * np.pi * np.arange(n) / n)
+    s_max = float(np.max(np.abs(lattice._scaled_primitive(r, 0.0))))
+    M0 = lattice.near_range(cfg.cutoff, s_max)
+    assert lattice.NEAR_RANGE < M0 < cfg.cutoff
+    got = force(r, cfg)
+    assert calls == [M0]
+    want = _direct(r, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_force_at_the_step_state_matches_the_direct_sum():
+    # _step_state, 2 max|s| = 6.2, near range 12
+    r = _step_state()[0]
+    for alpha in (1.8, 2.5):
+        cfg = _config(n=256, alpha=alpha, cutoff=127)
+        want = _direct(r, cfg)
+        assert (np.max(np.abs(force(r, cfg) - want))
+                <= 1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("bin_, what, share", [
@@ -942,24 +990,49 @@ def test_run_steps_memory_stays_bounded():
 
 def test_run_steps_builds_far_weights_only_past_twice_the_near_range(
         monkeypatch):
-    # one call asks for the held weights once: within a cutoff of
+    # one call builds the held weights once: within a cutoff of
     # 2 NEAR_RANGE every range is summed directly and none are built; one
-    # range more, and they are built through FAR_ORDER
+    # range more, and they are built through FAR_ORDER for the ranges past
+    # NEAR_RANGE; a band given records the ranges summed directly
     built = []
     real = lattice._held_far_weights
 
-    def counted(config):
-        b = real(config)
-        built.append(None if b is None else len(b) - 1)
+    def counted(config, M0):
+        b = real(config, M0)
+        built.append((M0, len(b) - 1))
         return b
 
     monkeypatch.setattr(lattice, "_held_far_weights", counted)
     state = _random_state(7, n=128, scale=1e-3)
     M = 2 * lattice.NEAR_RANGE
-    for cutoff, want in ((M, [None]), (M + 1, [lattice.FAR_ORDER])):
+    for cutoff, want in ((M, []), (M + 1, [(lattice.NEAR_RANGE,
+                                            lattice.FAR_ORDER)])):
         built.clear()
-        run_steps(state, _config(n=128, cutoff=cutoff, dt=0.05), 3)
+        band = lattice.Band(128)
+        run_steps(state, _config(n=128, cutoff=cutoff, dt=0.05), 3,
+                  band=band)
         assert built == want
+        assert band.near_range == (M if cutoff == M else lattice.NEAR_RANGE)
+
+
+def test_far_weights_grow_for_the_chain_and_follow_each_residual_state(
+        monkeypatch):
+    # held growing, a near range serves every state that needs no more and
+    # is rebuilt only for one that needs more; held per state, each state
+    # takes its own; a state that takes no moments builds nothing, and
+    # largest records the most ranges given
+    built = []
+    real = lattice._held_far_weights
+    monkeypatch.setattr(lattice, "_held_far_weights", lambda config, M0:
+                        built.append(M0) or real(config, M0))
+    cfg = _config(n=128, cutoff=40)
+    for grow, want, given in ((True, [8, 12], [8, 12, 12, 40, 12]),
+                              (False, [8, 12, 9, 12], [8, 12, 9, 40, 12])):
+        built.clear()
+        held = lattice._FarWeights(cfg, grow)
+        assert [held.near(M0) for M0 in (8, 12, 9, 40, 12)] == given
+        assert built == want and held.M0 == 12 and held.largest == 40
+        assert np.array_equal(held.b, real(cfg, 12))
 
 
 def test_run_steps_returns_its_checkpoints(monkeypatch):
@@ -1047,14 +1120,14 @@ def test_energy_takes_the_far_ranges_by_moments_within_1e13():
 
 
 def test_energy_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
-    # an amplitude far_bound refuses, a long wave whose scaled primitive is
-    # too large to expand in, cutoffs within twice the near range, and a NaN,
-    # which gives a NaN energy and no exception: the direct sum, bit for bit
+    # an amplitude far_bound refuses, a long wave whose near range reaches
+    # the cutoff, cutoffs within twice the near range, and a NaN, which
+    # gives a NaN energy and no exception: the direct sum, bit for bit
     calls = []
     monkeypatch.setattr(lattice, "_far_potential",
                         lambda *args: calls.append(args))
     cases = []
-    for n, cutoff, amp in ((512, 255, 0.3), (4096, 100, 0.03),
+    for n, cutoff, amp in ((512, 255, 0.3), (4096, 60, 0.03),
                            (128, 2 * lattice.NEAR_RANGE, 0.01), (64, 10, 0.01)):
         x = 2.0 * np.pi * np.arange(n) / n
         cases.append((LatticeState(r=amp * np.sin(x), p=amp * np.cos(x)),
@@ -1066,6 +1139,21 @@ def test_energy_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
     assert math.isnan(energy(LatticeState(r=r, p=p), _config(n=512,
                                                               cutoff=255)))
     assert calls == []
+
+
+def test_a_nan_gap_runs_on_past_twice_the_near_range():
+    # a NaN gap at cutoff 20, past 2 NEAR_RANGE, on 64 sites: no far order
+    # is found, so force, energy and run_steps sum every range directly and
+    # give NaN, without an exception, as simulate-lattice does on a NaN
+    # momentum
+    cfg = _config(n=64, cutoff=20, dt=0.05)
+    r = 0.01 * np.sin(2.0 * np.pi * np.arange(64) / 64)
+    r[5] = math.nan
+    state = LatticeState(r=r, p=np.zeros(64))
+    assert np.isnan(force(r, cfg)).any()
+    assert math.isnan(energy(state, cfg))
+    [out] = run_steps(state, cfg, 3)
+    assert np.isnan(out.r).all() and np.isnan(out.p).all()
 
 
 def _far_potential_longdouble(r, alpha, M0, M):
@@ -1089,22 +1177,19 @@ def test_far_potential_within_its_a_priori_bound(alpha):
     # every range: through order p + 1, the far potential drops orders of
     # a pair term m^-alpha (1+rho)^-alpha alpha (alpha+1)/2 x^2 times at most
     # 2/(p+2) far_bound(x, alpha, p), against the long-double far sum; at
-    # FAR_ORDER the allowance is below 1e-9 of the far potential
+    # FAR_ORDER the allowance is below 1e-9 of the far potential.  The far
+    # ranges are those past the state's near range, 12
     n, cutoff = 256, 127
-    r = np.full(n, 0.03 - 0.1 / 3.0)
-    r[:n // 4] = 0.03 + 0.1
-    rho = float(np.mean(r))
+    r, rho, s, M0 = _step_state()
     x = 0.1 / (1.0 + rho)
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
-    want = float(_far_potential_longdouble(r, alpha, lattice.NEAR_RANGE,
-                                           cutoff))
-    s = lattice._scaled_primitive(r, rho)
-    m = np.arange(lattice.NEAR_RANGE + 1, cutoff + 1, dtype=float)
+    want = float(_far_potential_longdouble(r, alpha, M0, cutoff))
+    m = np.arange(M0 + 1, cutoff + 1, dtype=float)
     pair = (n * float(np.sum(m ** -alpha)) * (1.0 + rho) ** -alpha
             * alpha * (alpha + 1.0) / 2.0 * x * x)
     for p in range(1, lattice.FAR_ORDER + 1):
         allowed = pair * 2.0 / (p + 2.0) * lattice.far_bound(x, alpha, p)
-        err = abs(lattice._far_potential(s, rho, cfg, p) - want)
+        err = abs(lattice._far_potential(s, rho, cfg, p, M0) - want)
         assert err <= allowed + 1e-14 * want
     assert allowed < 1e-9 * want
 

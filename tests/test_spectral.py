@@ -313,6 +313,43 @@ def test_sample_spectrum_downsamples_exactly():
         sample_spectrum(f.spectrum, grid.period, 15)
 
 
+def _resample_by_scatter(c, num):
+    # resample_spectrum as it was written for every num: every mode's
+    # weight scattered onto its bin modulo num by np.add.at
+    c = np.asarray(c, dtype=complex)
+    half = c.shape[-1] - 1
+    modes = np.concatenate([np.arange(half + 1), -np.arange(1, half + 1)])
+    weights = np.concatenate([c, np.conj(c[..., 1:])], axis=-1)
+    weights[..., half] *= 0.5
+    weights[..., -1] *= 0.5
+    bins = modes % num
+    kept = bins <= num // 2
+    out = np.zeros(c.shape[:-1] + (num // 2 + 1,), dtype=complex)
+    np.add.at(out, (..., bins[kept]), weights[..., kept])
+    return out
+
+
+def test_resample_equals_the_scatter_to_the_last_bit():
+    # stacked rows with -0.0 in either part of some bins, the top bin's
+    # among them, and a complex top bin: refining, at equal length and
+    # coarsening, the same bits as the scatter, signed zeros included
+    n = 64
+    stack = np.array([_random_half_spectrum(n, seed) for seed in (4, 5, 6)])
+    stack[0, 3] = complex(-0.0, 1.5)
+    stack[1, 5] = complex(0.25, -0.0)
+    stack[2, 7] = complex(-0.0, -0.0)
+    stack[0, -1] = complex(-0.0, 2.0)
+    stack[1, -1] = complex(-3.0, -0.0)
+    for num in (16, 62, 64, 66, 128, 1000):
+        for c in (stack, stack[:, None], stack[2]):
+            got, want = resample_spectrum(c, num), _resample_by_scatter(c,
+                                                                        num)
+            assert got.shape == want.shape
+            for part, ref in ((got.real, want.real), (got.imag, want.imag)):
+                assert np.array_equal(part, ref)
+                assert np.array_equal(np.signbit(part), np.signbit(ref))
+
+
 def test_spectral_helpers_take_stacks_row_by_row():
     # spectra stacked along a leading axis give, row by row, the 1-d call's
     # result to the last bit: resampling onto coarser (num < n), equal and
