@@ -367,7 +367,7 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     lat_cfg = LatticeConfig(N=N, alpha=alpha, cutoff=cutoff, dt=1.0)
     spectra = u_tau.spectrum
     rows = spectra.reshape(-1, spectra.shape[-1])
-    held = _FarWeights(lat_cfg, grow=False)
+    held = _FarWeights(lat_cfg)
     kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
     on_band = band is not None and band.Q < N

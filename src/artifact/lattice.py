@@ -46,8 +46,8 @@ default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
 orders 11 to 20, and the validation chains orders 9 or less.  Every far
 field is given its weight rows and takes every order at once, rows built
 through FAR_ORDER for the ranges past M0 (_held_far_weights): force and
-energy build them per call, run_steps holds one set for the largest M0 its
-states have needed, and the residual one set at a time, each profile's own
+energy build them per call, and run_steps and the residual hold one set at a
+time, at the last state's M0, so that every state takes its own
 (_FarWeights).
 """
 
@@ -220,7 +220,7 @@ def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     with far weights built for this call."""
     r = np.asarray(r, dtype=float)
     _check_ring(r, config)
-    return _split_force(r, config, _FarWeights(config, grow=False))
+    return _split_force(r, config, _FarWeights(config))
 
 
 def _direct_force(r: np.ndarray, alpha: float, M: int) -> np.ndarray:
@@ -360,31 +360,36 @@ def _held_far_weights(config: LatticeConfig, M0: int):
 
 
 class _FarWeights:
-    """The far weight rows b (_held_far_weights) of one config, held at one
-    near range M0 and built anew only where a state needs another: growing,
-    as run_steps holds them, the largest near range asked so far serves
-    every state that needs less; else, as the residual holds them, each
-    state takes its own, so that a stacked call gives each row the bits of
-    a call on its own.  One set is held at a time.  largest records the
-    most ranges any state was given to sum pair by pair."""
+    """The rows a force needs at one config and one near range M0, held for
+    the last M0 asked and built anew when a state asks another: the far
+    weight rows b (_held_far_weights) where M0 is less than the cutoff, and a
+    band's near rows (rows), built on first use.  Each state takes its own
+    M0, so a force in a chain or a stacked call gives the bits of force(r)
+    alone.  One set is held at a time.  largest records the most ranges any
+    state was given to sum pair by pair."""
 
-    def __init__(self, config: LatticeConfig, grow: bool):
-        self.config, self.grow = config, grow
+    def __init__(self, config: LatticeConfig):
+        self.config = config
         self.M0 = self.largest = 0
-        self.b = None
+        self.b = self._rows = None
 
     def near(self, M0: int) -> int:
-        """The ranges to sum pair by pair at a state whose near range is M0
-        (the cutoff where it takes no moments), with self.b the weight rows
-        past them where they are fewer than the cutoff."""
-        if M0 < self.config.cutoff:
-            if self.grow:
-                M0 = max(M0, self.M0)
-            if M0 != self.M0:
-                self.b = None       # so that two sets never sit side by side
-                self.M0, self.b = M0, _held_far_weights(self.config, M0)
+        """Hold the rows for near range M0 (the cutoff where the state takes
+        no moments), with self.b the weight rows past it where it is less
+        than the cutoff; returns M0."""
+        if M0 != self.M0:
+            # the old set dropped first, so that two never sit side by side
+            self.M0, self.b, self._rows = M0, None, None
+            if M0 < self.config.cutoff:
+                self.b = _held_far_weights(self.config, M0)
         self.largest = max(self.largest, M0)
         return M0
+
+    def rows(self, build):
+        """build(M0) at the near range held, formed once per near range."""
+        if self._rows is None:
+            self._rows = build(self.M0)
+        return self._rows
 
 
 def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
@@ -549,8 +554,9 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
     For each range m up to the near range M0, G_m r at the grid points is
     the irfft over Q points of r^ times (e^{ikm} - 1)/(e^{ik} - 1) (m at
     n = 0), k = 2 pi n/N; the rfft of its pair slopes times 1 - e^{-ikm},
-    summed over m, is the near ranges' force.  These window and difference
-    rows are kept for one M0 at a time, as the weights are.  _far_field
+    summed over m, is the near ranges' force, taken
+    max(1, _BLOCK_ELEMENTS // Q) ranges at a time.  The window and
+    difference rows are held with the weights (_FarWeights.rows).  _far_field
     adds the far ranges at the grid samples of the scaled primitive,
     s^ = r^/((e^{ik} - 1)(1 + rho)), with the weight rows cut to bins up to
     Q/2.  A transform over Q points has Q/N of the ring's normalisation,
@@ -572,21 +578,18 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
     shift = -2.0 * np.sin(0.5 * k) ** 2 + 1j * np.sin(k)    # e^{ik} - 1
     primitive = np.zeros(kept, dtype=complex)
     primitive[1:] = (Q / N) / shift[1:kept]
-    rows = None     # (M0, ms, window, difference) of the last near range
+    B = max(1, _BLOCK_ELEMENTS // Q)
 
     def near_rows(M0):
-        nonlocal rows
-        if rows is None or rows[0] != M0:
-            rows = None     # one set at a time, as the weights
-            ms = np.arange(1, M0 + 1, dtype=float)[:, None]
-            # e^{ikm} - 1; 1 - e^{-ikm} is minus its conjugate
-            up = -2.0 * np.sin(0.5 * k * ms) ** 2 + 1j * np.sin(k * ms)
-            window = np.empty((M0, kept), dtype=complex)
-            window[:, 0] = ms[:, 0]
-            window[:, 1:] = up[:, 1:kept] / shift[1:kept]
-            window *= Q / N
-            rows = M0, ms, window, up.conj() * (-N / Q)
-        return rows[1:]
+        # (ms, window, difference) of the ranges up to M0
+        ms = np.arange(1, M0 + 1, dtype=float)[:, None]
+        # e^{ikm} - 1; 1 - e^{-ikm} is minus its conjugate
+        up = -2.0 * np.sin(0.5 * k * ms) ** 2 + 1j * np.sin(k * ms)
+        window = np.empty((M0, kept), dtype=complex)
+        window[:, 0] = ms[:, 0]
+        window[:, 1:] = up[:, 1:kept] / shift[1:kept]
+        window *= Q / N
+        return ms, window, up.conj() * (-N / Q)
 
     def force_spectrum(rh):
         a = np.abs(rh)
@@ -610,14 +613,18 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
         if M0 < M:      # past 2 NEAR_RANGE, where p, rho and sh are set
             Ffar = np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config,
                                           p, held.b[:, :Q // 2 + 1])) * (N / Q)
-        ms, window, difference = near_rows(M0)
-        # the windows' spectra, zero-padded to the grid's bins for the irfft,
-        # which pads slower; made per call, as a held array would sit
+        ms, window, difference = held.rows(near_rows)
+        # a block's windows' spectra, zero-padded to the grid's bins for the
+        # irfft, which pads slower; made per call, as a held array would sit
         # through the far field beside its temporaries
-        padded = np.zeros((M0, Q // 2 + 1), dtype=complex)
-        np.multiply(window, rh, out=padded[:, :kept])
-        W = np.fft.rfft(_kernel_prime(np.fft.irfft(padded, Q), ms, alpha))
-        return np.einsum("mn,mn->n", difference, W) + Ffar
+        padded = np.zeros((min(B, M0), Q // 2 + 1), dtype=complex)
+        F = Ffar
+        for i in range(0, M0, B):
+            P = padded[:min(B, M0 - i)]
+            np.multiply(window[i:i + B], rh, out=P[:, :kept])
+            F = np.einsum("mn,mn->n", difference[i:i + B], np.fft.rfft(
+                _kernel_prime(np.fft.irfft(P, Q), ms[i:i + B], alpha))) + F
+        return F
     return force_spectrum
 
 
@@ -633,9 +640,10 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     (r, p) stay rfft spectra within a call, and the trailing remainder
     doubles as the next leading one: a call forms nsteps + 1 remainders,
     whatever `every`.  The call holds one set of far weights, and on a band
-    one set of near rows, for the largest near range its states have
-    needed, built anew only when a state needs more (_FarWeights); a band
-    given records that range.  On the ring (band None, or band.Q >= N) a step
+    one set of near rows, for the last state's near range, built anew when
+    a state needs another (_FarWeights), so that each remainder takes the
+    force of its state alone; a band given records the largest near
+    range.  On the ring (band None, or band.Q >= N) a step
     costs one force, one irfft and one rfft.  With a band of Q < N points
     the spectra keep only the band's bins, and each remainder is formed on
     its grid (_band_force), at a cost that does not grow with N; the
@@ -646,7 +654,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
-    held = _FarWeights(config, grow=True)
+    held = _FarWeights(config)
     rh, ph = np.fft.rfft(state.r), np.fft.rfft(state.p)
     t, done, i = state.t, 0, 0  # time and step count of the last state out
     try:

@@ -757,8 +757,7 @@ _KEPT = 171     # the bins of dealias_mask(512), the band of bo_modes 512
 def _band_remainder(rh, cfg, band):
     # run_steps' remainder on the band at spectrum rh, kept bins alone, with
     # far weights held as run_steps holds them
-    F = lattice._band_force(cfg, lattice._FarWeights(cfg, grow=True),
-                            band)(rh)
+    F = lattice._band_force(cfg, lattice._FarWeights(cfg), band)(rh)
     return F[:rh.size] - lattice._linear_flow(cfg)[0][:rh.size] * rh
 
 
@@ -863,7 +862,7 @@ def test_near_range_follows_the_state_on_the_ring_and_the_band(monkeypatch):
 
     def band(r):
         band = lattice.Band(512)
-        held = lattice._FarWeights(cfg, grow=False)
+        held = lattice._FarWeights(cfg)
         got = lattice._band_force(cfg, held, band)(np.fft.rfft(r)[:_KEPT])
         assert band.fallbacks == 0
         return got, held.largest
@@ -1015,24 +1014,80 @@ def test_run_steps_builds_far_weights_only_past_twice_the_near_range(
         assert band.near_range == (M if cutoff == M else lattice.NEAR_RANGE)
 
 
-def test_far_weights_grow_for_the_chain_and_follow_each_residual_state(
-        monkeypatch):
-    # held growing, a near range serves every state that needs no more and
-    # is rebuilt only for one that needs more; held per state, each state
-    # takes its own; a state that takes no moments builds nothing, and
-    # largest records the most ranges given
-    built = []
+def test_far_weights_follow_each_state(monkeypatch):
+    # each state takes its own near range: the weights are built anew where
+    # it changes, none for a state that takes no moments, which drops the
+    # set held; a band's near rows are built once per near range, on first
+    # use; largest records the most ranges given
+    built, rows = [], []
     real = lattice._held_far_weights
     monkeypatch.setattr(lattice, "_held_far_weights", lambda config, M0:
                         built.append(M0) or real(config, M0))
     cfg = _config(n=128, cutoff=40)
-    for grow, want, given in ((True, [8, 12], [8, 12, 12, 40, 12]),
-                              (False, [8, 12, 9, 12], [8, 12, 9, 40, 12])):
-        built.clear()
-        held = lattice._FarWeights(cfg, grow)
-        assert [held.near(M0) for M0 in (8, 12, 9, 40, 12)] == given
-        assert built == want and held.M0 == 12 and held.largest == 40
-        assert np.array_equal(held.b, real(cfg, 12))
+    held = lattice._FarWeights(cfg)
+    for M0 in (8, 12, 12, 9, 40, 12):
+        assert held.near(M0) == M0
+        for _ in range(2):
+            assert held.rows(lambda m: rows.append(m) or m) == M0
+        assert (held.b is None) == (M0 == 40)
+    assert built == [8, 12, 9, 12] and rows == [8, 12, 9, 40, 12]
+    assert held.M0 == 12 and held.largest == 40
+    assert np.array_equal(held.b, real(cfg, 12))
+
+
+def test_forces_on_held_weights_equal_force_alone_bit_for_bit():
+    # one holder through states whose near ranges rise and fall, as a chain
+    # or a stacked residual takes them: each force is force(r) alone, to
+    # the last bit, on the ring and on the band
+    n = 1024
+    cfg = _config(n=n, alpha=2.0, cutoff=100)
+    x = 2.0 * np.pi * np.arange(n) / n
+    states = [0.032 * np.sin(x), _random_state(3, n=n, scale=1e-3).r,
+              0.016 * np.sin(x), 0.032 * np.sin(x)]
+    held = lattice._FarWeights(cfg)
+    near = []
+    for r in states:
+        near.append(lattice._far_split(r, cfg)[3])
+        assert np.array_equal(lattice._split_force(r, cfg, held),
+                              force(r, cfg))
+    assert near == [20, lattice.NEAR_RANGE, 10, 20]
+    held = lattice._FarWeights(cfg)
+    band_force = lattice._band_force(cfg, held, lattice.Band(512))
+    for r in states:
+        rh = np.fft.rfft(r)[:_KEPT]
+        assert np.array_equal(band_force(rh), lattice._band_force(
+            cfg, lattice._FarWeights(cfg), lattice.Band(512))(rh))
+
+
+def test_band_takes_every_range_in_blocks_where_its_near_range_reaches_the_cutoff():
+    # the long wave at cutoff 60, whose near range (4 max|s| = 78) reaches
+    # the cutoff: the band sums every range on its grid, 32 ranges at a
+    # time, to within 1e-11 of the ring's force on the kept bins (measured
+    # 4.7e-13), with no fallback.  A call that builds the near rows peaks
+    # at 0.91 MB and a later call at 0.47 MB; all 60 ranges at once took
+    # them to 1.22 and 0.81 MB
+    n, cutoff = 4096, 60
+    cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
+    r = 0.03 * np.sin(2.0 * np.pi * np.arange(n) / n)
+    rh = np.fft.rfft(r)[:_KEPT]
+    band = lattice.Band(512)
+    held = lattice._FarWeights(cfg)
+    band_force = lattice._band_force(cfg, held, band)
+    lattice._band_force(cfg, lattice._FarWeights(cfg), band)(rh)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            held_before = tracemalloc.get_traced_memory()[0]
+            F = band_force(rh)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held_before)
+    finally:
+        tracemalloc.stop()
+    assert held.M0 == cutoff and held.b is None and band.fallbacks == 0
+    want = np.fft.rfft(force(r, cfg))[:_KEPT]
+    assert np.max(np.abs(F[:_KEPT] - want)) <= 1e-11 * np.max(np.abs(want))
+    assert peaks[0] < 2 ** 20 and peaks[1] < 2 ** 19
 
 
 def test_run_steps_returns_its_checkpoints(monkeypatch):
