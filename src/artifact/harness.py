@@ -23,11 +23,10 @@ import numpy as np
 from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         _filtered, _rhs_spectrum, gaussian_profile, run_to,
                         span_plan)
-from .lattice import (_BLOCK_ELEMENTS, BAND_TOL, FAR_ORDER, FAR_TOL, Band,
-                      CollisionError, LatticeConfig, LatticeState, _band_force,
-                      _FarWeights, _refuse_collision, _split_force, energy,
-                      error_energy, error_energy_constants, far_bound,
-                      far_order, near_range, run_steps, step_limit)
+from .lattice import (_BLOCK_ELEMENTS, BAND_TOL, Band, CollisionError,
+                      LatticeConfig, LatticeState, _band_force, _FarWeights,
+                      _refuse_collision, _split_force, energy, error_energy,
+                      error_energy_constants, run_steps, step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, resample_spectrum, sample_spectrum,
@@ -294,9 +293,9 @@ def ansatz_fields(spectrum: np.ndarray, period: float, N: int,
 
     A spectrum with leading axes stacks profiles, and r and p then stack
     their rows alike; a shift with the leading shape shifts each profile by
-    its own (sample_spectrum), and row i equals the call on profile i and
-    its shift alone to the last bit.  The shift's phase is formed once for
-    the three samplings, as sample_spectrum would form it.
+    its own, and row i equals the call on profile i and its shift alone to
+    the last bit.  The shift's phase e^{ik shift} is formed once for the
+    three samplings.
     """
     spectrum = np.asarray(spectrum)
     if np.any(np.abs(spectrum[..., 0]) > 1e-10):
@@ -344,7 +343,7 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     (either share past BAND_TOL) takes the ring's force, as without a band,
     counted in band.fallbacks; the band records the largest shares of the
     forces it formed, and a band given records the most ranges any force
-    summed pair by pair (near_range).
+    summed pair by pair and the highest far order any took (Band.record).
 
     A spectrum with leading axes stacks profiles, and both parts then stack
     their rows alike; row i equals the call on profile i alone to the last
@@ -378,10 +377,8 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
 
         def band_force(gh):
             # the force at the gaps of ring spectrum gh, formed on the band,
-            # or None where the band cannot hold the gaps or the force,
-            # counted as one fallback whether or not the band's far order
-            # fell back first
-            n = band.fallbacks
+            # or None, counted as a fallback, where the band cannot hold the
+            # gaps or the force
             dropped = band.share(gh)
             if dropped <= BAND_TOL:
                 F = force_spectrum(gh[:band.kept])
@@ -390,7 +387,7 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
                     band.dropped_share = max(band.dropped_share, dropped)
                     band.top_share = max(band.top_share, top)
                     return np.fft.irfft(F, N)
-            band.fallbacks = n + 1
+            band.fallbacks += 1
             return None
     accel = np.empty((len(rows), N))
     fpart = np.empty((len(rows), N))
@@ -429,7 +426,7 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
                 err.alpha, err.epsilon, err.profile = alpha, eps, i
                 raise
     if band is not None:
-        band.near_range = max(band.near_range, held.largest)
+        band.record(held)
     shape = spectra.shape[:-1] + (N,)
     return accel.reshape(shape), fpart.reshape(shape)
 
@@ -487,10 +484,11 @@ def _residual_eps_task(config, params, states, entry):
     residual_fields call on the stacked checkpoint spectra, on the entry's
     band; returns (rows, (eps, sup l2), health), health the entry's
     epsilon, N and band with the band's dropped_share, top_share and
-    fallbacks and the most ranges a force summed pair by pair
-    (max_near_range, Band.near_range).  Gaps reaching 1 or a non-finite
-    residual raise, naming alpha, epsilon and the t of the first checkpoint
-    it reached."""
+    fallbacks, the most ranges a force summed pair by pair (max_near_range)
+    and the highest order through which a force took the rest by moments
+    (max_far_order, 0 where every force summed every range), as Band
+    records them.  Gaps reaching 1 or a non-finite residual raise, naming
+    alpha, epsilon and the t of the first checkpoint it reached."""
     eps = entry["epsilon"]
     ts = [s.tau / eps ** params.alpha for s in states]
     band = Band(entry["band"], config.dealias_fraction)
@@ -513,7 +511,8 @@ def _residual_eps_task(config, params, states, entry):
               "band_dropped_share": band.dropped_share,
               "band_top_share": band.top_share,
               "band_fallbacks": band.fallbacks,
-              "max_near_range": band.near_range}
+              "max_near_range": band.near_range,
+              "max_far_order": band.far_order}
     return rows, (eps, max(row[3] for row in rows)), health
 
 
@@ -550,16 +549,15 @@ def _validation_eps_task(config, params, bo, entry):
     (eps, sup nu), energy_rows, health).
 
     health is the plan entry plus the chain's relative energy drift from
-    t = 0 to the last checkpoint, its smallest collision margin 1 - max|r|
-    over the checkpoints, t = 0 included, and at the largest max|r| the
-    least order far_order picks (least_far_order, 0 for none), far_bound
-    at that order (at FAR_ORDER for none) and whether it meets FAR_TOL, so
-    that run_steps could sum the far ranges by moments at every checkpoint.
-    Where the plan's band is smaller than the ring, the chain runs on it,
-    and health adds the band's dropped_share, top_share and fallbacks
-    (Band); on the band or the ring it adds the most ranges a force summed
-    pair by pair (max_near_range, beside the plan's floor near_range).  A
-    drift past ENERGY_DRIFT_TOL raises BlowUpError.
+    t = 0 to the last checkpoint and its smallest collision margin
+    1 - max|r| over the checkpoints, t = 0 included.  Where the plan's band
+    is smaller than the ring, the chain runs on it, and health adds the
+    band's dropped_share and top_share (Band); on the band or the ring it
+    adds the most ranges a force summed pair by pair (max_near_range) and
+    the highest order through which a force took the rest by moments
+    (max_far_order, 0 where every force summed every range), as the chain
+    recorded them (Band.record).  A drift past ENERGY_DRIFT_TOL raises
+    BlowUpError.
     """
     alpha, eps = params.alpha, entry["epsilon"]
     lat_cfg = LatticeConfig(N=entry["N"], alpha=alpha,
@@ -609,16 +607,12 @@ def _validation_eps_task(config, params, bo, entry):
         raise BlowUpError(f"chain energy drifted by {drift:.3g} of its "
                           f"initial value, past {ENERGY_DRIFT_TOL:g}",
                           t=t, alpha=alpha, epsilon=eps)
-    order = far_order(1.0 - margin, alpha)
-    bound = far_bound(1.0 - margin, alpha, order or FAR_ORDER)
     health = {**entry, "energy_initial": E0, "energy_final": E1,
               "energy_rel_drift": drift, "min_collision_margin": margin,
-              "far_bound": bound, "far_bound_ok": bound <= FAR_TOL,
-              "least_far_order": order,
               "band_dropped_share": band.dropped_share,
               "band_top_share": band.top_share,
-              "band_fallbacks": band.fallbacks,
-              "max_near_range": band.near_range}
+              "max_near_range": band.near_range,
+              "max_far_order": band.far_order}
     energy_rows = [(alpha, eps, t, H, ratio, ok) for (t, H, ok, ratio)
                    in error_energy_trace(samples, params, lat_cfg.cutoff)]
     return (rows, (eps, max(row[3] for row in rows)),
@@ -682,10 +676,10 @@ def error_energy_trace(samples, params: AlphaParams, cutoff: int):
 
 
 def describe_plan(config: ValidationConfig, pipeline: str) -> list:
-    """Resolved per-epsilon plan (ring size, cutoff, the force's near range,
-    far order and band; for validation also the chain's clock, step, step
-    limit and steps) without running.  Each sweep runs every epsilon from
-    its entry, so two epsilons that snap to one ring are refused here."""
+    """Resolved per-epsilon plan (ring size, cutoff and band; for
+    validation also the chain's clock, step, step limit and steps) without
+    running.  Each sweep runs every epsilon from its entry, so two epsilons
+    that snap to one ring are refused here."""
     plan = [_plan_entry(config, e, pipeline) for e in config.epsilons]
     eps = config.epsilons
     for e0, e1, a, b in zip(eps, eps[1:], plan, plan[1:]):
@@ -711,8 +705,8 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
         # 2.5, which would raise the slope between those two epsilons by
         # about 0.007, 0.006 and 0.018.  The ring cap itself still leaves
         # out every image of the periodic lattice.
-        entry.update(_force_split(min(N // 2 - 1, int(math.ceil(
-            config.residual_cutoff_coef / eps ** 2)))))
+        entry["cutoff"] = min(N // 2 - 1, int(math.ceil(
+            config.residual_cutoff_coef / eps ** 2)))
         # the interaction part's grid (residual_fields): the profile's own
         entry["band"] = config.bo_modes
         return entry
@@ -734,8 +728,8 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
             f"lattice_dt {config.lattice_dt:.6g} plans dt {dt:.6g} on {N} "
             "sites, past the split step's stability limit 0.9 pi / omega_max "
             f"= {limit:.6g}")
-    entry.update(_force_split(N // 2 - 1))
     entry.update({
+        "cutoff": N // 2 - 1,
         "horizon": horizon,
         "dt": dt,
         "step_limit": limit,
@@ -746,15 +740,6 @@ def _plan_entry(config: ValidationConfig, eps_nominal: float, pipeline: str):
         "band": min(N, config.bo_modes),
     })
     return entry
-
-
-def _force_split(cutoff: int) -> dict:
-    """The force's range at this cutoff: the fewest ranges it sums directly,
-    near_range's floor where it takes moments, and the order through which
-    it may take the rest by moments (0 for none)."""
-    M0 = near_range(cutoff)
-    return {"cutoff": cutoff, "near_range": M0,
-            "far_order": FAR_ORDER if M0 < cutoff else 0}
 
 
 def _fmt(x) -> str:

@@ -17,15 +17,16 @@ the top linear frequency.
 
 Given a Band of Q < N points, run_steps keeps the chain on the band: its
 spectra hold only the rfft bins of dealias_mask(Q), the surrogate's kept
-bins, and each force is formed on the grid x_q = qN/Q (_band_force), at a
+bins, and every force is formed on the grid x_q = qN/Q (_band_force), at a
 cost that does not grow with N; the residual forms its interaction part
 there too.  This is a Fourier-Galerkin truncation of the chain
 with pseudo-spectral products and the 2/3 rule (Orszag 1971), the rule
 bo_solver applies to the surrogate.  The validation chains live in the
 lowest 64 or so of the ring's bins, so at the defaults it moves their sup
 errors by 2e-11 relative or less; the band records what it drops, and
-run_steps refuses more than BAND_TOL, where the residual takes the ring's
-force.  energy and a run_steps call without a band stay on the ring.
+run_steps refuses more than BAND_TOL or a share that is not finite, where
+the residual takes the ring's force.  energy and a run_steps call without
+a band stay on the ring.
 
 force, which run_steps and the residual share, sums its ranges up to a
 near range M0 pair by pair and the rest by moments (_far_field): each far
@@ -48,7 +49,8 @@ field is given its weight rows and takes every order at once, rows built
 through FAR_ORDER for the ranges past M0 (_held_far_weights): force and
 energy build them per call, and run_steps and the residual hold one set at a
 time, at the last state's M0, so that every state takes its own
-(_FarWeights).
+(_FarWeights), which records the most near ranges and the highest far order
+any force took; a Band given copies both (Band.record).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ _BLOCK_ELEMENTS = 16384
 # moments, through the least order up to FAR_ORDER whose bound on the
 # dropped orders meets FAR_TOL of the far field's linear term.  Order 24
 # meets it at every window mean up to 0.2 and alpha in (1, 3), where
-# far_bound needs orders 21 to 23; the default sweeps' largest mean, 0.176
+# _far_bounds needs orders 21 to 23; the default sweeps' largest mean, 0.176
 # (residual, alpha 1.8, eps 0.2), needs 20.  At a near range of 8 force
 # errs by at most 1.0e-14 of max|f| against the direct sum on the validate
 # and direct states (3-5e-15 at 16); at 4 by 5.6e-14, and at 1 by 5e-12.
@@ -207,8 +209,7 @@ def _kernel_prime(a, mu, alpha: float):
 
 
 def _check_ring(r: np.ndarray, config: LatticeConfig):
-    """Refuse gaps r on a ring of another size than config.N, whose ranges
-    would reach past half the ring."""
+    """Refuse gaps r on a ring of another size than config.N."""
     if r.size != config.N:
         raise ValueError(f"{r.size} gaps given for a ring of N = {config.N} sites")
 
@@ -294,13 +295,13 @@ def near_range(cutoff: int, s_max: float = 0.0) -> int:
 
 
 def _far_bounds(x: float, alpha: float):
-    """far_bound(x, alpha, p) for p = 1, 2, ...: bounds on the orders n > p
-    of sum_n C(-alpha-1, n) x_m^n, the far pair slope's series, relative to
-    its linear term, for |x_m| <= x.  The terms past p shrink by
-    q = (1 + alpha/(p+2)) x or less each, so the bound is
-    |C(-alpha-1, p+1)| x^p / ((alpha+1) (1-q)), inf for q >= 1 or NaN; the
-    product |C(-alpha-1, p+1)| = prod_{i<=p+1} (alpha+i)/i is carried from
-    one p to the next, left to right."""
+    """For p = 1, 2, ...: bounds on the orders n > p of
+    sum_n C(-alpha-1, n) x_m^n, the far pair slope's series, relative to its
+    linear term, for |x_m| <= x; each falls with p wherever it is finite.
+    The terms past p shrink by q = (1 + alpha/(p+2)) x or less each, so the
+    bound is |C(-alpha-1, p+1)| x^p / ((alpha+1) (1-q)), inf for q >= 1 or
+    NaN; the product |C(-alpha-1, p+1)| = prod_{i<=p+1} (alpha+i)/i is
+    carried from one p to the next, left to right."""
     lead = alpha + 1.0
     for p in itertools.count(1):
         i = p + 1
@@ -310,16 +311,10 @@ def _far_bounds(x: float, alpha: float):
             else math.inf
 
 
-def far_bound(x: float, alpha: float, p: int) -> float:
-    """_far_bounds' bound at order p >= 1: on the dropped orders of the far
-    pair slope's series, relative to its linear term, for window means
-    |x_m| <= x; it falls with p wherever it is finite."""
-    return next(itertools.islice(_far_bounds(x, alpha), p - 1, None))
-
-
 def far_order(x: float, alpha: float) -> int:
-    """The least order p <= FAR_ORDER whose far_bound meets FAR_TOL, in one
-    pass over _far_bounds; 0 for none, as at a NaN x."""
+    """The least order p <= FAR_ORDER whose bound on the dropped orders
+    meets FAR_TOL, in one pass over _far_bounds; 0 for none, as at a NaN
+    x."""
     return next((p for p, bound in zip(range(1, FAR_ORDER + 1),
                                        _far_bounds(x, alpha))
                  if bound <= FAR_TOL), 0)
@@ -366,23 +361,26 @@ class _FarWeights:
     band's near rows (rows), built on first use.  Each state takes its own
     M0, so a force in a chain or a stacked call gives the bits of force(r)
     alone.  One set is held at a time.  largest records the most ranges any
-    state was given to sum pair by pair."""
+    state was given to sum pair by pair, and order the highest order through
+    which any state took the ranges past them by moments (0 for none)."""
 
     def __init__(self, config: LatticeConfig):
         self.config = config
-        self.M0 = self.largest = 0
+        self.M0 = self.largest = self.order = 0
         self.b = self._rows = None
 
-    def near(self, M0: int) -> int:
+    def near(self, M0: int, p: int) -> int:
         """Hold the rows for near range M0 (the cutoff where the state takes
         no moments), with self.b the weight rows past it where it is less
-        than the cutoff; returns M0."""
+        than the cutoff, and record far order p there; returns M0."""
         if M0 != self.M0:
             # the old set dropped first, so that two never sit side by side
             self.M0, self.b, self._rows = M0, None, None
             if M0 < self.config.cutoff:
                 self.b = _held_far_weights(self.config, M0)
         self.largest = max(self.largest, M0)
+        if M0 < self.config.cutoff:
+            self.order = max(self.order, p)
         return M0
 
     def rows(self, build):
@@ -456,11 +454,9 @@ def _split_force(r: np.ndarray, config: LatticeConfig, held: _FarWeights):
     """force(r, config): the near ranges directly plus _far_field's share
     from the far weights held, where _far_split allows, else every range
     directly; the far field reuses the near sum's freed memory."""
-    far = _far_split(r, config)
-    M0 = held.near(config.cutoff if far is None else far[3])
-    f = _direct_force(r, config.alpha, M0)
-    if M0 < config.cutoff:
-        s, rho, p, _ = far
+    s, rho, p, M0 = _far_split(r, config) or (None, 0.0, 0, config.cutoff)
+    f = _direct_force(r, config.alpha, held.near(M0, p))
+    if p:
         f += _far_field(s, rho, config, p, held.b)
     return f
 
@@ -483,10 +479,12 @@ class Band:
     the largest share of a field it was given above the kept bins, which it
     drops (dropped_share), the largest share of a force's grid spectrum
     above them, which the kicks drop and whose products alias (top_share),
-    the forces it took from the ring instead (fallbacks), and the most
-    ranges any force of the call summed pair by pair, on the band or on the
-    ring (near_range).  run_steps refuses either share past BAND_TOL with
-    BlowUpError."""
+    the residual profiles whose force it left to the ring because a share
+    passed BAND_TOL (fallbacks), and, on the band or on the ring, the most
+    ranges any force of the call summed pair by pair (near_range) and the
+    highest order through which any took the rest by moments (far_order,
+    0 where every force summed every range).  run_steps refuses either
+    share past BAND_TOL, or not finite, with BlowUpError."""
 
     Q: int
     dealias_fraction: float = 2.0 / 3.0
@@ -494,6 +492,7 @@ class Band:
     top_share: float = field(default=0.0, init=False)
     fallbacks: int = field(default=0, init=False)
     near_range: int = field(default=0, init=False)
+    far_order: int = field(default=0, init=False)
 
     @cached_property
     def kept(self) -> int:
@@ -502,26 +501,40 @@ class Band:
 
     def share(self, spectrum: np.ndarray) -> float:
         """The share of a real field's L2 content in the bins of its rfft
-        spectrum past the kept bins, every bin but 0 counted twice."""
+        spectrum past the kept bins, every bin but 0 counted twice; NaN
+        where the content is not finite."""
         top = spectrum[self.kept:]
         total = 2.0 * np.vdot(spectrum, spectrum).real - abs(spectrum[0]) ** 2
+        if not math.isfinite(total):
+            return math.nan
         return (float(2.0 * np.vdot(top, top).real / total) if total > 0.0
                 else 0.0)
 
     def drop(self, spectrum: np.ndarray):
         """Record the share of the state with this ring rfft spectrum past
         the kept bins in dropped_share; BlowUpError where it passes
-        BAND_TOL."""
-        self.dropped_share = max(self.dropped_share, self.share(spectrum))
-        self._refuse(self.dropped_share, "the state")
+        BAND_TOL or is not finite."""
+        share = self.share(spectrum)
+        self.dropped_share = max(self.dropped_share, share)
+        self._refuse(share, "the state")
 
     def top(self, F: np.ndarray):
         """Record the share of the force's grid spectrum F past the kept
-        bins in top_share; BlowUpError where it passes BAND_TOL."""
-        self.top_share = max(self.top_share, self.share(F))
-        self._refuse(self.top_share, "the force's grid spectrum")
+        bins in top_share; BlowUpError where it passes BAND_TOL or is not
+        finite."""
+        share = self.share(F)
+        self.top_share = max(self.top_share, share)
+        self._refuse(share, "the force's grid spectrum")
+
+    def record(self, held: _FarWeights):
+        """Take into near_range and far_order the most ranges and the highest
+        far order any force on the weights held took."""
+        self.near_range = max(self.near_range, held.largest)
+        self.far_order = max(self.far_order, held.order)
 
     def _refuse(self, share: float, what: str):
+        if not math.isfinite(share):
+            raise BlowUpError(f"{what} is not finite on the band")
         if not share <= BAND_TOL:
             raise BlowUpError(f"{share:.3g} of {what} lies past the band's "
                               f"{self.kept} bins, past {BAND_TOL:g}")
@@ -569,9 +582,9 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
     Only where the bound on max|r| reaches 1 are the ring's sites formed
     and tested, and only where the bound on max|s| asks for more than
     NEAR_RANGE is max|s| taken at the ring's sites (the bound is 1.67 times
-    it on the alpha 1.8 residual states).  Where no order is found, the
-    force is the ring's, rfft(force(irfft(r^, N))), counted in
-    band.fallbacks."""
+    it on the alpha 1.8 residual states).  Where no order is found (a NaN
+    among them), M0 is the cutoff and every range is summed on the grid,
+    as _far_split has the ring do."""
     N, Q, alpha, kept, M = config.N, band.Q, config.alpha, band.kept, \
         config.cutoff
     k = 2.0 * np.pi * np.arange(Q // 2 + 1) / N
@@ -596,21 +609,18 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
         moduli = 2.0 * float(np.sum(a[1:])) / N
         if a[0] / N + moduli >= 1.0:
             _refuse_collision(np.fft.irfft(rh, N))
-        M0, Ffar = M, 0.0
+        M0, p, Ffar = M, 0, 0.0
         if M > 2 * NEAR_RANGE:
             rho = rh[0].real / N
             p = far_order(moduli / (1.0 + rho), alpha)
-            if not p:
-                band.fallbacks += 1
-                return np.fft.rfft(_split_force(np.fft.irfft(rh, N), config,
-                                                held))[:Q // 2 + 1]
+        if p:
             sh = rh * primitive / (1.0 + rho)
             M0 = near_range(M, 2.0 * float(np.sum(np.abs(sh))) / Q)
             if M0 > NEAR_RANGE:
                 M0 = near_range(M, float(np.max(np.abs(np.fft.irfft(
                     sh, N)))) * (N / Q))
-        M0 = held.near(M0)
-        if M0 < M:      # past 2 NEAR_RANGE, where p, rho and sh are set
+        M0 = held.near(M0, p)
+        if M0 < M:      # where an order is found, and p, rho and sh are set
             Ffar = np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config,
                                           p, held.b[:, :Q // 2 + 1])) * (N / Q)
         ms, window, difference = held.rows(near_rows)
@@ -643,8 +653,8 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
     one set of near rows, for the last state's near range, built anew when
     a state needs another (_FarWeights), so that each remainder takes the
     force of its state alone; a band given records the largest near
-    range.  On the ring (band None, or band.Q >= N) a step
-    costs one force, one irfft and one rfft.  With a band of Q < N points
+    range and far order (Band.record).  On the ring (band None, or
+    band.Q >= N) a step costs one force, one irfft and one rfft.  With a band of Q < N points
     the spectra keep only the band's bins, and each remainder is formed on
     its grid (_band_force), at a cost that does not grow with N; the
     given state's content past those bins is dropped.  A collision
@@ -687,7 +697,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
         err.t, err.alpha = t + (i - done) * dt, config.alpha
         raise
     if band is not None:
-        band.near_range = max(band.near_range, held.largest)
+        band.record(held)
     return out
 
 
@@ -729,8 +739,9 @@ def _far_potential(s: np.ndarray, rho: float, config: LatticeConfig,
     sum_j d_m(j) w_j = -sum_j s_j (w_j - w_{j-m}), the m-difference force
     takes: order n + 1 of the potential is -(1+rho)/(n+1) <s, f_n>, f_n
     order n of _far_field, whose weights b_n/(n+1) give every order at once.
-    The orders dropped are at most 2/(p + 2) far_bound(x, alpha, p) of the
-    order-2 term alpha (alpha+1)/2 x^2 of a pair at window mean x."""
+    The orders dropped are at most 2/(p + 2) times _far_bounds' bound at
+    order p of the order-2 term alpha (alpha+1)/2 x^2 of a pair at window
+    mean x."""
     alpha, N = config.alpha, s.size
     m = np.arange(M0 + 1, config.cutoff + 1, dtype=float)
     const = N * float(_kernel(rho, 1.0, alpha)) * float(np.sum(m ** -alpha))

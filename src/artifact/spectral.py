@@ -67,16 +67,10 @@ def resample_spectrum(c: np.ndarray, num: int) -> np.ndarray:
     return out
 
 
-def sample_spectrum(c: np.ndarray, period: float, num: int, shift=0.0
-                    ) -> np.ndarray:
+def sample_spectrum(c: np.ndarray, period: float, num: int) -> np.ndarray:
     """Values of the field with half spectrum c at the num uniform points
-    j*period/num + shift (num even), along the last axis of c; a shift with
-    the leading shape of c shifts each stacked field by its own."""
+    j*period/num (num even), along the last axis of c."""
     c = np.asarray(c, dtype=complex)
-    shift = np.asarray(shift, dtype=float)
-    if np.any(shift != 0.0):
-        c = c * np.exp(1j * wavenumbers(2 * (c.shape[-1] - 1), period)
-                       * shift[..., None])
     return np.fft.irfft(resample_spectrum(c, num), num) * num
 
 

@@ -10,6 +10,7 @@ keep it.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -19,11 +20,15 @@ from collections import Counter
 from pathlib import Path
 
 import artifact
+from artifact.harness import ValidationConfig, describe_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "artifact"
 GATES = ROOT / "tests" / "test_acceptance.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
+# the benchmark's files that call the package, parsed and never imported
+BENCHMARK_CALLERS = [ROOT / "perfbench" / name
+                     for name in ("workloads.py", "test_checks.py")]
 
 
 def _parse(path):
@@ -99,6 +104,85 @@ def test_benchmark_trace_targets_exist():
     for modname, attr, *_ in tracing.TARGETS:
         target = getattr(importlib.import_module(modname), attr, None)
         assert callable(target), f"{modname}.{attr}"
+
+
+def _functions(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+
+
+def _callee(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _validation_config_reads(tree):
+    """ValidationConfig fields a benchmark file reads: keywords of its
+    ValidationConfig calls, and attributes read off a name cfg in every
+    function that does not bind cfg to a LatticeConfig."""
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and _callee(call) == "ValidationConfig":
+            yield from (kw.arg for kw in call.keywords)
+    for fn in _functions(tree):
+        if any(isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+               and _callee(n.value) == "LatticeConfig"
+               and any(getattr(t, "id", None) == "cfg" for t in n.targets)
+               for n in ast.walk(fn)):
+            continue
+        yield from (n.attr for n in ast.walk(fn)
+                    if isinstance(n, ast.Attribute)
+                    and getattr(n.value, "id", None) == "cfg")
+
+
+def _plan_keys(tree):
+    """(pipeline, key) for each key a benchmark file reads off the entries
+    of a describe_plan result: in a comprehension over `plan`, after
+    `plan = describe_plan(cfg, pipeline)` in the same function."""
+    for fn in _functions(tree):
+        pipeline = None
+        for stmt in fn.body:
+            if (isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Call)
+                    and _callee(stmt.value) == "describe_plan"):
+                pipeline = stmt.value.args[1].value
+            for comp in ast.walk(stmt):
+                if not isinstance(comp, (ast.ListComp, ast.GeneratorExp)):
+                    continue
+                for gen in comp.generators:
+                    if getattr(gen.iter, "id", None) != "plan":
+                        continue
+                    yield from ((pipeline, sub.slice.value)
+                                for sub in ast.walk(comp.elt)
+                                if isinstance(sub, ast.Subscript)
+                                and getattr(sub.value, "id", None)
+                                == gen.target.id
+                                and isinstance(sub.slice, ast.Constant))
+
+
+def test_benchmark_reads_what_the_package_has():
+    # the benchmark checks its runs against names, config fields and plan
+    # keys of the package; a change that drops one of them must fail here,
+    # in the package's own tests, and not first in the benchmark
+    trees = [_parse(path) for path in BENCHMARK_CALLERS]
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "artifact"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), \
+                        f"{node.module}.{alias.name}"
+    fields = {f.name for f in dataclasses.fields(ValidationConfig)}
+    reads = {name for tree in trees for name in _validation_config_reads(tree)}
+    assert {"alpha", "epsilons", "residual_cutoff_coef"} <= reads
+    assert reads <= fields, sorted(reads - fields)
+    keys = set(_plan_keys(trees[1]))
+    assert {("validation", "N"), ("validation", "total_steps"),
+            ("residual", "N"), ("residual", "cutoff")} <= keys
+    for alpha in (1.8, 2.0, 2.5):
+        cfg = ValidationConfig(alpha=alpha)
+        for pipeline, key in keys:
+            assert all(key in entry
+                       for entry in describe_plan(cfg, pipeline)), \
+                (pipeline, key)
 
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():

@@ -258,12 +258,14 @@ def test_describe_plan_default_ring_sizes():
     # limit 0.9 pi / omega_max is 1.8/pi; the ring cap lowers omega_max
     assert all(1.8 / math.pi < entry["step_limit"]
                < 1.8 / math.pi * (1.0 + 1e-8) for entry in vplan)
-    # force sums ranges up to the near range directly, the rest by moments
-    # through the far order, for the chain and the residual alike; the
-    # residual's cutoffs here are all past twice the near range
-    assert all(entry["near_range"] == lattice.NEAR_RANGE
-               and entry["far_order"] == lattice.FAR_ORDER
-               for entry in vplan + plan)
+    # the plan gives each ring's cutoff; how each force splits its ranges
+    # follows its state, and report.json records it as the run took it
+    assert all(set(entry) == {"epsilon", "N", "checkpoints", "cutoff",
+                              "band"} for entry in plan)
+    assert all(set(entry) == {"epsilon", "N", "checkpoints", "cutoff",
+                              "band", "horizon", "dt", "step_limit",
+                              "steps_per_checkpoint", "total_steps"}
+               for entry in vplan)
     # the chain runs on the surrogate's grid of bo_modes points wherever
     # the ring is larger, on the ring itself at eps 0.2; the residual on the
     # profile's grid, which its ring may not be smaller than
@@ -272,13 +274,10 @@ def test_describe_plan_default_ring_sizes():
         ValidationConfig(alpha=2.0, bo_modes=1024), "validation")] \
         == [512, 724, 1024, 1024]
     assert [entry["band"] for entry in plan] == [512, 512, 512, 512]
-    # a residual cutoff within twice the near range, 16, is summed
-    # directly; past it the plan gives near_range's floor
+    # the residual's cutoff is ceil(coef/eps^2), within the ring cap
     short = describe_plan(ValidationConfig(alpha=2.0,
                                            residual_cutoff_coef=0.5), "residual")
-    assert [(e["cutoff"], e["near_range"], e["far_order"]) for e in short] \
-        == [(13, 13, 0), (25, 8, lattice.FAR_ORDER),
-            (50, 8, lattice.FAR_ORDER), (100, 8, lattice.FAR_ORDER)]
+    assert [e["cutoff"] for e in short] == [13, 25, 50, 100]
 
 
 # per-checkpoint steps on eps 0.4 ... 0.025, and how many of the smallest
@@ -945,7 +944,8 @@ def test_run_residual_sweep_smoke(tmp_path):
                           "band_dropped_share": band.dropped_share,
                           "band_top_share": band.top_share,
                           "band_fallbacks": 0,
-                          "max_near_range": band.near_range}
+                          "max_near_range": band.near_range,
+                          "max_far_order": band.far_order}
         assert (0.0 < band.top_share <= lattice.BAND_TOL) \
             == (entry["N"] > 256)
     # the surrogate's step, its steps and its resolution
@@ -1012,9 +1012,8 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
     # the frozen plan of each epsilon, as the dry run gives it, then the
     # chain's health
     health_keys = {"energy_initial", "energy_final", "energy_rel_drift",
-                   "min_collision_margin", "far_bound", "far_bound_ok",
-                   "least_far_order", "band_dropped_share", "band_top_share",
-                   "band_fallbacks", "max_near_range"}
+                   "min_collision_margin", "band_dropped_share",
+                   "band_top_share", "max_near_range", "max_far_order"}
     assert [{k: v for k, v in e.items() if k not in health_keys}
             for e in chain] == describe_plan(cfg, "validation")
     params = make_alpha_params(cfg.alpha)
@@ -1036,10 +1035,12 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         assert entry["band_dropped_share"] == band.dropped_share
         assert entry["band_top_share"] == band.top_share
         assert max(band.dropped_share, band.top_share) <= lattice.BAND_TOL
-        assert entry["band_fallbacks"] == band.fallbacks == 0
-        # the default chain's states keep the floor
+        # the default chain's states keep the floor, and take the far ranges
+        # by moments
         assert entry["max_near_range"] == band.near_range \
             == lattice.NEAR_RANGE
+        assert entry["max_far_order"] == band.far_order
+        assert 1 <= band.far_order <= lattice.FAR_ORDER
         margin = 1.0 - np.max(np.abs(r0))
         for state in states:
             margin = min(margin, 1.0 - np.max(np.abs(state.r)))
@@ -1050,22 +1051,45 @@ def test_validation_report_records_fit_statistics_and_chain_health(tmp_path):
         assert entry["energy_rel_drift"] < 1e-8
         # the margin is taken over the checkpoints, t = 0 included
         assert 0.9 < entry["min_collision_margin"] <= 1.0 - np.max(np.abs(r0))
-        # the least order that meets FAR_TOL at the chain's largest max|r|,
-        # 0 for none, and the far field's bound at that order, at FAR_ORDER
-        # for none
-        x = 1.0 - entry["min_collision_margin"]
-        p = entry["least_far_order"]
-        assert entry["far_bound"] == lattice.far_bound(
-            x, cfg.alpha, p or lattice.FAR_ORDER)
-        assert entry["far_bound_ok"] == (entry["far_bound"]
-                                         <= lattice.FAR_TOL)
-        assert (1 <= p <= lattice.FAR_ORDER) == entry["far_bound_ok"]
-        if p:
-            assert lattice.far_bound(x, cfg.alpha, p) <= lattice.FAR_TOL
-            assert (p == 1 or lattice.far_bound(x, cfg.alpha, p - 1)
-                    > lattice.FAR_TOL)
+
+
+def test_max_far_order_is_the_highest_order_a_force_took(monkeypatch):
+    # every far field a force forms records its order: a validation epsilon
+    # on its band and a residual epsilon's stacked call on its band report
+    # the highest of them, as no other record could (energy's far fields,
+    # which the validation also forms, are not a force's)
+    orders = []
+    real_field, real_potential = lattice._far_field, lattice._far_potential
+    monkeypatch.setattr(lattice, "_far_field", lambda s, rho, config, p, b:
+                        orders.append(p) or real_field(s, rho, config, p, b))
+
+    def potential(*args):
+        n = len(orders)
+        out = real_potential(*args)
+        del orders[n:]
+        return out
+
+    monkeypatch.setattr(lattice, "_far_potential", potential)
+    for alpha, pipeline in ((2.0, "validation"), (1.8, "residual")):
+        cfg = ValidationConfig(alpha=alpha)
+        params = make_alpha_params(alpha)
+        amplitude = (harness.DEFAULT_VALIDATION_AMPLITUDE
+                     if pipeline == "validation"
+                     else harness.default_residual_amplitude(alpha))
+        states, _ = harness._bo_checkpoint_states(
+            cfg, params, harness._initial_profile(cfg, amplitude))
+        entry = describe_plan(cfg, pipeline)[2]      # eps 0.1
+        assert entry["band"] < entry["N"]
+        orders.clear()
+        if pipeline == "validation":
+            health = harness._validation_eps_task(cfg, params, states,
+                                                  entry)[4]
         else:
-            assert p == 0
+            health = harness._residual_eps_task(cfg, params, states,
+                                                entry)[2]
+        assert len(orders) >= len(states)
+        assert health["max_far_order"] == max(orders)
+        assert health["max_far_order"] == {2.0: 7, 1.8: 15}[alpha]
 
 
 def test_each_epsilon_runs_its_plan_entry(monkeypatch):

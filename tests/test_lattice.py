@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -44,6 +45,13 @@ def _random_state(seed, n=64, scale=0.1):
 
 def _config(n=64, alpha=2.0, cutoff=10, dt=0.02):
     return LatticeConfig(N=n, alpha=alpha, cutoff=cutoff, dt=dt)
+
+
+def _far_bound(x, alpha, p):
+    # the bound far_order tests at order p >= 1: on the dropped orders of
+    # the far pair slope's series, relative to its linear term, for window
+    # means |x_m| <= x
+    return next(itertools.islice(lattice._far_bounds(x, alpha), p - 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +476,7 @@ def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
 @st.composite
 def _far_cases(draw):
     # a ring past twice the near range, a few long waves with white noise
-    # on top, any mean, and amplitudes on both sides of far_bound's limit
+    # on top, any mean, and amplitudes on both sides of _far_bound's limit
     N = 2 * draw(st.integers(2 * lattice.NEAR_RANGE + 2, 160))
     M = draw(st.integers(2 * lattice.NEAR_RANGE + 1, N // 2 - 1))
     alpha = draw(st.floats(1.5, 2.9))
@@ -486,7 +494,7 @@ def _far_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_far_cases())
 def test_far_field_properties(case):
-    # the moments are taken exactly when far_bound meets FAR_TOL and the
+    # the moments are taken exactly when _far_bound meets FAR_TOL and the
     # state's near range falls short of the cutoff, and then match the
     # direct sum to 1e-12 of max|force| + |rho| (the direct sum cancels pair
     # slopes of size ~|rho| in every m-difference, so its own rounding
@@ -497,7 +505,7 @@ def test_far_field_properties(case):
     x = float(np.max(np.abs(r - rho))) / (1.0 + rho)
     M0 = lattice.near_range(cfg.cutoff, float(np.max(np.abs(
         lattice._scaled_primitive(r, rho)))))
-    takes_moments = (lattice.far_bound(x, cfg.alpha, lattice.FAR_ORDER)
+    takes_moments = (_far_bound(x, cfg.alpha, lattice.FAR_ORDER)
                      <= lattice.FAR_TOL and M0 < cfg.cutoff)
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_force_cutoffs(mp)
@@ -546,7 +554,7 @@ def _far_error_and_allowance(alpha, p):
     # and with all of them, through FAR_ORDER, which must give the same
     # field to the last bit, since rows past p never enter; and the bound it
     # is gated by: a far pair slope errs by at most alpha (1+rho)^-(alpha+1)
-    # m^-(alpha+1) (alpha+1) x far_bound, and a force by twice the sum of
+    # m^-(alpha+1) (alpha+1) x _far_bound, and a force by twice the sum of
     # that over the far ranges.  The far ranges are those past the state's
     # near range: 2 max|s| = 6.21 here, so 12 (at 8 the far field errs by
     # 1.0-1.4e-14 of itself, past the allowance)
@@ -562,7 +570,7 @@ def _far_error_and_allowance(alpha, p):
     err = float(np.max(np.abs(got - want)))
     m = np.arange(M0 + 1, cutoff + 1, dtype=float)
     allowed = (2.0 * alpha * (1.0 + rho) ** -(alpha + 1.0) * (alpha + 1.0) * x
-               * lattice.far_bound(x, alpha, p)
+               * _far_bound(x, alpha, p)
                * float(np.sum(m ** -(alpha + 1.0))))
     return err, allowed, float(np.max(np.abs(want)))
 
@@ -588,14 +596,14 @@ def test_far_field_at_each_order_within_its_bound(alpha, p, monkeypatch):
     # order 15 at alpha 1.8 and 16 at 2.5
     least = lattice.far_order(0.1, alpha)
     assert least == {1.8: 15, 2.5: 16}[alpha]
-    assert (lattice.far_bound(0.1, alpha, least) <= lattice.FAR_TOL
-            < lattice.far_bound(0.1, alpha, least - 1))
-    monkeypatch.setattr(lattice, "FAR_TOL", lattice.far_bound(0.1, alpha, p))
+    assert (_far_bound(0.1, alpha, least) <= lattice.FAR_TOL
+            < _far_bound(0.1, alpha, least - 1))
+    monkeypatch.setattr(lattice, "FAR_TOL", _far_bound(0.1, alpha, p))
     assert lattice.far_order(0.1, alpha) == p
 
 
 def _far_bound_by_product(x, alpha, p):
-    # far_bound with its product |C(-alpha-1, p+1)| formed afresh at each p
+    # _far_bound with its product |C(-alpha-1, p+1)| formed afresh at each p
     q = (1.0 + alpha / (p + 2.0)) * x
     if not q < 1.0:
         return math.inf
@@ -610,7 +618,7 @@ def test_far_order_matches_a_rescan_of_far_bound(alpha):
     for x in [*np.geomspace(1e-6, 0.3, 200), 0.0, 0.9, math.nan]:
         bounds = [_far_bound_by_product(x, alpha, p)
                   for p in range(1, lattice.FAR_ORDER + 1)]
-        assert [lattice.far_bound(x, alpha, p)
+        assert [_far_bound(x, alpha, p)
                 for p in range(1, lattice.FAR_ORDER + 1)] == bounds
         assert lattice.far_order(x, alpha) == next(
             (p for p, b in enumerate(bounds, 1) if b <= lattice.FAR_TOL), 0)
@@ -709,11 +717,11 @@ def test_force_on_residual_states_matches_the_direct_sum(n, cutoff,
 
 
 def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
-    # an amplitude far_bound refuses, a long wave whose near range reaches
+    # an amplitude _far_bound refuses, a long wave whose near range reaches
     # the cutoff (4 max|s| = 78 against 60), and a NaN: run_steps steps
     # exactly as with every range summed directly
-    assert lattice.far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
-    assert lattice.far_bound(math.nan, 2.0, lattice.FAR_ORDER) == math.inf
+    assert _far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
+    assert _far_bound(math.nan, 2.0, lattice.FAR_ORDER) == math.inf
     calls = _record_force_cutoffs(monkeypatch)
     for n, cutoff, amp in ((512, 255, 0.3), (4096, 60, 0.03)):
         x = 2.0 * np.pi * np.arange(n) / n
@@ -814,24 +822,63 @@ def test_band_at_the_ring_size_or_past_it_is_the_ring(monkeypatch):
         assert band.dropped_share == band.top_share == 0.0
 
 
-def test_band_falls_back_to_the_ring_force_bit_for_bit(monkeypatch):
-    # an amplitude far_bound refuses and a NaN, where no order is found:
-    # the band's remainder is the ring's on the kept bins, to the last bit
+def test_band_sums_every_range_on_its_grid_where_no_order_is_found(
+        monkeypatch):
+    # a mode-1 wave of amplitude 0.3 at the ring cap, where _far_bound
+    # refuses every order, and a NaN: the band takes every range on its
+    # grid, as the ring does (_far_split), records no far order and takes
+    # no force from the ring.  The wave's remainder is within 1e-10 of the
+    # ring's max on the kept bins (measured 3.4e-13 and 4.3e-13); the NaN's
+    # is not finite
+    assert _far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
     calls = _record_force_cutoffs(monkeypatch)
-    n, cutoff = 1024, 511
-    rh = np.fft.rfft(0.3 * np.sin(2.0 * np.pi * np.arange(n) / n))[:_KEPT]
-    cfg = _config(n=n, alpha=2.0, cutoff=cutoff, dt=0.1)
-    got = _band_remainder(rh, cfg, lattice.Band(512))
-    assert calls == [cutoff]
-    assert np.array_equal(got, _ring_remainder_on_kept_bins(rh, cfg))
+
+    def band_remainder(rh, cfg):
+        band, held = lattice.Band(512), lattice._FarWeights(cfg)
+        F = lattice._band_force(cfg, held, band)(rh)
+        assert held.M0 == cfg.cutoff and held.b is None
+        assert held.order == 0 and band.fallbacks == 0
+        return F[:_KEPT] - lattice._linear_flow(cfg)[0][:_KEPT] * rh
+
+    for n in (1024, 1448):
+        cfg = _config(n=n, alpha=2.0, cutoff=n // 2 - 1, dt=0.1)
+        rh = np.fft.rfft(0.3 * np.sin(2.0 * np.pi * np.arange(n) / n))[:_KEPT]
+        calls.clear()
+        got = band_remainder(rh, cfg)
+        assert calls == []
+        want = _ring_remainder_on_kept_bins(rh, cfg)
+        assert calls == [cfg.cutoff]
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     cfg = _config(n=1448, alpha=2.0, cutoff=723)
     rh = np.fft.rfft(_validate_state(2.0, 1448)[0])[:_KEPT]
     rh[7] = math.nan
     calls.clear()
-    got = _band_remainder(rh, cfg, lattice.Band(512))
-    assert calls == [723]
-    assert np.array_equal(got, _ring_remainder_on_kept_bins(rh, cfg),
-                          equal_nan=True)
+    assert not np.any(np.isfinite(band_remainder(rh, cfg)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("which", ["r", "p"])
+def test_band_refuses_a_nan(which):
+    # one NaN gap or momentum of a 256-site ring on a band of 64 points:
+    # the share of the state past the kept bins is not finite, and
+    # run_steps raises BlowUpError with t and alpha, where on the ring the
+    # NaN runs on (test_a_nan_gap_runs_on_past_twice_the_near_range); a
+    # force spectrum with a NaN is refused alike
+    n = 256
+    x = 2.0 * np.pi * np.arange(n) / n
+    fields = {"r": 1e-3 * np.sin(x), "p": 1e-3 * np.cos(x)}
+    fields[which][10] = math.nan
+    band = lattice.Band(64)
+    assert math.isnan(band.share(np.fft.rfft(fields[which])))
+    with pytest.raises(lattice.BlowUpError, match="not finite") as info:
+        run_steps(LatticeState(**fields, t=1.5),
+                  _config(n=n, alpha=2.0, cutoff=127, dt=0.05), 20, 10,
+                  band)
+    assert info.value.t == 1.5 and info.value.alpha == 2.0
+    F = np.ones(33, dtype=complex)
+    F[3] = math.nan
+    with pytest.raises(lattice.BlowUpError, match="force's grid spectrum"):
+        band.top(F)
 
 
 def test_near_range_follows_the_state_on_the_ring_and_the_band(monkeypatch):
@@ -1018,20 +1065,22 @@ def test_far_weights_follow_each_state(monkeypatch):
     # each state takes its own near range: the weights are built anew where
     # it changes, none for a state that takes no moments, which drops the
     # set held; a band's near rows are built once per near range, on first
-    # use; largest records the most ranges given
+    # use; largest records the most ranges given, and order the highest
+    # far order of a state that took moments, not one whose near range
+    # reached the cutoff
     built, rows = [], []
     real = lattice._held_far_weights
     monkeypatch.setattr(lattice, "_held_far_weights", lambda config, M0:
                         built.append(M0) or real(config, M0))
     cfg = _config(n=128, cutoff=40)
     held = lattice._FarWeights(cfg)
-    for M0 in (8, 12, 12, 9, 40, 12):
-        assert held.near(M0) == M0
+    for M0, p in ((8, 9), (12, 14), (12, 3), (9, 11), (40, 24), (12, 5)):
+        assert held.near(M0, p) == M0
         for _ in range(2):
             assert held.rows(lambda m: rows.append(m) or m) == M0
         assert (held.b is None) == (M0 == 40)
     assert built == [8, 12, 9, 12] and rows == [8, 12, 9, 40, 12]
-    assert held.M0 == 12 and held.largest == 40
+    assert held.M0 == 12 and held.largest == 40 and held.order == 14
     assert np.array_equal(held.b, real(cfg, 12))
 
 
@@ -1175,7 +1224,7 @@ def test_energy_takes_the_far_ranges_by_moments_within_1e13():
 
 
 def test_energy_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
-    # an amplitude far_bound refuses, a long wave whose near range reaches
+    # an amplitude _far_bound refuses, a long wave whose near range reaches
     # the cutoff, cutoffs within twice the near range, and a NaN, which
     # gives a NaN energy and no exception: the direct sum, bit for bit
     calls = []
@@ -1231,7 +1280,7 @@ def test_far_potential_within_its_a_priori_bound(alpha):
     # the ring of _far_error_and_allowance, window means near x = 0.1 at
     # every range: through order p + 1, the far potential drops orders of
     # a pair term m^-alpha (1+rho)^-alpha alpha (alpha+1)/2 x^2 times at most
-    # 2/(p+2) far_bound(x, alpha, p), against the long-double far sum; at
+    # 2/(p+2) _far_bound(x, alpha, p), against the long-double far sum; at
     # FAR_ORDER the allowance is below 1e-9 of the far potential.  The far
     # ranges are those past the state's near range, 12
     n, cutoff = 256, 127
@@ -1243,7 +1292,7 @@ def test_far_potential_within_its_a_priori_bound(alpha):
     pair = (n * float(np.sum(m ** -alpha)) * (1.0 + rho) ** -alpha
             * alpha * (alpha + 1.0) / 2.0 * x * x)
     for p in range(1, lattice.FAR_ORDER + 1):
-        allowed = pair * 2.0 / (p + 2.0) * lattice.far_bound(x, alpha, p)
+        allowed = pair * 2.0 / (p + 2.0) * _far_bound(x, alpha, p)
         err = abs(lattice._far_potential(s, rho, cfg, p, M0) - want)
         assert err <= allowed + 1e-14 * want
     assert allowed < 1e-9 * want

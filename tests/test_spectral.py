@@ -267,12 +267,14 @@ def _random_half_spectrum(n, seed):
 def test_resample_and_sample_match_direct_sum(num, shift):
     # coarser, equal and finer rings against the direct trigonometric sum,
     # with a complex, nonzero top bin; the top bin's sine part vanishes at
-    # the nodes of the source grid but not between them
+    # the nodes of the source grid but not between them.  The field is
+    # shifted by its phase e^{ik shift}, as ansatz_fields shifts it
     n, period = 32, 7.3
     c = _random_half_spectrum(n, seed=num)
     x = np.arange(num) * period / num
     scale = np.sum(np.abs(c))
-    vals = sample_spectrum(c, period, num, shift)
+    vals = sample_spectrum(c * np.exp(1j * wavenumbers(n, period) * shift),
+                           period, num)
     assert np.max(np.abs(vals - _trig_sum(c, period, x + shift))) \
         <= 1e-13 * scale
     # the resampled half spectrum is the one of those values
@@ -293,10 +295,12 @@ def test_resample_round_trip_is_exact():
 
 
 def test_sample_spectrum_shift():
+    # a field shifted by its phase e^{ik shift}, as ansatz_fields shifts it
     grid = PeriodicGrid(11.0, 64)
     f = _random_field(grid, 8)
     shift = 1.77
-    vals = sample_spectrum(f.spectrum, grid.period, 256, shift)
+    vals = sample_spectrum(f.spectrum * np.exp(1j * grid.wavenumbers * shift),
+                           grid.period, 256)
     x = np.arange(256) * 11.0 / 256.0
     assert np.allclose(vals, eval_at(f, x + shift), atol=1e-11)
 
@@ -306,7 +310,9 @@ def test_sample_spectrum_downsamples_exactly():
     grid = PeriodicGrid(11.0, 64)
     f = _random_field(grid, 8)
     for num, shift in ((32, 0.0), (16, 0.0), (32, 2.3)):
-        vals = sample_spectrum(f.spectrum, grid.period, num, shift)
+        vals = sample_spectrum(
+            f.spectrum * np.exp(1j * grid.wavenumbers * shift), grid.period,
+            num)
         x = np.arange(num) * 11.0 / num
         assert np.allclose(vals, eval_at(f, x + shift), atol=1e-11)
     with pytest.raises(ValueError):
@@ -353,8 +359,8 @@ def test_resample_equals_the_scatter_to_the_last_bit():
 def test_spectral_helpers_take_stacks_row_by_row():
     # spectra stacked along a leading axis give, row by row, the 1-d call's
     # result to the last bit: resampling onto coarser (num < n), equal and
-    # finer rings with a complex top bin, sampling with one shift for all
-    # rows and a shift per row, and the surrogate's du/dtau and v_tautau
+    # finer rings with a complex top bin, sampling, and the surrogate's
+    # du/dtau and v_tautau
     n, period = 64, 9.0
     stack = np.array([_random_half_spectrum(n, seed) for seed in (1, 2, 3)])
     assert np.all(stack[:, -1].imag != 0.0)
@@ -365,15 +371,9 @@ def test_spectral_helpers_take_stacks_row_by_row():
             assert np.array_equal(out[i], resample_spectrum(c, num))
             assert np.array_equal(deep[i, 0], out[i])
     for num in (32, 128):
-        for shifts in (np.zeros(3), np.full(3, 1.3),
-                       np.array([0.0, 1.3, -4.05])):
-            vals = sample_spectrum(stack, period, num, shifts)
-            for row, c, shift in zip(vals, stack, shifts):
-                assert np.array_equal(row, sample_spectrum(c, period, num,
-                                                           shift))
-            if np.all(shifts == shifts[0]):
-                assert np.array_equal(
-                    vals, sample_spectrum(stack, period, num, shifts[0]))
+        vals = sample_spectrum(stack, period, num)
+        for row, c in zip(vals, stack):
+            assert np.array_equal(row, sample_spectrum(c, period, num))
     params = make_alpha_params(1.8)
     k, mask = wavenumbers(n, period), dealias_mask(n)
     ut = _rhs_spectrum(stack, k, params, mask)
