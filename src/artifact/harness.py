@@ -25,8 +25,8 @@ from .bo_solver import (BOConfig, BOState, BlowUpError, _dtau2_v_spectrum,
                         span_plan)
 from .lattice import (_BLOCK_ELEMENTS, BAND_TOL, Band, CollisionError,
                       LatticeConfig, LatticeState, _band_force, _FarWeights,
-                      _refuse_collision, _split_force, energy, error_energy,
-                      error_energy_constants, run_steps, step_limit)
+                      energy, error_energy, error_energy_constants, run_steps,
+                      step_limit)
 from .specfun import AlphaParams, find_alpha_star, make_alpha_params, zeta_gap
 from .spectral import (PeriodicGrid, SpectralField, average_multiplier,
                        dealias_mask, resample_spectrum, sample_spectrum,
@@ -334,16 +334,17 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     The acceleration part substitutes the surrogate equation for every time
     derivative (no numerical differencing); the interaction part is minus
     the chain force, truncated at cutoff, at the ansatz gaps of
-    ansatz_fields.  Given a band smaller than the ring, that force is formed
-    on the band, as the chain's is (lattice._band_force), from the gaps'
-    ring spectrum on its kept bins, -eps^(alpha-1) N A c for the profile
-    spectrum c and the window mean's symbol A, so no transform of the gaps
-    at the ring's length is taken, and the interaction part has no content
-    past bin Q/2.  A profile whose gaps or force the band cannot hold
-    (either share past BAND_TOL) takes the ring's force, as without a band,
-    counted in band.fallbacks; the band records the largest shares of the
-    forces it formed, and a band given records the most ranges any force
-    summed pair by pair and the highest far order any took (Band.record).
+    ansatz_fields, formed on a band as the chain's is (lattice._band_force).
+    Given a band smaller than the ring, it is formed on that band from the
+    gaps' ring spectrum on its kept bins, -eps^(alpha-1) N A c for the
+    profile spectrum c and the window mean's symbol A, so no transform of
+    the gaps at the ring's length is taken, and the interaction part has no
+    content past bin Q/2.  Without one, and for a profile whose gaps or
+    force the band cannot hold (either share past BAND_TOL), counted in
+    band.fallbacks, it is minus force at the ring's gaps, from the ring's
+    band (Band.ring); the band records the largest shares of the forces it
+    formed, and a band given records the most ranges any force summed pair
+    by pair and the highest far order any took (Band.record).
 
     A spectrum with leading axes stacks profiles, and both parts then stack
     their rows alike; row i equals the call on profile i alone to the last
@@ -369,16 +370,17 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
     held = _FarWeights(lat_cfg)
     kN = wavenumbers(N, period)
     mask = dealias_mask(N, dealias_fraction)
+    ring_force = None   # formed where a profile first takes the ring's force
     on_band = band is not None and band.Q < N
     if on_band:
-        force_spectrum = _band_force(lat_cfg, held, band)
+        force_spectrum = _band_force(lat_cfg, held, band, hold_rows=True)
         scale, A = _gaps_symbol(kN, period, N, alpha)
         symbol = scale * N * A      # the gaps' ring spectrum over cN
 
         def band_force(gh):
-            # the force at the gaps of ring spectrum gh, formed on the band,
-            # or None, counted as a fallback, where the band cannot hold the
-            # gaps or the force
+            # the force spectrum at the gaps of ring spectrum gh, formed on
+            # the band, or None, counted as a fallback, where the band cannot
+            # hold the gaps or the force
             dropped = band.share(gh)
             if dropped <= BAND_TOL:
                 F = force_spectrum(gh[:band.kept])
@@ -386,7 +388,7 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
                 if top <= BAND_TOL:
                     band.dropped_share = max(band.dropped_share, dropped)
                     band.top_share = max(band.top_share, top)
-                    return np.fft.irfft(F, N)
+                    return F
             band.fallbacks += 1
             return None
     accel = np.empty((len(rows), N))
@@ -414,14 +416,15 @@ def residual_fields(u_tau: SpectralField, eps: float, params: AlphaParams,
         del a               # so that the force's blocks reuse it
         for i, (f, row) in enumerate(zip(fpart[i0:i0 + B], g), i0):
             try:
-                force = band_force(row) if on_band else None
-                if force is None:
+                F = band_force(row) if on_band else None
+                if F is None:
                     if on_band:     # the ring's gaps, as without a band
                         row = _ansatz_gaps(resample_spectrum(rows[i], N), kN,
                                            period, N, alpha)
-                    _refuse_collision(row)
-                    force = _split_force(row, lat_cfg, held)
-                np.negative(force, out=f)
+                    if ring_force is None:
+                        ring_force = _band_force(lat_cfg, held, Band.ring(N))
+                    F = ring_force(np.fft.rfft(row))
+                np.negative(np.fft.irfft(F, N), out=f)
             except CollisionError as err:
                 err.alpha, err.epsilon, err.profile = alpha, eps, i
                 raise

@@ -15,42 +15,46 @@ remainder sets the step's accuracy and the fastest linear mode its
 stability: _linear_flow refuses a dt at or past step_limit, 0.9 pi over
 the top linear frequency.
 
-Given a Band of Q < N points, run_steps keeps the chain on the band: its
-spectra hold only the rfft bins of dealias_mask(Q), the surrogate's kept
-bins, and every force is formed on the grid x_q = qN/Q (_band_force), at a
-cost that does not grow with N; the residual forms its interaction part
-there too.  This is a Fourier-Galerkin truncation of the chain
-with pseudo-spectral products and the 2/3 rule (Orszag 1971), the rule
-bo_solver applies to the surrogate.  The validation chains live in the
-lowest 64 or so of the ring's bins, so at the defaults it moves their sup
-errors by 2e-11 relative or less; the band records what it drops, and
-run_steps refuses more than BAND_TOL or a share that is not finite, where
-the residual takes the ring's force.  energy and a run_steps call without
-a band stay on the ring.
+Every force is formed on a Band, the grid x_q = qN/Q of Q points, from the
+ring's rfft spectrum on the band's kept bins (_band_force).  The ring is
+the band of N points that keeps every bin (Band.ring): force(r) is the
+inverse transform of its force spectrum, and run_steps takes it where no
+smaller band is given.  Given a Band of Q < N points, run_steps keeps the
+chain on the band: its spectra hold only the rfft bins of dealias_mask(Q),
+the surrogate's kept bins, at a cost that does not grow with N; the
+residual forms its interaction part there too.  This is a Fourier-Galerkin
+truncation of the chain with pseudo-spectral products and the 2/3 rule
+(Orszag 1971), the rule bo_solver applies to the surrogate.  The
+validation chains live in the lowest 64 or so of the ring's bins, so at the
+defaults it moves their sup errors by 2e-11 relative or less; the band
+records what it drops, and run_steps refuses more than BAND_TOL or a share
+that is not finite, where the residual takes the ring's force.
 
-force, which run_steps and the residual share, sums its ranges up to a
-near range M0 pair by pair and the rest by moments (_far_field): each far
-pair slope is a power series in the window mean, and every order of it is a
-circular convolution of a power of the scaled primitive s of r with fixed
-weights, so a few FFTs replace the N x M kernel calls.  This near/far split
-follows Ewald (1921) and Greengard & Rokhlin (1987), keeping the far part's
-nonlinearity order by order, and sizes the near part by the state, as they
-size it by accuracy: M0 is at least NEAR_RANGE and large enough that
-2 max|s| <= (M0 + 1)/2 (near_range), so the default chains, at 2 max|s| of
-0.2 to 1.8, take M0 = NEAR_RANGE.  energy splits its ranges where force
-does (_far_split) and takes the far pair potentials' series one order
-further from the far field itself (_far_potential): summed by parts on the
-ring, order n + 1 of the far potential is -(1 + rho)/(n + 1) times the
-inner product of s with order n of the force.  The orders reach
+A force sums its ranges up to a near range M0 pair by pair, each window sum
+G_m r at the grid points one transform of r^ times the window's symbol, and
+the rest by moments (_far_field): each far pair slope is a power series in
+the window mean, and every order of it is a circular convolution of a power
+of the scaled primitive s of r with fixed weights, so a few FFTs replace
+the N x M kernel calls.  This near/far split follows Ewald (1921) and
+Greengard & Rokhlin (1987), keeping the far part's nonlinearity order by
+order, and sizes the near part by the state, as they size it by accuracy:
+M0 is at least NEAR_RANGE and large enough that 2 max|s| <= (M0 + 1)/2
+(near_range), so the default chains, at 2 max|s| of 0.2 to 1.8, take
+M0 = NEAR_RANGE.  energy sums its near ranges on the ring's sites from
+prefix sums (_window_sums), splits its ranges by the state's own far order
+and near range (_far_split) and takes the far pair potentials' series one
+order further from the far field itself (_far_potential): summed by parts
+on the ring, order n + 1 of the far potential is -(1 + rho)/(n + 1) times
+the inner product of s with order n of the force.  The orders reach
 FAR_ORDER = 24, which covers window means up to 0.2 at every alpha: the
-default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18, take
-orders 11 to 20, and the validation chains orders 9 or less.  Every far
-field is given its weight rows and takes every order at once, rows built
-through FAR_ORDER for the ranges past M0 (_held_far_weights): force and
-energy build them per call, and run_steps and the residual hold one set at a
-time, at the last state's M0, so that every state takes its own
-(_FarWeights), which records the most near ranges and the highest far order
-any force took; a Band given copies both (Band.record).
+default residual states at alpha 1.8 and 2.0, at means 0.045 to 0.18,
+take orders 11 to 20, and the validation chains orders 9 or less.  Every
+far field is given its weight rows and takes every order at once, rows
+built through FAR_ORDER for the ranges past M0 (_held_far_weights): force
+and energy build them per call, and run_steps and the residual hold one
+set at a time, at the last state's M0, so that every state takes its own
+(_FarWeights), which records the most near ranges and the highest far
+order any force took; a Band given copies both (Band.record).
 """
 
 from __future__ import annotations
@@ -217,25 +221,15 @@ def _check_ring(r: np.ndarray, config: LatticeConfig):
 def force(r: np.ndarray, config: LatticeConfig) -> np.ndarray:
     """Acceleration of each site: sum over ranges m of the backward
     m-difference of the pair slopes, truncated at config.cutoff, the ranges
-    past the state's near range by moments where it allows (_split_force),
-    with far weights built for this call."""
+    past the state's near range by moments where it allows: the inverse
+    transform of the ring's band force (_band_force on Band.ring), with far
+    weights built for this call.  Gaps whose deviation reaches 1 raise
+    CollisionError."""
     r = np.asarray(r, dtype=float)
     _check_ring(r, config)
-    return _split_force(r, config, _FarWeights(config))
-
-
-def _direct_force(r: np.ndarray, alpha: float, M: int) -> np.ndarray:
-    """force's sum over the ranges m = 1..M, range by range (f_j += w_j, then
-    f_j -= w_{j-m}); a block of slopes w dies before the next is formed."""
-    f = np.zeros(r.size)
-    for ms, G in _window_sums(r, M):
-        W = _kernel_prime(G, ms, alpha)
-        for m, w in zip(ms[:, 0].astype(int), W):
-            f += w
-            f[m:] -= w[:-m]     # f_j -= w_{j-m}, wrapping around the ring
-            f[:m] -= w[-m:]
-        del W, w
-    return f
+    force_spectrum = _band_force(config, _FarWeights(config),
+                                 Band.ring(config.N))
+    return np.fft.irfft(force_spectrum(np.fft.rfft(r)), config.N)
 
 
 def _omega2(N: int, alpha: float, M: int) -> np.ndarray:
@@ -357,12 +351,13 @@ def _held_far_weights(config: LatticeConfig, M0: int):
 class _FarWeights:
     """The rows a force needs at one config and one near range M0, held for
     the last M0 asked and built anew when a state asks another: the far
-    weight rows b (_held_far_weights) where M0 is less than the cutoff, and a
-    band's near rows (rows), built on first use.  Each state takes its own
-    M0, so a force in a chain or a stacked call gives the bits of force(r)
-    alone.  One set is held at a time.  largest records the most ranges any
-    state was given to sum pair by pair, and order the highest order through
-    which any state took the ranges past them by moments (0 for none)."""
+    weight rows b (_held_far_weights) where M0 is less than the cutoff, and
+    the near rows of the one band whose forces hold them (rows), built on
+    first use.  Each state takes its own M0, so a force in a chain or a
+    stacked call gives the bits of a lone call.  One set is held at a time.
+    largest records the most ranges any state was given to sum pair by
+    pair, and order the highest order through which any state took the
+    ranges past them by moments (0 for none)."""
 
     def __init__(self, config: LatticeConfig):
         self.config = config
@@ -430,13 +425,12 @@ def _far_field(s: np.ndarray, rho: float, config: LatticeConfig, p: int,
 
 
 def _far_split(r: np.ndarray, config: LatticeConfig):
-    """(s, rho, p, M0) where force and energy sum the ranges up to M0
-    directly and take the rest by moments through order p: the order
-    far_order finds at x = max|r - rho|/(1 + rho), rho the mean of r, and
-    then the near range at max|s|, s the scaled primitive
-    (_scaled_primitive); None where they sum every range directly: a cutoff
-    within twice NEAR_RANGE, no order (a NaN among them), or a near range
-    that reaches the cutoff."""
+    """(s, rho, p, M0) where energy sums the ranges up to M0 directly and
+    takes the rest by moments through order p: the order far_order finds
+    at x = max|r - rho|/(1 + rho), rho the mean of r, and then the near
+    range at max|s|, s the scaled primitive (_scaled_primitive); None where
+    it sums every range directly: a cutoff within twice NEAR_RANGE, no
+    order (a NaN among them), or a near range that reaches the cutoff."""
     M = config.cutoff
     if M <= 2 * NEAR_RANGE:
         return None
@@ -448,17 +442,6 @@ def _far_split(r: np.ndarray, config: LatticeConfig):
     s = _scaled_primitive(r, rho)
     M0 = near_range(M, float(np.max(np.abs(s))))
     return (s, rho, p, M0) if M0 < M else None
-
-
-def _split_force(r: np.ndarray, config: LatticeConfig, held: _FarWeights):
-    """force(r, config): the near ranges directly plus _far_field's share
-    from the far weights held, where _far_split allows, else every range
-    directly; the far field reuses the near sum's freed memory."""
-    s, rho, p, M0 = _far_split(r, config) or (None, 0.0, 0, config.cutoff)
-    f = _direct_force(r, config.alpha, held.near(M0, p))
-    if p:
-        f += _far_field(s, rho, config, p, held.b)
-    return f
 
 
 def check_steps(config: LatticeConfig, nsteps: int, every: int | None = None):
@@ -473,18 +456,20 @@ def check_steps(config: LatticeConfig, nsteps: int, every: int | None = None):
 
 @dataclass
 class Band:
-    """The grid of Q points on which run_steps and residual_fields form the
-    force of a ring of more than Q sites, keeping the `kept` rfft bins of
-    dealias_mask(Q, dealias_fraction) (_band_force).  A call records here
-    the largest share of a field it was given above the kept bins, which it
-    drops (dropped_share), the largest share of a force's grid spectrum
-    above them, which the kicks drop and whose products alias (top_share),
-    the residual profiles whose force it left to the ring because a share
-    passed BAND_TOL (fallbacks), and, on the band or on the ring, the most
-    ranges any force of the call summed pair by pair (near_range) and the
-    highest order through which any took the rest by moments (far_order,
-    0 where every force summed every range).  run_steps refuses either
-    share past BAND_TOL, or not finite, with BlowUpError."""
+    """The grid of Q points on which force, run_steps and residual_fields
+    form the force of a ring, keeping the `kept` rfft bins of
+    dealias_mask(Q, dealias_fraction) (_band_force).  The ring's own band,
+    Band.ring(N), keeps every bin, so its force is the ring's and it drops
+    nothing.  A call records here the largest share of a field it was given
+    above the kept bins, which it drops (dropped_share), the largest share
+    of a force's grid spectrum above them, which the kicks drop and whose
+    products alias (top_share), the residual profiles whose force it left
+    to the ring because a share passed BAND_TOL (fallbacks), and, on the
+    band or on the ring, the most ranges any force of the call summed pair
+    by pair (near_range) and the highest order through which any took the
+    rest by moments (far_order, 0 where every force summed every range).
+    run_steps refuses either share past BAND_TOL, or not finite, with
+    BlowUpError."""
 
     Q: int
     dealias_fraction: float = 2.0 / 3.0
@@ -494,6 +479,14 @@ class Band:
     near_range: int = field(default=0, init=False)
     far_order: int = field(default=0, init=False)
 
+    @classmethod
+    def ring(cls, N: int) -> Band:
+        """The band of N points that keeps all N//2 + 1 rfft bins of a ring
+        of N sites, past dealias_mask's 3j < N."""
+        band = cls(N)
+        band.kept = N // 2 + 1
+        return band
+
     @cached_property
     def kept(self) -> int:
         return int(np.count_nonzero(dealias_mask(self.Q,
@@ -502,8 +495,11 @@ class Band:
     def share(self, spectrum: np.ndarray) -> float:
         """The share of a real field's L2 content in the bins of its rfft
         spectrum past the kept bins, every bin but 0 counted twice; NaN
-        where the content is not finite."""
+        where the content is not finite, and 0 where no bin lies past them,
+        as on the ring's band."""
         top = spectrum[self.kept:]
+        if not top.size:
+            return 0.0
         total = 2.0 * np.vdot(spectrum, spectrum).real - abs(spectrum[0]) ** 2
         if not math.isfinite(total):
             return math.nan
@@ -546,30 +542,25 @@ def _refuse_collision(r: np.ndarray, t: float | None = None):
         raise CollisionError("a gap deviation reached 1; ordering lost", t=t)
 
 
-def _ring_remainder(config: LatticeConfig, L: np.ndarray, held: _FarWeights):
-    """run_steps' remainder R = rfft(force(r)) - L r^ on every bin of the
-    ring: at the sites r given, or else at r = irfft(r^, N), which must
-    keep |r| below 1."""
-    def remainder(rh, r=None):
-        if r is None:
-            r = np.fft.irfft(rh, config.N)
-            _refuse_collision(r)
-        return np.fft.rfft(_split_force(r, config, held)) - L * rh
-    return remainder
-
-
-def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
+def _band_force(config: LatticeConfig, held: _FarWeights, band: Band,
+                hold_rows: bool = False):
     """force on a band: the function that takes spectra r^ on the band's
     kept bins of the ring alone, and gives the force's rfft spectrum on the
     ring through bin Q/2, formed on the band's grid x_q = qN/Q,
-    q = 0..Q-1, with the far weights held.
+    q = 0..Q-1, with the far weights held; on the ring's band (Band.ring)
+    that is the ring's force spectrum on every bin.
 
     For each range m up to the near range M0, G_m r at the grid points is
     the irfft over Q points of r^ times (e^{ikm} - 1)/(e^{ik} - 1) (m at
     n = 0), k = 2 pi n/N; the rfft of its pair slopes times 1 - e^{-ikm},
     summed over m, is the near ranges' force, taken
     max(1, _BLOCK_ELEMENTS // Q) ranges at a time.  The window and
-    difference rows are held with the weights (_FarWeights.rows).  _far_field
+    difference rows are formed after the far field, per call or, with
+    hold_rows, once per near range with the weights (_FarWeights.rows),
+    which hold the rows of one grid: a chain holds its own and the residual
+    its band's, while its forces on the ring's band, fallbacks among them,
+    form theirs per call, so that no ring rows sit through the next
+    profile's far field.  _far_field
     adds the far ranges at the grid samples of the scaled primitive,
     s^ = r^/((e^{ik} - 1)(1 + rho)), with the weight rows cut to bins up to
     Q/2.  A transform over Q points has Q/N of the ring's normalisation,
@@ -584,7 +575,7 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
     NEAR_RANGE is max|s| taken at the ring's sites (the bound is 1.67 times
     it on the alpha 1.8 residual states).  Where no order is found (a NaN
     among them), M0 is the cutoff and every range is summed on the grid,
-    as _far_split has the ring do."""
+    as energy sums them (_far_split)."""
     N, Q, alpha, kept, M = config.N, band.Q, config.alpha, band.kept, \
         config.cutoff
     k = 2.0 * np.pi * np.arange(Q // 2 + 1) / N
@@ -623,7 +614,8 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band):
         if M0 < M:      # where an order is found, and p, rho and sh are set
             Ffar = np.fft.rfft(_far_field(np.fft.irfft(sh, Q), rho, config,
                                           p, held.b[:, :Q // 2 + 1])) * (N / Q)
-        ms, window, difference = held.rows(near_rows)
+        ms, window, difference = (held.rows(near_rows) if hold_rows
+                                  else near_rows(M0))
         # a block's windows' spectra, zero-padded to the grid's bins for the
         # irfft, which pads slower; made per call, as a held array would sit
         # through the far field beside its temporaries
@@ -649,40 +641,38 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
 
     (r, p) stay rfft spectra within a call, and the trailing remainder
     doubles as the next leading one: a call forms nsteps + 1 remainders,
-    whatever `every`.  The call holds one set of far weights, and on a band
-    one set of near rows, for the last state's near range, built anew when
-    a state needs another (_FarWeights), so that each remainder takes the
-    force of its state alone; a band given records the largest near
-    range and far order (Band.record).  On the ring (band None, or
-    band.Q >= N) a step costs one force, one irfft and one rfft.  With a band of Q < N points
-    the spectra keep only the band's bins, and each remainder is formed on
-    its grid (_band_force), at a cost that does not grow with N; the
-    given state's content past those bins is dropped.  A collision
-    (CollisionError) or band content past BAND_TOL raises BlowUpError, with
-    t and alpha.
+    whatever `every`.  Each remainder is formed on a band's grid
+    (_band_force): on the band given where it has fewer points than the
+    ring, whose spectra then keep only its bins, the given state's content
+    past them dropped, at a cost that does not grow with N; else on the
+    ring's band (Band.ring), which keeps every bin and drops nothing.  The
+    call holds one set of far weights and near rows, for the last state's
+    near range, built anew when a state needs another (_FarWeights), so
+    that each remainder takes the force of its state alone; a band given
+    records the largest near range and far order (Band.record).  A
+    collision (CollisionError) or band content past BAND_TOL raises
+    BlowUpError, with t and alpha.
     """
     N, dt = config.N, config.dt
     _check_ring(state.r, config)
     L, cos, r_from_p, p_from_r = check_steps(config, nsteps, every)
     held = _FarWeights(config)
+    grid = band if band is not None and band.Q < N else Band.ring(N)
+    kept = grid.kept
     rh, ph = np.fft.rfft(state.r), np.fft.rfft(state.p)
     t, done, i = state.t, 0, 0  # time and step count of the last state out
     try:
-        if band is None or band.Q >= N:
-            remainder = _ring_remainder(config, L, held)
-        else:
-            band.drop(rh)
-            band.drop(ph)
-            kept = band.kept
-            L, cos, r_from_p, p_from_r, rh, ph = (
-                v[:kept] for v in (L, cos, r_from_p, p_from_r, rh, ph))
-            force_spectrum = _band_force(config, held, band)
+        grid.drop(rh)
+        grid.drop(ph)
+        L, cos, r_from_p, p_from_r, rh, ph = (
+            v[:kept] for v in (L, cos, r_from_p, p_from_r, rh, ph))
+        force_spectrum = _band_force(config, held, grid, hold_rows=True)
 
-            def remainder(rh, r=None):
-                F = force_spectrum(rh)
-                band.top(F)
-                return F[:kept] - L * rh
-        Rh = remainder(rh, state.r)
+        def remainder(rh):
+            F = force_spectrum(rh)
+            grid.top(F)
+            return F[:kept] - L * rh
+        Rh = remainder(rh)
         out = []
         for i in range(1, nsteps + 1):
             ph = ph + (0.5 * dt) * Rh
@@ -704,7 +694,7 @@ def run_steps(state: LatticeState, config: LatticeConfig, nsteps: int,
 def energy(state: LatticeState, config: LatticeConfig) -> float:
     """Kinetic plus truncated interaction energy (zero at equilibrium): the
     near ranges directly plus _far_potential's share where _far_split
-    allows, as force takes them, else every range directly."""
+    allows, else every range directly."""
     r = state.r
     _check_ring(r, config)
     far = _far_split(r, config)

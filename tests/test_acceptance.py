@@ -12,11 +12,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import zeta as hurwitz_zeta
 
+from artifact import harness
 from artifact.bo_solver import BOConfig, BOState, gaussian_profile, run_to
-from artifact.harness import ValidationConfig, ansatz_fields, run_residual_sweep, run_validation
+from artifact.harness import (DEFAULT_VALIDATION_AMPLITUDE, ValidationConfig, ansatz_fields,
+                              run_residual_sweep, run_validation)
 from artifact.lattice import LatticeConfig, LatticeState, energy, force, p2_functional, run_steps
 from artifact.specfun import eta_integral, eta_riemann, find_alpha_star, make_alpha_params, zeta, zeta_gap
-from artifact.spectral import PeriodicGrid, SpectralField, sobolev_norm
+from artifact.spectral import PeriodicGrid, SpectralField, dealias_mask, sobolev_norm, wavenumbers
 from conftest import record
 
 
@@ -238,6 +240,33 @@ def test_gate5_lattice_physics():
 # gate 6: dispersive surrogate solver
 
 
+def _hamiltonian_drift(alpha, kappa2_factor=1.0):
+    """Largest relative change of the surrogate's Hamiltonian
+    H = int [(kappa3/2kappa1) u |D|^(alpha-1) u - (kappa2/6kappa1) u^3] dX,
+    on the kept bins, whose Galerkin truncation conserves it, along the
+    default validation surrogate over tau0, run with kappa2 times
+    kappa2_factor.  u^3 has bins up to 3 times the top kept one, below n,
+    so the grid sum gives its integral exactly."""
+    cfg = ValidationConfig(alpha=alpha)
+    params = make_alpha_params(alpha)
+    run = dataclasses.replace(params, kappa2=params.kappa2 * kappa2_factor)
+    u0 = harness._initial_profile(cfg, DEFAULT_VALIDATION_AMPLITUDE)
+    states, _ = harness._bo_checkpoint_states(cfg, run, u0)
+    n = cfg.bo_modes
+    mask = dealias_mask(n, cfg.dealias_fraction)
+    k = wavenumbers(n, cfg.period)
+
+    def hamiltonian(spectrum):
+        c = spectrum * mask
+        u = np.fft.irfft(c, n) * n
+        quadratic = 2.0 * cfg.period * np.sum(np.abs(c) ** 2 * k ** (alpha - 1.0))
+        cubic = cfg.period / n * np.sum(u ** 3)
+        return (params.kappa3 * quadratic / 2.0 - params.kappa2 * cubic / 6.0) / params.kappa1
+
+    H = [hamiltonian(state.u.spectrum) for state in states]
+    return max(abs(h - H[0]) for h in H) / abs(H[0])
+
+
 def test_gate6_surrogate_solver():
     t0 = time.perf_counter()
     period, n = 32.0, 128
@@ -275,16 +304,25 @@ def test_gate6_surrogate_solver():
     mean_dev = abs(float(out.u.spectrum[0].real))
     l2_dev = (abs(sobolev_norm(out.u, 0.0) - sobolev_norm(pulse, 0.0))
               / sobolev_norm(pulse, 0.0))
+
+    # H's drift, which the L2 norm cannot show: it weighs the nonlinear term
+    # against the dispersive one, so a kappa2 1e-6 off must pass the bound
+    h_drift = max(_hamiltonian_drift(alpha) for alpha in (1.6, 2.0, 2.5))
+    h_off = min(_hamiltonian_drift(alpha, 1.0 + 1e-6) for alpha in (1.6, 2.0, 2.5))
     elapsed = time.perf_counter() - t0
     status = ("PASS" if worst_phase <= 1e-6 and 12.0 <= ratio <= 20.0
-              and mean_dev <= 1e-12 and l2_dev <= 1e-10 else "FAIL")
+              and mean_dev <= 1e-12 and l2_dev <= 1e-10
+              and h_drift <= 1e-12 < h_off else "FAIL")
     record(f"[gate 6] surrogate solver: dispersion {worst_phase:.2e}, order "
-           f"ratio {ratio:.2f}, mean {mean_dev:.1e}, l2 drift {l2_dev:.1e} "
+           f"ratio {ratio:.2f}, mean {mean_dev:.1e}, l2 drift {l2_dev:.1e}, "
+           f"H drift {h_drift:.1e} (kappa2 1e-6 off {h_off:.1e}) "
            f"({elapsed:.1f}s) -> {status}")
     assert worst_phase <= 1e-6
     assert 12.0 <= ratio <= 20.0
     assert mean_dev <= 1e-12
     assert l2_dev <= 1e-10
+    assert h_drift <= 1e-12
+    assert h_off > 1e-12
     assert elapsed < 60.0
 
 

@@ -571,8 +571,7 @@ def test_interaction_part_matches_longdouble_window_formula():
 def test_band_interaction_part_matches_longdouble_window_formula(alpha):
     # on rings larger than the profile's 512-point band, at the sweep's
     # profile and ranges: measured 3e-13 to 1.4e-10 of the residual norm,
-    # where the ring's force read 1.7e-12 to 1.4e-9, past this bound at
-    # alpha 2.5 on 1024 sites
+    # where the ring's force reads 3.7e-13 to 1.6e-10
     params = make_alpha_params(alpha)
     u0 = gaussian_profile(PeriodicGrid(102.4, 512),
                           default_residual_amplitude(alpha))
@@ -886,8 +885,12 @@ def test_stacked_residual_peak_memory_stays_bounded():
     # u_X, u_tau and v_tautau formed side by side the call peaked at 1.83
     # MB, and with them and the chunk's spectra alive through the force
     # loop at 2.20 MB.  With each profile at its own near range (17 here)
-    # and one set of weights held at a time, numpy 2.4 reads 1.72 MB on
-    # the ring and 1.76 MB on the band: 2% under the bound
+    # and one set of weights held at a time, numpy 2.4 read 1.72 MB on the
+    # ring and 1.76 MB on the band.  With the ring's force formed on its own
+    # band of N points, whose near rows are formed per force and not held
+    # past it, both read 1.75 MB, 2.7% and 2.5% under the bound; holding
+    # the ring's window and difference rows across the profiles, as a
+    # chain does, read 2.15 MB
     cfg, params, field = _stacked_checkpoints(1.8)
     eps = cfg.period / 1448
     for Q in (None, cfg.bo_modes):

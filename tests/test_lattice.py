@@ -29,11 +29,12 @@ def _naive_pair_potential(g, m, alpha):
 
 def _pair_slope_longdouble(g, m, alpha):
     # -a((m+g)^-(a+1) - m^-(a+1)) in long double: the force oracle, written
-    # apart from the expm1/log1p form of _kernel_prime
+    # apart from the expm1/log1p form of _kernel_prime, the power as
+    # exp(-(a+1) log(m+g)), a third of the time powl takes
     g = np.longdouble(g)
     m = np.longdouble(m)
     b = np.longdouble(alpha) + 1
-    return -np.longdouble(alpha) * ((m + g) ** -b - m ** -b)
+    return -np.longdouble(alpha) * (np.exp(-b * np.log(m + g)) - m ** -b)
 
 
 def _random_state(seed, n=64, scale=0.1):
@@ -189,35 +190,44 @@ def test_gsum_matches_direct_loop(monkeypatch):
             assert np.allclose(G, direct, atol=1e-12)
 
 
-def _force_per_range(r, config):
-    # force one range at a time, as before the blocks: the same operations
-    # per element in the same order, so the blocked force must match it bit
-    # for bit
-    N = r.size
-    cs = np.concatenate(([0.0], np.cumsum(np.concatenate((r, r)))))
-    f = np.zeros(N)
-    for m in range(1, config.cutoff + 1):
-        w = _kernel_prime(cs[m:m + N] - cs[:N], m, config.alpha)
-        f += w
-        f[m:] -= w[:-m]
-        f[:m] -= w[-m:]
+def _direct_sum(r, config):
+    # force's direct sum on the ring's sites, a block of prefix-sum window
+    # sums at a time (_window_sums), apart from the grid transforms force
+    # takes its window sums by
+    f = np.zeros(r.size)
+    for ms, G in _window_sums(r, config.cutoff):
+        for m, w in zip(ms[:, 0].astype(int),
+                        _kernel_prime(G, ms, config.alpha)):
+            f += w
+            f[m:] -= w[:-m]     # f_j -= w_{j-m}, wrapping around the ring
+            f[:m] -= w[-m:]
     return f
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.5])
-def test_force_matches_per_range_loop_at_block_edges(alpha):
-    # M below, at, one past and one short of three blocks; and a ring of
-    # more than _BLOCK_ELEMENTS sites, where every block is one range
+def test_force_matches_per_range_loop_at_block_edges(alpha, monkeypatch):
+    # every range summed on the ring's grid, in blocks of
+    # _BLOCK_ELEMENTS // N ranges: M below, at, one past and one short of
+    # three blocks; and a ring of more than _BLOCK_ELEMENTS sites, where
+    # every block is one range.  Within 1e-13 of max|f| of the direct sum
+    # on the ring's sites (measured 6.6e-16 to 3.5e-15)
     N = 320
     B = lattice._BLOCK_ELEMENTS // N
     cases = [(N, M) for M in (B // 2, B, B + 1, 3 * B - 1)]
     cases.append((lattice._BLOCK_ELEMENTS + 16, 4))
     rng = np.random.default_rng(15)
+    calls = _record_force_cutoffs(monkeypatch)
     for N, M in cases:
         r = 0.05 * rng.standard_normal(N)
         cfg = _config(n=N, alpha=alpha, cutoff=M)
-        assert np.array_equal(lattice._direct_force(r, alpha, M),
-                              _force_per_range(r, cfg)), (N, M)
+        want = _direct_sum(r, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(lattice, "NEAR_RANGE", M)
+            calls.clear()
+            got = force(r, cfg)
+        assert calls == [M]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+            (N, M)
 
 
 def test_force_memory_stays_bounded():
@@ -235,13 +245,10 @@ def test_force_memory_stays_bounded():
     assert peak < 2 * 2 ** 20
 
 
-def test_force_matches_double_loop_oracle():
-    rng = np.random.default_rng(5)
-    n, alpha, cutoff = 32, 2.0, 9
-    r = 0.05 * rng.standard_normal(n)
-    cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
+def _double_loop_force(r, alpha, cutoff):
     # position-space oracle: f_j = sum_m [V'(G_m r_j) - V'(G_m r_{j-m})],
     # the sign that closes the Hamiltonian flow with rdot_j = p_{j+1} - p_j
+    n = r.size
     oracle = np.zeros(n)
     for j in range(n):
         acc = 0.0
@@ -251,7 +258,45 @@ def test_force_matches_double_loop_oracle():
             acc += (_pair_slope_longdouble(gj, m, alpha)
                     - _pair_slope_longdouble(gjm, m, alpha))
         oracle[j] = acc
-    assert np.max(np.abs(force(r, cfg) - oracle)) < 1e-12
+    return oracle
+
+
+def test_force_matches_double_loop_oracle():
+    rng = np.random.default_rng(5)
+    n, alpha, cutoff = 32, 2.0, 9
+    r = 0.05 * rng.standard_normal(n)
+    cfg = _config(n=n, alpha=alpha, cutoff=cutoff)
+    assert np.max(np.abs(force(r, cfg) - _double_loop_force(r, alpha,
+                                                            cutoff))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_force_and_steps_on_odd_and_even_rings(n, monkeypatch):
+    # the ring's band keeps all n//2 + 1 rfft bins, the top one a Nyquist
+    # bin only at even n.  force matches the double loop within 1e-12 of
+    # max|f| at a cutoff it sums pair by pair and at one past 2 NEAR_RANGE,
+    # whose far ranges it takes by moments; and run_steps over t = 2 is of
+    # second order: from dt 0.1 to 0.05 to 0.025 the change falls by 4
+    # (measured 4.015 at both sizes and cutoffs)
+    x = 2.0 * np.pi * np.arange(n) / n
+    r = 0.1 * np.sin(x) + 0.05 * np.cos(2.0 * x + 0.3) + 0.03 * np.sin(5.0 * x)
+    p = 0.05 * np.cos(x)
+    calls = _record_force_cutoffs(monkeypatch)
+    for cutoff, M0 in ((10, 10), (20, lattice.NEAR_RANGE)):
+        calls.clear()
+        f = force(r, _config(n=n, cutoff=cutoff))
+        assert calls == [M0]
+        assert (np.max(np.abs(f - _double_loop_force(r, 2.0, cutoff)))
+                <= 1e-12 * np.max(np.abs(f)))
+        ends = []
+        for dt in (0.1, 0.05, 0.025):
+            [end] = run_steps(LatticeState(r=r, p=p),
+                              _config(n=n, cutoff=cutoff, dt=dt),
+                              round(2.0 / dt))
+            ends.append(np.concatenate((end.r, end.p)))
+        coarse, fine = (np.max(np.abs(a - b))
+                        for a, b in zip(ends, ends[1:]))
+        assert 3.9 <= coarse / fine <= 4.1
 
 
 def test_force_equivariance_and_momentum():
@@ -430,25 +475,26 @@ def _stepper_remainder(r, cfg):
 
 
 def _direct(r, cfg):
-    # force's direct sum over every range up to the cutoff
-    return lattice._direct_force(r, cfg.alpha, cfg.cutoff)
+    # force's direct sum over every range up to the cutoff, in long double
+    # (_far_sum_longdouble): in double, at a mean of 0.03, the sum's own
+    # rounding reaches 6e-10 of max|f|, where force's reads 3e-12
+    return _far_sum_longdouble(r, cfg.alpha, 0, cfg.cutoff).astype(float)
 
 
-def _direct_remainder(r, cfg):
-    # the same with F the direct sum
+def _direct_remainder(f, r, cfg):
+    # the same remainder with F = f, the direct sum at r
     L = lattice._linear_flow(cfg)[0]
-    return np.fft.irfft(np.fft.rfft(_direct(r, cfg)) - L * np.fft.rfft(r),
-                        cfg.N)
+    return np.fft.irfft(np.fft.rfft(f) - L * np.fft.rfft(r), cfg.N)
 
 
 def _record_force_cutoffs(monkeypatch):
-    # the range of every direct sum: the near range beside the moments, or
-    # the whole cutoff
+    # the ranges every force, on the ring or a band, sums pair by pair: the
+    # near range beside the moments, or the whole cutoff
     calls = []
-    real = lattice._direct_force
-    monkeypatch.setattr(lattice, "_direct_force",
-                        lambda r, alpha, M: calls.append(M)
-                        or real(r, alpha, M))
+    real = lattice._FarWeights.near
+    monkeypatch.setattr(lattice._FarWeights, "near",
+                        lambda held, M0, p: calls.append(M0)
+                        or real(held, M0, p))
     return calls
 
 
@@ -459,7 +505,9 @@ def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
     # the validate initial state, that state 100 steps on, and a ring of mean
     # 0.03: run_steps' remainder, its ranges past NEAR_RANGE summed by
     # moments (2 max|s| is 1.8 or less), against the direct sum's to 1e-12
-    # of max|force|
+    # of max|force| + |rho|, as in test_far_field_properties (measured
+    # 7.6e-15 to 5.5e-14 of max|force| at rho 0, and 1.9e-14 to 3.0e-12 at
+    # 0.03)
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff, dt=0.1)
     r, p = _validate_state(alpha, n)
     stepped = run_steps(LatticeState(r=r, p=p), cfg, 100)[-1].r
@@ -468,9 +516,9 @@ def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
         calls.clear()
         got = _stepper_remainder(ring, cfg)
         assert calls == [lattice.NEAR_RANGE]
-        want = _direct_remainder(ring, cfg)
-        assert (np.max(np.abs(got - want))
-                <= 1e-12 * np.max(np.abs(_direct(ring, cfg))))
+        f = _direct(ring, cfg)
+        assert (np.max(np.abs(got - _direct_remainder(f, ring, cfg)))
+                <= 1e-12 * (np.max(np.abs(f)) + abs(float(np.mean(ring)))))
 
 
 @st.composite
@@ -494,15 +542,15 @@ def _far_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_far_cases())
 def test_far_field_properties(case):
-    # the moments are taken exactly when _far_bound meets FAR_TOL and the
-    # state's near range falls short of the cutoff, and then match the
-    # direct sum to 1e-12 of max|force| + |rho| (the direct sum cancels pair
-    # slopes of size ~|rho| in every m-difference, so its own rounding
-    # scales with |rho| too); otherwise the step is the direct sum's, bit
-    # for bit
+    # the moments are taken exactly when _far_bound meets FAR_TOL at the
+    # spectrum's bound on max|r - rho| (_band_force) and the state's near
+    # range falls short of the cutoff, else every range is summed on the
+    # grid; either way the step matches the direct sum to 1e-12 of
+    # max|force| + |rho| (the direct sum cancels pair slopes of size ~|rho|
+    # in every m-difference, so its own rounding scales with |rho| too)
     cfg, r = case
     rho = float(np.mean(r))
-    x = float(np.max(np.abs(r - rho))) / (1.0 + rho)
+    x = 2.0 * float(np.sum(np.abs(np.fft.rfft(r)[1:]))) / r.size / (1.0 + rho)
     M0 = lattice.near_range(cfg.cutoff, float(np.max(np.abs(
         lattice._scaled_primitive(r, rho)))))
     takes_moments = (_far_bound(x, cfg.alpha, lattice.FAR_ORDER)
@@ -510,14 +558,10 @@ def test_far_field_properties(case):
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_force_cutoffs(mp)
         got = _stepper_remainder(r, cfg)
-    want = _direct_remainder(r, cfg)
-    if not takes_moments:
-        assert calls == [cfg.cutoff]
-        assert np.array_equal(got, want)
-    else:
-        assert calls == [M0]
-        assert (np.max(np.abs(got - want))
-                <= 1e-12 * (np.max(np.abs(_direct(r, cfg))) + abs(rho)))
+    f = _direct(r, cfg)
+    assert calls == [M0 if takes_moments else cfg.cutoff]
+    assert (np.max(np.abs(got - _direct_remainder(f, r, cfg)))
+            <= 1e-12 * (np.max(np.abs(f)) + abs(rho)))
 
 
 def _far_sum_longdouble(r, alpha, M0, M):
@@ -719,7 +763,7 @@ def test_force_on_residual_states_matches_the_direct_sum(n, cutoff,
 def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
     # an amplitude _far_bound refuses, a long wave whose near range reaches
     # the cutoff (4 max|s| = 78 against 60), and a NaN: run_steps steps
-    # exactly as with every range summed directly
+    # exactly as with every range summed on the grid by NEAR_RANGE
     assert _far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
     assert _far_bound(math.nan, 2.0, lattice.FAR_ORDER) == math.inf
     calls = _record_force_cutoffs(monkeypatch)
@@ -740,17 +784,34 @@ def test_far_field_falls_back_to_the_direct_sum_bit_for_bit(monkeypatch):
     calls.clear()
     got = _stepper_remainder(r, cfg)
     assert calls == [255]
-    assert np.array_equal(got, _direct_remainder(r, cfg), equal_nan=True)
+    assert np.isnan(got).all()
 
 
-def test_far_field_trajectory_matches_the_direct_sum(monkeypatch):
+def _direct_steps(state, cfg, nsteps):
+    # run_steps' split steps, written here with every range of the
+    # remainder summed pair by pair on the ring's sites (_direct_sum)
+    L, cos, r_from_p, p_from_r = lattice._linear_flow(cfg)
+
+    def remainder(rh):
+        r = np.fft.irfft(rh, cfg.N)
+        return np.fft.rfft(_direct_sum(r, cfg)) - L * rh
+    rh, ph = np.fft.rfft(state.r), np.fft.rfft(state.p)
+    Rh = remainder(rh)
+    for _ in range(nsteps):
+        ph = ph + (0.5 * cfg.dt) * Rh
+        rh, ph = cos * rh + r_from_p * ph, p_from_r * rh + cos * ph
+        Rh = remainder(rh)
+        ph = ph + (0.5 * cfg.dt) * Rh
+    return LatticeState(r=np.fft.irfft(rh, cfg.N), p=np.fft.irfft(ph, cfg.N))
+
+
+def test_far_field_trajectory_matches_the_direct_sum():
     # 200 steps of the validate state at (1448, 723), alpha 2, against the
-    # same stepper with every range summed directly
+    # same split steps with every range summed pair by pair
     cfg = _config(n=1448, alpha=2.0, cutoff=723, dt=0.1)
     r, p = _validate_state(2.0, 1448)
     [a] = run_steps(LatticeState(r=r, p=p), cfg, 200)
-    monkeypatch.setattr(lattice, "NEAR_RANGE", cfg.cutoff)
-    [b] = run_steps(LatticeState(r=r, p=p), cfg, 200)
+    b = _direct_steps(LatticeState(r=r, p=p), cfg, 200)
     assert np.max(np.abs(a.r - b.r)) <= 1e-12 * np.max(np.abs(b.r))
     assert np.max(np.abs(a.p - b.p)) <= 1e-12 * np.max(np.abs(b.p))
 
@@ -781,7 +842,7 @@ def _ring_remainder_on_kept_bins(rh, cfg):
 def test_band_remainder_matches_the_ring_on_the_kept_bins(alpha, n):
     # the validate initial state on the band's bins, and that state 100 band
     # steps on: the grid remainder against the ring's within 3e-11 of its
-    # max on the kept bins (measured 7e-13 to 1.1e-11)
+    # max on the kept bins (measured 9.9e-14 to 1.1e-12)
     cfg = _config(n=n, alpha=alpha, cutoff=n // 2 - 1, dt=0.1)
     r, p = _validate_state(alpha, n)
     stepped = run_steps(LatticeState(r=r, p=p), cfg, 100,
@@ -826,10 +887,9 @@ def test_band_sums_every_range_on_its_grid_where_no_order_is_found(
         monkeypatch):
     # a mode-1 wave of amplitude 0.3 at the ring cap, where _far_bound
     # refuses every order, and a NaN: the band takes every range on its
-    # grid, as the ring does (_far_split), records no far order and takes
-    # no force from the ring.  The wave's remainder is within 1e-10 of the
-    # ring's max on the kept bins (measured 3.4e-13 and 4.3e-13); the NaN's
-    # is not finite
+    # grid, as the ring does, records no far order and takes no force from
+    # the ring.  The wave's remainder is within 1e-10 of the ring's max on
+    # the kept bins (measured 1.5e-14 and 9.8e-15); the NaN's is not finite
     assert _far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
     calls = _record_force_cutoffs(monkeypatch)
 
@@ -845,16 +905,15 @@ def test_band_sums_every_range_on_its_grid_where_no_order_is_found(
         rh = np.fft.rfft(0.3 * np.sin(2.0 * np.pi * np.arange(n) / n))[:_KEPT]
         calls.clear()
         got = band_remainder(rh, cfg)
-        assert calls == []
         want = _ring_remainder_on_kept_bins(rh, cfg)
-        assert calls == [cfg.cutoff]
+        assert calls == [cfg.cutoff, cfg.cutoff]
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     cfg = _config(n=1448, alpha=2.0, cutoff=723)
     rh = np.fft.rfft(_validate_state(2.0, 1448)[0])[:_KEPT]
     rh[7] = math.nan
     calls.clear()
     assert not np.any(np.isfinite(band_remainder(rh, cfg)))
-    assert calls == []
+    assert calls == [cfg.cutoff]
 
 
 @pytest.mark.parametrize("which", ["r", "p"])
@@ -889,12 +948,12 @@ def test_near_range_follows_the_state_on_the_ring_and_the_band(monkeypatch):
     assert lattice.near_range(100, 5.0) == 19
     assert lattice.near_range(100, np.nextafter(5.0, math.inf)) == 20
     assert lattice.near_range(100, 1e3) == 100
-    # The ring takes its state's max|s| (_far_split): a long wave scaled to
-    # put 4 max|s| just below and just past 20 sums 19 and 20 ranges
-    # directly.  The band takes the bound 2 sum|s^_n|/Q first and, where
-    # that asks for more than NEAR_RANGE, the max|s| of the ring's sites
-    # (_band_force), cos(pi/n) of the bound for this wave, whose sites lie
-    # half a cell off its peaks; it never falls back to the ring for it
+    # A force takes the bound 2 sum|s^_n|/Q first and, where that asks for
+    # more than NEAR_RANGE, the max|s| of the ring's sites (_band_force),
+    # cos(pi/n) of the bound for a long wave whose sites lie half a cell
+    # off its peaks: the ring's band of n points and a band of 512 alike,
+    # which never falls back to the ring.  The wave scaled to put 4 max|s|
+    # just below and just past 20 sums 19 and 20 ranges pair by pair
     asked = []
     real = lattice.near_range
     monkeypatch.setattr(lattice, "near_range", lambda cutoff, s_max=0.0:
@@ -905,45 +964,43 @@ def test_near_range_follows_the_state_on_the_ring_and_the_band(monkeypatch):
     wave = 1e-3 * np.sin(2.0 * np.pi * np.arange(n) / n)
 
     def ring(r):
-        return force(r, cfg)
+        return np.fft.rfft(force(r, cfg))
 
     def band(r):
         band = lattice.Band(512)
-        held = lattice._FarWeights(cfg)
-        got = lattice._band_force(cfg, held, band)(np.fft.rfft(r)[:_KEPT])
+        got = lattice._band_force(cfg, lattice._FarWeights(cfg), band)(
+            np.fft.rfft(r)[:_KEPT])
         assert band.fallbacks == 0
-        return got, held.largest
+        return got
 
     def s_maxes(step, r):
-        # the max|s| (or its bound) near_range is given, with the step's
-        # result
+        # the max|s| (or its bound) near_range is given, the ranges summed
+        # pair by pair and the step's force spectrum
         asked.clear()
         calls.clear()
         out = step(r)
-        return list(asked), out
+        [M0] = calls
+        return list(asked), M0, out
 
-    [ring_ref], _ = s_maxes(ring, wave)
-    for scale, M0 in ((1.0 - 1e-9, 19), (1.0 + 1e-9, 20)):
-        s_maxes(ring, 5.0 / ring_ref * scale * wave)
-        assert calls == [M0]
-    # a small wave: the bound alone, no transform at the ring's length
-    [band_ref], (_, M0) = s_maxes(band, wave)
-    assert M0 == lattice.NEAR_RANGE and calls == []
-    r = 5.0 / band_ref * (1.0 + 1e-7) * wave
-    (bound, site), (got, M0) = s_maxes(band, r)
-    assert 4.0 * site <= 20.0 < 4.0 * bound and M0 == 19
-    assert site / bound == pytest.approx(math.cos(math.pi / n), abs=1e-12)
-    assert calls == []
+    for step in (ring, band):
+        # a small wave: the bound alone, no transform at the ring's length
+        [ref], M0, _ = s_maxes(step, wave)
+        assert M0 == lattice.NEAR_RANGE
+        r = 5.0 / ref * (1.0 + 1e-7) * wave
+        (bound, site), M0, got = s_maxes(step, r)
+        assert 4.0 * site <= 20.0 < 4.0 * bound and M0 == 19
+        assert site / bound == pytest.approx(math.cos(math.pi / n),
+                                             abs=1e-12)
+        site_ref = site / (5.0 / ref * (1.0 + 1e-7))
+        for scale, want_M0 in ((1.0 - 1e-9, 19), (1.0 + 1e-9, 20)):
+            (bound, site), M0, _ = s_maxes(step, 5.0 / site_ref * scale * wave)
+            assert M0 == want_M0 and 4.0 * bound > 20.0
     # the band's force at the sites' near range is the ring's, to 1e-10 of
     # its max
     want = _ring_remainder_on_kept_bins(np.fft.rfft(r)[:_KEPT], cfg)
     got = got[:_KEPT] - lattice._linear_flow(cfg)[0][:_KEPT] * np.fft.rfft(
         r)[:_KEPT]
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    site_ref = site / (5.0 / band_ref * (1.0 + 1e-7))
-    for scale, want_M0 in ((1.0 - 1e-9, 19), (1.0 + 1e-9, 20)):
-        (bound, site), (_, M0) = s_maxes(band, 5.0 / site_ref * scale * wave)
-        assert M0 == want_M0 and 4.0 * bound > 20.0
 
 
 @pytest.mark.parametrize("n, amp", [(1024, 0.03), (1024, 0.06),
@@ -1086,33 +1143,37 @@ def test_far_weights_follow_each_state(monkeypatch):
 
 def test_forces_on_held_weights_equal_force_alone_bit_for_bit():
     # one holder through states whose near ranges rise and fall, as a chain
-    # or a stacked residual takes them: each force is force(r) alone, to
-    # the last bit, on the ring and on the band
+    # or a stacked residual takes them, with the near rows held or not:
+    # each force is a lone call's, to the last bit, on the ring's band,
+    # where that is force(r), and on a band of 512 points
     n = 1024
     cfg = _config(n=n, alpha=2.0, cutoff=100)
     x = 2.0 * np.pi * np.arange(n) / n
     states = [0.032 * np.sin(x), _random_state(3, n=n, scale=1e-3).r,
               0.016 * np.sin(x), 0.032 * np.sin(x)]
-    held = lattice._FarWeights(cfg)
-    near = []
-    for r in states:
-        near.append(lattice._far_split(r, cfg)[3])
-        assert np.array_equal(lattice._split_force(r, cfg, held),
-                              force(r, cfg))
-    assert near == [20, lattice.NEAR_RANGE, 10, 20]
-    held = lattice._FarWeights(cfg)
-    band_force = lattice._band_force(cfg, held, lattice.Band(512))
-    for r in states:
-        rh = np.fft.rfft(r)[:_KEPT]
-        assert np.array_equal(band_force(rh), lattice._band_force(
-            cfg, lattice._FarWeights(cfg), lattice.Band(512))(rh))
+    for hold_rows in (True, False):
+        held = lattice._FarWeights(cfg)
+        ring_force = lattice._band_force(cfg, held, lattice.Band.ring(n),
+                                         hold_rows)
+        near = []
+        for r in states:
+            got = np.fft.irfft(ring_force(np.fft.rfft(r)), n)
+            near.append(held.M0)
+            assert np.array_equal(got, force(r, cfg))
+        assert near == [20, lattice.NEAR_RANGE, 10, 20]
+        band_force = lattice._band_force(cfg, lattice._FarWeights(cfg),
+                                         lattice.Band(512), hold_rows)
+        for r in states:
+            rh = np.fft.rfft(r)[:_KEPT]
+            assert np.array_equal(band_force(rh), lattice._band_force(
+                cfg, lattice._FarWeights(cfg), lattice.Band(512))(rh))
 
 
 def test_band_takes_every_range_in_blocks_where_its_near_range_reaches_the_cutoff():
     # the long wave at cutoff 60, whose near range (4 max|s| = 78) reaches
     # the cutoff: the band sums every range on its grid, 32 ranges at a
     # time, to within 1e-11 of the ring's force on the kept bins (measured
-    # 4.7e-13), with no fallback.  A call that builds the near rows peaks
+    # 3.5e-15), with no fallback.  A call that builds the near rows peaks
     # at 0.91 MB and a later call at 0.47 MB; all 60 ranges at once took
     # them to 1.22 and 0.81 MB
     n, cutoff = 4096, 60
@@ -1121,7 +1182,7 @@ def test_band_takes_every_range_in_blocks_where_its_near_range_reaches_the_cutof
     rh = np.fft.rfft(r)[:_KEPT]
     band = lattice.Band(512)
     held = lattice._FarWeights(cfg)
-    band_force = lattice._band_force(cfg, held, band)
+    band_force = lattice._band_force(cfg, held, band, hold_rows=True)
     lattice._band_force(cfg, lattice._FarWeights(cfg), band)(rh)
     peaks = []
     tracemalloc.start()
@@ -1381,6 +1442,18 @@ def test_collision_detected_during_run():
     with pytest.raises(CollisionError) as info:
         run_steps(state, cfg, 200)
     assert info.value.t is not None
+
+
+@pytest.mark.parametrize("gap", [1.0, -1.0, 1.5])
+def test_force_refuses_a_gap_deviation_of_one(gap):
+    # as run_steps and the residual do: the moduli bound on max|r| reaches
+    # 1, so the ring's sites are formed and tested, at a cutoff summed pair
+    # by pair and at one past 2 NEAR_RANGE
+    r = 1e-3 * np.sin(2.0 * np.pi * np.arange(64) / 64)
+    r[5] = gap
+    for cutoff in (10, 20):
+        with pytest.raises(CollisionError, match="gap deviation reached 1"):
+            force(r, _config(cutoff=cutoff))
 
 
 def test_collision_is_a_blow_up():
