@@ -586,14 +586,22 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band,
 
     def near_rows(M0):
         # (ms, window, difference) of the ranges up to M0
-        ms = np.arange(1, M0 + 1, dtype=float)[:, None]
-        # e^{ikm} - 1; 1 - e^{-ikm} is minus its conjugate
-        up = -2.0 * np.sin(0.5 * k * ms) ** 2 + 1j * np.sin(k * ms)
+        ms = np.arange(1, M0 + 1)[:, None]
+        # e^{ikm} - 1 at bin n is e^{2 pi i j/N} - 1 at j = nm mod N, looked
+        # up in a table of the j up to N or nm, so that two sin passes go
+        # over at most N points rather than M0 x (Q/2 + 1)
+        j = np.arange(min(N, M0 * (Q // 2) + 1))
+        roots = -2.0 * np.sin(np.pi * j / N) ** 2 + 1j * np.sin(
+            2.0 * np.pi * j / N)
+        up = roots[ms * np.arange(Q // 2 + 1) % N]
         window = np.empty((M0, kept), dtype=complex)
-        window[:, 0] = ms[:, 0]
-        window[:, 1:] = up[:, 1:kept] / shift[1:kept]
-        window *= Q / N
-        return ms, window, up.conj() * (-N / Q)
+        window[:, 0] = ms[:, 0] * (Q / N)
+        np.multiply(up[:, 1:kept], primitive[1:], out=window[:, 1:])
+        # 1 - e^{-ikm} is minus the conjugate of e^{ikm} - 1, formed in its
+        # place
+        difference = np.conjugate(up, out=up)
+        difference *= -N / Q
+        return ms, window, difference
 
     def force_spectrum(rh):
         a = np.abs(rh)

@@ -210,7 +210,7 @@ def test_force_matches_per_range_loop_at_block_edges(alpha, monkeypatch):
     # _BLOCK_ELEMENTS // N ranges: M below, at, one past and one short of
     # three blocks; and a ring of more than _BLOCK_ELEMENTS sites, where
     # every block is one range.  Within 1e-13 of max|f| of the direct sum
-    # on the ring's sites (measured 6.6e-16 to 3.5e-15)
+    # on the ring's sites (measured 7.5e-16 to 3.3e-15)
     N = 320
     B = lattice._BLOCK_ELEMENTS // N
     cases = [(N, M) for M in (B // 2, B, B + 1, 3 * B - 1)]
@@ -482,9 +482,18 @@ def _direct(r, cfg):
 
 
 def _direct_remainder(f, r, cfg):
-    # the same remainder with F = f, the direct sum at r
+    # the same remainder with F = f, a direct sum at r
     L = lattice._linear_flow(cfg)[0]
     return np.fft.irfft(np.fft.rfft(f) - L * np.fft.rfft(r), cfg.N)
+
+
+def _grid_sum(r, cfg, monkeypatch):
+    # force with every range up to the cutoff summed pair by pair on the
+    # ring's grid (NEAR_RANGE at the cutoff): the near part of force's own
+    # sum, so that a comparison with it sees the moments' error alone
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "NEAR_RANGE", cfg.cutoff)
+        return force(r, cfg)
 
 
 def _record_force_cutoffs(monkeypatch):
@@ -504,10 +513,9 @@ def _record_force_cutoffs(monkeypatch):
 def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
     # the validate initial state, that state 100 steps on, and a ring of mean
     # 0.03: run_steps' remainder, its ranges past NEAR_RANGE summed by
-    # moments (2 max|s| is 1.8 or less), against the direct sum's to 1e-12
-    # of max|force| + |rho|, as in test_far_field_properties (measured
-    # 7.6e-15 to 5.5e-14 of max|force| at rho 0, and 1.9e-14 to 3.0e-12 at
-    # 0.03)
+    # moments (2 max|s| is 1.8 or less), against the remainder with every
+    # range summed on the grid to 1e-12 of max|force| (measured 4.5e-16 to
+    # 1.4e-14)
     cfg = _config(n=n, alpha=alpha, cutoff=cutoff, dt=0.1)
     r, p = _validate_state(alpha, n)
     stepped = run_steps(LatticeState(r=r, p=p), cfg, 100)[-1].r
@@ -516,9 +524,10 @@ def test_far_field_remainder_matches_force(alpha, n, cutoff, monkeypatch):
         calls.clear()
         got = _stepper_remainder(ring, cfg)
         assert calls == [lattice.NEAR_RANGE]
-        f = _direct(ring, cfg)
+        f = _grid_sum(ring, cfg, monkeypatch)
+        assert calls == [lattice.NEAR_RANGE, cfg.cutoff]
         assert (np.max(np.abs(got - _direct_remainder(f, ring, cfg)))
-                <= 1e-12 * (np.max(np.abs(f)) + abs(float(np.mean(ring)))))
+                <= 1e-12 * np.max(np.abs(f)))
 
 
 @st.composite
@@ -544,10 +553,10 @@ def _far_cases(draw):
 def test_far_field_properties(case):
     # the moments are taken exactly when _far_bound meets FAR_TOL at the
     # spectrum's bound on max|r - rho| (_band_force) and the state's near
-    # range falls short of the cutoff, else every range is summed on the
-    # grid; either way the step matches the direct sum to 1e-12 of
-    # max|force| + |rho| (the direct sum cancels pair slopes of size ~|rho|
-    # in every m-difference, so its own rounding scales with |rho| too)
+    # range falls short of the cutoff, and then match the sum of every
+    # range on the grid to 1e-12 of max|force| + |rho| (the sum cancels pair
+    # slopes of size ~|rho| in every m-difference, so its own rounding
+    # scales with |rho| too); otherwise the step is that sum's, bit for bit
     cfg, r = case
     rho = float(np.mean(r))
     x = 2.0 * float(np.sum(np.abs(np.fft.rfft(r)[1:]))) / r.size / (1.0 + rho)
@@ -558,10 +567,15 @@ def test_far_field_properties(case):
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_force_cutoffs(mp)
         got = _stepper_remainder(r, cfg)
-    f = _direct(r, cfg)
-    assert calls == [M0 if takes_moments else cfg.cutoff]
-    assert (np.max(np.abs(got - _direct_remainder(f, r, cfg)))
-            <= 1e-12 * (np.max(np.abs(f)) + abs(rho)))
+        f = _grid_sum(r, cfg, mp)
+    want = _direct_remainder(f, r, cfg)
+    if not takes_moments:
+        assert calls == [cfg.cutoff, cfg.cutoff]
+        assert np.array_equal(got, want)
+    else:
+        assert calls == [M0, cfg.cutoff]
+        assert (np.max(np.abs(got - want))
+                <= 1e-12 * (np.max(np.abs(f)) + abs(rho)))
 
 
 def _far_sum_longdouble(r, alpha, M0, M):
@@ -842,7 +856,7 @@ def _ring_remainder_on_kept_bins(rh, cfg):
 def test_band_remainder_matches_the_ring_on_the_kept_bins(alpha, n):
     # the validate initial state on the band's bins, and that state 100 band
     # steps on: the grid remainder against the ring's within 3e-11 of its
-    # max on the kept bins (measured 9.9e-14 to 1.1e-12)
+    # max on the kept bins (measured 7.9e-14 to 1.0e-12)
     cfg = _config(n=n, alpha=alpha, cutoff=n // 2 - 1, dt=0.1)
     r, p = _validate_state(alpha, n)
     stepped = run_steps(LatticeState(r=r, p=p), cfg, 100,
@@ -889,7 +903,7 @@ def test_band_sums_every_range_on_its_grid_where_no_order_is_found(
     # refuses every order, and a NaN: the band takes every range on its
     # grid, as the ring does, records no far order and takes no force from
     # the ring.  The wave's remainder is within 1e-10 of the ring's max on
-    # the kept bins (measured 1.5e-14 and 9.8e-15); the NaN's is not finite
+    # the kept bins (measured 1.5e-14 and 7.6e-15); the NaN's is not finite
     assert _far_bound(0.3, 2.0, lattice.FAR_ORDER) > lattice.FAR_TOL
     calls = _record_force_cutoffs(monkeypatch)
 
@@ -1173,7 +1187,7 @@ def test_band_takes_every_range_in_blocks_where_its_near_range_reaches_the_cutof
     # the long wave at cutoff 60, whose near range (4 max|s| = 78) reaches
     # the cutoff: the band sums every range on its grid, 32 ranges at a
     # time, to within 1e-11 of the ring's force on the kept bins (measured
-    # 3.5e-15), with no fallback.  A call that builds the near rows peaks
+    # 2.9e-15), with no fallback.  A call that builds the near rows peaks
     # at 0.91 MB and a later call at 0.47 MB; all 60 ranges at once took
     # them to 1.22 and 0.81 MB
     n, cutoff = 4096, 60
