@@ -597,11 +597,9 @@ def _band_force(config: LatticeConfig, held: _FarWeights, band: Band,
         window = np.empty((M0, kept), dtype=complex)
         window[:, 0] = ms[:, 0] * (Q / N)
         np.multiply(up[:, 1:kept], primitive[1:], out=window[:, 1:])
-        # 1 - e^{-ikm} is minus the conjugate of e^{ikm} - 1, formed in its
-        # place
-        difference = np.conjugate(up, out=up)
-        difference *= -N / Q
-        return ms, window, difference
+        # 1 - e^{-ikm}, minus the conjugate of e^{ikm} - 1, in its place
+        return ms, window, np.multiply(np.conjugate(up, out=up), -N / Q,
+                                       out=up)
 
     def force_spectrum(rh):
         a = np.abs(rh)
